@@ -155,7 +155,7 @@ impl Aggregation {
     pub fn compute(&self, docs: &[&Value]) -> AggResult {
         match &self.kind {
             AggKind::Terms { size } => {
-                let mut groups: BTreeMap<String, Vec<&Value>> = BTreeMap::new();
+                let mut groups: BTreeMap<&str, Vec<&Value>> = BTreeMap::new();
                 for doc in docs {
                     if let Some(key) = get_path(doc, &self.field).and_then(as_keyword) {
                         groups.entry(key).or_default().push(doc);
@@ -163,7 +163,7 @@ impl Aggregation {
                 }
                 let mut buckets: Vec<Bucket> = groups
                     .into_iter()
-                    .map(|(key, group)| self.bucket(Value::String(key), &group))
+                    .map(|(key, group)| self.bucket(Value::String(key.to_owned()), &group))
                     .collect();
                 buckets.sort_by(|a, b| {
                     b.doc_count.cmp(&a.doc_count).then_with(|| {

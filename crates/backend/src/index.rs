@@ -6,6 +6,7 @@ use parking_lot::RwLock;
 use serde_json::Value;
 
 use crate::agg::{AggResult, Aggregation};
+use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
 use crate::value_path::{as_keyword, as_number, for_each_leaf};
 
@@ -31,8 +32,7 @@ impl Ord for FKey {
 struct IndexInner {
     docs: HashMap<u64, Value>,
     order: Vec<u64>,
-    keywords: HashMap<String, HashMap<String, HashSet<u64>>>,
-    numerics: HashMap<String, BTreeMap<FKey, HashSet<u64>>>,
+    inverted: Inverted,
     /// Documents accepted but not yet merged into the inverted indexes.
     /// Mirrors Elasticsearch's near-real-time model: `_bulk` buffers, a
     /// *refresh* makes documents searchable. Queries trigger the refresh.
@@ -41,23 +41,39 @@ struct IndexInner {
     deletions: u64,
 }
 
-impl IndexInner {
+/// The inverted indexes: field → term → ids of the documents holding it.
+/// A struct of its own so a document can be indexed while `docs` lends it.
+#[derive(Default)]
+struct Inverted {
+    keywords: HashMap<String, HashMap<String, Postings>>,
+    numerics: HashMap<String, BTreeMap<FKey, Postings>>,
+}
+
+/// Runs `f` on `map[key]`, default-inserted first if absent. The key is
+/// copied only then: indexing a document allocates for the fields and terms
+/// it is the first to hold, not for every leaf.
+fn with_slot<V: Default, R>(
+    map: &mut HashMap<String, V>,
+    key: &str,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    match map.get_mut(key) {
+        Some(slot) => f(slot),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
+impl Inverted {
     fn index_doc(&mut self, id: u64, doc: &Value) {
         for_each_leaf(doc, &mut |path, leaf| {
             if let Some(kw) = as_keyword(leaf) {
-                self.keywords
-                    .entry(path.to_string())
-                    .or_default()
-                    .entry(kw)
-                    .or_default()
-                    .insert(id);
+                with_slot(&mut self.keywords, path, |terms| {
+                    with_slot(terms, kw, |ids| ids.insert(id));
+                });
             } else if let Some(n) = as_number(leaf) {
-                self.numerics
-                    .entry(path.to_string())
-                    .or_default()
-                    .entry(FKey(n))
-                    .or_default()
-                    .insert(id);
+                with_slot(&mut self.numerics, path, |tree| {
+                    tree.entry(FKey(n)).or_default().insert(id);
+                });
             }
         });
     }
@@ -66,18 +82,18 @@ impl IndexInner {
         for_each_leaf(doc, &mut |path, leaf| {
             if let Some(kw) = as_keyword(leaf) {
                 if let Some(terms) = self.keywords.get_mut(path) {
-                    if let Some(set) = terms.get_mut(&kw) {
-                        set.remove(&id);
-                        if set.is_empty() {
-                            terms.remove(&kw);
+                    if let Some(ids) = terms.get_mut(kw) {
+                        ids.remove(id);
+                        if ids.is_empty() {
+                            terms.remove(kw);
                         }
                     }
                 }
             } else if let Some(n) = as_number(leaf) {
                 if let Some(tree) = self.numerics.get_mut(path) {
-                    if let Some(set) = tree.get_mut(&FKey(n)) {
-                        set.remove(&id);
-                        if set.is_empty() {
+                    if let Some(ids) = tree.get_mut(&FKey(n)) {
+                        ids.remove(id);
+                        if ids.is_empty() {
                             tree.remove(&FKey(n));
                         }
                     }
@@ -92,23 +108,13 @@ impl IndexInner {
     fn candidates(&self, query: &Query) -> Option<HashSet<u64>> {
         match query {
             Query::Term { field, value } => {
-                if let Some(kw) = as_keyword(value) {
-                    Some(
-                        self.keywords
-                            .get(field)
-                            .and_then(|t| t.get(&kw))
-                            .cloned()
-                            .unwrap_or_default(),
-                    )
+                let ids = if let Some(kw) = as_keyword(value) {
+                    self.keywords.get(field).and_then(|t| t.get(kw))
                 } else {
-                    as_number(value).map(|n| {
-                        self.numerics
-                            .get(field)
-                            .and_then(|t| t.get(&FKey(n)))
-                            .cloned()
-                            .unwrap_or_default()
-                    })
-                }
+                    let n = as_number(value)?;
+                    self.numerics.get(field).and_then(|t| t.get(&FKey(n)))
+                };
+                Some(ids.map(Postings::to_set).unwrap_or_default())
             }
             Query::Terms { field, values } => {
                 let mut out = HashSet::new();
@@ -140,7 +146,7 @@ impl IndexInner {
                 };
                 let mut out = HashSet::new();
                 for (_, ids) in tree.range((lower, upper)) {
-                    out.extend(ids);
+                    out.extend(ids.iter());
                 }
                 Some(out)
             }
@@ -152,7 +158,7 @@ impl IndexInner {
                 let mut out = HashSet::new();
                 for (term, ids) in terms {
                     if term.starts_with(prefix.as_str()) {
-                        out.extend(ids);
+                        out.extend(ids.iter());
                     }
                 }
                 Some(out)
@@ -183,9 +189,11 @@ impl IndexInner {
             Query::MatchAll | Query::Exists { .. } => None,
         }
     }
+}
 
+impl IndexInner {
     fn matching_ids(&self, query: &Query) -> Vec<u64> {
-        match self.candidates(query) {
+        match self.inverted.candidates(query) {
             Some(cands) => {
                 // Preserve insertion order for stable results.
                 self.order
@@ -365,7 +373,7 @@ impl Index {
     /// Serializes a document for the write-through log (done before any
     /// lock is taken).
     fn persist_bytes(doc: &Value) -> Vec<u8> {
-        serde_json::to_string(doc).expect("document serializes").into_bytes()
+        doc.to_string().into_bytes()
     }
 
     /// Opens a continuous query: every batch accepted from now on is also
@@ -426,28 +434,7 @@ impl Index {
     /// searchable at the next [`Index::refresh`] (queries refresh
     /// implicitly, as in Elasticsearch's near-real-time model).
     pub fn index_doc(&self, doc: Value) -> u64 {
-        // Copy for subscribers before the document moves into the store;
-        // the copy is skipped entirely when nobody subscribed.
-        let snapshot = self.has_subscribers().then(|| vec![doc.clone()]);
-        let bytes = self.persist.as_ref().map(|_| Self::persist_bytes(&doc));
-        let id = {
-            let mut inner = self.inner.write();
-            let id = inner.next_id;
-            inner.next_id += 1;
-            if let (Some(engine), Some(bytes)) = (&self.persist, bytes) {
-                engine
-                    .append_puts(&self.name, vec![(id, bytes)])
-                    .expect("dio-backend: persistent append failed");
-            }
-            inner.docs.insert(id, doc);
-            inner.order.push(id);
-            inner.pending.push(id);
-            id
-        };
-        if let Some(batch) = snapshot {
-            self.notify_subscribers(&batch);
-        }
-        id
+        self.bulk(vec![doc])[0]
     }
 
     /// Bulk-accepts documents under one lock acquisition (the analogue of
@@ -456,6 +443,8 @@ impl Index {
     /// keeping the hot tracing path cheap — in the paper's deployment this
     /// work happens on the separate backend server.
     pub fn bulk(&self, docs: Vec<Value>) -> Vec<u64> {
+        // Copy for subscribers before the documents move into the store;
+        // the copy is skipped entirely when nobody subscribed.
         let snapshot = self.has_subscribers().then(|| docs.clone());
         // Serialize for the write-through log before taking the lock.
         let bytes: Option<Vec<Vec<u8>>> =
@@ -492,12 +481,11 @@ impl Index {
         if self.inner.read().pending.is_empty() {
             return;
         }
-        let mut inner = self.inner.write();
-        let pending = std::mem::take(&mut inner.pending);
-        for id in pending {
-            if let Some(doc) = inner.docs.remove(&id) {
-                inner.index_doc(id, &doc);
-                inner.docs.insert(id, doc);
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        for id in std::mem::take(&mut inner.pending) {
+            if let Some(doc) = inner.docs.get(&id) {
+                inner.inverted.index_doc(id, doc);
             }
         }
     }
@@ -517,7 +505,7 @@ impl Index {
         if let Some(engine) = &self.persist {
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
-        inner.unindex_doc(id, &doc);
+        inner.inverted.unindex_doc(id, &doc);
         inner.deletions += 1;
         // Compact `order` lazily once deletions pile up.
         if inner.deletions > 1024 && inner.deletions * 2 > inner.order.len() as u64 {
@@ -576,18 +564,18 @@ impl Index {
     /// (Elasticsearch `_update_by_query`).
     pub fn update_by_query(&self, query: &Query, mut update: impl FnMut(&mut Value)) -> usize {
         self.refresh();
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         let ids = inner.matching_ids(query);
         let mut rewritten: Vec<(u64, Vec<u8>)> = Vec::new();
         for &id in &ids {
-            let mut doc = inner.docs.remove(&id).expect("id from matching_ids");
-            inner.unindex_doc(id, &doc);
-            update(&mut doc);
-            inner.index_doc(id, &doc);
+            let doc = inner.docs.get_mut(&id).expect("id from matching_ids");
+            inner.inverted.unindex_doc(id, doc);
+            update(doc);
+            inner.inverted.index_doc(id, doc);
             if self.persist.is_some() {
-                rewritten.push((id, Self::persist_bytes(&doc)));
+                rewritten.push((id, Self::persist_bytes(doc)));
             }
-            inner.docs.insert(id, doc);
         }
         if let Some(engine) = &self.persist {
             if !rewritten.is_empty() {
@@ -732,6 +720,24 @@ mod tests {
         });
         assert_eq!(idx.count(&Query::term("s", "a")), 0);
         assert_eq!(idx.count(&Query::term("s", "b")), 1);
+    }
+
+    #[test]
+    fn a_term_leaves_the_index_with_its_last_document() {
+        let idx = Index::new("t");
+        let first = idx.index_doc(json!({"s": "a", "n": 7}));
+        let second = idx.index_doc(json!({"s": "b", "n": 7}));
+        assert!(idx.delete(first));
+        {
+            let inner = idx.inner.read();
+            let terms: Vec<&String> = inner.inverted.keywords["s"].keys().collect();
+            assert_eq!(terms, ["b"], "`a` lost its only document");
+            assert_eq!(inner.inverted.numerics["n"].len(), 1, "7 is still held by one");
+        }
+        assert!(idx.delete(second));
+        let inner = idx.inner.read();
+        assert!(inner.inverted.keywords["s"].is_empty());
+        assert!(inner.inverted.numerics["n"].is_empty());
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 mod agg;
 mod index;
+mod postings;
 mod query;
 pub mod storage;
 mod store;

@@ -259,7 +259,7 @@ pub fn compare_docs(a: &Value, b: &Value, field: &str, order: SortOrder) -> std:
         (Some(_), None) => return Ordering::Less,
         (Some(x), Some(y)) => match (as_number(x), as_number(y)) {
             (Some(nx), Some(ny)) => nx.total_cmp(&ny),
-            _ => as_keyword(x).unwrap_or_default().cmp(&as_keyword(y).unwrap_or_default()),
+            _ => as_keyword(x).unwrap_or_default().cmp(as_keyword(y).unwrap_or_default()),
         },
     };
     match order {

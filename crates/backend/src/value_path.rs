@@ -27,10 +27,11 @@ pub fn as_number(value: &Value) -> Option<f64> {
 
 /// Keyword view of a JSON value (strings verbatim; booleans as
 /// `"true"`/`"false"`).
-pub fn as_keyword(value: &Value) -> Option<String> {
+pub fn as_keyword(value: &Value) -> Option<&str> {
     match value {
-        Value::String(s) => Some(s.clone()),
-        Value::Bool(b) => Some(b.to_string()),
+        Value::String(s) => Some(s),
+        Value::Bool(true) => Some("true"),
+        Value::Bool(false) => Some("false"),
         _ => None,
     }
 }
@@ -80,8 +81,8 @@ mod tests {
 
     #[test]
     fn keyword_and_number_views() {
-        assert_eq!(as_keyword(&json!("hi")), Some("hi".to_string()));
-        assert_eq!(as_keyword(&json!(true)), Some("true".to_string()));
+        assert_eq!(as_keyword(&json!("hi")), Some("hi"));
+        assert_eq!(as_keyword(&json!(true)), Some("true"));
         assert_eq!(as_keyword(&json!(1)), None);
         assert_eq!(as_number(&json!(2.5)), Some(2.5));
         assert_eq!(as_number(&json!(-3)), Some(-3.0));

@@ -16,15 +16,21 @@ pub enum SyscallClass {
     DirectoryManagement,
 }
 
-impl std::fmt::Display for SyscallClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl SyscallClass {
+    /// The name stored in the `class` field of backend documents.
+    pub fn name(self) -> &'static str {
+        match self {
             SyscallClass::Data => "data",
             SyscallClass::Metadata => "metadata",
             SyscallClass::ExtendedAttributes => "extended attributes",
             SyscallClass::DirectoryManagement => "directory management",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for SyscallClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -88,38 +88,39 @@ impl SyscallEvent {
     /// The document uses flat field names matching the paper's dashboards:
     /// `syscall`, `proc_name`, `ret_val`, `file_tag`, `offset`, `file_path`, ...
     pub fn to_document(&self) -> serde_json::Value {
-        let mut doc = serde_json::json!({
-            "session": self.session,
-            "syscall": self.kind.name(),
-            "class": self.class.to_string(),
-            "pid": self.pid.0,
-            "tid": self.tid.0,
-            "proc_name": self.comm,
-            "cpu": self.cpu,
-            "time": self.time_enter_ns,
-            "time_exit": self.time_exit_ns,
-            "latency_ns": self.latency_ns(),
-            "ret_val": self.ret,
-        });
-        let obj = doc.as_object_mut().expect("literal object");
-        let mut args = serde_json::Map::new();
+        use serde_json::{Map, Value};
+        let mut args = Map::with_capacity(self.args.len());
         for a in &self.args {
             args.insert(a.name.to_string(), serde_json::to_value(&a.value).expect("arg value"));
         }
-        obj.insert("args".into(), serde_json::Value::Object(args));
-        if let Some(ft) = self.file_type {
-            obj.insert("file_type".into(), serde_json::Value::String(ft.to_string()));
+        // In key order, so every insert appends; absent fields are skipped.
+        let fields: [(&str, Option<Value>); 16] = [
+            ("args", Some(Value::Object(args))),
+            ("class", Some(self.class.name().into())),
+            ("cpu", Some(self.cpu.into())),
+            ("file_path", self.file_path.as_deref().map(Value::from)),
+            ("file_tag", self.file_tag.map(|tag| tag_string(tag).into())),
+            ("file_type", self.file_type.map(|ft| ft.name().into())),
+            ("latency_ns", Some(self.latency_ns().into())),
+            ("offset", self.offset.map(Value::from)),
+            ("pid", Some(self.pid.0.into())),
+            ("proc_name", Some(self.comm.as_str().into())),
+            ("ret_val", Some(self.ret.into())),
+            ("session", Some(self.session.as_str().into())),
+            ("syscall", Some(self.kind.name().into())),
+            ("tid", Some(self.tid.0.into())),
+            ("time", Some(self.time_enter_ns.into())),
+            ("time_exit", Some(self.time_exit_ns.into())),
+        ];
+        // One allocation of exactly the entries the event has: the stored
+        // document carries no spare slots.
+        let mut doc = Map::with_capacity(fields.iter().filter(|(_, v)| v.is_some()).count());
+        for (key, value) in fields {
+            if let Some(value) = value {
+                doc.insert(key.to_string(), value);
+            }
         }
-        if let Some(off) = self.offset {
-            obj.insert("offset".into(), serde_json::json!(off));
-        }
-        if let Some(tag) = self.file_tag {
-            obj.insert("file_tag".into(), serde_json::Value::String(tag.to_string()));
-        }
-        if let Some(p) = &self.file_path {
-            obj.insert("file_path".into(), serde_json::Value::String(p.clone()));
-        }
-        doc
+        Value::Object(doc)
     }
 
     /// Builds a minimal synthetic event for tests and examples.
@@ -144,6 +145,17 @@ impl SyscallEvent {
             file_path: None,
         }
     }
+}
+
+/// `tag` rendered into a string of exactly its length, so the stored
+/// document carries none of `to_string`'s growth slack.
+fn tag_string(tag: FileTag) -> String {
+    use std::fmt::Write as _;
+    let digits = |v: u64| v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let len = digits(tag.dev) + digits(tag.ino) + digits(tag.first_access_ns) + 2;
+    let mut out = String::with_capacity(len);
+    write!(out, "{tag}").expect("writing to a String cannot fail");
+    out
 }
 
 #[cfg(test)]

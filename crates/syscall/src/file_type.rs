@@ -42,11 +42,10 @@ impl FileType {
             FileType::Unknown => '?',
         }
     }
-}
 
-impl std::fmt::Display for FileType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The name stored in the `file_type` field of backend documents.
+    pub fn name(self) -> &'static str {
+        match self {
             FileType::Regular => "regular",
             FileType::Directory => "directory",
             FileType::Socket => "socket",
@@ -55,8 +54,13 @@ impl std::fmt::Display for FileType {
             FileType::Pipe => "pipe",
             FileType::Symlink => "symlink",
             FileType::Unknown => "unknown",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for FileType {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

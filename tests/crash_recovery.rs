@@ -341,6 +341,17 @@ fn golden_fixture_reopens_byte_for_byte() {
         let s = DocStore::open_with(&scratch, fixture_config()).unwrap();
         let state = fixture_state(&s);
         drop(s);
+        // Replaying the fixture's history writes the committed bytes again:
+        // neither the record format nor a document's serialization moved.
+        for path in all_files(&fixture) {
+            let rel = path.strip_prefix(&fixture).unwrap();
+            assert_eq!(
+                std::fs::read(scratch.join(rel)).ok(),
+                Some(std::fs::read(&path).unwrap()),
+                "{} differs from a regenerated store",
+                rel.display()
+            );
+        }
         let _ = std::fs::remove_dir_all(&scratch);
         state
     };

@@ -1,0 +1,170 @@
+//! The byte budget of a stored event (DESIGN.md, "Document model and the
+//! per-event byte budget"): what `to_document` may allocate, what an indexed
+//! document may hold on the heap, and the exact bytes documents serialize to.
+//!
+//! Heap is counted by this binary's own allocator, per thread, so the tests
+//! can run side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use dio::core::{DiskProfile, Kernel, OpenFlags, Query};
+use dio_backend::Index;
+use dio_ebpf::{ProgramConfig, RingBuffer, TracerProgram};
+use dio_kernel::SyscallProbe;
+use dio_syscall::{Arg, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
+use dio_telemetry::MetricsRegistry;
+
+thread_local! {
+    // Const-initialised and without destructors, so the allocator may touch
+    // them at any point of a thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count(allocs: u64, requested: usize, live: i64) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = REQUESTED.try_with(|c| c.set(c.get() + requested as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + live));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; the counting touches only const-initialised
+// thread-local cells and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(1, layout.size(), layout.size() as i64);
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, 0, -(layout.size() as i64));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(1, new_size, new_size as i64 - layout.size() as i64);
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Traces `rounds` rounds of write / pread64 / lseek / fsync on one file (plus
+/// its open and close) through the real hook and ring, and parses them.
+fn traced_events(rounds: usize) -> Vec<SyscallEvent> {
+    let kernel = Kernel::builder().root_disk(DiskProfile::instant()).build();
+    let ring = Arc::new(RingBuffer::with_slots(kernel.num_cpus(), 4 * rounds + 2));
+    let program =
+        TracerProgram::new(ProgramConfig::default(), Arc::clone(&ring)).expect("default filter");
+    let probe = kernel.tracepoints().attach(Arc::clone(&program) as Arc<dyn SyscallProbe>);
+    let t = kernel.spawn_process("budget").spawn_thread("budget");
+    let fd = t.openat("/app.log", OpenFlags::CREAT | OpenFlags::RDWR, 0o644).unwrap();
+    let mut buf = [0u8; 26];
+    for round in 0..rounds {
+        t.write(fd, b"abcdefghijklmnopqrstuvwxyz").unwrap();
+        t.pread64(fd, &mut buf, 26 * round as u64).unwrap();
+        t.lseek(fd, 0, dio::core::Whence::End).unwrap();
+        t.fsync(fd).unwrap();
+    }
+    t.close(fd).unwrap();
+    kernel.tracepoints().detach(probe);
+    let raws = ring.drain_all(usize::MAX);
+    assert_eq!(raws.len(), 4 * rounds + 2, "ring dropped events");
+    raws.into_iter().map(|raw| raw.into_event("budget")).collect()
+}
+
+#[test]
+fn to_document_stays_within_its_allocation_budget() {
+    let events = traced_events(1);
+    let write = events.iter().find(|e| e.kind == SyscallKind::Write).expect("traced write");
+    let (allocs, requested) = (ALLOCS.get(), REQUESTED.get());
+    let doc = write.to_document();
+    let (allocs, requested) = (ALLOCS.get() - allocs, REQUESTED.get() - requested);
+    assert_eq!(doc["syscall"], "write");
+    assert_eq!(doc.as_object().unwrap().len(), 15, "every optional field of a write is present");
+    // 2 852 B in 30 allocations before the compact document model.
+    assert!(requested <= 1_400, "to_document requested {requested} B");
+    assert!(allocs <= 26, "to_document made {allocs} allocations");
+}
+
+#[test]
+fn indexed_event_documents_stay_within_their_heap_budget() {
+    const DOCS: usize = 10_000;
+    let live = LIVE.get();
+    let index = Index::new("budget");
+    {
+        let events = traced_events(DOCS / 4);
+        let docs = events.iter().take(DOCS).map(SyscallEvent::to_document).collect();
+        index.bulk(docs);
+    }
+    // The first query refreshes: the inverted indexes are built and held.
+    assert_eq!(index.count(&Query::term("syscall", "write")), DOCS as u64 / 4);
+    let per_doc = (LIVE.get() - live) as usize / DOCS;
+    // About 3 340 B before the compact document model.
+    assert!(per_doc <= 1_800, "an indexed event document holds {per_doc} B of heap");
+    drop(index);
+}
+
+/// A document model change may not move a byte of what is stored: golden
+/// files, persisted segments and `results/*.json` all hold these bytes.
+#[test]
+fn event_document_serializes_to_pinned_bytes() {
+    let mut e = SyscallEvent::synthetic(SyscallKind::Pwrite64);
+    e.session = "s1".into();
+    e.pid = Pid(100);
+    e.tid = Tid(101);
+    e.comm = "app \"one\"".into();
+    e.cpu = 3;
+    e.time_enter_ns = 1_000;
+    e.time_exit_ns = 3_500;
+    e.ret = -28;
+    e.args = vec![Arg::new("fd", 3i64), Arg::new("count", 26u64), Arg::new("offset", 52u64)];
+    e.file_type = Some(FileType::Regular);
+    e.offset = Some(52);
+    e.file_tag = Some(FileTag::new(7_340_032, 12, 2_156_997_363_734_041));
+    e.file_path = Some("/data/app.log".into());
+    let doc = e.to_document();
+    let pinned = r#"{"args":{"count":26,"fd":3,"offset":52},"class":"data","cpu":3,"file_path":"/data/app.log","file_tag":"7340032|12|2156997363734041","file_type":"regular","latency_ns":2500,"offset":52,"pid":100,"proc_name":"app \"one\"","ret_val":-28,"session":"s1","syscall":"pwrite64","tid":101,"time":1000,"time_exit":3500}"#;
+    assert_eq!(doc.to_string(), pinned);
+    assert_eq!(serde_json::to_string(&doc).unwrap(), pinned);
+    assert_eq!(serde_json::from_str::<serde_json::Value>(pinned).unwrap(), doc);
+
+    let bare = SyscallEvent::synthetic(SyscallKind::Mkdir).to_document();
+    assert_eq!(
+        bare.to_string(),
+        r#"{"args":{},"class":"directory management","cpu":0,"latency_ns":0,"pid":0,"proc_name":"","ret_val":0,"session":"test","syscall":"mkdir","tid":0,"time":0,"time_exit":0}"#
+    );
+}
+
+#[test]
+fn telemetry_documents_serialize_to_pinned_bytes() {
+    let registry = MetricsRegistry::new();
+    registry.counter("tracer.events").add(7);
+    registry.gauge("tracer.channel.depth").set(3);
+    registry.histogram("tracer.parse_ns").record(1_000);
+    let docs = registry.snapshot().health_documents("s1", 2, 99);
+    let lines: Vec<String> = docs.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        lines,
+        [
+            r#"{"kind":"counter","metric":"tracer.events","seq":2,"session":"s1","time":99,"value":7}"#,
+            r#"{"kind":"gauge","metric":"tracer.channel.depth","seq":2,"session":"s1","time":99,"value":3}"#,
+            r#"{"count":1,"kind":"histogram","max":1000,"mean":1000.0,"metric":"tracer.parse_ns","min":1000,"p50":1000,"p90":1000,"p99":1000,"p999":1000,"seq":2,"session":"s1","time":99}"#,
+        ]
+    );
+    let pretty = serde_json::to_string_pretty(&docs[0]).unwrap();
+    assert_eq!(
+        pretty,
+        "{\n  \"kind\": \"counter\",\n  \"metric\": \"tracer.events\",\n  \"seq\": 2,\n  \
+         \"session\": \"s1\",\n  \"time\": 99,\n  \"value\": 7\n}"
+    );
+}

@@ -561,3 +561,97 @@ proptest! {
         }
     }
 }
+
+// ----------------------------------------------------------- document map
+
+/// Abstract mutation for the model-based test of the JSON object type.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(u8, u64),
+    IndexAssign(u8, u64),
+    GetMutAssign(u8, u64),
+    Remove(u8),
+}
+
+fn map_op() -> impl Strategy<Value = MapOp> {
+    prop_oneof![
+        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
+        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
+        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::IndexAssign(k, v)),
+        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::GetMutAssign(k, v)),
+        any::<u8>().prop_map(MapOp::Remove),
+    ]
+}
+
+/// 48 keys of five different lengths, in an order unrelated to `k`: maps
+/// grow past the 24 entries up to which lookups scan instead of bisecting,
+/// and most keys share their length with others.
+fn map_key(k: u8) -> String {
+    let k = usize::from(k) % 48;
+    format!("{}{}", "kfpax".repeat(k % 5 + 1), (k * 29) % 48)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `serde_json::Map` behaves like a `BTreeMap<String, Value>` under any
+    /// insert/replace/remove history in any key order, through every
+    /// accessor the workspace uses.
+    #[test]
+    fn json_map_matches_btreemap_model(ops in proptest::collection::vec(map_op(), 1..160)) {
+        use serde_json::{Map, Value};
+        use std::collections::BTreeMap;
+
+        let mut map = Map::new();
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(k, v) => {
+                    prop_assert_eq!(map.insert(map_key(k), v.into()), model.insert(map_key(k), v.into()));
+                }
+                MapOp::IndexAssign(k, v) => {
+                    let mut object = Value::Object(std::mem::take(&mut map));
+                    object[map_key(k).as_str()] = v.into();
+                    map = match object {
+                        Value::Object(m) => m,
+                        other => panic!("object became {other}"),
+                    };
+                    model.insert(map_key(k), v.into());
+                }
+                MapOp::GetMutAssign(k, v) => {
+                    let (slot, expect) = (map.get_mut(&map_key(k)), model.get_mut(&map_key(k)));
+                    prop_assert_eq!(slot.is_some(), expect.is_some());
+                    if let (Some(slot), Some(expect)) = (slot, expect) {
+                        *slot = v.into();
+                        *expect = v.into();
+                    }
+                }
+                MapOp::Remove(k) => {
+                    prop_assert_eq!(map.remove(&map_key(k)), model.remove(&map_key(k)));
+                }
+            }
+
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            for k in 0..48 {
+                let key = map_key(k);
+                prop_assert_eq!(map.get(&key), model.get(&key));
+                prop_assert_eq!(map.contains_key(&key), model.contains_key(&key));
+            }
+            // Sorted iteration, by every route.
+            prop_assert!(map.iter().eq(model.iter()));
+            prop_assert!((&map).into_iter().eq(model.iter()));
+            prop_assert!(map.keys().eq(model.keys()));
+            prop_assert!(map.values().eq(model.values()));
+            prop_assert!(map.iter_mut().map(|(k, v)| (k, &*v)).eq(model.iter()));
+            prop_assert!(map.clone().into_iter().eq(model.clone()));
+            // Equality ignores how a map was built: collected from the
+            // entries backwards, with a stale duplicate first.
+            let stale = model.keys().next().map(|k| (k.clone(), Value::Null));
+            let rebuilt: Map = stale.into_iter().chain(model.clone().into_iter().rev()).collect();
+            prop_assert_eq!(&rebuilt, &map);
+            let serialized = Value::Object(map.clone()).to_string();
+            prop_assert_eq!(serde_json::from_str::<Value>(&serialized).unwrap(), Value::Object(rebuilt));
+        }
+    }
+}

@@ -307,6 +307,11 @@ impl<T> RingBuffer<T> {
 
     /// Pops up to `max` events across all CPU buffers, round-robin.
     pub fn drain_all(&self, max: usize) -> Vec<T> {
+        // An idle poll returns before the per-queue tally is built, so it
+        // allocates nothing.
+        if self.is_empty() {
+            return Vec::new();
+        }
         let mut out = Vec::new();
         let mut taken = vec![0u64; self.queues.len()];
         'outer: loop {

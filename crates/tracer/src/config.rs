@@ -178,7 +178,11 @@ impl TracerConfig {
         self
     }
 
-    /// Maximum time a partial batch may wait before being flushed.
+    /// Maximum time a partial batch may wait before being flushed, counted
+    /// from the arrival of its first document: a bulk request goes out when
+    /// `batch_size` documents are waiting or this runs out, whichever comes
+    /// first. It also caps how far an idle consumer backs off (see
+    /// [`TracerConfig::poll_interval`]).
     pub fn flush_interval(mut self, d: Duration) -> Self {
         self.flush_interval = d;
         self
@@ -191,7 +195,16 @@ impl TracerConfig {
         self
     }
 
-    /// Sets how long the consumer sleeps between polls.
+    /// Sets how long the consumer sleeps after a poll that found events
+    /// (at least 50 µs; with 0, a poll that filled `drain_batch` is
+    /// followed by the next at once).
+    ///
+    /// After a poll that found the rings empty the sleep doubles instead,
+    /// up to `max(poll_interval, flush_interval / 32)` — 3.1 ms at the
+    /// defaults — and returns to `poll_interval` with the first event. An
+    /// idle session therefore wakes a few hundred times a second, and an
+    /// interval at or above `flush_interval / 32` (the paced consumers of
+    /// the discard experiments) never backs off.
     pub fn poll_interval(mut self, d: Duration) -> Self {
         self.poll_interval = d;
         self

@@ -1,11 +1,11 @@
 //! The user-space tracer: consume ring buffers, batch, ship to the backend.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
 use serde_json::{json, Value};
 
 use dio_backend::DocStore;
@@ -13,9 +13,9 @@ use dio_diagnose::{Alert, DiagnosisEngine, EngineStats};
 use dio_ebpf::{ProgramConfig, RawEvent, RingBuffer, RingStats, TracerProgram};
 use dio_kernel::{Kernel, ProbeId, SyscallProbe};
 use dio_profile::DfgMiner;
-use dio_telemetry::span::{SpanCollector, SpanSummary, Stage, StageStamps};
+use dio_telemetry::span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps};
 use dio_telemetry::{
-    trace, Exporter, ExporterHandle, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot,
+    trace, Counter, Exporter, ExporterHandle, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot,
 };
 use dio_verify::VerifyError;
 
@@ -245,18 +245,55 @@ struct ProfileTap {
     sink: Option<AlertSink>,
 }
 
-/// One parsed event in flight between consumer and shipper: the backend
-/// document plus its span stamps (which must survive until bulk-index).
-struct ShipItem {
-    doc: Value,
-    stamps: StageStamps,
+/// One drain in flight between consumer and shipper: the backend
+/// documents and, index for index, their span stamps (which must survive
+/// until bulk-index).
+struct Drain {
+    docs: Vec<Value>,
+    stamps: Vec<StageStamps>,
+    /// When the consumer handed the drain over: the shipper writes it into
+    /// every stamp record as [`Stage::BatchEnqueue`], so a drain the
+    /// channel refuses comes back without it.
+    enqueued_ns: u64,
+}
+
+/// The hand-off from consumer to shipper: one channel message per drain,
+/// bounded in *documents*. The consumer adds a drain's documents before
+/// sending it and never drains more than `capacity - in_flight`; the
+/// shipper subtracts a bulk request's documents once the backend has
+/// acknowledged it.
+struct Handoff {
+    capacity: usize,
+    /// Documents handed over and not yet bulk-indexed. Relaxed: it gates
+    /// how much the consumer drains and publishes no data (the documents
+    /// travel through the channel's mutex); a stale read only
+    /// under-estimates the room.
+    in_flight: AtomicUsize,
+}
+
+impl Handoff {
+    fn in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::Relaxed)
+    }
 }
 
 /// Telemetry handles for the consumer thread.
 struct ConsumerTelemetry {
+    polls: Arc<Counter>,
     drain_batch: Arc<Histogram>,
     parse_ns: Arc<Histogram>,
     channel_depth: Arc<Gauge>,
+}
+
+impl ConsumerTelemetry {
+    fn register(registry: &MetricsRegistry) -> Self {
+        ConsumerTelemetry {
+            polls: registry.counter("tracer.consumer.polls"),
+            drain_batch: registry.histogram("tracer.consumer.drain_batch"),
+            parse_ns: registry.histogram("tracer.consumer.parse_ns"),
+            channel_depth: registry.gauge("tracer.channel.depth"),
+        }
+    }
 }
 
 /// Telemetry handles for the shipper thread.
@@ -403,45 +440,36 @@ impl Tracer {
         let stop_flag = Arc::new(AtomicBool::new(false));
         let stored = Arc::new(AtomicU64::new(0));
         let batches = Arc::new(AtomicU64::new(0));
-        // A deep channel so the consumer rarely blocks on the shipper.
-        let channel_capacity = config.batch() * 64;
-        let (tx, rx) = bounded::<ShipItem>(channel_capacity);
+        // A deep hand-off so the consumer is rarely held back by the
+        // shipper. Every message holds at least one document, so a channel
+        // of `capacity` messages never fills before the document bound
+        // does and `send` never blocks.
+        let handoff =
+            Arc::new(Handoff { capacity: config.batch() * 64, in_flight: AtomicUsize::new(0) });
+        let (tx, rx) = bounded::<Drain>(handoff.capacity);
 
         let consumer = {
-            let ring = Arc::clone(&ring);
-            let stop = Arc::clone(&stop_flag);
-            let session = config.session().to_string();
-            let drain_batch = config.drain();
-            let poll = config.poll();
-            let spans = Arc::clone(&spans);
-            let tap = engine
-                .as_ref()
-                .map(|engine| DiagnoseTap { engine: Arc::clone(engine), sink: alert_sink.clone() });
-            let profile_tap = profiler
-                .as_ref()
-                .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: phase_sink.clone() });
-            let telemetry = ConsumerTelemetry {
-                drain_batch: registry.histogram("tracer.consumer.drain_batch"),
-                parse_ns: registry.histogram("tracer.consumer.parse_ns"),
-                channel_depth: registry.gauge("tracer.channel.depth"),
+            let ctx = ConsumerCtx {
+                ring: Arc::clone(&ring),
+                stop: Arc::clone(&stop_flag),
+                session: config.session().to_string(),
+                handoff: Arc::clone(&handoff),
+                drain_batch: config.drain(),
+                poll_interval: config.poll(),
+                flush_interval: config.flush(),
+                spans: Arc::clone(&spans),
+                telemetry: ConsumerTelemetry::register(&registry),
+                tap: engine.as_ref().map(|engine| DiagnoseTap {
+                    engine: Arc::clone(engine),
+                    sink: alert_sink.clone(),
+                }),
+                profile: profiler
+                    .as_ref()
+                    .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: phase_sink.clone() }),
             };
             std::thread::Builder::new()
-                .name(format!("dio-consumer-{session}"))
-                .spawn(move || {
-                    consumer_loop(
-                        &ring,
-                        &stop,
-                        &session,
-                        &tx,
-                        channel_capacity.max(1) as f64,
-                        drain_batch,
-                        poll,
-                        &spans,
-                        &telemetry,
-                        tap.as_ref(),
-                        profile_tap.as_ref(),
-                    )
-                })
+                .name(format!("dio-consumer-{}", config.session()))
+                .spawn(move || consumer_loop(&ctx, tx))
                 .expect("spawn consumer thread")
         };
         let shipper = {
@@ -473,6 +501,7 @@ impl Tracer {
                         index_name,
                         batch_size,
                         flush_interval: flush,
+                        handoff,
                         stored,
                         batches,
                         spans,
@@ -606,6 +635,9 @@ impl Tracer {
             self.kernel.tracepoints().detach(self.probe_id);
             self.stop_flag.store(true, Ordering::Release);
             if let Some(h) = self.consumer.take() {
+                // An idle consumer may be parked for up to its back-off
+                // cap; wake it so stopping never waits that out.
+                h.thread().unpark();
                 let _ = h.join();
             }
             if let Some(h) = self.shipper.take() {
@@ -700,87 +732,119 @@ impl Drop for Tracer {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn consumer_loop(
-    ring: &RingBuffer<RawEvent>,
-    stop: &AtomicBool,
-    session: &str,
-    tx: &Sender<ShipItem>,
-    channel_capacity: f64,
+/// Shortest sleep between two polls: `poll_interval(0)` still yields the
+/// core after a drain that did not fill its quota.
+const MIN_POLL: Duration = Duration::from_micros(50);
+
+/// An idle consumer's sleep doubles up to `flush_interval / 32`: what an
+/// event may wait in the ring stays a few percent of what it may wait for
+/// its bulk request anyway (3.1 ms of 100 at the defaults).
+const IDLE_CAP_DIVISOR: u32 = 32;
+
+/// Everything the consumer thread needs, bundled like [`ShipperCtx`].
+struct ConsumerCtx {
+    ring: Arc<RingBuffer<RawEvent>>,
+    stop: Arc<AtomicBool>,
+    session: String,
+    handoff: Arc<Handoff>,
     drain_batch: usize,
-    poll: Duration,
-    spans: &SpanCollector,
-    telemetry: &ConsumerTelemetry,
-    tap: Option<&DiagnoseTap>,
-    profile: Option<&ProfileTap>,
-) {
+    poll_interval: Duration,
+    flush_interval: Duration,
+    spans: Arc<SpanCollector>,
+    telemetry: ConsumerTelemetry,
+    tap: Option<DiagnoseTap>,
+    profile: Option<ProfileTap>,
+}
+
+fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
+    let telemetry = &ctx.telemetry;
+    let poll = ctx.poll_interval.max(MIN_POLL);
+    let idle_cap = poll.max(ctx.flush_interval / IDLE_CAP_DIVISOR);
+    let mut nap = poll;
     loop {
         // Sample the fill level before draining: post-drain occupancy is
         // flattered by the drain itself and would hide the very pressure
         // the diagnosis tap must degrade under.
-        let pre_drain_pressure = ring.fill_fraction();
-        let raws = ring.drain_all_stamped(drain_batch);
+        let pre_drain_pressure = ctx.ring.fill_fraction();
+        // Never take more out of the ring than the hand-off has room for:
+        // behind a stalled backend the ring fills (and counts its drops)
+        // while the heap holds at most `capacity` documents.
+        let in_flight = ctx.handoff.in_flight();
+        let room = ctx.handoff.capacity.saturating_sub(in_flight);
+        telemetry.polls.inc();
+        let raws = ctx.ring.drain_all_stamped(ctx.drain_batch.min(room));
         let drained = raws.len();
-        if raws.is_empty() && stop.load(Ordering::Acquire) && ring.is_empty() {
+        let stopping = ctx.stop.load(Ordering::Acquire);
+        if drained == 0 && stopping && ctx.ring.is_empty() {
             break;
         }
         if drained > 0 {
             telemetry.drain_batch.record(drained as u64);
-        }
-        let mut docs: Vec<Value> = Vec::with_capacity(drained);
-        let mut stamps: Vec<StageStamps> = Vec::with_capacity(drained);
-        for raw in raws {
-            let mut stamp = raw.stamps;
-            let parse_timer = telemetry.parse_ns.start_timer();
-            docs.push(raw.into_event(session).to_document());
-            parse_timer.observe();
-            stamp.stamp_now(Stage::Parse);
-            stamps.push(stamp);
-        }
-        // The taps borrow the drain's documents before the shipper takes
-        // them.
-        if !docs.is_empty() {
-            // Pressure is the worse of the two queues flanking this
-            // thread; past a tap's threshold it evaluates a sample instead
-            // of every event, so diagnosis sheds load rather than slowing
-            // the drain (and growing the drops it exists to observe).
-            let pressure = pre_drain_pressure.max(tx.len() as f64 / channel_capacity);
+            let mut docs: Vec<Value> = Vec::with_capacity(drained);
+            let mut stamps: Vec<StageStamps> = Vec::with_capacity(drained);
+            // One clock read per event ends its `parse_ns` sample, is its
+            // `Parse` stamp and starts the next event's sample.
+            let mut parsed_at = monotonic_ns();
+            for raw in raws {
+                let mut stamp = raw.stamps;
+                docs.push(raw.into_event(&ctx.session).to_document());
+                let now = monotonic_ns();
+                telemetry.parse_ns.record(now.saturating_sub(parsed_at));
+                stamp.stamp(Stage::Parse, now);
+                stamps.push(stamp);
+                parsed_at = now;
+            }
+            // The taps borrow the drain's documents before the shipper
+            // takes them. Pressure is the worse of the two queues flanking
+            // this thread; past a tap's threshold it evaluates a sample
+            // instead of every event, so diagnosis sheds load rather than
+            // slowing the drain (and growing the drops it exists to
+            // observe).
+            let pressure = pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
             // The profiler observes *before* the engine: an alert raised by
             // this very batch is attributed against a transition ring that
             // already includes the batch's syscalls.
-            if let Some(profile) = profile {
+            if let Some(profile) = &ctx.profile {
                 profile.miner.observe_batch_with_pressure(&docs, pressure);
                 if let Some(sink) = &profile.sink {
                     sink.ship_docs(profile.miner.drain_phase_docs());
                 }
             }
-            if let Some(tap) = tap {
+            if let Some(tap) = &ctx.tap {
                 let fresh = tap.engine.observe_batch_with_pressure(&docs, pressure);
                 if let Some(sink) = &tap.sink {
                     sink.ship(&fresh);
                 }
             }
-        }
-        for (doc, mut stamps) in docs.into_iter().zip(stamps) {
-            let pre_enqueue = stamps;
-            stamps.stamp_now(Stage::BatchEnqueue);
-            if tx.send(ShipItem { doc, stamps }).is_err() {
-                // Shipper gone: the event never cleared the batch_enqueue
-                // hand-off — attribute the drop there.
-                spans.record_drop(&pre_enqueue);
+            ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
+            let drain = Drain { docs, stamps, enqueued_ns: monotonic_ns() };
+            if let Err(SendError(refused)) = tx.send(drain) {
+                // Shipper gone: none of the drain's events cleared the
+                // batch_enqueue hand-off — attribute every drop there.
+                for stamp in &refused.stamps {
+                    ctx.spans.record_drop(stamp);
+                }
                 return;
             }
         }
-        telemetry.channel_depth.set(tx.len() as u64);
+        telemetry.channel_depth.set(ctx.handoff.in_flight() as u64);
         // A paced consumer sleeps even when the buffer has more to give —
         // this is what lets a small ring overflow under bursts, as the
-        // paper's user-space consumers do at 549M-event scale.
-        if drained < drain_batch || !poll.is_zero() {
-            if stop.load(Ordering::Acquire) {
-                continue; // drain as fast as possible during shutdown
-            }
-            std::thread::sleep(poll.max(Duration::from_micros(50)));
+        // paper's user-space consumers do at 549M-event scale. Only an
+        // unpaced one that filled its quota, or one draining as fast as
+        // possible during shutdown, polls again at once.
+        let unpaced = ctx.poll_interval.is_zero() && drained >= ctx.drain_batch;
+        if unpaced || (stopping && drained > 0) {
+            continue;
         }
+        // After a drain that found events the sleep is `poll_interval`;
+        // after one that found none it doubles up to the cap, so an idle
+        // consumer wakes a few hundred times a second, not thousands. The
+        // producer never signals — a futex wake inside the traced syscall
+        // is what this design avoids — so `shutdown()` is the only one to
+        // unpark.
+        nap = if drained > 0 || stopping { poll } else { (nap * 2).min(idle_cap) };
+        std::thread::park_timeout(nap);
     }
     // Dropping tx closes the channel; the shipper flushes and exits.
 }
@@ -799,6 +863,7 @@ struct ShipperCtx {
     index_name: String,
     batch_size: usize,
     flush_interval: Duration,
+    handoff: Arc<Handoff>,
     stored: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
     spans: Arc<SpanCollector>,
@@ -809,44 +874,69 @@ struct ShipperCtx {
     session_ctx: trace::SpanCtx,
 }
 
-fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<ShipItem>) {
-    let mut batch: Vec<ShipItem> = Vec::with_capacity(ctx.batch_size);
-    let mut last_flush = Instant::now();
+fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Drain>) {
+    // The drains waiting for a bulk request, appended in arrival order.
+    let mut docs: Vec<Value> = Vec::new();
+    let mut stamps: Vec<StageStamps> = Vec::new();
+    // When the oldest waiting document is due at the backend.
+    let mut deadline = Instant::now();
     loop {
-        match rx.recv_timeout(ctx.flush_interval) {
-            Ok(item) => {
-                batch.push(item);
-                if batch.len() >= ctx.batch_size {
-                    flush_batch(ctx, &mut batch);
-                    last_flush = Instant::now();
+        let wait = if docs.is_empty() {
+            ctx.flush_interval
+        } else {
+            deadline.saturating_duration_since(Instant::now())
+        };
+        match rx.recv_timeout(wait) {
+            Ok(mut drain) => {
+                let arrived = Instant::now();
+                if docs.is_empty() {
+                    deadline = arrived + ctx.flush_interval;
+                }
+                for stamp in &mut drain.stamps {
+                    stamp.stamp(Stage::BatchEnqueue, drain.enqueued_ns);
+                }
+                docs.append(&mut drain.docs);
+                stamps.append(&mut drain.stamps);
+                // Size or deadline, whichever comes first.
+                let due = arrived >= deadline;
+                if due || docs.len() >= ctx.batch_size {
+                    ship_waiting(ctx, &mut docs, &mut stamps, due);
+                    // Fewer than `batch_size` were waiting before this
+                    // drain, so what is left arrived with it.
+                    deadline = arrived + ctx.flush_interval;
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if !batch.is_empty() && last_flush.elapsed() >= ctx.flush_interval {
-                    flush_batch(ctx, &mut batch);
-                    last_flush = Instant::now();
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                flush_batch(ctx, &mut batch);
+            Err(RecvTimeoutError::Timeout) => ship_waiting(ctx, &mut docs, &mut stamps, true),
+            Err(RecvTimeoutError::Disconnected) => {
+                ship_waiting(ctx, &mut docs, &mut stamps, true);
                 return;
             }
         }
     }
 }
 
-fn flush_batch(ctx: &ShipperCtx, batch: &mut Vec<ShipItem>) {
-    if batch.is_empty() {
-        return;
+/// Cuts bulk requests of `batch_size` documents off the front of the
+/// waiting drains; with `flush`, the partial rest goes too.
+fn ship_waiting(
+    ctx: &ShipperCtx,
+    docs: &mut Vec<Value>,
+    stamps: &mut Vec<StageStamps>,
+    flush: bool,
+) {
+    let mut rest = std::mem::take(docs).into_iter();
+    let mut shipped = 0;
+    while rest.len() >= ctx.batch_size || (flush && rest.len() > 0) {
+        let n = rest.len().min(ctx.batch_size);
+        bulk_index(ctx, rest.by_ref().take(n).collect(), &mut stamps[shipped..shipped + n]);
+        shipped += n;
     }
-    let n = batch.len() as u64;
+    *docs = rest.collect();
+    stamps.drain(..shipped);
+}
+
+fn bulk_index(ctx: &ShipperCtx, docs: Vec<Value>, stamps: &mut [StageStamps]) {
+    let n = docs.len() as u64;
     ctx.telemetry.batch_size.record(n);
-    let mut docs = Vec::with_capacity(batch.len());
-    let mut stamps = Vec::with_capacity(batch.len());
-    for item in batch.drain(..) {
-        docs.push(item.doc);
-        stamps.push(item.stamps);
-    }
     let batch_start = Instant::now();
     {
         // The causal chain of one shipped batch: ship.batch →
@@ -854,8 +944,9 @@ fn flush_batch(ctx: &ShipperCtx, batch: &mut Vec<ShipItem>) {
         // the shipper thread's span stack.
         let mut ship_span = trace::span_child_of(Some(ctx.session_ctx), "ship", "ship.batch");
         ship_span.attr("docs", n);
-        ctx.backend.bulk_spans(&ctx.index_name, docs, &mut stamps);
+        ctx.backend.bulk_spans(&ctx.index_name, docs, stamps);
     }
+    ctx.handoff.in_flight.fetch_sub(stamps.len(), Ordering::Relaxed);
     // Recorded with the session trace id as an exemplar: a `/metrics`
     // scrape can jump from a slow batch_ns bucket straight to this
     // session's span tree in the flight-recorder dump.
@@ -869,7 +960,7 @@ fn flush_batch(ctx: &ShipperCtx, batch: &mut Vec<ShipItem>) {
     // queries. Span documents carry no `metric` field, so health-report
     // readers of the telemetry index skip them.
     let mut sampled = Vec::new();
-    for st in &stamps {
+    for st in stamps.iter() {
         if ctx.spans.record_shipped(st) {
             if let Some(sink) = &ctx.span_sink {
                 let mut doc = st.to_document();
@@ -1321,5 +1412,70 @@ mod tests {
         let summary = tracer.stop();
         assert_eq!(summary.events_stored, 20);
         assert!(summary.batches >= 4, "expected >=4 batches, got {}", summary.batches);
+
+        // The same 20 events arriving in *one* drain: the consumer sleeps
+        // through the burst and `stop()` wakes it, so the shipper is handed
+        // four batches' worth at once and must still cut them at 5.
+        let tracer = Tracer::attach(
+            TracerConfig::new("one-drain").batch_size(5).poll_interval(Duration::from_secs(5)),
+            &k,
+            DocStore::new(),
+        );
+        while tracer.health_snapshot().counter("tracer.consumer.polls") == 0 {
+            std::thread::yield_now();
+        }
+        for i in 0..20 {
+            t.creat(&format!("/c{i}"), 0o644).unwrap();
+        }
+        let summary = tracer.stop();
+        assert_eq!(summary.events_stored, 20);
+        let drains = summary.health.histogram("tracer.consumer.drain_batch").expect("drains");
+        assert_eq!((drains.count, drains.max), (1, 20), "all 20 events left the ring together");
+        assert!(summary.batches >= 4, "expected >=4 batches, got {}", summary.batches);
+        let sizes = summary.health.histogram("tracer.shipper.batch_size").expect("batches");
+        assert!(sizes.max <= 5, "a bulk request of {} documents", sizes.max);
+    }
+
+    /// A drain the shipper can no longer take is lost as a whole, and every
+    /// one of its events must be accounted for (`emitted == stored +
+    /// attributed drops`).
+    #[test]
+    fn refused_drain_attributes_every_event_to_batch_enqueue() {
+        let k = kernel();
+        let registry = MetricsRegistry::new();
+        let spans = SpanCollector::new(&registry, 0);
+        let ring = Arc::new(RingBuffer::with_slots(k.num_cpus(), 32));
+        let program = TracerProgram::new(ProgramConfig::default(), Arc::clone(&ring)).unwrap();
+        program.bind_spans(Arc::clone(&spans));
+        let probe = k.tracepoints().attach(Arc::clone(&program) as Arc<dyn SyscallProbe>);
+        let t = k.spawn_process("app").spawn_thread("app");
+        for i in 0..20 {
+            t.creat(&format!("/r{i}"), 0o644).unwrap();
+        }
+        k.tracepoints().detach(probe);
+        assert_eq!(ring.occupancy(), 20);
+
+        let ctx = ConsumerCtx {
+            ring,
+            stop: Arc::new(AtomicBool::new(true)),
+            session: "refused".to_string(),
+            handoff: Arc::new(Handoff { capacity: 64, in_flight: AtomicUsize::new(0) }),
+            drain_batch: 4_096,
+            poll_interval: Duration::from_micros(200),
+            flush_interval: Duration::from_millis(100),
+            spans: Arc::clone(&spans),
+            telemetry: ConsumerTelemetry::register(&registry),
+            tap: None,
+            profile: None,
+        };
+        let (tx, rx) = bounded::<Drain>(64);
+        drop(rx);
+        consumer_loop(&ctx, tx);
+
+        let summary = spans.summary();
+        assert_eq!(summary.dropped, 20);
+        assert_eq!(summary.drops_by_stage.get("batch_enqueue"), Some(&20));
+        assert_eq!(summary.completed, 0);
+        assert_eq!(summary.lag_watermark_ns, 0, "every emitted event retired");
     }
 }

@@ -254,6 +254,17 @@ pub fn render_health_dashboard(index: &Index) -> String {
         last.counter("ebpf.ring.pushed"),
         last.counter("ebpf.ring.occupancy_hwm"),
     ));
+    // How often the consumer woke for what it drained: thousands of polls
+    // per event mean it is burning CPU on an empty ring.
+    let polls = last.counter("tracer.consumer.polls");
+    let consumed = last.counter("ebpf.ring.consumed");
+    let per_event = match consumed {
+        0 => "n/a".to_string(),
+        n => format!("{:.3}", polls as f64 / n as f64),
+    };
+    out.push_str(&format!(
+        "consumer: {polls} polls for {consumed} events drained ({per_event} polls per event)\n"
+    ));
     out.push('\n');
 
     // --- Storage engine: `kind: "storage"` reports shipped by
@@ -366,6 +377,8 @@ mod tests {
             docs.push(doc(seq, t, "kernel.syscalls.dispatched", "counter", 100 * seq));
             docs.push(doc(seq, t, "ebpf.ring.pushed", "counter", 90 * seq));
             docs.push(doc(seq, t, "ebpf.ring.dropped", "counter", 10 * seq));
+            docs.push(doc(seq, t, "ebpf.ring.consumed", "counter", 90 * seq));
+            docs.push(doc(seq, t, "tracer.consumer.polls", "counter", 30 * seq));
             docs.push(doc(seq, t, "ebpf.ring.occupancy_hwm", "gauge", 7));
             docs.push(doc(seq, t, "tracer.channel.depth", "gauge", 5 * seq));
             docs.push(doc(seq, t, "span.lag.watermark_ns", "gauge", 20_000 * seq));
@@ -394,6 +407,7 @@ mod tests {
         assert!(out.contains("tracer.shipper.batch_ns"));
         assert!(out.contains("ring drop rate: 10.00%"));
         assert!(out.contains("occupancy high-water mark 7"));
+        assert!(out.contains("consumer: 90 polls for 270 events drained (0.333 polls per event)"));
         assert!(out.contains("drop rate over export rounds"));
         assert!(out.contains("Queue depths over export rounds"));
         assert!(out.contains("Pipeline lag watermark over export rounds"));

@@ -96,6 +96,19 @@ fn to_document_stays_within_its_allocation_budget() {
     assert!(allocs <= 26, "to_document made {allocs} allocations");
 }
 
+/// An idle poll costs no allocation: the consumer drains an empty ring a
+/// few hundred times a second.
+#[test]
+fn draining_an_empty_ring_allocates_nothing() {
+    let ring: RingBuffer<dio_ebpf::RawEvent> = RingBuffer::with_slots(4, 64);
+    let allocs = ALLOCS.get();
+    for _ in 0..100 {
+        assert!(ring.drain_all_stamped(4_096).is_empty());
+        assert!(ring.drain_all(4_096).is_empty());
+    }
+    assert_eq!(ALLOCS.get() - allocs, 0, "allocations in 200 empty drains");
+}
+
 #[test]
 fn indexed_event_documents_stay_within_their_heap_budget() {
     const DOCS: usize = 10_000;

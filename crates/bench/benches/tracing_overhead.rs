@@ -91,8 +91,8 @@ fn bench_filter_eval(c: &mut Criterion) {
         fn fd_info(&self, _: Pid, _: i32) -> Option<dio_kernel::FdInfo> {
             None
         }
-        fn process_name(&self, _: Pid) -> Option<String> {
-            None
+        fn fd_path_matches(&self, _: Pid, _: i32, _: &dyn Fn(&str) -> bool) -> bool {
+            false
         }
     }
     let filter = FilterSpec::new()
@@ -100,11 +100,12 @@ fn bench_filter_eval(c: &mut Criterion) {
         .pids([Pid(7)])
         .path_prefix("/watched");
     let args = [dio_syscall::Arg::new("fd", 3i64)];
+    let comm = Arc::from("bench");
     let event = dio_kernel::EnterEvent {
         kind: SyscallKind::Read,
         pid: Pid(7),
         tid: dio_syscall::Tid(7),
-        comm: "bench",
+        comm: &comm,
         cpu: 0,
         time_ns: 0,
         args: &args,

@@ -152,7 +152,8 @@ impl FilterSpec {
     ///
     /// For fd-bearing syscalls the path dimension consults the kernel view
     /// to resolve the descriptor's open path — this is what lets a path
-    /// filter also catch `read`/`write`/`close` on a watched file.
+    /// filter also catch `read`/`write`/`close` on a watched file. The view
+    /// lends the path; nothing is copied.
     pub fn admits(&self, view: &dyn KernelInspect, event: &EnterEvent<'_>) -> bool {
         if !self.matches_kind(event.kind) {
             return false;
@@ -171,7 +172,7 @@ impl FilterSpec {
             let path_ok = if let Some(path) = event.path {
                 self.matches_path(path)
             } else if let Some(fd) = event.fd {
-                view.fd_info(event.pid, fd).is_some_and(|info| self.matches_path(&info.path))
+                view.fd_path_matches(event.pid, fd, &|path| self.matches_path(path))
             } else {
                 false
             };
@@ -186,6 +187,8 @@ impl FilterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, LazyLock};
+
     use dio_kernel::FdInfo;
     use dio_syscall::FileType;
 
@@ -195,19 +198,20 @@ mod tests {
 
     impl KernelInspect for FakeView {
         fn fd_info(&self, _: Pid, fd: i32) -> Option<FdInfo> {
-            (fd == 3).then(|| FdInfo {
+            (fd == 3).then_some(FdInfo {
                 file_type: FileType::Regular,
                 offset: 0,
                 dev: 1,
                 ino: 1,
                 first_access_ns: 1,
-                path: self.path.to_string(),
             })
         }
-        fn process_name(&self, _: Pid) -> Option<String> {
-            None
+        fn fd_path_matches(&self, _: Pid, fd: i32, pred: &dyn Fn(&str) -> bool) -> bool {
+            fd == 3 && pred(self.path)
         }
     }
+
+    static COMM: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("t"));
 
     fn enter(
         kind: SyscallKind,
@@ -220,7 +224,7 @@ mod tests {
             kind,
             pid: Pid(pid),
             tid: Tid(tid),
-            comm: "t",
+            comm: &COMM,
             cpu: 0,
             time_ns: 0,
             args: &[],

@@ -13,8 +13,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use dio_kernel::{EnterEvent, ExitEvent, KernelInspect, SyscallProbe};
-use dio_syscall::{Arg, FileTag, FileType, Pid, SyscallEvent, SyscallKind, SyscallSet, Tid};
+use dio_kernel::{EnterEvent, ExitEvent, FdInfo, KernelInspect, SyscallProbe};
+use dio_syscall::{
+    expected_args, path_arg, ArgList, FileTag, FileType, Pid, SyscallClass, SyscallEvent,
+    SyscallKind, SyscallSet, Tid,
+};
 use dio_telemetry::span::{SpanCollector, Stage, StageStamps, StampCarrier};
 use dio_telemetry::{Counter, Gauge, MetricsRegistry};
 use dio_verify::VerifyError;
@@ -26,6 +29,12 @@ use crate::ring::RingBuffer;
 ///
 /// This is the kernel-side record; the user-space tracer turns it into a
 /// [`SyscallEvent`] by stamping the session name.
+///
+/// The layout is fixed: integers and the descriptor snapshot inline, the
+/// thread name and each string argument behind a reference count, nothing
+/// stored twice. The program fills it on the application's thread without
+/// allocating for an integer-only syscall, and it may not outgrow 208 bytes —
+/// the ring initialises every slot when the program attaches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawEvent {
     /// Syscall kind.
@@ -34,8 +43,8 @@ pub struct RawEvent {
     pub pid: Pid,
     /// Calling thread.
     pub tid: Tid,
-    /// Thread name.
-    pub comm: String,
+    /// Thread name, shared with the calling thread.
+    pub comm: Arc<str>,
     /// CPU of the entry tracepoint.
     pub cpu: u32,
     /// Entry timestamp (ns).
@@ -44,16 +53,17 @@ pub struct RawEvent {
     pub time_exit_ns: u64,
     /// Return value (`-errno` on failure).
     pub ret: i64,
-    /// Raw arguments captured at entry.
-    pub args: Vec<Arg>,
-    /// Enrichment: file type of the target.
-    pub file_type: Option<FileType>,
-    /// Enrichment: offset before the syscall applied.
-    pub offset: Option<u64>,
-    /// Enrichment: file tag of the target.
-    pub file_tag: Option<FileTag>,
-    /// Path argument for path-bearing syscalls.
-    pub path: Option<String>,
+    /// Raw argument values captured at entry, named by position
+    /// ([`dio_syscall::expected_args`]).
+    pub args: ArgList,
+    /// Enrichment: the target descriptor as the program saw it — at entry
+    /// for fd-bearing syscalls (`offset` is the one being accessed), at exit
+    /// for a successful open.
+    pub file: Option<FdInfo>,
+    /// Position in `args` of the recorded path ([`dio_syscall::path_arg`],
+    /// resolved by the program): `None` for a syscall that takes no path, and
+    /// when the program records none ([`ProgramConfig::capture_paths`]).
+    pub path_arg: Option<u8>,
     /// Per-stage span stamps accumulated along the pipeline
     /// (kernel dispatch set at emit; ring push/drain and later stages
     /// stamped by the transport layers).
@@ -70,6 +80,26 @@ impl StampCarrier for RawEvent {
 }
 
 impl RawEvent {
+    /// Enrichment: file type of the target.
+    pub fn file_type(&self) -> Option<FileType> {
+        self.file.map(|f| f.file_type)
+    }
+
+    /// Enrichment: offset before the syscall applied (data syscalls only).
+    pub fn offset(&self) -> Option<u64> {
+        self.file.filter(|_| self.kind.class() == SyscallClass::Data).map(|f| f.offset)
+    }
+
+    /// Enrichment: file tag of the target.
+    pub fn file_tag(&self) -> Option<FileTag> {
+        self.file.map(|f| f.tag())
+    }
+
+    /// Path argument of a path-bearing syscall, when paths are recorded.
+    pub fn path(&self) -> Option<&Arc<str>> {
+        self.args.str_at(self.path_arg?.into())
+    }
+
     /// Converts the raw record into a backend-ready event.
     pub fn into_event(self, session: &str) -> SyscallEvent {
         SyscallEvent {
@@ -78,16 +108,16 @@ impl RawEvent {
             class: self.kind.class(),
             pid: self.pid,
             tid: self.tid,
-            comm: self.comm,
             cpu: self.cpu,
             time_enter_ns: self.time_enter_ns,
             time_exit_ns: self.time_exit_ns,
             ret: self.ret,
+            file_type: self.file_type(),
+            offset: self.offset(),
+            file_tag: self.file_tag(),
+            file_path: self.path().cloned(),
+            comm: self.comm,
             args: self.args,
-            file_type: self.file_type,
-            offset: self.offset,
-            file_tag: self.file_tag,
-            file_path: self.path,
         }
     }
 }
@@ -139,6 +169,11 @@ pub struct ProgramStats {
     /// Joined events pushed to the ring buffer (successfully or not —
     /// ring-buffer drops are counted by [`RingBuffer::stats`]).
     pub emitted: u64,
+    /// Entries that never met their exit: replaced by a later entry of the
+    /// same thread (a probe detached mid-syscall), or met by the exit of a
+    /// different syscall. With the entries still waiting in the join map,
+    /// `admitted == emitted + join_overflow + orphaned + pending`.
+    pub orphaned: u64,
 }
 
 #[derive(Debug)]
@@ -146,14 +181,9 @@ struct Pending {
     kind: SyscallKind,
     time_enter_ns: u64,
     cpu: u32,
-    comm: String,
-    args: Vec<Arg>,
-    path: Option<String>,
-    file_type: Option<FileType>,
-    offset: Option<u64>,
-    file_tag: Option<FileTag>,
-    /// fd argument, kept to re-enrich opens at exit.
-    fd: Option<i32>,
+    comm: Arc<str>,
+    args: ArgList,
+    file: Option<FdInfo>,
 }
 
 const JOIN_SHARDS: usize = 16;
@@ -166,6 +196,7 @@ struct ProgramTelemetry {
     rejected: Arc<Counter>,
     join_inserted: Arc<Counter>,
     join_overflow: Arc<Counter>,
+    join_orphaned: Arc<Counter>,
     join_occupancy: Arc<Gauge>,
 }
 
@@ -180,6 +211,7 @@ pub struct TracerProgram {
     filtered: AtomicU64,
     join_overflow: AtomicU64,
     emitted: AtomicU64,
+    orphaned: AtomicU64,
     telemetry: OnceLock<ProgramTelemetry>,
     spans: OnceLock<Arc<SpanCollector>>,
 }
@@ -232,6 +264,7 @@ impl TracerProgram {
             filtered: AtomicU64::new(0),
             join_overflow: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
+            orphaned: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             spans: OnceLock::new(),
         }))
@@ -246,7 +279,8 @@ impl TracerProgram {
     }
 
     /// Registers the program's metrics (`ebpf.filter.accepted` /
-    /// `.rejected`, `ebpf.join.inserted` / `.overflow` / `.occupancy`)
+    /// `.rejected`, `ebpf.join.inserted` / `.overflow` / `.orphaned` /
+    /// `.occupancy`)
     /// with `registry` and binds the ring buffer's metrics too. Binding
     /// twice is a no-op.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
@@ -255,6 +289,7 @@ impl TracerProgram {
             rejected: registry.counter("ebpf.filter.rejected"),
             join_inserted: registry.counter("ebpf.join.inserted"),
             join_overflow: registry.counter("ebpf.join.overflow"),
+            join_orphaned: registry.counter("ebpf.join.orphaned"),
             join_occupancy: registry.gauge("ebpf.join.occupancy"),
         });
         self.ring.bind_telemetry(registry);
@@ -272,15 +307,25 @@ impl TracerProgram {
             filtered: self.filtered.load(Ordering::Relaxed),
             join_overflow: self.join_overflow.load(Ordering::Relaxed),
             emitted: self.emitted.load(Ordering::Relaxed),
+            orphaned: self.orphaned.load(Ordering::Relaxed),
         }
+    }
+
+    /// Entries waiting in the join map for their exit.
+    pub fn pending(&self) -> u64 {
+        self.pending_count.load(Ordering::Relaxed)
     }
 
     fn shard(&self, tid: Tid) -> &Mutex<std::collections::HashMap<Tid, Pending>> {
         &self.pending[tid.0 as usize % JOIN_SHARDS]
     }
 
-    fn pending_len(&self) -> usize {
-        self.pending_count.load(Ordering::Relaxed) as usize
+    /// An admitted entry left the join without being emitted.
+    fn count_orphan(&self) {
+        self.orphaned.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = self.telemetry.get() {
+            t.join_orphaned.inc();
+        }
     }
 }
 
@@ -302,63 +347,55 @@ impl SyscallProbe for TracerProgram {
         if let Some(t) = self.telemetry.get() {
             t.accepted.inc();
         }
-        if self.pending_len() >= self.config.join_capacity {
+        if self.pending() >= self.config.join_capacity as u64 {
             self.join_overflow.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = self.telemetry.get() {
                 t.join_overflow.inc();
             }
             return;
         }
-        let mut p = Pending {
+        debug_assert!(
+            event.args.iter().map(|a| &*a.name).eq(expected_args(event.kind).iter().copied()),
+            "{}: the record names arguments by position",
+            event.kind
+        );
+        let mut file = None;
+        if self.config.enrich {
+            if let Some(fd) = event.fd {
+                file = view.fd_info(event.pid, fd).map(|mut info| {
+                    // "The file offset being accessed": positional syscalls
+                    // carry it as an argument; cursor-based ones use the
+                    // open file description's offset.
+                    if matches!(
+                        event.kind,
+                        SyscallKind::Pread64 | SyscallKind::Pwrite64 | SyscallKind::Readahead
+                    ) {
+                        let arg = event.args.iter().find(|a| a.name == "offset");
+                        if let Some(offset) = arg.and_then(|a| a.value.as_u64()) {
+                            info.offset = offset;
+                        }
+                    }
+                    info
+                });
+            }
+        }
+        let p = Pending {
             kind: event.kind,
             time_enter_ns: event.time_ns,
             cpu: event.cpu,
-            comm: event.comm.to_string(),
-            args: event.args.to_vec(),
-            path: if self.config.capture_paths { event.path.map(str::to_string) } else { None },
-            file_type: None,
-            offset: None,
-            file_tag: None,
-            fd: event.fd,
+            comm: Arc::clone(event.comm),
+            args: event.args.iter().map(|a| &a.value).collect(),
+            file,
         };
-        if self.config.enrich {
-            if let Some(fd) = event.fd {
-                if let Some(info) = view.fd_info(event.pid, fd) {
-                    p.file_type = Some(info.file_type);
-                    if event.kind.class() == dio_syscall::SyscallClass::Data {
-                        // "The file offset being accessed": positional
-                        // syscalls carry it as an argument; cursor-based
-                        // ones use the open file description's offset.
-                        let arg_offset = matches!(
-                            event.kind,
-                            SyscallKind::Pread64 | SyscallKind::Pwrite64 | SyscallKind::Readahead
-                        )
-                        .then(|| {
-                            event
-                                .args
-                                .iter()
-                                .find(|a| a.name == "offset")
-                                .and_then(|a| a.value.as_u64())
-                        })
-                        .flatten();
-                        p.offset = Some(arg_offset.unwrap_or(info.offset));
-                    }
-                    p.file_tag = Some(info.tag());
-                    if self.config.capture_paths && p.path.is_none() {
-                        // The open-time dentry path; lets path filters and
-                        // the correlation algorithm label fd-based events.
-                        // DIO proper resolves this at the backend instead.
-                        p.path = None;
-                    }
-                }
-            }
+        if self.shard(event.tid).lock().insert(event.tid, p).is_some() {
+            // The thread's previous entry never met its exit.
+            self.count_orphan();
+            return;
         }
-        if self.shard(event.tid).lock().insert(event.tid, p).is_none() {
-            let occupancy = self.pending_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(t) = self.telemetry.get() {
-                t.join_inserted.inc();
-                t.join_occupancy.set(occupancy);
-            }
+        let occupancy = self.pending_count.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(t) = self.telemetry.get() {
+            t.join_inserted.inc();
+            t.join_occupancy.set(occupancy);
         }
     }
 
@@ -372,19 +409,17 @@ impl SyscallProbe for TracerProgram {
             t.join_occupancy.set(occupancy);
         }
         if p.kind != event.kind {
-            return; // mismatched enter/exit (should not happen)
+            // The exit of another syscall: this entry's own exit was missed.
+            self.count_orphan();
+            return;
         }
         // Opens resolve their fd only at exit: enrich the fresh descriptor.
         if self.config.enrich
             && matches!(p.kind, SyscallKind::Open | SyscallKind::Openat | SyscallKind::Creat)
             && event.ret >= 0
         {
-            if let Some(info) = view.fd_info(event.pid, event.ret as i32) {
-                p.file_type = Some(info.file_type);
-                p.file_tag = Some(info.tag());
-            }
+            p.file = view.fd_info(event.pid, event.ret as i32);
         }
-        let _ = p.fd;
         let mut stamps = StageStamps::new();
         stamps.stamp(Stage::KernelDispatch, event.mono_ns);
         let raw = RawEvent {
@@ -397,10 +432,8 @@ impl SyscallProbe for TracerProgram {
             time_exit_ns: event.time_ns,
             ret: event.ret,
             args: p.args,
-            file_type: p.file_type,
-            offset: p.offset,
-            file_tag: p.file_tag,
-            path: p.path,
+            file: p.file,
+            path_arg: path_arg(p.kind).filter(|_| self.config.capture_paths).map(|i| i as u8),
             stamps,
         };
         self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -443,24 +476,24 @@ mod tests {
         let open = &events[0];
         assert_eq!(open.kind, SyscallKind::Openat);
         assert_eq!(open.ret, fd as i64);
-        assert_eq!(open.path.as_deref(), Some("/app.log"));
-        let tag = open.file_tag.expect("open enriched with tag at exit");
+        assert_eq!(open.path().map(|p| &**p), Some("/app.log"));
+        let tag = open.file_tag().expect("open enriched with tag at exit");
         assert_eq!(tag.dev, dio_kernel::ROOT_DEV);
         assert!(tag.first_access_ns > 0);
 
         let write = &events[1];
         assert_eq!(write.kind, SyscallKind::Write);
         assert_eq!(write.ret, 26);
-        assert_eq!(write.offset, Some(0), "offset reported BEFORE the write applies");
-        assert_eq!(write.file_tag, Some(tag), "same generation, same tag");
-        assert_eq!(write.file_type, Some(FileType::Regular));
+        assert_eq!(write.offset(), Some(0), "offset reported BEFORE the write applies");
+        assert_eq!(write.file_tag(), Some(tag), "same generation, same tag");
+        assert_eq!(write.file_type(), Some(FileType::Regular));
         assert!(write.time_exit_ns >= write.time_enter_ns);
 
         let close = &events[2];
         assert_eq!(close.kind, SyscallKind::Close);
-        assert_eq!(close.file_tag, Some(tag));
+        assert_eq!(close.file_tag(), Some(tag));
         // close is not a data syscall: no offset enrichment.
-        assert_eq!(close.offset, None);
+        assert_eq!(close.offset(), None);
     }
 
     #[test]
@@ -476,11 +509,11 @@ mod tests {
         t.write(fd, b"x").unwrap();
         let events = prog.ring().drain_all(100);
         let pwrite = events.iter().find(|e| e.kind == SyscallKind::Pwrite64).unwrap();
-        assert_eq!(pwrite.offset, Some(1_000), "pwrite64 offset from its argument");
+        assert_eq!(pwrite.offset(), Some(1_000), "pwrite64 offset from its argument");
         let pread = events.iter().find(|e| e.kind == SyscallKind::Pread64).unwrap();
-        assert_eq!(pread.offset, Some(1_002));
+        assert_eq!(pread.offset(), Some(1_002));
         let write = events.iter().find(|e| e.kind == SyscallKind::Write).unwrap();
-        assert_eq!(write.offset, Some(0), "plain write uses the cursor");
+        assert_eq!(write.offset(), Some(0), "plain write uses the cursor");
     }
 
     #[test]
@@ -532,7 +565,7 @@ mod tests {
         let fd = t.openat("/f", OpenFlags::CREAT | OpenFlags::RDWR, 0o644).unwrap();
         t.write(fd, b"abc").unwrap();
         let events = prog.ring().drain_all(100);
-        assert!(events.iter().all(|e| e.file_tag.is_none() && e.offset.is_none()));
+        assert!(events.iter().all(|e| e.file_tag().is_none() && e.offset().is_none()));
     }
 
     #[test]
@@ -544,7 +577,7 @@ mod tests {
         let events = prog.ring().drain_all(10);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].ret, -2, "ENOENT encoded as -2");
-        assert!(events[0].file_tag.is_none());
+        assert!(events[0].file_tag().is_none());
     }
 
     #[test]
@@ -556,7 +589,7 @@ mod tests {
         let raw = prog.ring().drain_all(1).pop().unwrap();
         let ev = raw.into_event("sess-42");
         assert_eq!(ev.session, "sess-42");
-        assert_eq!(ev.comm, "worker1");
+        assert_eq!(&*ev.comm, "worker1");
         assert_eq!(ev.kind, SyscallKind::Creat);
         assert_eq!(ev.class, dio_syscall::SyscallClass::Metadata);
     }
@@ -589,6 +622,80 @@ mod tests {
         t.creat("/f", 0o644).unwrap();
         assert_eq!(prog.stats().join_overflow, 1);
         assert!(prog.ring().is_empty());
+    }
+
+    /// Every admitted entry ends as exactly one of emitted, overflowed,
+    /// orphaned or still pending — with each of the four forced once.
+    #[test]
+    fn every_admitted_entry_is_accounted_for() {
+        struct NoFiles;
+        impl KernelInspect for NoFiles {
+            fn fd_info(&self, _: Pid, _: i32) -> Option<FdInfo> {
+                None
+            }
+            fn fd_path_matches(&self, _: Pid, _: i32, _: &dyn Fn(&str) -> bool) -> bool {
+                false
+            }
+        }
+        let comm: Arc<str> = Arc::from("app");
+        let args = [dio_syscall::Arg::new("fd", 3i64)];
+        let enter = |kind, tid| EnterEvent {
+            kind,
+            pid: Pid(1),
+            tid: Tid(tid),
+            comm: &comm,
+            cpu: 0,
+            time_ns: 1,
+            args: &args,
+            path: None,
+            fd: Some(3),
+        };
+        let exit = |kind, tid| ExitEvent {
+            kind,
+            pid: Pid(1),
+            tid: Tid(tid),
+            cpu: 0,
+            time_ns: 2,
+            ret: 0,
+            mono_ns: 1,
+        };
+        let registry = MetricsRegistry::new();
+        let ring = Arc::new(RingBuffer::with_slots(1, 8));
+        let cfg = ProgramConfig { join_capacity: 2, ..ProgramConfig::default() };
+        let prog = TracerProgram::new(cfg, ring).unwrap();
+        prog.bind_telemetry(&registry);
+        let reconciles = |prog: &TracerProgram| {
+            let s = prog.stats();
+            assert_eq!(s.admitted, s.emitted + s.join_overflow + s.orphaned + prog.pending());
+            s
+        };
+
+        // A matched pair is emitted.
+        prog.on_enter(&NoFiles, &enter(SyscallKind::Close, 7));
+        prog.on_exit(&NoFiles, &exit(SyscallKind::Close, 7));
+        assert_eq!(reconciles(&prog).emitted, 1);
+        // An entry whose exit never came is replaced by the thread's next.
+        prog.on_enter(&NoFiles, &enter(SyscallKind::Fsync, 7));
+        prog.on_enter(&NoFiles, &enter(SyscallKind::Close, 7));
+        assert_eq!(reconciles(&prog).orphaned, 1);
+        assert_eq!(prog.pending(), 1);
+        // The exit of a different syscall meets the waiting entry.
+        prog.on_exit(&NoFiles, &exit(SyscallKind::Fstat, 7));
+        assert_eq!(reconciles(&prog).orphaned, 2);
+        assert_eq!(prog.pending(), 0);
+        // Two entries fill the map; the third overflows, the two stay pending.
+        for tid in [1, 2, 3] {
+            prog.on_enter(&NoFiles, &enter(SyscallKind::Close, tid));
+        }
+        let s = reconciles(&prog);
+        assert_eq!((s.admitted, s.emitted, s.join_overflow, s.orphaned), (6, 1, 1, 2));
+        assert_eq!(prog.pending(), 2);
+        assert_eq!(prog.ring().stats().pushed, 1, "only the matched pair reached the ring");
+
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("ebpf.join.orphaned"), 2);
+        assert_eq!(snapshot.counter("ebpf.join.overflow"), 1);
+        assert_eq!(snapshot.counter("ebpf.filter.accepted"), 6);
     }
 
     mod load_time_verification {

@@ -11,6 +11,8 @@
 //! produce: absolute, NUL-free paths no longer than `PATH_MAX`, and
 //! thread/process ids the kernel allocator can assign (never 0).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use dio_ebpf::FilterSpec;
@@ -25,17 +27,10 @@ struct OneFileView {
 
 impl KernelInspect for OneFileView {
     fn fd_info(&self, _: Pid, _: i32) -> Option<FdInfo> {
-        Some(FdInfo {
-            file_type: FileType::Regular,
-            offset: 0,
-            dev: 1,
-            ino: 1,
-            first_access_ns: 1,
-            path: self.path.clone(),
-        })
+        Some(FdInfo { file_type: FileType::Regular, offset: 0, dev: 1, ino: 1, first_access_ns: 1 })
     }
-    fn process_name(&self, _: Pid) -> Option<String> {
-        None
+    fn fd_path_matches(&self, _: Pid, _: i32, pred: &dyn Fn(&str) -> bool) -> bool {
+        pred(&self.path)
     }
 }
 
@@ -60,6 +55,7 @@ fn find_witness(spec: &FilterSpec, facts: &dio_verify::FilterFacts) -> Option<St
     }
     paths.retain(|p| kernel_realistic(p));
 
+    let comm = Arc::from("prop");
     for &kind in SyscallKind::ALL {
         for &pid in &ids {
             for &tid in &ids {
@@ -76,7 +72,7 @@ fn find_witness(spec: &FilterSpec, facts: &dio_verify::FilterFacts) -> Option<St
                         kind,
                         pid: Pid(pid),
                         tid: Tid(tid),
-                        comm: "prop",
+                        comm: &comm,
                         cpu: 0,
                         time_ns: 1,
                         args: &[],

@@ -47,7 +47,13 @@ impl SimClock {
     /// Current time in nanoseconds since the Unix epoch (simulated).
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.inner.epoch_ns + self.inner.base.elapsed().as_nanos() as u64
+        self.ns_at(Instant::now())
+    }
+
+    /// The simulated time of a clock reading the caller already holds.
+    #[inline]
+    pub fn ns_at(&self, at: Instant) -> u64 {
+        self.inner.epoch_ns + at.saturating_duration_since(self.inner.base).as_nanos() as u64
     }
 
     /// Nanoseconds elapsed since the clock was created.

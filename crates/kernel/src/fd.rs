@@ -155,6 +155,11 @@ impl Drop for OpenFile {
 
 /// A per-process descriptor table. Descriptors start at 3 (0-2 are reserved
 /// for the standard streams, which the simulator does not model).
+///
+/// Lock order: the table's lock is taken first, and [`FdTable::with`] and
+/// [`FdTable::clear`] hold it while they take what an [`OpenFile`] guards
+/// (its offset, its inode's content, the file system's open counts). Nothing
+/// that holds one of those takes the table's lock.
 #[derive(Debug, Default)]
 pub struct FdTable {
     inner: Mutex<HashMap<i32, Arc<OpenFile>>>,
@@ -187,6 +192,16 @@ impl FdTable {
     /// `EBADF` for unknown descriptors.
     pub fn get(&self, fd: i32) -> SysResult<Arc<OpenFile>> {
         self.inner.lock().get(&fd).cloned().ok_or(Errno::EBADF)
+    }
+
+    /// Reads a descriptor's open file in place, under the table's lock
+    /// alone: no reference count moves. `None` for unknown descriptors.
+    ///
+    /// `read` holds that lock: it must not touch this table again (the lock
+    /// is not reentrant) and must be short, since every other descriptor
+    /// operation of the process waits for it.
+    pub fn with<R>(&self, fd: i32, read: impl FnOnce(&OpenFile) -> R) -> Option<R> {
+        self.inner.lock().get(&fd).map(|file| read(file))
     }
 
     /// Removes a descriptor, returning its open file.

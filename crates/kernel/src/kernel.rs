@@ -12,7 +12,7 @@ use dio_telemetry::{Counter, MetricsRegistry};
 use crate::clock::SimClock;
 use crate::disk::DiskProfile;
 use crate::errno::{Errno, SysResult};
-use crate::fd::FdTable;
+use crate::fd::{FdTable, OpenFile};
 use crate::syscalls::ThreadCtx;
 use crate::tracepoint::{FdInfo, KernelInspect, TracepointRegistry};
 use crate::vfs::Vfs;
@@ -66,7 +66,8 @@ impl Process {
         self.inner.threads.lock().push(tid);
         let cpu =
             self.kernel.inner.next_cpu.fetch_add(1, Ordering::Relaxed) % self.kernel.inner.num_cpus;
-        ThreadCtx::new(self.kernel.clone(), Arc::clone(&self.inner), tid, comm.into(), cpu)
+        let comm = Arc::from(comm.into());
+        ThreadCtx::new(self.kernel.clone(), Arc::clone(&self.inner), tid, comm, cpu)
     }
 
     /// The thread ids registered so far.
@@ -346,9 +347,10 @@ impl Kernel {
         pids.iter().all(|pid| processes.get(pid).is_none_or(|p| p.exited.load(Ordering::Acquire)))
     }
 
-    /// An inspector implementing [`KernelInspect`] for probes.
-    pub(crate) fn inspector(&self) -> KernelViewImpl<'_> {
-        KernelViewImpl { kernel: self }
+    /// An inspector implementing [`KernelInspect`] for the probes a
+    /// syscall of process `current` fires.
+    pub(crate) fn inspector<'a>(&'a self, current: &'a ProcessInner) -> KernelViewImpl<'a> {
+        KernelViewImpl { kernel: self, current }
     }
 }
 
@@ -358,28 +360,41 @@ impl Default for Kernel {
     }
 }
 
-/// Concrete [`KernelInspect`] over a [`Kernel`].
+/// Concrete [`KernelInspect`] over a [`Kernel`], for the task `current`.
 pub(crate) struct KernelViewImpl<'a> {
     kernel: &'a Kernel,
+    current: &'a ProcessInner,
+}
+
+impl KernelViewImpl<'_> {
+    /// Reads descriptor `fd` of process `pid` in place. The caller's own
+    /// table is at hand; another process's is found through the kernel-wide
+    /// process table first.
+    fn with_file<R>(&self, pid: Pid, fd: i32, read: impl FnOnce(&OpenFile) -> R) -> Option<R> {
+        if pid == self.current.pid {
+            return self.current.fds.with(fd, read);
+        }
+        let other = self.kernel.inner.processes.lock().get(&pid).cloned()?;
+        other.fds.with(fd, read)
+    }
 }
 
 impl KernelInspect for KernelViewImpl<'_> {
     fn fd_info(&self, pid: Pid, fd: i32) -> Option<FdInfo> {
-        let proc = self.kernel.inner.processes.lock().get(&pid).cloned()?;
-        let file = proc.fds.get(fd).ok()?;
-        let inode = file.inode();
-        Some(FdInfo {
-            file_type: inode.file_type(),
-            offset: file.offset(),
-            dev: inode.dev(),
-            ino: inode.ino(),
-            first_access_ns: inode.first_access_ns(),
-            path: file.path().to_string(),
+        self.with_file(pid, fd, |file| {
+            let inode = file.inode();
+            FdInfo {
+                file_type: inode.file_type(),
+                offset: file.offset(),
+                dev: inode.dev(),
+                ino: inode.ino(),
+                first_access_ns: inode.first_access_ns(),
+            }
         })
     }
 
-    fn process_name(&self, pid: Pid) -> Option<String> {
-        self.kernel.inner.processes.lock().get(&pid).map(|p| p.name.clone())
+    fn fd_path_matches(&self, pid: Pid, fd: i32, pred: &dyn Fn(&str) -> bool) -> bool {
+        self.with_file(pid, fd, |file| pred(file.path())).unwrap_or(false)
     }
 }
 
@@ -447,13 +462,35 @@ mod tests {
             .openat("/f", crate::fd::OpenFlags::CREAT | crate::fd::OpenFlags::RDWR, 0o644)
             .unwrap();
         t.write(fd, b"abcd").unwrap();
-        let view = k.inspector();
-        let info = KernelInspect::fd_info(&view, p.pid(), fd).unwrap();
+        let view = k.inspector(&p.inner);
+        let info = view.fd_info(p.pid(), fd).unwrap();
         assert_eq!(info.offset, 4);
-        assert_eq!(info.path, "/f");
         assert_eq!(info.dev, ROOT_DEV);
         assert!(info.first_access_ns > 0);
-        assert_eq!(KernelInspect::process_name(&view, p.pid()).as_deref(), Some("app"));
-        assert!(KernelInspect::fd_info(&view, p.pid(), 99).is_none());
+        assert!(view.fd_path_matches(p.pid(), fd, &|path| path == "/f"));
+        assert!(!view.fd_path_matches(p.pid(), fd, &|path| path == "/g"));
+        assert!(view.fd_info(p.pid(), 99).is_none());
+        assert!(!view.fd_path_matches(p.pid(), 99, &|_| true));
+    }
+
+    /// A probe fired by one process may inspect another: that lookup goes
+    /// through the process table, and finds nothing once the other exited.
+    #[test]
+    fn inspector_resolves_a_foreign_pid_until_it_exits() {
+        let k = fast_kernel();
+        let (caller, other) = (k.spawn_process("caller"), k.spawn_process("other"));
+        let t = other.spawn_thread("other");
+        let fd = t.creat("/other.log", 0o644).unwrap();
+        t.write(fd, b"abc").unwrap();
+        let view = k.inspector(&caller.inner);
+        let own = k.inspector(&other.inner).fd_info(other.pid(), fd);
+        assert_eq!(view.fd_info(other.pid(), fd), own);
+        assert_eq!(own.map(|info| info.offset), Some(3));
+        assert!(view.fd_path_matches(other.pid(), fd, &|path| path == "/other.log"));
+        assert!(view.fd_info(caller.pid(), fd).is_none(), "the caller has no such descriptor");
+        assert!(view.fd_info(Pid(1), fd).is_none(), "unknown pid");
+        other.exit();
+        assert!(view.fd_info(other.pid(), fd).is_none());
+        assert!(!view.fd_path_matches(other.pid(), fd, &|_| true));
     }
 }

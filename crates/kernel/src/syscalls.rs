@@ -7,6 +7,7 @@
 //! the exit event.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use dio_syscall::{Arg, FileType, Pid, SyscallKind, Tid};
 
@@ -35,7 +36,8 @@ pub struct ThreadCtx {
     kernel: Kernel,
     process: Arc<ProcessInner>,
     tid: Tid,
-    comm: String,
+    /// Shared once here, so a probe keeps the name by reference count.
+    comm: Arc<str>,
     cpu: u32,
 }
 
@@ -55,7 +57,7 @@ impl ThreadCtx {
         kernel: Kernel,
         process: Arc<ProcessInner>,
         tid: Tid,
-        comm: String,
+        comm: Arc<str>,
         cpu: u32,
     ) -> Self {
         ThreadCtx { kernel, process, tid, comm, cpu }
@@ -102,7 +104,7 @@ impl ThreadCtx {
         if !registry.is_traced(kind) {
             return op().map(|(_, v)| v);
         }
-        let view = self.kernel.inspector();
+        let view = self.kernel.inspector(&self.process);
         let enter = EnterEvent {
             kind,
             pid: self.process.pid,
@@ -120,14 +122,16 @@ impl ThreadCtx {
             Ok((ret, _)) => *ret,
             Err(e) => e.to_ret(),
         };
+        // One reading of the machine's clock is both timestamps.
+        let now = Instant::now();
         let exit = ExitEvent {
             kind,
             pid: self.process.pid,
             tid: self.tid,
             cpu: self.cpu,
-            time_ns: self.kernel.clock().now_ns(),
+            time_ns: self.kernel.clock().ns_at(now),
             ret,
-            mono_ns: dio_telemetry::monotonic_ns(),
+            mono_ns: dio_telemetry::monotonic_ns_at(now),
         };
         registry.dispatch_exit(&view, &exit);
         result.map(|(_, v)| v)

@@ -15,8 +15,11 @@ use parking_lot::RwLock;
 use dio_syscall::{Arg, FileTag, FileType, Pid, SyscallKind, SyscallSet, Tid};
 
 /// Snapshot of an open file description, as an eBPF program would recover it
-/// from `task_struct`/`files_struct` at probe time.
-#[derive(Debug, Clone, PartialEq)]
+/// from `task_struct`/`files_struct` at probe time: five integers, copied
+/// out under the descriptor table's lock. The open-time path is not part of
+/// it — [`KernelInspect::fd_path_matches`] lends that to the one probe that
+/// reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FdInfo {
     /// Type of the file behind the descriptor.
     pub file_type: FileType,
@@ -28,8 +31,6 @@ pub struct FdInfo {
     pub ino: u64,
     /// First-access timestamp of this inode generation (file-tag component).
     pub first_access_ns: u64,
-    /// The dentry path recorded at open time.
-    pub path: String,
 }
 
 impl FdInfo {
@@ -41,12 +42,24 @@ impl FdInfo {
 
 /// Read-only view of kernel state offered to probes (what eBPF programs get
 /// via helpers and direct struct access).
+///
+/// The kernel's view knows the calling task, as `bpf_get_current_task()`
+/// does: a lookup for the caller's own `pid` reads its descriptor table
+/// directly, without the kernel-wide process table; any other `pid` is
+/// looked up there first.
 pub trait KernelInspect {
     /// Resolves a descriptor of process `pid` to its open-file snapshot.
     fn fd_info(&self, pid: Pid, fd: i32) -> Option<FdInfo>;
 
-    /// The name of a process.
-    fn process_name(&self, pid: Pid) -> Option<String>;
+    /// Lends the path descriptor `fd` of process `pid` was opened with (the
+    /// *dentry* name; the file may since have been renamed) to `pred` and
+    /// returns its verdict; `false` when the descriptor does not resolve.
+    ///
+    /// `pred` runs under the lock of that process's descriptor table, which
+    /// is not reentrant: it must not call back into the view (for the same
+    /// process that deadlocks), and it must be short — every descriptor
+    /// operation of the process waits for it.
+    fn fd_path_matches(&self, pid: Pid, fd: i32, pred: &dyn Fn(&str) -> bool) -> bool;
 }
 
 /// Payload of a `sys_enter` tracepoint.
@@ -58,8 +71,8 @@ pub struct EnterEvent<'a> {
     pub pid: Pid,
     /// Calling thread.
     pub tid: Tid,
-    /// Thread `comm` name.
-    pub comm: &'a str,
+    /// Thread `comm` name, shareable by reference count.
+    pub comm: &'a Arc<str>,
     /// CPU executing the syscall.
     pub cpu: u32,
     /// Entry timestamp (ns).
@@ -230,17 +243,17 @@ mod tests {
         fn fd_info(&self, _: Pid, _: i32) -> Option<FdInfo> {
             None
         }
-        fn process_name(&self, _: Pid) -> Option<String> {
-            None
+        fn fd_path_matches(&self, _: Pid, _: i32, _: &dyn Fn(&str) -> bool) -> bool {
+            false
         }
     }
 
-    fn enter(kind: SyscallKind) -> EnterEvent<'static> {
+    fn enter(kind: SyscallKind, comm: &Arc<str>) -> EnterEvent<'_> {
         EnterEvent {
             kind,
             pid: Pid(1),
             tid: Tid(1),
-            comm: "t",
+            comm,
             cpu: 0,
             time_ns: 0,
             args: &[],
@@ -262,13 +275,14 @@ mod tests {
         assert!(reg.is_traced(SyscallKind::Read));
         assert!(!reg.is_traced(SyscallKind::Write));
 
-        reg.dispatch_enter(&NullView, &enter(SyscallKind::Read));
-        reg.dispatch_enter(&NullView, &enter(SyscallKind::Write));
+        let comm = Arc::from("t");
+        reg.dispatch_enter(&NullView, &enter(SyscallKind::Read, &comm));
+        reg.dispatch_enter(&NullView, &enter(SyscallKind::Write, &comm));
         assert_eq!(probe.enters.load(Ordering::Relaxed), 2 - 1); // only Read routed
 
         reg.detach(id);
         assert!(!reg.is_traced(SyscallKind::Read));
-        reg.dispatch_enter(&NullView, &enter(SyscallKind::Read));
+        reg.dispatch_enter(&NullView, &enter(SyscallKind::Read, &comm));
         assert_eq!(probe.enters.load(Ordering::Relaxed), 1);
     }
 
@@ -312,7 +326,6 @@ mod tests {
             dev: 7,
             ino: 12,
             first_access_ns: 99,
-            path: "/f".into(),
         };
         assert_eq!(info.tag(), FileTag::new(7, 12, 99));
     }

@@ -1,5 +1,7 @@
 //! Typed syscall argument values as observed at a tracepoint.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::SyscallKind;
@@ -69,6 +71,19 @@ pub fn expected_args(kind: SyscallKind) -> &'static [&'static str] {
     }
 }
 
+/// Position, in [`expected_args`]`(kind)`, of the argument that names the
+/// syscall's primary target path (`path`, or `oldpath` for the rename family);
+/// `None` for syscalls that take no path.
+pub fn path_arg(kind: SyscallKind) -> Option<usize> {
+    use SyscallKind::{Mkdirat, Mknodat, Openat, Renameat, Renameat2, Unlinkat};
+    match kind {
+        // The `*at` family names a directory descriptor first.
+        Openat | Renameat | Renameat2 | Unlinkat | Mknodat | Mkdirat => Some(1),
+        _ if kind.takes_path() => Some(0),
+        _ => None,
+    }
+}
+
 /// A single syscall argument value.
 ///
 /// Mirrors what an eBPF program can read at a `sys_enter` tracepoint: raw
@@ -86,46 +101,101 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
+    /// The value, lent: integers by value, a string by reference.
+    pub fn as_ref(&self) -> ArgRef<'_> {
+        match self {
+            ArgValue::Int(v) => ArgRef::Int(*v),
+            ArgValue::UInt(v) => ArgRef::UInt(*v),
+            ArgValue::Str(s) => ArgRef::Str(s),
+        }
+    }
+
     /// Returns the value as `i64` when it is numeric.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            ArgValue::Int(v) => Some(*v),
-            ArgValue::UInt(v) => i64::try_from(*v).ok(),
-            ArgValue::Str(_) => None,
-        }
+        self.as_ref().as_i64()
     }
 
     /// Returns the value as `u64` when it is numeric and non-negative.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            ArgValue::Int(v) => u64::try_from(*v).ok(),
-            ArgValue::UInt(v) => Some(*v),
-            ArgValue::Str(_) => None,
-        }
+        self.as_ref().as_u64()
     }
 
     /// Returns the value as a string slice when it is a string.
     pub fn as_str(&self) -> Option<&str> {
+        self.as_ref().as_str()
+    }
+}
+
+impl PartialEq for ArgValue {
+    /// Numeric variants compare by value ([`ArgRef`]'s equality).
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+/// An [`ArgValue`] lent rather than owned: what an [`ArgList`] hands out
+/// without copying its strings.
+#[derive(Debug, Clone, Copy)]
+pub enum ArgRef<'a> {
+    /// A signed integer argument.
+    Int(i64),
+    /// An unsigned integer argument.
+    UInt(u64),
+    /// A string argument.
+    Str(&'a str),
+}
+
+impl<'a> ArgRef<'a> {
+    /// Returns the value as `i64` when it is numeric.
+    pub fn as_i64(self) -> Option<i64> {
         match self {
-            ArgValue::Str(s) => Some(s),
+            ArgRef::Int(v) => Some(v),
+            ArgRef::UInt(v) => i64::try_from(v).ok(),
+            ArgRef::Str(_) => None,
+        }
+    }
+
+    /// Returns the value as `u64` when it is numeric and non-negative.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            ArgRef::Int(v) => u64::try_from(v).ok(),
+            ArgRef::UInt(v) => Some(v),
+            ArgRef::Str(_) => None,
+        }
+    }
+
+    /// Returns the value as a string slice when it is a string.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ArgRef::Str(s) => Some(s),
             _ => None,
         }
     }
 }
 
-impl PartialEq for ArgValue {
+impl PartialEq for ArgRef<'_> {
     /// Numeric variants compare by value (`Int(26) == UInt(26)`), so that an
     /// event survives a JSON round trip unchanged even though untagged serde
     /// picks one canonical integer representation.
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ArgValue::Str(a), ArgValue::Str(b)) => a == b,
-            (ArgValue::Str(_), _) | (_, ArgValue::Str(_)) => false,
-            (ArgValue::Int(a), ArgValue::Int(b)) => a == b,
-            (ArgValue::UInt(a), ArgValue::UInt(b)) => a == b,
-            (ArgValue::Int(a), ArgValue::UInt(b)) | (ArgValue::UInt(b), ArgValue::Int(a)) => {
-                u64::try_from(*a).map(|a| a == *b).unwrap_or(false)
+        match (*self, *other) {
+            (ArgRef::Str(a), ArgRef::Str(b)) => a == b,
+            (ArgRef::Str(_), _) | (_, ArgRef::Str(_)) => false,
+            (ArgRef::Int(a), ArgRef::Int(b)) => a == b,
+            (ArgRef::UInt(a), ArgRef::UInt(b)) => a == b,
+            (ArgRef::Int(a), ArgRef::UInt(b)) | (ArgRef::UInt(b), ArgRef::Int(a)) => {
+                u64::try_from(a).map(|a| a == b).unwrap_or(false)
             }
+        }
+    }
+}
+
+impl From<ArgRef<'_>> for ArgValue {
+    fn from(v: ArgRef<'_>) -> Self {
+        match v {
+            ArgRef::Int(v) => ArgValue::Int(v),
+            ArgRef::UInt(v) => ArgValue::UInt(v),
+            ArgRef::Str(s) => ArgValue::Str(s.to_string()),
         }
     }
 }
@@ -214,9 +284,232 @@ impl std::fmt::Display for Arg {
     }
 }
 
+/// The argument values of one syscall in the fixed layout they travel in,
+/// from the tracepoint to the stored document: integers inline, each string
+/// behind one shared allocation, names left to [`expected_args`] by position.
+///
+/// The layout is sized for the catalog — no traced syscall takes more than
+/// [`ArgList::MAX_INTS`] integer or [`ArgList::MAX_STRS`] string arguments
+/// (`renameat2` takes three and two) — so recording an integer-only syscall
+/// allocates nothing, and the list is 64 bytes whatever it holds.
+///
+/// # Examples
+///
+/// ```
+/// use dio_syscall::{ArgList, ArgValue};
+///
+/// let args: ArgList = [ArgValue::from(3i64), ArgValue::from("/f")].into_iter().collect();
+/// assert_eq!(args.len(), 2);
+/// assert_eq!(args.get(0).and_then(|v| v.as_i64()), Some(3));
+/// assert_eq!(args.get(1).and_then(|v| v.as_str()), Some("/f"));
+/// ```
+///
+/// It serializes as the sequence of its values, and compares as one: equal
+/// integers are equal whatever their signedness, as for [`ArgValue`].
+#[derive(Clone, Default)]
+pub struct ArgList {
+    /// Integer arguments in order; an `i64` is held by its bit pattern.
+    ints: [u64; Self::MAX_INTS],
+    /// String arguments in order.
+    strs: [Option<Arc<str>>; Self::MAX_STRS],
+    len: u8,
+    /// Bit `i` set: argument `i` is a string.
+    str_mask: u8,
+    /// Bit `i` set: argument `i` is an unsigned integer.
+    uint_mask: u8,
+}
+
+impl ArgList {
+    /// Most integer arguments a list holds.
+    pub const MAX_INTS: usize = 3;
+    /// Most string arguments a list holds.
+    pub const MAX_STRS: usize = 2;
+
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of arguments.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list holds no argument.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many of the arguments before position `i` are strings.
+    fn strs_before(&self, i: usize) -> usize {
+        (self.str_mask & ((1u8 << i) - 1)).count_ones() as usize
+    }
+
+    /// Appends `value`; a string is copied into its own shared allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the list already holds [`ArgList::MAX_INTS`] integers or
+    /// [`ArgList::MAX_STRS`] strings: the catalog has grown past the layout.
+    pub fn push(&mut self, value: &ArgValue) {
+        let i = self.len();
+        let strs = self.strs_before(i);
+        let (bits, unsigned) = match value {
+            ArgValue::Str(s) => {
+                assert!(strs < Self::MAX_STRS, "more than {} string arguments", Self::MAX_STRS);
+                self.strs[strs] = Some(Arc::from(s.as_str()));
+                self.str_mask |= 1 << i;
+                self.len += 1;
+                return;
+            }
+            ArgValue::Int(v) => (*v as u64, false),
+            ArgValue::UInt(v) => (*v, true),
+        };
+        let ints = i - strs;
+        assert!(ints < Self::MAX_INTS, "more than {} integer arguments", Self::MAX_INTS);
+        self.ints[ints] = bits;
+        self.uint_mask |= (unsigned as u8) << i;
+        self.len += 1;
+    }
+
+    /// The shared string at position `i`, when that argument is a string.
+    pub fn str_at(&self, i: usize) -> Option<&Arc<str>> {
+        if i < self.len() && self.str_mask & (1 << i) != 0 {
+            self.strs[self.strs_before(i)].as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// The argument at position `i`.
+    pub fn get(&self, i: usize) -> Option<ArgRef<'_>> {
+        if i >= self.len() {
+            return None;
+        }
+        Some(match self.str_at(i) {
+            Some(s) => ArgRef::Str(s),
+            None => {
+                let bits = self.ints[i - self.strs_before(i)];
+                if self.uint_mask & (1 << i) != 0 {
+                    ArgRef::UInt(bits)
+                } else {
+                    ArgRef::Int(bits as i64)
+                }
+            }
+        })
+    }
+
+    /// The arguments in order.
+    pub fn iter(&self) -> impl Iterator<Item = ArgRef<'_>> {
+        (0..self.len()).filter_map(|i| self.get(i))
+    }
+}
+
+impl PartialEq for ArgList {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Serialize for ArgList {
+    fn to_value(&self) -> serde_json::Value {
+        self.iter().map(ArgValue::from).collect::<Vec<_>>().to_value()
+    }
+}
+
+impl Deserialize for ArgList {
+    fn from_value(value: &serde_json::Value) -> Result<Self, serde_json::Error> {
+        let values = Vec::<ArgValue>::from_value(value)?;
+        let strs = values.iter().filter(|v| v.as_str().is_some()).count();
+        if strs > Self::MAX_STRS || values.len() - strs > Self::MAX_INTS {
+            return Err(serde_json::Error::custom("more arguments than a syscall takes"));
+        }
+        Ok(values.iter().collect())
+    }
+}
+
+impl<V: std::borrow::Borrow<ArgValue>> FromIterator<V> for ArgList {
+    fn from_iter<I: IntoIterator<Item = V>>(values: I) -> Self {
+        let mut list = ArgList::new();
+        for value in values {
+            list.push(value.borrow());
+        }
+        list
+    }
+}
+
+impl std::fmt::Debug for ArgList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arg_list_keeps_order_type_and_sign() {
+        let values = [
+            ArgValue::Int(-100),
+            ArgValue::from("/old"),
+            ArgValue::Int(-100),
+            ArgValue::from("/new"),
+            ArgValue::UInt(u64::MAX),
+        ];
+        let list: ArgList = values.iter().collect();
+        assert_eq!(list.len(), 5);
+        assert!(list.iter().eq(values.iter().map(ArgValue::as_ref)));
+        assert!(matches!(list.get(0), Some(ArgRef::Int(-100))));
+        assert!(matches!(list.get(4), Some(ArgRef::UInt(u64::MAX))));
+        assert_eq!(list.str_at(3).map(|s| &**s), Some("/new"));
+        assert!(list.str_at(0).is_none() && list.str_at(5).is_none());
+        assert!(list.get(5).is_none());
+        assert_eq!(
+            format!("{list:?}"),
+            r#"[Int(-100), Str("/old"), Int(-100), Str("/new"), UInt(18446744073709551615)]"#
+        );
+        assert_eq!(list, list.clone());
+        assert_ne!(list, values[..4].iter().collect::<ArgList>());
+        assert!(std::mem::size_of::<ArgList>() <= 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "integer arguments")]
+    fn arg_list_rejects_a_fourth_integer() {
+        let _: ArgList = (0..4).map(ArgValue::Int).collect();
+    }
+
+    #[test]
+    fn path_arg_is_the_first_path_name() {
+        assert_eq!(path_arg(SyscallKind::Openat), Some(1));
+        assert_eq!(path_arg(SyscallKind::Renameat2), Some(1));
+        assert_eq!(path_arg(SyscallKind::Mkdir), Some(0));
+        assert_eq!(path_arg(SyscallKind::Read), None);
+        for &k in SyscallKind::ALL {
+            let first = expected_args(k).iter().position(|name| name.ends_with("path"));
+            assert_eq!(path_arg(k), first, "{k}");
+        }
+    }
+
+    #[test]
+    fn arg_list_compares_and_serializes_as_its_values() {
+        let list: ArgList =
+            [ArgValue::Int(3), ArgValue::from("/f"), ArgValue::UInt(26)].iter().collect();
+        let json = serde_json::to_string(&list).unwrap();
+        assert_eq!(json, r#"[3,"/f",26]"#);
+        // Untagged integers come back signed; they still compare equal.
+        let back: ArgList = serde_json::from_str(&json).unwrap();
+        assert!(matches!(back.get(2), Some(ArgRef::Int(26))));
+        assert_eq!(back, list);
+        assert_ne!(
+            back,
+            [ArgValue::Int(3), ArgValue::from("/g"), ArgValue::UInt(26)].iter().collect()
+        );
+        assert_ne!(back, [ArgValue::Int(3), ArgValue::from("/f")].iter().collect());
+        assert!(serde_json::from_str::<ArgList>("[1,2,3,4]").is_err());
+        assert!(serde_json::from_str::<ArgList>(r#"["a","b","c"]"#).is_err());
+    }
 
     #[test]
     fn conversions() {

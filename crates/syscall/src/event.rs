@@ -1,8 +1,12 @@
 //! The enriched syscall event produced by the tracer.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
-use crate::{Arg, FileTag, FileType, Pid, SyscallClass, SyscallKind, Tid};
+use crate::{
+    expected_args, ArgList, ArgRef, FileTag, FileType, Pid, SyscallClass, SyscallKind, Tid,
+};
 
 /// A fully-formed trace event: entry + exit of one syscall, enriched with
 /// kernel context (§II-B "Collected information").
@@ -19,6 +23,10 @@ use crate::{Arg, FileTag, FileType, Pid, SyscallClass, SyscallKind, Tid};
 ///   [`file_tag`](Self::file_tag)
 /// * correlation output — [`file_path`](Self::file_path), filled either at
 ///   open-time or later by the backend path-correlation algorithm.
+///
+/// What the kernel-side record already holds behind a shared allocation —
+/// the thread name, the string arguments — is carried over by reference
+/// count, so building an event from a record copies only the session name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyscallEvent {
     /// Tracing session this event belongs to.
@@ -31,8 +39,9 @@ pub struct SyscallEvent {
     pub pid: Pid,
     /// Thread ID of the caller.
     pub tid: Tid,
-    /// Process/thread name (`comm`) of the caller.
-    pub comm: String,
+    /// Process/thread name (`comm`) of the caller, shared with the thread
+    /// that issued the syscall.
+    pub comm: Arc<str>,
     /// CPU on which the syscall entered.
     pub cpu: u32,
     /// Entry timestamp, nanoseconds.
@@ -41,8 +50,9 @@ pub struct SyscallEvent {
     pub time_exit_ns: u64,
     /// Return value (negative values carry `-errno`, as in Linux).
     pub ret: i64,
-    /// Observed arguments.
-    pub args: Vec<Arg>,
+    /// Observed argument values in signature order; their names are
+    /// [`expected_args`]`(kind)`, by position ([`Self::named_args`]).
+    pub args: ArgList,
     /// Type of the file the syscall targeted, when it resolved to an inode.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub file_type: Option<FileType>,
@@ -52,10 +62,11 @@ pub struct SyscallEvent {
     /// Unique identity of the accessed file.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub file_tag: Option<FileTag>,
-    /// Resolved path; present on path-bearing syscalls and on fd-bearing
-    /// events after path correlation ran.
+    /// Resolved path; present on path-bearing syscalls (where it shares the
+    /// path argument's allocation) and on fd-bearing events after path
+    /// correlation ran.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub file_path: Option<String>,
+    pub file_path: Option<Arc<str>>,
 }
 
 impl SyscallEvent {
@@ -78,9 +89,14 @@ impl SyscallEvent {
         self.ret < 0
     }
 
+    /// The arguments with the names the catalog gives their positions.
+    pub fn named_args(&self) -> impl Iterator<Item = (&'static str, ArgRef<'_>)> {
+        expected_args(self.kind).iter().copied().zip(self.args.iter())
+    }
+
     /// Looks up an argument by name.
-    pub fn arg(&self, name: &str) -> Option<&crate::ArgValue> {
-        self.args.iter().find(|a| a.name == name).map(|a| &a.value)
+    pub fn arg(&self, name: &str) -> Option<ArgRef<'_>> {
+        self.named_args().find(|&(n, _)| n == name).map(|(_, value)| value)
     }
 
     /// Serializes the event into a backend document (JSON object).
@@ -90,8 +106,13 @@ impl SyscallEvent {
     pub fn to_document(&self) -> serde_json::Value {
         use serde_json::{Map, Value};
         let mut args = Map::with_capacity(self.args.len());
-        for a in &self.args {
-            args.insert(a.name.to_string(), serde_json::to_value(&a.value).expect("arg value"));
+        for (name, value) in self.named_args() {
+            let value = match value {
+                ArgRef::Int(v) => v.into(),
+                ArgRef::UInt(v) => v.into(),
+                ArgRef::Str(s) => s.into(),
+            };
+            args.insert(name.to_string(), value);
         }
         // In key order, so every insert appends; absent fields are skipped.
         let fields: [(&str, Option<Value>); 16] = [
@@ -104,7 +125,7 @@ impl SyscallEvent {
             ("latency_ns", Some(self.latency_ns().into())),
             ("offset", self.offset.map(Value::from)),
             ("pid", Some(self.pid.0.into())),
-            ("proc_name", Some(self.comm.as_str().into())),
+            ("proc_name", Some((&*self.comm).into())),
             ("ret_val", Some(self.ret.into())),
             ("session", Some(self.session.as_str().into())),
             ("syscall", Some(self.kind.name().into())),
@@ -133,12 +154,12 @@ impl SyscallEvent {
             class: kind.class(),
             pid: Pid(0),
             tid: Tid(0),
-            comm: String::new(),
+            comm: Arc::from(""),
             cpu: 0,
             time_enter_ns: 0,
             time_exit_ns: 0,
             ret: 0,
-            args: Vec::new(),
+            args: ArgList::new(),
             file_type: None,
             offset: None,
             file_tag: None,
@@ -161,6 +182,7 @@ fn tag_string(tag: FileTag) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArgValue;
 
     fn sample() -> SyscallEvent {
         let mut e = SyscallEvent::synthetic(SyscallKind::Write);
@@ -171,7 +193,7 @@ mod tests {
         e.time_enter_ns = 1_000;
         e.time_exit_ns = 3_000;
         e.ret = 26;
-        e.args = vec![Arg::new("fd", 3i64), Arg::new("count", 26u64)];
+        e.args = [ArgValue::Int(3), ArgValue::UInt(26)].into_iter().collect();
         e.file_type = Some(FileType::Regular);
         e.offset = Some(0);
         e.file_tag = Some(FileTag::new(7340032, 12, 42));
@@ -221,5 +243,29 @@ mod tests {
         let s = serde_json::to_string(&e).unwrap();
         let back: SyscallEvent = serde_json::from_str(&s).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn serde_roundtrip_with_strings_and_path() {
+        let mut e = sample();
+        e.kind = SyscallKind::Openat;
+        e.args = [ArgValue::Int(-100), "/f".into(), ArgValue::UInt(0o102), ArgValue::UInt(0o644)]
+            .into_iter()
+            .collect();
+        e.file_path = e.args.str_at(1).cloned();
+        let s = serde_json::to_string(&e).unwrap();
+        assert!(s.contains(r#""args":[-100,"/f",66,420]"#), "{s}");
+        let back: SyscallEvent = serde_json::from_str(&s).unwrap();
+        assert_eq!(back, e);
+        // A sixth argument is not a syscall's: an error, not a panic.
+        let long = s.replace("[-100,", "[1,2,3,-100,");
+        assert!(serde_json::from_str::<SyscallEvent>(&long).is_err());
+    }
+
+    #[test]
+    fn names_follow_the_catalog_by_position() {
+        let e = sample();
+        let named: Vec<_> = e.named_args().collect();
+        assert_eq!(named, [("fd", ArgRef::Int(3)), ("count", ArgRef::UInt(26))]);
     }
 }

@@ -23,7 +23,7 @@ mod event;
 mod file_type;
 mod tag;
 
-pub use args::{expected_args, Arg, ArgValue};
+pub use args::{expected_args, path_arg, Arg, ArgList, ArgRef, ArgValue};
 pub use catalog::{SyscallClass, SyscallKind, SyscallSet};
 pub use event::SyscallEvent;
 pub use file_type::FileType;

@@ -59,5 +59,7 @@ pub use metrics::{
     quantile_sorted, Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot, StageTimer,
 };
 pub use registry::{MetricRef, MetricsRegistry, TelemetrySnapshot};
-pub use span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps, StampCarrier};
+pub use span::{
+    monotonic_ns, monotonic_ns_at, SpanCollector, SpanSummary, Stage, StageStamps, StampCarrier,
+};
 pub use trace::{FlightRecorder, SpanCtx, TraceSpan};

@@ -53,8 +53,15 @@ static MONO_BASE: OnceLock<Instant> = OnceLock::new();
 /// can serve as the "never stamped" sentinel in [`StageStamps`]).
 #[inline]
 pub fn monotonic_ns() -> u64 {
+    monotonic_ns_at(Instant::now())
+}
+
+/// [`monotonic_ns`] of a clock reading the caller already holds, so one
+/// reading can also serve another clock.
+#[inline]
+pub fn monotonic_ns_at(at: Instant) -> u64 {
     let base = MONO_BASE.get_or_init(Instant::now);
-    u64::try_from(base.elapsed().as_nanos()).unwrap_or(u64::MAX).max(1)
+    u64::try_from(at.saturating_duration_since(*base).as_nanos()).unwrap_or(u64::MAX).max(1)
 }
 
 /// The pipeline hand-off points an event passes through, in order.

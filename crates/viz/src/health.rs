@@ -254,6 +254,13 @@ pub fn render_health_dashboard(index: &Index) -> String {
         last.counter("ebpf.ring.pushed"),
         last.counter("ebpf.ring.occupancy_hwm"),
     ));
+    // Entries the join map admitted and did not turn into events.
+    out.push_str(&format!(
+        "join: {} entries inserted, {} overflowed, {} orphaned (never met their exit)\n",
+        last.counter("ebpf.join.inserted"),
+        last.counter("ebpf.join.overflow"),
+        last.counter("ebpf.join.orphaned"),
+    ));
     // How often the consumer woke for what it drained: thousands of polls
     // per event mean it is burning CPU on an empty ring.
     let polls = last.counter("tracer.consumer.polls");
@@ -378,6 +385,8 @@ mod tests {
             docs.push(doc(seq, t, "ebpf.ring.pushed", "counter", 90 * seq));
             docs.push(doc(seq, t, "ebpf.ring.dropped", "counter", 10 * seq));
             docs.push(doc(seq, t, "ebpf.ring.consumed", "counter", 90 * seq));
+            docs.push(doc(seq, t, "ebpf.join.inserted", "counter", 100 * seq));
+            docs.push(doc(seq, t, "ebpf.join.orphaned", "counter", seq));
             docs.push(doc(seq, t, "tracer.consumer.polls", "counter", 30 * seq));
             docs.push(doc(seq, t, "ebpf.ring.occupancy_hwm", "gauge", 7));
             docs.push(doc(seq, t, "tracer.channel.depth", "gauge", 5 * seq));
@@ -407,6 +416,7 @@ mod tests {
         assert!(out.contains("tracer.shipper.batch_ns"));
         assert!(out.contains("ring drop rate: 10.00%"));
         assert!(out.contains("occupancy high-water mark 7"));
+        assert!(out.contains("join: 300 entries inserted, 0 overflowed, 3 orphaned"));
         assert!(out.contains("consumer: 90 polls for 270 events drained (0.333 polls per event)"));
         assert!(out.contains("drop rate over export rounds"));
         assert!(out.contains("Queue depths over export rounds"));

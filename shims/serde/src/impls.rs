@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::{Deserialize, Error, Map, Number, Serialize, Value};
@@ -118,6 +119,19 @@ impl Serialize for Cow<'_, str> {
 impl Deserialize for Cow<'_, str> {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(Cow::Owned(String::from_value(value)?))
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    /// Serializes the shared value itself, as real serde's `rc` feature does.
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        value.as_str().map(Arc::from).ok_or_else(|| Error::custom("expected string"))
     }
 }
 
@@ -285,6 +299,14 @@ mod tests {
         assert!(None::<u32>.to_value().is_null());
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u32>::from_value(&7u32.to_value()).unwrap(), Some(7));
+    }
+
+    #[test]
+    fn shared_str_roundtrip() {
+        let s: Arc<str> = Arc::from("app");
+        assert_eq!(s.to_value(), Value::String("app".to_string()));
+        assert_eq!(Arc::<str>::from_value(&s.to_value()).unwrap(), s);
+        assert!(Arc::<str>::from_value(&Value::Null).is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The byte budget of a stored event (DESIGN.md, "Document model and the
 //! per-event byte budget"): what `to_document` may allocate, what an indexed
-//! document may hold on the heap, and the exact bytes documents serialize to.
+//! document may hold on the heap, and the exact bytes documents serialize to —
+//! and the hook's budget (DESIGN.md, "The hook's budget"): what tracing may
+//! allocate on the application's thread.
 //!
 //! Heap is counted by this binary's own allocator, per thread, so the tests
 //! can run side by side.
@@ -11,9 +13,9 @@ use std::sync::Arc;
 
 use dio::core::{DiskProfile, Kernel, OpenFlags, Query};
 use dio_backend::Index;
-use dio_ebpf::{ProgramConfig, RingBuffer, TracerProgram};
-use dio_kernel::SyscallProbe;
-use dio_syscall::{Arg, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
+use dio_ebpf::{FilterSpec, ProgramConfig, RawEvent, RingBuffer, TracerProgram};
+use dio_kernel::{SyscallProbe, ThreadCtx};
+use dio_syscall::{ArgValue, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
 use dio_telemetry::MetricsRegistry;
 
 thread_local! {
@@ -96,11 +98,145 @@ fn to_document_stays_within_its_allocation_budget() {
     assert!(allocs <= 26, "to_document made {allocs} allocations");
 }
 
+/// A kernel on an instant disk and one thread of it, with the tracer program
+/// attached (nobody draining its ring) when `config` is given.
+fn hooked_thread(config: Option<ProgramConfig>) -> (ThreadCtx, Option<Arc<TracerProgram>>) {
+    let kernel = Kernel::builder().root_disk(DiskProfile::instant()).build();
+    let program = config.map(|config| {
+        let ring = Arc::new(RingBuffer::with_slots(kernel.num_cpus(), 4_096));
+        let program = TracerProgram::new(config, ring).expect("verified filter");
+        kernel.tracepoints().attach(Arc::clone(&program) as Arc<dyn SyscallProbe>);
+        program
+    });
+    (kernel.spawn_process("hook").spawn_thread("hook"), program)
+}
+
+/// Allocations this thread makes in `calls`, after `prepare` ran untimed.
+fn allocs_of<T>(prepare: impl FnOnce() -> T, calls: impl FnOnce(T)) -> u64 {
+    let prepared = prepare();
+    let before = ALLOCS.get();
+    calls(prepared);
+    ALLOCS.get() - before
+}
+
+/// The hook allocates nothing for a syscall whose arguments are integers:
+/// traced, the calls allocate exactly what they allocate untraced (3 more
+/// per call before the fixed-layout record).
+#[test]
+fn the_hook_allocates_nothing_for_integer_only_syscalls() {
+    const FILES: usize = 200;
+    let allocs = |config| {
+        let (t, program) = hooked_thread(config);
+        let allocs = allocs_of(
+            // The opens also warm the thread's join-map shard.
+            || {
+                let open =
+                    |i| t.openat(&format!("/f{i}"), OpenFlags::CREAT | OpenFlags::RDWR, 0o644);
+                (0..FILES).map(|i| open(i).unwrap()).collect::<Vec<_>>()
+            },
+            |fds| {
+                let mut buf = [0u8; 8];
+                for fd in fds {
+                    t.write(fd, b"12345678").unwrap();
+                    t.lseek(fd, 0, dio::core::Whence::Set).unwrap();
+                    t.read(fd, &mut buf).unwrap();
+                    t.fsync(fd).unwrap();
+                    t.close(fd).unwrap();
+                }
+            },
+        );
+        if let Some(program) = program {
+            assert_eq!(program.stats().emitted, 6 * FILES as u64);
+            assert_eq!(program.ring().stats().dropped, 0);
+        }
+        allocs
+    };
+    assert_eq!(allocs(Some(ProgramConfig::default())), allocs(None), "over {} calls", 5 * FILES);
+}
+
+/// A string argument costs the hook one allocation, and the path is not
+/// stored a second time.
+#[test]
+fn the_hook_allocates_once_per_string_argument() {
+    const CALLS: usize = 500;
+    let allocs = |config| {
+        let (t, _program) = hooked_thread(config);
+        let opens = allocs_of(
+            || t.close(t.creat("/a", 0o644).unwrap()).unwrap(),
+            |()| {
+                for _ in 0..CALLS {
+                    t.openat("/a", OpenFlags::RDONLY, 0).unwrap();
+                }
+            },
+        );
+        let renames = allocs_of(
+            || (),
+            |()| {
+                for _ in 0..CALLS / 2 {
+                    t.renameat2("/a", "/b", 0).unwrap();
+                    t.renameat2("/b", "/a", 0).unwrap();
+                }
+            },
+        );
+        (opens, renames)
+    };
+    let (opens, renames) = allocs(Some(ProgramConfig::default()));
+    let (vanilla_opens, vanilla_renames) = allocs(None);
+    let per_open = (opens - vanilla_opens) as f64 / CALLS as f64;
+    let per_rename = (renames - vanilla_renames) as f64 / CALLS as f64;
+    assert!(per_open <= 1.0, "{per_open} hook allocations per openat (one string)");
+    assert!(per_rename <= 2.0, "{per_rename} hook allocations per renameat2 (two strings)");
+}
+
+/// A path filter decides a `read` by the descriptor's open-time path without
+/// copying it: admitted or rejected, the hook allocates nothing.
+#[test]
+fn a_path_filtered_read_copies_no_path() {
+    const READS: usize = 500;
+    let allocs = |config| {
+        let (t, program) = hooked_thread(config);
+        let open = |dir: &str| {
+            t.mkdir(dir, 0o755).unwrap();
+            let flags = OpenFlags::CREAT | OpenFlags::RDWR;
+            let fd = t.openat(&format!("{dir}/f"), flags, 0o644).unwrap();
+            t.write(fd, b"x").unwrap();
+            fd
+        };
+        let allocs = allocs_of(
+            || (open("/watched"), open("/elsewhere")),
+            |(watched, elsewhere)| {
+                let mut buf = [0u8; 1];
+                for _ in 0..READS {
+                    t.read(watched, &mut buf).unwrap();
+                    t.read(elsewhere, &mut buf).unwrap();
+                }
+            },
+        );
+        (allocs, program.map(|p| p.stats()))
+    };
+    let filter = FilterSpec::new().path_prefix("/watched");
+    let (filtered, stats) = allocs(Some(ProgramConfig { filter, ..ProgramConfig::default() }));
+    let (vanilla, _) = allocs(None);
+    assert_eq!(filtered, vanilla, "allocations over {} filtered reads", 2 * READS);
+    let stats = stats.expect("program attached");
+    // mkdir, openat, write and the reads under /watched are admitted; the same
+    // calls under /elsewhere are rejected.
+    assert_eq!((stats.admitted, stats.filtered), (READS as u64 + 3, READS as u64 + 3));
+    assert_eq!(stats.emitted, stats.admitted);
+}
+
+/// The ring initialises every slot when the program attaches, so set-up time
+/// is proportional to the record's size.
+#[test]
+fn raw_event_stays_within_its_slot_size() {
+    assert!(std::mem::size_of::<RawEvent>() <= 208, "{} B", std::mem::size_of::<RawEvent>());
+}
+
 /// An idle poll costs no allocation: the consumer drains an empty ring a
 /// few hundred times a second.
 #[test]
 fn draining_an_empty_ring_allocates_nothing() {
-    let ring: RingBuffer<dio_ebpf::RawEvent> = RingBuffer::with_slots(4, 64);
+    let ring: RingBuffer<RawEvent> = RingBuffer::with_slots(4, 64);
     let allocs = ALLOCS.get();
     for _ in 0..100 {
         assert!(ring.drain_all_stamped(4_096).is_empty());
@@ -140,7 +276,7 @@ fn event_document_serializes_to_pinned_bytes() {
     e.time_enter_ns = 1_000;
     e.time_exit_ns = 3_500;
     e.ret = -28;
-    e.args = vec![Arg::new("fd", 3i64), Arg::new("count", 26u64), Arg::new("offset", 52u64)];
+    e.args = [ArgValue::Int(3), ArgValue::UInt(26), ArgValue::UInt(52)].into_iter().collect();
     e.file_type = Some(FileType::Regular);
     e.offset = Some(52);
     e.file_tag = Some(FileTag::new(7_340_032, 12, 2_156_997_363_734_041));
@@ -150,6 +286,43 @@ fn event_document_serializes_to_pinned_bytes() {
     assert_eq!(doc.to_string(), pinned);
     assert_eq!(serde_json::to_string(&doc).unwrap(), pinned);
     assert_eq!(serde_json::from_str::<serde_json::Value>(pinned).unwrap(), doc);
+
+    // A negative integer beside a string, with the path shared into
+    // `file_path`; then the widest signature: five arguments, two strings.
+    let mut open = SyscallEvent::synthetic(SyscallKind::Openat);
+    open.comm = "app".into();
+    open.ret = 3;
+    open.args = [
+        ArgValue::Int(-100),
+        ArgValue::from("/data/app \"1\".log"),
+        ArgValue::UInt(0o102),
+        ArgValue::UInt(0o644),
+    ]
+    .into_iter()
+    .collect();
+    open.file_type = Some(FileType::Regular);
+    open.file_tag = Some(FileTag::new(7_340_032, 12, 42));
+    open.file_path = open.args.str_at(1).cloned();
+    assert_eq!(
+        open.to_document().to_string(),
+        r#"{"args":{"dfd":-100,"flags":66,"mode":420,"path":"/data/app \"1\".log"},"class":"metadata","cpu":0,"file_path":"/data/app \"1\".log","file_tag":"7340032|12|42","file_type":"regular","latency_ns":0,"pid":0,"proc_name":"app","ret_val":3,"session":"test","syscall":"openat","tid":0,"time":0,"time_exit":0}"#
+    );
+    let mut rename = SyscallEvent::synthetic(SyscallKind::Renameat2);
+    rename.args = [
+        ArgValue::Int(-100),
+        ArgValue::from("/a"),
+        ArgValue::Int(-100),
+        ArgValue::from("/b"),
+        ArgValue::UInt(1),
+    ]
+    .into_iter()
+    .collect();
+    rename.ret = -17;
+    rename.file_path = rename.args.str_at(1).cloned();
+    assert_eq!(
+        rename.to_document().to_string(),
+        r#"{"args":{"flags":1,"newdfd":-100,"newpath":"/b","olddfd":-100,"oldpath":"/a"},"class":"metadata","cpu":0,"file_path":"/a","latency_ns":0,"pid":0,"proc_name":"","ret_val":-17,"session":"test","syscall":"renameat2","tid":0,"time":0,"time_exit":0}"#
+    );
 
     let bare = SyscallEvent::synthetic(SyscallKind::Mkdir).to_document();
     assert_eq!(

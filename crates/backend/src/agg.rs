@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use crate::query::Query;
-use crate::value_path::{as_keyword, as_number, get_path};
+use crate::value_path::DocRef;
 
 /// An aggregation request, optionally nested.
 ///
@@ -153,17 +153,33 @@ impl Aggregation {
 
     /// Evaluates the aggregation over a set of documents.
     pub fn compute(&self, docs: &[&Value]) -> AggResult {
+        self.compute_over(&docs.iter().map(|doc| DocRef::Json(doc)).collect::<Vec<_>>())
+    }
+
+    /// The number in this aggregation's field of `doc`.
+    fn number(&self, doc: DocRef<'_>) -> Option<f64> {
+        doc.field(&self.field)?.as_number()
+    }
+
+    /// [`Self::compute`] over stored documents of either kind.
+    pub(crate) fn compute_over(&self, docs: &[DocRef<'_>]) -> AggResult {
         match &self.kind {
             AggKind::Terms { size } => {
-                let mut groups: BTreeMap<&str, Vec<&Value>> = BTreeMap::new();
-                for doc in docs {
-                    if let Some(key) = get_path(doc, &self.field).and_then(as_keyword) {
-                        groups.entry(key).or_default().push(doc);
+                // Keyed by an owned string: an event lends some keywords
+                // (`file_tag`) only for as long as the field is looked at.
+                let mut groups: BTreeMap<String, Vec<DocRef<'_>>> = BTreeMap::new();
+                for &doc in docs {
+                    let field = doc.field(&self.field);
+                    if let Some(key) = field.as_ref().and_then(|f| f.as_keyword()) {
+                        match groups.get_mut(key) {
+                            Some(group) => group.push(doc),
+                            None => drop(groups.insert(key.to_owned(), vec![doc])),
+                        }
                     }
                 }
                 let mut buckets: Vec<Bucket> = groups
                     .into_iter()
-                    .map(|(key, group)| self.bucket(Value::String(key.to_owned()), &group))
+                    .map(|(key, group)| self.bucket(Value::String(key), &group))
                     .collect();
                 buckets.sort_by(|a, b| {
                     b.doc_count.cmp(&a.doc_count).then_with(|| {
@@ -175,9 +191,9 @@ impl Aggregation {
             }
             AggKind::Histogram { interval } => {
                 let interval = if *interval > 0.0 { *interval } else { 1.0 };
-                let mut groups: BTreeMap<i64, Vec<&Value>> = BTreeMap::new();
-                for doc in docs {
-                    if let Some(n) = get_path(doc, &self.field).and_then(as_number) {
+                let mut groups: BTreeMap<i64, Vec<DocRef<'_>>> = BTreeMap::new();
+                for &doc in docs {
+                    if let Some(n) = self.number(doc) {
                         groups.entry((n / interval).floor() as i64).or_default().push(doc);
                     }
                 }
@@ -186,9 +202,9 @@ impl Aggregation {
                 AggResult::Buckets(buckets)
             }
             AggKind::DateHistogram { interval_ns } => {
-                let mut groups: BTreeMap<i64, Vec<&Value>> = BTreeMap::new();
-                for doc in docs {
-                    if let Some(n) = get_path(doc, &self.field).and_then(as_number) {
+                let mut groups: BTreeMap<i64, Vec<DocRef<'_>>> = BTreeMap::new();
+                for &doc in docs {
+                    if let Some(n) = self.number(doc) {
                         groups
                             .entry((n / *interval_ns as f64).floor() as i64)
                             .or_default()
@@ -201,40 +217,32 @@ impl Aggregation {
                 AggResult::Buckets(buckets)
             }
             AggKind::Percentiles { percents } => {
-                let mut values: Vec<f64> = docs
-                    .iter()
-                    .filter_map(|d| get_path(d, &self.field).and_then(as_number))
-                    .collect();
+                let mut values: Vec<f64> = docs.iter().filter_map(|&d| self.number(d)).collect();
                 values.sort_by(f64::total_cmp);
                 let out = percents.iter().map(|&p| (p, percentile(&values, p))).collect();
                 AggResult::Percentiles(out)
             }
             AggKind::Stats => {
                 let mut stats = StatsResult::default();
-                for doc in docs {
-                    if let Some(n) = get_path(doc, &self.field).and_then(as_number) {
-                        stats.push(n);
-                    }
+                for n in docs.iter().filter_map(|&d| self.number(d)) {
+                    stats.push(n);
                 }
                 AggResult::Stats(stats)
             }
             AggKind::ValueCount => {
-                let n = docs.iter().filter(|d| get_path(d, &self.field).is_some()).count();
+                let n = docs.iter().filter(|d| d.field(&self.field).is_some()).count();
                 AggResult::Value(n as f64)
             }
             AggKind::Cardinality => {
                 let distinct: std::collections::HashSet<String> = docs
                     .iter()
-                    .filter_map(|d| get_path(d, &self.field))
-                    .map(|v| v.to_string())
+                    .filter_map(|d| d.field(&self.field))
+                    .map(|field| field.to_json())
                     .collect();
                 AggResult::Value(distinct.len() as f64)
             }
             AggKind::Min | AggKind::Max | AggKind::Avg | AggKind::Sum => {
-                let values: Vec<f64> = docs
-                    .iter()
-                    .filter_map(|d| get_path(d, &self.field).and_then(as_number))
-                    .collect();
+                let values: Vec<f64> = docs.iter().filter_map(|&d| self.number(d)).collect();
                 let v = if values.is_empty() {
                     f64::NAN
                 } else {
@@ -248,19 +256,19 @@ impl Aggregation {
                 AggResult::Value(v)
             }
             AggKind::Filter { query } => {
-                let matching: Vec<&Value> =
-                    docs.iter().copied().filter(|d| query.matches(d)).collect();
+                let matching: Vec<DocRef<'_>> =
+                    docs.iter().copied().filter(|&d| query.matches_doc(d)).collect();
                 AggResult::Buckets(vec![self.bucket(Value::Bool(true), &matching)])
             }
             AggKind::Range { ranges } => {
                 let buckets = ranges
                     .iter()
                     .map(|(from, to)| {
-                        let members: Vec<&Value> = docs
+                        let members: Vec<DocRef<'_>> = docs
                             .iter()
                             .copied()
-                            .filter(|d| {
-                                let Some(n) = get_path(d, &self.field).and_then(as_number) else {
+                            .filter(|&d| {
+                                let Some(n) = self.number(d) else {
                                     return false;
                                 };
                                 from.is_none_or(|f| n >= f) && to.is_none_or(|t| n < t)
@@ -279,8 +287,9 @@ impl Aggregation {
         }
     }
 
-    fn bucket(&self, key: Value, docs: &[&Value]) -> Bucket {
-        let sub = self.sub.iter().map(|(name, agg)| (name.clone(), agg.compute(docs))).collect();
+    fn bucket(&self, key: Value, docs: &[DocRef<'_>]) -> Bucket {
+        let sub =
+            self.sub.iter().map(|(name, agg)| (name.clone(), agg.compute_over(docs))).collect();
         Bucket { key, doc_count: docs.len() as u64, sub }
     }
 
@@ -288,7 +297,7 @@ impl Aggregation {
     /// empty buckets (bounded to 100 000 buckets to stay safe).
     fn fill_numeric_buckets(
         &self,
-        groups: BTreeMap<i64, Vec<&Value>>,
+        groups: BTreeMap<i64, Vec<DocRef<'_>>>,
         key_of: impl Fn(i64) -> Value,
     ) -> Vec<Bucket> {
         let Some((&min, _)) = groups.first_key_value() else {
@@ -303,11 +312,10 @@ impl Aggregation {
                 .map(|(slot, docs)| self.bucket(key_of(slot), &docs))
                 .collect();
         }
-        let empty: Vec<&Value> = Vec::new();
         (min..=max)
             .map(|slot| match groups.get(&slot) {
                 Some(docs) => self.bucket(key_of(slot), docs),
-                None => self.bucket(key_of(slot), &empty),
+                None => self.bucket(key_of(slot), &[]),
             })
             .collect()
     }

@@ -1,0 +1,386 @@
+//! Differential test of the two row kinds: an index that keeps events typed
+//! must answer every search as a plain scan over their JSON documents does.
+//!
+//! The model holds `to_document()` values, filters them with
+//! [`Query::matches`], sorts with [`compare_docs`] and aggregates with
+//! [`Aggregation::compute`] — the `&Value` paths, untouched by how the index
+//! stores a row.
+
+use proptest::prelude::*;
+use serde_json::{json, Value};
+
+use dio_syscall::{ArgRef, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
+
+use crate::query::compare_docs;
+use crate::value_path::DocRef;
+use crate::{Aggregation, DocStore, Query, SearchRequest, SortOrder, StorageConfig};
+
+/// SplitMix64: one generated seed becomes as many draws as a case needs.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+const KINDS: [SyscallKind; 6] = [
+    SyscallKind::Read,
+    SyscallKind::Pwrite64,
+    SyscallKind::Openat,
+    SyscallKind::Close,
+    SyscallKind::Renameat2,
+    SyscallKind::Mkdir,
+];
+const PATHS: [&str; 4] = ["/db/LOG", "/db/000001.sst", "/tmp/x", "/tmp/y \"q\""];
+const COMMS: [&str; 3] = ["db_bench", "rocksdb:low0", "rocksdb:high0"];
+
+/// An event drawn from few enough values per field that queries hit, ties
+/// occur in every sort key, and every optional field is sometimes absent.
+fn event(d: &mut Draw) -> SyscallEvent {
+    let kind = d.pick(&KINDS);
+    let mut e = SyscallEvent::synthetic(kind);
+    e.session = "diff".into();
+    e.pid = Pid(1 + d.below(3) as u32);
+    e.tid = Tid(10 + d.below(4) as u32);
+    e.comm = d.pick(&COMMS).into();
+    e.cpu = d.below(2) as u32;
+    e.time_enter_ns = 1_000 + d.below(20) as u64 * 50;
+    e.time_exit_ns = e.time_enter_ns + d.below(6) as u64 * 10;
+    e.ret = d.below(30) as i64 - 3;
+    for name in dio_syscall::expected_args(kind) {
+        let value = match *name {
+            "fd" | "dfd" | "olddfd" | "newdfd" => ArgRef::Int(d.below(5) as i64 - 1),
+            name if name.ends_with("path") => ArgRef::Str(d.pick(&PATHS)),
+            _ => ArgRef::UInt(d.below(4) as u64 * 26),
+        };
+        assert!(e.args.try_push(value), "{kind} fits the layout");
+    }
+    if kind.takes_fd() {
+        e.file_type = (d.below(4) > 0).then_some(FileType::Regular);
+        e.offset = (d.below(3) > 0).then(|| d.below(4) as u64 * 26);
+        e.file_tag = (d.below(4) > 0).then(|| FileTag::new(1, 10 + d.below(3) as u64, 5));
+    } else if d.below(3) > 0 {
+        e.file_path = dio_syscall::path_arg(kind).and_then(|i| e.args.str_at(i)).cloned();
+    }
+    e
+}
+
+const KEYWORD_FIELDS: [&str; 9] = [
+    "syscall",
+    "proc_name",
+    "class",
+    "file_tag",
+    "file_path",
+    "file_type",
+    "args.path",
+    "args.oldpath",
+    "kind",
+];
+const NUMBER_FIELDS: [&str; 11] = [
+    "pid",
+    "tid",
+    "time",
+    "time_exit",
+    "latency_ns",
+    "ret_val",
+    "offset",
+    "args.count",
+    "args.fd",
+    "args.flags",
+    "value",
+];
+/// Objects, members of scalars, a field an update adds, one nobody has.
+const ODD_FIELDS: [&str; 6] = ["args", "walked", "pid.x", "args.count.x", "nope", ""];
+
+fn any_field(d: &mut Draw) -> &'static str {
+    match d.below(5) {
+        0 | 1 => d.pick(&KEYWORD_FIELDS),
+        2 | 3 => d.pick(&NUMBER_FIELDS),
+        _ => d.pick(&ODD_FIELDS),
+    }
+}
+
+fn keyword(d: &mut Draw) -> Value {
+    match d.below(6) {
+        0 => json!(d.pick(&KINDS).name()),
+        1 => json!(d.pick(&COMMS)),
+        2 => json!(d.pick(&PATHS)),
+        3 => json!(format!("1|{}|5", 10 + d.below(3))),
+        4 => json!(d.pick(&["data", "metadata", "regular", "health", "true"])),
+        _ => json!(true),
+    }
+}
+
+fn number(d: &mut Draw) -> f64 {
+    match d.below(4) {
+        0 => d.below(30) as f64 - 3.0,
+        1 => 1_000.0 + d.below(20) as f64 * 50.0,
+        2 => d.below(4) as f64 * 26.0,
+        _ => d.below(60) as f64 * 10.0 + 0.5,
+    }
+}
+
+fn query(d: &mut Draw, depth: usize) -> Query {
+    match d.below(if depth == 0 { 7 } else { 6 }) {
+        0 => Query::term(d.pick(&KEYWORD_FIELDS), keyword(d)),
+        1 => Query::term(any_field(d), json!(number(d))),
+        2 => {
+            let field = d.pick(&KEYWORD_FIELDS);
+            Query::terms(field, (0..1 + d.below(3)).map(|_| keyword(d)).collect::<Vec<_>>())
+        }
+        3 => {
+            let (mut range, at) = (Query::range(any_field(d)), number(d));
+            range = match d.below(3) {
+                0 => range.gte(at),
+                1 => range.gt(at),
+                _ => range,
+            };
+            // Mostly above the lower bound; sometimes at or below it.
+            let width = number(d) * d.pick(&[1.0, 1.0, 0.0, -1.0]);
+            match d.below(3) {
+                0 => range.lte(at + width).build(),
+                1 => range.lt(at + width).build(),
+                _ => range.build(),
+            }
+        }
+        4 => {
+            let prefix = d.pick(&["/db/", "/tmp", "r", "1|1", "", "rocksdb:"]);
+            Query::prefix(d.pick(&KEYWORD_FIELDS), prefix)
+        }
+        5 => Query::exists(any_field(d)),
+        _ => {
+            let mut b = Query::bool_query();
+            for _ in 0..d.below(3) {
+                b = b.must(query(d, depth + 1));
+            }
+            for _ in 0..d.below(3) {
+                b = b.should(query(d, depth + 1));
+            }
+            for _ in 0..d.below(2) {
+                b = b.must_not(query(d, depth + 1));
+            }
+            b.build()
+        }
+    }
+}
+
+fn aggregations(d: &mut Draw) -> Vec<Aggregation> {
+    let filter = query(d, 1);
+    vec![
+        Aggregation::terms(d.pick(&KEYWORD_FIELDS), 1 + d.below(8))
+            .sub("latency", Aggregation::percentiles("latency_ns", [50.0, 99.0]))
+            .sub("tags", Aggregation::cardinality("file_tag")),
+        Aggregation::date_histogram("time", 100).sub("by", Aggregation::terms("proc_name", 4)),
+        Aggregation::histogram(d.pick(&NUMBER_FIELDS), 13.0),
+        Aggregation::stats(d.pick(&NUMBER_FIELDS)),
+        Aggregation::value_count(any_field(d)),
+        Aggregation::cardinality(any_field(d)),
+        Aggregation::min(d.pick(&NUMBER_FIELDS)),
+        Aggregation::max(d.pick(&NUMBER_FIELDS)),
+        Aggregation::avg("args.count"),
+        Aggregation::sum("ret_val"),
+        Aggregation::filter(filter).sub("n", Aggregation::value_count("offset")),
+        Aggregation::ranges(
+            "ret_val",
+            [(None, Some(0.0)), (Some(0.0), Some(10.0)), (Some(10.0), None)],
+        ),
+    ]
+}
+
+/// The model: every document the index was given, by id, in insertion order.
+type Model = Vec<(u64, Value)>;
+
+/// One random search against index and model; `Err` names what differed.
+fn check_search(d: &mut Draw, store: &DocStore, model: &Model) -> Result<(), TestCaseError> {
+    let q = query(d, 0);
+    check_query(d, store, model, q)
+}
+
+/// `q` with a random sort and random aggregations against index and model.
+fn check_query(
+    d: &mut Draw,
+    store: &DocStore,
+    model: &Model,
+    q: Query,
+) -> Result<(), TestCaseError> {
+    let sort: Vec<(String, SortOrder)> = (0..d.below(3))
+        .map(|_| (any_field(d).to_string(), d.pick(&[SortOrder::Asc, SortOrder::Desc])))
+        .collect();
+    let aggs = aggregations(d);
+    let mut request = SearchRequest::new(q.clone()).size(usize::MAX);
+    request.sort = sort.clone();
+    for (i, agg) in aggs.iter().enumerate() {
+        request = request.agg(format!("a{i}"), agg.clone());
+    }
+    let got = store.index("dio-diff").search(&request);
+
+    let mut expected: Vec<&(u64, Value)> = model.iter().filter(|(_, doc)| q.matches(doc)).collect();
+    expected.sort_by(|a, b| {
+        sort.iter()
+            .map(|(field, order)| {
+                compare_docs(DocRef::Json(&a.1), DocRef::Json(&b.1), field, *order)
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    prop_assert_eq!(got.total, expected.len() as u64, "total of {:?}", q);
+    let got_hits: Vec<(u64, &Value)> = got.hits.iter().map(|h| (h.id, &h.source)).collect();
+    let expected_hits: Vec<(u64, &Value)> = expected.iter().map(|(id, doc)| (*id, doc)).collect();
+    prop_assert_eq!(got_hits, expected_hits, "hits of {:?} sorted by {:?}", q, sort);
+    let docs: Vec<&Value> = expected.iter().map(|(_, doc)| doc).collect();
+    for (i, agg) in aggs.iter().enumerate() {
+        // By their debug form: an empty percentile is NaN on both sides.
+        prop_assert_eq!(
+            format!("{:?}", got.aggs[&format!("a{i}")]),
+            format!("{:?}", agg.compute(&docs)),
+            "{:?} over {:?}",
+            agg,
+            q
+        );
+    }
+    Ok(())
+}
+
+/// `update_by_query` on index and model alike; returns the ids it touched.
+fn update_both(
+    store: &DocStore,
+    model: &mut Model,
+    q: &Query,
+    update: impl Fn(&mut Value),
+) -> Vec<u64> {
+    let touched: Vec<u64> =
+        model.iter().filter(|(_, doc)| q.matches(doc)).map(|(id, _)| *id).collect();
+    let updated = store.index("dio-diff").update_by_query(q, &update);
+    assert_eq!(updated, touched.len(), "documents updated by {q:?}");
+    for (_, doc) in model.iter_mut().filter(|(id, _)| touched.contains(id)) {
+        update(doc);
+    }
+    touched
+}
+
+fn typed_rows(store: &DocStore, ids: &[u64]) -> Vec<bool> {
+    let index = store.index("dio-diff");
+    ids.iter().map(|id| index.keeps_typed(*id).expect("a stored document")).collect()
+}
+
+/// The whole history against one store: ingest through both doors with a few
+/// telemetry documents between, searches, an update that keeps rows typed,
+/// one that does not, searches after each — and, for a persisted store, all
+/// of the searches again after a close and reopen.
+fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseError> {
+    let mut d = Draw(seed);
+    let open = || match dir {
+        Some(dir) => DocStore::open_with(dir, StorageConfig::tiny_for_tests()).expect("open store"),
+        None => DocStore::new(),
+    };
+    let store = open();
+    let mut model: Model = Vec::new();
+    for _ in 0..1 + d.below(4) {
+        let events: Vec<SyscallEvent> = (0..d.below(16)).map(|_| event(&mut d)).collect();
+        let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+        // The tracer's door, then the document door; the rows are the same.
+        let ids = match d.below(2) {
+            0 => store.bulk_spans("dio-diff", events, &mut []),
+            _ => store.bulk("dio-diff", docs.clone()),
+        };
+        prop_assert!(!typed_rows(&store, &ids).contains(&false));
+        model.extend(ids.into_iter().zip(docs));
+        let health = json!({"kind": "health", "metric": "x", "value": d.below(9), "time": 1_500});
+        let ids = store.bulk("dio-diff", vec![health.clone()]);
+        prop_assert_eq!(typed_rows(&store, &ids), [false]);
+        model.push((ids[0], health));
+    }
+    for _ in 0..6 {
+        check_search(&mut d, &store, &model)?;
+    }
+
+    // Path correlation's update: the row is still an event's document.
+    let fd_events = Query::bool_query()
+        .must(Query::exists("file_tag"))
+        .must_not(Query::exists("file_path"))
+        .build();
+    let path = d.pick(&PATHS);
+    let touched = update_both(&store, &mut model, &fd_events, |doc| doc["file_path"] = json!(path));
+    prop_assert!(!typed_rows(&store, &touched).contains(&false));
+    for _ in 0..4 {
+        check_search(&mut d, &store, &model)?;
+    }
+
+    // New values in a field every event has and in one some have: the terms
+    // move (a stale posting list would lose the document from its new value).
+    let some = query(&mut d, 0);
+    update_both(&store, &mut model, &some, |doc| {
+        doc["ret_val"] = json!(77);
+        doc["args"]["count"] = json!(99);
+    });
+    check_query(&mut d, &store, &model, Query::term("ret_val", 77))?;
+    check_query(&mut d, &store, &model, Query::term("args.count", 99))?;
+    check_search(&mut d, &store, &model)?;
+
+    // A foreign field: the row becomes the value it now is.
+    let some = query(&mut d, 0);
+    let touched = update_both(&store, &mut model, &some, |doc| doc["walked"] = json!(true));
+    prop_assert!(!typed_rows(&store, &touched).contains(&true));
+    for _ in 0..4 {
+        check_search(&mut d, &store, &model)?;
+    }
+    // And back: without it, an event's document is an event again.
+    let walked = Query::exists("walked");
+    let touched = update_both(&store, &mut model, &walked, |doc| {
+        doc.as_object_mut().expect("documents are objects").remove("walked");
+    });
+    // The document decides the row's kind, whatever it went through.
+    let is_event = |doc: &Value| SyscallEvent::from_document(doc).is_some();
+    let events: Vec<bool> =
+        model.iter().filter(|(id, _)| touched.contains(id)).map(|(_, doc)| is_event(doc)).collect();
+    prop_assert_eq!(typed_rows(&store, &touched), events);
+    check_search(&mut d, &store, &model)?;
+
+    if dir.is_some() {
+        store.flush().expect("flush");
+        drop(store);
+        let store = open();
+        let ids: Vec<u64> = model.iter().map(|(id, _)| *id).collect();
+        let events: Vec<bool> = model.iter().map(|(_, doc)| is_event(doc)).collect();
+        prop_assert_eq!(typed_rows(&store, &ids), events, "recovered events are typed rows");
+        for _ in 0..6 {
+            check_search(&mut d, &store, &model)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn typed_rows_answer_as_documents_do(seed in any::<u64>()) {
+        run_case(seed, None)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn typed_rows_answer_as_documents_do_across_a_reopen(seed in any::<u64>()) {
+        let dir = std::env::temp_dir().join(format!("dio-diff-{}-{seed:x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let outcome = run_case(seed, Some(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        outcome?;
+    }
+}

@@ -1,14 +1,16 @@
 //! A document index: storage + inverted indexes + search.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
+use dio_syscall::SyscallEvent;
 use parking_lot::RwLock;
 use serde_json::Value;
 
 use crate::agg::{AggResult, Aggregation};
 use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
-use crate::value_path::{as_keyword, as_number, for_each_leaf};
+use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
 /// Total-ordered wrapper over `f64` usable as a BTreeMap key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,9 +30,51 @@ impl Ord for FKey {
     }
 }
 
+/// A stored document. What decides its kind is the document, not the door it
+/// came through: one that is exactly a syscall event's document is kept as
+/// the event (a quarter of the heap, and nothing to re-parse field by field),
+/// anything else — health, span, alert, phase and storage documents, an event
+/// an update gave a foreign field — as the JSON value it is. Every reader goes
+/// through [`Row::as_ref`], so no answer depends on the kind.
+enum Row {
+    Event(SyscallEvent),
+    Json(Value),
+}
+
+impl From<Value> for Row {
+    /// The one way a JSON value enters the table.
+    fn from(doc: Value) -> Row {
+        match SyscallEvent::from_document(&doc) {
+            Some(event) => Row::Event(event),
+            None => Row::Json(doc),
+        }
+    }
+}
+
+impl Row {
+    fn as_ref(&self) -> DocRef<'_> {
+        match self {
+            Row::Event(event) => DocRef::Event(event),
+            Row::Json(doc) => DocRef::Json(doc),
+        }
+    }
+
+    /// The document's JSON text for the write-through log.
+    fn to_json(&self) -> Vec<u8> {
+        match self {
+            Row::Event(event) => {
+                let mut text = Vec::with_capacity(512);
+                event.write_json(&mut text);
+                text
+            }
+            Row::Json(doc) => doc.to_string().into_bytes(),
+        }
+    }
+}
+
 #[derive(Default)]
 struct IndexInner {
-    docs: HashMap<u64, Value>,
+    docs: HashMap<u64, Row>,
     order: Vec<u64>,
     inverted: Inverted,
     /// Documents accepted but not yet merged into the inverted indexes.
@@ -64,23 +108,20 @@ fn with_slot<V: Default, R>(
 }
 
 impl Inverted {
-    fn index_doc(&mut self, id: u64, doc: &Value) {
-        for_each_leaf(doc, &mut |path, leaf| {
-            if let Some(kw) = as_keyword(leaf) {
-                with_slot(&mut self.keywords, path, |terms| {
-                    with_slot(terms, kw, |ids| ids.insert(id));
-                });
-            } else if let Some(n) = as_number(leaf) {
-                with_slot(&mut self.numerics, path, |tree| {
-                    tree.entry(FKey(n)).or_default().insert(id);
-                });
-            }
-        });
+    fn index_term(&mut self, id: u64, path: &str, term: Term<'_>) {
+        match term {
+            Term::Keyword(kw) => with_slot(&mut self.keywords, path, |terms| {
+                with_slot(terms, kw, |ids| ids.insert(id));
+            }),
+            Term::Number(n) => with_slot(&mut self.numerics, path, |tree| {
+                tree.entry(FKey(n)).or_default().insert(id);
+            }),
+        }
     }
 
-    fn unindex_doc(&mut self, id: u64, doc: &Value) {
-        for_each_leaf(doc, &mut |path, leaf| {
-            if let Some(kw) = as_keyword(leaf) {
+    fn unindex_term(&mut self, id: u64, path: &str, term: Term<'_>) {
+        match term {
+            Term::Keyword(kw) => {
                 if let Some(terms) = self.keywords.get_mut(path) {
                     if let Some(ids) = terms.get_mut(kw) {
                         ids.remove(id);
@@ -89,7 +130,8 @@ impl Inverted {
                         }
                     }
                 }
-            } else if let Some(n) = as_number(leaf) {
+            }
+            Term::Number(n) => {
                 if let Some(tree) = self.numerics.get_mut(path) {
                     if let Some(ids) = tree.get_mut(&FKey(n)) {
                         ids.remove(id);
@@ -99,7 +141,52 @@ impl Inverted {
                     }
                 }
             }
-        });
+        }
+    }
+
+    fn index_doc(&mut self, id: u64, doc: DocRef<'_>) {
+        doc.for_each_term(&mut |path, term| self.index_term(id, path, term));
+    }
+
+    fn unindex_doc(&mut self, id: u64, doc: DocRef<'_>) {
+        doc.for_each_term(&mut |path, term| self.unindex_term(id, path, term));
+    }
+
+    /// `unindex_doc(id, was)` then `index_doc(id, now)`, touching only the
+    /// top-level fields in which the two differ: an update that adds a field
+    /// to an event moves that field's terms, not the event's thirty-odd.
+    /// Both enumerate their fields in key order, so one merge pass pairs them.
+    fn reindex_event<'a>(
+        &mut self,
+        id: u64,
+        was: &SyscallEvent,
+        now: impl Iterator<Item = (&'a str, Entry<'a>)>,
+    ) {
+        let mut was = was.fields().peekable();
+        let mut now = now.peekable();
+        loop {
+            use std::cmp::Ordering::{Greater, Less};
+            let side = match (was.peek(), now.peek()) {
+                (None, None) => return,
+                (Some(_), None) => Less,
+                (None, Some(_)) => Greater,
+                (Some((old, _)), Some((new, _))) => (*old).cmp(new),
+            };
+            let old = if side != Greater { was.next() } else { None };
+            let new = if side != Less { now.next() } else { None };
+            if let (Some((_, old)), Some((_, new))) = (old, new) {
+                if new.same_terms(old) {
+                    continue;
+                }
+            }
+            if let Some((name, old)) = old {
+                Entry::Event(old)
+                    .for_each_term(name, &mut |path, term| self.unindex_term(id, path, term));
+            }
+            if let Some((name, new)) = new {
+                new.for_each_term(name, &mut |path, term| self.index_term(id, path, term));
+            }
+        }
     }
 
     /// Returns the candidate doc-id set for a query, or `None` when the
@@ -144,9 +231,21 @@ impl Inverted {
                     (None, Some(b)) => Bound::Excluded(FKey(*b)),
                     (None, None) => Bound::Unbounded,
                 };
+                // Bounds that admit no number (`gt 5, lt 5`; `gte 9, lte 3`)
+                // are an empty answer, where `BTreeMap::range` would panic.
+                let admits_none = match (&lower, &upper) {
+                    (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
+                    (
+                        Bound::Included(a) | Bound::Excluded(a),
+                        Bound::Included(b) | Bound::Excluded(b),
+                    ) => a > b,
+                    _ => false,
+                };
                 let mut out = HashSet::new();
-                for (_, ids) in tree.range((lower, upper)) {
-                    out.extend(ids.iter());
+                if !admits_none {
+                    for (_, ids) in tree.range((lower, upper)) {
+                        out.extend(ids.iter());
+                    }
                 }
                 Some(out)
             }
@@ -192,24 +291,20 @@ impl Inverted {
 }
 
 impl IndexInner {
+    /// The documents matching `query` with their ids, in insertion order
+    /// (stable results). Each id is resolved to its row here, once, for
+    /// whatever the caller goes on to do with the match.
+    fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, DocRef<'a>)> {
+        let cands = self.inverted.candidates(query);
+        self.order
+            .iter()
+            .filter(move |id| cands.as_ref().is_none_or(|cands| cands.contains(id)))
+            .filter_map(|&id| Some((id, self.docs.get(&id)?.as_ref())))
+            .filter(|&(_, doc)| query.matches_doc(doc))
+    }
+
     fn matching_ids(&self, query: &Query) -> Vec<u64> {
-        match self.inverted.candidates(query) {
-            Some(cands) => {
-                // Preserve insertion order for stable results.
-                self.order
-                    .iter()
-                    .copied()
-                    .filter(|id| cands.contains(id))
-                    .filter(|id| self.docs.get(id).is_some_and(|d| query.matches(d)))
-                    .collect()
-            }
-            None => self
-                .order
-                .iter()
-                .copied()
-                .filter(|id| self.docs.get(id).is_some_and(|d| query.matches(d)))
-                .collect(),
-        }
+        self.matching(query).map(|(id, _)| id).collect()
     }
 }
 
@@ -349,6 +444,10 @@ impl Index {
     /// Rebuilds an index from recovered documents (sorted by id). The
     /// inverted indexes are built lazily at the first query, so reopening
     /// a large store stays cheap until someone actually searches it.
+    ///
+    /// Recovered events become typed rows like freshly traced ones — a
+    /// reopened session occupies what the live one did — and, as there, the
+    /// events of a session share one session name and one name per thread.
     pub(crate) fn from_persisted(
         name: impl Into<String>,
         engine: std::sync::Arc<crate::storage::StorageEngine>,
@@ -357,23 +456,27 @@ impl Index {
         let index = Index::new_persistent(name, engine);
         {
             let mut inner = index.inner.write();
+            let mut names: HashSet<Arc<str>> = HashSet::new();
             for (id, bytes) in docs {
                 let text = std::str::from_utf8(&bytes).expect("recovered document is UTF-8");
                 let doc: Value =
                     serde_json::from_str(text).expect("recovered document parses as JSON");
-                inner.docs.insert(id, doc);
+                let mut row = Row::from(doc);
+                if let Row::Event(event) = &mut row {
+                    for name in [&mut event.session, &mut event.comm] {
+                        match names.get(&**name) {
+                            Some(held) => *name = Arc::clone(held),
+                            None => drop(names.insert(Arc::clone(name))),
+                        }
+                    }
+                }
+                inner.docs.insert(id, row);
                 inner.order.push(id);
                 inner.pending.push(id);
                 inner.next_id = inner.next_id.max(id + 1);
             }
         }
         index
-    }
-
-    /// Serializes a document for the write-through log (done before any
-    /// lock is taken).
-    fn persist_bytes(doc: &Value) -> Vec<u8> {
-        doc.to_string().into_bytes()
     }
 
     /// Opens a continuous query: every batch accepted from now on is also
@@ -442,16 +545,32 @@ impl Index {
     /// O(1) per document; the inverted indexes are built at refresh time,
     /// keeping the hot tracing path cheap — in the paper's deployment this
     /// work happens on the separate backend server.
+    ///
+    /// A document that is exactly a syscall event's
+    /// ([`SyscallEvent::from_document`]) is stored as the event; every read
+    /// answers as if the JSON value had been kept.
     pub fn bulk(&self, docs: Vec<Value>) -> Vec<u64> {
         // Copy for subscribers before the documents move into the store;
         // the copy is skipped entirely when nobody subscribed.
         let snapshot = self.has_subscribers().then(|| docs.clone());
+        self.accept(docs.into_iter().map(Row::from).collect(), snapshot)
+    }
+
+    /// [`Index::bulk`] for the tracer's own events: stored as they are, with
+    /// no JSON value built unless someone subscribed.
+    pub(crate) fn bulk_events(&self, events: Vec<SyscallEvent>) -> Vec<u64> {
+        let snapshot =
+            self.has_subscribers().then(|| events.iter().map(SyscallEvent::to_document).collect());
+        self.accept(events.into_iter().map(Row::Event).collect(), snapshot)
+    }
+
+    fn accept(&self, rows: Vec<Row>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
         // Serialize for the write-through log before taking the lock.
         let bytes: Option<Vec<Vec<u8>>> =
-            self.persist.as_ref().map(|_| docs.iter().map(Self::persist_bytes).collect());
+            self.persist.as_ref().map(|_| rows.iter().map(Row::to_json).collect());
         let ids = {
             let mut inner = self.inner.write();
-            let mut ids = Vec::with_capacity(docs.len());
+            let mut ids = Vec::with_capacity(rows.len());
             let first_id = inner.next_id;
             if let (Some(engine), Some(bytes)) = (&self.persist, bytes) {
                 let puts = bytes.into_iter().enumerate().map(|(i, b)| (first_id + i as u64, b));
@@ -459,10 +578,10 @@ impl Index {
                     .append_puts(&self.name, puts.collect())
                     .expect("dio-backend: persistent append failed");
             }
-            for doc in docs {
+            for row in rows {
                 let id = inner.next_id;
                 inner.next_id += 1;
-                inner.docs.insert(id, doc);
+                inner.docs.insert(id, row);
                 inner.order.push(id);
                 inner.pending.push(id);
                 ids.push(id);
@@ -484,15 +603,21 @@ impl Index {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         for id in std::mem::take(&mut inner.pending) {
-            if let Some(doc) = inner.docs.get(&id) {
-                inner.inverted.index_doc(id, doc);
+            if let Some(row) = inner.docs.get(&id) {
+                inner.inverted.index_doc(id, row.as_ref());
             }
         }
     }
 
+    /// Whether document `id` is kept as a typed event rather than as JSON.
+    #[cfg(test)]
+    pub(crate) fn keeps_typed(&self, id: u64) -> Option<bool> {
+        self.inner.read().docs.get(&id).map(|row| matches!(row, Row::Event(_)))
+    }
+
     /// Fetches a document by id.
     pub fn get(&self, id: u64) -> Option<Value> {
-        self.inner.read().docs.get(&id).cloned()
+        self.inner.read().docs.get(&id).map(|row| row.as_ref().to_value())
     }
 
     /// Deletes a document by id, returning whether it existed.
@@ -505,7 +630,7 @@ impl Index {
         if let Some(engine) = &self.persist {
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
-        inner.inverted.unindex_doc(id, &doc);
+        inner.inverted.unindex_doc(id, doc.as_ref());
         inner.deletions += 1;
         // Compact `order` lazily once deletions pile up.
         if inner.deletions > 1024 && inner.deletions * 2 > inner.order.len() as u64 {
@@ -519,7 +644,7 @@ impl Index {
     /// Counts documents matching `query`.
     pub fn count(&self, query: &Query) -> u64 {
         self.refresh();
-        self.inner.read().matching_ids(query).len() as u64
+        self.inner.read().matching(query).count() as u64
     }
 
     /// Executes a search.
@@ -527,13 +652,11 @@ impl Index {
         let _timer = self.query_ns.get().map(|h| h.start_timer());
         self.refresh();
         let inner = self.inner.read();
-        let mut ids = inner.matching_ids(&request.query);
+        let mut matches: Vec<(u64, DocRef<'_>)> = inner.matching(&request.query).collect();
         if !request.sort.is_empty() {
-            ids.sort_by(|a, b| {
-                let da = &inner.docs[a];
-                let db = &inner.docs[b];
+            matches.sort_by(|&(_, a), &(_, b)| {
                 for (field, order) in &request.sort {
-                    let ord = compare_docs(da, db, field, *order);
+                    let ord = compare_docs(a, b, field, *order);
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
                     }
@@ -541,18 +664,18 @@ impl Index {
                 std::cmp::Ordering::Equal
             });
         }
-        let total = ids.len() as u64;
+        let total = matches.len() as u64;
         let aggs = if request.aggs.is_empty() {
             BTreeMap::new()
         } else {
-            let docs: Vec<&Value> = ids.iter().map(|id| &inner.docs[id]).collect();
-            request.aggs.iter().map(|(name, agg)| (name.clone(), agg.compute(&docs))).collect()
+            let docs: Vec<DocRef<'_>> = matches.iter().map(|&(_, doc)| doc).collect();
+            request.aggs.iter().map(|(name, agg)| (name.clone(), agg.compute_over(&docs))).collect()
         };
-        let hits = ids
+        let hits = matches
             .into_iter()
             .skip(request.from)
             .take(request.size)
-            .map(|id| Hit { id, source: inner.docs[&id].clone() })
+            .map(|(id, doc)| Hit { id, source: doc.to_value() })
             .collect();
         SearchResponse { total, hits, aggs }
     }
@@ -569,12 +692,48 @@ impl Index {
         let ids = inner.matching_ids(query);
         let mut rewritten: Vec<(u64, Vec<u8>)> = Vec::new();
         for &id in &ids {
-            let doc = inner.docs.get_mut(&id).expect("id from matching_ids");
-            inner.inverted.unindex_doc(id, doc);
-            update(doc);
-            inner.inverted.index_doc(id, doc);
+            let row = inner.docs.get_mut(&id).expect("id from matching_ids");
+            // The closure sees the document; what it leaves decides the
+            // row's kind afresh.
+            match row {
+                Row::Event(event) => {
+                    let mut doc = event.to_document();
+                    update(&mut doc);
+                    let mut updated = Row::from(doc);
+                    match &mut updated {
+                        Row::Event(now) => {
+                            // The rewritten event keeps sharing its session's
+                            // and its thread's name.
+                            for (name, held) in
+                                [(&mut now.session, &event.session), (&mut now.comm, &event.comm)]
+                            {
+                                if **name == **held {
+                                    *name = Arc::clone(held);
+                                }
+                            }
+                            let now = now.fields().map(|(name, field)| (name, Entry::Event(field)));
+                            inner.inverted.reindex_event(id, event, now);
+                        }
+                        Row::Json(Value::Object(now)) => {
+                            let now = now.iter().map(|(name, v)| (name.as_str(), Entry::Json(v)));
+                            inner.inverted.reindex_event(id, event, now);
+                        }
+                        Row::Json(now) => {
+                            inner.inverted.unindex_doc(id, DocRef::Event(event));
+                            inner.inverted.index_doc(id, DocRef::Json(now));
+                        }
+                    }
+                    *row = updated;
+                }
+                Row::Json(doc) => {
+                    inner.inverted.unindex_doc(id, DocRef::Json(doc));
+                    update(doc);
+                    *row = Row::from(std::mem::take(doc));
+                    inner.inverted.index_doc(id, row.as_ref());
+                }
+            }
             if self.persist.is_some() {
-                rewritten.push((id, Self::persist_bytes(doc)));
+                rewritten.push((id, row.to_json()));
             }
         }
         if let Some(engine) = &self.persist {

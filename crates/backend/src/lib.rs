@@ -36,6 +36,8 @@
 //! ```
 
 mod agg;
+#[cfg(test)]
+mod differential;
 mod index;
 mod postings;
 mod query;

@@ -4,7 +4,7 @@
 
 use serde_json::Value;
 
-use crate::value_path::{as_keyword, as_number, get_path};
+use crate::value_path::DocRef;
 
 /// A query over documents.
 ///
@@ -111,18 +111,19 @@ impl Query {
 
     /// Whether this query matches `doc` (scan-time evaluation).
     pub fn matches(&self, doc: &Value) -> bool {
+        self.matches_doc(DocRef::Json(doc))
+    }
+
+    /// [`Self::matches`] over a stored document of either kind.
+    pub(crate) fn matches_doc(&self, doc: DocRef<'_>) -> bool {
         match self {
             Query::MatchAll => true,
-            Query::Term { field, value } => match get_path(doc, field) {
-                Some(v) => values_equal(v, value),
-                None => false,
-            },
-            Query::Terms { field, values } => match get_path(doc, field) {
-                Some(v) => values.iter().any(|w| values_equal(v, w)),
-                None => false,
-            },
+            Query::Term { field, value } => doc.field(field).is_some_and(|f| f.equals(value)),
+            Query::Terms { field, values } => {
+                doc.field(field).is_some_and(|f| values.iter().any(|v| f.equals(v)))
+            }
             Query::Range { field, gte, gt, lte, lt } => {
-                let Some(n) = get_path(doc, field).and_then(as_number) else {
+                let Some(n) = doc.field(field).and_then(|f| f.as_number()) else {
                     return false;
                 };
                 gte.is_none_or(|b| n >= b)
@@ -130,25 +131,16 @@ impl Query {
                     && lte.is_none_or(|b| n <= b)
                     && lt.is_none_or(|b| n < b)
             }
-            Query::Prefix { field, prefix } => get_path(doc, field)
-                .and_then(as_keyword)
-                .is_some_and(|s| s.starts_with(prefix.as_str())),
-            Query::Exists { field } => get_path(doc, field).is_some(),
+            Query::Prefix { field, prefix } => doc
+                .field(field)
+                .is_some_and(|f| f.as_keyword().is_some_and(|s| s.starts_with(prefix.as_str()))),
+            Query::Exists { field } => doc.field(field).is_some(),
             Query::Bool { must, should, must_not } => {
-                must.iter().all(|q| q.matches(doc))
-                    && (should.is_empty() || should.iter().any(|q| q.matches(doc)))
-                    && !must_not.iter().any(|q| q.matches(doc))
+                must.iter().all(|q| q.matches_doc(doc))
+                    && (should.is_empty() || should.iter().any(|q| q.matches_doc(doc)))
+                    && !must_not.iter().any(|q| q.matches_doc(doc))
             }
         }
-    }
-}
-
-/// Numeric-aware equality: `26` (u64) equals `26.0`, strings compare as
-/// strings, booleans as booleans.
-fn values_equal(a: &Value, b: &Value) -> bool {
-    match (as_number(a), as_number(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => a == b,
     }
 }
 
@@ -249,17 +241,20 @@ pub enum SortOrder {
 
 /// Compares two documents on a field for sorting (numbers before strings,
 /// missing values last).
-pub fn compare_docs(a: &Value, b: &Value, field: &str, order: SortOrder) -> std::cmp::Ordering {
+pub(crate) fn compare_docs(
+    a: DocRef<'_>,
+    b: DocRef<'_>,
+    field: &str,
+    order: SortOrder,
+) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let va = get_path(a, field);
-    let vb = get_path(b, field);
-    let ord = match (va, vb) {
+    let ord = match (a.field(field), b.field(field)) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => return Ordering::Greater, // missing last regardless of order
         (Some(_), None) => return Ordering::Less,
-        (Some(x), Some(y)) => match (as_number(x), as_number(y)) {
+        (Some(x), Some(y)) => match (x.as_number(), y.as_number()) {
             (Some(nx), Some(ny)) => nx.total_cmp(&ny),
-            _ => as_keyword(x).unwrap_or_default().cmp(as_keyword(y).unwrap_or_default()),
+            _ => x.as_keyword().unwrap_or_default().cmp(y.as_keyword().unwrap_or_default()),
         },
     };
     match order {
@@ -335,13 +330,12 @@ mod tests {
     #[test]
     fn sort_comparisons() {
         use std::cmp::Ordering;
-        let a = json!({"n": 1, "s": "a"});
-        let b = json!({"n": 2, "s": "b"});
-        let missing = json!({});
-        assert_eq!(compare_docs(&a, &b, "n", SortOrder::Asc), Ordering::Less);
-        assert_eq!(compare_docs(&a, &b, "n", SortOrder::Desc), Ordering::Greater);
-        assert_eq!(compare_docs(&a, &b, "s", SortOrder::Asc), Ordering::Less);
-        assert_eq!(compare_docs(&a, &missing, "n", SortOrder::Desc), Ordering::Less);
-        assert_eq!(compare_docs(&missing, &a, "n", SortOrder::Asc), Ordering::Greater);
+        let (a, b, missing) = (json!({"n": 1, "s": "a"}), json!({"n": 2, "s": "b"}), json!({}));
+        let (a, b, missing) = (DocRef::Json(&a), DocRef::Json(&b), DocRef::Json(&missing));
+        assert_eq!(compare_docs(a, b, "n", SortOrder::Asc), Ordering::Less);
+        assert_eq!(compare_docs(a, b, "n", SortOrder::Desc), Ordering::Greater);
+        assert_eq!(compare_docs(a, b, "s", SortOrder::Asc), Ordering::Less);
+        assert_eq!(compare_docs(a, missing, "n", SortOrder::Desc), Ordering::Less);
+        assert_eq!(compare_docs(missing, a, "n", SortOrder::Asc), Ordering::Greater);
     }
 }

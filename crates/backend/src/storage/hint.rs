@@ -28,6 +28,7 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use super::crash::{self, CrashSite};
 use super::crc::{crc32, Crc32};
@@ -44,8 +45,8 @@ pub struct HintEntry {
     pub seqno: u64,
     /// Record flag bits.
     pub flags: u8,
-    /// Index (session) name.
-    pub index: String,
+    /// Index (session) name, shared with the record the entry describes.
+    pub index: Arc<str>,
     /// Document id within the index.
     pub doc_id: u64,
     /// Frame length in the log.
@@ -60,7 +61,7 @@ impl HintEntry {
         HintEntry {
             seqno: rec.record.seqno,
             flags: rec.record.flags,
-            index: rec.record.index.clone(),
+            index: Arc::clone(&rec.record.index),
             doc_id: rec.record.doc_id,
             frame_len: rec.len,
             offset: rec.offset,
@@ -149,7 +150,7 @@ pub fn read(path: &Path, log_len: u64) -> Option<Vec<HintEntry>> {
         if check.finish() != entry_crc {
             return None;
         }
-        let index = std::str::from_utf8(&buf[pos + ENTRY_HEADER..pos + total]).ok()?.to_string();
+        let index = Arc::from(std::str::from_utf8(&buf[pos + ENTRY_HEADER..pos + total]).ok()?);
         entries.push(HintEntry { seqno, flags, index, doc_id, frame_len, offset });
         pos += total;
     }

@@ -58,13 +58,22 @@ impl KeyDir {
         Self::default()
     }
 
+    /// The keys of `index`, created empty if it has none. The name is
+    /// copied only then, not once per applied record.
+    fn keys_of(&mut self, index: &str) -> &mut HashMap<u64, KeyState> {
+        if !self.entries.contains_key(index) {
+            self.entries.insert(index.to_string(), HashMap::new());
+        }
+        self.entries.get_mut(index).expect("present or just inserted")
+    }
+
     /// Applies a value record, newest-seqno-wins. Returns the frame it
     /// displaced, if any (for dead-byte accounting).
     pub fn apply_put(&mut self, index: &str, doc_id: u64, slot: Slot) -> Option<Displaced> {
         if self.barriers.get(index).is_some_and(|&b| slot.seqno <= b) {
             return Some(Displaced { gen: slot.gen, bytes: slot.frame_len as u64 });
         }
-        let per_index = self.entries.entry(index.to_string()).or_default();
+        let per_index = self.keys_of(index);
         match per_index.get_mut(&doc_id) {
             Some(state) if state.seqno >= slot.seqno => {
                 // A duplicate or older copy (interrupted-merge leftovers):
@@ -86,7 +95,7 @@ impl KeyDir {
 
     /// Applies a tombstone record. Returns the displaced value frame.
     pub fn apply_tombstone(&mut self, index: &str, doc_id: u64, seqno: u64) -> Option<Displaced> {
-        let per_index = self.entries.entry(index.to_string()).or_default();
+        let per_index = self.keys_of(index);
         match per_index.get_mut(&doc_id) {
             Some(state) if state.seqno >= seqno => None,
             Some(state) => {

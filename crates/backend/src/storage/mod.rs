@@ -416,12 +416,10 @@ impl StorageEngine {
         let n = self.shards.len();
         let mut per_shard: Vec<Vec<Op>> = Vec::new();
         per_shard.resize_with(n, Vec::new);
+        let index: Arc<str> = Arc::from(index);
         for (doc_id, value) in docs {
-            per_shard[route(index, doc_id, n)].push(Op::Put {
-                index: index.to_string(),
-                doc_id,
-                value,
-            });
+            let op = Op::Put { index: Arc::clone(&index), doc_id, value };
+            per_shard[route(&index, doc_id, n)].push(op);
         }
         let mut compact_wanted = false;
         for (k, ops) in per_shard.into_iter().enumerate() {
@@ -438,7 +436,7 @@ impl StorageEngine {
     /// Appends a tombstone for one document.
     pub fn append_delete(&self, index: &str, doc_id: u64) -> std::io::Result<()> {
         let k = route(index, doc_id, self.shards.len());
-        let ops = vec![Op::Delete { index: index.to_string(), doc_id }];
+        let ops = vec![Op::Delete { index: Arc::from(index), doc_id }];
         if self.shards[k].append_batch(ops, &self.config, &self.stats)? {
             self.nudge_compactor();
         }
@@ -449,8 +447,9 @@ impl StorageEngine {
     /// are spread across all of them).
     pub fn drop_index(&self, index: &str) -> std::io::Result<()> {
         let mut compact_wanted = false;
+        let index: Arc<str> = Arc::from(index);
         for shard in &self.shards {
-            let ops = vec![Op::DropIndex { index: index.to_string() }];
+            let ops = vec![Op::DropIndex { index: Arc::clone(&index) }];
             compact_wanted |= shard.append_batch(ops, &self.config, &self.stats)?;
         }
         if compact_wanted {

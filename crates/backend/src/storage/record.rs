@@ -19,6 +19,8 @@
 //! mid-`write` — fails verification no matter which byte the kill landed
 //! on, and recovery truncates the segment at the last whole record.
 
+use std::sync::Arc;
+
 use super::crc::{crc32, Crc32};
 
 /// Fixed-size portion of a frame (everything before the two variable
@@ -38,8 +40,9 @@ pub struct Record {
     pub seqno: u64,
     /// Flag bits (`FLAG_TOMBSTONE`, `FLAG_DROP_INDEX`).
     pub flags: u8,
-    /// The index (session) the record belongs to.
-    pub index: String,
+    /// The index (session) the record belongs to; the records of one
+    /// appended batch share the allocation.
+    pub index: Arc<str>,
     /// Document id within the index.
     pub doc_id: u64,
     /// JSON document body (empty for tombstones and barriers).
@@ -49,12 +52,12 @@ pub struct Record {
 impl Record {
     /// A document write.
     pub fn value(seqno: u64, index: &str, doc_id: u64, value: Vec<u8>) -> Self {
-        Record { seqno, flags: 0, index: index.to_string(), doc_id, value }
+        Record { seqno, flags: 0, index: Arc::from(index), doc_id, value }
     }
 
     /// A per-document tombstone.
     pub fn tombstone(seqno: u64, index: &str, doc_id: u64) -> Self {
-        Record { seqno, flags: FLAG_TOMBSTONE, index: index.to_string(), doc_id, value: Vec::new() }
+        Record { seqno, flags: FLAG_TOMBSTONE, index: Arc::from(index), doc_id, value: Vec::new() }
     }
 
     /// A whole-index drop barrier.
@@ -62,7 +65,7 @@ impl Record {
         Record {
             seqno,
             flags: FLAG_DROP_INDEX,
-            index: index.to_string(),
+            index: Arc::from(index),
             doc_id: 0,
             value: Vec::new(),
         }
@@ -151,7 +154,7 @@ pub fn decode(buf: &[u8]) -> Result<(Record, usize), DecodeError> {
         return Err(DecodeError::BadCrc);
     }
     let index = match std::str::from_utf8(&buf[HEADER_LEN..HEADER_LEN + index_len]) {
-        Ok(s) => s.to_string(),
+        Ok(s) => Arc::from(s),
         Err(_) => return Err(DecodeError::BadHeader),
     };
     let value = buf[HEADER_LEN + index_len..total].to_vec();

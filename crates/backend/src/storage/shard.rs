@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -17,17 +18,19 @@ use dio_telemetry::trace;
 use super::crash::{self, CrashSite};
 use super::hint::{self, HintEntry};
 use super::keydir::{Displaced, KeyDir, Slot};
-use super::record::Record;
+use super::record::{Record, FLAG_DROP_INDEX, FLAG_TOMBSTONE};
 use super::segment::{self, ScannedRecord, SegmentWriter};
 use super::{EngineStats, StorageConfig};
 
-/// One logical mutation routed to a shard.
+/// One logical mutation routed to a shard. The ops of one batch share
+/// their index name's allocation, and hand it on to the record and the hint
+/// entry written for them.
 #[derive(Debug)]
 pub enum Op {
     /// Write `doc_id` of `index` with a serialized JSON body.
     Put {
         /// Target index.
-        index: String,
+        index: Arc<str>,
         /// Document id within the index.
         doc_id: u64,
         /// Serialized JSON body.
@@ -36,14 +39,14 @@ pub enum Op {
     /// Delete `doc_id` of `index`.
     Delete {
         /// Target index.
-        index: String,
+        index: Arc<str>,
         /// Document id within the index.
         doc_id: u64,
     },
     /// Drop every document of `index`.
     DropIndex {
         /// Target index.
-        index: String,
+        index: Arc<str>,
     },
 }
 
@@ -135,7 +138,7 @@ fn apply_hint_entry(keydir: &mut KeyDir, gen: u64, e: &HintEntry) -> (Vec<Displa
         record: Record {
             seqno: e.seqno,
             flags: e.flags,
-            index: e.index.clone(),
+            index: Arc::clone(&e.index),
             doc_id: e.doc_id,
             value: Vec::new(),
         },
@@ -311,8 +314,12 @@ impl Shard {
                 Op::Put { index, doc_id, value } => {
                     Record { seqno, flags: 0, index, doc_id, value }
                 }
-                Op::Delete { index, doc_id } => Record::tombstone(seqno, &index, doc_id),
-                Op::DropIndex { index } => Record::drop_index(seqno, &index),
+                Op::Delete { index, doc_id } => {
+                    Record { seqno, flags: FLAG_TOMBSTONE, index, doc_id, value: Vec::new() }
+                }
+                Op::DropIndex { index } => {
+                    Record { seqno, flags: FLAG_DROP_INDEX, index, doc_id: 0, value: Vec::new() }
+                }
             };
             let offset = inner.writer.len() + buf.len() as u64;
             let frame_len = record.encoded_len() as u32;
@@ -337,12 +344,12 @@ impl Shard {
         for entry in staged {
             let slot =
                 Slot { gen, offset: entry.offset, frame_len: entry.frame_len, seqno: entry.seqno };
-            if entry.flags & super::record::FLAG_DROP_INDEX != 0 {
+            if entry.flags & FLAG_DROP_INDEX != 0 {
                 *inner.dead_by_gen.entry(gen).or_insert(0) += entry.frame_len as u64;
                 for d in inner.keydir.apply_drop_index(&entry.index, entry.seqno) {
                     *inner.dead_by_gen.entry(d.gen).or_insert(0) += d.bytes;
                 }
-            } else if entry.flags & super::record::FLAG_TOMBSTONE != 0 {
+            } else if entry.flags & FLAG_TOMBSTONE != 0 {
                 *inner.dead_by_gen.entry(gen).or_insert(0) += entry.frame_len as u64;
                 let displaced =
                     inner.keydir.apply_tombstone(&entry.index, entry.doc_id, entry.seqno);
@@ -509,7 +516,7 @@ impl Shard {
         let tmp_path = self.dir.join(segment::merge_tmp_name(output_gen));
         let mut out = std::fs::File::create(&tmp_path)?;
         let mut out_len = 0u64;
-        let mut out_slots: Vec<(String, u64, Slot)> = Vec::with_capacity(keep.len());
+        let mut out_slots: Vec<(Arc<str>, u64, Slot)> = Vec::with_capacity(keep.len());
         let mut out_hints: Vec<HintEntry> = Vec::with_capacity(keep.len());
         let mut buf = Vec::new();
         for (_, rec) in &keep {
@@ -529,11 +536,11 @@ impl Shard {
                 frame_len: buf.len() as u32,
                 seqno: rec.record.seqno,
             };
-            out_slots.push((rec.record.index.clone(), rec.record.doc_id, slot));
+            out_slots.push((Arc::clone(&rec.record.index), rec.record.doc_id, slot));
             out_hints.push(HintEntry {
                 seqno: rec.record.seqno,
                 flags: rec.record.flags,
-                index: rec.record.index.clone(),
+                index: Arc::clone(&rec.record.index),
                 doc_id: rec.record.doc_id,
                 frame_len: slot.frame_len,
                 offset: slot.offset,
@@ -642,7 +649,7 @@ impl Shard {
             .map_err(|e| {
                 format!("shard {}: keydir slot {index}/{doc_id} unreadable: {e}", self.id)
             })?;
-            if rec.index != index || rec.doc_id != doc_id || rec.seqno != slot.seqno {
+            if *rec.index != *index || rec.doc_id != doc_id || rec.seqno != slot.seqno {
                 return Err(format!(
                     "shard {}: keydir slot {index}/{doc_id} resolves to {}/{} seq {}",
                     self.id, rec.index, rec.doc_id, rec.seqno

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
+use dio_syscall::SyscallEvent;
 use parking_lot::RwLock;
 use serde_json::Value;
 
@@ -206,25 +207,40 @@ impl DocStore {
 
     /// Bulk-indexes documents into `name` (creating the index if needed).
     pub fn bulk(&self, name: &str, docs: Vec<Value>) -> Vec<u64> {
-        let mut bulk_span = trace::span("backend", "backend.bulk");
-        bulk_span.attr("docs", docs.len());
-        bulk_span.attr("index", trace::fnv64(name));
-        let timer = self.telemetry.get().map(|t| {
-            t.bulk_docs.add(docs.len() as u64);
-            t.bulk_ns.start_timer()
-        });
-        let ids = self.index(name).bulk(docs);
-        drop(timer);
-        ids
+        self.timed_bulk(name, docs.len(), |index| index.bulk(docs))
     }
 
-    /// [`DocStore::bulk`] for span-traced batches: after the backend
-    /// acknowledges the bulk request, every document's [`StageStamps`]
-    /// record is stamped [`Stage::BulkIndex`] (one clock read for the
-    /// batch — the whole bulk is acknowledged at once, like a single
-    /// Elasticsearch `_bulk` response).
-    pub fn bulk_spans(&self, name: &str, docs: Vec<Value>, spans: &mut [StageStamps]) -> Vec<u64> {
-        let ids = self.bulk(name, docs);
+    /// One bulk request of `docs` documents against `name`, traced as a
+    /// `backend.bulk` span and recorded in `backend.bulk.docs` / `.ns`.
+    fn timed_bulk(
+        &self,
+        name: &str,
+        docs: usize,
+        request: impl FnOnce(&Index) -> Vec<u64>,
+    ) -> Vec<u64> {
+        let mut bulk_span = trace::span("backend", "backend.bulk");
+        bulk_span.attr("docs", docs);
+        bulk_span.attr("index", trace::fnv64(name));
+        let _timer = self.telemetry.get().map(|t| {
+            t.bulk_docs.add(docs as u64);
+            t.bulk_ns.start_timer()
+        });
+        request(&self.index(name))
+    }
+
+    /// The tracer's bulk request: a batch of events, stored as they are (no
+    /// JSON document is built for them; see [`Index::bulk`] for what a
+    /// reader sees), each with its [`StageStamps`] record. After the backend
+    /// acknowledges the request, every record is stamped
+    /// [`Stage::BulkIndex`] (one clock read for the batch — the whole bulk is
+    /// acknowledged at once, like a single Elasticsearch `_bulk` response).
+    pub fn bulk_spans(
+        &self,
+        name: &str,
+        events: Vec<SyscallEvent>,
+        spans: &mut [StageStamps],
+    ) -> Vec<u64> {
+        let ids = self.timed_bulk(name, events.len(), |index| index.bulk_events(events));
         let now = monotonic_ns();
         for stamps in spans.iter_mut() {
             stamps.stamp(Stage::BulkIndex, now);
@@ -241,6 +257,7 @@ impl DocStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dio_syscall::SyscallKind;
     use serde_json::json;
 
     #[test]
@@ -275,8 +292,10 @@ mod tests {
         let store = DocStore::new();
         let mut spans = vec![StageStamps::new(), StageStamps::new()];
         spans[0].stamp(Stage::KernelDispatch, 10);
-        let ids = store.bulk_spans("dio-s1", vec![json!({"a": 1}), json!({"a": 2})], &mut spans);
+        let events = [SyscallKind::Read, SyscallKind::Close].map(SyscallEvent::synthetic).to_vec();
+        let ids = store.bulk_spans("dio-s1", events, &mut spans);
         assert_eq!(ids.len(), 2);
+        assert_eq!(store.index("dio-s1").count(&crate::Query::term("syscall", "close")), 1);
         let first = spans[0].get(Stage::BulkIndex).expect("stamped");
         let second = spans[1].get(Stage::BulkIndex).expect("stamped");
         assert_eq!(first, second, "one acknowledgement time for the whole bulk");

@@ -102,8 +102,15 @@ impl RawEvent {
 
     /// Converts the raw record into a backend-ready event.
     pub fn into_event(self, session: &str) -> SyscallEvent {
+        self.into_event_of(Arc::from(session))
+    }
+
+    /// [`Self::into_event`] for a consumer converting record after record of
+    /// one session: handed clones of one name, the events share its
+    /// allocation.
+    pub fn into_event_of(self, session: Arc<str>) -> SyscallEvent {
         SyscallEvent {
-            session: session.to_string(),
+            session,
             kind: self.kind,
             class: self.kind.class(),
             pid: self.pid,
@@ -588,7 +595,7 @@ mod tests {
         t.creat("/f", 0o644).unwrap();
         let raw = prog.ring().drain_all(1).pop().unwrap();
         let ev = raw.into_event("sess-42");
-        assert_eq!(ev.session, "sess-42");
+        assert_eq!(&*ev.session, "sess-42");
         assert_eq!(&*ev.comm, "worker1");
         assert_eq!(ev.kind, SyscallKind::Creat);
         assert_eq!(ev.class, dio_syscall::SyscallClass::Metadata);

@@ -164,6 +164,16 @@ impl<'a> ArgRef<'a> {
         }
     }
 
+    /// Returns the value as `f64` when it is numeric (the number a JSON
+    /// reader sees; lossy beyond 2^53).
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ArgRef::Int(v) => Some(v as f64),
+            ArgRef::UInt(v) => Some(v as f64),
+            ArgRef::Str(_) => None,
+        }
+    }
+
     /// Returns the value as a string slice when it is a string.
     pub fn as_str(self) -> Option<&'a str> {
         match self {
@@ -352,24 +362,40 @@ impl ArgList {
     /// Panics when the list already holds [`ArgList::MAX_INTS`] integers or
     /// [`ArgList::MAX_STRS`] strings: the catalog has grown past the layout.
     pub fn push(&mut self, value: &ArgValue) {
+        assert!(
+            self.try_push(value.as_ref()),
+            "more than {} integer or {} string arguments",
+            Self::MAX_INTS,
+            Self::MAX_STRS
+        );
+    }
+
+    /// [`Self::push`] for a value that may not be a syscall's: `false`, and
+    /// the list unchanged, where `push` would panic.
+    pub fn try_push(&mut self, value: ArgRef<'_>) -> bool {
         let i = self.len();
         let strs = self.strs_before(i);
         let (bits, unsigned) = match value {
-            ArgValue::Str(s) => {
-                assert!(strs < Self::MAX_STRS, "more than {} string arguments", Self::MAX_STRS);
-                self.strs[strs] = Some(Arc::from(s.as_str()));
+            ArgRef::Str(s) => {
+                if strs == Self::MAX_STRS {
+                    return false;
+                }
+                self.strs[strs] = Some(Arc::from(s));
                 self.str_mask |= 1 << i;
                 self.len += 1;
-                return;
+                return true;
             }
-            ArgValue::Int(v) => (*v as u64, false),
-            ArgValue::UInt(v) => (*v, true),
+            ArgRef::Int(v) => (v as u64, false),
+            ArgRef::UInt(v) => (v, true),
         };
         let ints = i - strs;
-        assert!(ints < Self::MAX_INTS, "more than {} integer arguments", Self::MAX_INTS);
+        if ints == Self::MAX_INTS {
+            return false;
+        }
         self.ints[ints] = bits;
         self.uint_mask |= (unsigned as u8) << i;
         self.len += 1;
+        true
     }
 
     /// The shared string at position `i`, when that argument is a string.
@@ -419,12 +445,13 @@ impl Serialize for ArgList {
 
 impl Deserialize for ArgList {
     fn from_value(value: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        let values = Vec::<ArgValue>::from_value(value)?;
-        let strs = values.iter().filter(|v| v.as_str().is_some()).count();
-        if strs > Self::MAX_STRS || values.len() - strs > Self::MAX_INTS {
-            return Err(serde_json::Error::custom("more arguments than a syscall takes"));
+        let mut list = ArgList::new();
+        for value in Vec::<ArgValue>::from_value(value)? {
+            if !list.try_push(value.as_ref()) {
+                return Err(serde_json::Error::custom("more arguments than a syscall takes"));
+            }
         }
-        Ok(values.iter().collect())
+        Ok(list)
     }
 }
 
@@ -475,9 +502,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "integer arguments")]
+    #[should_panic(expected = "more than 3 integer")]
     fn arg_list_rejects_a_fourth_integer() {
         let _: ArgList = (0..4).map(ArgValue::Int).collect();
+    }
+
+    #[test]
+    fn try_push_refuses_what_push_panics_on() {
+        let mut list: ArgList = (0..3).map(ArgValue::Int).collect();
+        assert!(!list.try_push(ArgRef::UInt(9)));
+        assert!(list.try_push(ArgRef::Str("a")) && list.try_push(ArgRef::Str("b")));
+        assert!(!list.try_push(ArgRef::Str("c")));
+        assert_eq!(list.len(), 5);
+        assert_eq!(list.get(4), Some(ArgRef::Str("b")));
     }
 
     #[test]

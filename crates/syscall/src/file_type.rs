@@ -29,6 +29,24 @@ pub enum FileType {
 }
 
 impl FileType {
+    /// Every file type.
+    pub const ALL: [FileType; 8] = [
+        FileType::Regular,
+        FileType::Directory,
+        FileType::Socket,
+        FileType::BlockDevice,
+        FileType::CharDevice,
+        FileType::Pipe,
+        FileType::Symlink,
+        FileType::Unknown,
+    ];
+
+    /// The type a document's `file_type` field names ([`Self::name`] read
+    /// back).
+    pub fn from_name(name: &str) -> Option<FileType> {
+        Self::ALL.into_iter().find(|t| t.name() == name)
+    }
+
     /// Short, `ls -l`-style single character for tabular output.
     pub fn symbol(self) -> char {
         match self {
@@ -70,20 +88,12 @@ mod tests {
 
     #[test]
     fn symbols_are_unique() {
-        let all = [
-            FileType::Regular,
-            FileType::Directory,
-            FileType::Socket,
-            FileType::BlockDevice,
-            FileType::CharDevice,
-            FileType::Pipe,
-            FileType::Symlink,
-            FileType::Unknown,
-        ];
         let mut seen = std::collections::HashSet::new();
-        for t in all {
+        for t in FileType::ALL {
             assert!(seen.insert(t.symbol()));
+            assert_eq!(FileType::from_name(t.name()), Some(t));
         }
+        assert_eq!(FileType::from_name("Regular"), None);
     }
 
     #[test]

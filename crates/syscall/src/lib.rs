@@ -22,12 +22,13 @@ mod catalog;
 mod event;
 mod file_type;
 mod tag;
+mod text;
 
 pub use args::{expected_args, path_arg, Arg, ArgList, ArgRef, ArgValue};
 pub use catalog::{SyscallClass, SyscallKind, SyscallSet};
-pub use event::SyscallEvent;
+pub use event::{FieldRef, NamedArgs, SyscallEvent};
 pub use file_type::FileType;
-pub use tag::FileTag;
+pub use tag::{FileTag, TagText};
 
 /// Process identifier inside the simulated kernel.
 #[derive(

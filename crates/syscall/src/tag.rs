@@ -35,11 +35,57 @@ impl FileTag {
     pub fn new(dev: u64, ino: u64, first_access_ns: u64) -> Self {
         FileTag { dev, ino, first_access_ns }
     }
+
+    /// The tag as documents spell it, `dev|ino|first_access_ns`, without a
+    /// heap allocation.
+    pub fn text(self) -> TagText {
+        let mut text = TagText { bytes: [0; TagText::MAX], len: 0 };
+        for (i, part) in [self.dev, self.ino, self.first_access_ns].into_iter().enumerate() {
+            if i > 0 {
+                text.push(b"|");
+            }
+            text.push(crate::text::decimal(part, &mut [0; 20]));
+        }
+        text
+    }
 }
 
 impl std::fmt::Display for FileTag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}|{}|{}", self.dev, self.ino, self.first_access_ns)
+        f.write_str(&self.text())
+    }
+}
+
+/// A [`FileTag`] rendered (`dev|ino|first_access_ns`) and held inline; it
+/// dereferences to the string.
+#[derive(Clone, Copy)]
+pub struct TagText {
+    bytes: [u8; Self::MAX],
+    len: u8,
+}
+
+impl TagText {
+    /// Three 20-digit numbers and two bars.
+    const MAX: usize = 62;
+
+    fn push(&mut self, part: &[u8]) {
+        let len = usize::from(self.len);
+        self.bytes[len..len + part.len()].copy_from_slice(part);
+        self.len += part.len() as u8;
+    }
+}
+
+impl std::ops::Deref for TagText {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("digits and bars")
+    }
+}
+
+impl std::fmt::Debug for TagText {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -79,6 +125,18 @@ mod tests {
     fn roundtrip() {
         let t = FileTag::new(1, 2, 3);
         assert_eq!(t.to_string().parse::<FileTag>().unwrap(), t);
+    }
+
+    #[test]
+    fn text_is_the_display_form_at_every_width() {
+        for tag in [
+            FileTag::new(0, 0, 0),
+            FileTag::new(7340032, 12, 42),
+            FileTag::new(u64::MAX, u64::MAX, u64::MAX),
+        ] {
+            assert_eq!(&*tag.text(), format!("{}|{}|{}", tag.dev, tag.ino, tag.first_access_ns));
+            assert_eq!(tag.to_string(), &*tag.text());
+        }
     }
 
     #[test]

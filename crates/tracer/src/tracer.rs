@@ -13,6 +13,7 @@ use dio_diagnose::{Alert, DiagnosisEngine, EngineStats};
 use dio_ebpf::{ProgramConfig, RawEvent, RingBuffer, RingStats, TracerProgram};
 use dio_kernel::{Kernel, ProbeId, SyscallProbe};
 use dio_profile::DfgMiner;
+use dio_syscall::SyscallEvent;
 use dio_telemetry::span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps};
 use dio_telemetry::{
     trace, Counter, Exporter, ExporterHandle, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot,
@@ -245,11 +246,10 @@ struct ProfileTap {
     sink: Option<AlertSink>,
 }
 
-/// One drain in flight between consumer and shipper: the backend
-/// documents and, index for index, their span stamps (which must survive
-/// until bulk-index).
+/// One drain in flight between consumer and shipper: the events and, index
+/// for index, their span stamps (which must survive until bulk-index).
 struct Drain {
-    docs: Vec<Value>,
+    events: Vec<SyscallEvent>,
     stamps: Vec<StageStamps>,
     /// When the consumer handed the drain over: the shipper writes it into
     /// every stamp record as [`Stage::BatchEnqueue`], so a drain the
@@ -452,7 +452,7 @@ impl Tracer {
             let ctx = ConsumerCtx {
                 ring: Arc::clone(&ring),
                 stop: Arc::clone(&stop_flag),
-                session: config.session().to_string(),
+                session: Arc::from(config.session()),
                 handoff: Arc::clone(&handoff),
                 drain_batch: config.drain(),
                 poll_interval: config.poll(),
@@ -745,7 +745,8 @@ const IDLE_CAP_DIVISOR: u32 = 32;
 struct ConsumerCtx {
     ring: Arc<RingBuffer<RawEvent>>,
     stop: Arc<AtomicBool>,
-    session: String,
+    /// Shared by every event the consumer parses.
+    session: Arc<str>,
     handoff: Arc<Handoff>,
     drain_batch: usize,
     poll_interval: Duration,
@@ -780,44 +781,49 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
         }
         if drained > 0 {
             telemetry.drain_batch.record(drained as u64);
-            let mut docs: Vec<Value> = Vec::with_capacity(drained);
+            let mut events: Vec<SyscallEvent> = Vec::with_capacity(drained);
             let mut stamps: Vec<StageStamps> = Vec::with_capacity(drained);
             // One clock read per event ends its `parse_ns` sample, is its
             // `Parse` stamp and starts the next event's sample.
             let mut parsed_at = monotonic_ns();
             for raw in raws {
                 let mut stamp = raw.stamps;
-                docs.push(raw.into_event(&ctx.session).to_document());
+                events.push(raw.into_event_of(Arc::clone(&ctx.session)));
                 let now = monotonic_ns();
                 telemetry.parse_ns.record(now.saturating_sub(parsed_at));
                 stamp.stamp(Stage::Parse, now);
                 stamps.push(stamp);
                 parsed_at = now;
             }
-            // The taps borrow the drain's documents before the shipper
-            // takes them. Pressure is the worse of the two queues flanking
-            // this thread; past a tap's threshold it evaluates a sample
-            // instead of every event, so diagnosis sheds load rather than
-            // slowing the drain (and growing the drops it exists to
-            // observe).
-            let pressure = pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
-            // The profiler observes *before* the engine: an alert raised by
-            // this very batch is attributed against a transition ring that
-            // already includes the batch's syscalls.
-            if let Some(profile) = &ctx.profile {
-                profile.miner.observe_batch_with_pressure(&docs, pressure);
-                if let Some(sink) = &profile.sink {
-                    sink.ship_docs(profile.miner.drain_phase_docs());
+            if ctx.profile.is_some() || ctx.tap.is_some() {
+                // The taps still read documents: one is built per event of
+                // the drain, lent to them and dropped. An untapped session
+                // builds none. Pressure is the worse of the two queues
+                // flanking this thread; past a tap's threshold it evaluates
+                // a sample instead of every event, so diagnosis sheds load
+                // rather than slowing the drain (and growing the drops it
+                // exists to observe).
+                let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+                let pressure =
+                    pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
+                // The profiler observes *before* the engine: an alert raised
+                // by this very batch is attributed against a transition ring
+                // that already includes the batch's syscalls.
+                if let Some(profile) = &ctx.profile {
+                    profile.miner.observe_batch_with_pressure(&docs, pressure);
+                    if let Some(sink) = &profile.sink {
+                        sink.ship_docs(profile.miner.drain_phase_docs());
+                    }
                 }
-            }
-            if let Some(tap) = &ctx.tap {
-                let fresh = tap.engine.observe_batch_with_pressure(&docs, pressure);
-                if let Some(sink) = &tap.sink {
-                    sink.ship(&fresh);
+                if let Some(tap) = &ctx.tap {
+                    let fresh = tap.engine.observe_batch_with_pressure(&docs, pressure);
+                    if let Some(sink) = &tap.sink {
+                        sink.ship(&fresh);
+                    }
                 }
             }
             ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
-            let drain = Drain { docs, stamps, enqueued_ns: monotonic_ns() };
+            let drain = Drain { events, stamps, enqueued_ns: monotonic_ns() };
             if let Err(SendError(refused)) = tx.send(drain) {
                 // Shipper gone: none of the drain's events cleared the
                 // batch_enqueue hand-off — attribute every drop there.
@@ -876,7 +882,7 @@ struct ShipperCtx {
 
 fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Drain>) {
     // The drains waiting for a bulk request, appended in arrival order.
-    let mut docs: Vec<Value> = Vec::new();
+    let mut docs: Vec<SyscallEvent> = Vec::new();
     let mut stamps: Vec<StageStamps> = Vec::new();
     // When the oldest waiting document is due at the backend.
     let mut deadline = Instant::now();
@@ -895,7 +901,7 @@ fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Drain>) {
                 for stamp in &mut drain.stamps {
                     stamp.stamp(Stage::BatchEnqueue, drain.enqueued_ns);
                 }
-                docs.append(&mut drain.docs);
+                docs.append(&mut drain.events);
                 stamps.append(&mut drain.stamps);
                 // Size or deadline, whichever comes first.
                 let due = arrived >= deadline;
@@ -919,7 +925,7 @@ fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Drain>) {
 /// waiting drains; with `flush`, the partial rest goes too.
 fn ship_waiting(
     ctx: &ShipperCtx,
-    docs: &mut Vec<Value>,
+    docs: &mut Vec<SyscallEvent>,
     stamps: &mut Vec<StageStamps>,
     flush: bool,
 ) {
@@ -934,7 +940,7 @@ fn ship_waiting(
     stamps.drain(..shipped);
 }
 
-fn bulk_index(ctx: &ShipperCtx, docs: Vec<Value>, stamps: &mut [StageStamps]) {
+fn bulk_index(ctx: &ShipperCtx, docs: Vec<SyscallEvent>, stamps: &mut [StageStamps]) {
     let n = docs.len() as u64;
     ctx.telemetry.batch_size.record(n);
     let batch_start = Instant::now();
@@ -1458,7 +1464,7 @@ mod tests {
         let ctx = ConsumerCtx {
             ring,
             stop: Arc::new(AtomicBool::new(true)),
-            session: "refused".to_string(),
+            session: Arc::from("refused"),
             handoff: Arc::new(Handoff { capacity: 64, in_flight: AtomicUsize::new(0) }),
             drain_batch: 4_096,
             poll_interval: Duration::from_micros(200),

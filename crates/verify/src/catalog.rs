@@ -138,15 +138,26 @@ pub fn check_catalog_invariants() -> Vec<LintFailure> {
             });
         }
 
-        let doc = SyscallEvent::synthetic(k).to_document();
+        // The document schema, read off the event's own field enumeration:
+        // every dashboard field present, keys in order, and the document the
+        // strict inverse's fixed point.
+        let event = SyscallEvent::synthetic(k);
+        let names: Vec<&str> = event.fields().map(|(name, _)| name).collect();
         for field in DOCUMENT_FIELDS {
-            if doc.get(field).is_none() {
+            if !names.contains(field) {
                 failures.push(LintFailure {
                     check: "event-schema",
                     message: format!("document for `{k}` lacks required field `{field}`"),
                 });
             }
         }
+        if !names.is_sorted() {
+            failures.push(LintFailure {
+                check: "event-schema",
+                message: format!("fields of `{k}` are not enumerated in key order: {names:?}"),
+            });
+        }
+        let doc = event.to_document();
         if doc.get("syscall").and_then(|v| v.as_str()) != Some(k.name()) {
             failures.push(LintFailure {
                 check: "event-schema",
@@ -157,6 +168,12 @@ pub fn check_catalog_invariants() -> Vec<LintFailure> {
             failures.push(LintFailure {
                 check: "event-schema",
                 message: format!("document for `{k}` carries the wrong class"),
+            });
+        }
+        if SyscallEvent::from_document(&doc).as_ref() != Some(&event) {
+            failures.push(LintFailure {
+                check: "event-schema",
+                message: format!("document for `{k}` does not read back as the event"),
             });
         }
     }

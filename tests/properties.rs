@@ -7,7 +7,10 @@ use dio_backend::{Index, SearchRequest};
 use dio_dbbench::LatencyHistogram;
 use dio_ebpf::RingBuffer;
 use dio_kernel::Vfs;
-use dio_syscall::{FileTag, SyscallKind, SyscallSet};
+use dio_syscall::{
+    expected_args, path_arg, ArgRef, FileTag, FileType, Pid, SyscallEvent, SyscallKind, SyscallSet,
+    Tid,
+};
 use dio_telemetry::{MetricsRegistry, SpanCollector, Stage, StageStamps};
 
 // ------------------------------------------------------------------ VFS
@@ -653,5 +656,172 @@ proptest! {
             let serialized = Value::Object(map.clone()).to_string();
             prop_assert_eq!(serde_json::from_str::<Value>(&serialized).unwrap(), Value::Object(rebuilt));
         }
+    }
+}
+
+// -------------------------------------------------------- the stored event
+
+/// SplitMix64: one generated seed becomes as many draws as an event needs.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Zero, small, at the top of the width, anywhere.
+    fn number(&mut self) -> u64 {
+        match self.below(4) {
+            0 => 0,
+            1 => self.next() % 1_000,
+            2 => u64::MAX - self.next() % 3,
+            _ => self.next(),
+        }
+    }
+
+    /// Quotes, backslashes, control characters, multi-byte characters.
+    fn text(&mut self) -> String {
+        const ALPHABET: [char; 18] = [
+            'a', 'Z', '0', '/', '.', ' ', '|', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{8}',
+            '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+        (0..self.below(12)).map(|_| ALPHABET[self.below(ALPHABET.len())]).collect()
+    }
+}
+
+/// Any event the layout can hold: every kind, any prefix of its arguments
+/// with any mix of signed, unsigned and string values, every optional field
+/// present or absent, `file_path` its own string or the path argument's.
+fn arbitrary_event(seed: u64) -> SyscallEvent {
+    let mut d = Draw(seed);
+    let kind = SyscallKind::ALL[d.below(SyscallKind::ALL.len())];
+    let mut e = SyscallEvent::synthetic(kind);
+    e.session = d.text().into();
+    e.comm = d.text().into();
+    e.pid = Pid(d.number() as u32);
+    e.tid = Tid(d.number() as u32);
+    e.cpu = d.number() as u32;
+    e.time_enter_ns = d.number();
+    e.time_exit_ns = d.number();
+    e.ret = d.number() as i64;
+    for _ in 0..d.below(expected_args(kind).len() + 1) {
+        let text = d.text();
+        let value = match d.below(3) {
+            0 => ArgRef::Int(d.number() as i64),
+            1 => ArgRef::UInt(d.number()),
+            _ => ArgRef::Str(&text),
+        };
+        if !e.args.try_push(value) {
+            break;
+        }
+    }
+    e.file_type = (d.below(2) == 0).then(|| FileType::ALL[d.below(FileType::ALL.len())]);
+    e.offset = (d.below(2) == 0).then(|| d.number());
+    e.file_tag = (d.below(2) == 0).then(|| FileTag::new(d.number(), d.number(), d.number()));
+    e.file_path = match d.below(3) {
+        0 => None,
+        1 => Some(d.text().into()),
+        _ => path_arg(kind).and_then(|i| e.args.str_at(i)).cloned(),
+    };
+    e
+}
+
+/// What a document may not be and still be an event's: each entry makes one
+/// such change to a genuine document.
+fn hostile_mutations(event: &SyscallEvent) -> Vec<(&'static str, serde_json::Value)> {
+    use serde_json::json;
+    let doc = event.to_document();
+    let with = |key: &str, value: serde_json::Value| {
+        let mut doc = doc.clone();
+        doc[key] = value;
+        doc
+    };
+    let mut without_cpu = doc.clone();
+    without_cpu.as_object_mut().expect("an object").remove("cpu");
+    let mut foreign_arg = doc.clone();
+    foreign_arg["args"]["bogus"] = json!(1);
+    let other_class = SyscallKind::ALL
+        .iter()
+        .map(|k| k.class())
+        .find(|c| *c != event.class)
+        .expect("four classes");
+    vec![
+        ("a foreign key", with("walked", json!(true))),
+        ("a missing key", without_cpu),
+        ("another syscall's class", with("class", json!(other_class.name()))),
+        ("a latency that is not exit - enter", with("latency_ns", json!(event.latency_ns() ^ 1))),
+        ("an argument the catalog does not name", foreign_arg),
+        ("a file tag spelled another way", with("file_tag", json!("007|1|2"))),
+        ("a pid beyond u32", with("pid", json!(u64::from(u32::MAX) + 1))),
+        ("a float", with("time", json!(1.0))),
+        ("a number as a string", with("ret_val", json!("0"))),
+        ("an unknown syscall", with("syscall", json!("fork"))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `from_document` inverts `to_document`, and the direct writer prints
+    /// what the document prints.
+    #[test]
+    fn event_survives_its_document_and_prints_its_text(seed in any::<u64>()) {
+        let event = arbitrary_event(seed);
+        let doc = event.to_document();
+        let back = SyscallEvent::from_document(&doc);
+        prop_assert_eq!(back.as_ref(), Some(&event));
+        let back = back.expect("compared above");
+        prop_assert_eq!(back.to_document(), doc.clone());
+        if let (Some(path), Some(arg)) =
+            (&back.file_path, path_arg(back.kind).and_then(|i| back.args.str_at(i)))
+        {
+            prop_assert_eq!(**path == **arg, std::sync::Arc::ptr_eq(path, arg), "path shared iff equal");
+        }
+        let mut text = Vec::new();
+        event.write_json(&mut text);
+        let text = String::from_utf8(text).expect("JSON text is UTF-8");
+        prop_assert_eq!(&text, &doc.to_string());
+        prop_assert_eq!(serde_json::from_str::<serde_json::Value>(&text).expect("parses"), doc);
+        let mut leaves = Vec::new();
+        event.for_each_leaf(&mut |path, _| leaves.push(path.to_string()));
+        let mut of_doc = Vec::new();
+        dio_backend::for_each_leaf(&doc, &mut |path, _| of_doc.push(path.to_string()));
+        leaves.sort();
+        of_doc.sort();
+        prop_assert_eq!(leaves, of_doc);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A document that is almost an event's is not one: it is refused by
+    /// `from_document`, stored as the value it is, found by the queries that
+    /// would find it, and handed back unchanged.
+    #[test]
+    fn hostile_documents_are_stored_as_they_are(seed in any::<u64>()) {
+        let event = arbitrary_event(seed);
+        let index = Index::new("hostile");
+        let genuine = index.index_doc(event.to_document());
+        for (what, doc) in hostile_mutations(&event) {
+            prop_assert_eq!(SyscallEvent::from_document(&doc), None, "{} in {}", what, doc);
+            let id = index.index_doc(doc.clone());
+            prop_assert_eq!(index.get(id), Some(doc.clone()), "{}", what);
+            let found = index.search(
+                &SearchRequest::new(Query::term("session", &*event.session)).size(usize::MAX),
+            );
+            let hit = found.hits.iter().find(|h| h.id == id);
+            prop_assert_eq!(hit.map(|h| &h.source), Some(&doc), "{}", what);
+            prop_assert_eq!(hit.map(|h| h.source.to_string()), Some(doc.to_string()), "{}", what);
+        }
+        prop_assert_eq!(index.get(genuine), Some(event.to_document()));
     }
 }

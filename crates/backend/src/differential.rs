@@ -276,11 +276,42 @@ fn typed_rows(store: &DocStore, ids: &[u64]) -> Vec<bool> {
     ids.iter().map(|id| index.keeps_typed(*id).expect("a stored document")).collect()
 }
 
+/// A batch of events through one of the two doors, then a telemetry document.
+fn ingest(d: &mut Draw, store: &DocStore, model: &mut Model) -> Result<(), TestCaseError> {
+    let events: Vec<SyscallEvent> = (0..d.below(16)).map(|_| event(d)).collect();
+    let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+    // The tracer's door, then the document door; the rows are the same.
+    let ids = match d.below(2) {
+        0 => store.bulk_spans("dio-diff", events, &mut []),
+        _ => store.bulk("dio-diff", docs.clone()),
+    };
+    prop_assert!(!typed_rows(store, &ids).contains(&false));
+    model.extend(ids.into_iter().zip(docs));
+    let health = json!({"kind": "health", "metric": "x", "value": d.below(9), "time": 1_500});
+    let ids = store.bulk("dio-diff", vec![health.clone()]);
+    prop_assert_eq!(typed_rows(store, &ids), [false]);
+    model.push((ids[0], health));
+    Ok(())
+}
+
+/// `delete_by_query` on index and model alike.
+fn delete_both(store: &DocStore, model: &mut Model, q: &Query) {
+    let matching = model.iter().filter(|(_, doc)| q.matches(doc)).count();
+    assert_eq!(store.index("dio-diff").delete_by_query(q), matching, "documents deleted by {q:?}");
+    model.retain(|(_, doc)| !q.matches(doc));
+}
+
 /// The whole history against one store: ingest through both doors with a few
-/// telemetry documents between, searches, an update that keeps rows typed,
-/// one that does not, searches after each — and, for a persisted store, all
-/// of the searches again after a close and reopen.
-fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseError> {
+/// telemetry documents between (until there are `at_least` documents),
+/// searches, an update that keeps rows typed, one that does not, a delete and
+/// a delete-by-query between them, searches after each — and, for a persisted
+/// store, all of the searches again after a close and reopen, which finds the
+/// deleted ids missing, and after one more batch on top.
+fn run_case(
+    seed: u64,
+    dir: Option<&std::path::Path>,
+    at_least: usize,
+) -> Result<(), TestCaseError> {
     let mut d = Draw(seed);
     let open = || match dir {
         Some(dir) => DocStore::open_with(dir, StorageConfig::tiny_for_tests()).expect("open store"),
@@ -288,20 +319,10 @@ fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseErro
     };
     let store = open();
     let mut model: Model = Vec::new();
-    for _ in 0..1 + d.below(4) {
-        let events: Vec<SyscallEvent> = (0..d.below(16)).map(|_| event(&mut d)).collect();
-        let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
-        // The tracer's door, then the document door; the rows are the same.
-        let ids = match d.below(2) {
-            0 => store.bulk_spans("dio-diff", events, &mut []),
-            _ => store.bulk("dio-diff", docs.clone()),
-        };
-        prop_assert!(!typed_rows(&store, &ids).contains(&false));
-        model.extend(ids.into_iter().zip(docs));
-        let health = json!({"kind": "health", "metric": "x", "value": d.below(9), "time": 1_500});
-        let ids = store.bulk("dio-diff", vec![health.clone()]);
-        prop_assert_eq!(typed_rows(&store, &ids), [false]);
-        model.push((ids[0], health));
+    let mut batches = 1 + d.below(4);
+    while batches > 0 || model.len() < at_least {
+        batches = batches.saturating_sub(1);
+        ingest(&mut d, &store, &mut model)?;
     }
     for _ in 0..6 {
         check_search(&mut d, &store, &model)?;
@@ -319,6 +340,13 @@ fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseErro
         check_search(&mut d, &store, &model)?;
     }
 
+    // One document leaves, by id and once: its slot is empty, its terms gone.
+    let (gone, _) = model.remove(d.below(model.len()));
+    let index = store.index("dio-diff");
+    prop_assert!(index.delete(gone) && !index.delete(gone));
+    prop_assert_eq!(index.get(gone), None);
+    check_search(&mut d, &store, &model)?;
+
     // New values in a field every event has and in one some have: the terms
     // move (a stale posting list would lose the document from its new value).
     let some = query(&mut d, 0);
@@ -329,6 +357,14 @@ fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseErro
     check_query(&mut d, &store, &model, Query::term("ret_val", 77))?;
     check_query(&mut d, &store, &model, Query::term("args.count", 99))?;
     check_search(&mut d, &store, &model)?;
+
+    // A thread's events leave, updated ones among them: ids go missing from
+    // the middle of long posting lists.
+    delete_both(&store, &mut model, &Query::term("tid", 10 + d.below(4)));
+    prop_assert_eq!(store.index("dio-diff").len(), model.len());
+    for _ in 0..2 {
+        check_search(&mut d, &store, &model)?;
+    }
 
     // A foreign field: the row becomes the value it now is.
     let some = query(&mut d, 0);
@@ -356,11 +392,38 @@ fn run_case(seed: u64, dir: Option<&std::path::Path>) -> Result<(), TestCaseErro
         let ids: Vec<u64> = model.iter().map(|(id, _)| *id).collect();
         let events: Vec<bool> = model.iter().map(|(_, doc)| is_event(doc)).collect();
         prop_assert_eq!(typed_rows(&store, &ids), events, "recovered events are typed rows");
+        let index = store.index("dio-diff");
+        prop_assert_eq!(index.len(), model.len(), "the deleted stay deleted");
+        prop_assert_eq!(index.get(gone), None);
         for _ in 0..6 {
+            check_search(&mut d, &store, &model)?;
+        }
+        // The recovered table takes new rows past its gaps.
+        ingest(&mut d, &store, &mut model)?;
+        delete_both(&store, &mut model, &Query::term("tid", 10 + d.below(4)));
+        for _ in 0..2 {
             check_search(&mut d, &store, &model)?;
         }
     }
     Ok(())
+}
+
+fn with_store_dir(
+    seed: u64,
+    run: impl FnOnce(&std::path::Path) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let dir = std::env::temp_dir().join(format!("dio-diff-{}-{seed:x}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let outcome = run(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
+/// The same with more documents than a chunk of the row table holds (1 024),
+/// live and reopened: rows, deletes and gaps on both sides of the boundary.
+#[test]
+fn a_session_past_a_chunk_boundary_answers_as_documents_do() {
+    with_store_dir(0xC0FFEE, |dir| run_case(0xC0FFEE, Some(dir), 1_100)).expect("same answers");
 }
 
 proptest! {
@@ -368,7 +431,7 @@ proptest! {
 
     #[test]
     fn typed_rows_answer_as_documents_do(seed in any::<u64>()) {
-        run_case(seed, None)?;
+        run_case(seed, None, 0)?;
     }
 }
 
@@ -377,10 +440,6 @@ proptest! {
 
     #[test]
     fn typed_rows_answer_as_documents_do_across_a_reopen(seed in any::<u64>()) {
-        let dir = std::env::temp_dir().join(format!("dio-diff-{}-{seed:x}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let outcome = run_case(seed, Some(&dir));
-        let _ = std::fs::remove_dir_all(&dir);
-        outcome?;
+        with_store_dir(seed, |dir| run_case(seed, Some(dir), 0))?;
     }
 }

@@ -72,17 +72,95 @@ impl Row {
     }
 }
 
+/// Slots per chunk of the row table. A chunk is one allocation of
+/// 1 024 × 200 B = 200 KiB: the table's slack is at most that (4 B a document
+/// at 50 000, where a doubling vector or a hash table wastes up to half of
+/// itself), and a small index — a session's telemetry — pays one chunk.
+const CHUNK_BITS: u32 = 10;
+const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
+/// Ids a table accepts. Its chunk directory costs 24 B per 1 024 ids up to the
+/// highest one, held or not, so an id read from a damaged store must not be
+/// allowed to size it: 2³² documents are 800 GiB of rows, more than any
+/// session holds in memory, and a directory of 96 MiB at the very worst.
+const MAX_ID: u64 = u32::MAX as u64;
+
+/// The rows of an index in id order: a row's place is its id.
+///
+/// The index hands ids out densely and ascending, so the table is an array
+/// cut into fixed-capacity chunks: appending never copies a row, insertion
+/// order is iteration order, and a lookup is two indexings. A deleted or
+/// never-seen id is an empty slot (or a slot its chunk never grew to); the
+/// slot of a deleted row keeps its 200 B, which nothing on the tracing path
+/// pays — only tests and the crash harness delete.
+#[derive(Default)]
+struct Table {
+    chunks: Vec<Vec<Option<Row>>>,
+    live: usize,
+}
+
+/// The chunk and the slot in it that hold `id`.
+fn place(id: u64) -> Option<(usize, usize)> {
+    Some((usize::try_from(id >> CHUNK_BITS).ok()?, (id % CHUNK_SLOTS as u64) as usize))
+}
+
+impl Table {
+    /// One past the highest id ever put: the next id to hand out.
+    fn end(&self) -> u64 {
+        let full = (self.chunks.len().saturating_sub(1) as u64) << CHUNK_BITS;
+        full + self.chunks.last().map_or(0, Vec::len) as u64
+    }
+
+    /// Stores `row` under `id`, which is at or past [`Table::end`].
+    fn put(&mut self, id: u64, row: Row) {
+        assert!(self.end() <= id && id <= MAX_ID, "document id {id} out of order or range");
+        let (chunk, slot) = place(id).expect("an id up to MAX_ID has a place");
+        if self.chunks.len() <= chunk {
+            self.chunks.resize_with(chunk + 1, Vec::new);
+        }
+        let chunk = &mut self.chunks[chunk];
+        if chunk.capacity() == 0 {
+            chunk.reserve_exact(CHUNK_SLOTS);
+        }
+        chunk.resize_with(slot, || None);
+        chunk.push(Some(row));
+        self.live += 1;
+    }
+
+    fn get(&self, id: u64) -> Option<&Row> {
+        let (chunk, slot) = place(id)?;
+        self.chunks.get(chunk)?.get(slot)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, id: u64) -> Option<&mut Option<Row>> {
+        let (chunk, slot) = place(id)?;
+        self.chunks.get_mut(chunk)?.get_mut(slot)
+    }
+
+    fn take(&mut self, id: u64) -> Option<Row> {
+        let row = self.slot_mut(id)?.take()?;
+        self.live -= 1;
+        Some(row)
+    }
+
+    /// Every row with its id, ascending — which is insertion order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Row)> {
+        self.chunks.iter().enumerate().flat_map(|(at, chunk)| {
+            let base = (at as u64) << CHUNK_BITS;
+            let slots = chunk.iter().enumerate();
+            slots.filter_map(move |(slot, row)| Some((base + slot as u64, row.as_ref()?)))
+        })
+    }
+}
+
 #[derive(Default)]
 struct IndexInner {
-    docs: HashMap<u64, Row>,
-    order: Vec<u64>,
+    rows: Table,
     inverted: Inverted,
-    /// Documents accepted but not yet merged into the inverted indexes.
-    /// Mirrors Elasticsearch's near-real-time model: `_bulk` buffers, a
-    /// *refresh* makes documents searchable. Queries trigger the refresh.
-    pending: Vec<u64>,
-    next_id: u64,
-    deletions: u64,
+    /// Ids below this are in the inverted indexes; rows from it on were
+    /// accepted but not merged yet. Mirrors Elasticsearch's near-real-time
+    /// model: `_bulk` buffers, a *refresh* makes documents searchable.
+    /// Queries trigger the refresh.
+    refreshed: u64,
 }
 
 /// The inverted indexes: field → term → ids of the documents holding it.
@@ -189,35 +267,37 @@ impl Inverted {
         }
     }
 
-    /// Returns the candidate doc-id set for a query, or `None` when the
-    /// query cannot be narrowed by the indexes (meaning: scan everything).
-    /// Candidates are a superset of matches; the caller re-verifies.
-    fn candidates(&self, query: &Query) -> Option<HashSet<u64>> {
+    /// The posting list of `field: value` (an empty one when no document
+    /// holds the term), or `None` when `value` is nothing the indexes hold.
+    fn term(&self, field: &str, value: &Value) -> Option<&Postings> {
+        let ids = if let Some(kw) = as_keyword(value) {
+            self.keywords.get(field).and_then(|t| t.get(kw))
+        } else {
+            let n = as_number(value)?;
+            self.numerics.get(field).and_then(|t| t.get(&FKey(n)))
+        };
+        Some(ids.unwrap_or(&Postings::Empty))
+    }
+
+    /// Returns the candidate doc ids for a query, ascending and without
+    /// duplicates, or `None` when the query cannot be narrowed by the
+    /// indexes (meaning: scan everything). Candidates are a superset of
+    /// matches; the caller re-verifies.
+    fn candidates(&self, query: &Query) -> Option<Vec<u64>> {
         match query {
             Query::Term { field, value } => {
-                let ids = if let Some(kw) = as_keyword(value) {
-                    self.keywords.get(field).and_then(|t| t.get(kw))
-                } else {
-                    let n = as_number(value)?;
-                    self.numerics.get(field).and_then(|t| t.get(&FKey(n)))
-                };
-                Some(ids.map(Postings::to_set).unwrap_or_default())
-            }
-            Query::Terms { field, values } => {
-                let mut out = HashSet::new();
-                for v in values {
-                    match self.candidates(&Query::Term { field: field.clone(), value: v.clone() }) {
-                        Some(ids) => out.extend(ids),
-                        None => return None,
-                    }
-                }
+                let ids = self.term(field, value)?;
+                let mut out = Vec::with_capacity(ids.len());
+                out.extend(ids.iter());
                 Some(out)
             }
+            Query::Terms { field, values } => {
+                let lists: Option<Vec<&Postings>> =
+                    values.iter().map(|value| self.term(field, value)).collect();
+                Some(union(lists?))
+            }
             Query::Range { field, gte, gt, lte, lt } => {
-                let tree = match self.numerics.get(field) {
-                    Some(t) => t,
-                    None => return Some(HashSet::new()),
-                };
+                let Some(tree) = self.numerics.get(field) else { return Some(Vec::new()) };
                 use std::ops::Bound;
                 let lower = match (gte, gt) {
                     (Some(a), Some(b)) if b >= a => Bound::Excluded(FKey(*b)),
@@ -241,47 +321,41 @@ impl Inverted {
                     ) => a > b,
                     _ => false,
                 };
-                let mut out = HashSet::new();
-                if !admits_none {
-                    for (_, ids) in tree.range((lower, upper)) {
-                        out.extend(ids.iter());
-                    }
+                if admits_none {
+                    return Some(Vec::new());
                 }
-                Some(out)
+                Some(union(tree.range((lower, upper)).map(|(_, ids)| ids)))
             }
             Query::Prefix { field, prefix } => {
-                let terms = match self.keywords.get(field) {
-                    Some(t) => t,
-                    None => return Some(HashSet::new()),
-                };
-                let mut out = HashSet::new();
-                for (term, ids) in terms {
-                    if term.starts_with(prefix.as_str()) {
-                        out.extend(ids.iter());
-                    }
-                }
-                Some(out)
+                let Some(terms) = self.keywords.get(field) else { return Some(Vec::new()) };
+                let holders = terms.iter().filter(|(term, _)| term.starts_with(prefix.as_str()));
+                Some(union(holders.map(|(_, ids)| ids)))
             }
             Query::Bool { must, should, must_not: _ } => {
                 // Intersect the narrowable must clauses; union the shoulds.
-                let mut acc: Option<HashSet<u64>> = None;
-                for q in must {
-                    if let Some(ids) = self.candidates(q) {
-                        acc = Some(match acc {
-                            None => ids,
-                            Some(prev) => prev.intersection(&ids).copied().collect(),
-                        });
-                    }
+                let mut acc: Option<Vec<u64>> = None;
+                for ids in must.iter().filter_map(|q| self.candidates(q)) {
+                    acc = Some(match acc {
+                        None => ids,
+                        Some(mut held) => {
+                            // Two cursors over two ascending lists.
+                            let mut rest = ids.as_slice();
+                            held.retain(|id| {
+                                while rest.first().is_some_and(|other| other < id) {
+                                    rest = &rest[1..];
+                                }
+                                rest.first() == Some(id)
+                            });
+                            held
+                        }
+                    });
                 }
                 if acc.is_none() && !should.is_empty() {
-                    let mut union = HashSet::new();
+                    let mut out = Vec::new();
                     for q in should {
-                        match self.candidates(q) {
-                            Some(ids) => union.extend(ids),
-                            None => return None,
-                        }
+                        out.append(&mut self.candidates(q)?);
                     }
-                    acc = Some(union);
+                    acc = Some(ascending(out));
                 }
                 acc
             }
@@ -290,17 +364,39 @@ impl Inverted {
     }
 }
 
+/// The ids of `lists` together, ascending, each once.
+fn union<'a>(lists: impl IntoIterator<Item = &'a Postings>) -> Vec<u64> {
+    let mut out = Vec::new();
+    for ids in lists {
+        out.reserve(ids.len());
+        out.extend(ids.iter());
+    }
+    ascending(out)
+}
+
+/// `ids` sorted, each once. They arrive as a few ascending runs — one per
+/// posting list — which is what the stable sort merges in O(n log runs), and
+/// a document holding two of the terms (a JSON array) is in two of them.
+fn ascending(mut ids: Vec<u64>) -> Vec<u64> {
+    ids.sort();
+    ids.dedup();
+    ids
+}
+
 impl IndexInner {
     /// The documents matching `query` with their ids, in insertion order
-    /// (stable results). Each id is resolved to its row here, once, for
-    /// whatever the caller goes on to do with the match.
+    /// (stable results), which is id order: the candidates are walked
+    /// straight to their rows, or the whole table when the query cannot be
+    /// narrowed.
     fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, DocRef<'a>)> {
-        let cands = self.inverted.candidates(query);
-        self.order
-            .iter()
-            .filter(move |id| cands.as_ref().is_none_or(|cands| cands.contains(id)))
-            .filter_map(|&id| Some((id, self.docs.get(&id)?.as_ref())))
-            .filter(|&(_, doc)| query.matches_doc(doc))
+        let (narrowed, all) = match self.inverted.candidates(query) {
+            Some(ids) => {
+                (Some(ids.into_iter().filter_map(|id| Some((id, self.rows.get(id)?)))), None)
+            }
+            None => (None, Some(self.rows.iter())),
+        };
+        let rows = narrowed.into_iter().flatten().chain(all.into_iter().flatten());
+        rows.map(|(id, row)| (id, row.as_ref())).filter(|&(_, doc)| query.matches_doc(doc))
     }
 
     fn matching_ids(&self, query: &Query) -> Vec<u64> {
@@ -441,23 +537,31 @@ impl Index {
         index
     }
 
-    /// Rebuilds an index from recovered documents (sorted by id). The
-    /// inverted indexes are built lazily at the first query, so reopening
-    /// a large store stays cheap until someone actually searches it.
+    /// Rebuilds an index from recovered documents (sorted by id; the ids of
+    /// deleted documents are gaps). The inverted indexes are built lazily at
+    /// the first query, so reopening a large store stays cheap until someone
+    /// actually searches it.
     ///
     /// Recovered events become typed rows like freshly traced ones — a
     /// reopened session occupies what the live one did — and, as there, the
     /// events of a session share one session name and one name per thread.
+    ///
+    /// Fails on an id no index hands out (see [`MAX_ID`]): the store is
+    /// damaged, and the row table must not be sized by it.
     pub(crate) fn from_persisted(
         name: impl Into<String>,
         engine: std::sync::Arc<crate::storage::StorageEngine>,
         docs: Vec<(u64, Vec<u8>)>,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         let index = Index::new_persistent(name, engine);
         {
             let mut inner = index.inner.write();
             let mut names: HashSet<Arc<str>> = HashSet::new();
             for (id, bytes) in docs {
+                if id > MAX_ID {
+                    let what = format!("index {}: document id {id} is out of range", index.name);
+                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, what));
+                }
                 let text = std::str::from_utf8(&bytes).expect("recovered document is UTF-8");
                 let doc: Value =
                     serde_json::from_str(text).expect("recovered document parses as JSON");
@@ -470,13 +574,10 @@ impl Index {
                         }
                     }
                 }
-                inner.docs.insert(id, row);
-                inner.order.push(id);
-                inner.pending.push(id);
-                inner.next_id = inner.next_id.max(id + 1);
+                inner.rows.put(id, row);
             }
         }
-        index
+        Ok(index)
     }
 
     /// Opens a continuous query: every batch accepted from now on is also
@@ -525,7 +626,7 @@ impl Index {
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        self.inner.read().docs.len()
+        self.inner.read().rows.live
     }
 
     /// Whether the index holds no documents.
@@ -570,21 +671,15 @@ impl Index {
             self.persist.as_ref().map(|_| rows.iter().map(Row::to_json).collect());
         let ids = {
             let mut inner = self.inner.write();
-            let mut ids = Vec::with_capacity(rows.len());
-            let first_id = inner.next_id;
+            let first_id = inner.rows.end();
+            let ids: Vec<u64> = (first_id..first_id + rows.len() as u64).collect();
             if let (Some(engine), Some(bytes)) = (&self.persist, bytes) {
-                let puts = bytes.into_iter().enumerate().map(|(i, b)| (first_id + i as u64, b));
                 engine
-                    .append_puts(&self.name, puts.collect())
+                    .append_puts(&self.name, ids.iter().copied().zip(bytes).collect())
                     .expect("dio-backend: persistent append failed");
             }
-            for row in rows {
-                let id = inner.next_id;
-                inner.next_id += 1;
-                inner.docs.insert(id, row);
-                inner.order.push(id);
-                inner.pending.push(id);
-                ids.push(id);
+            for (&id, row) in ids.iter().zip(rows) {
+                inner.rows.put(id, row);
             }
             ids
         };
@@ -597,47 +692,44 @@ impl Index {
     /// Merges pending documents into the inverted indexes. Called
     /// implicitly by every query entry point.
     pub fn refresh(&self) {
-        if self.inner.read().pending.is_empty() {
-            return;
+        {
+            let inner = self.inner.read();
+            if inner.refreshed == inner.rows.end() {
+                return;
+            }
         }
         let mut guard = self.inner.write();
         let inner = &mut *guard;
-        for id in std::mem::take(&mut inner.pending) {
-            if let Some(row) = inner.docs.get(&id) {
+        for id in inner.refreshed..inner.rows.end() {
+            if let Some(row) = inner.rows.get(id) {
                 inner.inverted.index_doc(id, row.as_ref());
             }
         }
+        inner.refreshed = inner.rows.end();
     }
 
     /// Whether document `id` is kept as a typed event rather than as JSON.
     #[cfg(test)]
     pub(crate) fn keeps_typed(&self, id: u64) -> Option<bool> {
-        self.inner.read().docs.get(&id).map(|row| matches!(row, Row::Event(_)))
+        self.inner.read().rows.get(id).map(|row| matches!(row, Row::Event(_)))
     }
 
     /// Fetches a document by id.
     pub fn get(&self, id: u64) -> Option<Value> {
-        self.inner.read().docs.get(&id).map(|row| row.as_ref().to_value())
+        self.inner.read().rows.get(id).map(|row| row.as_ref().to_value())
     }
 
     /// Deletes a document by id, returning whether it existed.
     pub fn delete(&self, id: u64) -> bool {
         self.refresh();
         let mut inner = self.inner.write();
-        let Some(doc) = inner.docs.remove(&id) else {
+        let Some(doc) = inner.rows.take(id) else {
             return false;
         };
         if let Some(engine) = &self.persist {
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
         inner.inverted.unindex_doc(id, doc.as_ref());
-        inner.deletions += 1;
-        // Compact `order` lazily once deletions pile up.
-        if inner.deletions > 1024 && inner.deletions * 2 > inner.order.len() as u64 {
-            let live: HashSet<u64> = inner.docs.keys().copied().collect();
-            inner.order.retain(|i| live.contains(i));
-            inner.deletions = 0;
-        }
         true
     }
 
@@ -692,7 +784,8 @@ impl Index {
         let ids = inner.matching_ids(query);
         let mut rewritten: Vec<(u64, Vec<u8>)> = Vec::new();
         for &id in &ids {
-            let row = inner.docs.get_mut(&id).expect("id from matching_ids");
+            let row =
+                inner.rows.slot_mut(id).and_then(Option::as_mut).expect("id from matching_ids");
             // The closure sees the document; what it leaves decides the
             // row's kind afresh.
             match row {
@@ -927,7 +1020,7 @@ mod tests {
     }
 
     #[test]
-    fn many_deletions_compact_order() {
+    fn many_deletions_leave_the_rest_findable() {
         let idx = Index::new("t");
         let ids = idx.bulk((0..5000).map(|i| json!({ "i": i })).collect());
         for id in &ids[..4000] {
@@ -936,5 +1029,91 @@ mod tests {
         assert_eq!(idx.len(), 1000);
         let res = idx.search(&SearchRequest::match_all().size(usize::MAX));
         assert_eq!(res.total, 1000);
+    }
+
+    /// The niche of `SyscallEvent` holds both tags: a slot of the row table
+    /// is an event and not a byte more.
+    #[test]
+    fn a_table_slot_is_the_size_of_an_event() {
+        assert_eq!(std::mem::size_of::<Option<Row>>(), std::mem::size_of::<SyscallEvent>());
+        assert_eq!(std::mem::size_of::<SyscallEvent>(), 200);
+    }
+
+    /// Documents spread over three chunks of the table, refreshed, and their
+    /// ids.
+    fn spread_index() -> (Index, Vec<u64>) {
+        let idx = Index::new("t");
+        let docs =
+            (0..2 * CHUNK_SLOTS + 5).map(|i| json!({"even": i % 2 == 0, "third": i % 3, "i": i}));
+        let ids = idx.bulk(docs.collect());
+        idx.refresh();
+        (idx, ids)
+    }
+
+    #[test]
+    fn candidates_of_a_term_are_its_posting_list() {
+        let (idx, ids) = spread_index();
+        let inner = idx.inner.read();
+        let cands = inner.inverted.candidates(&Query::term("even", true)).expect("narrowed");
+        let held: Vec<u64> = inner.inverted.keywords["even"]["true"].iter().collect();
+        assert_eq!(cands, held);
+        assert_eq!(cands, ids.iter().copied().step_by(2).collect::<Vec<_>>());
+        assert_eq!(cands.capacity(), cands.len(), "copied out at exact capacity");
+        assert_eq!(inner.inverted.candidates(&Query::term("even", "maybe")), Some(vec![]));
+        assert_eq!(inner.inverted.candidates(&Query::term("even", json!(null))), None);
+    }
+
+    #[test]
+    fn candidates_of_a_must_are_the_intersection() {
+        let (idx, ids) = spread_index();
+        let inner = idx.inner.read();
+        let q = Query::bool_query()
+            .must(Query::term("even", true))
+            .must(Query::exists("i"))
+            .must(Query::term("third", 0))
+            .build();
+        let cands = inner.inverted.candidates(&q).expect("narrowed by two of the three");
+        assert_eq!(cands, ids.iter().copied().step_by(6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn candidates_of_a_range_are_the_union_of_its_values_lists() {
+        let (idx, ids) = spread_index();
+        // One document holds two of the range's values: it is one candidate.
+        let both = idx.index_doc(json!({"third": [1, 2]}));
+        idx.refresh();
+        let inner = idx.inner.read();
+        let cands =
+            inner.inverted.candidates(&Query::range("third").gte(1.0).build()).expect("narrowed");
+        let mut expected: Vec<u64> = ids.iter().copied().filter(|id| id % 3 != 0).collect();
+        expected.push(both);
+        assert_eq!(cands, expected, "ascending, each id once");
+        let either = Query::terms("third", vec![json!(2), json!(1), json!(2)]);
+        assert_eq!(inner.inverted.candidates(&either), Some(expected.clone()));
+        let should = Query::bool_query()
+            .should(Query::term("third", 2))
+            .should(Query::term("third", 1))
+            .build();
+        assert_eq!(inner.inverted.candidates(&should), Some(expected));
+    }
+
+    #[test]
+    fn ids_and_rows_survive_gaps_and_chunk_boundaries() {
+        let (idx, ids) = spread_index();
+        assert_eq!(ids, (0..ids.len() as u64).collect::<Vec<_>>());
+        let last_of_first_chunk = CHUNK_SLOTS as u64 - 1;
+        assert!(idx.delete(last_of_first_chunk));
+        assert!(idx.delete(*ids.last().unwrap()));
+        assert_eq!(idx.get(last_of_first_chunk), None);
+        assert_eq!(idx.get(CHUNK_SLOTS as u64).unwrap()["i"], CHUNK_SLOTS);
+        assert_eq!(idx.get(u64::MAX), None);
+        assert_eq!(idx.len(), ids.len() - 2);
+        // An id is handed out once, whatever was deleted since.
+        assert_eq!(idx.index_doc(json!({"i": "new"})), ids.len() as u64);
+        let hits = idx.search(&SearchRequest::match_all().size(usize::MAX)).hits;
+        let expected: Vec<u64> = (0..=ids.len() as u64)
+            .filter(|id| ![last_of_first_chunk, ids.len() as u64 - 1].contains(id))
+            .collect();
+        assert_eq!(hits.iter().map(|hit| hit.id).collect::<Vec<_>>(), expected);
     }
 }

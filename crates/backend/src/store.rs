@@ -84,7 +84,7 @@ impl DocStore {
         let (engine, loaded) = StorageEngine::open(path.as_ref(), config)?;
         let mut indices = BTreeMap::new();
         for (name, docs) in loaded {
-            let index = Index::from_persisted(&name, Arc::clone(&engine), docs);
+            let index = Index::from_persisted(&name, Arc::clone(&engine), docs)?;
             indices.insert(name, Arc::new(index));
         }
         Ok(DocStore {
@@ -341,6 +341,25 @@ mod tests {
             .search(&crate::SearchRequest::new(crate::Query::term("syscall", "read")));
         assert_eq!(resp.total, 1);
         drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An id no index hands out would size the row table: the store is
+    /// refused, not opened at any cost.
+    #[test]
+    fn a_store_holding_an_id_out_of_range_is_refused() {
+        let dir = std::env::temp_dir().join(format!("dio-store-id-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+            let engine = store.storage().expect("persistent store");
+            engine
+                .append_puts("dio-s1", vec![(7, b"{}".to_vec()), (1 << 40, b"{}".to_vec())])
+                .unwrap();
+            store.flush().unwrap();
+        }
+        let refused = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

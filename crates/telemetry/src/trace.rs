@@ -7,10 +7,12 @@
 //! ingest can be followed ship → bulk → append → fsync as a tree, the
 //! ReLayTracer idea applied to DIO's own layers.
 //!
-//! Spans land in the [`FlightRecorder`]: one fixed-capacity lock-free
-//! ring **per thread**, oldest-evicted, always on. The hot path after
-//! first use on a thread is a thread-local lookup plus one atomic ring
-//! push of a `Copy` value — no allocation, no shared lock — so the
+//! Spans land in the [`FlightRecorder`]: one bounded ring **per
+//! thread**, oldest-evicted, always on, plus one ring of the same bound
+//! for what exited threads left behind. The hot path after first use on
+//! a thread is a thread-local lookup plus a push of a `Copy` value under
+//! a lock only a snapshot ever contends for — no shared lock, and no
+//! allocation once the ring has grown to what the thread records — so the
 //! recorder can stay enabled in production and be *dumped* after the
 //! fact (on a `dio-diagnose` alert, a crash-injection abort, or an
 //! explicit [`crate::trace::dump_on_trigger`] call), the Recorder-style
@@ -40,11 +42,10 @@
 //! ```
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use crossbeam::queue::ArrayQueue;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 use crate::span::monotonic_ns;
 
@@ -203,19 +204,87 @@ impl TraceSpan {
     }
 }
 
-/// One thread's ring. Registered with the recorder on first record from
-/// that thread; lives as long as the recorder (spans of dead threads
-/// stay visible in dumps).
+/// One thread's ring: the spans it recorded that survive, oldest first.
+/// Registered with the recorder on first record from that thread, and
+/// folded into the recorder's retired ring when the thread exits (spans of
+/// dead threads stay visible in dumps).
 struct ThreadRing {
-    queue: ArrayQueue<TraceSpan>,
+    spans: Mutex<VecDeque<TraceSpan>>,
     thread: u32,
     emit_seq: AtomicU64,
 }
 
+/// What a recorder shares with the threads recording into it: they reach it
+/// once more as they exit.
+struct Shared {
+    capacity: usize,
+    evicted: AtomicU64,
+    registry: Mutex<Registry>,
+}
+
+#[derive(Default)]
+struct Registry {
+    /// The rings of threads that can still record.
+    live: Vec<Arc<ThreadRing>>,
+    /// What exited threads' rings held, in the order they exited: one more
+    /// ring of `capacity` spans, so memory is bounded by the threads
+    /// recording now, not by every thread that ever did.
+    retired: VecDeque<TraceSpan>,
+    /// Threads ever registered: the next thread number.
+    threads: u32,
+}
+
+/// Locks through poisoning: spans are recorded from destructors, which must
+/// not panic, and a ring is valid after every step of a push.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Appends `span`, first evicting the oldest if `ring` holds `capacity`;
+/// returns whether it did. A ring costs what it holds: its slots double as
+/// it fills, up to `capacity` and no further.
+fn push_bounded(ring: &mut VecDeque<TraceSpan>, capacity: usize, span: TraceSpan) -> bool {
+    let evicted = ring.len() >= capacity && ring.pop_front().is_some();
+    if ring.len() == ring.capacity() {
+        ring.reserve_exact(ring.len().max(4).min(capacity - ring.len()));
+    }
+    ring.push_back(span);
+    evicted
+}
+
+impl Shared {
+    /// Moves what an exiting thread's ring holds to the retired ring.
+    fn retire(&self, ring: &Arc<ThreadRing>) {
+        let mut registry = lock(&self.registry);
+        registry.live.retain(|held| !Arc::ptr_eq(held, ring));
+        for span in lock(&ring.spans).drain(..) {
+            if push_bounded(&mut registry.retired, self.capacity, span) {
+                self.evicted.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A thread's hold on its ring in one recorder; dropped when the thread
+/// exits.
+struct RingHandle {
+    recorder: u64,
+    ring: Arc<ThreadRing>,
+    home: Weak<Shared>,
+}
+
+impl Drop for RingHandle {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.upgrade() {
+            home.retire(&self.ring);
+        }
+    }
+}
+
 thread_local! {
-    /// Per-thread cache of (recorder id → ring) so the hot path skips
-    /// the recorder's registration lock.
-    static TLS_RINGS: RefCell<Vec<(u64, Arc<ThreadRing>)>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread cache of this thread's ring in each recorder, so the hot
+    /// path skips the recorder's registration lock.
+    static TLS_RINGS: RefCell<Vec<RingHandle>> = const { RefCell::new(Vec::new()) };
     /// The ambient span stack of guard-based spans on this thread.
     static STACK: RefCell<Vec<SpanCtx>> = const { RefCell::new(Vec::new()) };
 }
@@ -241,24 +310,22 @@ pub fn fnv64(s: &str) -> u64 {
     h
 }
 
-/// The bounded, lock-free span sink (see module docs). One global
-/// instance serves the whole process ([`recorder`]); tests build their
-/// own with known capacity and seed.
+/// The bounded span sink (see module docs). One global instance serves
+/// the whole process ([`recorder`]); tests build their own with known
+/// capacity and seed.
 pub struct FlightRecorder {
     id: u64,
-    capacity: usize,
     enabled: AtomicBool,
     next_seed: AtomicU64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
+    shared: Arc<Shared>,
     recorded: AtomicU64,
-    evicted: AtomicU64,
     dump_seq: Mutex<std::collections::BTreeMap<String, u64>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("enabled", &self.enabled())
             .field("recorded", &self.recorded())
             .field("evicted", &self.evicted())
@@ -272,12 +339,14 @@ impl FlightRecorder {
     pub fn new(capacity: usize, seed: u64) -> Self {
         FlightRecorder {
             id: RECORDER_IDS.fetch_add(1, Ordering::Relaxed),
-            capacity: capacity.max(1),
             enabled: AtomicBool::new(true),
             next_seed: AtomicU64::new(seed),
-            rings: Mutex::new(Vec::new()),
+            shared: Arc::new(Shared {
+                capacity: capacity.max(1),
+                evicted: AtomicU64::new(0),
+                registry: Mutex::default(),
+            }),
             recorded: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
             dump_seq: Mutex::new(std::collections::BTreeMap::new()),
         }
     }
@@ -310,32 +379,37 @@ impl FlightRecorder {
 
     /// Spans evicted (overwritten before ever being read).
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.shared.evicted.load(Ordering::Relaxed)
     }
 
     /// Per-thread ring capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.shared.capacity
     }
 
     fn ring_for_this_thread(&self) -> Option<Arc<ThreadRing>> {
         TLS_RINGS
             .try_with(|cell| {
                 let mut rings = cell.borrow_mut();
-                if let Some((_, ring)) = rings.iter().find(|(id, _)| *id == self.id) {
-                    return Arc::clone(ring);
+                if let Some(held) = rings.iter().find(|held| held.recorder == self.id) {
+                    return Arc::clone(&held.ring);
                 }
                 let ring = {
-                    let mut all = self.rings.lock().expect("flight recorder ring registry");
+                    let mut registry = lock(&self.shared.registry);
                     let ring = Arc::new(ThreadRing {
-                        queue: ArrayQueue::new(self.capacity),
-                        thread: all.len() as u32,
+                        spans: Mutex::default(),
+                        thread: registry.threads,
                         emit_seq: AtomicU64::new(0),
                     });
-                    all.push(Arc::clone(&ring));
+                    registry.threads += 1;
+                    registry.live.push(Arc::clone(&ring));
                     ring
                 };
-                rings.push((self.id, Arc::clone(&ring)));
+                rings.push(RingHandle {
+                    recorder: self.id,
+                    ring: Arc::clone(&ring),
+                    home: Arc::downgrade(&self.shared),
+                });
                 ring
             })
             .ok()
@@ -353,42 +427,26 @@ impl FlightRecorder {
         let Some(ring) = self.ring_for_this_thread() else { return };
         span.thread = ring.thread;
         span.emit_seq = ring.emit_seq.fetch_add(1, Ordering::Relaxed);
-        let mut pending = span;
-        loop {
-            match ring.queue.push(pending) {
-                Ok(()) => break,
-                Err(back) => {
-                    pending = back;
-                    if ring.queue.pop().is_some() {
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        if push_bounded(&mut lock(&ring.spans), self.shared.capacity, span) {
+            self.shared.evicted.fetch_add(1, Ordering::Relaxed);
         }
         self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every surviving span, across all thread
-    /// rings, sorted by start time. Spans are drained and re-pushed, so
-    /// a concurrent writer can interleave — the copy is a snapshot, not
-    /// a barrier.
+    /// A point-in-time copy of every surviving span — the retired ring
+    /// and every thread's — sorted by start time. Threads keep recording
+    /// meanwhile, each held up only while its own ring is copied: the
+    /// copy is a snapshot, not a barrier.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        let rings: Vec<Arc<ThreadRing>> =
-            self.rings.lock().expect("flight recorder ring registry").clone();
-        let mut out = Vec::new();
-        for ring in rings {
-            let mut drained = Vec::with_capacity(ring.queue.len());
-            while let Some(span) = ring.queue.pop() {
-                drained.push(span);
-            }
-            for span in &drained {
-                // Best effort: a concurrent push may have refilled the
-                // ring; then the re-push drops the oldest drained spans,
-                // which eviction would have claimed anyway.
-                let _ = ring.queue.push(*span);
-            }
-            out.extend(drained);
+        // Held throughout, so a thread exiting meanwhile cannot move its
+        // spans from a ring not yet copied into the retired ring already
+        // copied.
+        let registry = lock(&self.shared.registry);
+        let mut out: Vec<TraceSpan> = registry.retired.iter().copied().collect();
+        for ring in &registry.live {
+            out.extend(lock(&ring.spans).iter().copied());
         }
+        drop(registry);
         out.sort_by_key(|s| (s.start_ns, s.thread, s.emit_seq));
         out
     }
@@ -422,7 +480,7 @@ impl FlightRecorder {
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '-' })
             .collect();
         let seq = {
-            let mut seqs = self.dump_seq.lock().unwrap_or_else(|e| e.into_inner());
+            let mut seqs = lock(&self.dump_seq);
             let n = seqs.entry(tag.clone()).or_insert(0);
             *n = (*n + 1).min(dump_cap());
             *n

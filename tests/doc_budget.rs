@@ -268,15 +268,34 @@ fn indexed_event_documents_stay_within_their_heap_budget() {
         Arc::new(index)
     });
     // About 3 340 B before the compact document model, 1 560 B while the
-    // index kept the JSON object of every event.
-    assert!(per_doc <= 800, "an indexed event document holds {per_doc} B of heap");
+    // index kept the JSON object of every event, 774 B while rows and posting
+    // lists sat in hash tables.
+    assert!(per_doc <= 500, "an indexed event document holds {per_doc} B of heap");
+}
+
+/// A narrowed query costs its answer: the candidates are the term's posting
+/// list copied out once, 8 B an id (copied as the hash table it was held in,
+/// 36.9 KB for these 2 500 matches).
+#[test]
+fn counting_a_term_allocates_its_candidates_and_nothing_more() {
+    const DOCS: usize = 10_000;
+    let index = Index::new("budget");
+    index.bulk(traced_events(DOCS / 4).iter().map(SyscallEvent::to_document).collect());
+    index.refresh();
+    let requested = REQUESTED.get();
+    let matches = index.count(&Query::term("syscall", "write"));
+    let requested = REQUESTED.get() - requested;
+    assert_eq!(matches, DOCS as u64 / 4);
+    assert!(requested <= 8 * matches + 1_024, "count(term) requested {requested} B");
 }
 
 /// A session closed and reopened from disk occupies what the live one did:
 /// recovered events are converted back into typed rows (kept as the JSON
-/// they were parsed from, each reads 1 460 B here). The reading is below the
-/// live one's: the segment bytes were read by the shard threads and are freed
-/// by this one, which the per-thread count takes off.
+/// they were parsed from, each reads 1 460 B here). The reading is not the
+/// live one's, and the budget is not either: the segment text, about 360 B a
+/// document, was read by the shard threads and is freed by this one, which the
+/// per-thread count takes off what the index holds (433 B live, 25 B here;
+/// 351 B while rows and posting lists sat in hash tables).
 #[test]
 fn reopened_event_documents_stay_within_their_heap_budget() {
     let dir = std::env::temp_dir().join(format!("dio-reopen-budget-{}", std::process::id()));
@@ -291,7 +310,21 @@ fn reopened_event_documents_stay_within_their_heap_budget() {
         store.index("budget")
     });
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(per_doc <= 800, "a reopened event document holds {per_doc} B of heap");
+    assert!(per_doc <= 100, "a reopened event document holds {per_doc} B of heap");
+}
+
+/// A flight-recorder ring costs what it holds: a thread's first span allocates
+/// a few slots, its registration and the span stack — not the 4 096 slots
+/// (1.7 MB) a thread that records one span never fills.
+#[test]
+fn a_threads_first_span_allocates_a_few_slots() {
+    let requested = std::thread::spawn(|| {
+        let requested = REQUESTED.get();
+        drop(dio_telemetry::trace::span("budget", "budget.first"));
+        REQUESTED.get() - requested
+    });
+    let requested = requested.join().expect("recording thread");
+    assert!(requested <= 16 * 1_024, "a thread's first span requested {requested} B");
 }
 
 /// Health, span and alert documents are not events: they are stored, found

@@ -1,16 +1,22 @@
 //! Incremental ports of the offline `dio-correlate` algorithms.
 //!
-//! Each detector consumes event documents one at a time (arrival order)
+//! Each detector consumes observed events one at a time (arrival order)
 //! and emits [`Alert`]s as soon as a pattern becomes true — the same
 //! verdicts the batch algorithms reach post-hoc, raised while the trace is
 //! still running. Windowed detectors route events through
 //! [`SlidingWindows`] and evaluate each window when the watermark seals
 //! it; keyed detectors (inode-reuse tracking) hold per-file state instead.
+//!
+//! An event is read through [`EventView`], so one detector serves the typed
+//! events the tracer's consumer lends and the documents everything else
+//! feeds. Per event a detector allocates nothing once its keys and windows
+//! exist: state is looked up by borrowed key, and evidence is kept as
+//! [`Evidence`] and rendered into a document only when an alert carries it.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use dio_correlate::{ContentionReport, WindowActivity};
-use dio_syscall::FileTag;
+use dio_syscall::{EventView, Evidence, Field, FileTag, SyscallKind, Text};
 use serde_json::{json, Value};
 
 use crate::alert::{Alert, AlertKind, Severity};
@@ -21,8 +27,14 @@ use crate::window::SlidingWindows;
 /// contention report applies the same rule so both agree window-for-window.
 const GAP_FILL_MAX_SPAN: u64 = 100_000;
 
-fn time_of(doc: &Value) -> u64 {
-    doc["time"].as_u64().unwrap_or(0)
+/// Counts one more event under `key`, copying the key only when it is new.
+fn bump(counts: &mut BTreeMap<String, u64>, key: &str) {
+    match counts.get_mut(key) {
+        Some(count) => *count += 1,
+        None => {
+            counts.insert(key.to_string(), 1);
+        }
+    }
 }
 
 /// Builds an alert skeleton; the engine assigns the final `seq`.
@@ -79,7 +91,7 @@ pub struct DataLossDetector {
     writes_per_tag: HashMap<FileTag, u64>,
     first_read_seen: HashSet<FileTag>,
     path_per_tag: HashMap<FileTag, String>,
-    last_write_doc: HashMap<FileTag, Value>,
+    last_write: HashMap<FileTag, Evidence>,
     validated_restarts: u64,
 }
 
@@ -89,101 +101,99 @@ impl DataLossDetector {
         self.validated_restarts
     }
 
-    /// Feeds one event document; pushes any resulting alerts onto `out`.
-    pub fn observe(&mut self, doc: &Value, out: &mut Vec<Alert>) {
-        let Some(tag) = doc["file_tag"].as_str().and_then(|s| s.parse::<FileTag>().ok()) else {
+    /// Feeds one event; pushes any resulting alerts onto `out`.
+    pub fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+        let Some(tag) = event.file_tag() else {
             return;
         };
-        let syscall = doc["syscall"].as_str().unwrap_or("");
-        if !matches!(syscall, "read" | "write" | "pread64" | "pwrite64") {
+        use SyscallKind::{Pread64, Pwrite64, Read, Write};
+        let Some(kind @ (Read | Write | Pread64 | Pwrite64)) = event.kind() else {
             return;
-        }
+        };
         let gens = self.generations.entry((tag.dev, tag.ino)).or_default();
         if !gens.contains(&tag) {
             gens.push(tag);
         }
         let generation_index = gens.iter().position(|t| *t == tag).unwrap_or(0);
         let previous_generation = generation_index.checked_sub(1).map(|i| gens[i]);
-        if let Some(p) = doc["file_path"].as_str() {
+        if let Some(p) = event.str(Field::FilePath) {
             self.path_per_tag.entry(tag).or_insert_with(|| p.to_string());
         }
-        let ret = doc["ret_val"].as_i64().unwrap_or(0);
-        match syscall {
-            "write" | "pwrite64" if ret > 0 => {
+        let ret = event.ret_val().unwrap_or(0);
+        if matches!(kind, Write | Pwrite64) {
+            if ret > 0 {
                 *self.writes_per_tag.entry(tag).or_insert(0) += ret as u64;
-                self.last_write_doc.insert(tag, doc.clone());
+                self.last_write.insert(tag, event.keep());
             }
-            "read" | "pread64" => {
-                if !self.first_read_seen.insert(tag) {
-                    return; // only the first read of a generation matters
-                }
-                let Some(prev) = previous_generation else {
-                    return; // first generation: EOF polls etc. are benign
-                };
-                let offset = doc["offset"].as_u64().unwrap_or(0);
-                if offset == 0 {
-                    self.validated_restarts += 1;
-                    return;
-                }
-                let reader = doc["proc_name"].as_str().unwrap_or("").to_string();
-                let path = self.path_per_tag.get(&tag).cloned();
-                let time = time_of(doc);
-                let mut evidence = Vec::new();
-                if let Some(w) = self.last_write_doc.get(&tag) {
-                    evidence.push(w.clone());
-                }
-                evidence.push(doc.clone());
-                if ret == 0 {
-                    // Non-zero offset, zero bytes: the Fig. 2a incident.
-                    let written = self.writes_per_tag.get(&tag).copied().unwrap_or(0);
-                    let bytes_at_risk = written.min(offset);
-                    out.push(alert(
-                        "data_loss",
-                        AlertKind::DataLoss,
-                        Severity::Critical,
-                        time,
-                        None,
-                        tag.to_string(),
-                        format!(
-                            "{reader} resumed new generation of {} at stale offset {offset} \
-                             and read 0 bytes: up to {bytes_at_risk} byte(s) silently lost",
-                            path.as_deref().unwrap_or("<unresolved>")
-                        ),
-                        json!({
-                            "tag": tag.to_string(),
-                            "path": path,
-                            "stale_offset": offset,
-                            "bytes_at_risk": bytes_at_risk,
-                            "previous_generation": prev.to_string(),
-                            "reader": reader,
-                        }),
-                        evidence,
-                    ));
-                } else {
-                    out.push(alert(
-                        "data_loss",
-                        AlertKind::StaleOffsetResume,
-                        Severity::Warning,
-                        time,
-                        None,
-                        tag.to_string(),
-                        format!(
-                            "{reader} first read the new generation of {} at offset {offset} \
-                             instead of 0: stale reader state survived inode reuse",
-                            path.as_deref().unwrap_or("<unresolved>")
-                        ),
-                        json!({
-                            "tag": tag.to_string(),
-                            "path": path,
-                            "stale_offset": offset,
-                            "previous_generation": prev.to_string(),
-                            "reader": reader,
-                        }),
-                        evidence,
-                    ));
-                }
-            }
-            _ => {}
+            return;
+        }
+        if !self.first_read_seen.insert(tag) {
+            return; // only the first read of a generation matters
+        }
+        let Some(prev) = previous_generation else {
+            return; // first generation: EOF polls etc. are benign
+        };
+        let offset = event.uint(Field::Offset).unwrap_or(0);
+        if offset == 0 {
+            self.validated_restarts += 1;
+            return;
+        }
+        let reader = event.str(Field::ProcName).unwrap_or("").to_string();
+        let path = self.path_per_tag.get(&tag).cloned();
+        let time = event.time();
+        let mut evidence = Vec::new();
+        if let Some(write) = self.last_write.get(&tag) {
+            evidence.push(write.clone().into_document());
+        }
+        evidence.push(event.document());
+        if ret == 0 {
+            // Non-zero offset, zero bytes: the Fig. 2a incident.
+            let written = self.writes_per_tag.get(&tag).copied().unwrap_or(0);
+            let bytes_at_risk = written.min(offset);
+            out.push(alert(
+                "data_loss",
+                AlertKind::DataLoss,
+                Severity::Critical,
+                time,
+                None,
+                tag.to_string(),
+                format!(
+                    "{reader} resumed new generation of {} at stale offset {offset} \
+                     and read 0 bytes: up to {bytes_at_risk} byte(s) silently lost",
+                    path.as_deref().unwrap_or("<unresolved>")
+                ),
+                json!({
+                    "tag": tag.to_string(),
+                    "path": path,
+                    "stale_offset": offset,
+                    "bytes_at_risk": bytes_at_risk,
+                    "previous_generation": prev.to_string(),
+                    "reader": reader,
+                }),
+                evidence,
+            ));
+        } else {
+            out.push(alert(
+                "data_loss",
+                AlertKind::StaleOffsetResume,
+                Severity::Warning,
+                time,
+                None,
+                tag.to_string(),
+                format!(
+                    "{reader} first read the new generation of {} at offset {offset} \
+                     instead of 0: stale reader state survived inode reuse",
+                    path.as_deref().unwrap_or("<unresolved>")
+                ),
+                json!({
+                    "tag": tag.to_string(),
+                    "path": path,
+                    "stale_offset": offset,
+                    "previous_generation": prev.to_string(),
+                    "reader": reader,
+                }),
+                evidence,
+            ));
         }
     }
 }
@@ -244,13 +254,16 @@ impl ContentionDetector {
         self.windows.open_count()
     }
 
-    /// Feeds one event document (every document counts toward window
-    /// occupancy, exactly like the offline `match_all` date histogram).
-    pub fn observe(&mut self, doc: &Value) {
-        let name = doc["proc_name"].as_str().unwrap_or("").to_string();
-        self.windows.observe(time_of(doc), |threads| {
-            *threads.entry(name.clone()).or_insert(0) += 1;
-        });
+    /// Events refused because their window had already been sealed.
+    pub fn late_events(&self) -> u64 {
+        self.windows.late_events()
+    }
+
+    /// Feeds one event (every event counts toward window occupancy,
+    /// exactly like the offline `match_all` date histogram).
+    pub fn observe(&mut self, event: &dyn EventView) {
+        let name = event.str(Field::ProcName).unwrap_or("");
+        self.windows.observe(event.time(), |threads| bump(threads, name));
     }
 
     /// Seals watermark-ready windows and raises alerts for contended ones.
@@ -402,12 +415,14 @@ impl RateKey {
         }
     }
 
-    fn extract(self, doc: &Value) -> Option<String> {
+    /// The event's key in this dimension: a string field as it is, the pid
+    /// in decimal. A field of the other type (a numeric class) is no key.
+    fn of(self, event: &dyn EventView) -> Option<Text<'_>> {
         match self {
-            RateKey::Class => doc["class"].as_str().map(str::to_string),
-            RateKey::Pid => doc["pid"].as_u64().map(|p| p.to_string()),
-            RateKey::FileTag => doc["file_tag"].as_str().map(str::to_string),
-            RateKey::Proc => doc["proc_name"].as_str().map(str::to_string),
+            RateKey::Class => event.scalar(Field::Class)?.text(),
+            RateKey::Pid => event.scalar(Field::Pid).filter(|pid| pid.as_u64().is_some())?.key(),
+            RateKey::FileTag => event.scalar(Field::FileTag)?.text(),
+            RateKey::Proc => event.scalar(Field::ProcName)?.text(),
         }
     }
 }
@@ -455,14 +470,17 @@ impl RateDetector {
         self.windows.open_count()
     }
 
-    /// Feeds one event document.
-    pub fn observe(&mut self, doc: &Value) {
-        let Some(key) = self.key.extract(doc) else {
+    /// Events refused because their window had already been sealed.
+    pub fn late_events(&self) -> u64 {
+        self.windows.late_events()
+    }
+
+    /// Feeds one event.
+    pub fn observe(&mut self, event: &dyn EventView) {
+        let Some(key) = self.key.of(event) else {
             return;
         };
-        self.windows.observe(time_of(doc), |counts| {
-            *counts.entry(key.clone()).or_insert(0) += 1;
-        });
+        self.windows.observe(event.time(), |counts| bump(counts, &key));
     }
 
     /// Seals watermark-ready windows and raises anomaly alerts.
@@ -481,8 +499,8 @@ impl RateDetector {
 
     fn seal(&mut self, start: u64, counts: BTreeMap<String, u64>, out: &mut Vec<Alert>) {
         let width = self.windows.width_ns();
-        for (key, &ops) in &counts {
-            if let Some(hist) = self.baselines.get(key) {
+        for (key, ops) in counts {
+            if let Some(hist) = self.baselines.get(&key) {
                 if hist.len() == self.baseline_windows {
                     let mean = hist.iter().sum::<u64>() as f64 / hist.len() as f64;
                     let evidence = vec![json!({
@@ -526,7 +544,7 @@ impl RateDetector {
                     }
                 }
             }
-            let hist = self.baselines.entry(key.clone()).or_default();
+            let hist = self.baselines.entry(key).or_default();
             hist.push_back(ops);
             if hist.len() > self.baseline_windows {
                 hist.pop_front();
@@ -540,7 +558,9 @@ impl RateDetector {
 pub struct ErrAcc {
     ops: u64,
     errs: u64,
-    samples: Vec<Value>,
+    /// Up to `evidence_limit` failing events, documents once an alert
+    /// carries them.
+    samples: Vec<Evidence>,
 }
 
 /// Per-key error-rate detection: a sealed window whose failing fraction
@@ -579,20 +599,28 @@ impl ErrorRateDetector {
         self.windows.open_count()
     }
 
-    /// Feeds one event document.
-    pub fn observe(&mut self, doc: &Value) {
-        let Some(key) = self.key.extract(doc) else {
+    /// Events refused because their window had already been sealed.
+    pub fn late_events(&self) -> u64 {
+        self.windows.late_events()
+    }
+
+    /// Feeds one event.
+    pub fn observe(&mut self, event: &dyn EventView) {
+        let Some(key) = self.key.of(event) else {
             return;
         };
-        let failed = doc["ret_val"].as_i64().unwrap_or(0) < 0;
+        let failed = event.ret_val().unwrap_or(0) < 0;
         let limit = self.evidence_limit;
-        self.windows.observe(time_of(doc), |accs| {
-            let acc = accs.entry(key.clone()).or_default();
+        self.windows.observe(event.time(), |accs| {
+            let acc = match accs.get_mut(&*key) {
+                Some(acc) => acc,
+                None => accs.entry(key.to_string()).or_default(),
+            };
             acc.ops += 1;
             if failed {
                 acc.errs += 1;
                 if acc.samples.len() < limit {
-                    acc.samples.push(doc.clone());
+                    acc.samples.push(event.keep());
                 }
             }
         });
@@ -634,7 +662,7 @@ impl ErrorRateDetector {
                     ),
                     json!({"key": key, "ops": acc.ops, "errors": acc.errs,
                            "error_fraction": fraction}),
-                    acc.samples,
+                    acc.samples.into_iter().map(Evidence::into_document).collect(),
                 ));
             }
         }
@@ -878,11 +906,42 @@ mod tests {
     #[test]
     fn rate_key_extraction() {
         let doc = json!({"class": "data", "pid": 7, "file_tag": "1|2|3", "proc_name": "p"});
-        assert_eq!(RateKey::Class.extract(&doc).as_deref(), Some("data"));
-        assert_eq!(RateKey::Pid.extract(&doc).as_deref(), Some("7"));
-        assert_eq!(RateKey::FileTag.extract(&doc).as_deref(), Some("1|2|3"));
-        assert_eq!(RateKey::Proc.extract(&doc).as_deref(), Some("p"));
+        assert_eq!(RateKey::Class.of(&doc).as_deref(), Some("data"));
+        assert_eq!(RateKey::Pid.of(&doc).as_deref(), Some("7"));
+        assert_eq!(RateKey::FileTag.of(&doc).as_deref(), Some("1|2|3"));
+        assert_eq!(RateKey::Proc.of(&doc).as_deref(), Some("p"));
+        let odd = json!({"class": 3, "pid": "seven"});
+        assert!(RateKey::Class.of(&odd).is_none() && RateKey::Pid.of(&odd).is_none());
         assert_eq!(RateKey::parse("pid"), RateKey::Pid);
         assert_eq!(RateKey::parse("bogus"), RateKey::Class);
+    }
+
+    /// A burst for a window that was sealed long ago is counted late and
+    /// leaves the key's baseline — and so the verdicts that follow — as it
+    /// was: no ghost window, no false collapse, no false spike later.
+    #[test]
+    fn a_late_burst_leaves_the_rate_baseline_unchanged() {
+        let w = 1_000u64;
+        let run = |late_burst: bool| {
+            let mut det = RateDetector::new(w, 0, RateKey::Class, 4.0, 10, 2);
+            let mut out = Vec::new();
+            for win in 0..8u64 {
+                for i in 0..12 {
+                    det.observe(&json!({"time": win * w + i, "class": "data"}));
+                }
+                if late_burst && win == 5 {
+                    for i in 0..2 {
+                        det.observe(&json!({"time": w + 500 + i, "class": "data"}));
+                    }
+                }
+                det.evaluate_ready(&mut out);
+            }
+            det.evaluate_all(&mut out);
+            (out, det.baselines.clone(), det.late_events())
+        };
+        let (alerts, baselines, late) = run(true);
+        assert_eq!(late, 2);
+        assert!(alerts.is_empty(), "a ghost window of 2 ops would be a collapse: {alerts:?}");
+        assert_eq!((alerts, baselines, 0), run(false));
     }
 }

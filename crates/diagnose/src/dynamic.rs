@@ -8,6 +8,7 @@
 //! exactly the event stream (and degradation sampling) the hand-coded
 //! detectors see, and publishes into the same alert log.
 
+use dio_syscall::EventView;
 use dio_telemetry::MetricsRegistry;
 use serde_json::Value;
 
@@ -18,9 +19,10 @@ use crate::alert::Alert;
 /// The engine drives the same lifecycle it drives for the built-in
 /// detectors:
 ///
-/// 1. [`DynDetector::observe`] for every evaluated event document (in
-///    arrival order, under the engine lock — implementations must not
-///    block);
+/// 1. [`DynDetector::observe`] for every evaluated event — a typed event
+///    from the tracer's consumer or a document from any other feed, read
+///    through [`EventView`] — in arrival order, under the engine lock
+///    (implementations must not block);
 /// 2. [`DynDetector::evaluate_ready`] after each batch (seal
 ///    watermark-ready windows);
 /// 3. [`DynDetector::evaluate_all`] once, at end of stream.
@@ -31,8 +33,8 @@ pub trait DynDetector: Send {
     /// Stable name of the detector (used in reports and telemetry).
     fn name(&self) -> &str;
 
-    /// Feeds one event document; pushes any resulting alerts onto `out`.
-    fn observe(&mut self, doc: &Value, out: &mut Vec<Alert>);
+    /// Feeds one event; pushes any resulting alerts onto `out`.
+    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>);
 
     /// Seals watermark-ready windows and raises their alerts.
     fn evaluate_ready(&mut self, out: &mut Vec<Alert>);
@@ -43,6 +45,12 @@ pub trait DynDetector: Send {
     /// Number of windows still accumulating (feeds the
     /// `diagnose.windows.open` gauge).
     fn open_windows(&self) -> usize {
+        0
+    }
+
+    /// Events this detector's window routers refused because their window
+    /// had already been sealed (feeds [`crate::EngineStats::late_events`]).
+    fn late_events(&self) -> u64 {
         0
     }
 

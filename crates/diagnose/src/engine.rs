@@ -5,9 +5,10 @@
 //! plus two feeding modes:
 //!
 //! * **in-process tap** — the tracer's consumer thread calls
-//!   [`DiagnosisEngine::observe_batch_with_pressure`] with the parsed
-//!   documents of each drain, passing the pipeline's current fill level;
-//!   no backend round-trip is involved (zero-backend operation);
+//!   [`DiagnosisEngine::observe_batch_with_pressure`] with the typed events
+//!   of each drain, passing the pipeline's current fill level; no document
+//!   is built and no backend round-trip is involved (zero-backend
+//!   operation);
 //! * **backend subscription** — [`DiagnosisEngine::spawn_subscriber`]
 //!   consumes a [`dio_backend::Subscription`] on a dedicated thread, so
 //!   detectors evaluate batches as they land at the store.
@@ -19,12 +20,15 @@
 //! telemetry counter) — the shipper-side cost of diagnosis stays bounded
 //! under ring-buffer pressure.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dio_backend::Subscription;
 use dio_correlate::ContentionReport;
+use dio_syscall::EventView;
 use dio_telemetry::{Counter, Gauge, MetricsRegistry};
 use parking_lot::Mutex;
 use serde_json::Value;
@@ -157,6 +161,9 @@ pub struct EngineStats {
     pub evaluated: u64,
     /// Events skipped by degraded (sampled) evaluation.
     pub sampled_out: u64,
+    /// Evaluated events at least one window router refused because the
+    /// window they belong to had already been sealed (each event once).
+    pub late_events: u64,
     /// Batches that arrived while the engine was degraded.
     pub degraded_batches: u64,
     /// Alerts raised.
@@ -175,14 +182,29 @@ struct EngineInner {
     /// Rule names that opted into DFG attribution (`attribution on`).
     attribution_rules: std::collections::BTreeSet<String>,
     alerts: Vec<Alert>,
+    /// When each alert still active stops being so (`time_ns` + TTL),
+    /// soonest first: the active gauge is this heap's size, kept by popping
+    /// what the event-time clock has passed instead of rescanning `alerts`.
+    active_until: BinaryHeap<Reverse<u64>>,
     unshipped: Vec<Alert>,
     finished: bool,
+}
+
+impl EngineInner {
+    /// Late events summed over every window router of the engine.
+    fn late_events(&self) -> u64 {
+        self.contention.late_events()
+            + self.rate.late_events()
+            + self.error_rate.late_events()
+            + self.dynamic.iter().map(|d| d.late_events()).sum::<u64>()
+    }
 }
 
 struct EngineTelemetry {
     observed: Arc<Counter>,
     evaluated: Arc<Counter>,
     sampled_out: Arc<Counter>,
+    late: Arc<Counter>,
     degraded_batches: Arc<Counter>,
     alerts_raised: Arc<Counter>,
     missed_batches: Arc<Counter>,
@@ -204,6 +226,7 @@ pub struct DiagnosisEngine {
     observed: AtomicU64,
     evaluated: AtomicU64,
     sampled_out: AtomicU64,
+    late_events: AtomicU64,
     degraded_batches: AtomicU64,
     missed_batches: AtomicU64,
     last_event_ns: AtomicU64,
@@ -255,6 +278,7 @@ impl DiagnosisEngine {
                 dynamic: Vec::new(),
                 attribution_rules: Default::default(),
                 alerts: Vec::new(),
+                active_until: BinaryHeap::new(),
                 unshipped: Vec::new(),
                 finished: false,
             }),
@@ -263,6 +287,7 @@ impl DiagnosisEngine {
             observed: AtomicU64::new(0),
             evaluated: AtomicU64::new(0),
             sampled_out: AtomicU64::new(0),
+            late_events: AtomicU64::new(0),
             degraded_batches: AtomicU64::new(0),
             missed_batches: AtomicU64::new(0),
             last_event_ns: AtomicU64::new(0),
@@ -317,6 +342,7 @@ impl DiagnosisEngine {
             observed: registry.counter("diagnose.events.observed"),
             evaluated: registry.counter("diagnose.events.evaluated"),
             sampled_out: registry.counter("diagnose.events.sampled_out"),
+            late: registry.counter("diagnose.events.late"),
             degraded_batches: registry.counter("diagnose.batches.degraded"),
             alerts_raised: registry.counter("diagnose.alerts.raised"),
             missed_batches: registry.counter("diagnose.subscription.missed"),
@@ -326,18 +352,33 @@ impl DiagnosisEngine {
     }
 
     /// Feeds a batch at zero pressure (full evaluation).
-    pub fn observe_batch(&self, docs: &[Value]) -> Vec<Alert> {
-        self.observe_batch_with_pressure(docs, 0.0)
+    pub fn observe_batch<E: EventView>(&self, events: &[E]) -> Vec<Alert> {
+        self.observe_batch_with_pressure(events, 0.0)
     }
 
-    /// Feeds a batch of event documents, returning any alerts raised.
+    /// Feeds a batch of events — typed events or their documents, the
+    /// detectors read both through [`EventView`] — returning any alerts
+    /// raised.
     ///
     /// `pressure` is the caller's pipeline fill fraction (0..1); at or
     /// above [`DiagnoseConfig::degrade_pressure`] the engine samples
     /// instead of evaluating every event, so a loaded pipeline never waits
     /// on diagnosis.
-    pub fn observe_batch_with_pressure(&self, docs: &[Value], pressure: f64) -> Vec<Alert> {
-        if docs.is_empty() {
+    pub fn observe_batch_with_pressure<E: EventView>(
+        &self,
+        events: &[E],
+        pressure: f64,
+    ) -> Vec<Alert> {
+        self.observe_views(events.len(), &mut events.iter().map(|e| e as &dyn EventView), pressure)
+    }
+
+    fn observe_views(
+        &self,
+        count: usize,
+        events: &mut dyn Iterator<Item = &dyn EventView>,
+        pressure: f64,
+    ) -> Vec<Alert> {
+        if count == 0 {
             return Vec::new();
         }
         let degraded =
@@ -348,11 +389,13 @@ impl DiagnosisEngine {
         let mut fresh = Vec::new();
         let mut evaluated = 0u64;
         let mut sampled_out = 0u64;
+        let mut late = 0u64;
         let mut max_time = 0u64;
         {
             let mut inner = self.inner.lock();
-            for doc in docs {
-                max_time = max_time.max(doc["time"].as_u64().unwrap_or(0));
+            let mut late_so_far = inner.late_events();
+            for event in events {
+                max_time = max_time.max(event.time());
                 if degraded {
                     let tick = self.sample_tick.fetch_add(1, Ordering::Relaxed);
                     if !tick.is_multiple_of(self.config.degraded_sample_every) {
@@ -361,13 +404,19 @@ impl DiagnosisEngine {
                     }
                 }
                 evaluated += 1;
-                inner.data_loss.observe(doc, &mut fresh);
-                inner.contention.observe(doc);
-                inner.rate.observe(doc);
-                inner.error_rate.observe(doc);
+                inner.data_loss.observe(event, &mut fresh);
+                inner.contention.observe(event);
+                inner.rate.observe(event);
+                inner.error_rate.observe(event);
                 for detector in inner.dynamic.iter_mut() {
-                    detector.observe(doc, &mut fresh);
+                    detector.observe(event, &mut fresh);
                 }
+                // An event counts as late once, however many routers
+                // refused it; the windowless data-loss state machine above
+                // saw it all the same.
+                let late_now = inner.late_events();
+                late += u64::from(late_now > late_so_far);
+                late_so_far = late_now;
             }
             inner.contention.evaluate_ready(&mut fresh);
             inner.rate.evaluate_ready(&mut fresh);
@@ -377,13 +426,15 @@ impl DiagnosisEngine {
             }
             self.commit(&mut inner, &mut fresh, max_time);
         }
-        self.observed.fetch_add(docs.len() as u64, Ordering::Relaxed);
+        self.observed.fetch_add(count as u64, Ordering::Relaxed);
         self.evaluated.fetch_add(evaluated, Ordering::Relaxed);
         self.sampled_out.fetch_add(sampled_out, Ordering::Relaxed);
+        self.late_events.fetch_add(late, Ordering::Relaxed);
         if let Some(t) = self.telemetry.get() {
-            t.observed.add(docs.len() as u64);
+            t.observed.add(count as u64);
             t.evaluated.add(evaluated);
             t.sampled_out.add(sampled_out);
+            t.late.add(late);
             if degraded {
                 t.degraded_batches.inc();
             }
@@ -471,6 +522,8 @@ impl DiagnosisEngine {
                         }
                     }
                 }
+                let until = alert.time_ns.saturating_add(self.config.active_ttl_ns);
+                inner.active_until.push(Reverse(until));
                 inner.alerts.push(alert.clone());
                 inner.unshipped.push(alert.clone());
             }
@@ -483,11 +536,14 @@ impl DiagnosisEngine {
                 let _ = dio_telemetry::trace::dump_on_trigger("alert");
             }
         }
+        // The event-time clock only advances, so an alert it has passed
+        // stays passed: each is pushed once and popped once.
+        let now = self.last_event_ns.load(Ordering::Relaxed);
+        while inner.active_until.peek().is_some_and(|until| until.0 <= now) {
+            inner.active_until.pop();
+        }
         if let Some(t) = self.telemetry.get() {
-            let now = self.last_event_ns.load(Ordering::Relaxed);
-            let active =
-                inner.alerts.iter().filter(|a| a.time_ns + self.config.active_ttl_ns > now).count();
-            t.active_alerts.set(active as u64);
+            t.active_alerts.set(inner.active_until.len() as u64);
             t.open_windows.set(
                 (inner.contention.open_windows()
                     + inner.rate.open_windows()
@@ -511,7 +567,7 @@ impl DiagnosisEngine {
             .lock()
             .alerts
             .iter()
-            .filter(|a| a.time_ns + self.config.active_ttl_ns > now)
+            .filter(|a| a.time_ns.saturating_add(self.config.active_ttl_ns) > now)
             .cloned()
             .collect()
     }
@@ -527,6 +583,7 @@ impl DiagnosisEngine {
             observed: self.observed.load(Ordering::Relaxed),
             evaluated: self.evaluated.load(Ordering::Relaxed),
             sampled_out: self.sampled_out.load(Ordering::Relaxed),
+            late_events: self.late_events.load(Ordering::Relaxed),
             degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
             alerts_raised: self.inner.lock().alerts.len() as u64,
             missed_batches: self.missed_batches.load(Ordering::Relaxed),
@@ -740,7 +797,7 @@ mod tests {
             fn name(&self) -> &str {
                 "probe"
             }
-            fn observe(&mut self, _doc: &Value, _out: &mut Vec<Alert>) {
+            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) {
                 self.seen += 1;
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
@@ -792,7 +849,7 @@ mod tests {
             fn name(&self) -> &str {
                 "rules"
             }
-            fn observe(&mut self, _doc: &Value, _out: &mut Vec<Alert>) {}
+            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) {}
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
                 for rule in ["opted", "plain"] {
@@ -835,6 +892,111 @@ mod tests {
         let shipped = engine.drain_unshipped();
         let shipped_loss = shipped.iter().find(|a| a.kind == AlertKind::DataLoss).unwrap();
         assert_eq!(shipped_loss.attribution, data_loss.attribution);
+    }
+
+    /// The order a round-robin drain hands over after a stall: five
+    /// windows' worth waiting in two per-CPU queues, one event per window
+    /// in the sparse one, a hundred in the dense one. The sparse queue runs
+    /// the watermark four windows ahead within the first drain, so most of
+    /// the dense queue arrives after its windows were sealed.
+    #[test]
+    fn late_events_of_an_uneven_round_robin_drain_are_counted_and_seal_nothing_twice() {
+        let w = 1_000u64;
+        let config = DiagnoseConfig { window_ns: w, error_min_ops: 2, ..Default::default() };
+        let engine = DiagnosisEngine::new(config);
+        let registry = MetricsRegistry::new();
+        engine.bind_telemetry(&registry);
+        let ev = |time: u64, proc: &str| {
+            json!({"time": time, "proc_name": proc, "syscall": "read", "class": "data",
+                   "ret_val": -5, "file_tag": "7|12|100", "offset": 0})
+        };
+        let mut sparse = (0..5).map(|win| ev(win * w + w / 2, "sparse"));
+        let mut dense = (0..500).map(|i| ev(i * (w / 100), "dense"));
+        let mut order = Vec::new();
+        loop {
+            let (a, b) = (sparse.next(), dense.next());
+            if a.is_none() && b.is_none() {
+                break;
+            }
+            order.extend(a);
+            order.extend(b);
+        }
+        for drain in order.chunks(16) {
+            engine.observe_batch(drain);
+        }
+        engine.finish();
+
+        let stats = engine.stats();
+        assert_eq!(stats.observed, 505);
+        assert_eq!(stats.observed, stats.evaluated + stats.sampled_out);
+        // The first drain seals [0, 3w) on 11 dense events; the other 289
+        // of those windows come too late, and each counts once although
+        // three routers refuse it.
+        assert_eq!(stats.late_events, 289);
+        assert_eq!(registry.snapshot().counter("diagnose.events.late"), 289);
+        let alerts = engine.alerts();
+        let windows: Vec<_> = alerts
+            .iter()
+            .filter(|a| a.kind == AlertKind::ErrorRateAnomaly)
+            .map(|a| a.window_start_ns.unwrap())
+            .collect();
+        assert_eq!(windows, [0, 3 * w, 4 * w], "every window that filled alerts once");
+        let mut sealed = std::collections::HashSet::new();
+        for a in &alerts {
+            let window = (a.detector, a.window_start_ns, a.subject.as_str());
+            assert!(sealed.insert(window), "evaluated twice: {a:?}");
+        }
+    }
+
+    /// The active gauge is kept by expiry, not by rescanning the log: it
+    /// must read what a rescan reads after every batch, with alerts whose
+    /// times run ahead of and behind the event-time clock.
+    #[test]
+    fn active_gauge_equals_a_recount_through_a_thousand_alerts() {
+        struct Noisy;
+        impl DynDetector for Noisy {
+            fn name(&self) -> &str {
+                "noisy"
+            }
+            fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+                let t = event.time();
+                out.push(Alert {
+                    seq: 0,
+                    detector: "noisy",
+                    kind: AlertKind::RuleMatch,
+                    severity: Severity::Info,
+                    // Up to 60 ns behind or 30 ns ahead of the event.
+                    time_ns: (t + (t * 7) % 90).saturating_sub(60),
+                    window_start_ns: None,
+                    window_end_ns: None,
+                    subject: "noisy".into(),
+                    message: String::new(),
+                    fields: Value::Null,
+                    evidence: Vec::new(),
+                    attribution: None,
+                });
+            }
+            fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
+            fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}
+        }
+
+        let config = DiagnoseConfig { active_ttl_ns: 40, ..Default::default() };
+        let engine = DiagnosisEngine::new(config);
+        engine.install_detector(Box::new(Noisy));
+        let registry = MetricsRegistry::new();
+        engine.bind_telemetry(&registry);
+        let docs: Vec<Value> = (0..1_000u64).map(|i| json!({"time": i * 3 + i % 5})).collect();
+        let mut peak = 0;
+        for batch in docs.chunks(7) {
+            engine.observe_batch(batch);
+            let gauge = registry.snapshot().gauge("diagnose.alerts.active");
+            assert_eq!(gauge, engine.active_alerts().len() as u64);
+            peak = peak.max(gauge);
+        }
+        assert!(peak > 7, "alerts of earlier batches stay active: {peak}");
+        engine.observe_batch(&[json!({"time": 100_000})]);
+        assert_eq!(registry.snapshot().gauge("diagnose.alerts.active"), 1, "only the newest");
+        assert_eq!(registry.snapshot().counter("diagnose.alerts.raised"), 1_001);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! for evaluation and then dropped, so state stays bounded no matter how
 //! long the trace runs.
 //!
+//! A window is sealed at most once. An event that arrives later than the
+//! allowed lateness — older than the end of the newest window already
+//! sealed — is *late*: it is routed nowhere and counted
+//! ([`SlidingWindows::late_events`]), because the window it belongs to has
+//! been evaluated and re-opening it would evaluate it again over the
+//! stragglers alone. A round-robin drain of per-CPU queues produces exactly
+//! that after a stall: a sparse queue runs the watermark ahead of a dense
+//! one.
+//!
 //! With `slide_ns == 0` (the default) windows tumble: each event lands in
 //! exactly one window starting at `floor(t / width) * width`, matching the
 //! backend's `date_histogram` bucketing so streaming verdicts line up with
@@ -21,6 +30,9 @@ pub struct SlidingWindows<A> {
     width_ns: u64,
     slide_ns: u64,
     watermark_ns: u64,
+    /// End of the newest sealed window: events before it are late.
+    sealed_end_ns: u64,
+    late: u64,
     open: BTreeMap<u64, A>,
 }
 
@@ -32,6 +44,8 @@ impl<A: Default> SlidingWindows<A> {
             width_ns: width_ns.max(1),
             slide_ns,
             watermark_ns: 0,
+            sealed_end_ns: 0,
+            late: 0,
             open: BTreeMap::new(),
         }
     }
@@ -51,33 +65,31 @@ impl<A: Default> SlidingWindows<A> {
         self.open.len()
     }
 
-    /// Start timestamps of every window containing `t`.
-    fn starts_for(&self, t: u64) -> Vec<u64> {
-        if self.slide_ns == 0 {
-            return vec![(t / self.width_ns) * self.width_ns];
-        }
-        // Slide-anchored starts s with s <= t < s + width.
-        let last = (t / self.slide_ns) * self.slide_ns;
-        let mut starts = Vec::new();
-        let mut s = last;
-        loop {
-            if s + self.width_ns > t {
-                starts.push(s);
-            } else {
-                break;
-            }
-            if s < self.slide_ns {
-                break;
-            }
-            s -= self.slide_ns;
-        }
-        starts.reverse();
-        starts
+    /// Events refused because their window had already been sealed.
+    pub fn late_events(&self) -> u64 {
+        self.late
+    }
+
+    /// Start timestamps of every window containing `t`, ascending.
+    fn starts_for(&self, t: u64) -> impl Iterator<Item = u64> {
+        // Tumbling is sliding by the width: starts s, multiples of the
+        // step, with s <= t < s + width.
+        let step = if self.slide_ns == 0 { self.width_ns } else { self.slide_ns };
+        let first = match t.checked_sub(self.width_ns) {
+            Some(before) => (before / step).saturating_add(1).saturating_mul(step),
+            None => 0,
+        };
+        (first..=t).step_by(usize::try_from(step).unwrap_or(usize::MAX))
     }
 
     /// Routes an event at time `t` into its window(s), applying `f` to each
-    /// window's accumulator, and advances the watermark.
+    /// window's accumulator, and advances the watermark. A late event (see
+    /// the module docs) is counted and routed nowhere.
     pub fn observe(&mut self, t: u64, mut f: impl FnMut(&mut A)) {
+        if t < self.sealed_end_ns {
+            self.late += 1;
+            return;
+        }
         for start in self.starts_for(t) {
             f(self.open.entry(start).or_default());
         }
@@ -90,19 +102,22 @@ impl<A: Default> SlidingWindows<A> {
         // Allow one full window of lateness before sealing.
         let horizon = self.watermark_ns.saturating_sub(self.width_ns);
         let mut closed = Vec::new();
-        while let Some((&start, _)) = self.open.iter().next() {
-            if start + self.width_ns <= horizon {
-                let acc = self.open.remove(&start).expect("window present");
-                closed.push((start, acc));
-            } else {
+        while let Some(first) = self.open.first_entry() {
+            let end = first.key().saturating_add(self.width_ns);
+            if end > horizon {
                 break;
             }
+            self.sealed_end_ns = end;
+            closed.push(first.remove_entry());
         }
         closed
     }
 
     /// Closes and returns every remaining window (end of stream).
     pub fn drain_all(&mut self) -> Vec<(u64, A)> {
+        if let Some((&last, _)) = self.open.last_key_value() {
+            self.sealed_end_ns = last.saturating_add(self.width_ns);
+        }
         std::mem::take(&mut self.open).into_iter().collect()
     }
 }
@@ -150,6 +165,39 @@ mod tests {
         w.observe(50, |c| *c += 1); // late but window [0,100) not sealed yet
         let all = w.drain_all();
         assert_eq!(all, vec![(0, 1), (100, 1)]);
+    }
+
+    /// The sequence of the bug report: a straggler for a window that was
+    /// sealed and evaluated must not seal it a second time.
+    #[test]
+    fn a_late_event_does_not_reopen_a_sealed_window() {
+        let mut w: SlidingWindows<u64> = SlidingWindows::new(100, 0);
+        for t in [10, 20, 250] {
+            w.observe(t, |c| *c += 1);
+        }
+        assert_eq!(w.drain_ready(), vec![(0, 2)]);
+        w.observe(50, |c| *c += 1);
+        assert_eq!(w.drain_ready(), vec![], "[0, 100) was sealed once already");
+        assert_eq!(w.late_events(), 1);
+        assert_eq!(w.watermark_ns(), 250);
+        // One window of lateness is still allowed: [100, 200) is open.
+        w.observe(150, |c| *c += 1);
+        assert_eq!(w.late_events(), 1);
+        assert_eq!(w.drain_all(), vec![(100, 1), (200, 1)]);
+        w.observe(299, |c| *c += 1);
+        assert_eq!((w.late_events(), w.open_count()), (2, 0), "sealed by drain_all");
+    }
+
+    #[test]
+    fn sliding_starts_ascend_and_cover_the_event() {
+        let w: SlidingWindows<u64> = SlidingWindows::new(100, 30);
+        assert_eq!(w.starts_for(0).collect::<Vec<_>>(), [0]);
+        assert_eq!(w.starts_for(99).collect::<Vec<_>>(), [0, 30, 60, 90]);
+        assert_eq!(w.starts_for(100).collect::<Vec<_>>(), [30, 60, 90]);
+        assert_eq!(w.starts_for(215).collect::<Vec<_>>(), [120, 150, 180, 210]);
+        let tumbling: SlidingWindows<u64> = SlidingWindows::new(100, 0);
+        assert_eq!(tumbling.starts_for(250).collect::<Vec<_>>(), [200]);
+        assert_eq!(tumbling.starts_for(u64::MAX).count(), 1);
     }
 
     #[test]

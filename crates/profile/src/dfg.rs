@@ -1,7 +1,8 @@
 //! The streaming directly-follows-graph miner.
 //!
-//! [`DfgMiner`] consumes the same parsed event documents the diagnosis
-//! engine sees and maintains directly-follows graphs: nodes are the 42
+//! [`DfgMiner`] consumes the same events the diagnosis engine sees — the
+//! tracer's typed events or their documents, both read through
+//! [`EventView`] — and maintains directly-follows graphs: nodes are the 42
 //! catalog syscalls (annotated with their class), an edge `a → b` means
 //! syscall `b` directly followed syscall `a` in a sequence. Three graph
 //! scopes are mined at once:
@@ -24,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
-use dio_syscall::SyscallKind;
+use dio_syscall::{EventView, Field, Scalar, SyscallKind};
 use dio_telemetry::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, TraceSpan};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
@@ -218,6 +219,8 @@ impl Graph {
         *self.nodes.entry(kind).or_insert(0) += 1;
     }
 
+    /// Records one transition; an eviction it causes is counted on the
+    /// graph and on the miner's running total `evicted`.
     fn observe_edge(
         &mut self,
         from: SyscallKind,
@@ -225,6 +228,7 @@ impl Graph {
         gap: u64,
         lat: u64,
         top_k: usize,
+        evicted: &mut u64,
     ) {
         // Known edges take the single-lookup fast path: the steady state
         // of a mined workload repeats a small set of transitions.
@@ -245,6 +249,7 @@ impl Graph {
                 .expect("top_k >= 1 so a full graph has a victim");
             self.edges.remove(&victim);
             self.evicted += 1;
+            *evicted += 1;
         }
         let edge = self.edges.entry((from, to)).or_default();
         edge.count += 1;
@@ -385,6 +390,9 @@ struct MinerInner {
     sampled_out: u64,
     degraded_batches: u64,
     transitions: u64,
+    /// Edges evicted from any graph: the sum of every `Graph::evicted`,
+    /// kept as they happen instead of summed over the graphs per batch.
+    edges_evicted: u64,
     unknown_syscalls: u64,
     graphs_dropped: u64,
     attributions: u64,
@@ -454,18 +462,27 @@ impl DfgMiner {
     }
 
     /// Mines a batch at zero pressure (every event).
-    pub fn observe_batch(&self, docs: &[Value]) {
-        self.observe_batch_with_pressure(docs, 0.0);
+    pub fn observe_batch<E: EventView>(&self, events: &[E]) {
+        self.observe_batch_with_pressure(events, 0.0);
     }
 
-    /// Mines a batch of event documents.
+    /// Mines a batch of events, typed or documents.
     ///
     /// `pressure` is the caller's pipeline fill fraction (0..1); at or
     /// above [`ProfileConfig::degrade_pressure`] the miner samples 1 in
     /// [`ProfileConfig::degraded_sample_every`] events instead of mining
     /// all of them, so a loaded pipeline never waits on profiling.
-    pub fn observe_batch_with_pressure(&self, docs: &[Value], pressure: f64) {
-        if docs.is_empty() {
+    pub fn observe_batch_with_pressure<E: EventView>(&self, events: &[E], pressure: f64) {
+        self.observe_views(events.len(), &mut events.iter().map(|e| e as &dyn EventView), pressure);
+    }
+
+    fn observe_views(
+        &self,
+        count: usize,
+        events: &mut dyn Iterator<Item = &dyn EventView>,
+        pressure: f64,
+    ) {
+        if count == 0 {
             return;
         }
         let degraded =
@@ -476,10 +493,10 @@ impl DfgMiner {
         }
         let before_sampled = inner.sampled_out;
         let before_transitions = inner.transitions;
-        let before_evicted = self.total_evicted(&inner);
+        let before_evicted = inner.edges_evicted;
         let before_dropped = inner.graphs_dropped;
         let before_shifts = inner.phase.shifts;
-        for doc in docs {
+        for event in events {
             inner.events += 1;
             if degraded {
                 let tick = inner.sample_tick;
@@ -489,16 +506,16 @@ impl DfgMiner {
                     continue;
                 }
             }
-            self.observe_locked(&mut inner, doc);
+            self.observe_locked(&mut inner, event);
         }
         if let Some(t) = self.telemetry.get() {
-            t.events.add(docs.len() as u64);
+            t.events.add(count as u64);
             t.sampled_out.add(inner.sampled_out - before_sampled);
             if degraded {
                 t.degraded_batches.inc();
             }
             t.transitions.add(inner.transitions - before_transitions);
-            t.edges_evicted.add(self.total_evicted(&inner) - before_evicted);
+            t.edges_evicted.add(inner.edges_evicted - before_evicted);
             t.graphs_dropped.add(inner.graphs_dropped - before_dropped);
             t.phase_shifts.add(inner.phase.shifts - before_shifts);
             t.edges.set(inner.global.edges.len() as u64);
@@ -506,42 +523,15 @@ impl DfgMiner {
         }
     }
 
-    fn total_evicted(&self, inner: &MinerInner) -> u64 {
-        inner.global.evicted
-            + inner.procs.values().map(|p| p.graph.evicted).sum::<u64>()
-            + inner.tags.values().map(|g| g.evicted).sum::<u64>()
-    }
-
-    fn observe_locked(&self, inner: &mut MinerInner, doc: &Value) {
-        // One ordered pass over the document instead of a map lookup per
-        // field: this runs per event on the consumer path, and the field
-        // extraction is most of the per-doc cost.
-        let mut syscall = None;
-        let mut time = 0u64;
-        let mut latency = 0u64;
-        let mut pid = 0u64;
-        let mut tid = None;
-        let mut tag = None;
-        let mut proc_name = None;
-        if let Some(obj) = doc.as_object() {
-            for (key, value) in obj.iter() {
-                match key.as_str() {
-                    "syscall" => syscall = value.as_str(),
-                    "time" => time = value.as_u64().unwrap_or(0),
-                    "latency_ns" => latency = value.as_u64().unwrap_or(0),
-                    "pid" => pid = value.as_u64().unwrap_or(0),
-                    "tid" => tid = value.as_u64(),
-                    "file_tag" => tag = value.as_str().filter(|t| !t.is_empty()),
-                    "proc_name" => proc_name = value.as_str(),
-                    _ => {}
-                }
-            }
-        }
-        let Some(kind) = syscall.and_then(|s| s.parse::<SyscallKind>().ok()) else {
+    fn observe_locked(&self, inner: &mut MinerInner, event: &dyn EventView) {
+        let Some(kind) = event.kind() else {
             inner.unknown_syscalls += 1;
             return;
         };
-        let tid = tid.unwrap_or(pid);
+        let time = event.time();
+        let latency = event.uint(Field::LatencyNs).unwrap_or(0);
+        let pid = event.uint(Field::Pid).unwrap_or(0);
+        let tid = event.uint(Field::Tid).unwrap_or(pid);
         let top_k = self.config.top_k_edges;
 
         // Global graph, sequenced per thread.
@@ -549,7 +539,7 @@ impl DfgMiner {
         let prev = inner.last_by_tid.insert(tid, (kind, time));
         if let Some((from, from_time)) = prev {
             let gap = time.saturating_sub(from_time);
-            inner.global.observe_edge(from, kind, gap, latency, top_k);
+            inner.global.observe_edge(from, kind, gap, latency, top_k, &mut inner.edges_evicted);
             inner.transitions += 1;
             if inner.ring.len() >= self.config.ring_capacity.max(1) {
                 inner.ring.pop_front();
@@ -568,25 +558,34 @@ impl DfgMiner {
         }
 
         // Per-process graph (same per-thread sequence, scoped to the pid).
+        // A known process is one lookup; a new one is admitted while there
+        // is room.
         let max_graphs = self.config.max_graphs;
-        if inner.procs.contains_key(&pid) || inner.procs.len() < max_graphs {
-            let entry = inner.procs.entry(pid).or_insert_with(|| ProcGraph {
-                name: proc_name.unwrap_or("?").to_string(),
+        let room = inner.procs.len() < max_graphs;
+        let proc = match inner.procs.get_mut(&pid) {
+            Some(proc) => Some(proc),
+            None if room => Some(inner.procs.entry(pid).or_insert_with(|| ProcGraph {
+                name: event.str(Field::ProcName).unwrap_or("?").to_string(),
                 graph: Graph::default(),
-            });
-            entry.graph.observe_node(kind);
+            })),
+            None => None,
+        };
+        if let Some(ProcGraph { graph, .. }) = proc {
+            graph.observe_node(kind);
             if let Some((from, from_time)) = prev {
                 let gap = time.saturating_sub(from_time);
-                entry.graph.observe_edge(from, kind, gap, latency, top_k);
+                graph.observe_edge(from, kind, gap, latency, top_k, &mut inner.edges_evicted);
             }
         } else {
             inner.graphs_dropped += 1;
         }
 
-        // Per-file-tag graph, sequenced by operations on the tag. Known
-        // tags take the get_mut path so the steady state allocates no
-        // key strings.
-        let Some(tag) = tag else { return };
+        // Per-file-tag graph, sequenced by operations on the tag and keyed
+        // by the tag as documents spell it (any non-empty string; a typed
+        // event's tag is rendered inline). Known tags take the get_mut path
+        // so the steady state allocates no key strings.
+        let tag = event.scalar(Field::FileTag).and_then(Scalar::text);
+        let Some(tag) = tag.as_deref().filter(|tag| !tag.is_empty()) else { return };
         let tag_prev = match inner.tag_last.get_mut(tag) {
             Some(slot) => Some(std::mem::replace(slot, (kind, time))),
             None => {
@@ -594,15 +593,17 @@ impl DfgMiner {
                 None
             }
         };
-        if inner.tags.contains_key(tag) || inner.tags.len() < max_graphs {
-            let graph = match inner.tags.get_mut(tag) {
-                Some(graph) => graph,
-                None => inner.tags.entry(tag.to_string()).or_default(),
-            };
+        let room = inner.tags.len() < max_graphs;
+        let graph = match inner.tags.get_mut(tag) {
+            Some(graph) => Some(graph),
+            None if room => Some(inner.tags.entry(tag.to_string()).or_default()),
+            None => None,
+        };
+        if let Some(graph) = graph {
             graph.observe_node(kind);
             if let Some((from, from_time)) = tag_prev {
                 let gap = time.saturating_sub(from_time);
-                graph.observe_edge(from, kind, gap, latency, top_k);
+                graph.observe_edge(from, kind, gap, latency, top_k, &mut inner.edges_evicted);
             }
         } else {
             inner.graphs_dropped += 1;
@@ -951,6 +952,39 @@ mod tests {
         assert_eq!(snap.global.edges.len(), 2);
         assert!(snap.global.evicted_edges >= 1);
         assert!(snap.global.edges.iter().any(|e| e.label() == "write->fsync"));
+    }
+
+    /// The evicted counter is a running total, not a per-batch sum over the
+    /// graphs: after 64 overflowing graphs it must equal that sum.
+    #[test]
+    fn evicted_counter_equals_the_sum_over_sixty_four_graphs() {
+        let miner = DfgMiner::new(ProfileConfig::default().top_k_edges(2));
+        let registry = MetricsRegistry::new();
+        miner.bind_telemetry(&registry);
+        const SYSCALLS: [&str; 7] =
+            ["openat", "read", "write", "fsync", "close", "lseek", "pread64"];
+        // The global graph, 31 processes and 32 tags, each walked through
+        // more distinct transitions than two edges hold.
+        let docs: Vec<Value> = (0..40u64)
+            .flat_map(|step| (0..31u64).map(move |p| (step, p)))
+            .map(|(step, p)| {
+                json!({
+                    "time": step * 100 + p, "pid": p, "tid": p, "proc_name": "app",
+                    "syscall": SYSCALLS[((step * (p + 2) + step / 3) % 7) as usize],
+                    "latency_ns": 10, "file_tag": format!("7|{}|1", (p + step) % 32),
+                })
+            })
+            .collect();
+        for batch in docs.chunks(13) {
+            miner.observe_batch(batch);
+        }
+        let snap = miner.snapshot();
+        assert_eq!(1 + snap.processes.len() + snap.tags.len(), 64);
+        let graphs = || snap.processes.values().chain(snap.tags.values()).chain([&snap.global]);
+        assert!(graphs().all(|g| g.evicted_edges > 0), "every graph overflowed");
+        let recounted: u64 = graphs().map(|g| g.evicted_edges).sum();
+        assert_eq!(registry.snapshot().counter("dfg.edges.evicted"), recounted);
+        assert_eq!(registry.snapshot().gauge("dfg.graphs"), 64);
     }
 
     #[test]

@@ -383,12 +383,13 @@ impl KeyDim {
     }
 
     /// The document field this dimension reads.
-    pub fn field(self) -> &'static str {
+    pub fn field(self) -> dio_syscall::Field {
+        use dio_syscall::Field;
         match self {
-            KeyDim::Pid => "pid",
-            KeyDim::File => "file_tag",
-            KeyDim::Class => "class",
-            KeyDim::Proc => "proc_name",
+            KeyDim::Pid => Field::Pid,
+            KeyDim::File => Field::FileTag,
+            KeyDim::Class => Field::Class,
+            KeyDim::Proc => Field::ProcName,
         }
     }
 }

@@ -7,18 +7,26 @@
 //! rules compile their aggregates into per-window accumulators on the
 //! same [`SlidingWindows`] machinery (and therefore the same watermark
 //! and sealing semantics) as the built-in detectors.
+//!
+//! Compiling resolves every name a rule mentions — event fields, stream
+//! atoms, aggregates — to a slot ([`Node`]), and the set reads events
+//! through [`EventView`]: the typed events of the tracer's consumer and the
+//! documents of any other feed run the same code, which per event looks
+//! keys up by borrowed string and allocates only for a key or window it
+//! has not seen.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dio_diagnose::{Alert, AlertKind, DynDetector, Severity, SlidingWindows};
+use dio_syscall::{EventView, Field, Scalar, Text};
 use dio_telemetry::{Counter, MetricsRegistry};
 use serde_json::{json, Value};
 
 use crate::ast::{Action, Expr, ExprKind, Rule, RuleFile, SeverityLit, Trigger};
 use crate::check::{verify_rules, RulesError, RulesReport};
-use crate::exec::{eval, event_resolver, EventAtoms, StreamState, V};
+use crate::exec::{eval, EventAtoms, Node, Scope, StreamState, V};
 use crate::lexer::ParseError;
 use crate::parser::parse_rules;
 
@@ -80,15 +88,16 @@ pub fn compile_unchecked(file: &RuleFile) -> RuleSet {
 
 // ------------------------------------------------------------ aggregates
 
-/// One base (per-window) aggregate, identified by its printed form.
+/// One base (per-window) aggregate, identified by its printed form; its
+/// arguments are per-event predicates.
 #[derive(Debug, Clone)]
 enum AggSpec {
-    Count(Option<Expr>),
+    Count(Option<Node>),
     Errors,
     ErrorFraction,
     Rate,
-    Pct(f64, Expr),
-    Distinct(Expr, Option<Expr>),
+    Pct(f64, Node),
+    Distinct(Node, Option<Node>),
     /// Malformed under `compile_unchecked`: accumulates nothing,
     /// evaluates to unknown.
     Invalid,
@@ -99,9 +108,9 @@ enum AggSpec {
 enum PostSpec {
     /// Mean of `inner` over the previous `n` sealed windows of the key;
     /// defined only once exactly `n` windows of history exist.
-    Baseline { inner: String, n: usize },
+    Baseline { inner: Expr, n: usize },
     /// Running mean of `inner` over past windows where `cond` held.
-    MeanWhen { inner: String, cond: Expr },
+    MeanWhen { inner: Expr, cond: Expr },
 }
 
 /// Per-window per-key accumulator state, parallel to the spec list.
@@ -109,10 +118,15 @@ enum PostSpec {
 enum AggAcc {
     Count(u64),
     Errors(u64),
-    ErrorFraction { ops: u64, errs: u64 },
+    ErrorFraction {
+        ops: u64,
+        errs: u64,
+    },
     Rate(u64),
     Pct(Vec<f64>),
-    Distinct(std::collections::BTreeSet<String>),
+    /// The distinct values' texts, and the buffer a number is printed into
+    /// before it is looked up.
+    Distinct(BTreeSet<String>, String),
     Invalid,
 }
 
@@ -124,54 +138,49 @@ impl AggSpec {
             AggSpec::ErrorFraction => AggAcc::ErrorFraction { ops: 0, errs: 0 },
             AggSpec::Rate => AggAcc::Rate(0),
             AggSpec::Pct(..) => AggAcc::Pct(Vec::new()),
-            AggSpec::Distinct(..) => AggAcc::Distinct(Default::default()),
+            AggSpec::Distinct(..) => AggAcc::Distinct(BTreeSet::new(), String::new()),
             AggSpec::Invalid => AggAcc::Invalid,
         }
     }
 
-    fn observe(&self, acc: &mut AggAcc, doc: &Value) {
-        let resolver = event_resolver(doc, None);
+    fn observe(&self, acc: &mut AggAcc, event: &dyn EventView) {
+        let scope = Scope::Event(event, None);
+        let failed = || event.ret_val().is_some_and(|r| r < 0);
         match (self, acc) {
-            (AggSpec::Count(None), AggAcc::Count(n)) => *n += 1,
-            (AggSpec::Count(Some(pred)), AggAcc::Count(n)) if eval(pred, &resolver).is_true() => {
-                *n += 1;
+            (AggSpec::Count(pred), AggAcc::Count(n)) => {
+                *n += u64::from(pred.as_ref().is_none_or(|p| eval(p, scope).is_true()));
             }
-            (AggSpec::Count(Some(_)), AggAcc::Count(_)) => {}
-            (AggSpec::Errors, AggAcc::Errors(n))
-                if doc["ret_val"].as_i64().is_some_and(|r| r < 0) =>
-            {
-                *n += 1;
-            }
-            (AggSpec::Errors, AggAcc::Errors(_)) => {}
+            (AggSpec::Errors, AggAcc::Errors(n)) => *n += u64::from(failed()),
             (AggSpec::ErrorFraction, AggAcc::ErrorFraction { ops, errs }) => {
                 *ops += 1;
-                if doc["ret_val"].as_i64().is_some_and(|r| r < 0) {
-                    *errs += 1;
-                }
+                *errs += u64::from(failed());
             }
             (AggSpec::Rate, AggAcc::Rate(n)) => *n += 1,
             (AggSpec::Pct(_, expr), AggAcc::Pct(values)) => {
-                if let V::Num(v) = eval(expr, &resolver) {
+                if let V::Num(v) = eval(expr, scope) {
                     values.push(v);
                 }
             }
-            (AggSpec::Distinct(value, pred), AggAcc::Distinct(set)) => {
-                let selected = match pred {
-                    Some(p) => eval(p, &resolver).is_true(),
-                    None => true,
+            (AggSpec::Distinct(value, pred), AggAcc::Distinct(seen, number)) => {
+                if !pred.as_ref().is_none_or(|p| eval(p, scope).is_true()) {
+                    return;
+                }
+                // A value is copied into the set only when it is new.
+                let mut note = |text: &str| {
+                    if !seen.contains(text) {
+                        seen.insert(text.to_string());
+                    }
                 };
-                if selected {
-                    match eval(value, &resolver) {
-                        V::Num(n) => {
-                            set.insert(format!("{n}"));
-                        }
-                        V::Str(s) => {
-                            set.insert(s);
-                        }
-                        V::Bool(b) => {
-                            set.insert(b.to_string());
-                        }
-                        V::Unknown => {}
+                match eval(value, scope) {
+                    V::Num(n) => {
+                        number.clear();
+                        let _ = write!(number, "{n}");
+                        note(number);
+                    }
+                    V::Bool(b) => note(if b { "true" } else { "false" }),
+                    V::Unknown => {}
+                    text => {
+                        text.with_str(note);
                     }
                 }
             }
@@ -179,31 +188,33 @@ impl AggSpec {
         }
     }
 
-    fn value(&self, acc: &AggAcc, width_ns: u64) -> V {
+    fn value(&self, acc: &AggAcc, width_ns: u64) -> Option<f64> {
         match acc {
-            AggAcc::Count(n) | AggAcc::Errors(n) => V::Num(*n as f64),
-            AggAcc::ErrorFraction { ops: 0, .. } => V::Unknown,
-            AggAcc::ErrorFraction { ops, errs } => V::Num(*errs as f64 / *ops as f64),
-            AggAcc::Rate(n) => V::Num(*n as f64 / (width_ns.max(1) as f64 / 1e9)),
+            AggAcc::Count(n) | AggAcc::Errors(n) => Some(*n as f64),
+            AggAcc::ErrorFraction { ops: 0, .. } => None,
+            AggAcc::ErrorFraction { ops, errs } => Some(*errs as f64 / *ops as f64),
+            AggAcc::Rate(n) => Some(*n as f64 / (width_ns.max(1) as f64 / 1e9)),
             AggAcc::Pct(values) => {
                 if values.is_empty() {
-                    return V::Unknown;
+                    return None;
                 }
-                let AggSpec::Pct(q, _) = self else { return V::Unknown };
+                let AggSpec::Pct(q, _) = self else { return None };
                 let mut sorted = values.clone();
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
                 // Nearest-rank percentile.
                 let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-                V::Num(sorted[rank.clamp(1, sorted.len()) - 1])
+                Some(sorted[rank.clamp(1, sorted.len()) - 1])
             }
-            AggAcc::Distinct(set) => V::Num(set.len() as f64),
-            AggAcc::Invalid => V::Unknown,
+            AggAcc::Distinct(seen, _) => Some(seen.len() as f64),
+            AggAcc::Invalid => None,
         }
     }
 }
 
 /// The aggregate program of one window rule: base aggregates keyed by
-/// printed form, then derived aggregates in dependency order.
+/// printed form, then derived aggregates in dependency order. A sealed
+/// window's values are laid out in that order, base then derived, and
+/// [`WindowProgram::lower`] resolves an aggregate to its place among them.
 #[derive(Debug, Clone, Default)]
 struct WindowProgram {
     aggs: Vec<(String, AggSpec)>,
@@ -230,7 +241,7 @@ impl WindowProgram {
                         // The inner aggregate (and any aggregates inside a
                         // mean_when condition) must be computed first.
                         self.collect(first);
-                        let inner = first.to_string();
+                        let inner = first.clone();
                         let post = match name.as_str() {
                             "baseline" => {
                                 let n = match args.get(1).map(|a| &a.kind) {
@@ -270,6 +281,24 @@ impl WindowProgram {
             self.aggs.push((key, spec));
         }
     }
+
+    /// The aggregates' printed forms, in slot order.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.aggs
+            .iter()
+            .map(|(k, _)| k)
+            .chain(self.posts.iter().map(|(k, _)| k))
+            .map(String::as_str)
+    }
+
+    /// Lowers a window-scope predicate: an `Ident`/`Call` leaf is the
+    /// aggregate it prints as, anything else is unknown to a window.
+    fn lower(&self, e: &Expr) -> Node {
+        Node::lower(e, &|leaf| {
+            let printed = leaf.to_string();
+            self.names().position(|name| name == printed).map_or(Node::Unknown, Node::Slot)
+        })
+    }
 }
 
 fn is_nullary_agg(name: &str) -> bool {
@@ -279,27 +308,42 @@ fn is_nullary_agg(name: &str) -> bool {
 fn base_spec(name: &str, args: &[Expr]) -> AggSpec {
     match (name, args) {
         ("count", []) => AggSpec::Count(None),
-        ("count", [pred]) => AggSpec::Count(Some(pred.clone())),
+        ("count", [pred]) => AggSpec::Count(Some(Node::of_event(pred))),
         ("errors", []) => AggSpec::Errors,
         ("error_fraction", []) => AggSpec::ErrorFraction,
         ("rate", []) => AggSpec::Rate,
-        ("p50", [v]) => AggSpec::Pct(50.0, v.clone()),
-        ("p95", [v]) => AggSpec::Pct(95.0, v.clone()),
-        ("p99", [v]) => AggSpec::Pct(99.0, v.clone()),
-        ("distinct", [v]) => AggSpec::Distinct(v.clone(), None),
-        ("distinct", [v, pred]) => AggSpec::Distinct(v.clone(), Some(pred.clone())),
+        ("p50", [v]) => AggSpec::Pct(50.0, Node::of_event(v)),
+        ("p95", [v]) => AggSpec::Pct(95.0, Node::of_event(v)),
+        ("p99", [v]) => AggSpec::Pct(99.0, Node::of_event(v)),
+        ("distinct", [v]) => AggSpec::Distinct(Node::of_event(v), None),
+        ("distinct", [v, pred]) => AggSpec::Distinct(Node::of_event(v), Some(Node::of_event(pred))),
         _ => AggSpec::Invalid,
     }
 }
 
 // ---------------------------------------------------------- compiled rule
 
-/// Per-key state behind a derived aggregate.
+/// A derived aggregate, linked: its inner aggregate by slot.
+#[derive(Debug, Clone)]
+struct Post {
+    inner: Option<usize>,
+    kind: PostKind,
+    /// Per key value: trailing inner values (baseline), or running
+    /// sum/count of inner values over matching windows (mean_when).
+    state: BTreeMap<String, PostState>,
+}
+
+#[derive(Debug, Clone)]
+enum PostKind {
+    /// `baseline(inner, n)`.
+    Baseline(usize),
+    /// `mean_when(inner, cond)`, the condition lowered in window scope.
+    MeanWhen(Node),
+}
+
 #[derive(Debug, Clone, Default)]
 struct PostState {
-    /// Trailing inner values (baseline).
     hist: VecDeque<f64>,
-    /// Running sum/count of inner values over matching windows (mean_when).
     sum: f64,
     n: u64,
 }
@@ -314,11 +358,15 @@ struct RuleStats {
 
 struct CompiledRule {
     rule: Rule,
+    /// `rule.when`, lowered in the rule's scope: the event's for a stream
+    /// rule, the sealed window's for a window rule.
+    when: Node,
+    /// The field `rule.key` reads.
+    key: Option<Field>,
     program: WindowProgram,
     /// Window start → key value → accumulators (window rules only).
     windows: Option<SlidingWindows<BTreeMap<String, Vec<AggAcc>>>>,
-    /// Per post-spec, per key value: derived-aggregate state.
-    post_state: Vec<BTreeMap<String, PostState>>,
+    posts: Vec<Post>,
     stats: RuleStats,
     fired_counter: Option<Arc<Counter>>,
     suppressed_counter: Option<Arc<Counter>>,
@@ -327,19 +375,39 @@ struct CompiledRule {
 impl CompiledRule {
     fn new(rule: Rule) -> CompiledRule {
         let mut program = WindowProgram::default();
-        let windows = match &rule.trigger {
-            Trigger::Stream => None,
+        let (when, windows) = match &rule.trigger {
+            Trigger::Stream => (Node::of_event(&rule.when), None),
             Trigger::Window { width, slide } => {
                 program.collect(&rule.when);
-                Some(SlidingWindows::new(width.as_ns(), slide.map(|s| s.as_ns()).unwrap_or(0)))
+                let windows =
+                    SlidingWindows::new(width.as_ns(), slide.map(|s| s.as_ns()).unwrap_or(0));
+                (program.lower(&rule.when), Some(windows))
             }
         };
-        let post_state = vec![BTreeMap::new(); program.posts.len()];
+        let slot = |e: &Expr| match program.lower(e) {
+            Node::Slot(slot) => Some(slot),
+            _ => None,
+        };
+        let posts = program
+            .posts
+            .iter()
+            .map(|(_, post)| {
+                let (inner, kind) = match post {
+                    PostSpec::Baseline { inner, n } => (inner, PostKind::Baseline(*n)),
+                    PostSpec::MeanWhen { inner, cond } => {
+                        (inner, PostKind::MeanWhen(program.lower(cond)))
+                    }
+                };
+                Post { inner: slot(inner), kind, state: BTreeMap::new() }
+            })
+            .collect();
         CompiledRule {
+            when,
+            key: rule.key.map(|dim| dim.field()),
             rule,
             program,
             windows,
-            post_state,
+            posts,
             stats: RuleStats::default(),
             fired_counter: None,
             suppressed_counter: None,
@@ -353,30 +421,28 @@ impl CompiledRule {
         }
     }
 
-    /// The window key for `doc`, `None` when the key field is missing
-    /// (the event is skipped, matching the hand-coded detectors).
-    fn key_of(&self, doc: &Value) -> Option<String> {
-        let Some(dim) = self.rule.key else { return Some(String::new()) };
-        let field = dim.field();
-        match &doc[field] {
-            Value::Number(n) => n.as_u64().map(|v| v.to_string()),
-            Value::String(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    fn observe_window(&mut self, doc: &Value) {
-        let Some(key) = self.key_of(doc) else { return };
-        // Missing timestamps bucket at 0, matching the built-in detectors.
-        let t = doc["time"].as_u64().unwrap_or(0);
+    fn observe_window(&mut self, event: &dyn EventView) {
+        // An event without the key field is skipped, matching the
+        // hand-coded detectors; an unkeyed rule has the one key "".
+        let key = match self.key {
+            Some(field) => match event.scalar(field).and_then(Scalar::key) {
+                Some(key) => key,
+                None => return,
+            },
+            None => Text::Lent(""),
+        };
         let Some(windows) = &mut self.windows else { return };
         let program = &self.program;
-        windows.observe(t, |acc| {
-            let accs = acc
-                .entry(key.clone())
-                .or_insert_with(|| program.aggs.iter().map(|(_, s)| s.fresh_acc()).collect());
+        // Missing timestamps bucket at 0, matching the built-in detectors.
+        windows.observe(event.time(), |keys| {
+            let accs = match keys.get_mut(&*key) {
+                Some(accs) => accs,
+                None => keys
+                    .entry(key.to_string())
+                    .or_insert_with(|| program.aggs.iter().map(|(_, s)| s.fresh_acc()).collect()),
+            };
             for ((_, spec), slot) in program.aggs.iter().zip(accs.iter_mut()) {
-                spec.observe(slot, doc);
+                spec.observe(slot, event);
             }
         });
     }
@@ -387,63 +453,41 @@ impl CompiledRule {
         for (key, accs) in keys {
             self.stats.evaluated += 1;
             // 1. Base aggregate values.
-            let mut env: BTreeMap<String, V> = BTreeMap::new();
-            for ((name, spec), acc) in self.program.aggs.iter().zip(accs.iter()) {
-                env.insert(name.clone(), spec.value(acc, width));
-            }
+            let mut values: Vec<Option<f64>> = (self.program.aggs.iter().zip(&accs))
+                .map(|((_, spec), acc)| spec.value(acc, width))
+                .collect();
             // 2. Derived aggregates, in dependency order, reading history
             //    from *before* this window.
-            for (i, (name, post)) in self.program.posts.iter().enumerate() {
-                let state = self.post_state[i].entry(key.clone()).or_default();
-                let value = match post {
-                    PostSpec::Baseline { n, .. } => {
-                        if state.hist.len() == *n {
-                            V::Num(state.hist.iter().sum::<f64>() / *n as f64)
-                        } else {
-                            V::Unknown
-                        }
-                    }
-                    PostSpec::MeanWhen { .. } => {
-                        if state.n > 0 {
-                            V::Num(state.sum / state.n as f64)
-                        } else {
-                            V::Unknown
-                        }
-                    }
-                };
-                env.insert(name.clone(), value);
+            for post in &self.posts {
+                let state = post.state.get(&key);
+                values.push(match post.kind {
+                    PostKind::Baseline(n) => state
+                        .filter(|s| s.hist.len() == n)
+                        .map(|s| s.hist.iter().sum::<f64>() / n as f64),
+                    PostKind::MeanWhen(_) => state.filter(|s| s.n > 0).map(|s| s.sum / s.n as f64),
+                });
             }
             // 3. Evaluate the predicate in window scope.
-            let resolver = |e: &Expr| env.get(&e.to_string()).cloned();
-            let fired = eval(&self.rule.when, &resolver).is_true();
-            if fired {
-                let subject = if key.is_empty() { self.rule.name.clone() } else { key.clone() };
-                self.fire(subject, start + width, Some((start, start + width)), &env, &[], out);
+            if eval(&self.when, Scope::Window(&values)).is_true() {
+                let subject = (!key.is_empty()).then_some(key.as_str());
+                self.fire(subject, start + width, Some((start, start + width)), &values, None, out);
             }
             // 4. Update derived-aggregate state *after* evaluation, so a
             //    window never contributes to its own baseline.
-            for (i, (_, post)) in self.program.posts.iter().enumerate() {
-                let inner = match post {
-                    PostSpec::Baseline { inner, .. } | PostSpec::MeanWhen { inner, .. } => inner,
-                };
-                let Some(V::Num(inner_value)) = env.get(inner.as_str()).cloned() else { continue };
-                let update_mean = match post {
-                    PostSpec::Baseline { .. } => false,
-                    PostSpec::MeanWhen { cond, .. } => {
-                        eval(cond, &|e: &Expr| env.get(&e.to_string()).cloned()).is_true()
-                    }
-                };
-                let state = self.post_state[i].entry(key.clone()).or_default();
-                match post {
-                    PostSpec::Baseline { n, .. } => {
-                        state.hist.push_back(inner_value);
+            for post in &mut self.posts {
+                let Some(inner) = post.inner.and_then(|slot| values[slot]) else { continue };
+                match &post.kind {
+                    PostKind::Baseline(n) => {
+                        let state = post.state.entry(key.clone()).or_default();
+                        state.hist.push_back(inner);
                         while state.hist.len() > *n {
                             state.hist.pop_front();
                         }
                     }
-                    PostSpec::MeanWhen { .. } => {
-                        if update_mean {
-                            state.sum += inner_value;
+                    PostKind::MeanWhen(cond) => {
+                        if eval(cond, Scope::Window(&values)).is_true() {
+                            let state = post.state.entry(key.clone()).or_default();
+                            state.sum += inner;
                             state.n += 1;
                         }
                     }
@@ -452,26 +496,23 @@ impl CompiledRule {
         }
     }
 
-    fn observe_stream(&mut self, doc: &Value, atoms: &EventAtoms, out: &mut Vec<Alert>) {
+    fn observe_stream(&mut self, event: &dyn EventView, atoms: &EventAtoms, out: &mut Vec<Alert>) {
         self.stats.evaluated += 1;
-        let resolver = event_resolver(doc, Some(atoms));
-        if eval(&self.rule.when, &resolver).is_true() {
-            let subject = doc["file_tag"]
-                .as_str()
-                .map(str::to_string)
-                .unwrap_or_else(|| self.rule.name.clone());
-            let time = doc["time"].as_u64().unwrap_or(0);
-            self.fire(subject, time, None, &BTreeMap::new(), std::slice::from_ref(doc), out);
+        if eval(&self.when, Scope::Event(event, Some(atoms))).is_true() {
+            self.fire(None, event.time(), None, &[], Some(event), out);
         }
     }
 
+    /// Carries out the rule's action. The alert's subject is the window's
+    /// key, else the triggering event's file tag, else the rule's name; a
+    /// triggering event becomes a document here, if the alert is raised.
     fn fire(
         &mut self,
-        subject: String,
+        key: Option<&str>,
         time_ns: u64,
         window: Option<(u64, u64)>,
-        env: &BTreeMap<String, V>,
-        evidence: &[Value],
+        values: &[Option<f64>],
+        trigger: Option<&dyn EventView>,
         out: &mut Vec<Alert>,
     ) {
         match &self.rule.action {
@@ -492,11 +533,17 @@ impl CompiledRule {
                 }
                 let kind =
                     kind.as_deref().and_then(AlertKind::parse).unwrap_or(AlertKind::RuleMatch);
-                let mut values = serde_json::Map::new();
-                for (k, v) in env {
-                    values.insert(k.clone(), v.to_json());
+                let subject = match key {
+                    Some(key) => key.to_string(),
+                    None => trigger
+                        .and_then(|event| event.scalar(Field::FileTag)?.text())
+                        .map_or_else(|| self.rule.name.clone(), |tag| tag.to_string()),
+                };
+                let mut named = serde_json::Map::new();
+                for (name, value) in self.program.names().zip(values) {
+                    let number = value.and_then(serde_json::Number::from_f64);
+                    named.insert(name.to_string(), number.map_or(Value::Null, Value::Number));
                 }
-                let values = Value::Object(values);
                 out.push(Alert {
                     seq: 0,
                     detector: "rules",
@@ -511,8 +558,8 @@ impl CompiledRule {
                     window_end_ns: window.map(|(_, e)| e),
                     subject,
                     message: message.clone(),
-                    fields: json!({ "rule": self.rule.name, "values": values }),
-                    evidence: evidence.to_vec(),
+                    fields: json!({ "rule": self.rule.name, "values": Value::Object(named) }),
+                    evidence: trigger.map(|event| event.document()).into_iter().collect(),
                     attribution: None,
                 });
             }
@@ -606,14 +653,14 @@ impl DynDetector for RuleSet {
         self.attribution_rules().iter().map(|s| s.to_string()).collect()
     }
 
-    fn observe(&mut self, doc: &Value, out: &mut Vec<Alert>) {
+    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
         // Sequence atoms advance once per event, shared across rules.
         let atoms =
-            if self.has_stream_rules { self.stream.advance(doc) } else { EventAtoms::default() };
+            if self.has_stream_rules { self.stream.advance(event) } else { EventAtoms::default() };
         for rule in &mut self.rules {
             match rule.rule.trigger {
-                Trigger::Stream => rule.observe_stream(doc, &atoms, out),
-                Trigger::Window { .. } => rule.observe_window(doc),
+                Trigger::Stream => rule.observe_stream(event, &atoms, out),
+                Trigger::Window { .. } => rule.observe_window(event),
             }
         }
     }
@@ -644,6 +691,10 @@ impl DynDetector for RuleSet {
 
     fn open_windows(&self) -> usize {
         self.rules.iter().filter_map(|r| r.windows.as_ref()).map(|w| w.open_count()).sum()
+    }
+
+    fn late_events(&self) -> u64 {
+        self.rules.iter().filter_map(|r| r.windows.as_ref()).map(|w| w.late_events()).sum()
     }
 
     fn reports(&self) -> Vec<Value> {

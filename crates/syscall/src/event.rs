@@ -227,8 +227,9 @@ fn text(s: &str) -> Option<FieldRef<'_>> {
 
 /// The document schema: every field a document can have, in key order, and
 /// where the event keeps it. This is the only place that spells the mapping
-/// out; [`SyscallEvent::from_document`] is its inverse.
-const FIELDS: [(&str, Getter); 16] = [
+/// out; [`SyscallEvent::from_document`] is its inverse, and
+/// [`Field`](crate::Field) numbers its rows.
+pub(crate) const FIELDS: [(&str, Getter); 16] = [
     ("args", |e| Some(FieldRef::Args(e.args_by_name()))),
     ("class", |e| text(e.class.name())),
     ("cpu", |e| uint(e.cpu)),

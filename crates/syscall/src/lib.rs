@@ -23,12 +23,14 @@ mod event;
 mod file_type;
 mod tag;
 mod text;
+mod view;
 
 pub use args::{expected_args, path_arg, Arg, ArgList, ArgRef, ArgValue};
 pub use catalog::{SyscallClass, SyscallKind, SyscallSet};
 pub use event::{FieldRef, NamedArgs, SyscallEvent};
 pub use file_type::FileType;
 pub use tag::{FileTag, TagText};
+pub use view::{EventView, Evidence, Field, Scalar, Text};
 
 /// Process identifier inside the simulated kernel.
 #[derive(

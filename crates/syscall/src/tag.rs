@@ -56,8 +56,8 @@ impl std::fmt::Display for FileTag {
     }
 }
 
-/// A [`FileTag`] rendered (`dev|ino|first_access_ns`) and held inline; it
-/// dereferences to the string.
+/// A [`FileTag`] rendered (`dev|ino|first_access_ns`) — or one number in
+/// decimal — and held inline; it dereferences to the string.
 #[derive(Clone, Copy)]
 pub struct TagText {
     bytes: [u8; Self::MAX],
@@ -67,6 +67,13 @@ pub struct TagText {
 impl TagText {
     /// Three 20-digit numbers and two bars.
     const MAX: usize = 62;
+
+    /// `v` in decimal.
+    pub(crate) fn decimal(v: u64) -> TagText {
+        let mut text = TagText { bytes: [0; TagText::MAX], len: 0 };
+        text.push(crate::text::decimal(v, &mut [0; 20]));
+        text
+    }
 
     fn push(&mut self, part: &[u8]) {
         let len = usize::from(self.len);

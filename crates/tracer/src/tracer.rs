@@ -796,27 +796,26 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
                 parsed_at = now;
             }
             if ctx.profile.is_some() || ctx.tap.is_some() {
-                // The taps still read documents: one is built per event of
-                // the drain, lent to them and dropped. An untapped session
-                // builds none. Pressure is the worse of the two queues
-                // flanking this thread; past a tap's threshold it evaluates
-                // a sample instead of every event, so diagnosis sheds load
-                // rather than slowing the drain (and growing the drops it
-                // exists to observe).
-                let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+                // The taps are lent the drain's events as they are: both
+                // read the typed event, no document is built for them.
+                // Pressure is the worse of the two queues flanking this
+                // thread; past a tap's threshold it evaluates a sample
+                // instead of every event, so diagnosis sheds load rather
+                // than slowing the drain (and growing the drops it exists
+                // to observe).
                 let pressure =
                     pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
                 // The profiler observes *before* the engine: an alert raised
                 // by this very batch is attributed against a transition ring
                 // that already includes the batch's syscalls.
                 if let Some(profile) = &ctx.profile {
-                    profile.miner.observe_batch_with_pressure(&docs, pressure);
+                    profile.miner.observe_batch_with_pressure(&events, pressure);
                     if let Some(sink) = &profile.sink {
                         sink.ship_docs(profile.miner.drain_phase_docs());
                     }
                 }
                 if let Some(tap) = &ctx.tap {
-                    let fresh = tap.engine.observe_batch_with_pressure(&docs, pressure);
+                    let fresh = tap.engine.observe_batch_with_pressure(&events, pressure);
                     if let Some(sink) = &tap.sink {
                         sink.ship(&fresh);
                     }
@@ -1483,5 +1482,72 @@ mod tests {
         assert_eq!(summary.drops_by_stage.get("batch_enqueue"), Some(&20));
         assert_eq!(summary.completed, 0);
         assert_eq!(summary.lag_watermark_ns, 0, "every emitted event retired");
+    }
+
+    /// A tapped consumer lends both taps the drain's typed events and builds
+    /// no document for them: a detector installed in the engine sees every
+    /// event through the typed door, the miner mines every one, and the
+    /// shipper is handed the same events.
+    #[test]
+    fn tapped_consumer_lends_the_taps_typed_events() {
+        use dio_diagnose::{DiagnoseConfig, DynDetector};
+        use dio_profile::ProfileConfig;
+        use dio_syscall::{EventView, Evidence};
+
+        /// Counts what came through which door.
+        struct Doors(Arc<[AtomicU64; 2]>);
+        impl DynDetector for Doors {
+            fn name(&self) -> &str {
+                "doors"
+            }
+            fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) {
+                let door = match event.keep() {
+                    Evidence::Event(_) => 0,
+                    Evidence::Document(_) => 1,
+                };
+                self.0[door].fetch_add(1, Ordering::Relaxed);
+            }
+            fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
+            fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}
+        }
+
+        let k = kernel();
+        let registry = MetricsRegistry::new();
+        let ring = Arc::new(RingBuffer::with_slots(k.num_cpus(), 32));
+        let program = TracerProgram::new(ProgramConfig::default(), Arc::clone(&ring)).unwrap();
+        let probe = k.tracepoints().attach(Arc::clone(&program) as Arc<dyn SyscallProbe>);
+        let t = k.spawn_process("app").spawn_thread("app");
+        for i in 0..20 {
+            t.creat(&format!("/t{i}"), 0o644).unwrap();
+        }
+        k.tracepoints().detach(probe);
+
+        let doors = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        engine.install_detector(Box::new(Doors(Arc::clone(&doors))));
+        let miner = DfgMiner::new(ProfileConfig::default());
+        let ctx = ConsumerCtx {
+            ring,
+            stop: Arc::new(AtomicBool::new(true)),
+            session: Arc::from("tapped"),
+            handoff: Arc::new(Handoff { capacity: 64, in_flight: AtomicUsize::new(0) }),
+            drain_batch: 8,
+            poll_interval: Duration::from_micros(200),
+            flush_interval: Duration::from_millis(100),
+            spans: SpanCollector::new(&registry, 0),
+            telemetry: ConsumerTelemetry::register(&registry),
+            tap: Some(DiagnoseTap { engine: Arc::clone(&engine), sink: None }),
+            profile: Some(ProfileTap { miner: Arc::clone(&miner), sink: None }),
+        };
+        let (tx, rx) = bounded::<Drain>(64);
+        consumer_loop(&ctx, tx);
+
+        let [typed, documents] = [0, 1].map(|door| doors[door].load(Ordering::Relaxed));
+        assert_eq!((typed, documents), (20, 0));
+        assert_eq!(engine.stats().evaluated, 20);
+        assert_eq!(miner.snapshot().events, 20);
+        // The consumer returned, so its sender is gone and `recv` ends.
+        let handed = std::iter::from_fn(|| rx.recv().ok()).map(|drain| drain.events.len());
+        assert_eq!(handed.sum::<usize>(), 20);
     }
 }

@@ -9,17 +9,26 @@
 //! the traced Fig. 2 scenario and Fig. 3-shaped streams, compiled rules
 //! must produce the identical alert sequence — same kinds, severities,
 //! times, and window bounds, in the same order.
+//!
+//! The last part holds the two doors of the taps to one answer: the engine,
+//! the rule sets and the DFG miner fed a stream as typed events and as the
+//! events' documents must tell the same story to the byte.
 
 use proptest::prelude::*;
+
+mod common;
+use common::{arbitrary_event, Draw};
 
 use dio::core::{Dio, DiskProfile, Kernel, Query, SearchRequest, SortOrder, TracerConfig};
 use dio_backend::Index;
 use dio_correlate::{detect_contention, detect_data_loss, ContentionConfig};
 use dio_diagnose::{
     Alert, AlertKind, ContentionDetector, DataLossDetector, DiagnoseConfig, DiagnosisEngine,
-    DynDetector, Severity,
+    DynDetector, EngineStats, Severity,
 };
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
+use dio_profile::{DfgMiner, ProfileConfig};
+use dio_syscall::{EventView, FileTag, SyscallEvent, SyscallKind};
 use serde_json::{json, Value};
 
 // --------------------------------------------------------- data loss
@@ -463,4 +472,208 @@ proptest! {
         let ruled = run_rules(dio_rules::shipped::FIG3_CONTENTION, &docs);
         prop_assert_eq!(spine(&ruled), spine(&hand));
     }
+}
+
+// ------------------------------------------------ two doors, one answer
+
+const SECOND: u64 = 1_000_000_000;
+
+/// A stream that makes every detector and shipped rule fire: arbitrary
+/// events (all 42 kinds, hostile strings, every optional field present or
+/// absent, a third of the returns negative) on a clock that crosses a dozen
+/// one-second windows at an uneven pace — forty events a second, then a
+/// burst of four hundred, then forty again — under thread names that make
+/// every other window contended, with inode-reuse sequences (a new generation
+/// first read at a stale offset, with and without bytes, and from offset 0)
+/// spliced in.
+fn eventful_stream(seed: u64) -> Vec<SyscallEvent> {
+    let mut d = Draw(seed);
+    let mut events = Vec::new();
+    let mut clock = 1 + d.next() % SECOND;
+    let mut stamp = |event: &mut SyscallEvent, d: &mut Draw, step: u64| {
+        clock += 1 + d.next() % step;
+        event.time_enter_ns = clock;
+        event.time_exit_ns = clock + d.next() % 5_000_000;
+    };
+    for (count, step) in [(160, 50_000_000), (400, 2_000_000), (200, 50_000_000)] {
+        for _ in 0..count {
+            let mut event = arbitrary_event(d.next());
+            stamp(&mut event, &mut d, step);
+            // Odd windows are contended: up to eight background threads
+            // busy and the client mostly quiet; even ones the reverse.
+            let contended = !(event.time_enter_ns / SECOND).is_multiple_of(2);
+            let (clients, background, threads) = if contended { (1, 4, 8) } else { (3, 5, 2) };
+            match d.below(6) {
+                n if n < clients => event.comm = "db_bench".into(),
+                n if n < background => {
+                    event.comm = format!("rocksdb:low{}", d.below(threads)).into();
+                }
+                _ => {}
+            }
+            events.push(event);
+            if d.below(40) == 0 {
+                // An inode reused: written, read, recreated, written, and
+                // first read again at 0 or at the stale offset.
+                let (dev, ino, born) = (d.number(), d.number(), d.next() % 1_000);
+                let (stale, ret) = ([0, 26][d.below(2)], [0, 16][d.below(2)]);
+                for (kind, generation, offset, ret) in [
+                    (SyscallKind::Write, 1, 0, 26),
+                    (SyscallKind::Read, 1, 0, 26),
+                    (SyscallKind::Pwrite64, 2, 0, 16),
+                    (SyscallKind::Pread64, 2, stale, ret),
+                ] {
+                    let mut event = SyscallEvent::synthetic(kind);
+                    stamp(&mut event, &mut d, step);
+                    event.comm = d.text().into();
+                    event.tid = dio_syscall::Tid(d.below(3) as u32);
+                    event.ret = ret;
+                    event.offset = Some(offset);
+                    event.file_tag = Some(FileTag::new(dev, ino, born + generation));
+                    event.file_path = (d.below(2) == 0).then(|| d.text().into());
+                    events.push(event);
+                }
+            }
+        }
+    }
+    events
+}
+
+/// Rules beyond the shipped ones, for what those do not touch: keys that
+/// are rendered (`by pid`, `by file`), sliding windows, numbers and tags in
+/// `distinct`, percentiles, `follows`, string operators on a tag.
+const EXTRA_RULES: &str = r#"
+rule busy_file on window(1s) by file
+  when count >= 3 and distinct(syscall) >= 2 then alert(info, "busy file")
+rule busy_pid on window(1s, 500ms) by pid
+  when distinct(tid) >= 2 or distinct(file_tag, file_tag starts_with "0|") >= 1
+  then alert(info, "busy pid") limit 5
+rule slow_tail on window(2s) by proc
+  when p95(latency_ns) > 4ms and count(ret_val < 0) >= 1 then alert(warning, "slow tail")
+rule flush_after_write
+  when follows(write) and syscall in (fsync, fdatasync, pread64) and file_tag > "1"
+  then alert(info, "flush after write") limit 3
+"#;
+
+/// Everything the taps can be asked afterwards.
+#[derive(Debug, PartialEq)]
+struct Told {
+    fresh: Vec<String>,
+    alerts: Vec<String>,
+    finish: Vec<String>,
+    reports: Vec<Value>,
+    stats: EngineStats,
+    validated_restarts: u64,
+    dfg: Value,
+    phases: Vec<Value>,
+}
+
+/// Feeds `batches` through a fresh miner and a fresh engine with the four
+/// shipped rule sets (and [`EXTRA_RULES`]) installed and the miner as its
+/// attributor, in the consumer's order: the miner first.
+fn tell<E: EventView>(rate_key: &str, batches: &[(Vec<E>, f64)]) -> Told {
+    let miner = DfgMiner::new(ProfileConfig::default());
+    let engine = DiagnosisEngine::new(DiagnoseConfig::default().rate_key(rate_key));
+    let sources = dio_rules::shipped::ALL.iter().map(|(_, src)| *src).chain([EXTRA_RULES]);
+    for source in sources {
+        engine.install_detector(Box::new(dio_rules::compile(source).expect("rules verify")));
+    }
+    let attributor = std::sync::Arc::clone(&miner);
+    engine.set_attributor(Box::new(move |alert| {
+        let (start, end) = (alert.window_start_ns, alert.window_end_ns);
+        attributor.attribute(start, end, alert.time_ns, &alert.subject, &[])
+    }));
+    let texts = |alerts: Vec<Alert>| -> Vec<String> {
+        alerts.iter().map(|a| a.to_document().to_string()).collect()
+    };
+    let (mut fresh, mut phases) = (Vec::new(), Vec::new());
+    for (batch, pressure) in batches {
+        miner.observe_batch_with_pressure(batch, *pressure);
+        phases.extend(miner.drain_phase_docs());
+        fresh.extend(texts(engine.observe_batch_with_pressure(batch, *pressure)));
+    }
+    miner.finish();
+    phases.extend(miner.drain_phase_docs());
+    let finish = texts(engine.finish());
+    Told {
+        fresh,
+        alerts: texts(engine.alerts()),
+        finish,
+        reports: engine.dynamic_reports(),
+        stats: engine.stats(),
+        validated_restarts: engine.validated_restarts(),
+        dfg: dio::core::to_json(&miner.snapshot()),
+        phases,
+    }
+}
+
+/// The same stream, cut into the same drains at the same pressures, as
+/// typed events and as their documents.
+fn both_doors(seed: u64) -> (Told, Told) {
+    let mut d = Draw(seed ^ 0xD00D);
+    let mut stream = eventful_stream(seed).into_iter().peekable();
+    let mut typed = Vec::new();
+    while stream.peek().is_some() {
+        let batch: Vec<SyscallEvent> = stream.by_ref().take(1 + d.below(48)).collect();
+        // Every sixth drain, and a few more, arrive past the taps'
+        // degradation threshold.
+        let degraded = typed.len() % 6 == 3 || d.below(12) == 0;
+        typed.push((batch, if degraded { 0.9 } else { 0.0 }));
+    }
+    let loose: Vec<(Vec<Value>, f64)> = typed
+        .iter()
+        .map(|(batch, pressure)| (batch.iter().map(SyscallEvent::to_document).collect(), *pressure))
+        .collect();
+    let rate_key = ["class", "pid", "file_tag", "proc"][d.below(4)];
+    (tell(rate_key, &typed), tell(rate_key, &loose))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Alerts with their evidence and attribution, rule reports, engine
+    /// counters, the mined graphs and the phase documents are the same
+    /// whichever door the events came through.
+    #[test]
+    fn typed_events_and_their_documents_tell_the_same_story(seed in any::<u64>()) {
+        let (typed, loose) = both_doors(seed);
+        prop_assert_eq!(&typed, &loose);
+        prop_assert_eq!(typed.stats.observed, typed.stats.evaluated + typed.stats.sampled_out);
+        prop_assert!(typed.stats.sampled_out > 0, "some drains were degraded");
+        prop_assert!(!typed.alerts.is_empty());
+        prop_assert_eq!(typed.dfg["events"].as_u64(), Some(typed.stats.observed));
+    }
+}
+
+/// The stream of [`eventful_stream`] is not an idle one: on a pinned seed
+/// every built-in detector and every shipped rule file speaks, evidence is
+/// attached, alerts are attributed and phases shift — so the equality above
+/// compares something.
+#[test]
+fn the_two_door_stream_exercises_every_detector() {
+    let (typed, loose) = both_doors(7);
+    assert_eq!(typed, loose);
+    let alerts: Vec<Value> =
+        typed.alerts.iter().map(|text| serde_json::from_str(text).expect("JSON")).collect();
+    let count = |detector: &str, kind: &str| {
+        alerts.iter().filter(|a| a["detector"] == detector && a["alert_kind"] == kind).count()
+    };
+    for kind in ["data_loss", "stale_offset_resume", "error_rate_anomaly", "syscall_rate_anomaly"] {
+        assert!(count("rules", kind) > 0, "no rule raised {kind}");
+    }
+    for (detector, kind) in [
+        ("data_loss", "data_loss"),
+        ("data_loss", "stale_offset_resume"),
+        ("error_rate", "error_rate_anomaly"),
+        ("rate", "syscall_rate_anomaly"),
+        ("contention", "contention_skew"),
+    ] {
+        assert!(count(detector, kind) > 0, "{detector} did not raise {kind}");
+    }
+    assert!(count("rules", "contention_skew") > 0, "fig3 rule silent");
+    assert!(count("rules", "rule_match") > 0, "extra rules silent");
+    assert!(typed.validated_restarts > 0);
+    assert!(alerts.iter().any(|a| a["evidence"].as_array().is_some_and(|e| e.len() == 2)));
+    assert!(alerts.iter().any(|a| a.get("attribution").is_some_and(|a| !a.is_null())));
+    assert!(!typed.phases.is_empty(), "no phase shift");
+    assert!(typed.reports.iter().any(|r| r["suppressed"].as_u64().is_some_and(|n| n > 0)));
 }

@@ -10,7 +10,8 @@
 //! signature access pattern.
 
 use dio_core::{
-    to_dot, to_json, DfgSnapshot, DiagnoseConfig, Dio, ProfileConfig, SyscallKind, TracerConfig,
+    to_dot, to_json, Alert, AlertKind, DfgSnapshot, DiagnoseConfig, Dio, ProfileConfig,
+    SyscallKind, TracerConfig,
 };
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
 
@@ -32,6 +33,25 @@ fn assert_traced_edge(attribution: &serde_json::Value) -> String {
         "attribution backed by observed transitions: {attribution}"
     );
     edge
+}
+
+/// The attributed alerts among `alerts`, each as (the rule that raised it,
+/// its critical edge).
+fn attributed(alerts: &[Alert]) -> Vec<(String, String)> {
+    alerts
+        .iter()
+        .filter_map(|a| {
+            let rule = a.fields["rule"].as_str().unwrap_or(a.detector).to_string();
+            a.attribution.as_ref().map(|attr| (rule, assert_traced_edge(attr)))
+        })
+        .collect()
+}
+
+/// At least one alert of `kind` was raised, and every one is attributed.
+fn assert_attributed(alerts: &[Alert], kind: AlertKind) {
+    let raised: Vec<&Alert> = alerts.iter().filter(|a| a.kind == kind).collect();
+    assert!(!raised.is_empty(), "no {kind} alert among {alerts:?}");
+    assert!(raised.iter().all(|a| a.attribution.is_some()), "a {kind} alert went unattributed");
 }
 
 /// One graph's headline numbers for the JSON result.
@@ -68,13 +88,8 @@ fn main() {
 
     // The buggy tailer's verdicts carry attribution naming a transition
     // between the workload's data-path syscalls.
-    let attributed: Vec<(&str, String)> = fig2
-        .trace
-        .alerts
-        .iter()
-        .filter_map(|a| a.attribution.as_ref().map(|attr| (a.detector, assert_traced_edge(attr))))
-        .collect();
-    assert!(!attributed.is_empty(), "fig2 data-loss alerts must be attributed");
+    let fig2_attributed = attributed(&fig2.trace.alerts);
+    assert_attributed(&fig2.trace.alerts, AlertKind::DataLoss);
 
     // The per-file-tag graphs separate the two /app.log generations the
     // paper's file-tag design distinguishes.
@@ -98,17 +113,9 @@ fn main() {
     let (summary, _backend) = result.dio.expect("dio outputs");
     let fig3_dfg = summary.dfg.expect("profiling enabled");
     assert!(fig3_dfg.transitions > 0, "fig3 run must mine transitions");
-    let fig3_attributed: Vec<(&str, String)> = summary
-        .alerts
-        .iter()
-        .filter_map(|a| a.attribution.as_ref().map(|attr| (a.detector, assert_traced_edge(attr))))
-        .collect();
+    let fig3_attributed = attributed(&summary.alerts);
     if !dio_bench::smoke_mode() {
-        assert!(
-            !fig3_attributed.is_empty(),
-            "fig3 contention alerts must be attributed, alerts: {:?}",
-            summary.alerts
-        );
+        assert_attributed(&summary.alerts, AlertKind::ContentionSkew);
     }
 
     // ------------------------------------------------- exported artifacts
@@ -125,8 +132,8 @@ fn main() {
         fig2_dfg.global.edges.len(),
         fig2_dfg.tags.len(),
     ));
-    for (detector, edge) in &attributed {
-        out.push_str(&format!("  alert {detector} attributed to critical edge {edge}\n"));
+    for (rule, edge) in &fig2_attributed {
+        out.push_str(&format!("  alert {rule} attributed to critical edge {edge}\n"));
     }
     out.push_str(&format!(
         "\nfig3 (rocksdb ycsb-a): {} events, {} transitions, {} edges, {} process graphs\n",
@@ -135,8 +142,8 @@ fn main() {
         fig3_dfg.global.edges.len(),
         fig3_dfg.processes.len(),
     ));
-    for (detector, edge) in &fig3_attributed {
-        out.push_str(&format!("  alert {detector} attributed to critical edge {edge}\n"));
+    for (rule, edge) in &fig3_attributed {
+        out.push_str(&format!("  alert {rule} attributed to critical edge {edge}\n"));
     }
     out.push('\n');
     out.push_str(&dio_viz::render_dfg_panel(&to_json(&fig2_dfg)));
@@ -153,8 +160,8 @@ fn main() {
         }),
         serde_json::json!({
             "fig2": graph_metrics(&fig2_dfg),
-            "fig2_attributed_alerts": attributed.len(),
-            "fig2_critical_edges": attributed.iter().map(|(_, e)| e).collect::<Vec<_>>(),
+            "fig2_attributed_alerts": fig2_attributed.len(),
+            "fig2_critical_edges": fig2_attributed.iter().map(|(_, e)| e).collect::<Vec<_>>(),
             "fig3": graph_metrics(&fig3_dfg),
             "fig3_attributed_alerts": fig3_attributed.len(),
             "fig3_critical_edges": fig3_attributed.iter().map(|(_, e)| e).collect::<Vec<_>>(),
@@ -162,7 +169,7 @@ fn main() {
     );
     println!(
         "\nDFG mining reproduced both case studies: {} fig2 + {} fig3 attributed alerts.",
-        attributed.len(),
+        fig2_attributed.len(),
         fig3_attributed.len()
     );
 }

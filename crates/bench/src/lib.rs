@@ -17,10 +17,20 @@ pub mod rocksdb_run;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Directory where experiment binaries drop their outputs.
+/// Directory where experiment binaries drop their outputs:
+/// `$DIO_RESULTS_DIR` when set; else `results/`, the committed full-mode
+/// artifacts — which a smoke run must not overwrite, so it writes to the
+/// git-ignored `results/smoke/`.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("DIO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    PathBuf::from(dir)
+    results_dir_for(std::env::var("DIO_RESULTS_DIR").ok(), smoke_mode())
+}
+
+fn results_dir_for(explicit: Option<String>, smoke: bool) -> PathBuf {
+    match explicit {
+        Some(dir) => PathBuf::from(dir),
+        None if smoke => PathBuf::from("results/smoke"),
+        None => PathBuf::from("results"),
+    }
 }
 
 /// Writes `content` to `results/<name>`, creating the directory, and
@@ -120,6 +130,15 @@ mod tests {
         let sha = git_commit();
         assert!(!sha.is_empty());
         assert!(sha == "unknown" || sha.chars().all(|c| c.is_ascii_hexdigit()), "{sha}");
+    }
+
+    #[test]
+    fn smoke_runs_write_beside_the_committed_results_not_over_them() {
+        assert_eq!(results_dir_for(None, false), PathBuf::from("results"));
+        assert_eq!(results_dir_for(None, true), PathBuf::from("results/smoke"));
+        for smoke in [false, true] {
+            assert_eq!(results_dir_for(Some("/tmp/x".into()), smoke), PathBuf::from("/tmp/x"));
+        }
     }
 
     #[test]

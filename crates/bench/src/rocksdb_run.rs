@@ -217,9 +217,9 @@ pub fn run_rocksdb(setup: TracingSetup, config: &RocksdbRunConfig) -> RocksdbRun
                 .ring(dio_ebpf::RingConfig::with_bytes_per_cpu(16 * 1024 * 1024))
                 .kernel_costs(costs::dio_enter_ns(), costs::dio_exit_ns());
             if config.diagnose {
-                // Stream the contention detector at the same window width
-                // Fig. 3 uses for its latency plot; the prefix defaults
-                // already name this workload's threads (db_bench clients,
+                // Run the shipped rules at the same window width Fig. 3
+                // uses for its latency plot; the contention rule's text
+                // already names this workload's threads (db_bench clients,
                 // rocksdb:low compactors).
                 tracer_config =
                     tracer_config.diagnose(DiagnoseConfig::default().window_ns(config.window_ns));

@@ -77,7 +77,7 @@ impl AlertKind {
     ///
     /// This is the inverse of [`AlertKind::as_str`]; rule files use it to
     /// map `alert(critical, data_loss, ...)` kind idents onto the typed
-    /// kinds shared with the hand-coded detectors.
+    /// kinds.
     pub fn parse(name: &str) -> Option<AlertKind> {
         Some(match name {
             "data_loss" => AlertKind::DataLoss,
@@ -102,7 +102,8 @@ impl std::fmt::Display for AlertKind {
 pub struct Alert {
     /// Monotonic sequence number within the engine that raised it.
     pub seq: u64,
-    /// Name of the detector that fired (`data_loss`, `contention`, ...).
+    /// Name of the detector that fired (`rules` for a compiled rule set,
+    /// whose `fields.rule` names the rule).
     pub detector: &'static str,
     /// The matched pattern.
     pub kind: AlertKind,
@@ -118,8 +119,8 @@ pub struct Alert {
     pub subject: String,
     /// Human-readable one-line description.
     pub message: String,
-    /// Detector-specific structured payload (mirrors the offline report
-    /// types where one exists, e.g. `DataLossIncident`).
+    /// Detector-specific structured payload (a rule set's `rule` name and
+    /// the `values` its window aggregates read).
     pub fields: Value,
     /// The raw event documents that triggered the detection.
     pub evidence: Vec<Value>,

@@ -1,12 +1,10 @@
-//! Dynamically installed detectors.
+//! The detector interface.
 //!
-//! The built-in detectors are compiled into the engine; [`DynDetector`]
-//! opens the same observe/seal/finish lifecycle to detectors built at
-//! runtime — most prominently rule sets compiled from the `dio-rules`
-//! DSL. A dynamic detector is installed with
-//! [`crate::DiagnosisEngine::install_detector`] and from then on sees
-//! exactly the event stream (and degradation sampling) the hand-coded
-//! detectors see, and publishes into the same alert log.
+//! The engine knows no pattern of its own: everything it diagnoses is a
+//! [`DynDetector`] installed with [`crate::DiagnosisEngine::install_detector`]
+//! — most prominently rule sets compiled from the `dio-rules` DSL. Every
+//! installed detector sees the same event stream (and degradation sampling)
+//! and publishes into the same alert log.
 
 use dio_syscall::EventView;
 use dio_telemetry::MetricsRegistry;
@@ -14,10 +12,9 @@ use serde_json::Value;
 
 use crate::alert::Alert;
 
-/// A detector installed into the [`crate::DiagnosisEngine`] at runtime.
+/// A detector installed into the [`crate::DiagnosisEngine`].
 ///
-/// The engine drives the same lifecycle it drives for the built-in
-/// detectors:
+/// The engine drives its lifecycle:
 ///
 /// 1. [`DynDetector::observe`] for every evaluated event — a typed event
 ///    from the tracer's consumer or a document from any other feed, read
@@ -28,7 +25,7 @@ use crate::alert::Alert;
 /// 3. [`DynDetector::evaluate_all`] once, at end of stream.
 ///
 /// Alerts pushed onto `out` receive their sequence numbers from the
-/// engine and ship through the same sinks as built-in alerts.
+/// engine and ship through its sinks.
 pub trait DynDetector: Send {
     /// Stable name of the detector (used in reports and telemetry).
     fn name(&self) -> &str;

@@ -1,8 +1,9 @@
 //! The windowed event-stream diagnosis engine.
 //!
-//! [`DiagnosisEngine`] owns one instance of every streaming detector and
-//! exposes a batch-oriented ingestion API ([`DiagnosisEngine::observe_batch`])
-//! plus two feeding modes:
+//! [`DiagnosisEngine`] hosts the detectors installed into it
+//! ([`DiagnosisEngine::install_detector`] — compiled rule sets) and exposes
+//! a batch-oriented ingestion API ([`DiagnosisEngine::observe_batch`]) plus
+//! two feeding modes:
 //!
 //! * **in-process tap** — the tracer's consumer thread calls
 //!   [`DiagnosisEngine::observe_batch_with_pressure`] with the typed events
@@ -27,47 +28,23 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dio_backend::Subscription;
-use dio_correlate::ContentionReport;
 use dio_syscall::EventView;
 use dio_telemetry::{Counter, Gauge, MetricsRegistry};
 use parking_lot::Mutex;
 use serde_json::Value;
 
-use crate::alert::{Alert, AlertKind, Severity};
-use crate::detectors::{
-    ContentionDetector, DataLossDetector, ErrorRateDetector, RateDetector, RateKey,
-};
+use crate::alert::Alert;
 use crate::dynamic::DynDetector;
 
-/// Configuration of the live diagnosis engine (all knobs, flat so it
-/// serializes through the tracer's JSON configuration file).
+/// Configuration of the live diagnosis engine (flat so it serializes
+/// through the tracer's JSON configuration file). What a verdict means —
+/// thresholds, keys, prefixes — is rule text, not configuration.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DiagnoseConfig {
-    /// Window width (ns) for every windowed detector. Default 1s, the
-    /// paper's Fig. 4 bucketing.
+    /// The width (ns) the shipped rules' windows are compiled at. Default
+    /// 1s, the paper's Fig. 4 bucketing; a configured rule's width is what
+    /// its text says.
     pub window_ns: u64,
-    /// Window slide (ns) for the rate/error detectors; 0 = tumbling.
-    /// The contention detector always tumbles (date-histogram parity).
-    pub slide_ns: u64,
-    /// Key dimension of the rate/error detectors: `class` (default),
-    /// `pid`, `file_tag` or `proc`.
-    pub rate_key: String,
-    /// Thread-name prefix of foreground/client threads.
-    pub client_prefix: String,
-    /// Thread-name prefix of background threads.
-    pub background_prefix: String,
-    /// Background threads that must be active to call a window contended.
-    pub background_threshold: usize,
-    /// Rate spike/collapse factor versus the trailing baseline.
-    pub rate_factor: f64,
-    /// Minimum ops/window before a rate verdict may fire.
-    pub rate_min_ops: u64,
-    /// Trailing windows forming the rate baseline (warm-up guard).
-    pub rate_baseline_windows: usize,
-    /// Failing fraction at which a window raises an error-rate alert.
-    pub error_rate_threshold: f64,
-    /// Minimum ops/window before an error-rate verdict may fire.
-    pub error_min_ops: u64,
     /// Pipeline pressure (0..1) beyond which evaluation degrades to
     /// sampling.
     pub degrade_pressure: f64,
@@ -84,16 +61,6 @@ impl Default for DiagnoseConfig {
     fn default() -> Self {
         DiagnoseConfig {
             window_ns: 1_000_000_000,
-            slide_ns: 0,
-            rate_key: "class".to_string(),
-            client_prefix: "db_bench".to_string(),
-            background_prefix: "rocksdb:low".to_string(),
-            background_threshold: 5,
-            rate_factor: 4.0,
-            rate_min_ops: 100,
-            rate_baseline_windows: 3,
-            error_rate_threshold: 0.25,
-            error_min_ops: 20,
             degrade_pressure: 0.75,
             degraded_sample_every: 16,
             active_ttl_ns: 5_000_000_000,
@@ -103,38 +70,9 @@ impl Default for DiagnoseConfig {
 }
 
 impl DiagnoseConfig {
-    /// Sets the window width (ns).
+    /// Sets the shipped rules' window width (ns).
     pub fn window_ns(mut self, ns: u64) -> Self {
         self.window_ns = ns.max(1);
-        self
-    }
-
-    /// Sets the window slide (ns); 0 = tumbling.
-    pub fn slide_ns(mut self, ns: u64) -> Self {
-        self.slide_ns = ns;
-        self
-    }
-
-    /// Sets the rate/error key dimension (`class`/`pid`/`file_tag`/`proc`).
-    pub fn rate_key(mut self, key: impl Into<String>) -> Self {
-        self.rate_key = key.into();
-        self
-    }
-
-    /// Sets the contention thread-name prefixes.
-    pub fn contention_prefixes(
-        mut self,
-        client: impl Into<String>,
-        background: impl Into<String>,
-    ) -> Self {
-        self.client_prefix = client.into();
-        self.background_prefix = background.into();
-        self
-    }
-
-    /// Sets the contended-window background-thread threshold.
-    pub fn background_threshold(mut self, n: usize) -> Self {
-        self.background_threshold = n;
         self
     }
 
@@ -173,11 +111,7 @@ pub struct EngineStats {
 }
 
 struct EngineInner {
-    data_loss: DataLossDetector,
-    contention: ContentionDetector,
-    rate: RateDetector,
-    error_rate: ErrorRateDetector,
-    /// Detectors installed at runtime (compiled rule sets).
+    /// The installed detectors (compiled rule sets), in installation order.
     dynamic: Vec<Box<dyn DynDetector>>,
     /// Rule names that opted into DFG attribution (`attribution on`).
     attribution_rules: std::collections::BTreeSet<String>,
@@ -193,10 +127,7 @@ struct EngineInner {
 impl EngineInner {
     /// Late events summed over every window router of the engine.
     fn late_events(&self) -> u64 {
-        self.contention.late_events()
-            + self.rate.late_events()
-            + self.error_rate.late_events()
-            + self.dynamic.iter().map(|d| d.late_events()).sum::<u64>()
+        self.dynamic.iter().map(|d| d.late_events()).sum()
     }
 }
 
@@ -247,34 +178,11 @@ impl std::fmt::Debug for DiagnosisEngine {
 }
 
 impl DiagnosisEngine {
-    /// Builds an engine with every detector configured from `config`.
+    /// Builds an engine with nothing installed: it raises what the
+    /// detectors given to [`DiagnosisEngine::install_detector`] raise.
     pub fn new(config: DiagnoseConfig) -> Arc<Self> {
-        let key = RateKey::parse(&config.rate_key);
         Arc::new(DiagnosisEngine {
             inner: Mutex::new(EngineInner {
-                data_loss: DataLossDetector::default(),
-                contention: ContentionDetector::new(
-                    config.window_ns,
-                    config.client_prefix.clone(),
-                    config.background_prefix.clone(),
-                    config.background_threshold,
-                ),
-                rate: RateDetector::new(
-                    config.window_ns,
-                    config.slide_ns,
-                    key,
-                    config.rate_factor,
-                    config.rate_min_ops,
-                    config.rate_baseline_windows,
-                ),
-                error_rate: ErrorRateDetector::new(
-                    config.window_ns,
-                    config.slide_ns,
-                    key,
-                    config.error_rate_threshold,
-                    config.error_min_ops,
-                    config.evidence_limit,
-                ),
                 dynamic: Vec::new(),
                 attribution_rules: Default::default(),
                 alerts: Vec::new(),
@@ -302,8 +210,7 @@ impl DiagnosisEngine {
         &self.config
     }
 
-    /// Installs a runtime-built detector (e.g. a compiled `dio-rules`
-    /// rule set) alongside the built-in ones.
+    /// Installs a detector (e.g. a compiled `dio-rules` rule set).
     ///
     /// Install **before** [`DiagnosisEngine::bind_telemetry`] so the
     /// detector's own counters (`diagnose.rule.*`) register with the
@@ -316,16 +223,16 @@ impl DiagnosisEngine {
     }
 
     /// Installs the attribution callback (at most once; later calls are
-    /// ignored). When present, every alert a built-in detector raises is
-    /// decorated with its result before being stored or returned; alerts
-    /// from the `rules` detector are decorated only when their rule opted
-    /// in via `attribution on` (see [`DynDetector::attribution_optins`]).
+    /// ignored). When present, an alert whose `fields.rule` names a rule
+    /// that opted in via `attribution on` (see
+    /// [`DynDetector::attribution_optins`]) is decorated with its result
+    /// before being stored or returned.
     pub fn set_attributor(&self, attributor: Attributor) {
         let _ = self.attributor.set(attributor);
     }
 
-    /// Per-unit status reports of every installed dynamic detector
-    /// (one JSON object per rule), in installation order.
+    /// Per-unit status reports of every installed detector (one JSON
+    /// object per rule), in installation order.
     pub fn dynamic_reports(&self) -> Vec<Value> {
         let inner = self.inner.lock();
         inner.dynamic.iter().flat_map(|d| d.reports()).collect()
@@ -333,7 +240,7 @@ impl DiagnosisEngine {
 
     /// Registers the `diagnose.*` counters and gauges with a session
     /// registry so degradation and alert activity ship with the health
-    /// documents. Also binds every dynamic detector installed so far.
+    /// documents. Also binds every detector installed so far.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
         for detector in self.inner.lock().dynamic.iter_mut() {
             detector.bind_telemetry(registry);
@@ -404,23 +311,15 @@ impl DiagnosisEngine {
                     }
                 }
                 evaluated += 1;
-                inner.data_loss.observe(event, &mut fresh);
-                inner.contention.observe(event);
-                inner.rate.observe(event);
-                inner.error_rate.observe(event);
                 for detector in inner.dynamic.iter_mut() {
                     detector.observe(event, &mut fresh);
                 }
                 // An event counts as late once, however many routers
-                // refused it; the windowless data-loss state machine above
-                // saw it all the same.
+                // refused it; windowless stream rules saw it all the same.
                 let late_now = inner.late_events();
                 late += u64::from(late_now > late_so_far);
                 late_so_far = late_now;
             }
-            inner.contention.evaluate_ready(&mut fresh);
-            inner.rate.evaluate_ready(&mut fresh);
-            inner.error_rate.evaluate_ready(&mut fresh);
             for detector in inner.dynamic.iter_mut() {
                 detector.evaluate_ready(&mut fresh);
             }
@@ -451,46 +350,8 @@ impl DiagnosisEngine {
             return fresh;
         }
         inner.finished = true;
-        inner.contention.evaluate_all(&mut fresh);
-        inner.rate.evaluate_all(&mut fresh);
-        inner.error_rate.evaluate_all(&mut fresh);
         for detector in inner.dynamic.iter_mut() {
             detector.evaluate_all(&mut fresh);
-        }
-        // Retrospective safety net: per-window streaming alerts compare
-        // against the calm mean *so far*, which can miss a dip whose calm
-        // baseline only materialized later. The full-trace report applies
-        // the offline verdict.
-        if !inner.contention.alerted() {
-            let report = inner.contention.report();
-            if report.contention_detected() {
-                let time = self.last_event_ns.load(Ordering::Relaxed);
-                fresh.push(Alert {
-                    seq: 0,
-                    detector: "contention",
-                    kind: AlertKind::ContentionSkew,
-                    severity: Severity::Warning,
-                    time_ns: time,
-                    window_start_ns: None,
-                    window_end_ns: None,
-                    subject: format!("{}*", self.config.client_prefix),
-                    message: format!(
-                        "full-trace contention verdict: client throughput fell from {:.1} to \
-                         {:.1} op(s)/window across {} contended window(s)",
-                        report.client_ops_calm,
-                        report.client_ops_contended,
-                        report.contended_windows().count()
-                    ),
-                    fields: serde_json::json!({
-                        "client_ops_calm": report.client_ops_calm,
-                        "client_ops_contended": report.client_ops_contended,
-                        "contended_windows": report.contended_windows().count(),
-                        "degradation_factor": report.degradation_factor(),
-                    }),
-                    evidence: Vec::new(),
-                    attribution: None,
-                });
-            }
         }
         let time = self.last_event_ns.load(Ordering::Relaxed);
         self.commit(&mut inner, &mut fresh, time);
@@ -509,14 +370,13 @@ impl DiagnosisEngine {
                 alert.seq = inner.alerts.len() as u64;
                 alert.evidence.truncate(self.config.evidence_limit);
                 // Decorate before cloning so the stored, shipped, and
-                // returned copies all carry the same attribution. Rule
-                // alerts only get one when their rule opted in.
+                // returned copies all carry the same attribution — an
+                // alert gets one when its rule opted in.
                 if alert.attribution.is_none() {
                     if let Some(attribute) = attributor {
-                        let wants = alert.detector != "rules"
-                            || alert.fields["rule"]
-                                .as_str()
-                                .is_some_and(|rule| inner.attribution_rules.contains(rule));
+                        let wants = alert.fields["rule"]
+                            .as_str()
+                            .is_some_and(|rule| inner.attribution_rules.contains(rule));
                         if wants {
                             alert.attribution = attribute(alert);
                         }
@@ -544,13 +404,8 @@ impl DiagnosisEngine {
         }
         if let Some(t) = self.telemetry.get() {
             t.active_alerts.set(inner.active_until.len() as u64);
-            t.open_windows.set(
-                (inner.contention.open_windows()
-                    + inner.rate.open_windows()
-                    + inner.error_rate.open_windows()
-                    + inner.dynamic.iter().map(|d| d.open_windows()).sum::<usize>())
-                    as u64,
-            );
+            t.open_windows
+                .set(inner.dynamic.iter().map(|d| d.open_windows()).sum::<usize>() as u64);
         }
     }
 
@@ -588,17 +443,6 @@ impl DiagnosisEngine {
             alerts_raised: self.inner.lock().alerts.len() as u64,
             missed_batches: self.missed_batches.load(Ordering::Relaxed),
         }
-    }
-
-    /// The streaming contention detector's full-trace report (offline
-    /// parity; meaningful after [`DiagnosisEngine::finish`]).
-    pub fn contention_summary(&self) -> ContentionReport {
-        self.inner.lock().contention.report()
-    }
-
-    /// Clean-restart validations observed by the data-loss detector.
-    pub fn validated_restarts(&self) -> u64 {
-        self.inner.lock().data_loss.validated_restarts()
     }
 
     /// Consumes a backend [`Subscription`] on a dedicated thread: each
@@ -676,6 +520,9 @@ impl Drop for SubscriptionHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alert::{AlertKind, Severity};
+    use crate::window::SlidingWindows;
+    use dio_syscall::Field;
     use serde_json::json;
 
     fn ev(time: u64, proc: &str, syscall: &str, ret: i64, tag: &str, offset: u64) -> Value {
@@ -695,9 +542,51 @@ mod tests {
         ]
     }
 
+    fn alert(detector: &'static str, kind: AlertKind, time_ns: u64, rule: &str) -> Alert {
+        Alert {
+            seq: 0,
+            detector,
+            kind,
+            severity: Severity::Info,
+            time_ns,
+            window_start_ns: None,
+            window_end_ns: None,
+            subject: rule.into(),
+            message: format!("rule {rule} matched"),
+            fields: json!({"rule": rule}),
+            evidence: Vec::new(),
+            attribution: None,
+        }
+    }
+
+    /// Stands in for a stream rule: a read of nothing at an offset past 0
+    /// is `data_loss`, raised as the event is observed.
+    struct StaleReads;
+    impl DynDetector for StaleReads {
+        fn name(&self) -> &str {
+            "rules"
+        }
+        fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+            if event.ret_val() == Some(0) && event.uint(Field::Offset).is_some_and(|o| o > 0) {
+                out.push(alert("rules", AlertKind::DataLoss, event.time(), "data_loss"));
+            }
+        }
+        fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
+        fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}
+        fn attribution_optins(&self) -> Vec<String> {
+            vec!["data_loss".to_string()]
+        }
+    }
+
+    fn engine_with_stale_reads(config: DiagnoseConfig) -> Arc<DiagnosisEngine> {
+        let engine = DiagnosisEngine::new(config);
+        engine.install_detector(Box::new(StaleReads));
+        engine
+    }
+
     #[test]
-    fn engine_raises_data_loss_immediately() {
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+    fn engine_raises_a_stream_alert_immediately() {
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
         let fresh = engine.observe_batch(&buggy_batch());
         assert!(fresh.iter().any(|a| a.kind == AlertKind::DataLoss), "got {fresh:?}");
         let stats = engine.stats();
@@ -708,11 +597,20 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_are_assigned_in_order() {
+    fn an_engine_with_nothing_installed_counts_and_raises_nothing() {
         let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        assert!(engine.observe_batch(&buggy_batch()).is_empty());
+        assert!(engine.finish().is_empty());
+        assert_eq!((engine.stats().evaluated, engine.stats().alerts_raised), (5, 0));
+    }
+
+    #[test]
+    fn sequence_numbers_are_assigned_in_order() {
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
         engine.observe_batch(&buggy_batch());
         engine.finish();
         let alerts = engine.alerts();
+        assert_eq!(alerts.len(), 2);
         for (i, a) in alerts.iter().enumerate() {
             assert_eq!(a.seq, i as u64);
         }
@@ -748,7 +646,7 @@ mod tests {
 
     #[test]
     fn finish_is_idempotent_and_drain_unshipped_clears() {
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
         engine.observe_batch(&buggy_batch());
         engine.finish();
         let shipped = engine.drain_unshipped();
@@ -760,7 +658,7 @@ mod tests {
     #[test]
     fn active_alerts_expire_with_event_time() {
         let config = DiagnoseConfig { active_ttl_ns: 100, ..Default::default() };
-        let engine = DiagnosisEngine::new(config);
+        let engine = engine_with_stale_reads(config);
         engine.observe_batch(&buggy_batch());
         assert_eq!(engine.active_alerts().len(), engine.alerts().len());
         // Advance the event-time clock far beyond the TTL.
@@ -772,7 +670,7 @@ mod tests {
     #[test]
     fn subscriber_thread_feeds_the_engine_from_the_backend() {
         let store = dio_backend::DocStore::new();
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
         let handle = engine.spawn_subscriber(store.subscribe("dio-live"));
         store.bulk("dio-live", buggy_batch());
         // Wait for the consumer to pick the batch up.
@@ -791,7 +689,6 @@ mod tests {
     fn dynamic_detector_runs_the_full_lifecycle() {
         struct Probe {
             seen: u64,
-            finished: bool,
         }
         impl DynDetector for Probe {
             fn name(&self) -> &str {
@@ -802,29 +699,17 @@ mod tests {
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
-                self.finished = true;
-                out.push(Alert {
-                    seq: 0,
-                    detector: "rule",
-                    kind: AlertKind::RuleMatch,
-                    severity: Severity::Info,
-                    time_ns: 9,
-                    window_start_ns: None,
-                    window_end_ns: None,
-                    subject: "probe".into(),
-                    message: format!("saw {} events", self.seen),
-                    fields: json!({"seen": self.seen}),
-                    evidence: Vec::new(),
-                    attribution: None,
-                });
+                let mut seen = alert("rule", AlertKind::RuleMatch, 9, "probe");
+                seen.message = format!("saw {} events", self.seen);
+                out.push(seen);
             }
             fn reports(&self) -> Vec<Value> {
                 vec![json!({"rule": "probe", "seen": self.seen})]
             }
         }
 
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
-        engine.install_detector(Box::new(Probe { seen: 0, finished: false }));
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
+        engine.install_detector(Box::new(Probe { seen: 0 }));
         engine.observe_batch(&buggy_batch());
         let fresh = engine.finish();
         assert!(fresh
@@ -833,8 +718,8 @@ mod tests {
         let reports = engine.dynamic_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0]["seen"], 5);
-        // The dynamic alert went through commit: it has a real sequence
-        // number and shows up in the shared alert log.
+        // The end-of-stream alert went through commit: it has a real
+        // sequence number and shows up in the shared alert log.
         let alerts = engine.alerts();
         assert!(alerts.iter().any(|a| a.kind == AlertKind::RuleMatch));
         for (i, a) in alerts.iter().enumerate() {
@@ -843,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn attributor_decorates_builtin_alerts_and_opted_in_rules_only() {
+    fn attributor_decorates_opted_in_rules_only() {
         struct RulePair;
         impl DynDetector for RulePair {
             fn name(&self) -> &str {
@@ -852,29 +737,14 @@ mod tests {
             fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) {}
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
-                for rule in ["opted", "plain"] {
-                    out.push(Alert {
-                        seq: 0,
-                        detector: "rules",
-                        kind: AlertKind::RuleMatch,
-                        severity: Severity::Info,
-                        time_ns: 9,
-                        window_start_ns: None,
-                        window_end_ns: None,
-                        subject: rule.into(),
-                        message: format!("rule {rule} matched"),
-                        fields: json!({"rule": rule}),
-                        evidence: Vec::new(),
-                        attribution: None,
-                    });
-                }
+                out.extend(["opted", "plain"].map(|r| alert("rules", AlertKind::RuleMatch, 9, r)));
             }
             fn attribution_optins(&self) -> Vec<String> {
                 vec!["opted".to_string()]
             }
         }
 
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        let engine = engine_with_stale_reads(DiagnoseConfig::default());
         engine.install_detector(Box::new(RulePair));
         engine.set_attributor(Box::new(|alert| {
             Some(json!({"edge": "write->fsync", "for": alert.subject}))
@@ -883,7 +753,7 @@ mod tests {
         engine.finish();
         let alerts = engine.alerts();
         let data_loss = alerts.iter().find(|a| a.kind == AlertKind::DataLoss).unwrap();
-        assert!(data_loss.attribution.is_some(), "built-ins always attribute");
+        assert!(data_loss.attribution.is_some(), "another set's opted-in rule");
         let opted = alerts.iter().find(|a| a.subject == "opted").unwrap();
         assert_eq!(opted.attribution.as_ref().unwrap()["for"], "opted");
         let plain = alerts.iter().find(|a| a.subject == "plain").unwrap();
@@ -894,6 +764,42 @@ mod tests {
         assert_eq!(shipped_loss.attribution, data_loss.attribution);
     }
 
+    /// Stands in for a window rule: one alert per sealed tumbling window
+    /// that held at least two events, named after the detector.
+    struct Busy(&'static str, SlidingWindows<u64>);
+    impl Busy {
+        fn seal(&self, sealed: Vec<(u64, u64)>, out: &mut Vec<Alert>) {
+            let width = self.1.width_ns();
+            for (start, _) in sealed.into_iter().filter(|&(_, ops)| ops >= 2) {
+                let mut busy = alert(self.0, AlertKind::ErrorRateAnomaly, start + width, self.0);
+                (busy.window_start_ns, busy.window_end_ns) = (Some(start), Some(start + width));
+                out.push(busy);
+            }
+        }
+    }
+    impl DynDetector for Busy {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) {
+            self.1.observe(event.time(), |ops| *ops += 1);
+        }
+        fn evaluate_ready(&mut self, out: &mut Vec<Alert>) {
+            let sealed = self.1.drain_ready();
+            self.seal(sealed, out);
+        }
+        fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
+            let sealed = self.1.drain_all();
+            self.seal(sealed, out);
+        }
+        fn open_windows(&self) -> usize {
+            self.1.open_count()
+        }
+        fn late_events(&self) -> u64 {
+            self.1.late_events()
+        }
+    }
+
     /// The order a round-robin drain hands over after a stall: five
     /// windows' worth waiting in two per-CPU queues, one event per window
     /// in the sparse one, a hundred in the dense one. The sparse queue runs
@@ -902,8 +808,10 @@ mod tests {
     #[test]
     fn late_events_of_an_uneven_round_robin_drain_are_counted_and_seal_nothing_twice() {
         let w = 1_000u64;
-        let config = DiagnoseConfig { window_ns: w, error_min_ops: 2, ..Default::default() };
-        let engine = DiagnosisEngine::new(config);
+        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+        for name in ["a", "b", "c"] {
+            engine.install_detector(Box::new(Busy(name, SlidingWindows::new(w, 0))));
+        }
         let registry = MetricsRegistry::new();
         engine.bind_telemetry(&registry);
         let ev = |time: u64, proc: &str| {
@@ -937,7 +845,7 @@ mod tests {
         let alerts = engine.alerts();
         let windows: Vec<_> = alerts
             .iter()
-            .filter(|a| a.kind == AlertKind::ErrorRateAnomaly)
+            .filter(|a| a.detector == "a")
             .map(|a| a.window_start_ns.unwrap())
             .collect();
         assert_eq!(windows, [0, 3 * w, 4 * w], "every window that filled alerts once");
@@ -946,6 +854,7 @@ mod tests {
             let window = (a.detector, a.window_start_ns, a.subject.as_str());
             assert!(sealed.insert(window), "evaluated twice: {a:?}");
         }
+        assert_eq!(sealed.len(), 9);
     }
 
     /// The active gauge is kept by expiry, not by rescanning the log: it
@@ -960,21 +869,9 @@ mod tests {
             }
             fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
                 let t = event.time();
-                out.push(Alert {
-                    seq: 0,
-                    detector: "noisy",
-                    kind: AlertKind::RuleMatch,
-                    severity: Severity::Info,
-                    // Up to 60 ns behind or 30 ns ahead of the event.
-                    time_ns: (t + (t * 7) % 90).saturating_sub(60),
-                    window_start_ns: None,
-                    window_end_ns: None,
-                    subject: "noisy".into(),
-                    message: String::new(),
-                    fields: Value::Null,
-                    evidence: Vec::new(),
-                    attribution: None,
-                });
+                // Up to 60 ns behind or 30 ns ahead of the event.
+                let time_ns = (t + (t * 7) % 90).saturating_sub(60);
+                out.push(alert("noisy", AlertKind::RuleMatch, time_ns, "noisy"));
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}
@@ -1001,7 +898,7 @@ mod tests {
 
     #[test]
     fn config_json_roundtrip() {
-        let config = DiagnoseConfig::default().window_ns(250_000_000).background_threshold(3);
+        let config = DiagnoseConfig::default().window_ns(250_000_000).degraded_sample_every(3);
         let json = serde_json::to_string(&config).unwrap();
         let parsed: DiagnoseConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, config);

@@ -1,12 +1,11 @@
 //! Compilation of verified rule files onto the streaming engine.
 //!
 //! A [`RuleSet`] implements [`DynDetector`]: installed into the
-//! `DiagnosisEngine` it sees exactly the event stream the hand-coded
-//! detectors see and publishes the same typed [`Alert`] documents.
-//! Stream rules evaluate per event over shared [`StreamState`]; window
-//! rules compile their aggregates into per-window accumulators on the
-//! same [`SlidingWindows`] machinery (and therefore the same watermark
-//! and sealing semantics) as the built-in detectors.
+//! `DiagnosisEngine` it sees the session's event stream and publishes
+//! typed [`Alert`] documents. Stream rules evaluate per event over shared
+//! [`StreamState`]; window rules compile their aggregates into per-window
+//! accumulators on [`SlidingWindows`] (its watermark and sealing
+//! semantics are theirs).
 //!
 //! Compiling resolves every name a rule mentions — event fields, stream
 //! atoms, aggregates — to a slot ([`Node`]), and the set reads events
@@ -367,10 +366,21 @@ struct CompiledRule {
     /// Window start → key value → accumulators (window rules only).
     windows: Option<SlidingWindows<BTreeMap<String, Vec<AggAcc>>>>,
     posts: Vec<Post>,
+    /// What a `mean_when` rule that has not matched yet keeps of its sealed
+    /// windows for [`CompiledRule::judge_retained`]; `None` for any other
+    /// rule, and from the first match on.
+    retained: Option<VecDeque<SealedWindow>>,
     stats: RuleStats,
     fired_counter: Option<Arc<Counter>>,
     suppressed_counter: Option<Arc<Counter>>,
 }
+
+/// A sealed window as it was judged: start, key, its aggregates' values.
+type SealedWindow = (u64, String, Vec<Option<f64>>);
+
+/// Sealed windows a silent `mean_when` rule keeps for its end-of-stream
+/// pass; beyond it the oldest go.
+pub(crate) const MAX_RETAINED_WINDOWS: usize = 1_024;
 
 impl CompiledRule {
     fn new(rule: Rule) -> CompiledRule {
@@ -400,13 +410,15 @@ impl CompiledRule {
                 };
                 Post { inner: slot(inner), kind, state: BTreeMap::new() }
             })
-            .collect();
+            .collect::<Vec<Post>>();
+        let has_mean = posts.iter().any(|post| matches!(post.kind, PostKind::MeanWhen(_)));
         CompiledRule {
             when,
             key: rule.key.map(|dim| dim.field()),
             rule,
             program,
             windows,
+            retained: has_mean.then(VecDeque::new),
             posts,
             stats: RuleStats::default(),
             fired_counter: None,
@@ -422,8 +434,8 @@ impl CompiledRule {
     }
 
     fn observe_window(&mut self, event: &dyn EventView) {
-        // An event without the key field is skipped, matching the
-        // hand-coded detectors; an unkeyed rule has the one key "".
+        // An event without the key field is skipped; an unkeyed rule has
+        // the one key "".
         let key = match self.key {
             Some(field) => match event.scalar(field).and_then(Scalar::key) {
                 Some(key) => key,
@@ -433,7 +445,7 @@ impl CompiledRule {
         };
         let Some(windows) = &mut self.windows else { return };
         let program = &self.program;
-        // Missing timestamps bucket at 0, matching the built-in detectors.
+        // Missing timestamps bucket at 0.
         windows.observe(event.time(), |keys| {
             let accs = match keys.get_mut(&*key) {
                 Some(accs) => accs,
@@ -469,8 +481,8 @@ impl CompiledRule {
             }
             // 3. Evaluate the predicate in window scope.
             if eval(&self.when, Scope::Window(&values)).is_true() {
-                let subject = (!key.is_empty()).then_some(key.as_str());
-                self.fire(subject, start + width, Some((start, start + width)), &values, None, out);
+                self.retained = None;
+                self.fire_window(start, &key, &values, out);
             }
             // 4. Update derived-aggregate state *after* evaluation, so a
             //    window never contributes to its own baseline.
@@ -493,7 +505,41 @@ impl CompiledRule {
                     }
                 }
             }
+            // 5. A `mean_when` rule still waiting for its first match keeps
+            //    the window for its end-of-stream pass.
+            if let Some(retained) = &mut self.retained {
+                if retained.len() == MAX_RETAINED_WINDOWS {
+                    retained.pop_front();
+                }
+                retained.push_back((start, key, values));
+            }
         }
+    }
+
+    /// The end-of-stream pass of a `mean_when` rule that stayed silent: a
+    /// streaming mean knows only the windows before the one it judges, so a
+    /// dip whose calm baseline came later (or after an empty warm-up window
+    /// had put a 0 into it) is missed. Each retained window is judged once
+    /// more with every `mean_when` read from the whole stream, and fires
+    /// with its own bounds.
+    fn judge_retained(&mut self, out: &mut Vec<Alert>) {
+        for (start, key, mut values) in self.retained.take().into_iter().flatten() {
+            for (slot, post) in (self.program.aggs.len()..).zip(&self.posts) {
+                if matches!(post.kind, PostKind::MeanWhen(_)) {
+                    let state = post.state.get(&key).filter(|s| s.n > 0);
+                    values[slot] = state.map(|s| s.sum / s.n as f64);
+                }
+            }
+            if eval(&self.when, Scope::Window(&values)).is_true() {
+                self.fire_window(start, &key, &values, out);
+            }
+        }
+    }
+
+    fn fire_window(&mut self, start: u64, key: &str, values: &[Option<f64>], out: &mut Vec<Alert>) {
+        let end = start + self.width_ns();
+        let subject = (!key.is_empty()).then_some(key);
+        self.fire(subject, end, Some((start, end)), values, None, out);
     }
 
     fn observe_stream(&mut self, event: &dyn EventView, atoms: &EventAtoms, out: &mut Vec<Alert>) {
@@ -686,6 +732,7 @@ impl DynDetector for RuleSet {
             for (start, keys) in remaining {
                 rule.seal(start, keys, out);
             }
+            rule.judge_retained(out);
         }
     }
 
@@ -734,6 +781,12 @@ mod tests {
         d
     }
 
+    /// The shipped file `name`, its windows 1 µs wide.
+    fn shipped_at_1us(name: &str) -> RuleSet {
+        let at = crate::shipped::ALL.iter().position(|(n, _)| *n == name).expect("shipped");
+        crate::shipped::compile_all(1_000).swap_remove(at)
+    }
+
     fn run(set: &mut RuleSet, docs: &[Value]) -> Vec<Alert> {
         let mut out = Vec::new();
         for d in docs {
@@ -773,6 +826,71 @@ mod tests {
         assert_eq!(alerts[0].time_ns, 10);
         assert_eq!(alerts[0].evidence.len(), 1);
         assert_eq!(alerts[0].fields["rule"], "slow");
+
+        // The shipped Fig. 2 rules: `(time, proc, syscall, ret, generation, offset)`.
+        let fig2 = |events: &[(u64, &str, &str, i64, u64, u64)]| {
+            let docs: Vec<Value> = events
+                .iter()
+                .map(|&(t, proc_name, syscall, ret_val, generation, offset)| {
+                    let file_tag = format!("1|5|{generation}00");
+                    doc(
+                        t,
+                        syscall,
+                        json!({"proc_name": proc_name, "ret_val": ret_val,
+                                           "file_tag": file_tag, "offset": offset}),
+                    )
+                })
+                .collect();
+            let mut set = compile(crate::shipped::FIG2_DATA_LOSS).unwrap();
+            let alerts = run(&mut set, &docs);
+            (alerts, set.reports()[2]["records"].as_u64())
+        };
+        // A tailer polling EOF on a file's first generation is benign.
+        let (alerts, restarts) = fig2(&[
+            (1, "app", "write", 10, 1, 0),
+            (2, "tailer", "read", 10, 1, 0),
+            (3, "tailer", "read", 0, 1, 10),
+        ]);
+        assert!(alerts.is_empty() && restarts == Some(0), "{alerts:?}");
+        // The Fig. 2a sequence fires on the stale read, and carries it.
+        let (alerts, _) = fig2(&[
+            (1, "app", "write", 26, 1, 0),
+            (2, "fluent-bit", "read", 26, 1, 0),
+            (3, "fluent-bit", "read", 0, 1, 26),
+            (4, "app", "write", 16, 2, 0),
+            (5, "fluent-bit", "read", 0, 2, 26),
+        ]);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!((alerts[0].kind, alerts[0].severity), (AlertKind::DataLoss, Severity::Critical));
+        assert_eq!((alerts[0].time_ns, alerts[0].subject.as_str()), (5, "1|5|200"));
+        assert_eq!(
+            alerts[0].evidence,
+            [json!({
+                "syscall": "read", "class": "data", "pid": 10, "tid": 10, "proc_name": "fluent-bit",
+                "time": 5, "ret_val": 0, "file_tag": "1|5|200", "offset": 26,
+            })]
+        );
+        // A stale resume that still finds bytes is a warning; the fixed
+        // tailer's restart from 0 is recorded, not alerted.
+        let (alerts, _) = fig2(&[
+            (1, "app", "write", 30, 1, 0),
+            (2, "tailer", "read", 30, 1, 0),
+            (3, "app", "write", 30, 2, 0),
+            (4, "tailer", "read", 20, 2, 10),
+        ]);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(
+            (alerts[0].kind, alerts[0].severity),
+            (AlertKind::StaleOffsetResume, Severity::Warning)
+        );
+        let (alerts, restarts) = fig2(&[
+            (1, "app", "write", 26, 1, 0),
+            (2, "flb-pipeline", "read", 26, 1, 0),
+            (3, "app", "write", 16, 2, 0),
+            (4, "flb-pipeline", "read", 16, 2, 0),
+            (5, "flb-pipeline", "read", 0, 2, 16),
+        ]);
+        assert!(alerts.is_empty() && restarts == Some(1), "{alerts:?}");
     }
 
     #[test]
@@ -814,6 +932,65 @@ mod tests {
         assert_eq!(alerts[0].kind, AlertKind::SyscallRateAnomaly);
         assert_eq!(alerts[0].window_start_ns, Some(2_000));
         assert_eq!(alerts[0].fields["values"]["baseline(count, 2)"], 2.0);
+
+        // The shipped rate rules (factor 4, a full 3-window baseline, 100
+        // ops/window floor), their windows 1 µs wide.
+        let rate = |ops_per_window: &[u64]| {
+            let mut set = shipped_at_1us("rate_anomaly");
+            let windows = (0u64..).zip(ops_per_window);
+            let docs: Vec<Value> = windows
+                .flat_map(|(w, &ops)| (0..ops).map(move |i| doc(w * 1_000 + i, "read", json!({}))))
+                .collect();
+            run(&mut set, &docs)
+        };
+        // 600 ops after one window of history is no verdict; after three
+        // it is a spike, and 10 ops against three of 120 a collapse.
+        let alerts = rate(&[120, 600, 120, 120, 120, 600, 120, 120, 120, 10, 120]);
+        let verdicts: Vec<_> = alerts
+            .iter()
+            .map(|a| (a.fields["rule"].as_str().unwrap(), a.severity, a.window_start_ns.unwrap()))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [("rate_spike", Severity::Warning, 5_000), ("rate_collapse", Severity::Info, 9_000)]
+        );
+        assert!(alerts
+            .iter()
+            .all(|a| a.kind == AlertKind::SyscallRateAnomaly && a.subject == "data"));
+        assert_eq!(alerts[0].fields["values"]["baseline(count, 3)"], 120.0);
+        // Under the floor a 25-fold jump and the fall back from it are silent.
+        let alerts = rate(&[2, 2, 2, 50, 2, 2, 2]);
+        assert!(alerts.is_empty(), "the floor keeps tiny traces silent: {alerts:?}");
+    }
+
+    /// A burst for a window that was sealed long ago is counted late and
+    /// leaves the key's baseline — and so the verdicts that follow — as it
+    /// was: no ghost window, no false collapse now, the true spike later.
+    #[test]
+    fn a_late_burst_leaves_the_rate_baseline_unchanged() {
+        let run = |late_burst: bool| {
+            let mut set = shipped_at_1us("rate_anomaly");
+            let mut out = Vec::new();
+            for win in 0..10u64 {
+                for i in 0..if win == 8 { 600 } else { 120 } {
+                    set.observe(&doc(win * 1_000 + i, "read", json!({})), &mut out);
+                }
+                if late_burst && win == 5 {
+                    for i in 0..2 {
+                        set.observe(&doc(1_500 + i, "read", json!({})), &mut out);
+                    }
+                }
+                set.evaluate_ready(&mut out);
+            }
+            set.evaluate_all(&mut out);
+            (out, set.late_events())
+        };
+        let (alerts, late) = run(true);
+        assert_eq!(late, 4, "two events, refused by the routers of both rules");
+        assert_eq!(alerts.len(), 1, "a ghost window of 2 ops would be a collapse: {alerts:?}");
+        assert_eq!(alerts[0].fields["rule"], "rate_spike");
+        assert_eq!(alerts[0].window_start_ns, Some(8_000));
+        assert_eq!((alerts, 0), run(false));
     }
 
     #[test]
@@ -901,6 +1078,124 @@ mod tests {
         }
         let alerts = run(&mut set, &docs);
         assert_eq!(alerts.len(), 1);
+
+        // The shipped error-rate rule (a quarter failing, 20 ops/window
+        // floor): `(ops, failures)` per 1 µs window. Half of 40 failing
+        // alerts, with the numbers behind the verdict; 19 of 19 is under
+        // the floor and 9 of 40 under the threshold.
+        let mut set = shipped_at_1us("error_rate");
+        let windows = (0u64..).zip([(40u64, 20u64), (19, 19), (40, 9), (20, 5)]);
+        let docs: Vec<Value> = windows
+            .flat_map(|(w, (ops, failures))| {
+                (0..ops).map(move |i| {
+                    let ret_val = if i < failures { -5 } else { 1 };
+                    doc(w * 1_000 + i, "read", json!({"ret_val": ret_val}))
+                })
+            })
+            .collect();
+        let alerts = run(&mut set, &docs);
+        let flagged: Vec<_> = alerts.iter().map(|a| a.window_start_ns.unwrap()).collect();
+        assert_eq!(flagged, [0, 3_000], "{alerts:?}");
+        assert_eq!(alerts[0].kind, AlertKind::ErrorRateAnomaly);
+        assert_eq!(alerts[0].fields["values"], json!({"count": 40.0, "error_fraction": 0.5}));
+        assert_eq!(alerts[1].fields["values"], json!({"count": 20.0, "error_fraction": 0.25}));
+    }
+
+    /// A Fig. 3-shaped stream for the shipped contention rule at 1 µs:
+    /// `(client ops, background threads)` per window, one op per thread.
+    fn contention_docs(windows: &[(u64, u64)]) -> Vec<Value> {
+        let named = |t: u64, name: String| doc(t, "pread64", json!({"proc_name": name}));
+        (0u64..)
+            .zip(windows)
+            .flat_map(|(w, &(clients, background))| {
+                let clients = (0..clients).map(move |i| named(w * 1_000 + i, "db_bench".into()));
+                let background = (0..background)
+                    .map(move |t| named(w * 1_000 + 500 + t, format!("rocksdb:low{t}")));
+                clients.chain(background)
+            })
+            .collect()
+    }
+
+    /// A streaming `mean_when` knows only the windows before the one it
+    /// judges. A rule it kept silent is judged again at end of stream
+    /// against the mean of the whole stream, and fires per window.
+    #[test]
+    fn a_silent_mean_when_rule_is_judged_again_at_end_of_stream() {
+        for (stream, flagged) in [
+            // The dips first, their calm baseline after.
+            (vec![(3, 6), (2, 5), (8, 2), (8, 1)], vec![0, 1_000]),
+            // A warm-up window without a client op puts a 0 into the calm
+            // mean: (0 + 8 + 8) / 3 is above 3 only once the stream ended.
+            (vec![(0, 1), (3, 6), (8, 2), (8, 2)], vec![1_000]),
+            // Never calm, or never below the calm mean: silent both times.
+            (vec![(3, 6), (2, 5)], vec![]),
+            (vec![(3, 2), (9, 6), (4, 1)], vec![]),
+        ] {
+            let mut set = shipped_at_1us("fig3_contention");
+            let mut out = Vec::new();
+            for event in contention_docs(&stream) {
+                set.observe(&event, &mut out);
+                set.evaluate_ready(&mut out);
+            }
+            assert!(out.is_empty(), "silent while streaming: {out:?}");
+            set.evaluate_all(&mut out);
+            let windows: Vec<_> = out
+                .iter()
+                .map(|a| (a.window_start_ns.unwrap(), a.window_end_ns.unwrap()))
+                .collect();
+            let expected: Vec<_> = flagged.iter().map(|&start| (start, start + 1_000)).collect();
+            assert_eq!(windows, expected, "{stream:?}");
+            assert!(out.iter().all(|a| a.time_ns == a.window_end_ns.unwrap()));
+            if let Some(alert) = out.first() {
+                let calm = stream.iter().filter(|w| w.1 < 5).map(|w| w.0 as f64);
+                let mean = calm.clone().sum::<f64>() / calm.count() as f64;
+                let values = alert.fields["values"].as_object().unwrap();
+                let (_, read) =
+                    values.iter().find(|(name, _)| name.starts_with("mean_when(")).unwrap();
+                assert_eq!(read.as_f64(), Some(mean), "the whole stream's calm mean");
+            }
+            // The pass runs once: the windows are gone with it.
+            set.evaluate_all(&mut out);
+            assert_eq!(out.len(), flagged.len(), "a second end of stream raises nothing new");
+            assert_eq!(set.reports()[0]["fired"], flagged.len());
+        }
+    }
+
+    #[test]
+    fn a_rule_that_matched_while_streaming_gets_no_second_pass() {
+        // Calm at 8, a dip to 3 that fires, then a contended window at 9:
+        // above the calm mean so far (8), below the whole stream's (14).
+        let mut set = shipped_at_1us("fig3_contention");
+        assert!(set.rules[0].retained.is_some(), "a mean_when rule starts out retaining");
+        let alerts = run(&mut set, &contention_docs(&[(8, 1), (3, 6), (9, 6), (20, 1), (20, 1)]));
+        let windows: Vec<_> = alerts.iter().map(|a| a.window_start_ns.unwrap()).collect();
+        assert_eq!(windows, [1_000], "{alerts:?}");
+        assert!(set.rules[0].retained.is_none(), "nothing is kept after the first match");
+        // A rule without `mean_when` never retains.
+        let spike =
+            compile("rule r on window(1us) when count > 3 then alert(info, \"r\")").unwrap();
+        assert!(spike.rules[0].retained.is_none());
+    }
+
+    #[test]
+    fn retention_of_sealed_windows_is_bounded() {
+        let mut set = shipped_at_1us("fig3_contention");
+        let mut out = Vec::new();
+        let windows = MAX_RETAINED_WINDOWS as u64 + 76;
+        for w in 0..windows {
+            set.observe(&doc(w * 1_000, "pread64", json!({"proc_name": "db_bench"})), &mut out);
+            set.evaluate_ready(&mut out);
+        }
+        let retained = set.rules[0].retained.as_ref().expect("silent so far");
+        assert_eq!(retained.len(), MAX_RETAINED_WINDOWS);
+        let newest_sealed = (windows - 3) * 1_000;
+        assert_eq!(
+            retained.back().map(|(start, ..)| *start),
+            Some(newest_sealed),
+            "the newest stay"
+        );
+        set.evaluate_all(&mut out);
+        assert!(out.is_empty() && set.rules[0].retained.is_none());
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub struct EventAtoms {
 
 /// Shared sequence state across all stream rules of a rule set.
 ///
-/// Mirrors the bookkeeping of the hand-coded `DataLossDetector`:
+/// The streaming form of `dio_correlate::detect_data_loss`'s bookkeeping:
 /// generations are registered per `(dev, ino)` pair for the four
 /// data-path calls carrying a parseable `file_tag`, and first reads are
 /// tracked per tag. Everything is keyed by values that copy — the tag, the
@@ -321,7 +321,7 @@ pub struct StreamState {
 impl StreamState {
     /// Computes this event's atom values, then folds the event into the
     /// sequence state (atoms describe the stream *up to and including*
-    /// this event, matching the hand-coded detector's evaluation point).
+    /// this event).
     pub fn advance(&mut self, event: &dyn EventView) -> EventAtoms {
         let kind = event.kind();
         let mut atoms = EventAtoms::default();

@@ -30,8 +30,7 @@
 //!    ([`RuleCheck`] lists all thirteen checks);
 //! 3. [`compile()`] — only a file with no rejecting diagnostic becomes a
 //!    [`RuleSet`], a `DynDetector` that installs into the
-//!    `DiagnosisEngine` and emits the same typed `Alert` documents as the
-//!    hand-coded detectors.
+//!    `DiagnosisEngine` and emits typed `Alert` documents.
 //!
 //! At runtime predicates evaluate in Kleene's strong three-valued logic
 //! (a missing field is *unknown*, and only a definitely-true predicate
@@ -79,7 +78,13 @@ pub fn reference_markdown() -> String {
     out.push_str("\n**Window aggregates** (`on window` rules only): ");
     let aggs: Vec<String> = catalog::AGGREGATES.iter().map(|&(n, _)| format!("`{n}`")).collect();
     out.push_str(&aggs.join(", "));
-    out.push_str(".\n\n**Static checks** (reject = the file never reaches the engine):\n\n");
+    out.push_str(&format!(
+        ".\n\nA rule that reads `mean_when` and has matched nothing by end of stream has its \
+         sealed windows (the newest {}) judged once more, `mean_when` taken over the whole \
+         stream; each match fires with its window's bounds.\n",
+        compile::MAX_RETAINED_WINDOWS
+    ));
+    out.push_str("\n**Static checks** (reject = the file never reaches the engine):\n\n");
     out.push_str("| check | level | flags |\n|---|---|---|\n");
     for check in RuleCheck::ALL {
         out.push_str(&format!(

@@ -30,7 +30,7 @@ pub use catalog::{SyscallClass, SyscallKind, SyscallSet};
 pub use event::{FieldRef, NamedArgs, SyscallEvent};
 pub use file_type::FileType;
 pub use tag::{FileTag, TagText};
-pub use view::{EventView, Evidence, Field, Scalar, Text};
+pub use view::{EventView, Field, Scalar, Text};
 
 /// Process identifier inside the simulated kernel.
 #[derive(

@@ -177,42 +177,15 @@ impl std::ops::Deref for Text<'_> {
     }
 }
 
-/// An observed event kept beyond the call that lent it (the evidence of an
-/// alert that may fire later): the event itself, which costs no heap, or a
-/// copy of the document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Evidence {
-    /// Kept through the typed door.
-    Event(SyscallEvent),
-    /// Kept through the document door.
-    Document(Value),
-}
-
-impl Evidence {
-    /// The document an alert carries: built now from a kept event — the
-    /// bytes `to_document()` would have given when it was observed — or the
-    /// copy that was kept.
-    pub fn into_document(self) -> Value {
-        match self {
-            Evidence::Event(event) => event.to_document(),
-            Evidence::Document(doc) => doc,
-        }
-    }
-}
-
 /// An observed event: see the module documentation.
 pub trait EventView {
     /// The document field `field`, when the event has it and it is a number,
     /// a string or a boolean.
     fn scalar(&self, field: Field) -> Option<Scalar<'_>>;
 
-    /// Keeps the event beyond this call.
-    fn keep(&self) -> Evidence;
-
-    /// The event's document.
-    fn document(&self) -> Value {
-        self.keep().into_document()
-    }
+    /// The event's document, built (or copied) when an alert carries the
+    /// event as evidence.
+    fn document(&self) -> Value;
 
     /// `field` as a non-negative integer.
     fn uint(&self, field: Field) -> Option<u64> {
@@ -258,10 +231,6 @@ impl EventView for SyscallEvent {
         }
     }
 
-    fn keep(&self) -> Evidence {
-        Evidence::Event(self.clone())
-    }
-
     fn document(&self) -> Value {
         self.to_document()
     }
@@ -299,8 +268,8 @@ impl EventView for Value {
         }
     }
 
-    fn keep(&self) -> Evidence {
-        Evidence::Document(self.clone())
+    fn document(&self) -> Value {
+        self.clone()
     }
 }
 
@@ -364,7 +333,7 @@ mod tests {
         assert_eq!(typed.str(Field::FileTag), None, "a tag is text, not a lent string");
         assert_eq!(loose.str(Field::FileTag), Some("7340032|12|42"));
         assert_eq!(typed.document(), doc);
-        assert_eq!(typed.keep().into_document(), loose.keep().into_document());
+        assert_eq!(loose.document(), doc);
     }
 
     #[test]

@@ -251,7 +251,9 @@ impl TracerConfig {
 
     /// Enables live diagnosis: the consumer thread feeds every parsed
     /// event batch to an in-process [`dio_diagnose::DiagnosisEngine`]
-    /// configured by `config`, raising alerts *during* the trace (see
+    /// running the shipped rule files (`dio_rules::shipped::ALL`: Fig. 2
+    /// data loss, Fig. 3 contention, rate and error-rate anomalies) at
+    /// `config`'s window width, raising alerts *during* the trace (see
     /// [`crate::Tracer::diagnosis`]). Off by default.
     pub fn diagnose(mut self, config: DiagnoseConfig) -> Self {
         self.diagnose = Some(config);
@@ -264,9 +266,8 @@ impl TracerConfig {
     /// by `config`, mining directly-follows graphs *during* the trace
     /// (see [`crate::Tracer::profiler`]). When live diagnosis is also
     /// enabled, the miner is installed as the engine's attributor: every
-    /// built-in alert — and every rule alert whose rule says
-    /// `attribution on` — gets a critical-path `attribution` block.
-    /// Off by default.
+    /// alert whose rule says `attribution on` — the shipped alerting rules
+    /// all do — gets a critical-path `attribution` block. Off by default.
     pub fn profile(mut self, config: ProfileConfig) -> Self {
         self.profile = Some(config);
         self
@@ -277,21 +278,19 @@ impl TracerConfig {
     /// The sources are compiled — and statically verified — when the
     /// tracer attaches; a file the verifier rejects fails
     /// [`crate::Tracer::try_attach`] with the rule diagnostics, before
-    /// any tracepoint is enabled. Configuring rules without
-    /// [`TracerConfig::diagnose`] enables live diagnosis with the
-    /// default [`DiagnoseConfig`].
+    /// any tracepoint is enabled. The rules run beside the shipped ones;
+    /// configuring rules without [`TracerConfig::diagnose`] enables live
+    /// diagnosis with the default [`DiagnoseConfig`].
     pub fn rules_source(mut self, src: impl Into<String>) -> Self {
         self.rules.push(src.into());
         self
     }
 
-    /// Appends every rule file shipped with the tracer
-    /// (`dio_rules::shipped::ALL`: the Fig. 2 / Fig. 3 detectors plus
-    /// the rate and error-rate anomaly rules).
+    /// Enables live diagnosis with the default [`DiagnoseConfig`] unless
+    /// [`TracerConfig::diagnose`] already configured it: every diagnosed
+    /// session runs the shipped rule files, so this adds nothing to one.
     pub fn shipped_rules(mut self) -> Self {
-        for &(_, src) in dio_rules::shipped::ALL {
-            self.rules.push(src.to_string());
-        }
+        self.diagnose.get_or_insert_with(DiagnoseConfig::default);
         self
     }
 
@@ -445,9 +444,35 @@ mod tests {
         let config = TracerConfig::new("rules")
             .rules_source("rule r when offset > 0 then record(\"r\")")
             .shipped_rules();
-        assert_eq!(config.rule_sources().len(), 1 + dio_rules::shipped::ALL.len());
+        assert_eq!(config.rule_sources().len(), 1, "the shipped files are no configured source");
+        assert_eq!(config.diagnose_config(), Some(DiagnoseConfig::default()));
         let parsed = TracerConfig::from_json(&config.to_json()).unwrap();
         assert_eq!(parsed.rule_sources(), config.rule_sources());
+        let narrow = DiagnoseConfig::default().window_ns(250_000_000);
+        let kept = TracerConfig::new("rules").diagnose(narrow.clone()).shipped_rules();
+        assert_eq!(kept.diagnose_config(), Some(narrow), "an explicit configuration stays");
+    }
+
+    /// A configuration file written before the detectors' thresholds moved
+    /// into rule text still loads: the ten keys that went are ignored.
+    #[test]
+    fn a_configuration_with_the_removed_diagnose_keys_still_loads() {
+        let json = TracerConfig::new("old")
+            .diagnose(DiagnoseConfig::default().window_ns(250_000_000))
+            .to_json()
+            .replace(
+                "\"window_ns\"",
+                "\"slide_ns\": 0, \"rate_key\": \"pid\", \"client_prefix\": \"db_bench\", \
+                 \"background_prefix\": \"rocksdb:low\", \"background_threshold\": 5, \
+                 \"rate_factor\": 4.0, \"rate_min_ops\": 100, \"rate_baseline_windows\": 3, \
+                 \"error_rate_threshold\": 0.25, \"error_min_ops\": 20, \"window_ns\"",
+            );
+        assert!(json.contains("rate_baseline_windows"), "{json}");
+        let parsed = TracerConfig::from_json(&json).unwrap();
+        assert_eq!(
+            parsed.diagnose_config(),
+            Some(DiagnoseConfig::default().window_ns(250_000_000))
+        );
     }
 
     #[test]

@@ -9,10 +9,11 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender}
 use serde_json::{json, Value};
 
 use dio_backend::DocStore;
-use dio_diagnose::{Alert, DiagnosisEngine, EngineStats};
+use dio_diagnose::{Alert, DiagnoseConfig, DiagnosisEngine, EngineStats};
 use dio_ebpf::{ProgramConfig, RawEvent, RingBuffer, RingStats, TracerProgram};
 use dio_kernel::{Kernel, ProbeId, SyscallProbe};
 use dio_profile::DfgMiner;
+use dio_rules::RuleSet;
 use dio_syscall::SyscallEvent;
 use dio_telemetry::span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps};
 use dio_telemetry::{
@@ -81,6 +82,36 @@ impl From<VerifyError> for AttachError {
     fn from(err: VerifyError) -> Self {
         AttachError::Filter(err)
     }
+}
+
+/// The engine of a diagnosed session: the shipped rule files
+/// (`rules/*.dio`), their windows [`DiagnoseConfig::window_ns`] wide, then
+/// the session's `configured` sets — a custom rule adds to the shipped
+/// verdicts, it never replaces them.
+pub fn diagnosis_engine(config: DiagnoseConfig, configured: Vec<RuleSet>) -> Arc<DiagnosisEngine> {
+    let shipped = dio_rules::shipped::compile_all(config.window_ns);
+    let engine = DiagnosisEngine::new(config);
+    for set in shipped.into_iter().chain(configured) {
+        engine.install_detector(Box::new(set));
+    }
+    engine
+}
+
+/// Makes `miner` the engine's attributor: each committed alert of a rule
+/// with `attribution on` gets the critical directly-follows edge over its
+/// window plus the overlapping flight-recorder spans.
+pub fn attribute_with(engine: &DiagnosisEngine, miner: &Arc<DfgMiner>) {
+    let miner = Arc::clone(miner);
+    engine.set_attributor(Box::new(move |alert| {
+        let spans = trace::recorder().snapshot();
+        miner.attribute(
+            alert.window_start_ns,
+            alert.window_end_ns,
+            alert.time_ns,
+            &alert.subject,
+            &spans,
+        )
+    }));
 }
 
 /// Summary of a finished tracing session.
@@ -383,17 +414,15 @@ impl Tracer {
         // Live diagnosis (off by default): the consumer thread taps every
         // parsed batch into the engine, so alerts rise while the trace
         // runs — no backend round-trip involved. Configured rules imply
-        // diagnosis even without an explicit DiagnoseConfig; rule sets
-        // install before telemetry binds so their per-rule counters
-        // (`diagnose.rule.*`) register with the session registry.
+        // diagnosis even without an explicit DiagnoseConfig, and add to the
+        // shipped ones; rule sets install before telemetry binds so their
+        // per-rule counters (`diagnose.rule.*`) register with the session
+        // registry.
         let diagnose_config = config
             .diagnose_config()
-            .or_else(|| (!rule_sets.is_empty()).then(dio_diagnose::DiagnoseConfig::default));
+            .or_else(|| (!rule_sets.is_empty()).then(DiagnoseConfig::default));
         let engine = diagnose_config.map(|diagnose| {
-            let engine = DiagnosisEngine::new(diagnose);
-            for set in rule_sets {
-                engine.install_detector(Box::new(set));
-            }
+            let engine = diagnosis_engine(diagnose, rule_sets);
             engine.bind_telemetry(&registry);
             engine
         });
@@ -406,27 +435,15 @@ impl Tracer {
 
         // Streaming DFG profiling (off by default): the consumer feeds the
         // miner the same parsed batches at the same pressure signal the
-        // diagnosis tap sees. With diagnosis also on, the miner becomes the
-        // engine's attributor: each committed alert (built-in, or a rule
-        // with `attribution on`) gets the critical directly-follows edge
-        // over its window plus the overlapping flight-recorder spans.
+        // diagnosis tap sees, and with diagnosis also on the miner becomes
+        // the engine's attributor.
         let profiler = config.profile_config().map(|profile| {
             let miner = DfgMiner::new(profile);
             miner.bind_telemetry(&registry);
             miner
         });
         if let (Some(engine), Some(miner)) = (&engine, &profiler) {
-            let miner = Arc::clone(miner);
-            engine.set_attributor(Box::new(move |alert| {
-                let spans = trace::recorder().snapshot();
-                miner.attribute(
-                    alert.window_start_ns,
-                    alert.window_end_ns,
-                    alert.time_ns,
-                    &alert.subject,
-                    &spans,
-                )
-            }));
+            attribute_with(engine, miner);
         }
         let phase_sink = profiler.as_ref().and_then(|_| telemetry_sink.clone());
 
@@ -1492,7 +1509,7 @@ mod tests {
     fn tapped_consumer_lends_the_taps_typed_events() {
         use dio_diagnose::{DiagnoseConfig, DynDetector};
         use dio_profile::ProfileConfig;
-        use dio_syscall::{EventView, Evidence};
+        use dio_syscall::{EventView, Field, Scalar};
 
         /// Counts what came through which door.
         struct Doors(Arc<[AtomicU64; 2]>);
@@ -1501,9 +1518,11 @@ mod tests {
                 "doors"
             }
             fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) {
-                let door = match event.keep() {
-                    Evidence::Event(_) => 0,
-                    Evidence::Document(_) => 1,
+                // Only a typed event holds its tag as a tag; a document
+                // spells it as a string.
+                let door = match event.scalar(Field::FileTag) {
+                    Some(Scalar::Tag(_)) => 0,
+                    _ => 1,
                 };
                 self.0[door].fetch_add(1, Ordering::Relaxed);
             }

@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
-use dio::core::{to_json, DfgMiner, DiagnoseConfig, Dio, ProfileConfig, SyscallKind, TracerConfig};
+use dio::core::{
+    to_json, AlertKind, DfgMiner, DiagnoseConfig, Dio, ProfileConfig, SyscallKind, TracerConfig,
+};
 use dio_bench::rocksdb_run::{run_rocksdb, RocksdbRunConfig, TracingSetup};
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
 
@@ -147,7 +149,7 @@ fn fig2_data_loss_alert_carries_dfg_attribution() {
     let report = session.stop();
 
     let data_loss: Vec<_> =
-        report.trace.alerts.iter().filter(|a| a.detector == "data_loss").collect();
+        report.trace.alerts.iter().filter(|a| a.kind == AlertKind::DataLoss).collect();
     assert!(!data_loss.is_empty(), "buggy tailer must raise data loss: {:?}", report.trace.alerts);
     for alert in data_loss {
         let attribution = alert.attribution.as_ref().expect("data-loss alert attributed");
@@ -181,7 +183,8 @@ fn fig3_contention_alerts_carry_dfg_attribution() {
     let result = run_rocksdb(TracingSetup::Dio, &config);
     let (summary, _backend) = result.dio.expect("dio outputs");
 
-    let contention: Vec<_> = summary.alerts.iter().filter(|a| a.detector == "contention").collect();
+    let contention: Vec<_> =
+        summary.alerts.iter().filter(|a| a.kind == AlertKind::ContentionSkew).collect();
     assert!(!contention.is_empty(), "compaction must contend: {:?}", summary.alerts);
     for alert in contention {
         let attribution = alert.attribution.as_ref().expect("contention alert attributed");

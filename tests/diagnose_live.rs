@@ -5,9 +5,7 @@
 
 use std::time::Duration;
 
-use dio::core::{
-    DiagnoseConfig, DiagnosisEngine, Dio, DiskProfile, Kernel, RingConfig, TracerConfig,
-};
+use dio::core::{DiagnoseConfig, Dio, DiskProfile, Kernel, RingConfig, TracerConfig};
 
 fn fast_kernel() -> Kernel {
     Kernel::builder().root_disk(DiskProfile::instant()).build()
@@ -97,7 +95,7 @@ fn backend_subscription_feeds_engine_without_tracer_tap() {
     // Subscribe BEFORE the session starts so no batch is missed; note no
     // `.diagnose(..)` on the tracer — this is the out-of-process setup.
     let subscription = dio.backend().subscribe("dio-subfed");
-    let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
     let handle = engine.spawn_subscriber(subscription);
 
     let session = dio.trace(TracerConfig::new("subfed"));

@@ -1,18 +1,16 @@
-//! Parity between the streaming detectors in `dio-diagnose` and the
-//! offline algorithms in `dio-correlate`: fed the same event set (with
-//! the streaming window sized so nothing is cut off), both must reach
-//! the same verdicts — the live engine is an *incremental port*, not a
-//! different analysis.
-//!
-//! The second half holds the shipped `.dio` rule files to the same
-//! standard against the *hand-coded* detectors they re-express: over
-//! the traced Fig. 2 scenario and Fig. 3-shaped streams, compiled rules
-//! must produce the identical alert sequence — same kinds, severities,
-//! times, and window bounds, in the same order.
+//! Parity between the live detectors — the shipped `rules/*.dio`, the only
+//! implementation a diagnosed session runs — and the offline algorithms in
+//! `dio-correlate`, the oracle: fed the same event set, the rules must flag
+//! what the oracle flags. Fig. 2: one `data_loss` alert per
+//! [`detect_data_loss`] incident, on the read the incident names. Fig. 3:
+//! `contention_skew` on exactly the windows a reference fold over
+//! [`detect_contention`]'s windows selects.
 //!
 //! The last part holds the two doors of the taps to one answer: the engine,
 //! the rule sets and the DFG miner fed a stream as typed events and as the
 //! events' documents must tell the same story to the byte.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -21,15 +19,25 @@ use common::{arbitrary_event, Draw};
 
 use dio::core::{Dio, DiskProfile, Kernel, Query, SearchRequest, SortOrder, TracerConfig};
 use dio_backend::Index;
-use dio_correlate::{detect_contention, detect_data_loss, ContentionConfig};
-use dio_diagnose::{
-    Alert, AlertKind, ContentionDetector, DataLossDetector, DiagnoseConfig, DiagnosisEngine,
-    DynDetector, EngineStats, Severity,
-};
+use dio_correlate::{detect_contention, detect_data_loss, ContentionConfig, DataLossIncident};
+use dio_diagnose::{Alert, AlertKind, DiagnoseConfig, DynDetector, EngineStats, Severity};
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
 use dio_profile::{DfgMiner, ProfileConfig};
+use dio_rules::{shipped, RuleSet};
 use dio_syscall::{EventView, FileTag, SyscallEvent, SyscallKind};
 use serde_json::{json, Value};
+
+/// Runs a rule set over a finished document stream, sealing after every
+/// event as a drain of one would.
+fn run_rules(mut set: RuleSet, docs: &[Value]) -> (Vec<Alert>, RuleSet) {
+    let mut out = Vec::new();
+    for doc in docs {
+        set.observe(doc, &mut out);
+        set.evaluate_ready(&mut out);
+    }
+    set.evaluate_all(&mut out);
+    (out, set)
+}
 
 // --------------------------------------------------------- data loss
 
@@ -84,61 +92,63 @@ fn data_loss_docs(files: &[Vec<GenSpec>]) -> Vec<Value> {
     docs
 }
 
-fn data_loss_alerts(alerts: &[Alert]) -> Vec<&Alert> {
-    alerts.iter().filter(|a| a.kind == AlertKind::DataLoss).collect()
+/// `rules/fig2_data_loss.dio` over `docs`: its `data_loss` alerts, which must
+/// be the oracle's `incidents`, one each and in order — raised on the read
+/// the incident names (its offset, tag and reader are the evidence event's).
+/// `bytes_at_risk` is the oracle's enrichment; the rule does not compute it.
+fn assert_data_loss_matches(docs: &[Value], incidents: &[DataLossIncident]) -> Vec<Alert> {
+    let (alerts, _) = run_rules(dio_rules::compile(shipped::FIG2_DATA_LOSS).unwrap(), docs);
+    let losses: Vec<&Alert> = alerts.iter().filter(|a| a.kind == AlertKind::DataLoss).collect();
+    assert_eq!(losses.len(), incidents.len(), "offline {incidents:?} vs live {alerts:?}");
+    for (alert, incident) in losses.iter().zip(incidents) {
+        assert_eq!((alert.severity, alert.detector), (Severity::Critical, "rules"));
+        assert_eq!(alert.fields["rule"], "data_loss");
+        assert_eq!(alert.subject, incident.tag.to_string());
+        let [read] = &alert.evidence[..] else { panic!("one evidence event: {alert:?}") };
+        assert_eq!(read["time"].as_u64(), Some(alert.time_ns));
+        assert_eq!(read["offset"].as_u64(), Some(incident.stale_offset));
+        assert_eq!(read["file_tag"].as_str(), Some(incident.tag.to_string().as_str()));
+        assert_eq!(read["proc_name"].as_str(), Some(incident.reader.as_str()));
+    }
+    alerts
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Streaming [`DataLossDetector`] == offline [`detect_data_loss`]:
-    /// same incident count, and per incident the same stale offset,
-    /// bytes at risk, and reader.
+    /// The shipped Fig. 2 rules == offline [`detect_data_loss`]: same
+    /// incident count, and per incident the same stale offset, tag and
+    /// reader.
     #[test]
     fn streaming_data_loss_matches_offline(
         files in proptest::collection::vec(
             proptest::collection::vec(gen_spec(), 1..4), 1..3)
     ) {
         let docs = data_loss_docs(&files);
-
         let index = Index::new("dio-parity");
         index.bulk(docs.clone());
-        let offline = detect_data_loss(&index);
-
-        let mut det = DataLossDetector::default();
-        let mut alerts = Vec::new();
-        for doc in &docs {
-            det.observe(doc, &mut alerts);
-        }
-        let streamed = data_loss_alerts(&alerts);
-
-        prop_assert_eq!(streamed.len(), offline.len(),
-            "incident counts diverge: offline {:?} vs streamed {:?}", offline, alerts);
-        for (alert, incident) in streamed.iter().zip(&offline) {
-            prop_assert_eq!(alert.fields["stale_offset"].as_u64(), Some(incident.stale_offset));
-            prop_assert_eq!(alert.fields["bytes_at_risk"].as_u64(), Some(incident.bytes_at_risk));
-            prop_assert_eq!(alert.fields["reader"].as_str().unwrap_or(""), incident.reader.as_str());
-            prop_assert_eq!(alert.fields["tag"].as_str().map(str::to_string),
-                Some(incident.tag.to_string()));
-        }
+        assert_data_loss_matches(&docs, &detect_data_loss(&index));
     }
 }
 
 // -------------------------------------------------------- contention
 
 /// One Fig. 4 window: client ops plus background compaction threads.
-/// `None` = a silent window (exercises the gap-fill path both
-/// implementations must apply identically).
+/// `None` = a silent window (the oracle gap-fills it, the stream never
+/// opens it).
 fn window_spec() -> impl Strategy<Value = Option<(u8, u8, u8)>> {
     prop_oneof![Just(None), (0..12u8, 0..8u8, 1..5u8).prop_map(Some)]
 }
 
 const WINDOW_NS: u64 = 1_000;
+const SECOND: u64 = 1_000_000_000;
 
-fn contention_docs(windows: &[Option<(u8, u8, u8)>]) -> Vec<Value> {
+/// A Fig. 3-shaped stream, one spec per window of `window_ns`: `db_bench*`
+/// clients against `rocksdb:low*` compaction threads.
+fn contention_docs(windows: &[Option<(u8, u8, u8)>], window_ns: u64) -> Vec<Value> {
     let mut docs = Vec::new();
     for (w, spec) in windows.iter().enumerate() {
-        let base = w as u64 * WINDOW_NS;
+        let base = w as u64 * window_ns;
         let Some((clients, bg_threads, bg_ops)) = spec else { continue };
         for i in 0..*clients as u64 {
             docs.push(json!({
@@ -160,60 +170,72 @@ fn contention_docs(windows: &[Option<(u8, u8, u8)>]) -> Vec<Value> {
     docs
 }
 
-fn float_eq(a: f64, b: f64) -> bool {
-    (a.is_nan() && b.is_nan()) || a == b
+/// The windows `rules/fig3_contention.dio` must flag, from the offline
+/// oracle's window activity: contended windows whose client throughput is
+/// below the mean of the calm windows before them — or, had that flagged
+/// none, below the calm mean of the whole stream (the rule's end-of-stream
+/// pass). The oracle gap-fills the windows nothing happened in; a stream has
+/// no such window to seal, so the fold passes over them.
+fn oracle_contention_windows(docs: &[Value], window_ns: u64) -> Vec<u64> {
+    let index = Index::new("dio-parity");
+    index.bulk(docs.to_vec());
+    let config = ContentionConfig { window_ns, ..Default::default() };
+    let mut windows = detect_contention(&index, &config).windows;
+    windows.retain(|w| w.client_ops + w.background_ops > 0);
+    let flagged = |whole_stream: bool| -> Vec<u64> {
+        let dips = windows.iter().enumerate().filter(|&(i, w)| {
+            let seen = if whole_stream { &windows[..] } else { &windows[..i] };
+            let calm: Vec<u64> =
+                seen.iter().filter(|c| !c.contended).map(|c| c.client_ops).collect();
+            let mean = calm.iter().sum::<u64>() as f64 / calm.len() as f64;
+            w.contended && !calm.is_empty() && (w.client_ops as f64) < mean
+        });
+        dips.map(|(_, w)| w.start_ns).collect()
+    };
+    let streaming = flagged(false);
+    if streaming.is_empty() {
+        flagged(true)
+    } else {
+        streaming
+    }
+}
+
+/// `rules/fig3_contention.dio`, its window `window_ns` wide, over `docs`
+/// must alert on exactly the oracle's windows, in order, each alert a
+/// warning at its window's end.
+fn assert_contention_matches(docs: &[Value], window_ns: u64) -> Vec<Alert> {
+    let fig3 = shipped::ALL.iter().position(|(name, _)| *name == "fig3_contention").unwrap();
+    let (alerts, _) = run_rules(shipped::compile_all(window_ns).swap_remove(fig3), docs);
+    let expected: Vec<AlertSpine> = oracle_contention_windows(docs, window_ns)
+        .into_iter()
+        .map(|start| {
+            let end = start + window_ns;
+            (AlertKind::ContentionSkew, Severity::Warning, end, Some(start), Some(end))
+        })
+        .collect();
+    assert_eq!(spine(&alerts), expected, "rule alerts must be the oracle's windows");
+    alerts
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Streaming [`ContentionDetector::report`] == offline
-    /// [`detect_contention`]: identical window activity (including
-    /// gap-filled silent windows), means, and overall verdict.
+    /// The shipped Fig. 3 rule == the fold over offline
+    /// [`detect_contention`], silent windows in the stream included, at a
+    /// width other than the one the file spells.
     #[test]
     fn streaming_contention_matches_offline(
         windows in proptest::collection::vec(window_spec(), 1..7),
-        threshold in 0..7usize,
     ) {
-        let docs = contention_docs(&windows);
-
-        let index = Index::new("dio-parity");
-        index.bulk(docs.clone());
-        let config = ContentionConfig {
-            window_ns: WINDOW_NS,
-            background_threshold: threshold,
-            ..Default::default()
-        };
-        let offline = detect_contention(&index, &config);
-
-        let mut det = ContentionDetector::new(
-            WINDOW_NS,
-            config.client_prefix.clone(),
-            config.background_prefix.clone(),
-            threshold,
-        );
-        for doc in &docs {
-            det.observe(doc);
-        }
-        let mut alerts = Vec::new();
-        det.evaluate_all(&mut alerts);
-        let streamed = det.report();
-
-        prop_assert_eq!(&streamed.windows, &offline.windows);
-        prop_assert!(float_eq(streamed.client_ops_contended, offline.client_ops_contended),
-            "contended means diverge: {} vs {}",
-            streamed.client_ops_contended, offline.client_ops_contended);
-        prop_assert!(float_eq(streamed.client_ops_calm, offline.client_ops_calm),
-            "calm means diverge: {} vs {}",
-            streamed.client_ops_calm, offline.client_ops_calm);
-        prop_assert_eq!(streamed.contention_detected(), offline.contention_detected());
+        assert_contention_matches(&contention_docs(&windows, WINDOW_NS), WINDOW_NS);
     }
 }
 
 // ------------------------------------------------- engine end-to-end
 
-/// The assembled engine over the exact Fig. 2a fixture reaches the same
-/// verdict as the offline pass over the same stored trace.
+/// The assembled engine — the one a diagnosed session gets — over the exact
+/// Fig. 2a fixture reaches the same verdict as the offline pass over the
+/// same stored trace.
 #[test]
 fn engine_agrees_with_offline_on_fig2a_fixture() {
     let mk = |time: u64, syscall: &str, proc: &str, ret: i64, tag: &str, offset: u64| {
@@ -236,23 +258,22 @@ fn engine_agrees_with_offline_on_fig2a_fixture() {
     index.bulk(docs.clone());
     let offline = detect_data_loss(&index);
     assert_eq!(offline.len(), 1);
+    assert_eq!((offline[0].stale_offset, offline[0].bytes_at_risk), (26, 16));
+    assert_data_loss_matches(&docs, &offline);
 
-    let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
     engine.observe_batch(&docs);
     engine.finish();
     let live = engine.alerts();
-    let live_loss = data_loss_alerts(&live);
-    assert_eq!(live_loss.len(), 1, "engine must flag the Fig. 2a bug: {live:?}");
-    assert_eq!(live_loss[0].fields["stale_offset"].as_u64(), Some(offline[0].stale_offset));
-    assert_eq!(live_loss[0].fields["bytes_at_risk"].as_u64(), Some(offline[0].bytes_at_risk));
+    let [loss] = &live[..] else { panic!("engine must flag the Fig. 2a bug, once: {live:?}") };
+    assert_eq!((loss.kind, loss.time_ns), (AlertKind::DataLoss, 400));
+    assert_eq!(loss.evidence[0]["offset"].as_u64(), Some(offline[0].stale_offset));
 }
 
-// ------------------------------------------- shipped rules vs detectors
+// -------------------------------------- shipped rules vs offline oracle
 
-/// The comparable spine of an alert: what must be *identical* between a
-/// hand-coded detector and the rule re-expressing it. Messages, subjects,
-/// and evidence are each implementation's own voice; kind, severity,
-/// time, and window bounds are the diagnosis.
+/// The spine of an alert: kind, severity, time, and window bounds are the
+/// diagnosis; messages, subjects and evidence are its voice.
 type AlertSpine = (AlertKind, Severity, u64, Option<u64>, Option<u64>);
 
 fn spine(alerts: &[Alert]) -> Vec<AlertSpine> {
@@ -262,21 +283,9 @@ fn spine(alerts: &[Alert]) -> Vec<AlertSpine> {
         .collect()
 }
 
-/// Runs a compiled rule file over a finished document stream.
-fn run_rules(source: &str, docs: &[Value]) -> Vec<Alert> {
-    let mut set = dio_rules::compile(source).expect("shipped rules verify");
-    let mut out = Vec::new();
-    for doc in docs {
-        set.observe(doc, &mut out);
-        set.evaluate_ready(&mut out);
-    }
-    set.evaluate_all(&mut out);
-    out
-}
-
 /// Traces one Fluent Bit issue-1875 run and returns its event documents
-/// in stream (time) order.
-fn traced_fluentbit_stream(version: FluentBitVersion, session: &str) -> Vec<Value> {
+/// in stream (time) order, with the session index they were stored in.
+fn traced_fluentbit_stream(version: FluentBitVersion, session: &str) -> (Vec<Value>, Arc<Index>) {
     let dio = Dio::with_kernel(Kernel::builder().root_disk(DiskProfile::instant()).build());
     let handle = dio.trace(TracerConfig::new(session));
     run_issue_1875(dio.kernel(), version, "/app.log", 0).unwrap();
@@ -287,77 +296,53 @@ fn traced_fluentbit_stream(version: FluentBitVersion, session: &str) -> Vec<Valu
         .search(&SearchRequest::new(Query::MatchAll).sort_by("time", SortOrder::Asc).size(total))
         .hits;
     assert_eq!(hits.len(), total, "stream pull must not truncate");
-    hits.into_iter().map(|h| h.source).collect()
+    (hits.into_iter().map(|h| h.source).collect(), index)
 }
 
-/// `rules/fig2_data_loss.dio` over the traced buggy run == the
-/// hand-coded [`DataLossDetector`]: one critical data-loss alert,
-/// identical spine, naming the firing rule.
+/// `rules/fig2_data_loss.dio` over the traced buggy run == offline
+/// [`detect_data_loss`] on the same index: exactly the one critical
+/// data-loss alert, on the read the incident names.
 #[test]
 fn fig2_rules_match_detector_on_traced_buggy_stream() {
-    let docs = traced_fluentbit_stream(FluentBitVersion::V1_4_0, "rules-fig2a");
-
-    let mut det = DataLossDetector::default();
-    let mut hand = Vec::new();
-    for doc in &docs {
-        det.observe(doc, &mut hand);
-    }
-    let ruled = run_rules(dio_rules::shipped::FIG2_DATA_LOSS, &docs);
-
-    assert_eq!(spine(&ruled), spine(&hand), "rule alerts must mirror the detector's");
-    assert_eq!(hand.len(), 1, "the buggy run raises exactly the Fig. 2a alert: {hand:?}");
-    assert_eq!(ruled[0].kind, AlertKind::DataLoss);
-    assert_eq!(ruled[0].severity, Severity::Critical);
-    assert_eq!(ruled[0].detector, "rules");
-    assert_eq!(ruled[0].fields["rule"], "data_loss");
+    let (docs, index) = traced_fluentbit_stream(FluentBitVersion::V1_4_0, "rules-fig2a");
+    let offline = detect_data_loss(&index);
+    assert_eq!(offline.len(), 1, "the buggy run holds exactly the Fig. 2a incident: {offline:?}");
+    let ruled = assert_data_loss_matches(&docs, &offline);
+    assert_eq!(ruled.len(), 1, "and raises nothing else: {ruled:?}");
 }
 
 /// Over the fixed version's trace both stay silent, and the rule file's
-/// `validated_restart` record observes the offset-0 restart the detector
-/// counts.
+/// `validated_restart` record observes the one offset-0 restart.
 #[test]
 fn fig2_rules_match_detector_on_traced_fixed_stream() {
-    let docs = traced_fluentbit_stream(FluentBitVersion::V2_0_5, "rules-fig2b");
+    let (docs, index) = traced_fluentbit_stream(FluentBitVersion::V2_0_5, "rules-fig2b");
+    assert!(detect_data_loss(&index).is_empty(), "the fix must not be flagged");
 
-    let mut det = DataLossDetector::default();
-    let mut hand = Vec::new();
-    for doc in &docs {
-        det.observe(doc, &mut hand);
-    }
-    assert!(hand.is_empty(), "the fix must not alert: {hand:?}");
-
-    let mut set = dio_rules::compile(dio_rules::shipped::FIG2_DATA_LOSS).unwrap();
-    let mut ruled = Vec::new();
-    for doc in &docs {
-        set.observe(doc, &mut ruled);
-    }
-    set.evaluate_all(&mut ruled);
+    let (ruled, set) = run_rules(dio_rules::compile(shipped::FIG2_DATA_LOSS).unwrap(), &docs);
     assert!(ruled.is_empty(), "rules must stay silent on the fixed run: {ruled:?}");
-
-    let validated = det.validated_restarts();
-    let restarts = set
-        .reports()
-        .into_iter()
-        .find(|r| r["rule"] == "validated_restart")
-        .expect("shipped rule present")["records"]
-        .as_u64()
-        .unwrap_or(0);
-    assert_eq!(restarts, validated, "validated restarts counted identically");
-    assert_eq!(validated, 1);
+    let reports = set.reports();
+    let restarts = reports.iter().find(|r| r["rule"] == "validated_restart").expect("shipped");
+    assert_eq!(restarts["records"], 1, "the offset-0 restart is validated");
 }
 
-/// `attribution on` is pure decoration: the same traced stream through
-/// the engine with and without an attributor installed yields identical
-/// alert spines, fields, and messages — the block rides along on the
-/// opted-in rules without ever changing the diagnosis.
+/// `attribution on` is pure decoration: the same stream through the
+/// session's engine with and without an attributor installed yields
+/// identical alert spines, fields, and messages — the block rides along on
+/// the opted-in rules, which is every shipped rule that alerts, without
+/// ever changing the diagnosis. Three streams: the traced buggy Fluent Bit
+/// run, one on which the contention, rate-spike and error-rate rules fire
+/// too, and three busy seconds before two near-silent ones — the collapse.
 #[test]
 fn attribution_never_changes_the_alert_spine() {
-    let docs = traced_fluentbit_stream(FluentBitVersion::V1_4_0, "attr-parity");
+    let (traced, _) = traced_fluentbit_stream(FluentBitVersion::V1_4_0, "attr-parity");
+    let eventful: Vec<Value> = eventful_stream(7).iter().map(SyscallEvent::to_document).collect();
+    let collapse: Vec<Value> = (0..5u64)
+        .flat_map(|w| (0..if w < 3 { 120 } else { 10 }).map(move |i| w * SECOND + i))
+        .map(|time| json!({"time": time, "class": "data", "syscall": "read", "ret_val": 1}))
+        .collect();
 
-    let run = |attribute: bool| -> Vec<Alert> {
-        let engine = DiagnosisEngine::new(DiagnoseConfig::default());
-        let set = dio_rules::compile(dio_rules::shipped::FIG2_DATA_LOSS).unwrap();
-        engine.install_detector(Box::new(set));
+    let run = |docs: &[Value], attribute: bool| -> Vec<Alert> {
+        let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
         if attribute {
             engine.set_attributor(Box::new(|alert| {
                 json!({
@@ -368,124 +353,78 @@ fn attribution_never_changes_the_alert_spine() {
                 .into()
             }));
         }
-        engine.observe_batch(&docs);
+        engine.observe_batch(docs);
         engine.finish();
         engine.alerts()
     };
 
-    let bare = run(false);
-    let attributed = run(true);
-    assert!(!bare.is_empty(), "the buggy stream must alert");
-    assert!(bare.iter().all(|a| a.attribution.is_none()));
-    assert_eq!(spine(&attributed), spine(&bare), "attribution must not change the spine");
-    for (a, b) in attributed.iter().zip(&bare) {
-        assert_eq!(a.fields, b.fields, "fields untouched by attribution");
-        assert_eq!(a.message, b.message, "message untouched by attribution");
-        assert_eq!(a.subject, b.subject);
-        assert_eq!(a.evidence.len(), b.evidence.len());
-    }
-    // The shipped data_loss rule opts in, so its alerts carry the block.
-    assert!(
-        attributed
-            .iter()
-            .filter(|a| a.fields["rule"] == "data_loss")
-            .all(|a| a.attribution.is_some()),
-        "opted-in rule alerts must be attributed: {attributed:?}"
-    );
-}
-
-/// Fig. 3-shaped stream at the engine's real scale (1 s windows,
-/// `db_bench*` clients vs `rocksdb:low*` compactions, threshold 5):
-/// calm windows build the baseline, then a contended window with
-/// depressed client throughput fires — identically on both sides.
-fn fig3_docs(windows: &[Option<(u8, u8, u8)>]) -> Vec<Value> {
-    const SECOND: u64 = 1_000_000_000;
-    let mut docs = Vec::new();
-    for (w, spec) in windows.iter().enumerate() {
-        let base = w as u64 * SECOND;
-        let Some((clients, bg_threads, bg_ops)) = spec else { continue };
-        for i in 0..*clients as u64 {
-            docs.push(json!({
-                "session": "rules-fig3", "syscall": "pread64", "class": "read",
-                "pid": 1, "tid": 1, "proc_name": "db_bench_c", "time": base + i,
-                "ret_val": 4096,
-            }));
-        }
-        for t in 0..*bg_threads {
-            for i in 0..*bg_ops as u64 {
-                docs.push(json!({
-                    "session": "rules-fig3", "syscall": "pwrite64", "class": "write",
-                    "pid": 1, "tid": 2 + t, "proc_name": format!("rocksdb:low{t}"),
-                    "time": base + 100 + i, "ret_val": 4096,
-                }));
-            }
+    let mut attributed_rules = std::collections::BTreeSet::new();
+    for docs in [&traced, &eventful, &collapse] {
+        let bare = run(docs, false);
+        let attributed = run(docs, true);
+        assert!(!bare.is_empty(), "the stream must alert");
+        assert!(bare.iter().all(|a| a.attribution.is_none()));
+        assert_eq!(spine(&attributed), spine(&bare), "attribution must not change the spine");
+        for (a, b) in attributed.iter().zip(&bare) {
+            assert_eq!(a.fields, b.fields, "fields untouched by attribution");
+            assert_eq!(a.message, b.message, "message untouched by attribution");
+            assert_eq!(a.subject, b.subject);
+            assert_eq!(a.evidence, b.evidence);
+            assert!(a.attribution.is_some(), "every shipped alerting rule opts in: {a:?}");
+            attributed_rules.extend(a.fields["rule"].as_str().map(str::to_string));
         }
     }
-    docs
-}
-
-fn fig3_hand_alerts(docs: &[Value]) -> Vec<Alert> {
-    let defaults = DiagnoseConfig::default();
-    let mut det = ContentionDetector::new(
-        defaults.window_ns,
-        defaults.client_prefix.clone(),
-        defaults.background_prefix.clone(),
-        defaults.background_threshold,
-    );
-    for doc in docs {
-        det.observe(doc);
-    }
-    let mut out = Vec::new();
-    det.evaluate_all(&mut out);
-    out
+    let expected = [
+        "contention_skew",
+        "data_loss",
+        "error_rate",
+        "rate_collapse",
+        "rate_spike",
+        "stale_offset_resume",
+    ];
+    assert!(attributed_rules.iter().map(String::as_str).eq(expected), "{attributed_rules:?}");
 }
 
 #[test]
 fn fig3_rule_matches_detector_on_contended_stream() {
     // Two calm windows (8 clients each, 2 background threads), then a
     // contended one: 6 distinct compaction threads, clients down to 3.
-    let docs = fig3_docs(&[Some((8, 2, 3)), Some((8, 2, 3)), Some((3, 6, 4))]);
-
-    let hand = fig3_hand_alerts(&docs);
-    let ruled = run_rules(dio_rules::shipped::FIG3_CONTENTION, &docs);
-
-    assert_eq!(spine(&ruled), spine(&hand), "rule alerts must mirror the detector's");
-    assert_eq!(hand.len(), 1, "the contended window must fire: {hand:?}");
-    assert_eq!(ruled[0].kind, AlertKind::ContentionSkew);
-    assert_eq!(ruled[0].severity, Severity::Warning);
+    let docs = contention_docs(&[Some((8, 2, 3)), Some((8, 2, 3)), Some((3, 6, 4))], SECOND);
+    let ruled = assert_contention_matches(&docs, SECOND);
+    assert_eq!(ruled.len(), 1, "the contended window must fire: {ruled:?}");
     assert_eq!(ruled[0].fields["rule"], "contention_skew");
-    assert_eq!(ruled[0].window_start_ns, Some(2_000_000_000));
+    assert_eq!(ruled[0].window_start_ns, Some(2 * SECOND));
+    // The same windows the other way round — the dip first, its calm
+    // baseline after — are flagged by the end-of-stream pass, in place.
+    let docs = contention_docs(&[Some((3, 6, 4)), Some((8, 2, 3)), Some((8, 2, 3))], SECOND);
+    let ruled = assert_contention_matches(&docs, SECOND);
+    assert_eq!(ruled.len(), 1, "the dip is found once its baseline exists: {ruled:?}");
+    assert_eq!(ruled[0].window_start_ns, Some(0));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary Fig. 3-shaped streams (silent windows included, so the
-    /// gap-fill path is exercised): `rules/fig3_contention.dio` and the
-    /// hand-coded [`ContentionDetector`] emit identical alert sequences.
+    /// Arbitrary Fig. 3-shaped streams at the width the file spells (silent
+    /// windows included): `rules/fig3_contention.dio` alerts on exactly the
+    /// windows the fold over the oracle selects.
     #[test]
     fn fig3_rule_matches_detector_on_arbitrary_windows(
         windows in proptest::collection::vec(window_spec(), 1..7),
     ) {
-        let docs = fig3_docs(&windows);
-        let hand = fig3_hand_alerts(&docs);
-        let ruled = run_rules(dio_rules::shipped::FIG3_CONTENTION, &docs);
-        prop_assert_eq!(spine(&ruled), spine(&hand));
+        assert_contention_matches(&contention_docs(&windows, SECOND), SECOND);
     }
 }
 
 // ------------------------------------------------ two doors, one answer
 
-const SECOND: u64 = 1_000_000_000;
-
-/// A stream that makes every detector and shipped rule fire: arbitrary
-/// events (all 42 kinds, hostile strings, every optional field present or
-/// absent, a third of the returns negative) on a clock that crosses a dozen
-/// one-second windows at an uneven pace — forty events a second, then a
-/// burst of four hundred, then forty again — under thread names that make
-/// every other window contended, with inode-reuse sequences (a new generation
-/// first read at a stale offset, with and without bytes, and from offset 0)
-/// spliced in.
+/// A stream that makes every shipped rule fire: arbitrary events (all 42
+/// kinds, hostile strings, every optional field present or absent, a third
+/// of the returns negative) on a clock that crosses a dozen one-second
+/// windows at an uneven pace — forty events a second, then a burst of four
+/// hundred, then forty again — under thread names that make every other
+/// window contended, with inode-reuse sequences (a new generation first read
+/// at a stale offset, with and without bytes, and from offset 0) spliced in.
 fn eventful_stream(seed: u64) -> Vec<SyscallEvent> {
     let mut d = Draw(seed);
     let mut events = Vec::new();
@@ -562,26 +501,23 @@ struct Told {
     finish: Vec<String>,
     reports: Vec<Value>,
     stats: EngineStats,
-    validated_restarts: u64,
     dfg: Value,
     phases: Vec<Value>,
 }
 
-/// Feeds `batches` through a fresh miner and a fresh engine with the four
-/// shipped rule sets (and [`EXTRA_RULES`]) installed and the miner as its
-/// attributor, in the consumer's order: the miner first.
-fn tell<E: EventView>(rate_key: &str, batches: &[(Vec<E>, f64)]) -> Told {
+/// Feeds `batches` through a fresh miner and a fresh engine, wired as the
+/// tracer wires a diagnosed and profiled session's — the shipped rule sets,
+/// then [`EXTRA_RULES`], the miner the attributor — in the consumer's
+/// order: the miner first.
+fn tell<E: EventView>(batches: &[(Vec<E>, f64)]) -> Told {
+    // An attribution quotes flight-recorder spans; other tests of this
+    // binary trace while this one runs, so the recorder is stopped for both
+    // doors to quote the same ones.
+    dio::core::trace::recorder().set_enabled(false);
     let miner = DfgMiner::new(ProfileConfig::default());
-    let engine = DiagnosisEngine::new(DiagnoseConfig::default().rate_key(rate_key));
-    let sources = dio_rules::shipped::ALL.iter().map(|(_, src)| *src).chain([EXTRA_RULES]);
-    for source in sources {
-        engine.install_detector(Box::new(dio_rules::compile(source).expect("rules verify")));
-    }
-    let attributor = std::sync::Arc::clone(&miner);
-    engine.set_attributor(Box::new(move |alert| {
-        let (start, end) = (alert.window_start_ns, alert.window_end_ns);
-        attributor.attribute(start, end, alert.time_ns, &alert.subject, &[])
-    }));
+    let extra = dio_rules::compile(EXTRA_RULES).expect("rules verify");
+    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), vec![extra]);
+    dio_tracer::attribute_with(&engine, &miner);
     let texts = |alerts: Vec<Alert>| -> Vec<String> {
         alerts.iter().map(|a| a.to_document().to_string()).collect()
     };
@@ -600,7 +536,6 @@ fn tell<E: EventView>(rate_key: &str, batches: &[(Vec<E>, f64)]) -> Told {
         finish,
         reports: engine.dynamic_reports(),
         stats: engine.stats(),
-        validated_restarts: engine.validated_restarts(),
         dfg: dio::core::to_json(&miner.snapshot()),
         phases,
     }
@@ -623,8 +558,7 @@ fn both_doors(seed: u64) -> (Told, Told) {
         .iter()
         .map(|(batch, pressure)| (batch.iter().map(SyscallEvent::to_document).collect(), *pressure))
         .collect();
-    let rate_key = ["class", "pid", "file_tag", "proc"][d.below(4)];
-    (tell(rate_key, &typed), tell(rate_key, &loose))
+    (tell(&typed), tell(&loose))
 }
 
 proptest! {
@@ -645,8 +579,9 @@ proptest! {
 }
 
 /// The stream of [`eventful_stream`] is not an idle one: on a pinned seed
-/// every built-in detector and every shipped rule file speaks, evidence is
-/// attached, alerts are attributed and phases shift — so the equality above
+/// every shipped rule file speaks in all five kinds, evidence is attached,
+/// alerts — the rate and error-rate ones too — are attributed, a restart is
+/// recorded, a limit suppresses and phases shift — so the equality above
 /// compares something.
 #[test]
 fn the_two_door_stream_exercises_every_detector() {
@@ -654,26 +589,23 @@ fn the_two_door_stream_exercises_every_detector() {
     assert_eq!(typed, loose);
     let alerts: Vec<Value> =
         typed.alerts.iter().map(|text| serde_json::from_str(text).expect("JSON")).collect();
-    let count = |detector: &str, kind: &str| {
-        alerts.iter().filter(|a| a["detector"] == detector && a["alert_kind"] == kind).count()
-    };
-    for kind in ["data_loss", "stale_offset_resume", "error_rate_anomaly", "syscall_rate_anomaly"] {
-        assert!(count("rules", kind) > 0, "no rule raised {kind}");
-    }
-    for (detector, kind) in [
-        ("data_loss", "data_loss"),
-        ("data_loss", "stale_offset_resume"),
-        ("error_rate", "error_rate_anomaly"),
-        ("rate", "syscall_rate_anomaly"),
-        ("contention", "contention_skew"),
+    let of_kind = |kind: &'static str| alerts.iter().filter(move |a| a["alert_kind"] == kind);
+    for kind in [
+        "data_loss",
+        "stale_offset_resume",
+        "contention_skew",
+        "error_rate_anomaly",
+        "syscall_rate_anomaly",
     ] {
-        assert!(count(detector, kind) > 0, "{detector} did not raise {kind}");
+        assert!(of_kind(kind).count() > 0, "no rule raised {kind}");
+        let attributed = of_kind(kind).all(|a| a.get("attribution").is_some_and(|a| !a.is_null()));
+        assert!(attributed, "a {kind} alert went unattributed");
     }
-    assert!(count("rules", "contention_skew") > 0, "fig3 rule silent");
-    assert!(count("rules", "rule_match") > 0, "extra rules silent");
-    assert!(typed.validated_restarts > 0);
-    assert!(alerts.iter().any(|a| a["evidence"].as_array().is_some_and(|e| e.len() == 2)));
-    assert!(alerts.iter().any(|a| a.get("attribution").is_some_and(|a| !a.is_null())));
+    assert!(alerts.iter().all(|a| a["detector"] == "rules"));
+    assert!(of_kind("rule_match").count() > 0, "extra rules silent");
+    assert!(of_kind("data_loss").all(|a| a["evidence"].as_array().is_some_and(|e| e.len() == 1)));
     assert!(!typed.phases.is_empty(), "no phase shift");
+    let report = |rule: &str| typed.reports.iter().find(|r| r["rule"] == rule).expect("installed");
+    assert!(report("validated_restart")["records"].as_u64().is_some_and(|n| n > 0));
     assert!(typed.reports.iter().any(|r| r["suppressed"].as_u64().is_some_and(|n| n > 0)));
 }

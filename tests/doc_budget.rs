@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use dio::core::{DiskProfile, Kernel, OpenFlags, Query};
 use dio_backend::{DocStore, Index, StorageConfig};
-use dio_diagnose::{DiagnoseConfig, DiagnosisEngine};
+use dio_diagnose::DiagnoseConfig;
 use dio_ebpf::{FilterSpec, ProgramConfig, RawEvent, RingBuffer, TracerProgram};
 use dio_kernel::{SyscallProbe, ThreadCtx};
 use dio_profile::{DfgMiner, ProfileConfig};
@@ -247,23 +247,15 @@ fn draining_an_empty_ring_allocates_nothing() {
     assert_eq!(ALLOCS.get() - allocs, 0, "allocations in 200 empty drains");
 }
 
-/// What the taps — DFG miner, then diagnosis engine with the four shipped
-/// rule sets, the miner its attributor, as the tracer wires them — allocate
-/// per event of the second half of `events`, fed in 16-event drains after the
-/// first half warmed keys, windows and the transition ring: (allocations,
-/// bytes requested).
+/// What the taps — DFG miner, then the diagnosis engine of a session (the
+/// four shipped rule sets), the miner its attributor, wired by the tracer's
+/// own functions — allocate per event of the second half of `events`, fed in
+/// 16-event drains after the first half warmed keys, windows and the
+/// transition ring: (allocations, bytes requested).
 fn tap_cost_per_event<E: EventView>(events: &[E]) -> (f64, f64) {
     let miner = DfgMiner::new(ProfileConfig::default());
-    let engine = DiagnosisEngine::new(DiagnoseConfig::default());
-    for (name, source) in dio_rules::shipped::ALL {
-        let set = dio_rules::compile(source).unwrap_or_else(|e| panic!("{name}: {e}"));
-        engine.install_detector(Box::new(set));
-    }
-    let attributor = Arc::clone(&miner);
-    engine.set_attributor(Box::new(move |alert| {
-        let (start, end) = (alert.window_start_ns, alert.window_end_ns);
-        attributor.attribute(start, end, alert.time_ns, &alert.subject, &[])
-    }));
+    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
+    dio_tracer::attribute_with(&engine, &miner);
     let feed = |events: &[E]| {
         for drain in events.chunks(16) {
             miner.observe_batch(drain);
@@ -279,12 +271,11 @@ fn tap_cost_per_event<E: EventView>(events: &[E]) -> (f64, f64) {
 }
 
 /// Through the typed door — what the tracer's consumer does — a tapped event
-/// allocates nothing once the session is warm: detectors, rule evaluator and
-/// miner read the event's fields, look their state up by borrowed key and
-/// keep evidence as the event. Reads 0.00 allocations / 0.1 B (four
-/// allocations in 5 001 events). The parent's consumer built a document per
-/// event and fed that: 57.56 allocations / 1 586.2 B on this stream (25.06 /
-/// 1 144 B of it the document).
+/// allocates nothing once the session is warm: rule evaluator and miner read
+/// the event's fields and look their state up by borrowed key. Reads 0.00
+/// allocations / 0.1 B (four allocations in 5 001 events). Before PR 20
+/// the consumer built a document per event and fed that: 57.56 allocations /
+/// 1 586.2 B on this stream (25.06 / 1 144 B of it the document).
 #[test]
 fn a_tapped_event_allocates_nothing_in_steady_state() {
     let (allocs, bytes) = tap_cost_per_event(&traced_events(2_500));
@@ -292,17 +283,17 @@ fn a_tapped_event_allocates_nothing_in_steady_state() {
     assert!(bytes <= 100.0, "{bytes:.1} B per tapped event");
 }
 
-/// The document door runs the same code, so it sheds the same allocations;
-/// what is left is copying a document where the typed door copies an event —
-/// the last write per file tag, kept as evidence of a data loss to come.
-/// Reads 6.25 allocations / 277.5 B; 32.50 / 442.2 B at the parent, the
-/// documents themselves not counted in either.
+/// The document door runs the same code and nothing keeps an observed event
+/// any more, so it reads what the typed door reads: 0.00 allocations / 0.1 B,
+/// the documents themselves not counted. It read 6.25 / 277.5 B while a
+/// built-in detector kept a copy of the last write per file tag, 32.50 /
+/// 442.2 B before the taps read through one view.
 #[test]
 fn a_tapped_document_allocates_no_more_than_before() {
     let docs: Vec<_> = traced_events(2_500).iter().map(SyscallEvent::to_document).collect();
     let (allocs, bytes) = tap_cost_per_event(&docs);
-    assert!(allocs <= 32.5, "{allocs:.2} allocations per tapped document");
-    assert!(bytes <= 442.0, "{bytes:.1} B per tapped document");
+    assert!(allocs <= 0.01, "{allocs:.4} allocations per tapped document");
+    assert!(bytes <= 1.0, "{bytes:.2} B per tapped document");
 }
 
 /// The heap a queryable session occupies per event, however the events got

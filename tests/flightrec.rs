@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use serde_json::json;
 
 use dio_backend::{DocStore, StorageConfig};
-use dio_diagnose::{DiagnoseConfig, DiagnosisEngine};
+use dio_diagnose::DiagnoseConfig;
 use dio_kernel::{DiskProfile, Kernel};
 use dio_telemetry::trace::{self, AttrValue, Attrs, FlightRecorder, TraceSpan};
 use dio_tracer::{Tracer, TracerConfig};
@@ -132,7 +132,7 @@ fn alert_and_manual_dumps_write_chrome_artifacts() {
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("DIO_RESULTS_DIR", &dir);
 
-    let engine = DiagnosisEngine::new(DiagnoseConfig::default());
+    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
     let fresh = engine.observe_batch(&buggy_batch());
     assert!(!fresh.is_empty(), "batch raises an alert");
     let alert_dump = dir.join("flightrec-alert-01.json");

@@ -79,7 +79,9 @@ fn openmetrics_render_matches_golden_snapshot() {
 #[test]
 fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
     let dio = Dio::with_kernel(fast_kernel());
-    let mut session = dio.trace(TracerConfig::new("serve-e2e").diagnose(DiagnoseConfig::default()));
+    let width = 250_000_000;
+    let diagnose = DiagnoseConfig::default().window_ns(width);
+    let mut session = dio.trace(TracerConfig::new("serve-e2e").diagnose(diagnose));
     let addr = session.serve("127.0.0.1:0").expect("bind ephemeral");
     assert_eq!(session.serve_addr(), Some(addr));
 
@@ -99,6 +101,49 @@ fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
     assert_eq!(lint_openmetrics(&metrics), Vec::<String>::new(), "live scrape must lint clean");
     assert!(metrics.contains("ebpf_ring_consumed_total"), "{metrics}");
     assert!(metrics.contains("tracer_shipper_batch_ns_bucket"), "{metrics}");
+
+    // A diagnosed session's scrape is complete: every `diagnose.*` name of
+    // DESIGN.md §7's diagnosis row, and a fired / suppressed pair for each
+    // of the seven shipped rules.
+    const SHIPPED: [&str; 7] = [
+        "data_loss",
+        "stale_offset_resume",
+        "validated_restart",
+        "contention_skew",
+        "rate_spike",
+        "rate_collapse",
+        "error_rate",
+    ];
+    let counters = [
+        "events_observed",
+        "events_evaluated",
+        "events_sampled_out",
+        "events_late",
+        "batches_degraded",
+        "alerts_raised",
+        "subscription_missed",
+    ];
+    let mut samples: Vec<String> = counters.iter().map(|c| format!("diagnose_{c}_total")).collect();
+    samples.extend(["diagnose_alerts_active", "diagnose_windows_open"].map(String::from));
+    for rule in SHIPPED {
+        samples.extend(["fired", "suppressed"].map(|c| format!("diagnose_rule_{rule}_{c}_total")));
+    }
+    for sample in samples {
+        let found =
+            metrics.lines().any(|l| l.strip_prefix(&sample).is_some_and(|v| v.starts_with(' ')));
+        assert!(found, "{sample} missing: {metrics}");
+    }
+
+    // `/api/rules` lists the same seven, their windows as wide as configured.
+    let (status, rules) = http_get(addr, "/api/rules");
+    assert_eq!(status, 200);
+    let rules: serde_json::Value = serde_json::from_str(&rules).expect("valid JSON");
+    let rules = rules["rules"].as_array().expect("rule list");
+    assert!(rules.iter().map(|r| r["rule"].as_str().unwrap()).eq(SHIPPED), "{rules:?}");
+    for rule in rules {
+        let windowed = rule["trigger"] == "window";
+        assert_eq!(rule["window_ns"].as_u64(), windowed.then_some(width), "{rule}");
+    }
 
     // At least one batch_ns bucket carries a trace_id exemplar...
     let exemplar_id = metrics

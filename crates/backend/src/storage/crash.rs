@@ -7,8 +7,8 @@
 //! exactly `split` bytes of it reached the file. The parent then reopens
 //! the directory and asserts the recovery invariants.
 //!
-//! * `site` — one of `append` (segment record write), `hint` (hint-file
-//!   write at seal/merge time), `compact` (merge-output write).
+//! * `site` — `append` (segment record write) or `compact`
+//!   (merge-output write).
 //! * `countdown` — the n-th hit of the site triggers the crash (0-based),
 //!   so a seeded run can land the kill deep into a workload.
 //! * `split` — byte offset *within* the targeted write at which the
@@ -26,8 +26,6 @@ use std::sync::OnceLock;
 pub enum CrashSite {
     /// A segment-record append.
     Append,
-    /// A hint-file write.
-    Hint,
     /// A compaction merge-output write.
     Compact,
 }
@@ -36,7 +34,6 @@ impl CrashSite {
     fn parse(s: &str) -> Option<Self> {
         match s {
             "append" => Some(CrashSite::Append),
-            "hint" => Some(CrashSite::Hint),
             "compact" => Some(CrashSite::Compact),
             _ => None,
         }

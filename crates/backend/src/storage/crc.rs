@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3 polynomial) with compile-time lookup tables.
 //!
-//! Every on-disk frame — segment records and hint entries — is guarded by
+//! Every on-disk frame — each record of a segment — is guarded by
 //! this checksum so a torn or bit-flipped tail is detected on reopen
 //! instead of being replayed as data. A frame is a few hundred bytes and is
 //! summed on append, on reopen's scan and in `verify`, so the sum runs

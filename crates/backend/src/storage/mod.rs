@@ -2,12 +2,13 @@
 //!
 //! A bitcask-style engine: every mutation is one CRC-framed record
 //! appended to a segment file; an in-memory [`keydir`] maps each live
-//! (index, doc id) key to its newest frame; sealed segments carry hint
-//! files so reopening reads keys, not documents; a background compactor
-//! merges sealed segments and drops superseded frames. The key space is
-//! split over N independent **shards** — separate directories, locks,
-//! and segment chains — so concurrent sessions append in parallel
-//! instead of serializing on one lock domain.
+//! (index, doc id) key to its newest frame; reopening replays every
+//! segment once — the store loads each live document anyway — and a
+//! background compactor merges sealed segments through the same replay,
+//! dropping superseded frames. The key space is split over N independent
+//! **shards** — separate directories, locks, and segment chains — so
+//! concurrent sessions append in parallel instead of serializing on one
+//! lock domain.
 //!
 //! Durability contract: when an append returns, the batch has reached
 //! the kernel page cache — it survives a process kill (the crash
@@ -17,7 +18,6 @@
 
 pub mod crash;
 pub mod crc;
-pub mod hint;
 pub mod keydir;
 pub mod record;
 pub mod segment;
@@ -115,8 +115,6 @@ impl StatCell {
 pub struct EngineStats {
     /// Torn tails truncated during recovery (`backend.recovery.truncated`).
     pub recovery_truncated: StatCell,
-    /// Hint files rebuilt because they were missing, torn, or stale.
-    pub hints_rewritten: StatCell,
     /// Active segments sealed (rotations).
     pub segments_sealed: StatCell,
     /// Compaction merges completed.
@@ -159,8 +157,6 @@ pub struct StorageReport {
     pub per_shard: Vec<ShardReport>,
     /// Torn tails truncated during recovery.
     pub recovery_truncated: u64,
-    /// Hint files rebuilt at open.
-    pub hints_rewritten: u64,
     /// Segments sealed over the engine's lifetime.
     pub segments_sealed: u64,
     /// Compactions completed over the engine's lifetime.
@@ -284,7 +280,7 @@ fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Resul
 
 /// Every live document recovered at open, grouped by index and sorted
 /// by doc id (the original ingest order within an index).
-pub type LoadedStore = BTreeMap<String, Vec<(u64, Vec<u8>)>>;
+pub type LoadedStore = BTreeMap<Arc<str>, Vec<(u64, Vec<u8>)>>;
 
 impl StorageEngine {
     /// Opens (creating if needed) the store under `root`, replaying all
@@ -295,8 +291,8 @@ impl StorageEngine {
         let stats = Arc::new(EngineStats::default());
 
         // Recovery is traced: one storage.open root span for the store,
-        // one recovery.shard child per shard (carrying torn-tail and
-        // hint-rebuild attrs), so a slow reopen is attributable.
+        // one recovery.shard child per shard (carrying its torn-tail
+        // count), so a slow reopen is attributable.
         let mut open_span = trace::begin_manual("storage", "storage.open", None);
         open_span.attr("store", trace::fnv64(&root.to_string_lossy()));
         open_span.attr("shards", shard_count);
@@ -330,7 +326,6 @@ impl StorageEngine {
             docs.sort_by_key(|(id, _)| *id);
         }
         open_span.attr("torn_truncated", stats.recovery_truncated.get());
-        open_span.attr("hints_rebuilt", stats.hints_rewritten.get());
         open_span.attr("live_docs", loaded.values().map(Vec::len).sum::<usize>());
         open_span.finish();
 
@@ -375,7 +370,9 @@ impl StorageEngine {
                     if shard.needs_compaction(&config) {
                         if let Err(e) = shard.compact(&stats) {
                             // Maintenance failure must not take ingest
-                            // down; surface it and retry next round.
+                            // down; surface it and retry next round. A
+                            // shard that refused an unreadable input is
+                            // not retried: it stops asking until reopen.
                             eprintln!("dio-backend: compaction failed: {e}");
                         }
                     }
@@ -492,7 +489,6 @@ impl StorageEngine {
             totals,
             per_shard,
             recovery_truncated: self.stats.recovery_truncated.get(),
-            hints_rewritten: self.stats.hints_rewritten.get(),
             segments_sealed: self.stats.segments_sealed.get(),
             compactions: self.stats.compactions.get(),
             compacted_bytes: self.stats.compacted_bytes.get(),
@@ -516,7 +512,6 @@ impl StorageEngine {
     /// `backend.recovery.*` / `backend.storage.*`. Idempotent.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
         self.stats.recovery_truncated.bind(registry.counter("backend.recovery.truncated"));
-        self.stats.hints_rewritten.bind(registry.counter("backend.recovery.hints_rewritten"));
         self.stats.segments_sealed.bind(registry.counter("backend.storage.segments_sealed"));
         self.stats.compactions.bind(registry.counter("backend.storage.compactions"));
         self.stats.compacted_bytes.bind(registry.counter("backend.storage.compacted_bytes"));
@@ -641,6 +636,39 @@ mod tests {
         }
         engine.verify().unwrap();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The background compactor asks `needs_compaction` every 100 ms: a
+    /// shard whose input cannot be read says so once, not ten times a second.
+    #[test]
+    fn a_refused_shard_stops_asking_for_compaction() {
+        let root = tmp_root("refused");
+        let config = StorageConfig { shards: 1, ..StorageConfig::tiny_for_tests() };
+        let (engine, _) = StorageEngine::open(&root, config.clone()).unwrap();
+        for round in 0..50u64 {
+            engine
+                .append_puts("dio-a", (0..20).map(|i| (i, doc(round * 100 + i))).collect())
+                .unwrap();
+        }
+        assert!(engine.shards[0].needs_compaction(&config), "overwrites left garbage");
+        let sealed = root.join("shard-000").join(segment::log_name(1));
+        let mut bytes = std::fs::read(&sealed).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0xFF;
+        std::fs::write(&sealed, &bytes).unwrap();
+
+        let err = engine.compact_now().expect_err("an unreadable input is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(!engine.shards[0].needs_compaction(&config));
+        assert!(engine.compact_now().is_err(), "asked explicitly, it refuses again");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_storage_document_of_an_earlier_version_still_parses() {
+        let mut doc = StorageReport { fsyncs: 3, ..Default::default() }.to_document();
+        doc["hints_rewritten"] = serde_json::Value::from(2u64);
+        assert_eq!(StorageReport::from_document(&doc).map(|r| r.fsyncs), Some(3));
     }
 
     #[test]

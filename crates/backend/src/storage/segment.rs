@@ -2,12 +2,11 @@
 //!
 //! A shard directory holds a generation-numbered sequence of segment
 //! files (`seg-<gen>.log`). Exactly one — the highest generation — is
-//! *active* and appended to; older segments are sealed and immutable
-//! (each with a sidecar hint file, see [`super::hint`]). Appends go
-//! through a single `write(2)` per batch, so once [`SegmentWriter::append`]
-//! returns, the batch survives a process kill (machine-crash durability
-//! additionally needs [`SegmentWriter::sync`], wired to the engine's
-//! flush policy).
+//! *active* and appended to; older segments are sealed and immutable.
+//! Appends go through a single `write(2)` per batch, so once
+//! [`SegmentWriter::append`] returns, the batch survives a process kill
+//! (machine-crash durability additionally needs [`SegmentWriter::sync`],
+//! wired to the engine's flush policy).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -21,7 +20,8 @@ pub fn log_name(gen: u64) -> String {
     format!("seg-{gen:010}.log")
 }
 
-/// Name of the hint sidecar for `gen`.
+/// Name of the `.hint` sidecar earlier versions wrote beside a sealed log
+/// (compaction removes a leftover one with its log; nothing reads it).
 pub fn hint_name(gen: u64) -> String {
     format!("seg-{gen:010}.hint")
 }
@@ -156,9 +156,9 @@ pub struct ScanResult {
 }
 
 /// Reads a segment log, decoding frames until EOF or the first torn /
-/// corrupt frame. The caller decides whether to truncate at
-/// `valid_len` (active segments) or report corruption (sealed ones —
-/// though recovery treats both the same way: truncate and count).
+/// corrupt frame. The caller decides what a scan that stopped short
+/// means: recovery truncates at `valid_len` and counts, active segment or
+/// sealed; compaction refuses the input.
 pub fn scan(path: &Path) -> std::io::Result<ScanResult> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;

@@ -7,7 +7,7 @@
 //! locks and files instead of contending on one.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -16,15 +16,14 @@ use dio_telemetry::span::monotonic_ns;
 use dio_telemetry::trace;
 
 use super::crash::{self, CrashSite};
-use super::hint::{self, HintEntry};
 use super::keydir::{Displaced, KeyDir, Slot};
-use super::record::{Record, FLAG_DROP_INDEX, FLAG_TOMBSTONE};
+use super::record::{DecodeError, Record, FLAG_DROP_INDEX, FLAG_TOMBSTONE};
 use super::segment::{self, ScannedRecord, SegmentWriter};
 use super::{EngineStats, StorageConfig};
 
 /// One logical mutation routed to a shard. The ops of one batch share
-/// their index name's allocation, and hand it on to the record and the hint
-/// entry written for them.
+/// their index name's allocation, and hand it on to the record written
+/// for them.
 #[derive(Debug)]
 pub enum Op {
     /// Write `doc_id` of `index` with a serialized JSON body.
@@ -65,18 +64,13 @@ struct ShardInner {
     sealed: BTreeMap<u64, SealedInfo>,
     /// Dead (superseded) bytes per generation, active included.
     dead_by_gen: HashMap<u64, u64>,
-    /// Keydir entries of the active segment, accumulated so sealing can
-    /// write the hint file without re-scanning the log.
-    active_hints: Vec<HintEntry>,
+    /// A compaction found a sealed segment it could not read whole. The
+    /// shard stops asking for one: only reopen, which truncates and counts
+    /// the loss, makes its segments mergeable again.
+    compaction_refused: bool,
 }
 
 impl ShardInner {
-    fn account(&mut self, displaced: Option<Displaced>) {
-        if let Some(d) = displaced {
-            *self.dead_by_gen.entry(d.gen).or_insert(0) += d.bytes;
-        }
-    }
-
     fn sealed_bytes(&self) -> u64 {
         self.sealed.values().map(|s| s.len).sum()
     }
@@ -89,8 +83,8 @@ impl ShardInner {
 /// A live document recovered at open time.
 #[derive(Debug)]
 pub struct LiveDoc {
-    /// Index (session) name.
-    pub index: String,
+    /// Index (session) name, shared by the documents of one appended batch.
+    pub index: Arc<str>,
     /// Document id within the index.
     pub doc_id: u64,
     /// Serialized JSON body.
@@ -113,39 +107,85 @@ impl std::fmt::Debug for Shard {
     }
 }
 
-fn apply_scanned(keydir: &mut KeyDir, gen: u64, rec: &ScannedRecord) -> (Vec<Displaced>, u64) {
-    let slot = Slot { gen, offset: rec.offset, frame_len: rec.len, seqno: rec.record.seqno };
-    let mut own_dead = 0;
-    let displaced = if rec.record.is_drop_index() {
-        // The barrier record itself is pure metadata: dead weight in its
-        // own segment from birth.
-        own_dead += rec.len as u64;
-        keydir.apply_drop_index(&rec.record.index, rec.record.seqno)
-    } else if rec.record.is_tombstone() {
-        own_dead += rec.len as u64;
-        keydir
-            .apply_tombstone(&rec.record.index, rec.record.doc_id, rec.record.seqno)
-            .into_iter()
-            .collect()
+/// Applies the record framed at `slot` to `keydir`, newest-seqno-wins, and
+/// charges what became garbage to `dead_by_gen`: the frames it displaced
+/// and, for a tombstone or a barrier, its own — pure metadata, dead weight
+/// in its segment from birth.
+fn apply(
+    keydir: &mut KeyDir,
+    dead_by_gen: &mut HashMap<u64, u64>,
+    flags: u8,
+    index: &str,
+    doc_id: u64,
+    slot: Slot,
+) {
+    let mut dead = |d: Displaced| *dead_by_gen.entry(d.gen).or_insert(0) += d.bytes;
+    let own = Displaced { gen: slot.gen, bytes: slot.frame_len as u64 };
+    if flags & FLAG_DROP_INDEX != 0 {
+        dead(own);
+        keydir.apply_drop_index(index, slot.seqno).into_iter().for_each(dead);
+    } else if flags & FLAG_TOMBSTONE != 0 {
+        dead(own);
+        keydir.apply_tombstone(index, doc_id, slot.seqno).into_iter().for_each(dead);
     } else {
-        keydir.apply_put(&rec.record.index, rec.record.doc_id, slot).into_iter().collect()
-    };
-    (displaced, own_dead)
+        keydir.apply_put(index, doc_id, slot).into_iter().for_each(dead);
+    }
 }
 
-fn apply_hint_entry(keydir: &mut KeyDir, gen: u64, e: &HintEntry) -> (Vec<Displaced>, u64) {
-    let rec = ScannedRecord {
-        record: Record {
-            seqno: e.seqno,
-            flags: e.flags,
-            index: Arc::clone(&e.index),
-            doc_id: e.doc_id,
-            value: Vec::new(),
-        },
-        offset: e.offset,
-        len: e.frame_len,
-    };
-    apply_scanned(keydir, gen, &rec)
+/// How far one generation scanned during a [`replay`].
+struct Scanned {
+    gen: u64,
+    /// Length of the log's valid prefix.
+    valid_len: u64,
+    /// Why the scan stopped before the end of the file, if it did.
+    torn: Option<DecodeError>,
+}
+
+/// What a set of segments replays to.
+struct Replayed {
+    /// Newest state of every key seen, tombstones and barriers included.
+    keydir: KeyDir,
+    /// The records `keydir`'s slots point at — the documents that survive
+    /// the set — in no particular order.
+    live: Vec<Record>,
+    /// The scanned generations, oldest first.
+    scanned: Vec<Scanned>,
+    /// Superseded bytes per generation.
+    dead_by_gen: HashMap<u64, u64>,
+    max_seqno: u64,
+}
+
+/// Replays the segments `gens` of `dir`, oldest first: each log is read and
+/// CRC-decoded once, up to its first torn or corrupt frame, and its records
+/// applied newest-seqno-wins (after an interrupted compaction the same
+/// record can sit in two files; only its sequence number says which wins).
+/// Which records survive a set of segments is decided here and nowhere
+/// else: recovery replays a whole shard, compaction its inputs. Neither
+/// truncates here — what to do about a torn segment is the caller's call.
+fn replay(dir: &Path, gens: impl Iterator<Item = u64>) -> std::io::Result<Replayed> {
+    let mut keydir = KeyDir::new();
+    let mut dead_by_gen = HashMap::new();
+    let mut scanned = Vec::new();
+    let mut records = Vec::new();
+    let mut max_seqno = 0;
+    for gen in gens {
+        let scan = segment::scan(&dir.join(segment::log_name(gen)))?;
+        for ScannedRecord { record, offset, len } in scan.records {
+            let slot = Slot { gen, offset, frame_len: len, seqno: record.seqno };
+            max_seqno = max_seqno.max(record.seqno);
+            apply(&mut keydir, &mut dead_by_gen, record.flags, &record.index, record.doc_id, slot);
+            if record.flags == 0 {
+                records.push((slot, record));
+            }
+        }
+        scanned.push(Scanned { gen, valid_len: scan.valid_len, torn: scan.torn });
+    }
+    let live = records
+        .into_iter()
+        .filter(|(slot, rec)| keydir.get(&rec.index, rec.doc_id) == Some(*slot))
+        .map(|(_, rec)| rec)
+        .collect();
+    Ok(Replayed { keydir, live, scanned, dead_by_gen, max_seqno })
 }
 
 /// One `fdatasync` of the active segment, traced as a `storage.fsync`
@@ -165,11 +205,13 @@ fn synced_write(
 }
 
 impl Shard {
-    /// Opens (or creates) the shard under `dir`, replaying segments into
-    /// the keydir and returning every live document. The recovery work
-    /// is recorded as a `recovery.shard` span under `parent` (the
-    /// engine's `storage.open` span) with torn-tail / hint-rebuild
-    /// attrs, so counters and causal spans describe the same repairs.
+    /// Opens (or creates) the shard under `dir`: one `replay` of its
+    /// segments gives the keydir and every live document. A segment whose
+    /// scan stopped short — active or sealed, a torn write or a flipped
+    /// byte — is truncated to its valid prefix and counted. The recovery
+    /// work is recorded as a `recovery.shard` span under `parent` (the
+    /// engine's `storage.open` span) with a torn-tail attr, so counters
+    /// and causal spans describe the same repairs.
     pub fn open(
         dir: PathBuf,
         id: usize,
@@ -178,101 +220,34 @@ impl Shard {
     ) -> std::io::Result<(Self, Vec<LiveDoc>)> {
         let mut recovery_span = trace::span_child_of(Some(parent), "storage", "recovery.shard");
         recovery_span.attr("shard", id);
-        let mut torn_truncated = 0u64;
-        let mut hints_rebuilt = 0u64;
         std::fs::create_dir_all(&dir)?;
         segment::remove_stale_merge_tmps(&dir)?;
         let gens = segment::list_generations(&dir)?;
-        let mut keydir = KeyDir::new();
-        let mut dead_by_gen: HashMap<u64, u64> = HashMap::new();
-        let mut sealed = BTreeMap::new();
-        let mut max_seqno = 0u64;
-        let mut active_hints = Vec::new();
-        let account =
-            |dead_by_gen: &mut HashMap<u64, u64>, displaced: Vec<Displaced>, own: (u64, u64)| {
-                for d in displaced {
-                    *dead_by_gen.entry(d.gen).or_insert(0) += d.bytes;
-                }
-                if own.1 > 0 {
-                    *dead_by_gen.entry(own.0).or_insert(0) += own.1;
-                }
-            };
-
-        let active_gen = gens.last().copied();
-        for &gen in &gens {
-            let log_path = dir.join(segment::log_name(gen));
-            let hint_path = dir.join(segment::hint_name(gen));
-            let log_len = std::fs::metadata(&log_path)?.len();
-            let is_active = Some(gen) == active_gen;
-            let hint_entries = if is_active { None } else { hint::read(&hint_path, log_len) };
-            match hint_entries {
-                Some(entries) => {
-                    for e in &entries {
-                        max_seqno = max_seqno.max(e.seqno);
-                        let (displaced, own_dead) = apply_hint_entry(&mut keydir, gen, e);
-                        account(&mut dead_by_gen, displaced, (gen, own_dead));
-                    }
-                    sealed.insert(gen, SealedInfo { len: log_len });
-                }
-                None => {
-                    // Missing/torn/stale hint, or the active segment:
-                    // scan the log, truncating a torn tail.
-                    let scanned = segment::scan(&log_path)?;
-                    if scanned.torn.is_some() {
-                        segment::truncate(&log_path, scanned.valid_len)?;
-                        stats.recovery_truncated.add(1);
-                        torn_truncated += 1;
-                    }
-                    let entries: Vec<HintEntry> =
-                        scanned.records.iter().map(HintEntry::from_scanned).collect();
-                    for rec in &scanned.records {
-                        max_seqno = max_seqno.max(rec.record.seqno);
-                        let (displaced, own_dead) = apply_scanned(&mut keydir, gen, rec);
-                        account(&mut dead_by_gen, displaced, (gen, own_dead));
-                    }
-                    if is_active {
-                        active_hints = entries;
-                    } else {
-                        // Rewrite the hint so the next open is fast.
-                        hint::write(&hint_path, &entries, scanned.valid_len)?;
-                        stats.hints_rewritten.add(1);
-                        hints_rebuilt += 1;
-                        sealed.insert(gen, SealedInfo { len: scanned.valid_len });
-                    }
-                }
-            }
-        }
-
-        // Load every live document, reading each segment at most once.
-        let mut by_gen: BTreeMap<u64, Vec<(String, u64, Slot)>> = BTreeMap::new();
-        for (index, doc_id, slot) in keydir.live() {
-            by_gen.entry(slot.gen).or_default().push((index.to_string(), doc_id, slot));
-        }
-        let mut docs = Vec::with_capacity(keydir.live_len());
-        for (gen, mut slots) in by_gen {
-            slots.sort_by_key(|(_, _, s)| s.offset);
-            let bytes = std::fs::read(dir.join(segment::log_name(gen)))?;
-            for (index, doc_id, slot) in slots {
-                let start = slot.offset as usize;
-                let end = start + slot.frame_len as usize;
-                let (record, _) = super::record::decode(&bytes[start..end]).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("shard {id} gen {gen} offset {start}: {e:?}"),
-                    )
-                })?;
-                docs.push(LiveDoc { index, doc_id, value: record.value });
-            }
-        }
-
+        let Replayed { mut keydir, live, scanned, dead_by_gen, max_seqno } =
+            replay(&dir, gens.iter().copied())?;
         keydir.prune_shadows();
-        let (writer, next_gen) = match active_gen {
-            Some(gen) => {
-                let valid_len = std::fs::metadata(dir.join(segment::log_name(gen)))?.len();
-                (SegmentWriter::reopen(&dir, gen, valid_len)?, gen + 1)
-            }
+
+        let mut torn_truncated = 0u64;
+        for seg in scanned.iter().filter(|seg| seg.torn.is_some()) {
+            segment::truncate(&dir.join(segment::log_name(seg.gen)), seg.valid_len)?;
+            stats.recovery_truncated.add(1);
+            torn_truncated += 1;
+        }
+        let mut sealed: BTreeMap<u64, SealedInfo> =
+            scanned.iter().map(|seg| (seg.gen, SealedInfo { len: seg.valid_len })).collect();
+        // The highest generation is the active one: reopened for append.
+        let (writer, next_gen) = match sealed.pop_last() {
+            Some((gen, active)) => (SegmentWriter::reopen(&dir, gen, active.len)?, gen + 1),
             None => (SegmentWriter::create(&dir, 1)?, 2),
         };
+        let docs = live
+            .into_iter()
+            .map(|rec| LiveDoc { index: rec.index, doc_id: rec.doc_id, value: rec.value })
+            .collect();
+        recovery_span.attr("segments", gens.len());
+        recovery_span.attr("live_keys", keydir.live_len());
+        recovery_span.attr("torn_truncated", torn_truncated);
+        drop(recovery_span);
         let inner = ShardInner {
             writer,
             keydir,
@@ -280,13 +255,8 @@ impl Shard {
             next_gen,
             sealed,
             dead_by_gen,
-            active_hints,
+            compaction_refused: false,
         };
-        recovery_span.attr("segments", gens.len());
-        recovery_span.attr("live_keys", inner.keydir.live_len());
-        recovery_span.attr("torn_truncated", torn_truncated);
-        recovery_span.attr("hints_rebuilt", hints_rebuilt);
-        drop(recovery_span);
         Ok((Shard { id, dir, inner: Mutex::new(inner), compact_gate: Mutex::new(()) }, docs))
     }
 
@@ -306,7 +276,9 @@ impl Shard {
         let inner = &mut *inner;
         let gen = inner.writer.gen();
         let mut buf = Vec::new();
-        let mut staged: Vec<HintEntry> = Vec::with_capacity(ops.len());
+        // Keydir updates wait here until the write has succeeded: a failed
+        // append leaves no slot pointing at bytes that are not there.
+        let mut staged: Vec<(u8, Arc<str>, u64, Slot)> = Vec::with_capacity(ops.len());
         for op in ops {
             let seqno = inner.next_seqno;
             inner.next_seqno += 1;
@@ -324,14 +296,8 @@ impl Shard {
             let offset = inner.writer.len() + buf.len() as u64;
             let frame_len = record.encoded_len() as u32;
             record.encode_into(&mut buf);
-            staged.push(HintEntry {
-                seqno,
-                flags: record.flags,
-                index: record.index,
-                doc_id: record.doc_id,
-                frame_len,
-                offset,
-            });
+            let slot = Slot { gen, offset, frame_len, seqno };
+            staged.push((record.flags, record.index, record.doc_id, slot));
         }
         append_span.attr("bytes", buf.len());
         inner.writer.append(&buf)?;
@@ -340,25 +306,8 @@ impl Shard {
         }
         stats.bytes_appended.add(buf.len() as u64);
         stats.records_appended.add(staged.len() as u64);
-
-        for entry in staged {
-            let slot =
-                Slot { gen, offset: entry.offset, frame_len: entry.frame_len, seqno: entry.seqno };
-            if entry.flags & FLAG_DROP_INDEX != 0 {
-                *inner.dead_by_gen.entry(gen).or_insert(0) += entry.frame_len as u64;
-                for d in inner.keydir.apply_drop_index(&entry.index, entry.seqno) {
-                    *inner.dead_by_gen.entry(d.gen).or_insert(0) += d.bytes;
-                }
-            } else if entry.flags & FLAG_TOMBSTONE != 0 {
-                *inner.dead_by_gen.entry(gen).or_insert(0) += entry.frame_len as u64;
-                let displaced =
-                    inner.keydir.apply_tombstone(&entry.index, entry.doc_id, entry.seqno);
-                inner.account(displaced);
-            } else {
-                let displaced = inner.keydir.apply_put(&entry.index, entry.doc_id, slot);
-                inner.account(displaced);
-            }
-            inner.active_hints.push(entry);
+        for (flags, index, doc_id, slot) in staged {
+            apply(&mut inner.keydir, &mut inner.dead_by_gen, flags, &index, doc_id, slot);
         }
 
         if inner.writer.len() >= config.max_segment_bytes {
@@ -367,8 +316,8 @@ impl Shard {
         Ok(self.wants_compaction(inner, config))
     }
 
-    /// Seals the active segment in place (sync + hint + bookkeeping)
-    /// without rotating — the caller installs the replacement writer.
+    /// Seals the active segment in place (sync + bookkeeping) without
+    /// rotating — the caller installs the replacement writer.
     fn seal_current(
         inner: &mut ShardInner,
         stats: &EngineStats,
@@ -379,16 +328,7 @@ impl Shard {
         seal_span.attr("gen", inner.writer.gen());
         seal_span.attr("bytes", inner.writer.len());
         synced_write(&mut inner.writer, stats, shard)?;
-        let gen = inner.writer.gen();
-        let len = inner.writer.len();
-        let dir = inner.writer.path().parent().expect("segment has parent dir").to_path_buf();
-        {
-            let mut hint_span = trace::span("storage", "storage.hint");
-            hint_span.attr("entries", inner.active_hints.len());
-            hint::write(&dir.join(segment::hint_name(gen)), &inner.active_hints, len)?;
-        }
-        inner.sealed.insert(gen, SealedInfo { len });
-        inner.active_hints.clear();
+        inner.sealed.insert(inner.writer.gen(), SealedInfo { len: inner.writer.len() });
         stats.segments_sealed.add(1);
         Ok(())
     }
@@ -409,7 +349,10 @@ impl Shard {
 
     fn wants_compaction(&self, inner: &ShardInner, config: &StorageConfig) -> bool {
         let sealed_bytes = inner.sealed_bytes();
-        if sealed_bytes < config.compact_min_sealed_bytes || inner.sealed.len() < 2 {
+        if inner.compaction_refused
+            || sealed_bytes < config.compact_min_sealed_bytes
+            || inner.sealed.len() < 2
+        {
             return false;
         }
         inner.sealed_dead_bytes() as f64 >= sealed_bytes as f64 * config.compact_min_dead_ratio
@@ -436,6 +379,12 @@ impl Shard {
     /// Crash-safe: output is written to `merge-*.tmp`, fsynced, renamed,
     /// and only then are inputs deleted oldest-first, so at every kill
     /// point the union of surviving files replays to the same store.
+    ///
+    /// An input that does not read back whole — a frame fails its CRC, or
+    /// the log is not as long as it was when sealed — is refused with
+    /// `InvalidData` before anything is written, repointed or deleted:
+    /// merging its valid prefix and deleting it would lose acknowledged
+    /// documents uncounted. Reopen truncates and counts the loss.
     pub fn compact(&self, stats: &EngineStats) -> std::io::Result<()> {
         let _gate = self.compact_gate.lock();
         // The whole merge is one storage.compact span with a child per
@@ -468,13 +417,11 @@ impl Shard {
             inner.next_gen += 1;
             let active_gen = inner.next_gen;
             inner.next_gen += 1;
-            let dir = self.dir.clone();
-            inner.writer = SegmentWriter::create(&dir, active_gen)?;
+            inner.writer = SegmentWriter::create(&self.dir, active_gen)?;
             if let Some(path) = empty_active {
                 std::fs::remove_file(path)?;
             }
-            let inputs: Vec<u64> = inner.sealed.keys().copied().collect();
-            (output_gen, inputs)
+            (output_gen, inner.sealed.clone())
         };
         drop(rotate_span);
         if inputs.is_empty() {
@@ -482,46 +429,39 @@ impl Shard {
         }
         compact_span.attr("inputs", inputs.len());
 
-        // Phase 2 (unlocked): replay the immutable inputs and keep only
-        // records that are the newest for their key *within the inputs*
-        // and not shadowed by a tombstone or barrier.
+        // Phase 2 (unlocked): replay the immutable inputs; what survives
+        // is the newest record of each key *within the inputs* that no
+        // tombstone or barrier shadows.
         let mut merge_span = trace::span("storage", "compact.merge");
-        let mut merge_dir = KeyDir::new();
-        let mut scans: HashMap<u64, Vec<ScannedRecord>> = HashMap::new();
-        for &gen in &inputs {
-            let scanned = segment::scan(&self.dir.join(segment::log_name(gen)))?;
-            for rec in &scanned.records {
-                apply_scanned(&mut merge_dir, gen, rec);
-            }
-            scans.insert(gen, scanned.records);
-        }
-        let mut keep: Vec<(u64, ScannedRecord)> = Vec::new();
-        for (&gen, records) in &scans {
-            for rec in records {
-                if rec.record.flags == 0
-                    && merge_dir.get(&rec.record.index, rec.record.doc_id).is_some_and(|s| {
-                        s.gen == gen && s.offset == rec.offset && s.seqno == rec.record.seqno
-                    })
-                {
-                    keep.push((gen, rec.clone()));
-                }
-            }
+        let Replayed { live: mut keep, scanned, .. } = replay(&self.dir, inputs.keys().copied())?;
+        if let Some(seg) =
+            scanned.iter().find(|seg| seg.torn.is_some() || seg.valid_len != inputs[&seg.gen].len)
+        {
+            self.inner.lock().compaction_refused = true;
+            let why = seg.torn.map_or("log ends".into(), |e| format!("{e:?}"));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "shard {} gen {} offset {}: {why}, sealed at {} bytes; compaction \
+                     refused (reopen truncates and counts the loss)",
+                    self.id, seg.gen, seg.valid_len, inputs[&seg.gen].len,
+                ),
+            ));
         }
         // Stable output order: by original seqno.
-        keep.sort_by_key(|(_, rec)| rec.record.seqno);
+        keep.sort_by_key(|rec| rec.seqno);
         merge_span.attr("kept", keep.len());
 
-        // Phase 3 (unlocked): write the output to a tmp file, hint it,
-        // then atomically promote it to a real segment.
+        // Phase 3 (unlocked): write the output to a tmp file, then
+        // atomically promote it to a real segment.
         let tmp_path = self.dir.join(segment::merge_tmp_name(output_gen));
         let mut out = std::fs::File::create(&tmp_path)?;
         let mut out_len = 0u64;
         let mut out_slots: Vec<(Arc<str>, u64, Slot)> = Vec::with_capacity(keep.len());
-        let mut out_hints: Vec<HintEntry> = Vec::with_capacity(keep.len());
         let mut buf = Vec::new();
-        for (_, rec) in &keep {
+        for rec in keep {
             buf.clear();
-            rec.record.encode_into(&mut buf);
+            rec.encode_into(&mut buf);
             if let Some(split) = crash::armed_split(CrashSite::Compact, buf.len()) {
                 use std::io::Write as _;
                 out.write_all(&buf[..split]).expect("crash-injection prefix write");
@@ -534,17 +474,9 @@ impl Shard {
                 gen: output_gen,
                 offset: out_len,
                 frame_len: buf.len() as u32,
-                seqno: rec.record.seqno,
+                seqno: rec.seqno,
             };
-            out_slots.push((Arc::clone(&rec.record.index), rec.record.doc_id, slot));
-            out_hints.push(HintEntry {
-                seqno: rec.record.seqno,
-                flags: rec.record.flags,
-                index: Arc::clone(&rec.record.index),
-                doc_id: rec.record.doc_id,
-                frame_len: slot.frame_len,
-                offset: slot.offset,
-            });
+            out_slots.push((rec.index, rec.doc_id, slot));
             out_len += buf.len() as u64;
         }
         let t0 = monotonic_ns();
@@ -553,11 +485,6 @@ impl Shard {
         drop(out);
         merge_span.attr("out_bytes", out_len);
         drop(merge_span);
-        {
-            let mut hint_span = trace::span("storage", "compact.hint");
-            hint_span.attr("entries", out_hints.len());
-            hint::write(&self.dir.join(segment::hint_name(output_gen)), &out_hints, out_len)?;
-        }
         {
             let _rename_span = trace::span("storage", "compact.rename");
             std::fs::rename(&tmp_path, self.dir.join(segment::log_name(output_gen)))?;
@@ -577,7 +504,7 @@ impl Shard {
                     out_dead += slot.frame_len as u64;
                 }
             }
-            for gen in &inputs {
+            for gen in inputs.keys() {
                 inner.sealed.remove(gen);
                 inner.dead_by_gen.remove(gen);
             }
@@ -593,8 +520,10 @@ impl Shard {
         {
             let mut delete_span = trace::span("storage", "compact.delete");
             delete_span.attr("inputs", inputs.len());
-            for &gen in &inputs {
+            for &gen in inputs.keys() {
                 std::fs::remove_file(self.dir.join(segment::log_name(gen)))?;
+                // Earlier versions wrote a `.hint` sidecar beside each sealed
+                // log. Nothing reads one any more; it goes with its log.
                 let _ = std::fs::remove_file(self.dir.join(segment::hint_name(gen)));
             }
         }

@@ -84,8 +84,8 @@ impl DocStore {
         let (engine, loaded) = StorageEngine::open(path.as_ref(), config)?;
         let mut indices = BTreeMap::new();
         for (name, docs) in loaded {
-            let index = Index::from_persisted(&name, Arc::clone(&engine), docs)?;
-            indices.insert(name, Arc::new(index));
+            let index = Index::from_persisted(&*name, Arc::clone(&engine), docs)?;
+            indices.insert(name.to_string(), Arc::new(index));
         }
         Ok(DocStore {
             indices: Arc::new(RwLock::new(indices)),

@@ -33,9 +33,9 @@ pub fn index_name(i: usize) -> String {
     format!("dio-crash{i}")
 }
 
-/// The storage profile under test: tiny segments force frequent seals
-/// (hint writes), and explicit `Compact` steps replace the background
-/// thread so every run is deterministic.
+/// The storage profile under test: tiny segments force frequent seals,
+/// and explicit `Compact` steps replace the background thread so every
+/// run is deterministic.
 pub fn crash_config() -> StorageConfig {
     StorageConfig {
         shards: 4,

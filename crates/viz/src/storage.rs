@@ -68,10 +68,7 @@ pub fn render_storage_panel(report: &StorageReport, fsync_ns: Option<&MetricPoin
         report.compactions,
         fmt_bytes(report.compacted_bytes),
     ));
-    out.push_str(&format!(
-        "recovery: {} torn tails truncated, {} hint files rebuilt\n",
-        report.recovery_truncated, report.hints_rewritten,
-    ));
+    out.push_str(&format!("recovery: {} torn tails truncated\n", report.recovery_truncated));
     if let Some(MetricPoint::Histogram(h)) = fsync_ns {
         out.push_str(&format!(
             "fsync latency: {} syncs, p50 {}, p99 {}, max {}\n",
@@ -174,7 +171,6 @@ mod tests {
             totals,
             per_shard: vec![shard0, shard1],
             recovery_truncated: 1,
-            hints_rewritten: 2,
             segments_sealed: 5,
             compactions: 3,
             compacted_bytes: 2048,
@@ -189,7 +185,7 @@ mod tests {
         assert!(out.contains("### Storage engine"), "{out}");
         assert!(out.contains("shards 2"), "{out}");
         assert!(out.contains("fsyncs 42"), "{out}");
-        assert!(out.contains("1 torn tails truncated, 2 hint files rebuilt"), "{out}");
+        assert!(out.contains("recovery: 1 torn tails truncated\n"), "{out}");
         // Two per-shard rows, indexed 0 and 1.
         assert!(out.lines().any(|l| l.trim_start().starts_with("0 ")), "{out}");
         assert!(out.lines().any(|l| l.trim_start().starts_with("1 ")), "{out}");

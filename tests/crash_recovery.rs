@@ -28,9 +28,10 @@ fn tmp_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// The active (highest-generation) segment log of every shard.
-fn active_logs(root: &Path) -> Vec<PathBuf> {
-    let mut logs = Vec::new();
+/// The segment logs of every shard, oldest first: the last of each is the
+/// active one, the others are sealed.
+fn segment_logs(root: &Path) -> Vec<Vec<PathBuf>> {
+    let mut shards = Vec::new();
     for entry in std::fs::read_dir(root).expect("read store root") {
         let path = entry.expect("dir entry").path();
         if !path.is_dir() {
@@ -45,11 +46,24 @@ fn active_logs(root: &Path) -> Vec<PathBuf> {
             })
             .collect();
         segs.sort();
-        if let Some(active) = segs.pop() {
-            logs.push(active);
-        }
+        shards.push(segs);
     }
-    logs
+    shards.sort();
+    shards
+}
+
+/// The active (highest-generation) segment log of every shard.
+fn active_logs(root: &Path) -> Vec<PathBuf> {
+    segment_logs(root).into_iter().filter_map(|mut segs| segs.pop()).collect()
+}
+
+/// Every sealed segment log, shard 0's first.
+fn sealed_logs(root: &Path) -> Vec<PathBuf> {
+    let without_active = |mut segs: Vec<PathBuf>| {
+        segs.pop();
+        segs
+    };
+    segment_logs(root).into_iter().flat_map(without_active).collect()
 }
 
 fn all_files(root: &Path) -> Vec<PathBuf> {
@@ -77,6 +91,55 @@ fn copy_tree(from: &Path, to: &Path) {
         std::fs::create_dir_all(dst.parent().expect("parent")).expect("create parent");
         std::fs::copy(&file, &dst).expect("copy file");
     }
+}
+
+/// Every file under `root`, by relative path, with its bytes.
+fn tree(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    all_files(root)
+        .into_iter()
+        .map(|p| {
+            (p.strip_prefix(root).expect("under root").to_path_buf(), std::fs::read(&p).unwrap())
+        })
+        .collect()
+}
+
+/// Same files, same bytes — naming the file that differs, not printing it.
+fn assert_same_tree(left: &[(PathBuf, Vec<u8>)], right: &[(PathBuf, Vec<u8>)], what: &str) {
+    let names = |tree: &[(PathBuf, Vec<u8>)]| -> Vec<PathBuf> {
+        tree.iter().map(|(path, _)| path.clone()).collect()
+    };
+    assert_eq!(names(left), names(right), "{what}: files created or removed");
+    for ((path, a), (_, b)) in left.iter().zip(right) {
+        assert!(a == b, "{what}: {} differs", path.display());
+    }
+}
+
+fn has_extension(path: &Path, ext: &str) -> bool {
+    path.extension().is_some_and(|e| e == ext)
+}
+
+/// Every document of every index, by id.
+fn store_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
+    let mut state = BTreeMap::new();
+    for name in store.index_names() {
+        let resp = store.index(&name).search(&SearchRequest::match_all().size(1_000_000));
+        let mut docs: Vec<(u64, Value)> = resp.hits.into_iter().map(|h| (h.id, h.source)).collect();
+        docs.sort_by_key(|(id, _)| *id);
+        state.insert(name, docs);
+    }
+    state
+}
+
+fn padded_docs(count: usize, pad: usize) -> Vec<Value> {
+    (0..count).map(|n| json!({"n": n, "pad": "x".repeat(pad)})).collect()
+}
+
+fn flip_a_byte_mid_file(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    assert!(bytes.len() > 40, "victim segment has content");
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0xFF;
+    std::fs::write(path, &bytes).unwrap();
 }
 
 // ------------------------------------------------- deliberate corruption
@@ -120,84 +183,100 @@ fn torn_tail_is_truncated_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flip a byte in the middle of one segment: everything from that frame
+/// on is unrecoverable (media corruption, not a torn write), and recovery
+/// must degrade to a clean prefix — open succeeds, survivors are
+/// byte-exact, invariants hold. Where the corruption sits does not decide
+/// whether the store opens: the largest active log of a store that never
+/// sealed, or a sealed log of one that did (4 KiB segments, ~100-byte
+/// documents).
 #[test]
 fn mid_file_corruption_opens_with_valid_survivors() {
-    let dir = tmp_store("midfile");
-    let docs: Vec<Value> = (0..60).map(|n| json!({"n": n, "pad": "x".repeat(40)})).collect();
-    {
-        let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
-        store.bulk("dio-m", docs.clone());
-        store.flush().unwrap();
-    }
-    // Flip a byte in the middle of one active segment: everything from
-    // that frame on is unrecoverable (media corruption, not a torn
-    // write), and recovery must degrade to a clean prefix — open
-    // succeeds, survivors are byte-exact, invariants hold.
-    let victim = active_logs(&dir).into_iter().max_by_key(|p| p.metadata().unwrap().len());
-    let victim = victim.expect("an active segment");
-    let mut bytes = std::fs::read(&victim).unwrap();
-    assert!(bytes.len() > 40, "victim segment has content");
-    let at = bytes.len() / 2;
-    bytes[at] ^= 0xFF;
-    std::fs::write(&victim, &bytes).unwrap();
+    for (docs, victim_is_sealed) in [(padded_docs(60, 40), false), (padded_docs(300, 64), true)] {
+        let dir = tmp_store("midfile");
+        {
+            let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+            store.bulk("dio-m", docs.clone());
+            store.flush().unwrap();
+        }
+        let victim = if victim_is_sealed {
+            sealed_logs(&dir).into_iter().next().expect("workload sealed a segment")
+        } else {
+            assert!(sealed_logs(&dir).is_empty(), "workload fits the active segments");
+            let largest = active_logs(&dir).into_iter().max_by_key(|p| p.metadata().unwrap().len());
+            largest.expect("an active segment")
+        };
+        flip_a_byte_mid_file(&victim);
 
-    let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
-    assert!(store.storage_report().unwrap().recovery_truncated >= 1);
-    store.storage().unwrap().verify().expect("invariants after corruption");
-    let idx = store.index("dio-m");
-    assert!(idx.len() < docs.len(), "the corrupted suffix is really gone");
-    let resp = idx.search(&SearchRequest::match_all().size(1_000_000));
-    for hit in resp.hits {
-        assert_eq!(
-            Some(&hit.source),
-            docs.get(hit.id as usize),
-            "survivor {} must be byte-exact",
-            hit.id
-        );
+        let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests())
+            .unwrap_or_else(|e| panic!("open with {} corrupted: {e}", victim.display()));
+        assert!(store.storage_report().unwrap().recovery_truncated >= 1);
+        store.storage().unwrap().verify().expect("invariants after corruption");
+        let idx = store.index("dio-m");
+        assert!(idx.len() < docs.len(), "the corrupted suffix is really gone");
+        let resp = idx.search(&SearchRequest::match_all().size(1_000_000));
+        for hit in resp.hits {
+            assert_eq!(
+                Some(&hit.source),
+                docs.get(hit.id as usize),
+                "survivor {} must be byte-exact",
+                hit.id
+            );
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Compaction never deletes what it could not read: an input with a frame
+/// that fails its CRC is refused before a merge file exists, a slot is
+/// repointed or an input removed — merging its valid prefix and deleting
+/// it would lose acknowledged documents without a count. Reopen truncates
+/// and counts, as it does for any torn segment.
 #[test]
-fn corrupt_hint_file_is_rebuilt_without_data_loss() {
-    let dir = tmp_store("hint");
-    // 4 KiB segments + ~100-byte docs: plenty of seals, hence hints.
-    let docs: Vec<Value> = (0..300).map(|n| json!({"n": n, "pad": "h".repeat(64)})).collect();
-    {
-        let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
-        store.bulk("dio-h", docs.clone());
-        store.flush().unwrap();
-    }
-    let hints: Vec<PathBuf> = all_files(&dir)
-        .into_iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "hint"))
-        .collect();
-    assert!(!hints.is_empty(), "workload sealed at least one segment");
-    // Corrupt one hint mid-file and truncate another: both anomalies
-    // must be detected (per-entry CRCs, covered-length trailer) and the
-    // hints rebuilt from the logs — hints are an optimization, never a
-    // source of truth.
-    let mut bytes = std::fs::read(&hints[0]).unwrap();
-    let at = bytes.len() / 2;
-    bytes[at] ^= 0x5A;
-    std::fs::write(&hints[0], &bytes).unwrap();
-    let mut rebuilt = 1;
-    if let Some(second) = hints.get(1) {
-        let bytes = std::fs::read(second).unwrap();
-        std::fs::write(second, &bytes[..bytes.len() - 7]).unwrap();
-        rebuilt += 1;
-    }
+fn compaction_refuses_an_input_it_cannot_read() {
+    let dir = tmp_store("refuse");
+    let docs = padded_docs(300, 64);
+    let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+    store.bulk("dio-r", docs.clone());
+    store.flush().unwrap();
+    // On disk a store is its manifest and segment logs, nothing else; and
+    // what a refused compaction may touch is a segment nothing was written to.
+    let files_holding_data = || -> Vec<(PathBuf, Vec<u8>)> {
+        let tree = tree(&dir);
+        for (path, _) in &tree {
+            let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8 name");
+            let is_segment = name.starts_with("seg-") && has_extension(path, "log");
+            assert!(name == "MANIFEST" || is_segment, "unexpected file {}", path.display());
+        }
+        tree.into_iter().filter(|(_, bytes)| !bytes.is_empty()).collect()
+    };
+    // Shard 0's sealed log: `compact_now` takes the shards in order and
+    // stops at the first error, so no other shard is merged before it.
+    let victim = sealed_logs(&dir).into_iter().next().expect("workload sealed a segment");
+    assert!(victim.parent().unwrap().ends_with("shard-000"), "{}", victim.display());
+    flip_a_byte_mid_file(&victim);
+    let before = files_holding_data();
+    let compactions = store.storage_report().unwrap().compactions;
+
+    let err = store.compact_now().expect_err("an unreadable input is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().starts_with("shard 0 gen 1 offset "), "{err}");
+    assert_eq!(store.storage_report().unwrap().compactions, compactions);
+    // Every file that holds a byte is where it was, byte for byte, and no
+    // merge output exists. All the refused run did is rotate: the shard's
+    // active segment — empty before and after — has a new generation.
+    assert_same_tree(&files_holding_data(), &before, "a refused compaction");
+    drop(store);
 
     let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
-    assert!(store.storage_report().unwrap().hints_rewritten >= rebuilt);
-    assert_eq!(store.storage_report().unwrap().recovery_truncated, 0, "logs were fine");
-    let idx = store.index("dio-h");
-    assert_eq!(idx.len(), docs.len());
-    for (id, doc) in docs.iter().enumerate() {
-        assert_eq!(idx.get(id as u64).as_ref(), Some(doc));
+    assert_eq!(store.storage_report().unwrap().recovery_truncated, 1, "the loss is counted");
+    store.storage().unwrap().verify().expect("invariants after truncation");
+    let survivors = store_state(&store).remove("dio-r").expect("index survives");
+    assert!(survivors.len() < docs.len(), "the corrupted suffix is really gone");
+    for (id, doc) in &survivors {
+        assert_eq!(Some(doc), docs.get(*id as usize), "survivor {id} must be byte-exact");
     }
-    store.storage().unwrap().verify().expect("invariants");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -275,9 +354,9 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_v1")
 }
 
-/// The deterministic history behind the fixture, and the state it must
-/// recover to: puts across two sessions, overwrite-free deletes, a
-/// dropped third session, and one compaction.
+/// Runs the deterministic history behind the fixture on `store` and returns
+/// the state it must recover to: puts across two sessions, overwrite-free
+/// deletes, a dropped third session, and one compaction.
 fn fixture_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
     let s1: Vec<Value> = (0..120).map(|n| json!({"n": n, "syscall": "read"})).collect();
     let s2: Vec<Value> = (0..30).map(|n| json!({"n": n, "syscall": "openat"})).collect();
@@ -308,18 +387,37 @@ fn fixture_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
     expect
 }
 
-/// Regenerates `tests/fixtures/store_v1`. Run explicitly (and commit the
-/// result) when the on-disk format version changes:
-/// `cargo test --test crash_recovery regenerate -- --ignored`
+/// Regenerates the manifest and segment logs of `tests/fixtures/store_v1`.
+/// Run explicitly (and commit the result) when the on-disk format version
+/// changes: `cargo test --test crash_recovery regenerate -- --ignored`.
+/// The `.hint` sidecars stay as committed: they are what makes the fixture
+/// a store written by an earlier version, and nothing writes one today.
 #[test]
 #[ignore = "writes the committed fixture; run by hand on format changes"]
 fn regenerate_golden_fixture() {
     let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    for file in all_files(&dir).into_iter().filter(|p| !has_extension(p, "hint")) {
+        std::fs::remove_file(file).expect("remove old fixture file");
+    }
+    let scratch = tmp_store("regenerate");
+    let store = DocStore::open_with(&scratch, fixture_config()).unwrap();
     fixture_state(&store);
     drop(store);
+    copy_tree(&scratch, &dir);
+    let _ = std::fs::remove_dir_all(&scratch);
     println!("fixture regenerated at {}", dir.display());
+}
+
+/// The state the fixture's history produces, from a scratch store it is
+/// replayed on; `check` sees that store's directory before it goes.
+fn regenerated_fixture_state(check: impl FnOnce(&Path)) -> BTreeMap<String, Vec<(u64, Value)>> {
+    let scratch = tmp_store("golden-expect");
+    let store = DocStore::open_with(&scratch, fixture_config()).unwrap();
+    let state = fixture_state(&store);
+    drop(store);
+    check(&scratch);
+    let _ = std::fs::remove_dir_all(&scratch);
+    state
 }
 
 #[test]
@@ -335,55 +433,73 @@ fn golden_fixture_reopens_byte_for_byte() {
     copy_tree(&fixture, &dir);
 
     let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    // Replaying the fixture's history writes the committed manifest and
+    // logs again: neither the record format nor a document's serialization
+    // moved. The sidecars are an earlier version's; a store written today
+    // has none.
+    let expect = regenerated_fixture_state(|scratch| {
+        let committed: Vec<_> =
+            tree(&fixture).into_iter().filter(|(p, _)| !has_extension(p, "hint")).collect();
+        assert_same_tree(&tree(scratch), &committed, "a regenerated store and the fixture");
+    });
     // Contents: exactly the state the fixture history produced.
-    let expect = {
-        let scratch = tmp_store("golden-expect");
-        let s = DocStore::open_with(&scratch, fixture_config()).unwrap();
-        let state = fixture_state(&s);
-        drop(s);
-        // Replaying the fixture's history writes the committed bytes again:
-        // neither the record format nor a document's serialization moved.
-        for path in all_files(&fixture) {
-            let rel = path.strip_prefix(&fixture).unwrap();
-            assert_eq!(
-                std::fs::read(scratch.join(rel)).ok(),
-                Some(std::fs::read(&path).unwrap()),
-                "{} differs from a regenerated store",
-                rel.display()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&scratch);
-        state
-    };
-    assert_eq!(store.index_names(), expect.keys().cloned().collect::<Vec<_>>());
-    for (name, docs) in &expect {
-        let idx = store.index(name);
-        assert_eq!(idx.len(), docs.len(), "{name}");
-        for (id, doc) in docs {
-            assert_eq!(idx.get(*id).as_ref(), Some(doc), "{name}/{id}");
-        }
-    }
+    assert_eq!(store_state(&store), expect);
     store.storage().unwrap().verify().expect("fixture invariants");
     assert_eq!(store.storage_report().unwrap().recovery_truncated, 0);
-    assert_eq!(store.storage_report().unwrap().hints_rewritten, 0);
     drop(store);
 
-    // A clean open + close must not rewrite a single byte: recovery is
-    // read-only on an intact store, so format compatibility is
-    // testable against the committed tree forever.
-    let before: Vec<(PathBuf, Vec<u8>)> = all_files(&fixture)
-        .into_iter()
-        .map(|p| (p.strip_prefix(&fixture).unwrap().to_path_buf(), std::fs::read(&p).unwrap()))
-        .collect();
-    let after: Vec<(PathBuf, Vec<u8>)> = all_files(&dir)
-        .into_iter()
-        .map(|p| (p.strip_prefix(&dir).unwrap().to_path_buf(), std::fs::read(&p).unwrap()))
-        .collect();
-    assert_eq!(before.len(), after.len(), "no files created or removed");
-    for ((rel_a, bytes_a), (rel_b, bytes_b)) in before.iter().zip(after.iter()) {
-        assert_eq!(rel_a, rel_b);
-        assert_eq!(bytes_a, bytes_b, "{} changed across reopen", rel_a.display());
+    // A clean open + close must not rewrite a single byte or remove a
+    // file, sidecars included: recovery is read-only on an intact store,
+    // so format compatibility is testable against the committed tree
+    // forever.
+    assert_same_tree(&tree(&dir), &tree(&fixture), "open + close of the fixture");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store written by an earlier version carries a `.hint` sidecar beside
+/// each sealed log. They are never read and never rewritten: the fixture
+/// opens to the same state with them intact, damaged or gone, and open +
+/// close leaves the tree as it found it. Compaction removes a sidecar
+/// with the log it described.
+#[test]
+fn legacy_hint_sidecars_are_ignored() {
+    let fixture = fixture_dir();
+    let expect = regenerated_fixture_state(|_| ());
+    let hints_of = |dir: &Path| -> Vec<PathBuf> {
+        all_files(dir).into_iter().filter(|p| has_extension(p, "hint")).collect()
+    };
+    assert_eq!(hints_of(&fixture).len(), 4, "the fixture keeps its sidecars");
+
+    for variant in ["intact", "damaged", "deleted"] {
+        let dir = tmp_store("legacy");
+        copy_tree(&fixture, &dir);
+        let hints = hints_of(&dir);
+        match variant {
+            "damaged" => {
+                flip_a_byte_mid_file(&hints[0]);
+                let bytes = std::fs::read(&hints[1]).unwrap();
+                std::fs::write(&hints[1], &bytes[..bytes.len() - 7]).unwrap();
+            }
+            "deleted" => hints.iter().for_each(|h| std::fs::remove_file(h).unwrap()),
+            _ => {}
+        }
+        let before = tree(&dir);
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        assert_eq!(store_state(&store), expect, "sidecars {variant}");
+        assert_eq!(store.storage_report().unwrap().recovery_truncated, 0, "sidecars {variant}");
+        store.storage().unwrap().verify().expect("invariants");
+        drop(store);
+        assert_same_tree(&tree(&dir), &before, &format!("open + close, sidecars {variant}"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
+
+    let dir = tmp_store("legacy-compact");
+    copy_tree(&fixture, &dir);
+    let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    store.compact_now().unwrap();
+    assert_eq!(store_state(&store), expect);
+    drop(store);
+    assert_eq!(hints_of(&dir), Vec::<PathBuf>::new(), "a sidecar outlived its log");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,46 +4,25 @@
 //! by every thread that ever recorded.
 //!
 //! Rings are allocated on one thread and freed on another, so live heap is
-//! counted process-wide by this binary's own allocator — which is why these
-//! tests have a binary to themselves, beside `tests/flightrec.rs`, and take
-//! turns in it ([`in_turn`]).
+//! counted process-wide by this binary's own allocator
+//! (`tests/common/counting.rs`) — which is why these tests have a binary to
+//! themselves, beside `tests/flightrec.rs`, and take turns in it
+//! ([`in_turn`]).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use dio_backend::{DocStore, StorageConfig};
 use dio_telemetry::trace::{self, Attrs, FlightRecorder, TraceSpan};
 
-static LIVE: AtomicI64 = AtomicI64::new(0);
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged; the counting touches one atomic and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting.rs"]
+mod counting;
+use counting::{Counting, PROCESS_LIVE as LIVE};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Runs `test` while no other runs, on a thread of its own, and returns once
 /// that thread has exited: a ring it filled is folded and freed before the

@@ -8,9 +8,10 @@
 //!
 //! * `/metrics` must pass the self-written OpenMetrics lint;
 //! * the SSE stream must deliver at least one live `event: alert` frame;
-//! * `/flightrec` must download valid Chrome Trace JSON, and at least
-//!   one `trace_id` exemplar from the scrape must resolve to a span in
-//!   that same dump;
+//! * `/flightrec` must download valid Chrome Trace JSON, a `trace_id`
+//!   exemplar of both `tracer.shipper.batch_ns` and `span.e2e_ns` from the
+//!   scrape must resolve to a span in that same dump, and every
+//!   `ship.batch` span in it must carry `e2e_ns`;
 //! * the JSON and ANSI views must reflect the workload.
 //!
 //! The scrape and the health payload land in `results/` as CI artifacts,
@@ -90,19 +91,33 @@ fn main() {
     let dump: serde_json::Value =
         serde_json::from_str(&flightrec).expect("flightrec is valid Chrome JSON");
     assert!(dump.get("traceEvents").is_some(), "Chrome Trace Event envelope");
-    let exemplar_id = metrics
-        .lines()
-        .filter(|l| l.contains("_bucket"))
-        .find_map(|l| {
-            let (_, rest) = l.split_once("trace_id=\"")?;
-            rest.split_once('"').map(|(id, _)| id.to_string())
-        })
-        .expect("scrape must carry at least one trace_id exemplar");
-    assert!(
-        flightrec.contains(&format!("0x{exemplar_id}")),
-        "exemplar trace_id {exemplar_id} must resolve into the flight-recorder dump"
-    );
-    eprintln!("  exemplar trace_id {exemplar_id} resolves into /flightrec");
+    // Both exemplar families — the shipper's batch latency and the events'
+    // end-to-end latency — must resolve into that same dump.
+    for family in ["tracer_shipper_batch_ns_bucket", "span_e2e_ns_bucket"] {
+        let exemplar_id = metrics
+            .lines()
+            .filter(|l| l.starts_with(family))
+            .find_map(|l| {
+                let (_, rest) = l.split_once("trace_id=\"")?;
+                rest.split_once('"').map(|(id, _)| id.to_string())
+            })
+            .unwrap_or_else(|| panic!("{family} must carry a trace_id exemplar"));
+        assert!(
+            flightrec.contains(&format!("0x{exemplar_id}")),
+            "{family} exemplar trace_id {exemplar_id} must resolve into the flight-recorder dump"
+        );
+        eprintln!("  {family} exemplar trace_id {exemplar_id} resolves into /flightrec");
+    }
+    // Per-event timing leaves through the same dump: every shipped batch
+    // carries its oldest event's end-to-end time and stage breakdown.
+    let events = dump["traceEvents"].as_array().expect("traceEvents array");
+    let batches: Vec<&serde_json::Value> =
+        events.iter().filter(|e| e["name"] == "ship.batch").collect();
+    assert!(!batches.is_empty(), "the dump holds the session's ship.batch spans");
+    for batch in &batches {
+        assert!(batch["args"]["e2e_ns"].as_u64().is_some(), "ship.batch without e2e_ns: {batch}");
+    }
+    eprintln!("  {} ship.batch spans carry e2e_ns", batches.len());
 
     let health = expect_200(addr, "/api/health");
     serde_json::from_str::<serde_json::Value>(&health).expect("health is valid JSON");

@@ -231,34 +231,26 @@ impl DioSession {
         self.tracer.as_ref().and_then(|t| t.diagnosis())
     }
 
-    /// Renders one tick of the `dio top` live view: trailing-window
-    /// syscall rates per process and file, plus the engine's currently
-    /// active alerts (empty when diagnosis is off).
+    /// Renders one tick of the `dio top` live view — the screen `/top`
+    /// serves (see [`dio_serve::render_top_screen`]): trailing-window
+    /// syscall rates per process and file, the engine's currently active
+    /// alerts, and the rules, DFG and storage panels the session has.
     pub fn top(&self, opts: &TopOptions) -> String {
-        let alerts = self.diagnosis().map(|e| e.active_alerts()).unwrap_or_default();
-        let mut out = render_top(&self.index(), &alerts, opts);
-        // Sessions with loaded diagnosis rules list them with live
-        // fire/suppress counters below the alerts.
-        if let Some(engine) = self.diagnosis() {
-            let reports = engine.dynamic_reports();
-            if !reports.is_empty() {
-                out.push('\n');
-                out.push_str(&render_rules_panel(&reports));
-            }
+        dio_serve::render_top_screen(&self.serve_state(), opts)
+    }
+
+    /// What the introspection server and the `dio top` screen read.
+    fn serve_state(&self) -> ServeState {
+        let tracer = self.tracer.as_ref().expect("tracer present until stop");
+        ServeState {
+            session: self.session_name.clone(),
+            registry: Arc::clone(tracer.registry()),
+            backend: Arc::new(self.backend.clone()),
+            index_name: self.index_name.clone(),
+            telemetry_index: format!("dio-telemetry-{}", self.session_name),
+            engine: tracer.diagnosis(),
+            profiler: tracer.profiler(),
         }
-        // Profiled sessions get the live directly-follows-graph panel:
-        // the busiest syscall transitions with latency percentiles.
-        if let Some(miner) = self.tracer.as_ref().and_then(|t| t.profiler()) {
-            out.push('\n');
-            out.push_str(&dio_viz::render_dfg_panel(&dio_profile::to_json(&miner.snapshot())));
-        }
-        // Persistent sessions get the storage engine's occupancy and
-        // compaction-debt panel below the live view.
-        if let Some(report) = self.backend.storage_report() {
-            out.push('\n');
-            out.push_str(&render_storage_panel(&report, None));
-        }
-        out
     }
 
     /// Starts the live introspection server on `addr` (port `0` binds an
@@ -271,17 +263,7 @@ impl DioSession {
     ///
     /// Propagates the bind error when `addr` is unavailable.
     pub fn serve(&mut self, addr: impl std::net::ToSocketAddrs) -> std::io::Result<SocketAddr> {
-        let tracer = self.tracer.as_ref().expect("tracer present until stop");
-        let state = ServeState {
-            session: self.session_name.clone(),
-            registry: Arc::clone(tracer.registry()),
-            backend: Arc::new(self.backend.clone()),
-            index_name: self.index_name.clone(),
-            telemetry_index: format!("dio-telemetry-{}", self.session_name),
-            engine: tracer.diagnosis(),
-            profiler: tracer.profiler(),
-        };
-        let handle = serve(addr, state)?;
+        let handle = serve(addr, self.serve_state())?;
         let bound = handle.addr();
         self.server = Some(handle);
         Ok(bound)
@@ -299,9 +281,10 @@ impl DioSession {
     }
 
     /// Writes the flight recorder's current spans to
-    /// `results/flightrec-manual-<pid>.json` (Chrome Trace Event Format
-    /// plus a critical-path summary) and returns the path. `None` when
-    /// no dump directory is available (see `DIO_RESULTS_DIR`).
+    /// `results/flightrec-manual-NN.json` (Chrome Trace Event Format plus a
+    /// critical-path summary; `NN` counts this process's manual dumps, the
+    /// last of [`trace::DUMP_CAP`] slots reused) and returns the path.
+    /// `None` when no dump directory is available (see `DIO_RESULTS_DIR`).
     pub fn dump_flight_recorder(&self) -> Option<std::path::PathBuf> {
         trace::recorder().dump("manual")
     }

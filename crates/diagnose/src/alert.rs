@@ -5,7 +5,7 @@
 //! window that produced it, a human-readable message, detector-specific
 //! structured fields, and the evidence rows (raw event documents) that
 //! triggered it. Alerts serialize as `kind: "alert"` documents so they can
-//! share the per-session telemetry index with health and span documents —
+//! share the per-session telemetry index with health and phase documents —
 //! the dashboard readers skip any document without a `metric` field.
 
 use serde_json::{json, Value};

@@ -529,7 +529,7 @@ mod tests {
         use dio_telemetry::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         let ring: RingBuffer<StageStamps> = RingBuffer::with_slots(2, 2);
         ring.bind_telemetry(&registry);
         ring.bind_spans(Arc::clone(&spans));
@@ -562,7 +562,7 @@ mod tests {
         use dio_telemetry::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         let ring: RingBuffer<StageStamps> = RingBuffer::with_slots(1, 1);
         ring.bind_spans(Arc::clone(&spans));
 

@@ -84,6 +84,32 @@ pub struct ServeState {
     pub profiler: Option<Arc<DfgMiner>>,
 }
 
+/// One tick of the `dio top` screen: trailing-window syscall rates per
+/// process and file with the engine's active alerts, then — when the
+/// session has them — the loaded rules with live fire/suppress counters,
+/// the busiest directly-follows edges, and the storage engine's occupancy
+/// and compaction debt.
+pub fn render_top_screen(state: &ServeState, opts: &TopOptions) -> String {
+    let alerts = state.engine.as_ref().map(|e| e.active_alerts()).unwrap_or_default();
+    let mut out = render_top(&state.backend.index(&state.index_name), &alerts, opts);
+    if let Some(engine) = &state.engine {
+        let reports = engine.dynamic_reports();
+        if !reports.is_empty() {
+            out.push('\n');
+            out.push_str(&dio_viz::render_rules_panel(&reports));
+        }
+    }
+    if let Some(miner) = &state.profiler {
+        out.push('\n');
+        out.push_str(&dio_viz::render_dfg_panel(&dio_profile::to_json(&miner.snapshot())));
+    }
+    if let Some(report) = state.backend.storage_report() {
+        out.push('\n');
+        out.push_str(&render_storage_panel(&report, None));
+    }
+    out
+}
+
 /// Server self-observation, registered into the session registry so the
 /// server's own cost shows up on `/metrics`.
 struct ServeTelemetry {
@@ -438,30 +464,11 @@ fn handle_connection(
                 b"{\"error\":\"session has no persistent storage\"}".to_vec(),
             ),
         },
-        "/top" => {
-            let alerts = state.engine.as_ref().map(|e| e.active_alerts()).unwrap_or_default();
-            let mut out = render_top(
-                &state.backend.index(&state.index_name),
-                &alerts,
-                &TopOptions::default(),
-            );
-            if let Some(engine) = &state.engine {
-                let reports = engine.dynamic_reports();
-                if !reports.is_empty() {
-                    out.push('\n');
-                    out.push_str(&dio_viz::render_rules_panel(&reports));
-                }
-            }
-            if let Some(miner) = &state.profiler {
-                out.push('\n');
-                out.push_str(&dio_viz::render_dfg_panel(&dio_profile::to_json(&miner.snapshot())));
-            }
-            if let Some(report) = state.backend.storage_report() {
-                out.push('\n');
-                out.push_str(&render_storage_panel(&report, None));
-            }
-            (200, "text/plain; charset=utf-8", out.into_bytes())
-        }
+        "/top" => (
+            200,
+            "text/plain; charset=utf-8",
+            render_top_screen(state, &TopOptions::default()).into_bytes(),
+        ),
         "/dashboard" => {
             let out = render_health_dashboard(&state.backend.index(&state.telemetry_index));
             (200, "text/plain; charset=utf-8", out.into_bytes())

@@ -7,8 +7,8 @@
 //! [`SpanCollector`] turns completed records into per-transition and
 //! end-to-end latency histograms, attributes dropped events to the stage
 //! that starved (partial stamp records), and maintains the pipeline **lag
-//! watermark** — an upper bound on the age of the oldest event that has
-//! entered the pipeline but not yet been bulk-indexed.
+//! watermark** — the age of the oldest event that has entered the pipeline
+//! but not yet been bulk-indexed, as far as the shipped frontier can tell.
 //!
 //! All stamps come from one process-wide monotonic clock
 //! ([`monotonic_ns`]), so latencies derived between stages are always
@@ -21,7 +21,7 @@
 //! use dio_telemetry::MetricsRegistry;
 //!
 //! let registry = MetricsRegistry::new();
-//! let spans = SpanCollector::new(&registry, 1);
+//! let spans = SpanCollector::new(&registry);
 //!
 //! let mut stamps = StageStamps::new();
 //! for stage in Stage::ALL {
@@ -40,8 +40,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-use serde_json::{json, Value};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::registry::MetricsRegistry;
@@ -183,30 +181,11 @@ impl StageStamps {
         Stage::ALL.into_iter().find(|&s| self.get(s).is_none())
     }
 
-    /// Renders the record as a flat backend document fragment:
-    /// `{"stamps": {stage: ns, ...}, "stage_ns": {transition: ns, ...},
-    /// "e2e_ns": ...}` with absent values omitted.
-    pub fn to_document(&self) -> Value {
-        let mut stamps = serde_json::Map::new();
-        for stage in Stage::ALL {
-            if let Some(ns) = self.get(stage) {
-                stamps.insert(stage.name().to_string(), json!(ns));
-            }
-        }
-        let mut stage_ns = serde_json::Map::new();
-        for (from, to, name) in TRANSITIONS {
-            if let Some(ns) = self.latency_between(from, to) {
-                stage_ns.insert(name.to_string(), json!(ns));
-            }
-        }
-        let mut doc = json!({
-            "stamps": Value::Object(stamps),
-            "stage_ns": Value::Object(stage_ns),
-        });
-        if let Some(e2e) = self.e2e_ns() {
-            doc["e2e_ns"] = json!(e2e);
-        }
-        doc
+    /// Each transition's latency in pipeline order, keyed by its name
+    /// (`dispatch_to_push`, …, `enqueue_to_index`); `None` unless both of
+    /// its stages are stamped.
+    pub fn transitions(&self) -> impl Iterator<Item = (&'static str, Option<u64>)> + '_ {
+        TRANSITIONS.into_iter().map(|(from, to, name)| (name, self.latency_between(from, to)))
     }
 }
 
@@ -245,9 +224,6 @@ pub struct SpanCollector {
     drop_at: [Arc<Counter>; Stage::COUNT],
     lag_watermark: Arc<Gauge>,
     lag_peak: Arc<Gauge>,
-    /// 1-in-N sampling period for full-span documents (0 disables).
-    sample_every: u64,
-    sample_tick: AtomicU64,
     /// Events that entered the pipeline (kernel dispatch).
     emitted: AtomicU64,
     /// Events that left it (bulk-indexed or dropped).
@@ -269,9 +245,7 @@ impl std::fmt::Debug for SpanCollector {
 
 impl SpanCollector {
     /// Creates a collector registering its metrics with `registry`.
-    /// `sample_every` selects 1-in-N completed spans for full-span
-    /// document export (0 disables sampling, 1 samples every span).
-    pub fn new(registry: &MetricsRegistry, sample_every: u64) -> Arc<Self> {
+    pub fn new(registry: &MetricsRegistry) -> Arc<Self> {
         let stage_ns =
             TRANSITIONS.map(|(_, _, name)| registry.histogram(&format!("span.stage.{name}_ns")));
         let drop_at = Stage::ALL.map(|s| registry.counter(&format!("span.drop.at_{}", s.name())));
@@ -283,16 +257,19 @@ impl SpanCollector {
         let lag_peak = registry.gauge("span.lag.peak_ns");
         lag_watermark.set(0);
         lag_peak.set(0);
+        // e2e carries metric→trace exemplars, as the shipper's batch_ns
+        // does: a slow bucket on `/metrics` names the flight-recorder trace
+        // whose `ship.batch` spans hold that request's stage breakdown.
+        let e2e_ns = registry.histogram("span.e2e_ns");
+        e2e_ns.enable_exemplars();
         Arc::new(SpanCollector {
             stage_ns,
-            e2e_ns: registry.histogram("span.e2e_ns"),
+            e2e_ns,
             completed: registry.counter("span.completed"),
             dropped: registry.counter("span.dropped"),
             drop_at,
             lag_watermark,
             lag_peak,
-            sample_every,
-            sample_tick: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             first_dispatch_ns: AtomicU64::new(0),
@@ -313,22 +290,19 @@ impl SpanCollector {
     }
 
     /// Records a fully shipped span: every stamped transition latency plus
-    /// end-to-end, advances the shipped frontier, and returns whether this
-    /// span is selected by 1-in-N sampling for full-span document export.
-    pub fn record_shipped(&self, stamps: &StageStamps) -> bool {
+    /// end-to-end, and advances the shipped frontier. The end-to-end sample
+    /// takes the calling thread's innermost open span's trace as its
+    /// bucket's exemplar.
+    pub fn record_shipped(&self, stamps: &StageStamps) {
         self.record_transitions(stamps);
         if let Some(e2e) = stamps.e2e_ns() {
-            self.e2e_ns.record(e2e);
+            self.e2e_ns.record_traced(e2e);
         }
         self.completed.inc();
         self.retired.fetch_add(1, Ordering::Relaxed);
         if let Some(dispatch) = stamps.get(Stage::KernelDispatch) {
             self.shipped_frontier_ns.fetch_max(dispatch, Ordering::Relaxed);
         }
-        if self.sample_every == 0 {
-            return false;
-        }
-        self.sample_tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.sample_every)
     }
 
     /// Records a partial span for an event discarded mid-pipeline: stamped
@@ -345,21 +319,23 @@ impl SpanCollector {
     }
 
     fn record_transitions(&self, stamps: &StageStamps) {
-        for (i, (from, to, _)) in TRANSITIONS.into_iter().enumerate() {
-            if let Some(ns) = stamps.latency_between(from, to) {
-                self.stage_ns[i].record(ns);
+        for (histogram, (_, ns)) in self.stage_ns.iter().zip(stamps.transitions()) {
+            if let Some(ns) = ns {
+                histogram.record(ns);
             }
         }
     }
 
-    /// The lag watermark at monotonic time `now_ns`: an upper bound on the
-    /// age of the oldest event still in flight (emitted but neither
-    /// bulk-indexed nor dropped). 0 when the pipeline is drained.
+    /// The lag watermark at monotonic time `now_ns`: `now` minus the newest
+    /// kernel-dispatch stamp among bulk-indexed events (before anything
+    /// ships, the first dispatch stamp), while any event is still in flight
+    /// (emitted but neither bulk-indexed nor dropped). 0 when the pipeline
+    /// is drained.
     ///
-    /// Exact bound: every in-flight event was dispatched after the newest
-    /// bulk-indexed one (shipping is in-order per session), so its age is
-    /// at most `now - shipped_frontier`; before anything ships, the first
-    /// dispatch stamp anchors the bound.
+    /// Not an upper bound on the oldest in-flight event's age: the ring
+    /// drains its per-CPU queues in turn, so a lightly loaded CPU's newer
+    /// event can ship ahead of a busy CPU's older ones, and the single
+    /// shipped frontier then under-reports.
     pub fn lag_watermark_ns(&self, now_ns: u64) -> u64 {
         if self.emitted.load(Ordering::Relaxed) == self.retired.load(Ordering::Relaxed) {
             return 0;
@@ -503,24 +479,22 @@ mod tests {
     }
 
     #[test]
-    fn document_renders_stamps_transitions_and_e2e() {
-        let doc = stamped(Stage::COUNT).to_document();
-        assert_eq!(doc["e2e_ns"], 500);
-        assert_eq!(doc["stamps"]["kernel_dispatch"], 100);
-        assert_eq!(doc["stage_ns"]["push_to_drain"], 100);
-        let partial_doc = stamped(2).to_document();
-        assert!(partial_doc.get("e2e_ns").is_none());
-        assert_eq!(partial_doc["stage_ns"]["dispatch_to_push"], 100);
-        assert!(partial_doc["stage_ns"].get("push_to_drain").is_none());
+    fn transitions_name_each_stamped_hand_off() {
+        let full: Vec<_> = stamped(Stage::COUNT).transitions().collect();
+        let names: Vec<&str> = full.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, SpanSummary::transition_names());
+        assert!(full.iter().all(|&(_, ns)| ns == Some(100)));
+        let partial: Vec<_> = stamped(2).transitions().map(|(_, ns)| ns).collect();
+        assert_eq!(partial, [Some(100), None, None, None, None]);
     }
 
     #[test]
     fn collector_records_complete_and_partial_spans() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 1);
+        let spans = SpanCollector::new(&registry);
         let full = stamped(Stage::COUNT);
         spans.note_emitted(full.get(Stage::KernelDispatch).unwrap());
-        assert!(spans.record_shipped(&full), "1-in-1 sampling selects every span");
+        spans.record_shipped(&full);
 
         let partial = stamped(2);
         spans.note_emitted(partial.get(Stage::KernelDispatch).unwrap());
@@ -538,21 +512,29 @@ mod tests {
     }
 
     #[test]
-    fn sampling_selects_one_in_n() {
+    fn e2e_exemplar_names_the_open_span_trace() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 4);
-        let full = stamped(Stage::COUNT);
-        let picks: Vec<bool> = (0..8).map(|_| spans.record_shipped(&full)).collect();
-        assert_eq!(picks.iter().filter(|&&p| p).count(), 2);
-        assert!(picks[0], "the first span is always sampled");
-        let off = SpanCollector::new(&MetricsRegistry::new(), 0);
-        assert!(!off.record_shipped(&full), "0 disables sampling");
+        let spans = SpanCollector::new(&registry);
+        spans.record_shipped(&stamped(Stage::COUNT));
+        let trace_id = {
+            let batch = crate::trace::span("test", "test.batch");
+            let mut late = StageStamps::new();
+            late.stamp(Stage::KernelDispatch, 1_000);
+            late.stamp(Stage::BulkIndex, 1_000_000_000);
+            spans.record_shipped(&late);
+            batch.ctx().trace_id
+        };
+        let e2e = registry.histogram("span.e2e_ns");
+        let exemplars: Vec<_> = e2e.nonzero_buckets().iter().map(|b| b.exemplar).collect();
+        assert_eq!(exemplars.len(), 2);
+        assert_eq!(exemplars[0], None, "recorded outside any span");
+        assert_eq!(exemplars[1], Some((trace_id, 999_999_000)));
     }
 
     #[test]
     fn lag_watermark_tracks_in_flight_events() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         assert_eq!(spans.lag_watermark_ns(1_000_000), 0, "empty pipeline has no lag");
 
         spans.note_emitted(1_000);
@@ -584,14 +566,14 @@ mod tests {
     #[test]
     fn new_collector_resets_lag_gauges_from_previous_session() {
         let registry = MetricsRegistry::new();
-        let first = SpanCollector::new(&registry, 0);
+        let first = SpanCollector::new(&registry);
         first.note_emitted(1_000); // in flight forever: lag grows
         let lag = first.refresh_lag();
         assert!(lag > 0);
         let snap = registry.snapshot();
         assert!(snap.gauge("span.lag.peak_ns") >= lag);
 
-        let _second = SpanCollector::new(&registry, 0);
+        let _second = SpanCollector::new(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("span.lag.watermark_ns"), 0, "fresh session, fresh waterline");
         assert_eq!(snap.gauge("span.lag.peak_ns"), 0, "previous session's peak not inherited");
@@ -600,7 +582,7 @@ mod tests {
     #[test]
     fn summary_serializes() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         spans.record_shipped(&stamped(Stage::COUNT));
         let summary = spans.summary();
         let v = serde_json::to_value(&summary).unwrap();

@@ -54,9 +54,11 @@ use crate::span::monotonic_ns;
 /// instrumentation sites all stay well under it).
 pub const MAX_ATTRS: usize = 8;
 
-/// Default per-thread ring capacity of the global recorder
-/// (overridable with `DIO_FLIGHTREC_CAPACITY`).
+/// Per-thread ring capacity of the global recorder.
 pub const DEFAULT_CAPACITY: usize = 4096;
+
+/// Per-reason cap on dump artifacts: dumps past it reuse the last slot.
+pub const DUMP_CAP: u64 = 8;
 
 /// One typed attribute value. Strings are `&'static str` so spans stay
 /// `Copy` and the hot path never allocates.
@@ -367,7 +369,8 @@ impl FlightRecorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off (the overhead benchmark's lever).
+    /// Turns recording on or off (`DIO_FLIGHTREC=off` starts the global
+    /// recorder off).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -468,9 +471,9 @@ impl FlightRecorder {
     /// Naming is deterministic and capped: `NN` is a per-reason
     /// sequence (`01`, `02`, …) held by this recorder, never the pid —
     /// re-runs overwrite the same artifact names instead of littering
-    /// the results directory. Past [`dump_cap`] dumps for one reason
+    /// the results directory. Past [`DUMP_CAP`] dumps for one reason
     /// the last slot is overwritten in place, so a dump storm leaves at
-    /// most `cap` files per reason with the storm's earliest dumps and
+    /// most [`DUMP_CAP`] files per reason with the storm's earliest dumps and
     /// its latest.
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
         let dir = dump_dir()?;
@@ -482,7 +485,7 @@ impl FlightRecorder {
         let seq = {
             let mut seqs = lock(&self.dump_seq);
             let n = seqs.entry(tag.clone()).or_insert(0);
-            *n = (*n + 1).min(dump_cap());
+            *n = (*n + 1).min(DUMP_CAP);
             *n
         };
         let path = dir.join(format!("flightrec-{tag}-{seq:02}.json"));
@@ -504,12 +507,6 @@ impl FlightRecorder {
     }
 }
 
-/// Per-reason cap on dump artifacts: `DIO_FLIGHTREC_DUMP_CAP`
-/// (default 8, floor 1). Dumps past the cap reuse the cap's slot.
-pub fn dump_cap() -> u64 {
-    std::env::var("DIO_FLIGHTREC_DUMP_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(8).max(1)
-}
-
 fn dump_dir() -> Option<PathBuf> {
     if let Ok(dir) = std::env::var("DIO_RESULTS_DIR") {
         if !dir.is_empty() {
@@ -522,16 +519,11 @@ fn dump_dir() -> Option<PathBuf> {
 
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
 
-/// The process-wide flight recorder. Capacity comes from
-/// `DIO_FLIGHTREC_CAPACITY` (default [`DEFAULT_CAPACITY`]);
-/// `DIO_FLIGHTREC=off|0|false` starts it disabled.
+/// The process-wide flight recorder, [`DEFAULT_CAPACITY`] spans per
+/// thread; `DIO_FLIGHTREC=off|0|false` starts it disabled.
 pub fn recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| {
-        let capacity = std::env::var("DIO_FLIGHTREC_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        let rec = FlightRecorder::new(capacity, 0x0d10_0000_0000_0001);
+        let rec = FlightRecorder::new(DEFAULT_CAPACITY, 0x0d10_0000_0000_0001);
         if matches!(std::env::var("DIO_FLIGHTREC").as_deref(), Ok("off") | Ok("0") | Ok("false")) {
             rec.set_enabled(false);
         }

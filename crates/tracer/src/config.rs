@@ -18,17 +18,6 @@ pub fn generate_session_name() -> String {
     format!("dio-session-{}", SESSION_COUNTER.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Default exporter flush interval: 100 ms, overridable at process level
-/// through `DIO_EXPORT_INTERVAL_MS` (clamped to >= 1 ms). The builder's
-/// [`TracerConfig::telemetry_interval`] still wins over the environment.
-fn default_telemetry_interval() -> Duration {
-    std::env::var("DIO_EXPORT_INTERVAL_MS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .map(|ms| Duration::from_millis(ms.max(1)))
-        .unwrap_or(Duration::from_millis(100))
-}
-
 /// Full configuration of a tracing session.
 ///
 /// # Examples
@@ -54,9 +43,7 @@ pub struct TracerConfig {
     enrich: bool,
     enter_cost_ns: u64,
     exit_cost_ns: u64,
-    telemetry: bool,
     telemetry_interval: Duration,
-    span_sample_every: u64,
     diagnose: Option<DiagnoseConfig>,
     rules: Vec<String>,
     profile: Option<ProfileConfig>,
@@ -78,9 +65,7 @@ impl TracerConfig {
             enrich: true,
             enter_cost_ns: 0,
             exit_cost_ns: 0,
-            telemetry: true,
-            telemetry_interval: default_telemetry_interval(),
-            span_sample_every: 64,
+            telemetry_interval: Duration::from_millis(100),
             diagnose: None,
             rules: Vec::new(),
             profile: None,
@@ -223,29 +208,11 @@ impl TracerConfig {
         self
     }
 
-    /// Enables or disables the self-telemetry exporter (on by default).
-    ///
-    /// Metrics are always collected (the counters are a handful of relaxed
-    /// atomic increments); this knob only controls the background thread
-    /// that ships health documents to `dio-telemetry-<session>`.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
     /// Sets how often the exporter snapshots the registry and ships health
-    /// documents.
+    /// documents to `dio-telemetry-<session>` (default 100 ms; stopping the
+    /// session ships one last round).
     pub fn telemetry_interval(mut self, d: Duration) -> Self {
         self.telemetry_interval = d;
-        self
-    }
-
-    /// Sets the full-span document sampling period: 1 in `n` completed
-    /// spans is bulk-indexed into `dio-telemetry-<session>` for post-hoc
-    /// queries (`kind: "span"` documents). 0 disables sampling, 1 keeps
-    /// every span. Default: 64.
-    pub fn span_sample_every(mut self, n: u64) -> Self {
-        self.span_sample_every = n;
         self
     }
 
@@ -359,16 +326,8 @@ impl TracerConfig {
         (self.enter_cost_ns, self.exit_cost_ns)
     }
 
-    pub(crate) fn telemetry_enabled(&self) -> bool {
-        self.telemetry
-    }
-
     pub(crate) fn telemetry_tick(&self) -> Duration {
         self.telemetry_interval
-    }
-
-    pub(crate) fn span_sampling(&self) -> u64 {
-        self.span_sample_every
     }
 
     pub(crate) fn diagnose_config(&self) -> Option<DiagnoseConfig> {
@@ -423,20 +382,11 @@ mod tests {
     }
 
     #[test]
-    fn export_interval_env_overrides_default() {
-        std::env::set_var("DIO_EXPORT_INTERVAL_MS", "7");
-        let from_env = TracerConfig::new("env").telemetry_tick();
-        std::env::set_var("DIO_EXPORT_INTERVAL_MS", "0");
-        let clamped = TracerConfig::new("env").telemetry_tick();
-        std::env::set_var("DIO_EXPORT_INTERVAL_MS", "junk");
-        let junk = TracerConfig::new("env").telemetry_tick();
-        std::env::remove_var("DIO_EXPORT_INTERVAL_MS");
-        assert_eq!(from_env, Duration::from_millis(7));
-        assert_eq!(clamped, Duration::from_millis(1), "zero clamps to 1 ms");
-        assert_eq!(junk, Duration::from_millis(100), "unparsable falls back");
+    fn telemetry_interval_defaults_to_100_ms() {
+        assert_eq!(TracerConfig::new("t").telemetry_tick(), Duration::from_millis(100));
         let explicit =
-            TracerConfig::new("env").telemetry_interval(Duration::from_secs(3)).telemetry_tick();
-        assert_eq!(explicit, Duration::from_secs(3), "builder wins over env");
+            TracerConfig::new("t").telemetry_interval(Duration::from_secs(3)).telemetry_tick();
+        assert_eq!(explicit, Duration::from_secs(3));
     }
 
     #[test]
@@ -473,6 +423,34 @@ mod tests {
             parsed.diagnose_config(),
             Some(DiagnoseConfig::default().window_ns(250_000_000))
         );
+    }
+
+    /// A configuration file written while telemetry could be switched off and
+    /// span documents sampled still loads: both keys are ignored, and the
+    /// session ships its health documents and no span document.
+    #[test]
+    fn a_configuration_with_the_removed_telemetry_keys_still_loads() {
+        use dio_backend::{DocStore, Query};
+        use dio_kernel::{DiskProfile, Kernel};
+
+        let json = TracerConfig::new("old-telemetry").to_json().replace(
+            "\"telemetry_interval\"",
+            "\"telemetry\": false, \"span_sample_every\": 1, \"telemetry_interval\"",
+        );
+        assert!(json.contains("\"telemetry\": false"), "{json}");
+        let parsed = TracerConfig::from_json(&json).unwrap();
+
+        let kernel = Kernel::builder().root_disk(DiskProfile::instant()).build();
+        let backend = DocStore::new();
+        let tracer = crate::Tracer::attach(parsed, &kernel, backend.clone());
+        let t = kernel.spawn_process("app").spawn_thread("app");
+        let fd = t.creat("/f", 0o644).unwrap();
+        t.write(fd, b"data").unwrap();
+        t.close(fd).unwrap();
+        assert_eq!(tracer.stop().events_stored, 3);
+        let telemetry = backend.get_index("dio-telemetry-old-telemetry").expect("exporter ran");
+        assert!(telemetry.count(&Query::term("metric", "kernel.syscalls.dispatched")) >= 1);
+        assert_eq!(telemetry.count(&Query::term("kind", "span")), 0);
     }
 
     #[test]

@@ -211,11 +211,9 @@ pub struct Tracer {
     engine: Option<Arc<DiagnosisEngine>>,
     /// The streaming DFG miner, when [`TracerConfig::profile`] enabled it.
     profiler: Option<Arc<DfgMiner>>,
-    /// Destination for alert documents raised after the consumer exits
-    /// (the engine's end-of-stream pass during shutdown).
-    alert_sink: Option<AlertSink>,
-    /// Destination for the profiler's final phase documents at shutdown.
-    phase_sink: Option<AlertSink>,
+    /// Destination for the alert and phase documents raised after the
+    /// consumer exits (the end-of-stream passes during shutdown).
+    sink: AlertSink,
     /// The store every pipeline stage ships into; flushed at shutdown so
     /// session close is a durability point for persistent backends.
     backend: DocStore,
@@ -224,7 +222,8 @@ pub struct Tracer {
     session_span: Option<trace::ManualSpan>,
 }
 
-/// Destination for live alert documents (the session's telemetry index).
+/// Destination for live alert and phase documents (the session's telemetry
+/// index).
 #[derive(Clone)]
 struct AlertSink {
     backend: DocStore,
@@ -265,16 +264,14 @@ impl AlertSink {
 /// In-process feed from the consumer thread to the diagnosis engine.
 struct DiagnoseTap {
     engine: Arc<DiagnosisEngine>,
-    /// `None` while telemetry is disabled (no telemetry index exists, so
-    /// alerts stay queryable on the engine only).
-    sink: Option<AlertSink>,
+    sink: AlertSink,
 }
 
 /// In-process feed from the consumer thread to the DFG profiler.
 struct ProfileTap {
     miner: Arc<DfgMiner>,
-    /// Ships `kind: "phase"` documents; `None` while telemetry is off.
-    sink: Option<AlertSink>,
+    /// Ships `kind: "phase"` documents.
+    sink: AlertSink,
 }
 
 /// One drain in flight between consumer and shipper: the events and, index
@@ -408,7 +405,7 @@ impl Tracer {
         kernel.bind_telemetry(&registry);
         program.bind_telemetry(&registry);
         backend.bind_telemetry(&registry);
-        let spans = SpanCollector::new(&registry, config.span_sampling());
+        let spans = SpanCollector::new(&registry);
         program.bind_spans(Arc::clone(&spans));
 
         // Live diagnosis (off by default): the consumer thread taps every
@@ -426,12 +423,11 @@ impl Tracer {
             engine.bind_telemetry(&registry);
             engine
         });
-        let telemetry_sink = config.telemetry_enabled().then(|| AlertSink {
+        let sink = AlertSink {
             backend: backend.clone(),
             telemetry_index: config.telemetry_index_name(),
             session: config.session().to_string(),
-        });
-        let alert_sink = engine.as_ref().and_then(|_| telemetry_sink.clone());
+        };
 
         // Streaming DFG profiling (off by default): the consumer feeds the
         // miner the same parsed batches at the same pressure signal the
@@ -445,7 +441,6 @@ impl Tracer {
         if let (Some(engine), Some(miner)) = (&engine, &profiler) {
             attribute_with(engine, miner);
         }
-        let phase_sink = profiler.as_ref().and_then(|_| telemetry_sink.clone());
 
         // The session's root span: batches shipped on the shipper thread
         // parent to it via its SpanCtx, so the flight recorder sees one
@@ -476,13 +471,12 @@ impl Tracer {
                 flush_interval: config.flush(),
                 spans: Arc::clone(&spans),
                 telemetry: ConsumerTelemetry::register(&registry),
-                tap: engine.as_ref().map(|engine| DiagnoseTap {
-                    engine: Arc::clone(engine),
-                    sink: alert_sink.clone(),
-                }),
+                tap: engine
+                    .as_ref()
+                    .map(|engine| DiagnoseTap { engine: Arc::clone(engine), sink: sink.clone() }),
                 profile: profiler
                     .as_ref()
-                    .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: phase_sink.clone() }),
+                    .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: sink.clone() }),
             };
             std::thread::Builder::new()
                 .name(format!("dio-consumer-{}", config.session()))
@@ -496,12 +490,6 @@ impl Tracer {
             let flush = config.flush();
             let stored = Arc::clone(&stored);
             let batches = Arc::clone(&batches);
-            // Sampled full-span documents only ship while the telemetry
-            // index is in use; with telemetry off, no index is created.
-            let span_sink = config.telemetry_enabled().then(|| SpanSink {
-                session: config.session().to_string(),
-                telemetry_index: config.telemetry_index_name(),
-            });
             let spans = Arc::clone(&spans);
             let telemetry = ShipperTelemetry {
                 batch_ns: registry.histogram("tracer.shipper.batch_ns"),
@@ -522,7 +510,6 @@ impl Tracer {
                         stored,
                         batches,
                         spans,
-                        span_sink,
                         telemetry,
                         session_ctx,
                     };
@@ -531,7 +518,7 @@ impl Tracer {
                 .expect("spawn shipper thread")
         };
 
-        let exporter = config.telemetry_enabled().then(|| {
+        let exporter = {
             let sink_backend = backend.clone();
             let telemetry_index = config.telemetry_index_name();
             let lag_spans = Arc::clone(&spans);
@@ -558,7 +545,7 @@ impl Tracer {
                     sink_backend.bulk(&telemetry_index, docs);
                 },
             )
-        });
+        };
 
         Ok(Tracer {
             session: config.session().to_string(),
@@ -573,11 +560,10 @@ impl Tracer {
             batches,
             registry,
             spans,
-            exporter,
+            exporter: Some(exporter),
             engine,
             profiler,
-            alert_sink,
-            phase_sink,
+            sink,
             backend: backend.clone(),
             session_span: Some(session_span),
         })
@@ -682,9 +668,7 @@ impl Tracer {
         // completed transition ring and final phase window.
         if let Some(miner) = &self.profiler {
             miner.finish();
-            if let Some(sink) = &self.phase_sink {
-                sink.ship_docs(miner.drain_phase_docs());
-            }
+            self.sink.ship_docs(miner.drain_phase_docs());
         }
         // End-of-stream diagnosis pass: seal every open window and ship
         // the final alerts before the exporter's last flush, so the
@@ -692,9 +676,7 @@ impl Tracer {
         let (alerts, diagnosis) = match &self.engine {
             Some(engine) => {
                 engine.finish();
-                if let Some(sink) = &self.alert_sink {
-                    sink.ship(&engine.drain_unshipped());
-                }
+                self.sink.ship(&engine.drain_unshipped());
                 (engine.alerts(), Some(engine.stats()))
             }
             None => (Vec::new(), None),
@@ -827,15 +809,11 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
                 // that already includes the batch's syscalls.
                 if let Some(profile) = &ctx.profile {
                     profile.miner.observe_batch_with_pressure(&events, pressure);
-                    if let Some(sink) = &profile.sink {
-                        sink.ship_docs(profile.miner.drain_phase_docs());
-                    }
+                    profile.sink.ship_docs(profile.miner.drain_phase_docs());
                 }
                 if let Some(tap) = &ctx.tap {
                     let fresh = tap.engine.observe_batch_with_pressure(&events, pressure);
-                    if let Some(sink) = &tap.sink {
-                        sink.ship(&fresh);
-                    }
+                    tap.sink.ship(&fresh);
                 }
             }
             ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
@@ -871,14 +849,6 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
     // Dropping tx closes the channel; the shipper flushes and exits.
 }
 
-/// Destination for sampled full-span documents (present only while the
-/// telemetry exporter is enabled, so telemetry-off sessions create no
-/// `dio-telemetry-*` index).
-struct SpanSink {
-    session: String,
-    telemetry_index: String,
-}
-
 /// Everything the shipper thread needs, bundled to keep the loop readable.
 struct ShipperCtx {
     backend: DocStore,
@@ -889,7 +859,6 @@ struct ShipperCtx {
     stored: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
     spans: Arc<SpanCollector>,
-    span_sink: Option<SpanSink>,
     telemetry: ShipperTelemetry,
     /// The session root span's coordinates: each shipped batch opens a
     /// `ship.batch` child of it (cross-thread parenting).
@@ -960,43 +929,36 @@ fn bulk_index(ctx: &ShipperCtx, docs: Vec<SyscallEvent>, stamps: &mut [StageStam
     let n = docs.len() as u64;
     ctx.telemetry.batch_size.record(n);
     let batch_start = Instant::now();
-    {
-        // The causal chain of one shipped batch: ship.batch →
-        // backend.bulk → storage.append → storage.fsync, all nested via
-        // the shipper thread's span stack.
+    let batch_ns = {
+        // The causal chain of one shipped batch: ship.batch → backend.bulk
+        // → storage.append → storage.fsync, all nested via the shipper
+        // thread's span stack.
         let mut ship_span = trace::span_child_of(Some(ctx.session_ctx), "ship", "ship.batch");
         ship_span.attr("docs", n);
         ctx.backend.bulk_spans(&ctx.index_name, docs, stamps);
-    }
+        let batch_ns = batch_start.elapsed().as_nanos() as u64;
+        // Every event of the request carries the same bulk-index stamp, so
+        // the oldest has the largest end-to-end time: its stage breakdown
+        // rides on the batch's span. The span histograms are fed while that
+        // span is open, so e2e's exemplars name the session's trace too.
+        if let Some(oldest) = stamps.iter().max_by_key(|st| st.e2e_ns()) {
+            ship_span.attr("e2e_ns", oldest.e2e_ns().unwrap_or(0));
+            for (name, ns) in oldest.transitions() {
+                ship_span.attr(name, ns.unwrap_or(0));
+            }
+        }
+        for st in stamps.iter() {
+            ctx.spans.record_shipped(st);
+        }
+        batch_ns
+    };
     ctx.handoff.in_flight.fetch_sub(stamps.len(), Ordering::Relaxed);
     // Recorded with the session trace id as an exemplar: a `/metrics`
     // scrape can jump from a slow batch_ns bucket straight to this
     // session's span tree in the flight-recorder dump.
-    ctx.telemetry
-        .batch_ns
-        .record_with_exemplar(batch_start.elapsed().as_nanos() as u64, ctx.session_ctx.trace_id);
+    ctx.telemetry.batch_ns.record_with_exemplar(batch_ns, ctx.session_ctx.trace_id);
     ctx.stored.fetch_add(n, Ordering::Relaxed);
     ctx.batches.fetch_add(1, Ordering::Relaxed);
-    // Every stamp record now carries its bulk-index time: feed the span
-    // histograms and ship the sampled full-span documents for post-hoc
-    // queries. Span documents carry no `metric` field, so health-report
-    // readers of the telemetry index skip them.
-    let mut sampled = Vec::new();
-    for st in stamps.iter() {
-        if ctx.spans.record_shipped(st) {
-            if let Some(sink) = &ctx.span_sink {
-                let mut doc = st.to_document();
-                doc["session"] = json!(sink.session);
-                doc["kind"] = json!("span");
-                sampled.push(doc);
-            }
-        }
-    }
-    if let Some(sink) = &ctx.span_sink {
-        if !sampled.is_empty() {
-            ctx.backend.bulk(&sink.telemetry_index, sampled);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1135,11 +1097,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_exposes_span_latencies_and_samples_span_docs() {
+    fn summary_exposes_span_latencies() {
         let k = kernel();
-        let backend = DocStore::new();
-        let tracer =
-            Tracer::attach(TracerConfig::new("spans").span_sample_every(1), &k, backend.clone());
+        let tracer = Tracer::attach(TracerConfig::new("spans"), &k, DocStore::new());
         let t = k.spawn_process("app").spawn_thread("app");
         for i in 0..10 {
             t.creat(&format!("/s{i}"), 0o644).unwrap();
@@ -1156,12 +1116,7 @@ mod tests {
         }
         assert_eq!(summary.spans.lag_watermark_ns, 0, "drained at shutdown");
         assert!(summary.spans.drops_by_stage.is_empty());
-        // 1-in-1 sampling: a full-span document per event in the
-        // telemetry index, each with stamps, transitions, and e2e.
-        let idx = backend.index("dio-telemetry-spans");
-        let span_docs = idx.count(&Query::term("kind", "span"));
-        assert_eq!(span_docs, 10);
-        // And the health gauge rode along via the exporter's final flush.
+        // The health gauge rode along via the exporter's final flush.
         assert!(summary.health.gauges.contains_key("span.lag.watermark_ns"));
     }
 
@@ -1465,7 +1420,7 @@ mod tests {
     fn refused_drain_attributes_every_event_to_batch_enqueue() {
         let k = kernel();
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         let ring = Arc::new(RingBuffer::with_slots(k.num_cpus(), 32));
         let program = TracerProgram::new(ProgramConfig::default(), Arc::clone(&ring)).unwrap();
         program.bind_spans(Arc::clone(&spans));
@@ -1545,6 +1500,11 @@ mod tests {
         let engine = DiagnosisEngine::new(DiagnoseConfig::default());
         engine.install_detector(Box::new(Doors(Arc::clone(&doors))));
         let miner = DfgMiner::new(ProfileConfig::default());
+        let sink = AlertSink {
+            backend: DocStore::new(),
+            telemetry_index: "dio-telemetry-tapped".to_string(),
+            session: "tapped".to_string(),
+        };
         let ctx = ConsumerCtx {
             ring,
             stop: Arc::new(AtomicBool::new(true)),
@@ -1553,10 +1513,10 @@ mod tests {
             drain_batch: 8,
             poll_interval: Duration::from_micros(200),
             flush_interval: Duration::from_millis(100),
-            spans: SpanCollector::new(&registry, 0),
+            spans: SpanCollector::new(&registry),
             telemetry: ConsumerTelemetry::register(&registry),
-            tap: Some(DiagnoseTap { engine: Arc::clone(&engine), sink: None }),
-            profile: Some(ProfileTap { miner: Arc::clone(&miner), sink: None }),
+            tap: Some(DiagnoseTap { engine: Arc::clone(&engine), sink: sink.clone() }),
+            profile: Some(ProfileTap { miner: Arc::clone(&miner), sink }),
         };
         let (tx, rx) = bounded::<Drain>(64);
         consumer_loop(&ctx, tx);

@@ -424,16 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn span_documents_are_skipped_but_lag_series_plots() {
-        let idx = sample_index();
-        // A sampled full-span document (no `metric` field) must not
-        // disturb the health report.
-        idx.bulk(vec![json!({
-            "session": "s", "kind": "span",
-            "stamps": {"kernel_dispatch": 1u64},
-            "stage_ns": {"dispatch_to_push": 5u64},
-        })]);
-        let report = HealthReport::from_index(&idx);
+    fn lag_watermark_series_plots_one_point_per_round() {
+        let report = HealthReport::from_index(&sample_index());
         assert_eq!(report.snapshots.len(), 3);
         let lag = report.series("span.lag.watermark_ns");
         assert_eq!(lag.len(), 3);

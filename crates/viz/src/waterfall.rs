@@ -57,7 +57,7 @@ fn distribution_line(name: &str, h: &HistogramSnapshot, name_width: usize) -> St
 /// use dio_telemetry::{MetricsRegistry, SpanCollector, Stage, StageStamps};
 ///
 /// let registry = MetricsRegistry::new();
-/// let spans = SpanCollector::new(&registry, 0);
+/// let spans = SpanCollector::new(&registry);
 /// let mut stamps = StageStamps::new();
 /// for (i, stage) in Stage::ALL.into_iter().enumerate() {
 ///     stamps.stamp(stage, 100 * (i as u64 + 1));
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn waterfall_renders_stages_e2e_and_drops() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         for i in 0..20 {
             spans.record_shipped(&stamps_with_gaps(1_000 + i, [100, 5_000, 200, 300, 50_000]));
         }
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn empty_summary_renders_placeholder() {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         let art = render_latency_waterfall(&spans.summary());
         assert!(art.contains("no spans recorded"));
     }

@@ -344,17 +344,15 @@ fn a_threads_first_span_allocates_a_few_slots() {
     assert!(requested <= 16 * 1_024, "a thread's first span requested {requested} B");
 }
 
-/// Health, span and alert documents are not events: they are stored, found
-/// and handed back as the JSON values they are.
+/// Health, storage and alert documents are not events: they are stored,
+/// found and handed back as the JSON values they are.
 #[test]
 fn telemetry_documents_round_trip_as_they_are() {
     let registry = MetricsRegistry::new();
     registry.counter("tracer.events").add(7);
     registry.histogram("tracer.parse_ns").record(1_000);
     let mut docs = registry.snapshot().health_documents("s1", 2, 99);
-    let mut stamps = dio_telemetry::StageStamps::new();
-    stamps.stamp(dio_telemetry::Stage::KernelDispatch, 10);
-    docs.push(stamps.to_document());
+    docs.push(dio_backend::StorageReport { fsyncs: 3, ..Default::default() }.to_document());
     docs.push(serde_json::json!({
         "kind": "alert", "detector": "data-loss", "severity": "critical", "session": "s1",
         "time": 99, "evidence": {"file_tag": "1|12|5", "syscall": "read", "pid": 3},

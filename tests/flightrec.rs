@@ -122,7 +122,7 @@ fn buggy_batch() -> Vec<serde_json::Value> {
 /// re-runs overwrite their artifacts instead of littering `results/`.
 /// Later alerts do not rewrite it, an explicit dump lands beside it as
 /// `flightrec-manual-01.json`, and a dump storm is capped at
-/// [`trace::dump_cap`] files per reason.
+/// [`trace::DUMP_CAP`] files per reason.
 ///
 /// Serializes on `DIO_RESULTS_DIR`, which no other test in this binary
 /// touches.
@@ -158,7 +158,7 @@ fn alert_and_manual_dumps_write_chrome_artifacts() {
     assert_eq!(doc["otherData"]["reason"], "manual");
 
     // A dump storm stays capped: past the cap, the last slot is reused.
-    let cap = trace::dump_cap();
+    let cap = trace::DUMP_CAP;
     let mut last = None;
     for _ in 0..cap + 3 {
         last = trace::dump_on_trigger("storm");
@@ -170,7 +170,7 @@ fn alert_and_manual_dumps_write_chrome_artifacts() {
             e.as_ref().unwrap().file_name().to_string_lossy().starts_with("flightrec-storm-")
         })
         .count() as u64;
-    assert_eq!(storms, cap, "storm artifacts capped at dump_cap() files");
+    assert_eq!(storms, cap, "storm artifacts capped at DUMP_CAP files");
 
     std::env::remove_var("DIO_RESULTS_DIR");
     let _ = std::fs::remove_dir_all(&dir);

@@ -501,7 +501,7 @@ proptest! {
         // The collector ingests the same record without panicking, and
         // every histogram it derives stays within the stamp bound.
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         if stamps.is_complete() {
             spans.record_shipped(&stamps);
         } else {
@@ -538,7 +538,7 @@ proptest! {
         ),
     ) {
         let registry = MetricsRegistry::new();
-        let spans = SpanCollector::new(&registry, 0);
+        let spans = SpanCollector::new(&registry);
         let mut shipped = 0u64;
         let mut droppedu = 0u64;
         for (complete, stamps) in &ops {

@@ -74,8 +74,9 @@ fn openmetrics_render_matches_golden_snapshot() {
 /// Boots a diagnosed session with the server attached, replays the
 /// Fig. 2 workload, and checks every endpoint: the scrape lints clean,
 /// the JSON views carry the workload, the flight recorder downloads as
-/// Chrome JSON, and at least one histogram bucket's `trace_id` exemplar
-/// resolves to a span in that same dump.
+/// Chrome JSON, and a `trace_id` exemplar of each exemplar family —
+/// `tracer.shipper.batch_ns` and `span.e2e_ns` — resolves to a span in that
+/// same dump.
 #[test]
 fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
     let dio = Dio::with_kernel(fast_kernel());
@@ -87,8 +88,8 @@ fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
 
     run_issue_1875(dio.kernel(), FluentBitVersion::V1_4_0, "/app.log", 20_000_000)
         .expect("scenario replays");
-    // Let the consumer/shipper drain and the shipper record batch_ns (the
-    // exemplar source) before scraping.
+    // Let the consumer/shipper drain and the shipper record batch_ns and
+    // e2e (the exemplar sources) before scraping.
     for _ in 0..1_000 {
         if session.events_stored() >= 10 {
             break;
@@ -145,25 +146,33 @@ fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
         assert_eq!(rule["window_ns"].as_u64(), windowed.then_some(width), "{rule}");
     }
 
-    // At least one batch_ns bucket carries a trace_id exemplar...
-    let exemplar_id = metrics
-        .lines()
-        .filter(|l| l.starts_with("tracer_shipper_batch_ns_bucket"))
-        .find_map(|l| {
-            let (_, rest) = l.split_once("trace_id=\"")?;
-            rest.split_once('"').map(|(id, _)| id.to_string())
+    // Both exemplar families — the shipper's batch latency and the events'
+    // end-to-end latency — carry a trace_id on at least one bucket...
+    let exemplar_ids: Vec<String> = ["tracer_shipper_batch_ns_bucket", "span_e2e_ns_bucket"]
+        .into_iter()
+        .map(|family| {
+            metrics
+                .lines()
+                .filter(|l| l.starts_with(family))
+                .find_map(|l| {
+                    let (_, rest) = l.split_once("trace_id=\"")?;
+                    rest.split_once('"').map(|(id, _)| id.to_string())
+                })
+                .unwrap_or_else(|| panic!("{family} must expose a trace_id exemplar"))
         })
-        .expect("batch_ns must expose a trace_id exemplar");
+        .collect();
 
-    // ...and that id resolves to a span in the /flightrec download.
+    // ...and each id resolves to a span in the /flightrec download.
     let (status, flightrec) = http_get(addr, "/flightrec");
     assert_eq!(status, 200);
     let dump: serde_json::Value = serde_json::from_str(&flightrec).expect("valid Chrome JSON");
     assert!(dump.get("traceEvents").is_some(), "Chrome Trace Event envelope");
-    assert!(
-        flightrec.contains(&format!("0x{exemplar_id}")),
-        "exemplar trace_id {exemplar_id} must resolve to a span in the flight recorder"
-    );
+    for exemplar_id in exemplar_ids {
+        assert!(
+            flightrec.contains(&format!("0x{exemplar_id}")),
+            "exemplar trace_id {exemplar_id} must resolve to a span in the flight recorder"
+        );
+    }
 
     let (status, top) = http_get(addr, "/api/top?rows=5&window_ns=60000000000");
     assert_eq!(status, 200);

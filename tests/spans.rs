@@ -1,14 +1,14 @@
 //! End-to-end event spans: per-stage stamps must reconcile *exactly*
 //! with the pipeline's event accounting — every stored event is one
 //! completed span, every dropped event is one drop-attributed partial
-//! span, and the lag watermark returns to zero once the session has
-//! shipped everything it will ever ship.
+//! span, the lag watermark returns to zero once the session has shipped
+//! everything it will ever ship, and each bulk request's span in the flight
+//! recorder carries its slowest event's stage breakdown.
 
 use std::time::Duration;
 
-use dio::core::{
-    Dio, DiskProfile, Kernel, Query, RingConfig, SearchRequest, SpanSummary, TracerConfig,
-};
+use dio::core::trace::{self, AttrValue};
+use dio::core::{Dio, DiskProfile, Kernel, RingConfig, SpanSummary, TraceSpan, TracerConfig};
 
 fn fast_kernel() -> Kernel {
     Kernel::builder().root_disk(DiskProfile::instant()).build()
@@ -33,9 +33,7 @@ fn span_counts_reconcile_exactly_with_event_counts() {
             .ring(RingConfig { bytes_per_cpu: 32 * 512, est_event_bytes: 512 })
             .drain_batch(8)
             .poll_interval(Duration::from_millis(10))
-            .telemetry_interval(Duration::from_millis(5))
-            // Sample every span into the telemetry index.
-            .span_sample_every(1),
+            .telemetry_interval(Duration::from_millis(5)),
     );
 
     let t = dio.kernel().spawn_process("app").spawn_thread("app");
@@ -90,63 +88,31 @@ fn span_counts_reconcile_exactly_with_event_counts() {
     assert_eq!(report.trace.health.counter("ebpf.ring.dropped"), spans.dropped);
     assert_eq!(report.trace.health.counter("ebpf.ring.dropped"), report.trace.events_dropped);
 
-    // With 1-in-1 sampling every completed span became a queryable span
-    // document in the telemetry index, next to the metric documents.
-    let index = dio.telemetry_index("span-recon").expect("telemetry index exists");
-    assert_eq!(index.count(&Query::term("kind", "span")), spans.completed);
-}
-
-/// Sampling: 1-in-N keeps the document volume bounded while the span
-/// accounting itself stays exact; N = 0 disables span documents entirely.
-#[test]
-fn span_sampling_bounds_documents_without_losing_accounting() {
-    let dio = Dio::with_kernel(fast_kernel());
-    let session = dio.trace(
-        TracerConfig::new("sampled")
-            .telemetry_interval(Duration::from_millis(5))
-            .span_sample_every(10),
-    );
-    let t = dio.kernel().spawn_process("app").spawn_thread("app");
-    for i in 0..500u64 {
-        let fd = t.creat(&format!("/f{i}"), 0o644).unwrap();
-        t.write(fd, b"payload").unwrap();
-        t.close(fd).unwrap();
+    // Per-event timing leaves through the flight recorder: one
+    // `ship.batch` span per bulk request under this session's root, each
+    // carrying its oldest event's stage breakdown. The transitions sum to
+    // that event's end-to-end time, and the slowest of them is the e2e
+    // histogram's (exact) max.
+    let recorded = trace::recorder().snapshot();
+    let root = recorded
+        .iter()
+        .find(|s| {
+            s.name == "session"
+                && s.attrs.get("sid") == Some(AttrValue::U64(trace::fnv64("span-recon")))
+        })
+        .expect("session root span recorded");
+    let u64_attr = |span: &TraceSpan, key: &str| match span.attrs.get(key) {
+        Some(AttrValue::U64(v)) => v,
+        other => panic!("ship.batch carries {key}, got {other:?}"),
+    };
+    let batches: Vec<&TraceSpan> =
+        recorded.iter().filter(|s| s.name == "ship.batch" && s.parent_id == root.span_id).collect();
+    assert_eq!(batches.len() as u64, report.trace.batches);
+    for batch in &batches {
+        let stages: u64 =
+            SpanSummary::transition_names().into_iter().map(|name| u64_attr(batch, name)).sum();
+        assert_eq!(stages, u64_attr(batch, "e2e_ns"), "transitions decompose e2e");
     }
-    let report = session.stop();
-    let spans = &report.trace.spans;
-
-    // Accounting is exact regardless of the sampling rate.
-    assert_eq!(spans.completed, report.trace.events_stored);
-    assert_eq!(spans.e2e.count, 1_500);
-    assert_eq!(spans.dropped, 0);
-    assert!(spans.drops_by_stage.is_empty());
-
-    // 1-in-10 sampling: exactly ceil(1500 / 10) documents, in order.
-    let index = dio.telemetry_index("sampled").expect("telemetry index exists");
-    assert_eq!(index.count(&Query::term("kind", "span")), 150);
-
-    // Sampled documents carry the derived stage latencies.
-    let resp = index.search(&SearchRequest::new(Query::term("kind", "span")).size(1));
-    let doc = &resp.hits[0].source;
-    assert!(doc.get("stamps").is_some(), "raw stamps present: {doc}");
-    assert!(doc.get("stage_ns").is_some(), "derived latencies present: {doc}");
-    assert!(doc.get("e2e_ns").is_some(), "e2e present: {doc}");
-    assert_eq!(doc.get("session").and_then(|v| v.as_str()), Some("sampled"));
-}
-
-/// Disabling telemetry disables span documents but not span accounting.
-#[test]
-fn spans_accounted_even_with_telemetry_off() {
-    let dio = Dio::with_kernel(fast_kernel());
-    let session = dio.trace(TracerConfig::new("quiet").telemetry(false).span_sample_every(1));
-    let t = dio.kernel().spawn_process("app").spawn_thread("app");
-    let fd = t.creat("/q.bin", 0o644).unwrap();
-    t.write(fd, b"data").unwrap();
-    t.close(fd).unwrap();
-    let report = session.stop();
-
-    assert_eq!(report.trace.spans.completed, 3);
-    assert_eq!(report.trace.spans.e2e.count, 3);
-    assert_eq!(report.trace.spans.lag_watermark_ns, 0);
-    assert!(dio.telemetry_index("quiet").is_none(), "no exporter, no span documents");
+    let slowest = batches.iter().map(|batch| u64_attr(batch, "e2e_ns")).max();
+    assert_eq!(slowest, Some(spans.e2e.max));
 }

@@ -142,21 +142,28 @@ fn health_index_and_dashboard_populated() {
     assert!(!out.contains("no health documents"));
 }
 
-/// Telemetry can be disabled: no exporter index, empty health snapshot,
-/// and the pipeline still works.
+/// The telemetry index holds no per-event document: two sessions that issue
+/// the same syscall mix 1 000 and 20 000 times, exporting only when they
+/// stop, leave the same number of documents there.
 #[test]
-fn telemetry_off_leaves_no_index() {
+fn telemetry_index_holds_no_per_event_document() {
     let dio = Dio::with_kernel(fast_kernel());
-    let session = dio.trace(TracerConfig::new("quiet").telemetry(false));
-    let t = dio.kernel().spawn_process("app").spawn_thread("app");
-    let fd = t.creat("/q.bin", 0o644).unwrap();
-    t.write(fd, b"data").unwrap();
-    t.close(fd).unwrap();
-    let report = session.stop();
-
-    assert_eq!(report.trace.events_stored, 3);
-    assert!(dio.telemetry_index("quiet").is_none(), "no exporter ran");
-    // The in-process registry still counted (instrumentation is always on;
-    // only the export loop is gated).
-    assert_eq!(report.trace.health.counter("kernel.syscalls.dispatched"), 3);
+    let telemetry_documents = |name: &str, writes: u64| {
+        let session = dio.trace(
+            TracerConfig::new(name)
+                .ring(RingConfig::with_bytes_per_cpu(16 << 20))
+                .telemetry_interval(Duration::from_secs(3_600)),
+        );
+        let t = dio.kernel().spawn_process("app").spawn_thread("app");
+        let fd = t.creat(&format!("/{name}.bin"), 0o644).unwrap();
+        for i in 0..writes {
+            t.pwrite64(fd, b"x", i).unwrap();
+        }
+        t.close(fd).unwrap();
+        let report = session.stop();
+        assert_eq!(report.trace.events_stored, writes + 2);
+        let index = dio.telemetry_index(name).expect("the final flush exported");
+        index.count(&Query::MatchAll)
+    };
+    assert_eq!(telemetry_documents("few", 1_000), telemetry_documents("many", 20_000));
 }

@@ -10,6 +10,7 @@ use serde_json::Value;
 use crate::agg::{AggResult, Aggregation};
 use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
+use crate::storage::{Put, Stored};
 use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
 /// Total-ordered wrapper over `f64` usable as a BTreeMap key.
@@ -59,15 +60,12 @@ impl Row {
         }
     }
 
-    /// The document's JSON text for the write-through log.
-    fn to_json(&self) -> Vec<u8> {
+    /// What the write-through log stores for the row: an event goes into a
+    /// run, anything else is its JSON text.
+    fn to_put(&self) -> Put<'_> {
         match self {
-            Row::Event(event) => {
-                let mut text = Vec::with_capacity(512);
-                event.write_json(&mut text);
-                text
-            }
-            Row::Json(doc) => doc.to_string().into_bytes(),
+            Row::Event(event) => Put::Event(event),
+            Row::Json(doc) => Put::Json(doc.to_string().into_bytes()),
         }
     }
 }
@@ -542,30 +540,37 @@ impl Index {
     /// the first query, so reopening a large store stays cheap until someone
     /// actually searches it.
     ///
-    /// Recovered events become typed rows like freshly traced ones — a
-    /// reopened session occupies what the live one did — and, as there, the
-    /// events of a session share one session name and one name per thread.
+    /// Recovered events are typed rows as they come — a reopened session
+    /// occupies what the live one did — and, as there, the events of a
+    /// session share one session name and one name per thread. A recovered
+    /// JSON document becomes a row as an ingested one does.
     ///
     /// Fails on an id no index hands out (see [`MAX_ID`]): the store is
     /// damaged, and the row table must not be sized by it.
     pub(crate) fn from_persisted(
         name: impl Into<String>,
         engine: std::sync::Arc<crate::storage::StorageEngine>,
-        docs: Vec<(u64, Vec<u8>)>,
+        docs: Vec<(u64, Stored)>,
     ) -> std::io::Result<Self> {
         let index = Index::new_persistent(name, engine);
         {
             let mut inner = index.inner.write();
             let mut names: HashSet<Arc<str>> = HashSet::new();
-            for (id, bytes) in docs {
+            for (id, stored) in docs {
                 if id > MAX_ID {
                     let what = format!("index {}: document id {id} is out of range", index.name);
                     return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, what));
                 }
-                let text = std::str::from_utf8(&bytes).expect("recovered document is UTF-8");
-                let doc: Value =
-                    serde_json::from_str(text).expect("recovered document parses as JSON");
-                let mut row = Row::from(doc);
+                let mut row = match stored {
+                    Stored::Event(event) => Row::Event(event),
+                    Stored::Json(bytes) => {
+                        let text =
+                            std::str::from_utf8(&bytes).expect("recovered document is UTF-8");
+                        Row::from(
+                            serde_json::from_str::<Value>(text).expect("recovered JSON parses"),
+                        )
+                    }
+                };
                 if let Row::Event(event) = &mut row {
                     for name in [&mut event.session, &mut event.comm] {
                         match names.get(&**name) {
@@ -666,16 +671,13 @@ impl Index {
     }
 
     fn accept(&self, rows: Vec<Row>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
-        // Serialize for the write-through log before taking the lock.
-        let bytes: Option<Vec<Vec<u8>>> =
-            self.persist.as_ref().map(|_| rows.iter().map(Row::to_json).collect());
         let ids = {
             let mut inner = self.inner.write();
             let first_id = inner.rows.end();
             let ids: Vec<u64> = (first_id..first_id + rows.len() as u64).collect();
-            if let (Some(engine), Some(bytes)) = (&self.persist, bytes) {
+            if let Some(engine) = &self.persist {
                 engine
-                    .append_puts(&self.name, ids.iter().copied().zip(bytes).collect())
+                    .append_rows(&self.name, ids.iter().copied().zip(rows.iter().map(Row::to_put)))
                     .expect("dio-backend: persistent append failed");
             }
             for (&id, row) in ids.iter().zip(rows) {
@@ -782,7 +784,6 @@ impl Index {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         let ids = inner.matching_ids(query);
-        let mut rewritten: Vec<(u64, Vec<u8>)> = Vec::new();
         for &id in &ids {
             let row =
                 inner.rows.slot_mut(id).and_then(Option::as_mut).expect("id from matching_ids");
@@ -825,16 +826,10 @@ impl Index {
                     inner.inverted.index_doc(id, row.as_ref());
                 }
             }
-            if self.persist.is_some() {
-                rewritten.push((id, row.to_json()));
-            }
         }
-        if let Some(engine) = &self.persist {
-            if !rewritten.is_empty() {
-                engine
-                    .append_puts(&self.name, rewritten)
-                    .expect("dio-backend: persistent update failed");
-            }
+        if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
+            let rows = ids.iter().map(|&id| (id, inner.rows.get(id).expect("updated").to_put()));
+            engine.append_rows(&self.name, rows).expect("dio-backend: persistent update failed");
         }
         ids.len()
     }

@@ -1,14 +1,17 @@
 //! Persistent sharded storage under [`crate::DocStore`] (DESIGN.md §11).
 //!
 //! A bitcask-style engine: every mutation is one CRC-framed record
-//! appended to a segment file; an in-memory [`keydir`] maps each live
-//! (index, doc id) key to its newest frame; reopening replays every
-//! segment once — the store loads each live document anyway — and a
-//! background compactor merges sealed segments through the same replay,
-//! dropping superseded frames. The key space is split over N independent
-//! **shards** — separate directories, locks, and segment chains — so
-//! concurrent sessions append in parallel instead of serializing on one
-//! lock domain.
+//! appended to a segment file — the events of one bulk as binary *runs* of
+//! consecutive ids, any other document as its JSON text; an in-memory
+//! [`keydir`] maps each live (index, doc id) key to its newest frame, one
+//! entry per run; reopening replays every segment once — the store loads
+//! each live document anyway, and a run decodes straight to its events —
+//! and a background compactor merges sealed segments through the same
+//! replay, dropping superseded frames and re-encoding runs to their live
+//! ids. The key space is split over N independent **shards** — separate
+//! directories, locks, and segment chains — by blocks of [`BLOCK`]
+//! consecutive ids, so concurrent sessions append in parallel instead of
+//! serializing on one lock domain, and a run never spans two shards.
 //!
 //! Durability contract: when an append returns, the batch has reached
 //! the kernel page cache — it survives a process kill (the crash
@@ -30,10 +33,18 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
+use dio_syscall::codec::RunEncoder;
+use dio_syscall::SyscallEvent;
 use dio_telemetry::{trace, Counter, Histogram, MetricsRegistry};
 
 pub use shard::ShardReport;
 use shard::{Op, Shard};
+
+/// Consecutive ids routed to one shard: a run is cut where a block ends, so
+/// the shard holding an id also receives its later tombstone or overwrite
+/// (seqnos are shard-local). One chunk of an index's row table. Recorded in
+/// the manifest; a store written before runs existed routes by single ids.
+pub const BLOCK: u64 = 1_024;
 
 /// Tuning knobs for [`StorageEngine::open`].
 #[derive(Debug, Clone)]
@@ -214,6 +225,11 @@ pub struct StorageEngine {
     root: PathBuf,
     config: StorageConfig,
     shards: Vec<Arc<Shard>>,
+    /// Routing block of the store ([`BLOCK`], or 1 for a `v1` store).
+    block: u64,
+    /// The manifest still says `v1`: a reader of that version knows no run,
+    /// so it is rewritten before the first one is.
+    manifest_v1: Mutex<bool>,
     stats: Arc<EngineStats>,
     compactor_shared: Arc<CompactorShared>,
     compactor: Mutex<Option<CompactorHandle>>,
@@ -228,16 +244,16 @@ impl std::fmt::Debug for StorageEngine {
     }
 }
 
-/// FNV-1a over (index name, doc id): the shard router. Deterministic
+/// FNV-1a over (index name, block of ids): the shard router. Deterministic
 /// across processes (unlike `std` hashing), so reopen routes every key
 /// to the shard that wrote it.
-fn route(index: &str, doc_id: u64, shards: usize) -> usize {
+fn route(index: &str, block: u64, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in index.as_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    for b in doc_id.to_le_bytes() {
+    for b in block.to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -246,48 +262,79 @@ fn route(index: &str, doc_id: u64, shards: usize) -> usize {
 
 const MANIFEST: &str = "MANIFEST";
 
-fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Result<usize> {
-    let path = root.join(MANIFEST);
-    match std::fs::read_to_string(&path) {
+/// What a manifest pins: shard count and routing block, and whether it is
+/// the `v1` one.
+struct Manifest {
+    shards: usize,
+    block: u64,
+    v1: bool,
+}
+
+fn write_manifest(root: &Path, shards: usize, block: u64) -> std::io::Result<()> {
+    let tmp = root.join("MANIFEST.tmp");
+    std::fs::write(&tmp, format!("dio-store v2\nshards {shards}\nblock {block}\n"))?;
+    std::fs::rename(&tmp, root.join(MANIFEST))
+}
+
+fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Result<Manifest> {
+    let bad = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
+    match std::fs::read_to_string(root.join(MANIFEST)) {
         Ok(text) => {
             let mut lines = text.lines();
             let version = lines.next().unwrap_or("");
-            if version != "dio-store v1" {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unsupported store format: {version:?}"),
-                ));
-            }
-            let shards = lines
-                .next()
-                .and_then(|l| l.strip_prefix("shards "))
-                .and_then(|n| n.parse::<usize>().ok())
-                .ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad manifest shard line")
-                })?;
-            Ok(shards)
+            let v1 = match version {
+                "dio-store v1" => true,
+                "dio-store v2" => false,
+                _ => return Err(bad(&format!("unsupported store format: {version:?}"))),
+            };
+            let mut number = |key: &str| {
+                lines
+                    .next()
+                    .and_then(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse::<u64>().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| bad(&format!("bad manifest {key} line")))
+            };
+            let shards = number("shards")? as usize;
+            let block = if v1 { 1 } else { number("block")? };
+            Ok(Manifest { shards, block, v1 })
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             let shards = config.shards.max(1);
-            let tmp = root.join("MANIFEST.tmp");
-            std::fs::write(&tmp, format!("dio-store v1\nshards {shards}\n"))?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(shards)
+            write_manifest(root, shards, BLOCK)?;
+            Ok(Manifest { shards, block: BLOCK, v1: false })
         }
         Err(e) => Err(e),
     }
 }
 
+/// What a live id recovered at open holds.
+#[derive(Debug, PartialEq)]
+pub enum Stored {
+    /// A document's JSON text.
+    Json(Vec<u8>),
+    /// An event of a run.
+    Event(SyscallEvent),
+}
+
 /// Every live document recovered at open, grouped by index and sorted
 /// by doc id (the original ingest order within an index).
-pub type LoadedStore = BTreeMap<Arc<str>, Vec<(u64, Vec<u8>)>>;
+pub type LoadedStore = BTreeMap<Arc<str>, Vec<(u64, Stored)>>;
+
+/// One id's value for [`StorageEngine::append_rows`].
+pub(crate) enum Put<'a> {
+    /// A document, as JSON text.
+    Json(Vec<u8>),
+    /// An event, written into a run with its neighbours.
+    Event(&'a SyscallEvent),
+}
 
 impl StorageEngine {
     /// Opens (creating if needed) the store under `root`, replaying all
     /// shards and returning the engine plus every live document.
     pub fn open(root: &Path, config: StorageConfig) -> std::io::Result<(Arc<Self>, LoadedStore)> {
         std::fs::create_dir_all(root)?;
-        let shard_count = read_or_write_manifest(root, &config)?;
+        let manifest = read_or_write_manifest(root, &config)?;
+        let shard_count = manifest.shards;
         let stats = Arc::new(EngineStats::default());
 
         // Recovery is traced: one storage.open root span for the store,
@@ -298,29 +345,23 @@ impl StorageEngine {
         open_span.attr("shards", shard_count);
         let open_ctx = open_span.ctx();
 
-        let mut shards: Vec<Option<(Shard, Vec<shard::LiveDoc>)>> = Vec::new();
-        shards.resize_with(shard_count, || None);
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            let mut handles = Vec::new();
-            for (k, slot) in shards.iter_mut().enumerate() {
-                let dir = root.join(format!("shard-{k:03}"));
-                let stats = &stats;
-                handles.push((slot, scope.spawn(move || Shard::open(dir, k, stats, open_ctx))));
-            }
-            for (slot, handle) in handles {
-                *slot = Some(handle.join().expect("shard open thread panicked")?);
-            }
-            Ok(())
+        // Every shard replays before any is repaired: a store that refuses
+        // to open (a run it cannot decode) is left as it was found.
+        let recovered = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..shard_count)
+                .map(|k| {
+                    let dir = root.join(format!("shard-{k:03}"));
+                    scope.spawn(move || Shard::recover(dir, k, open_ctx))
+                })
+                .collect();
+            let joined = handles.into_iter().map(|h| h.join().expect("shard open thread panicked"));
+            joined.collect::<std::io::Result<Vec<_>>>()
         })?;
 
         let mut loaded: LoadedStore = BTreeMap::new();
         let mut shard_arcs = Vec::with_capacity(shard_count);
-        for opened in shards {
-            let (shard, docs) = opened.expect("every shard opened");
-            for doc in docs {
-                loaded.entry(doc.index).or_default().push((doc.doc_id, doc.value));
-            }
-            shard_arcs.push(Arc::new(shard));
+        for recovered in recovered {
+            shard_arcs.push(Arc::new(recovered.open(&stats, &mut loaded)?));
         }
         for docs in loaded.values_mut() {
             docs.sort_by_key(|(id, _)| *id);
@@ -333,6 +374,8 @@ impl StorageEngine {
             root: root.to_path_buf(),
             config,
             shards: shard_arcs,
+            block: manifest.block,
+            manifest_v1: Mutex::new(manifest.v1),
             stats,
             compactor_shared: Arc::new(CompactorShared {
                 stop: Mutex::new(false),
@@ -406,17 +449,62 @@ impl StorageEngine {
         &self.stats
     }
 
-    /// Appends a batch of document writes for one index. Returns once
-    /// every routed shard has the bytes on disk — the caller may then
-    /// acknowledge the documents.
+    /// Appends a batch of document writes for one index, each its JSON
+    /// text. Returns once every routed shard has the bytes on disk — the
+    /// caller may then acknowledge the documents.
     pub fn append_puts(&self, index: &str, docs: Vec<(u64, Vec<u8>)>) -> std::io::Result<()> {
+        self.append_rows(index, docs.into_iter().map(|(id, value)| (id, Put::Json(value))))
+    }
+
+    /// Appends a batch of writes for one index, in id order: the events of
+    /// consecutive ids as one run per block, any other document as its
+    /// JSON text.
+    pub(crate) fn append_rows<'a>(
+        &self,
+        index: &str,
+        rows: impl IntoIterator<Item = (u64, Put<'a>)>,
+    ) -> std::io::Result<()> {
         let n = self.shards.len();
         let mut per_shard: Vec<Vec<Op>> = Vec::new();
         per_shard.resize_with(n, Vec::new);
         let index: Arc<str> = Arc::from(index);
-        for (doc_id, value) in docs {
-            let op = Op::Put { index: Arc::clone(&index), doc_id, value };
-            per_shard[route(&index, doc_id, n)].push(op);
+        let mut run: Option<(u64, RunEncoder<'a>)> = None;
+        let mut runs = false;
+        let mut end_run = |run: &mut Option<(u64, RunEncoder<'a>)>, per_shard: &mut [Vec<Op>]| {
+            if let Some((first, encoder)) = run.take() {
+                let ids = encoder.len() as u32;
+                let mut payload = Vec::new();
+                encoder.finish(&mut payload);
+                let op = Op::Run { index: Arc::clone(&index), first, ids, payload };
+                per_shard[route(&index, first / self.block, n)].push(op);
+                runs = true;
+            }
+        };
+        for (doc_id, put) in rows {
+            // A run ends at a gap in the ids, where a block ends, and at a
+            // document that is not an event.
+            let next = run.as_ref().map(|(first, encoder)| first + encoder.len() as u64);
+            if next.is_some_and(|next| next != doc_id || doc_id % self.block == 0) {
+                end_run(&mut run, &mut per_shard);
+            }
+            match put {
+                Put::Event(event) => {
+                    run.get_or_insert_with(|| (doc_id, RunEncoder::new())).1.push(event)
+                }
+                Put::Json(value) => {
+                    end_run(&mut run, &mut per_shard);
+                    let op = Op::Put { index: Arc::clone(&index), doc_id, value };
+                    per_shard[route(&index, doc_id / self.block, n)].push(op);
+                }
+            }
+        }
+        end_run(&mut run, &mut per_shard);
+        if runs {
+            let mut v1 = self.manifest_v1.lock();
+            if *v1 {
+                write_manifest(&self.root, n, self.block)?;
+                *v1 = false;
+            }
         }
         let mut compact_wanted = false;
         for (k, ops) in per_shard.into_iter().enumerate() {
@@ -432,7 +520,7 @@ impl StorageEngine {
 
     /// Appends a tombstone for one document.
     pub fn append_delete(&self, index: &str, doc_id: u64) -> std::io::Result<()> {
-        let k = route(index, doc_id, self.shards.len());
+        let k = route(index, doc_id / self.block, self.shards.len());
         let ops = vec![Op::Delete { index: Arc::from(index), doc_id }];
         if self.shards[k].append_batch(ops, &self.config, &self.stats)? {
             self.nudge_compactor();
@@ -575,7 +663,7 @@ mod tests {
         assert!(a.iter().all(|(id, _)| *id != 7));
         // Sorted by id == original ingest order.
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(loaded["dio-b"], vec![(0, doc(99))]);
+        assert_eq!(loaded["dio-b"], vec![(0, Stored::Json(doc(99)))]);
         engine.verify().unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -632,7 +720,7 @@ mod tests {
         let a = &loaded["dio-a"];
         assert_eq!(a.len(), 20);
         for (id, value) in a {
-            assert_eq!(value, &doc(49 * 100 + id), "latest round survives");
+            assert_eq!(value, &Stored::Json(doc(49 * 100 + id)), "latest round survives");
         }
         engine.verify().unwrap();
         let _ = std::fs::remove_dir_all(&root);
@@ -661,6 +749,89 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(!engine.shards[0].needs_compaction(&config));
         assert!(engine.compact_now().is_err(), "asked explicitly, it refuses again");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A compaction input holding a run frame that does not decode is
+    /// refused like any unreadable input: nothing written, nothing deleted.
+    #[test]
+    fn compaction_refuses_a_run_it_cannot_decode() {
+        let root = tmp_root("undecodable");
+        let config = StorageConfig { shards: 1, ..StorageConfig::tiny_for_tests() };
+        let (engine, _) = StorageEngine::open(&root, config.clone()).unwrap();
+        let run = Op::Run { index: Arc::from("dio-a"), first: 0, ids: 1, payload: vec![0xFF] };
+        engine.shards[0].append_batch(vec![run], &config, &engine.stats).unwrap();
+        for round in 0..50u64 {
+            engine
+                .append_puts("dio-a", (1..21).map(|i| (i, doc(round * 100 + i))).collect())
+                .unwrap();
+        }
+        // The sealed logs, the inputs: the active one is left by the rotation.
+        let logs = || segment::list_generations(&root.join("shard-000")).unwrap();
+        let sealed = logs().len() - 1;
+        let before = logs();
+        let err = engine.compact_now().expect_err("an undecodable run is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("unknown run format version 255"), "{err}");
+        assert!(!engine.shards[0].needs_compaction(&config));
+        assert_eq!(logs()[..sealed], before[..sealed], "no input deleted");
+        drop(engine);
+        let refused = StorageEngine::open(&root, config).expect_err("and so is the store");
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The live-key count a storage report carries is kept as records apply,
+    /// not recounted, and agrees with a recount through every kind of
+    /// change: runs and documents, overwrites, tombstones, a dropped index,
+    /// a compaction, a reopen.
+    #[test]
+    fn live_keys_are_kept_as_records_apply() {
+        use crate::{DocStore, Query};
+        use dio_syscall::{SyscallEvent, SyscallKind};
+        let root = tmp_root("livekeys");
+        let config = StorageConfig::tiny_for_tests();
+        let events = |n: u64| -> Vec<SyscallEvent> {
+            let kinds = [SyscallKind::Write, SyscallKind::Read, SyscallKind::Fsync];
+            let mut events: Vec<SyscallEvent> =
+                (0..n).map(|i| SyscallEvent::synthetic(kinds[i as usize % 3])).collect();
+            events.iter_mut().zip(0..).for_each(|(e, i)| e.time_enter_ns = i);
+            events
+        };
+        let check = |store: &DocStore, live: usize| {
+            let engine = store.storage().expect("persistent");
+            let counted = engine.verify().expect("invariants").totals.live_keys;
+            assert_eq!((engine.report().totals.live_keys, counted), (live, live));
+        };
+        let store = DocStore::open_with(&root, config.clone()).unwrap();
+        store.bulk_spans("dio-e", events(3_000), &mut []);
+        store.bulk("dio-e", vec![serde_json::json!({"kind": "health"})]);
+        store.bulk_spans("dio-e", events(40), &mut []);
+        store.bulk("dio-j", (0..30).map(|i| serde_json::json!({ "n": i })).collect());
+        check(&store, 3_071);
+        let rewritten =
+            store.index("dio-e").update_by_query(&Query::term("syscall", "fsync"), |doc| {
+                doc["file_path"] = serde_json::json!("/f");
+            });
+        assert_eq!(rewritten, 1_013);
+        store.index("dio-e").update_by_query(&Query::term("time", 5), |doc| {
+            doc["walked"] = serde_json::json!(true);
+        });
+        check(&store, 3_071);
+        for id in [0, 1, 2, 1_023, 1_024, 2_999, 3_000, 3_001] {
+            assert!(store.index("dio-e").delete(id));
+        }
+        assert!(store.index("dio-j").delete(7));
+        check(&store, 3_062);
+        store.delete_index("dio-j");
+        check(&store, 3_033);
+        store.compact_now().unwrap();
+        check(&store, 3_033);
+        drop(store);
+        let store = DocStore::open_with(&root, config).unwrap();
+        check(&store, 3_033);
+        assert_eq!(store.index("dio-e").len(), 3_033);
+        drop(store);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,18 +1,20 @@
 //! On-disk record framing for segment files.
 //!
-//! Every mutation of the store — a document write, a per-document
-//! tombstone, or a whole-index drop barrier — is one framed record
-//! (DESIGN.md §11.1):
+//! Every mutation of the store — a run of events, a document write, a
+//! per-document tombstone, or a whole-index drop barrier — is one framed
+//! record (DESIGN.md §11.1):
 //!
 //! ```text
 //! [crc: u32 LE]          checksum of every following byte of the frame
 //! [seqno: u64 LE]        shard-local mutation sequence number
-//! [flags: u8]            bit0 = tombstone, bit1 = drop-index barrier
+//! [flags: u8]            bit0 = tombstone, bit1 = drop-index barrier,
+//!                        bit2 = a run of events
 //! [index_len: u16 LE]    length of the index (session) name
-//! [doc_id: u64 LE]       document id within the index
-//! [value_len: u32 LE]    length of the JSON document body
+//! [doc_id: u64 LE]       document id within the index; a run's first id
+//! [value_len: u32 LE]    length of the value
 //! [index_name: bytes]
-//! [value: bytes]
+//! [value: bytes]         JSON document text, or a run's payload
+//!                        (`dio_syscall::codec`)
 //! ```
 //!
 //! The CRC covers the whole frame after itself, so a torn tail — a crash
@@ -32,20 +34,25 @@ pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 /// Flag bit: the record drops every older record of `index` (a
 /// whole-index delete barrier; `doc_id` and `value` are empty).
 pub const FLAG_DROP_INDEX: u8 = 0b0000_0010;
+/// Flag bit: the value is a run of events for the consecutive ids from
+/// `doc_id` on, encoded by `dio_syscall::codec`.
+pub const FLAG_EVENTS: u8 = 0b0000_0100;
 
 /// A decoded record frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Shard-local mutation sequence number (newest wins).
     pub seqno: u64,
-    /// Flag bits (`FLAG_TOMBSTONE`, `FLAG_DROP_INDEX`).
+    /// Flag bits (`FLAG_TOMBSTONE`, `FLAG_DROP_INDEX`, `FLAG_EVENTS`); at
+    /// most one is set.
     pub flags: u8,
     /// The index (session) the record belongs to; the records of one
     /// appended batch share the allocation.
     pub index: Arc<str>,
     /// Document id within the index.
     pub doc_id: u64,
-    /// JSON document body (empty for tombstones and barriers).
+    /// JSON document body or run payload (empty for tombstones and
+    /// barriers).
     pub value: Vec<u8>,
 }
 
@@ -125,6 +132,8 @@ fn read_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
+const KNOWN_FLAGS: u8 = FLAG_TOMBSTONE | FLAG_DROP_INDEX | FLAG_EVENTS;
+
 /// Upper bound on a single document body; a `value_len` beyond this is
 /// treated as header corruption rather than a gigantic allocation.
 pub const MAX_VALUE_LEN: u32 = 1 << 30;
@@ -141,7 +150,7 @@ pub fn decode(buf: &[u8]) -> Result<(Record, usize), DecodeError> {
     let index_len = read_u16(&buf[13..15]) as usize;
     let doc_id = read_u64(&buf[15..23]);
     let value_len = read_u32(&buf[23..27]);
-    if value_len > MAX_VALUE_LEN || flags & !(FLAG_TOMBSTONE | FLAG_DROP_INDEX) != 0 {
+    if value_len > MAX_VALUE_LEN || flags.count_ones() > 1 || flags & !KNOWN_FLAGS != 0 {
         return Err(DecodeError::BadHeader);
     }
     let total = HEADER_LEN + index_len + value_len as usize;
@@ -164,6 +173,7 @@ pub fn decode(buf: &[u8]) -> Result<(Record, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dio_syscall::{SyscallEvent, SyscallKind};
 
     #[test]
     fn roundtrip() {
@@ -186,28 +196,62 @@ mod tests {
         }
     }
 
+    /// A document frame, and a run frame of three events.
+    fn frames() -> Vec<Vec<u8>> {
+        let events = [SyscallKind::Write, SyscallKind::Openat, SyscallKind::Fsync]
+            .map(SyscallEvent::synthetic);
+        let mut payload = Vec::new();
+        dio_syscall::codec::encode(&events, &mut payload);
+        let run = Record {
+            seqno: 9,
+            flags: FLAG_EVENTS,
+            index: Arc::from("dio-s1"),
+            doc_id: 4,
+            value: payload,
+        };
+        [Record::value(9, "dio-s1", 1, b"{\"a\":1}".to_vec()), run]
+            .iter()
+            .map(|rec| {
+                let mut buf = Vec::new();
+                rec.encode_into(&mut buf);
+                assert_eq!(decode(&buf), Ok((rec.clone(), buf.len())));
+                buf
+            })
+            .collect()
+    }
+
     #[test]
     fn every_partial_prefix_is_truncated_or_bad() {
-        let rec = Record::value(9, "dio-s1", 1, b"{\"a\":1}".to_vec());
-        let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            match decode(&buf[..cut]) {
-                Err(DecodeError::Truncated) | Err(DecodeError::BadHeader) => {}
-                other => panic!("prefix of {cut} bytes decoded as {other:?}"),
+        for buf in frames() {
+            for cut in 0..buf.len() {
+                match decode(&buf[..cut]) {
+                    Err(DecodeError::Truncated) | Err(DecodeError::BadHeader) => {}
+                    other => panic!("prefix of {cut} bytes decoded as {other:?}"),
+                }
             }
         }
     }
 
     #[test]
     fn any_flipped_byte_fails_crc() {
-        let rec = Record::value(9, "dio-s1", 1, b"{\"a\":1}".to_vec());
+        for buf in frames() {
+            for i in 0..buf.len() {
+                let mut bad = buf.clone();
+                bad[i] ^= 0x01;
+                match decode(&bad) {
+                    Err(DecodeError::Truncated | DecodeError::BadCrc | DecodeError::BadHeader) => {}
+                    Ok(_) => panic!("flip at byte {i} went undetected"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_kinds_in_one_frame_are_a_bad_header() {
+        let mut rec = Record::tombstone(1, "x", 3);
+        rec.flags |= FLAG_EVENTS;
         let mut buf = Vec::new();
         rec.encode_into(&mut buf);
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
-            assert!(decode(&bad).is_err(), "flip at byte {i} went undetected");
-        }
+        assert_eq!(decode(&buf), Err(DecodeError::BadHeader));
     }
 }

@@ -12,14 +12,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use dio_syscall::{codec, SyscallEvent};
 use dio_telemetry::span::monotonic_ns;
 use dio_telemetry::trace;
 
 use super::crash::{self, CrashSite};
 use super::keydir::{Displaced, KeyDir, Slot};
-use super::record::{DecodeError, Record, FLAG_DROP_INDEX, FLAG_TOMBSTONE};
+use super::record::{DecodeError, Record, FLAG_DROP_INDEX, FLAG_EVENTS, FLAG_TOMBSTONE};
 use super::segment::{self, ScannedRecord, SegmentWriter};
-use super::{EngineStats, StorageConfig};
+use super::{EngineStats, LoadedStore, StorageConfig, Stored};
 
 /// One logical mutation routed to a shard. The ops of one batch share
 /// their index name's allocation, and hand it on to the record written
@@ -34,6 +35,17 @@ pub enum Op {
         doc_id: u64,
         /// Serialized JSON body.
         value: Vec<u8>,
+    },
+    /// Write the events of ids `first..first + ids` of `index` as one run.
+    Run {
+        /// Target index.
+        index: Arc<str>,
+        /// The run's first id.
+        first: u64,
+        /// Events in the run.
+        ids: u32,
+        /// The run's payload (`dio_syscall::codec`).
+        payload: Vec<u8>,
     },
     /// Delete `doc_id` of `index`.
     Delete {
@@ -80,17 +92,6 @@ impl ShardInner {
     }
 }
 
-/// A live document recovered at open time.
-#[derive(Debug)]
-pub struct LiveDoc {
-    /// Index (session) name, shared by the documents of one appended batch.
-    pub index: Arc<str>,
-    /// Document id within the index.
-    pub doc_id: u64,
-    /// Serialized JSON body.
-    pub value: Vec<u8>,
-}
-
 /// One independent bitcask instance (see module docs).
 pub struct Shard {
     id: usize,
@@ -123,12 +124,14 @@ fn apply(
     let own = Displaced { gen: slot.gen, bytes: slot.frame_len as u64 };
     if flags & FLAG_DROP_INDEX != 0 {
         dead(own);
-        keydir.apply_drop_index(index, slot.seqno).into_iter().for_each(dead);
+        keydir.apply_drop_index(index, slot.seqno, &mut dead);
     } else if flags & FLAG_TOMBSTONE != 0 {
         dead(own);
-        keydir.apply_tombstone(index, doc_id, slot.seqno).into_iter().for_each(dead);
+        keydir.apply_tombstone(index, doc_id, slot.seqno, &mut dead);
+    } else if flags & FLAG_EVENTS != 0 {
+        keydir.apply_run(index, doc_id, slot, &mut dead);
     } else {
-        keydir.apply_put(index, doc_id, slot).into_iter().for_each(dead);
+        keydir.apply_put(index, doc_id, slot, &mut dead);
     }
 }
 
@@ -141,13 +144,30 @@ struct Scanned {
     torn: Option<DecodeError>,
 }
 
+/// A record's value: a document's text, or a run's events — `None` where
+/// a newer record shadows the id.
+enum Body {
+    Doc(Vec<u8>),
+    Run(Vec<Option<SyscallEvent>>),
+}
+
+/// A record that survives a set of segments, with what of it survives.
+struct Live {
+    index: Arc<str>,
+    /// Where the record is.
+    slot: Slot,
+    /// The document's id, or the run's first.
+    first: u64,
+    body: Body,
+}
+
 /// What a set of segments replays to.
 struct Replayed {
     /// Newest state of every key seen, tombstones and barriers included.
     keydir: KeyDir,
     /// The records `keydir`'s slots point at — the documents that survive
     /// the set — in no particular order.
-    live: Vec<Record>,
+    live: Vec<Live>,
     /// The scanned generations, oldest first.
     scanned: Vec<Scanned>,
     /// Superseded bytes per generation.
@@ -155,36 +175,65 @@ struct Replayed {
     max_seqno: u64,
 }
 
-/// Replays the segments `gens` of `dir`, oldest first: each log is read and
-/// CRC-decoded once, up to its first torn or corrupt frame, and its records
-/// applied newest-seqno-wins (after an interrupted compaction the same
-/// record can sit in two files; only its sequence number says which wins).
-/// Which records survive a set of segments is decided here and nowhere
-/// else: recovery replays a whole shard, compaction its inputs. Neither
-/// truncates here — what to do about a torn segment is the caller's call.
-fn replay(dir: &Path, gens: impl Iterator<Item = u64>) -> std::io::Result<Replayed> {
+/// Replays the segments `gens` of shard `shard` in `dir`, oldest first: each
+/// log is read and CRC-decoded once, up to its first torn or corrupt frame,
+/// and its records applied newest-seqno-wins (after an interrupted
+/// compaction the same record can sit in two files; only its sequence
+/// number says which wins). Which records survive a set of segments is
+/// decided here and nowhere else: recovery replays a whole shard,
+/// compaction its inputs. Neither truncates here — what to do about a torn
+/// segment is the caller's call.
+///
+/// A run frame whose checksum holds but whose payload does not decode — a
+/// format this code does not know, or bytes no encoder writes — is not a
+/// torn write: it is `InvalidData`, and nothing is replayed.
+fn replay(dir: &Path, shard: usize, gens: impl Iterator<Item = u64>) -> std::io::Result<Replayed> {
     let mut keydir = KeyDir::new();
     let mut dead_by_gen = HashMap::new();
     let mut scanned = Vec::new();
-    let mut records = Vec::new();
+    let mut live = Vec::new();
     let mut max_seqno = 0;
     for gen in gens {
         let scan = segment::scan(&dir.join(segment::log_name(gen)))?;
         for ScannedRecord { record, offset, len } in scan.records {
-            let slot = Slot { gen, offset, frame_len: len, seqno: record.seqno };
-            max_seqno = max_seqno.max(record.seqno);
-            apply(&mut keydir, &mut dead_by_gen, record.flags, &record.index, record.doc_id, slot);
-            if record.flags == 0 {
-                records.push((slot, record));
+            let Record { seqno, flags, index, doc_id, value } = record;
+            let (body, ids) = if flags & FLAG_EVENTS != 0 {
+                let mut events = Vec::new();
+                let ids = codec::decode(&value, &mut events).and_then(|()| {
+                    u32::try_from(events.len())
+                        .ok()
+                        .filter(|&n| n > 0 && doc_id.checked_add(u64::from(n)).is_some())
+                        .ok_or(codec::DecodeError::Invalid("run length"))
+                });
+                let ids = ids.map_err(|e| {
+                    let at = format!("shard {shard} gen {gen} offset {offset}: {e}");
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, at)
+                })?;
+                (Body::Run(events.into_iter().map(Some).collect()), ids)
+            } else {
+                (Body::Doc(value), 1)
+            };
+            let slot = Slot { gen, offset, frame_len: len, ids, seqno };
+            max_seqno = max_seqno.max(seqno);
+            apply(&mut keydir, &mut dead_by_gen, flags, &index, doc_id, slot);
+            if flags & (FLAG_TOMBSTONE | FLAG_DROP_INDEX) == 0 {
+                live.push(Live { index, slot, first: doc_id, body });
             }
         }
         scanned.push(Scanned { gen, valid_len: scan.valid_len, torn: scan.torn });
     }
-    let live = records
-        .into_iter()
-        .filter(|(slot, rec)| keydir.get(&rec.index, rec.doc_id) == Some(*slot))
-        .map(|(_, rec)| rec)
-        .collect();
+    live.retain_mut(|rec| match &mut rec.body {
+        Body::Doc(_) => keydir.get(&rec.index, rec.first) == Some(rec.slot),
+        Body::Run(events) => {
+            let mut held = keydir.live_ids(&rec.index, rec.first, rec.slot).into_iter().peekable();
+            for (id, event) in (rec.first..).zip(events.iter_mut()) {
+                if held.next_if_eq(&id).is_none() {
+                    *event = None;
+                }
+            }
+            events.iter().any(Option::is_some)
+        }
+    });
     Ok(Replayed { keydir, live, scanned, dead_by_gen, max_seqno })
 }
 
@@ -204,34 +253,26 @@ fn synced_write(
     Ok(())
 }
 
-impl Shard {
-    /// Opens (or creates) the shard under `dir`: one `replay` of its
-    /// segments gives the keydir and every live document. A segment whose
-    /// scan stopped short — active or sealed, a torn write or a flipped
-    /// byte — is truncated to its valid prefix and counted. The recovery
-    /// work is recorded as a `recovery.shard` span under `parent` (the
-    /// engine's `storage.open` span) with a torn-tail attr, so counters
-    /// and causal spans describe the same repairs.
-    pub fn open(
-        dir: PathBuf,
-        id: usize,
-        stats: &EngineStats,
-        parent: trace::SpanCtx,
-    ) -> std::io::Result<(Self, Vec<LiveDoc>)> {
-        let mut recovery_span = trace::span_child_of(Some(parent), "storage", "recovery.shard");
-        recovery_span.attr("shard", id);
-        std::fs::create_dir_all(&dir)?;
-        segment::remove_stale_merge_tmps(&dir)?;
-        let gens = segment::list_generations(&dir)?;
-        let Replayed { mut keydir, live, scanned, dead_by_gen, max_seqno } =
-            replay(&dir, gens.iter().copied())?;
-        keydir.prune_shadows();
+/// A shard whose segments replayed, before anything on disk was changed.
+pub struct Recovered {
+    id: usize,
+    dir: PathBuf,
+    replayed: Replayed,
+}
 
-        let mut torn_truncated = 0u64;
+impl Recovered {
+    /// Finishes opening the shard: a segment whose scan stopped short —
+    /// active or sealed, a torn write or a flipped byte — is truncated to
+    /// its valid prefix and counted, leftover merge outputs go, and the
+    /// highest generation is reopened for append. The live documents go
+    /// into `loaded`.
+    pub fn open(self, stats: &EngineStats, loaded: &mut LoadedStore) -> std::io::Result<Shard> {
+        let Recovered { id, dir, replayed } = self;
+        let Replayed { keydir, live, scanned, dead_by_gen, max_seqno } = replayed;
+        segment::remove_stale_merge_tmps(&dir)?;
         for seg in scanned.iter().filter(|seg| seg.torn.is_some()) {
             segment::truncate(&dir.join(segment::log_name(seg.gen)), seg.valid_len)?;
             stats.recovery_truncated.add(1);
-            torn_truncated += 1;
         }
         let mut sealed: BTreeMap<u64, SealedInfo> =
             scanned.iter().map(|seg| (seg.gen, SealedInfo { len: seg.valid_len })).collect();
@@ -240,14 +281,15 @@ impl Shard {
             Some((gen, active)) => (SegmentWriter::reopen(&dir, gen, active.len)?, gen + 1),
             None => (SegmentWriter::create(&dir, 1)?, 2),
         };
-        let docs = live
-            .into_iter()
-            .map(|rec| LiveDoc { index: rec.index, doc_id: rec.doc_id, value: rec.value })
-            .collect();
-        recovery_span.attr("segments", gens.len());
-        recovery_span.attr("live_keys", keydir.live_len());
-        recovery_span.attr("torn_truncated", torn_truncated);
-        drop(recovery_span);
+        for Live { index, first, body, .. } in live {
+            let docs = loaded.entry(index).or_default();
+            match body {
+                Body::Doc(value) => docs.push((first, Stored::Json(value))),
+                Body::Run(events) => docs.extend(
+                    (first..).zip(events).filter_map(|(id, e)| Some((id, Stored::Event(e?)))),
+                ),
+            }
+        }
         let inner = ShardInner {
             writer,
             keydir,
@@ -257,7 +299,43 @@ impl Shard {
             dead_by_gen,
             compaction_refused: false,
         };
-        Ok((Shard { id, dir, inner: Mutex::new(inner), compact_gate: Mutex::new(()) }, docs))
+        Ok(Shard { id, dir, inner: Mutex::new(inner), compact_gate: Mutex::new(()) })
+    }
+}
+
+/// What a compaction wrote for one surviving record, to repoint the keydir
+/// at.
+enum Written {
+    Doc {
+        doc_id: u64,
+        slot: Slot,
+    },
+    /// The live ids of the run frame at `was`, re-encoded as runs of
+    /// consecutive ids: `(first id, slot)`.
+    Run {
+        was: Slot,
+        pieces: Vec<(u64, Slot)>,
+    },
+}
+
+impl Shard {
+    /// Replays the shard under `dir` (created if missing) without changing
+    /// a byte of it; [`Recovered::open`] then repairs and opens it. The
+    /// recovery work is recorded as a `recovery.shard` span under `parent`
+    /// (the engine's `storage.open` span) with a torn-tail attr, so counters
+    /// and causal spans describe the same repairs.
+    pub fn recover(dir: PathBuf, id: usize, parent: trace::SpanCtx) -> std::io::Result<Recovered> {
+        let mut recovery_span = trace::span_child_of(Some(parent), "storage", "recovery.shard");
+        recovery_span.attr("shard", id);
+        std::fs::create_dir_all(&dir)?;
+        let gens = segment::list_generations(&dir)?;
+        let mut replayed = replay(&dir, id, gens.iter().copied())?;
+        replayed.keydir.prune_shadows();
+        recovery_span.attr("segments", gens.len());
+        recovery_span.attr("live_keys", replayed.keydir.live_len());
+        recovery_span
+            .attr("torn_truncated", replayed.scanned.iter().filter(|s| s.torn.is_some()).count());
+        Ok(Recovered { id, dir, replayed })
     }
 
     /// Appends a batch of mutations. When this returns, every op is on
@@ -282,21 +360,27 @@ impl Shard {
         for op in ops {
             let seqno = inner.next_seqno;
             inner.next_seqno += 1;
-            let record = match op {
+            let (record, ids) = match op {
                 Op::Put { index, doc_id, value } => {
-                    Record { seqno, flags: 0, index, doc_id, value }
+                    (Record { seqno, flags: 0, index, doc_id, value }, 1)
+                }
+                Op::Run { index, first, ids, payload } => {
+                    let flags = FLAG_EVENTS;
+                    (Record { seqno, flags, index, doc_id: first, value: payload }, ids)
                 }
                 Op::Delete { index, doc_id } => {
-                    Record { seqno, flags: FLAG_TOMBSTONE, index, doc_id, value: Vec::new() }
+                    let flags = FLAG_TOMBSTONE;
+                    (Record { seqno, flags, index, doc_id, value: Vec::new() }, 1)
                 }
                 Op::DropIndex { index } => {
-                    Record { seqno, flags: FLAG_DROP_INDEX, index, doc_id: 0, value: Vec::new() }
+                    let flags = FLAG_DROP_INDEX;
+                    (Record { seqno, flags, index, doc_id: 0, value: Vec::new() }, 1)
                 }
             };
             let offset = inner.writer.len() + buf.len() as u64;
             let frame_len = record.encoded_len() as u32;
             record.encode_into(&mut buf);
-            let slot = Slot { gen, offset, frame_len, seqno };
+            let slot = Slot { gen, offset, frame_len, ids, seqno };
             staged.push((record.flags, record.index, record.doc_id, slot));
         }
         append_span.attr("bytes", buf.len());
@@ -433,51 +517,82 @@ impl Shard {
         // is the newest record of each key *within the inputs* that no
         // tombstone or barrier shadows.
         let mut merge_span = trace::span("storage", "compact.merge");
-        let Replayed { live: mut keep, scanned, .. } = replay(&self.dir, inputs.keys().copied())?;
+        let refuse = |why: String| {
+            self.inner.lock().compaction_refused = true;
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{why}; compaction refused (reopen truncates and counts the loss)"),
+            )
+        };
+        let Replayed { live: mut keep, scanned, .. } =
+            replay(&self.dir, self.id, inputs.keys().copied()).map_err(|e| match e.kind() {
+                std::io::ErrorKind::InvalidData => refuse(e.to_string()),
+                _ => e,
+            })?;
         if let Some(seg) =
             scanned.iter().find(|seg| seg.torn.is_some() || seg.valid_len != inputs[&seg.gen].len)
         {
-            self.inner.lock().compaction_refused = true;
             let why = seg.torn.map_or("log ends".into(), |e| format!("{e:?}"));
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "shard {} gen {} offset {}: {why}, sealed at {} bytes; compaction \
-                     refused (reopen truncates and counts the loss)",
-                    self.id, seg.gen, seg.valid_len, inputs[&seg.gen].len,
-                ),
-            ));
+            return Err(refuse(format!(
+                "shard {} gen {} offset {}: {why}, sealed at {} bytes",
+                self.id, seg.gen, seg.valid_len, inputs[&seg.gen].len,
+            )));
         }
         // Stable output order: by original seqno.
-        keep.sort_by_key(|rec| rec.seqno);
+        keep.sort_by_key(|rec| rec.slot.seqno);
         merge_span.attr("kept", keep.len());
 
         // Phase 3 (unlocked): write the output to a tmp file, then
-        // atomically promote it to a real segment.
+        // atomically promote it to a real segment. A run keeps its seqno and
+        // loses the ids something newer shadows: its live ids are
+        // re-encoded as runs of consecutive ids.
         let tmp_path = self.dir.join(segment::merge_tmp_name(output_gen));
         let mut out = std::fs::File::create(&tmp_path)?;
         let mut out_len = 0u64;
-        let mut out_slots: Vec<(Arc<str>, u64, Slot)> = Vec::with_capacity(keep.len());
+        let mut written: Vec<(Arc<str>, Written)> = Vec::with_capacity(keep.len());
         let mut buf = Vec::new();
-        for rec in keep {
+        let mut write_frame = |record: &Record, ids: u32| -> std::io::Result<Slot> {
+            use std::io::Write as _;
             buf.clear();
-            rec.encode_into(&mut buf);
+            record.encode_into(&mut buf);
             if let Some(split) = crash::armed_split(CrashSite::Compact, buf.len()) {
-                use std::io::Write as _;
                 out.write_all(&buf[..split]).expect("crash-injection prefix write");
                 let _ = out.sync_data();
                 crash::abort_now();
             }
-            use std::io::Write as _;
             out.write_all(&buf)?;
-            let slot = Slot {
-                gen: output_gen,
-                offset: out_len,
-                frame_len: buf.len() as u32,
-                seqno: rec.seqno,
-            };
-            out_slots.push((rec.index, rec.doc_id, slot));
+            let frame_len = buf.len() as u32;
+            let slot =
+                Slot { gen: output_gen, offset: out_len, frame_len, ids, seqno: record.seqno };
             out_len += buf.len() as u64;
+            Ok(slot)
+        };
+        for Live { index, slot: was, first, body } in keep {
+            let seqno = was.seqno;
+            let done = match body {
+                Body::Doc(value) => {
+                    let index = Arc::clone(&index);
+                    let record = Record { seqno, flags: 0, index, doc_id: first, value };
+                    Written::Doc { doc_id: first, slot: write_frame(&record, 1)? }
+                }
+                Body::Run(events) => {
+                    let mut pieces = Vec::new();
+                    let mut at = 0;
+                    while at < events.len() {
+                        let len = events[at..].iter().take_while(|e| e.is_some()).count();
+                        if len > 0 {
+                            let mut value = Vec::new();
+                            codec::encode(events[at..at + len].iter().flatten(), &mut value);
+                            let (index, doc_id) = (Arc::clone(&index), first + at as u64);
+                            let record = Record { seqno, flags: FLAG_EVENTS, index, doc_id, value };
+                            pieces.push((doc_id, write_frame(&record, len as u32)?));
+                        }
+                        at += len.max(1);
+                    }
+                    Written::Run { was, pieces }
+                }
+            };
+            written.push((index, done));
         }
         let t0 = monotonic_ns();
         out.sync_data()?;
@@ -497,11 +612,18 @@ impl Shard {
             let mut inner = self.inner.lock();
             let inner = &mut *inner;
             let mut out_dead = 0u64;
-            for (index, doc_id, slot) in out_slots {
+            for (index, done) in written {
                 // Repoint keys that did not advance mid-merge; frames of
                 // keys that did are garbage in the output from birth.
-                if !inner.keydir.repoint(&index, doc_id, slot) {
-                    out_dead += slot.frame_len as u64;
+                match done {
+                    Written::Doc { doc_id, slot } => {
+                        if !inner.keydir.repoint(&index, doc_id, slot) {
+                            out_dead += slot.frame_len as u64;
+                        }
+                    }
+                    Written::Run { was, pieces } => {
+                        out_dead += inner.keydir.repoint_run(&index, was, &pieces);
+                    }
                 }
             }
             for gen in inputs.keys() {
@@ -568,23 +690,36 @@ impl Shard {
             }
             segments += 1;
         }
-        let mut live_keys = 0usize;
-        for (index, doc_id, slot) in inner.keydir.live() {
+        for (index, id, slot) in inner.keydir.frames() {
+            let what = format!("shard {}: keydir slot {index}/{id}", self.id);
             let rec = segment::read_at(
                 &self.dir.join(segment::log_name(slot.gen)),
                 slot.offset,
                 slot.frame_len,
             )
-            .map_err(|e| {
-                format!("shard {}: keydir slot {index}/{doc_id} unreadable: {e}", self.id)
-            })?;
-            if *rec.index != *index || rec.doc_id != doc_id || rec.seqno != slot.seqno {
+            .map_err(|e| format!("{what} unreadable: {e}"))?;
+            let ids = if rec.flags & FLAG_EVENTS != 0 {
+                let mut events = Vec::new();
+                codec::decode(&rec.value, &mut events).map_err(|e| format!("{what}: {e}"))?;
+                events.len() as u64
+            } else {
+                1
+            };
+            let holds = rec.doc_id <= id && id - rec.doc_id < ids;
+            if *rec.index != *index || !holds || rec.seqno != slot.seqno || ids != slot.ids as u64 {
                 return Err(format!(
-                    "shard {}: keydir slot {index}/{doc_id} resolves to {}/{} seq {}",
-                    self.id, rec.index, rec.doc_id, rec.seqno
+                    "{what} resolves to {}/{} seq {} of {ids} ids",
+                    rec.index, rec.doc_id, rec.seqno
                 ));
             }
-            live_keys += 1;
+        }
+        let live_keys = inner.keydir.count_live();
+        if live_keys != inner.keydir.live_len() {
+            return Err(format!(
+                "shard {}: {live_keys} live keys, counted as {}",
+                self.id,
+                inner.keydir.live_len()
+            ));
         }
         Ok(ShardReport {
             segments,

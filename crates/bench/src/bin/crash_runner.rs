@@ -38,9 +38,14 @@ fn main() {
     for (n, step) in sched.iter().enumerate() {
         say(&format!("S {n}"));
         match step {
-            cs::Step::Put { index, docs } => {
-                let bodies = docs.iter().map(|(_, b)| b.clone()).collect();
-                let ids = store.bulk(index, bodies);
+            cs::Step::Put { index, docs, typed } => {
+                let ids = if *typed {
+                    let events = docs.iter().enumerate();
+                    let events = events.map(|(k, &(id, _))| cs::event(seed, n, k, id)).collect();
+                    store.bulk_spans(index, events, &mut [])
+                } else {
+                    store.bulk(index, docs.iter().map(|(_, b)| b.clone()).collect())
+                };
                 let predicted: Vec<u64> = docs.iter().map(|(id, _)| *id).collect();
                 assert_eq!(ids, predicted, "id assignment must match the schedule");
             }

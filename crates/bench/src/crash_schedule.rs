@@ -20,10 +20,17 @@
 //! Steps between the last acknowledgement and the kill are *limbo*:
 //! their effects may or may not have reached the disk, so they are
 //! excluded from both must-sets.
+//!
+//! About half the puts are *typed*: traced events through
+//! `DocStore::bulk_spans`, which the store writes as runs, where the others
+//! are JSON documents through `DocStore::bulk`. A typed document is compared
+//! by its event's document, so kills land inside run frames, appends that
+//! cut a run, and compaction re-encodes.
 
 use std::collections::BTreeMap;
 
 use dio_backend::StorageConfig;
+use dio_syscall::{ArgValue, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
 
 /// Number of distinct indexes (sessions) the workload spreads over.
 pub const INDEX_COUNT: usize = 3;
@@ -73,6 +80,8 @@ pub enum Step {
         index: String,
         /// Predicted (id, body) pairs.
         docs: Vec<(u64, serde_json::Value)>,
+        /// The bodies are the documents of [`event`]s, put as events.
+        typed: bool,
     },
     /// Delete one previously-put document.
     Delete {
@@ -98,6 +107,53 @@ pub fn body(seed: u64, step: usize, k: usize, id: u64) -> serde_json::Value {
     serde_json::json!({ "seed": seed, "step": step, "k": k, "id": id, "pad": pad })
 }
 
+/// The deterministic event `k` of typed put step `step`: one of five kinds,
+/// its strings as long as `body`'s pad varies, its numbers from small to
+/// wide.
+pub fn event(seed: u64, step: usize, k: usize, id: u64) -> SyscallEvent {
+    let r = mix(seed, ((step as u64) << 20) | ((k as u64) << 8) | 2);
+    let kinds = [
+        SyscallKind::Openat,
+        SyscallKind::Write,
+        SyscallKind::Pread64,
+        SyscallKind::Fsync,
+        SyscallKind::Unlink,
+    ];
+    let mut e = SyscallEvent::synthetic(kinds[(r % 5) as usize]);
+    let text = |len: u64| -> String {
+        (0..len).map(|i| char::from(b'a' + ((r >> (i % 48)) as u8 & 15))).collect()
+    };
+    e.session = format!("crash{seed}").into();
+    e.comm = text((r >> 8) % 24).into();
+    e.pid = Pid(1_000 + (r >> 16) as u32 % 3);
+    e.tid = Tid(2_000 + (r >> 18) as u32 % 5);
+    e.cpu = (r >> 21) as u32 % 4;
+    e.time_enter_ns = id * 1_000_000 + (r >> 24) % 997;
+    e.time_exit_ns = e.time_enter_ns + (r >> 32) % 50_000;
+    let path = format!("/db/{}", text((r >> 40) % 60));
+    let fd = ArgValue::Int(3 + (r >> 48) as i64 % 8);
+    let count = ArgValue::UInt((r >> 52) % 4_096);
+    e.args = match e.kind {
+        SyscallKind::Openat => {
+            [ArgValue::Int(-100), path.into(), ArgValue::UInt(0o102), ArgValue::UInt(0o644)]
+                .into_iter()
+                .collect()
+        }
+        SyscallKind::Unlink => [ArgValue::from(path)].into_iter().collect(),
+        SyscallKind::Write => [fd, count].into_iter().collect(),
+        SyscallKind::Pread64 => [fd, count, ArgValue::UInt(r >> 12)].into_iter().collect(),
+        _ => [fd].into_iter().collect(),
+    };
+    e.ret = if r.is_multiple_of(7) { -2 } else { (r >> 52) as i64 % 4_096 };
+    e.file_path = dio_syscall::path_arg(e.kind).and_then(|i| e.args.str_at(i)).cloned();
+    if e.kind.takes_fd() {
+        e.file_type = Some(FileType::Regular);
+        e.offset = Some(r >> 28);
+        e.file_tag = Some(FileTag::new(7_340_032, (r >> 56) % 4, r >> 4));
+    }
+    e
+}
+
 /// Generates the full `steps`-long schedule for `seed`.
 pub fn schedule(seed: u64, steps: usize) -> Vec<Step> {
     let mut next_id = [0u64; INDEX_COUNT];
@@ -116,15 +172,20 @@ pub fn schedule(seed: u64, steps: usize) -> Vec<Step> {
             let doc_id = live[idx].remove(v);
             out.push(Step::Delete { index: index_name(idx), doc_id });
         } else {
-            let count = 1 + ((r >> 16) % 4) as usize;
+            let typed = (r >> 24).is_multiple_of(2);
+            let count = 1 + ((r >> 16) % if typed { 24 } else { 4 }) as usize;
             let mut docs = Vec::with_capacity(count);
             for k in 0..count {
                 let id = next_id[idx];
                 next_id[idx] += 1;
                 live[idx].push(id);
-                docs.push((id, body(seed, n, k, id)));
+                let doc = match typed {
+                    true => event(seed, n, k, id).to_document(),
+                    false => body(seed, n, k, id),
+                };
+                docs.push((id, doc));
             }
-            out.push(Step::Put { index: index_name(idx), docs });
+            out.push(Step::Put { index: index_name(idx), docs, typed });
         }
     }
     out
@@ -163,7 +224,7 @@ pub fn expectation(sched: &[Step], status: impl Fn(usize) -> StepStatus) -> Expe
             break;
         }
         match step {
-            Step::Put { index, docs } => {
+            Step::Put { index, docs, .. } => {
                 for (id, body) in docs {
                     exp.attempted.insert((index.clone(), *id), body.clone());
                     if st == StepStatus::Acked {
@@ -190,6 +251,18 @@ pub fn expectation(sched: &[Step], status: impl Fn(usize) -> StepStatus) -> Expe
 mod tests {
     use super::*;
 
+    /// A typed body is an event's document, which the store keeps typed.
+    #[test]
+    fn typed_bodies_are_events() {
+        for step in schedule(5, 200) {
+            if let Step::Put { docs, typed: true, .. } = step {
+                for (_, doc) in docs {
+                    assert!(SyscallEvent::from_document(&doc).is_some(), "{doc}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn schedule_is_deterministic() {
         assert_eq!(schedule(42, 100), schedule(42, 100));
@@ -200,6 +273,8 @@ mod tests {
     fn schedule_mixes_op_kinds() {
         let sched = schedule(7, 400);
         let puts = sched.iter().filter(|s| matches!(s, Step::Put { .. })).count();
+        let typed = sched.iter().filter(|s| matches!(s, Step::Put { typed: true, .. })).count();
+        assert!(typed * 3 > puts && typed * 3 < 2 * puts, "{typed} of {puts} puts typed");
         let dels = sched.iter().filter(|s| matches!(s, Step::Delete { .. })).count();
         let compacts = sched.iter().filter(|s| matches!(s, Step::Compact)).count();
         let flushes = sched.iter().filter(|s| matches!(s, Step::Flush)).count();
@@ -216,7 +291,7 @@ mod tests {
         let mut deleted: std::collections::HashSet<(String, u64)> = Default::default();
         for step in &sched {
             match step {
-                Step::Put { index, docs } => {
+                Step::Put { index, docs, .. } => {
                     for (id, _) in docs {
                         assert!(put.insert((index.clone(), *id)), "ids never reused");
                     }
@@ -234,8 +309,8 @@ mod tests {
     #[test]
     fn expectation_handles_limbo_deletes() {
         let sched = vec![
-            Step::Put { index: "i".into(), docs: vec![(0, body(1, 0, 0, 0))] },
-            Step::Put { index: "i".into(), docs: vec![(1, body(1, 1, 0, 1))] },
+            Step::Put { index: "i".into(), docs: vec![(0, body(1, 0, 0, 0))], typed: false },
+            Step::Put { index: "i".into(), docs: vec![(1, body(1, 1, 0, 1))], typed: false },
             Step::Delete { index: "i".into(), doc_id: 0 },
         ];
         // Delete is limbo: doc 0 is in neither must-set, but stays in

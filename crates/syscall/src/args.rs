@@ -376,15 +376,7 @@ impl ArgList {
         let i = self.len();
         let strs = self.strs_before(i);
         let (bits, unsigned) = match value {
-            ArgRef::Str(s) => {
-                if strs == Self::MAX_STRS {
-                    return false;
-                }
-                self.strs[strs] = Some(Arc::from(s));
-                self.str_mask |= 1 << i;
-                self.len += 1;
-                return true;
-            }
+            ArgRef::Str(s) => return self.try_push_shared(Arc::from(s)),
             ArgRef::Int(v) => (v as u64, false),
             ArgRef::UInt(v) => (v, true),
         };
@@ -394,6 +386,20 @@ impl ArgList {
         }
         self.ints[ints] = bits;
         self.uint_mask |= (unsigned as u8) << i;
+        self.len += 1;
+        true
+    }
+
+    /// [`Self::try_push`] of a string argument that is already shared: the
+    /// list holds `s` itself.
+    pub(crate) fn try_push_shared(&mut self, s: Arc<str>) -> bool {
+        let i = self.len();
+        let strs = self.strs_before(i);
+        if strs == Self::MAX_STRS {
+            return false;
+        }
+        self.strs[strs] = Some(s);
+        self.str_mask |= 1 << i;
         self.len += 1;
         true
     }

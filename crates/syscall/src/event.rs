@@ -6,7 +6,6 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 
-use crate::text::{push_i64, push_str, push_u64};
 use crate::{
     expected_args, path_arg, ArgList, ArgRef, FileTag, FileType, Pid, SyscallClass, SyscallKind,
     Tid,
@@ -39,11 +38,12 @@ use crate::{
 /// dashboards (`syscall`, `proc_name`, `ret_val`, `file_tag`, `args.count`,
 /// ...). One table of this module lists those fields in key order and where
 /// the event keeps each; [`Self::fields`] enumerates it, and the object
-/// ([`Self::to_document`]), its JSON text ([`Self::write_json`]), the leaves
-/// an inverted index holds ([`Self::for_each_leaf`]) and lookup by name
-/// ([`Self::field`]) are all read off that enumeration.
-/// [`Self::from_document`] is the one way back, and a strict one: a store can
-/// keep the event instead of the object and nobody can tell.
+/// ([`Self::to_document`]), the leaves an inverted index holds
+/// ([`Self::for_each_leaf`]) and lookup by name ([`Self::field`]) are all
+/// read off that enumeration. [`Self::from_document`] is the one way back,
+/// and a strict one: a store can keep the event instead of the object and
+/// nobody can tell. A persisted store writes events as binary runs
+/// ([`crate::codec`]), not as the object's text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyscallEvent {
     /// Tracing session this event belongs to, shared by the events of one
@@ -137,33 +137,6 @@ impl FieldRef<'_> {
             }
         }
     }
-
-    /// Appends the JSON text of [`Self::to_value`] to `out`.
-    fn write_json(&self, out: &mut Vec<u8>) {
-        match *self {
-            FieldRef::Scalar(ArgRef::Int(v)) => push_i64(out, v),
-            FieldRef::Scalar(ArgRef::UInt(v)) => push_u64(out, v),
-            FieldRef::Scalar(ArgRef::Str(s)) => push_str(out, s),
-            FieldRef::Tag(tag) => push_str(out, &tag.text()),
-            FieldRef::Args(args) => {
-                write_object(out, args.sorted().map(|(n, v)| (n, FieldRef::Scalar(v))))
-            }
-        }
-    }
-}
-
-/// Appends `{"name":value,...}` to `out`.
-fn write_object<'a>(out: &mut Vec<u8>, fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>) {
-    out.push(b'{');
-    for (i, (name, value)) in fields.enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_str(out, name);
-        out.push(b':');
-        value.write_json(out);
-    }
-    out.push(b'}');
 }
 
 /// An event's arguments under the names the catalog gives their positions:
@@ -316,13 +289,6 @@ impl SyscallEvent {
             doc.insert(name.to_string(), value.to_value());
         }
         Value::Object(doc)
-    }
-
-    /// Appends the JSON text of the document — byte for byte
-    /// `self.to_document().to_string()` — to `out`, without building the
-    /// document. This is what a persisted store writes per event.
-    pub fn write_json(&self, out: &mut Vec<u8>) {
-        write_object(out, self.fields());
     }
 
     /// Calls `f` with every `(dotted path, scalar)` leaf of the document
@@ -529,9 +495,6 @@ mod tests {
         let mut e = sample();
         e.comm = "app \"one\"\n".into();
         let doc = e.to_document();
-        let mut text = Vec::new();
-        e.write_json(&mut text);
-        assert_eq!(String::from_utf8(text).unwrap(), doc.to_string());
         assert_eq!(SyscallEvent::from_document(&doc), Some(e.clone()));
         let names: Vec<&str> = e.fields().map(|(name, _)| name).collect();
         assert_eq!(names, doc.as_object().unwrap().keys().map(String::as_str).collect::<Vec<_>>());

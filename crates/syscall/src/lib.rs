@@ -19,10 +19,10 @@
 
 mod args;
 mod catalog;
+pub mod codec;
 mod event;
 mod file_type;
 mod tag;
-mod text;
 mod view;
 
 pub use args::{expected_args, path_arg, Arg, ArgList, ArgRef, ArgValue};

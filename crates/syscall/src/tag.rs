@@ -44,7 +44,7 @@ impl FileTag {
             if i > 0 {
                 text.push(b"|");
             }
-            text.push(crate::text::decimal(part, &mut [0; 20]));
+            text.push(decimal(part, &mut [0; 20]));
         }
         text
     }
@@ -71,7 +71,7 @@ impl TagText {
     /// `v` in decimal.
     pub(crate) fn decimal(v: u64) -> TagText {
         let mut text = TagText { bytes: [0; TagText::MAX], len: 0 };
-        text.push(crate::text::decimal(v, &mut [0; 20]));
+        text.push(decimal(v, &mut [0; 20]));
         text
     }
 
@@ -93,6 +93,19 @@ impl std::ops::Deref for TagText {
 impl std::fmt::Debug for TagText {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// The decimal digits of `v`, written at the end of `buf`.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &buf[at..];
+        }
     }
 }
 

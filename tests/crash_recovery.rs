@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
-use dio_backend::{DocStore, SearchRequest, StorageConfig};
+use dio_backend::storage::record::{Record, FLAG_EVENTS};
+use dio_backend::{DocStore, Query, SearchRequest, StorageConfig};
+use dio_syscall::{ArgValue, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
 use dio_telemetry::MetricsRegistry;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -134,6 +136,42 @@ fn padded_docs(count: usize, pad: usize) -> Vec<Value> {
     (0..count).map(|n| json!({"n": n, "pad": "x".repeat(pad)})).collect()
 }
 
+/// Event `n` of a deterministic session on two files of two threads: an
+/// `openat`, two `write`s and an `fsync` in turn, `tag` telling sessions
+/// apart.
+fn traced_event(tag: &str, n: u64) -> SyscallEvent {
+    let kinds = [SyscallKind::Openat, SyscallKind::Write, SyscallKind::Write, SyscallKind::Fsync];
+    let mut e = SyscallEvent::synthetic(kinds[n as usize % 4]);
+    e.session = tag.into();
+    e.comm = ["db_bench", "rocksdb:low0"][n as usize % 2].into();
+    e.pid = Pid(40);
+    e.tid = Tid(41 + n as u32 % 2);
+    e.cpu = n as u32 % 2;
+    e.time_enter_ns = 1_000_000 + 1_500 * n;
+    e.time_exit_ns = e.time_enter_ns + 700 + n % 5;
+    let path = format!("/db/{tag}-{}.log", n % 2);
+    e.args = match e.kind {
+        SyscallKind::Openat => {
+            e.ret = 3;
+            [ArgValue::Int(-100), path.into(), ArgValue::UInt(0o102), ArgValue::UInt(0o644)]
+                .into_iter()
+                .collect()
+        }
+        SyscallKind::Write => {
+            e.ret = 26;
+            e.offset = Some(26 * n);
+            [ArgValue::Int(3), ArgValue::UInt(26)].into_iter().collect()
+        }
+        _ => [ArgValue::Int(3)].into_iter().collect(),
+    };
+    e.file_path = dio_syscall::path_arg(e.kind).and_then(|i| e.args.str_at(i)).cloned();
+    e.file_type = Some(FileType::Regular);
+    if e.file_path.is_none() {
+        e.file_tag = Some(FileTag::new(7_340_032, 12 + n % 2, 42));
+    }
+    e
+}
+
 fn flip_a_byte_mid_file(path: &Path) {
     let mut bytes = std::fs::read(path).unwrap();
     assert!(bytes.len() > 40, "victim segment has content");
@@ -192,7 +230,7 @@ fn torn_tail_is_truncated_and_counted() {
 /// documents).
 #[test]
 fn mid_file_corruption_opens_with_valid_survivors() {
-    for (docs, victim_is_sealed) in [(padded_docs(60, 40), false), (padded_docs(300, 64), true)] {
+    for (docs, victim_is_sealed) in [(padded_docs(30, 40), false), (padded_docs(300, 64), true)] {
         let dir = tmp_store("midfile");
         {
             let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
@@ -334,11 +372,11 @@ fn delete_index_closes_its_subscriptions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ------------------------------------------------------- golden fixture
+// ------------------------------------------------------- golden fixtures
 
-/// The exact config the committed fixture was generated with. Spelled
+/// The exact config the committed fixtures were generated with. Spelled
 /// out literally (not via `tiny_for_tests`) so later tuning of the test
-/// profile cannot silently invalidate the fixture.
+/// profile cannot silently invalidate them.
 fn fixture_config() -> StorageConfig {
     StorageConfig {
         shards: 4,
@@ -350,19 +388,38 @@ fn fixture_config() -> StorageConfig {
     }
 }
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_v1")
+/// `tests/fixtures/store_v1`, an earlier version's store (JSON frames,
+/// per-id routing, `.hint` sidecars), frozen; `store_v2`, what this version
+/// writes.
+fn fixture_dir(version: u32) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/store_v{version}"))
 }
 
-/// Runs the deterministic history behind the fixture on `store` and returns
+/// Runs the deterministic history behind a fixture on `store` and returns
 /// the state it must recover to: puts across two sessions, overwrite-free
-/// deletes, a dropped third session, and one compaction.
-fn fixture_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
+/// deletes, a dropped third session, and one compaction — and for `store_v2`
+/// (`typed`) a traced session too, one of its events deleted and one
+/// rewritten, as path correlation does, before the compaction.
+fn fixture_state(store: &DocStore, typed: bool) -> BTreeMap<String, Vec<(u64, Value)>> {
     let s1: Vec<Value> = (0..120).map(|n| json!({"n": n, "syscall": "read"})).collect();
     let s2: Vec<Value> = (0..30).map(|n| json!({"n": n, "syscall": "openat"})).collect();
     store.bulk("dio-fix1", s1.clone());
     store.bulk("dio-fix2", s2.clone());
     store.bulk("dio-dropped", (0..50).map(|n| json!({"n": n})).collect());
+    let mut expect = BTreeMap::new();
+    if typed {
+        let s3: Vec<SyscallEvent> = (0..40).map(|n| traced_event("fix3", n)).collect();
+        let mut docs: Vec<(u64, Value)> =
+            s3.iter().enumerate().map(|(id, e)| (id as u64, e.to_document())).collect();
+        store.bulk_spans("dio-fix3", s3, &mut []);
+        let idx3 = store.index("dio-fix3");
+        assert!(idx3.delete(9));
+        docs.remove(9);
+        let rewrite = Query::term("time", docs[6].1["time"].clone());
+        assert_eq!(idx3.update_by_query(&rewrite, |doc| doc["file_path"] = json!("/db/LOG")), 1);
+        docs[6].1["file_path"] = json!("/db/LOG");
+        expect.insert("dio-fix3".to_string(), docs);
+    }
     let idx1 = store.index("dio-fix1");
     for id in [3u64, 77, 118] {
         assert!(idx1.delete(id));
@@ -371,7 +428,6 @@ fn fixture_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
     store.compact_now().unwrap();
     store.flush().unwrap();
 
-    let mut expect = BTreeMap::new();
     expect.insert(
         "dio-fix1".to_string(),
         s1.into_iter()
@@ -387,42 +443,45 @@ fn fixture_state(store: &DocStore) -> BTreeMap<String, Vec<(u64, Value)>> {
     expect
 }
 
-/// Regenerates the manifest and segment logs of `tests/fixtures/store_v1`.
+/// Regenerates the manifest and segment logs of `tests/fixtures/store_v2`.
 /// Run explicitly (and commit the result) when the on-disk format version
 /// changes: `cargo test --test crash_recovery regenerate -- --ignored`.
-/// The `.hint` sidecars stay as committed: they are what makes the fixture
-/// a store written by an earlier version, and nothing writes one today.
+/// `store_v1` is never regenerated: nothing writes its version any more.
 #[test]
 #[ignore = "writes the committed fixture; run by hand on format changes"]
 fn regenerate_golden_fixture() {
-    let dir = fixture_dir();
-    for file in all_files(&dir).into_iter().filter(|p| !has_extension(p, "hint")) {
-        std::fs::remove_file(file).expect("remove old fixture file");
-    }
+    let dir = fixture_dir(2);
+    let _ = std::fs::remove_dir_all(&dir);
     let scratch = tmp_store("regenerate");
     let store = DocStore::open_with(&scratch, fixture_config()).unwrap();
-    fixture_state(&store);
+    fixture_state(&store, true);
     drop(store);
     copy_tree(&scratch, &dir);
     let _ = std::fs::remove_dir_all(&scratch);
     println!("fixture regenerated at {}", dir.display());
 }
 
-/// The state the fixture's history produces, from a scratch store it is
+/// The state a fixture's history produces, from a scratch store it is
 /// replayed on; `check` sees that store's directory before it goes.
-fn regenerated_fixture_state(check: impl FnOnce(&Path)) -> BTreeMap<String, Vec<(u64, Value)>> {
+fn regenerated_fixture_state(
+    typed: bool,
+    check: impl FnOnce(&Path),
+) -> BTreeMap<String, Vec<(u64, Value)>> {
     let scratch = tmp_store("golden-expect");
     let store = DocStore::open_with(&scratch, fixture_config()).unwrap();
-    let state = fixture_state(&store);
+    let state = fixture_state(&store, typed);
     drop(store);
     check(&scratch);
     let _ = std::fs::remove_dir_all(&scratch);
     state
 }
 
-#[test]
-fn golden_fixture_reopens_byte_for_byte() {
-    let fixture = fixture_dir();
+/// Opens a copy of the fixture of `version` and checks it holds `expect`, its
+/// invariants hold, and a clean open + close rewrote no byte and removed no
+/// file, sidecars included: recovery is read-only on an intact store, so
+/// format compatibility is testable against the committed tree forever.
+fn fixture_reopens_unchanged(version: u32, expect: &BTreeMap<String, Vec<(u64, Value)>>) {
+    let fixture = fixture_dir(version);
     assert!(
         fixture.join("MANIFEST").exists(),
         "committed fixture missing — run the regenerate_golden_fixture test"
@@ -431,29 +490,96 @@ fn golden_fixture_reopens_byte_for_byte() {
     // assertions below fail halfway.
     let dir = tmp_store("golden");
     copy_tree(&fixture, &dir);
-
     let store = DocStore::open_with(&dir, fixture_config()).unwrap();
-    // Replaying the fixture's history writes the committed manifest and
-    // logs again: neither the record format nor a document's serialization
-    // moved. The sidecars are an earlier version's; a store written today
-    // has none.
-    let expect = regenerated_fixture_state(|scratch| {
-        let committed: Vec<_> =
-            tree(&fixture).into_iter().filter(|(p, _)| !has_extension(p, "hint")).collect();
-        assert_same_tree(&tree(scratch), &committed, "a regenerated store and the fixture");
-    });
-    // Contents: exactly the state the fixture history produced.
-    assert_eq!(store_state(&store), expect);
+    assert_eq!(&store_state(&store), expect, "store_v{version}");
     store.storage().unwrap().verify().expect("fixture invariants");
     assert_eq!(store.storage_report().unwrap().recovery_truncated, 0);
     drop(store);
-
-    // A clean open + close must not rewrite a single byte or remove a
-    // file, sidecars included: recovery is read-only on an intact store,
-    // so format compatibility is testable against the committed tree
-    // forever.
     assert_same_tree(&tree(&dir), &tree(&fixture), "open + close of the fixture");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store an earlier version wrote — JSON frames routed by single ids —
+/// still opens to the state its history produces.
+#[test]
+fn golden_fixture_reopens_byte_for_byte() {
+    fixture_reopens_unchanged(1, &regenerated_fixture_state(false, |_| ()));
+}
+
+/// Replaying `store_v2`'s history writes the committed manifest and logs
+/// again, runs included: neither the record format, a run's encoding nor a
+/// document's serialization moved.
+#[test]
+fn golden_v2_fixture_regenerates_byte_for_byte() {
+    let expect = regenerated_fixture_state(true, |scratch| {
+        assert_same_tree(
+            &tree(scratch),
+            &tree(&fixture_dir(2)),
+            "a regenerated store and the fixture",
+        );
+    });
+    fixture_reopens_unchanged(2, &expect);
+}
+
+/// Events appended to a `v1` store are runs, which a `v1` reader cannot
+/// read: the manifest says `v2` before the first one is written, routing by
+/// single ids as the store always has. A document append leaves it alone.
+#[test]
+fn events_appended_to_a_v1_store_make_it_v2() {
+    let dir = tmp_store("upgrade");
+    copy_tree(&fixture_dir(1), &dir);
+    let manifest = || std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let mut expect = regenerated_fixture_state(false, |_| ());
+    {
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        let ids = store.bulk("dio-fix2", vec![json!({"n": 30, "syscall": "openat"})]);
+        expect.get_mut("dio-fix2").unwrap().push((ids[0], json!({"n": 30, "syscall": "openat"})));
+        assert_eq!(manifest(), "dio-store v1\nshards 4\n");
+        let events: Vec<SyscallEvent> = (0..12).map(|n| traced_event("fix4", n)).collect();
+        let docs = events.iter().map(SyscallEvent::to_document).enumerate();
+        expect.insert("dio-fix4".into(), docs.map(|(id, doc)| (id as u64, doc)).collect());
+        store.bulk_spans("dio-fix4", events, &mut []);
+        assert_eq!(manifest(), "dio-store v2\nshards 4\nblock 1\n");
+    }
+    let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    assert_eq!(store_state(&store), expect);
+    store.storage().unwrap().verify().expect("invariants");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run frame whose checksum holds but whose payload does not decode was
+/// written, whole, by a version this one does not know — or is damage a
+/// checksum cannot see. It is not a torn tail: open refuses the store, names
+/// where the frame is, and leaves every file as it was.
+#[test]
+fn a_run_of_an_unknown_format_refuses_open_and_changes_nothing() {
+    for (payload, why) in
+        [(vec![0xFF, 1, 2, 3], "version 255"), (vec![1, 0, 0, 0, 0, 7], "invalid")]
+    {
+        let dir = tmp_store("unknown");
+        {
+            let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+            store.bulk_spans("dio-u", (0..20).map(|n| traced_event("u", n)).collect(), &mut []);
+            store.bulk("dio-u", vec![json!({"kind": "health"})]);
+        }
+        let log = active_logs(&dir).into_iter().next().expect("shard 0's active log");
+        let offset = std::fs::metadata(&log).unwrap().len();
+        let value = payload.clone();
+        let frame =
+            Record { seqno: 1 << 40, flags: FLAG_EVENTS, index: "dio-u".into(), doc_id: 21, value };
+        let mut bytes = Vec::new();
+        frame.encode_into(&mut bytes);
+        std::fs::OpenOptions::new().append(true).open(&log).unwrap().write_all(&bytes).unwrap();
+        let before = tree(&dir);
+
+        let err = DocStore::open_with(&dir, fixture_config()).expect_err("the store is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let at = format!("shard 0 gen 1 offset {offset}: ");
+        assert!(err.to_string().starts_with(&at) && err.to_string().contains(why), "{err}");
+        assert_same_tree(&tree(&dir), &before, "a refused open");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A store written by an earlier version carries a `.hint` sidecar beside
@@ -463,8 +589,8 @@ fn golden_fixture_reopens_byte_for_byte() {
 /// with the log it described.
 #[test]
 fn legacy_hint_sidecars_are_ignored() {
-    let fixture = fixture_dir();
-    let expect = regenerated_fixture_state(|_| ());
+    let fixture = fixture_dir(1);
+    let expect = regenerated_fixture_state(false, |_| ());
     let hints_of = |dir: &Path| -> Vec<PathBuf> {
         all_files(dir).into_iter().filter(|p| has_extension(p, "hint")).collect()
     };
@@ -508,14 +634,26 @@ fn legacy_hint_sidecars_are_ignored() {
 /// Abstract mutation for the model-based round trip.
 #[derive(Debug, Clone)]
 enum StoreOp {
-    Put { index: u8, count: u8 },
-    Delete { index: u8, pick: u16 },
+    Put {
+        index: u8,
+        count: u8,
+    },
+    /// Traced events through the tracer's door: runs.
+    PutEvents {
+        index: u8,
+        count: u8,
+    },
+    Delete {
+        index: u8,
+        pick: u16,
+    },
     Compact,
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
         4 => (0u8..3, 1u8..5).prop_map(|(index, count)| StoreOp::Put { index, count }),
+        3 => (0u8..3, 1u8..40).prop_map(|(index, count)| StoreOp::PutEvents { index, count }),
         2 => (0u8..3, any::<u16>()).prop_map(|(index, pick)| StoreOp::Delete { index, pick }),
         1 => Just(StoreOp::Compact),
     ]
@@ -524,7 +662,8 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary put/delete/compact histories, a simulated crash (junk
+    /// Arbitrary put/delete/compact histories, documents and runs of events
+    /// among the puts, a simulated crash (junk
     /// appended beyond the acknowledged tail of every active segment),
     /// then reopen: the store must equal the in-memory model exactly.
     #[test]
@@ -544,6 +683,18 @@ proptest! {
                             .map(|k| json!({"op": n, "k": k, "pad": "p".repeat(n % 23)}))
                             .collect();
                         let ids = store.bulk(&format!("dio-p{index}"), docs.clone());
+                        for (id, doc) in ids.into_iter().zip(docs) {
+                            prop_assert_eq!(id, next_id[*index as usize]);
+                            next_id[*index as usize] += 1;
+                            model.insert((*index, id), doc);
+                        }
+                    }
+                    StoreOp::PutEvents { index, count } => {
+                        let events: Vec<SyscallEvent> = (0..*count as u64)
+                            .map(|k| traced_event(&format!("op{n}"), k))
+                            .collect();
+                        let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+                        let ids = store.bulk_spans(&format!("dio-p{index}"), events, &mut []);
                         for (id, doc) in ids.into_iter().zip(docs) {
                             prop_assert_eq!(id, next_id[*index as usize]);
                             next_id[*index as usize] += 1;

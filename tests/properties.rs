@@ -10,7 +10,7 @@ use dio_backend::{Index, SearchRequest};
 use dio_dbbench::LatencyHistogram;
 use dio_ebpf::RingBuffer;
 use dio_kernel::Vfs;
-use dio_syscall::{path_arg, FileTag, SyscallEvent, SyscallKind, SyscallSet};
+use dio_syscall::{codec, path_arg, FileTag, SyscallEvent, SyscallKind, SyscallSet};
 use dio_telemetry::{MetricsRegistry, SpanCollector, Stage, StageStamps};
 
 // ------------------------------------------------------------------ VFS
@@ -697,8 +697,10 @@ fn hostile_mutations(event: &SyscallEvent) -> Vec<(&'static str, serde_json::Val
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `from_document` inverts `to_document`, and the direct writer prints
-    /// what the document prints.
+    /// `from_document` inverts `to_document`, and the text the document
+    /// prints parses back to it. So does the binary run a store writes: the
+    /// event alone, and among 6 and 255 others, decodes to an equal event
+    /// whose document prints the same text.
     #[test]
     fn event_survives_its_document_and_prints_its_text(seed in any::<u64>()) {
         let event = arbitrary_event(seed);
@@ -712,11 +714,7 @@ proptest! {
         {
             prop_assert_eq!(**path == **arg, std::sync::Arc::ptr_eq(path, arg), "path shared iff equal");
         }
-        let mut text = Vec::new();
-        event.write_json(&mut text);
-        let text = String::from_utf8(text).expect("JSON text is UTF-8");
-        prop_assert_eq!(&text, &doc.to_string());
-        prop_assert_eq!(serde_json::from_str::<serde_json::Value>(&text).expect("parses"), doc);
+        prop_assert_eq!(serde_json::from_str::<serde_json::Value>(&doc.to_string()).expect("parses"), doc.clone());
         let mut leaves = Vec::new();
         event.for_each_leaf(&mut |path, _| leaves.push(path.to_string()));
         let mut of_doc = Vec::new();
@@ -724,6 +722,55 @@ proptest! {
         leaves.sort();
         of_doc.sort();
         prop_assert_eq!(leaves, of_doc);
+
+        for len in [1u64, 7, 256] {
+            let run: Vec<SyscallEvent> =
+                (0..len).map(|i| arbitrary_event(seed.wrapping_add(i))).collect();
+            let mut payload = Vec::new();
+            codec::encode(&run, &mut payload);
+            let mut back = Vec::new();
+            codec::decode(&payload, &mut back).expect("a run decodes");
+            prop_assert_eq!(&back, &run);
+            for (got, was) in back.iter().zip(&run) {
+                prop_assert_eq!(got.to_document().to_string(), was.to_document().to_string());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Bytes that are not a run do not decode into one, whatever they are —
+    /// random, a run with a byte changed, a run cut short — and a count they
+    /// claim sizes nothing: decoding never panics and, failing, appends
+    /// nothing.
+    #[test]
+    fn a_run_decodes_from_its_own_bytes_only(
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+    ) {
+        let run: Vec<SyscallEvent> = (0..1 + seed % 9).map(|i| arbitrary_event(seed ^ i)).collect();
+        let mut payload = Vec::new();
+        codec::encode(&run, &mut payload);
+        let mut changed = payload.clone();
+        let i = at % changed.len();
+        changed[i] = changed[i].wrapping_add(noise.first().copied().unwrap_or(1).max(1));
+        let mut longer = payload.clone();
+        longer.extend_from_slice(&noise);
+        for (bytes, must_fail) in [
+            (&noise[..], noise.first().is_some_and(|&v| v != codec::VERSION)),
+            (&changed[..], false),
+            (&payload[..at % payload.len()], true),
+            (&longer[..], !noise.is_empty()),
+        ] {
+            let mut out = Vec::new();
+            match codec::decode(bytes, &mut out) {
+                Ok(()) => prop_assert!(!must_fail, "{:?} decoded", bytes),
+                Err(_) => prop_assert!(out.is_empty(), "a failed decode appended events"),
+            }
+        }
     }
 }
 

@@ -741,6 +741,25 @@ impl Index {
         self.inner.read().matching(query).count() as u64
     }
 
+    /// Lends `f` the index's syscall events in `(time, id)` order — a stored
+    /// session as it was traced — under the read lock. Rows kept as JSON
+    /// (health, alert and phase documents; an event an update gave a foreign
+    /// field) are not events and are left out; no document is built.
+    pub fn with_events_by_time<R>(&self, f: impl FnOnce(&[&SyscallEvent]) -> R) -> R {
+        let inner = self.inner.read();
+        let mut events: Vec<&SyscallEvent> = inner
+            .rows
+            .iter()
+            .filter_map(|(_, row)| match row {
+                Row::Event(event) => Some(event),
+                Row::Json(_) => None,
+            })
+            .collect();
+        // Rows come in id order and the sort is stable, so equal times keep it.
+        events.sort_by_key(|event| event.time_enter_ns);
+        f(&events)
+    }
+
     /// Executes a search.
     pub fn search(&self, request: &SearchRequest) -> SearchResponse {
         let _timer = self.query_ns.get().map(|h| h.start_timer());
@@ -920,6 +939,27 @@ mod tests {
         let res = idx.search(&SearchRequest::match_all());
         let times: Vec<_> = res.hits.iter().map(|h| h.source["time"].as_u64().unwrap()).collect();
         assert_eq!(times, vec![100, 200, 300, 400, 500]);
+    }
+
+    #[test]
+    fn events_are_lent_in_time_then_id_order_without_the_json_rows() {
+        let idx = Index::new("t");
+        let event = |time: u64, ret: i64| {
+            let mut event = SyscallEvent::synthetic(dio_syscall::SyscallKind::Read);
+            (event.time_enter_ns, event.ret) = (time, ret);
+            event.to_document()
+        };
+        idx.bulk(vec![
+            event(300, 1),
+            json!({"kind": "health", "time": 50}),
+            event(100, 2),
+            event(300, 3),
+            event(200, 4),
+        ]);
+        let order = idx.with_events_by_time(|events| {
+            events.iter().map(|e| (e.time_enter_ns, e.ret)).collect::<Vec<_>>()
+        });
+        assert_eq!(order, [(100, 2), (200, 4), (300, 1), (300, 3)]);
     }
 
     #[test]

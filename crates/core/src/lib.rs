@@ -43,12 +43,7 @@ pub use dio_backend::{
     ShardReport, SortOrder, StatsResult, StorageConfig, StorageEngine, StorageReport, Subscription,
     DEFAULT_SUBSCRIPTION_CAPACITY,
 };
-pub use dio_correlate::{
-    analyze_offsets, correlate_paths, detect_contention, detect_data_loss, detect_small_io,
-    diff_sessions, latency_profile, AccessPattern, ContentionConfig, ContentionReport,
-    CorrelationReport, CountDelta, DataLossIncident, FileAccessProfile, SessionDiff, SmallIoConfig,
-    SmallIoFinding, SyscallLatencyProfile, WindowActivity,
-};
+pub use dio_correlate::{correlate_paths, CorrelationReport};
 pub use dio_diagnose::{
     Alert, AlertKind, DiagnoseConfig, DiagnosisEngine, EngineStats, Severity, SubscriptionHandle,
 };
@@ -70,7 +65,8 @@ pub use dio_telemetry::{
     trace, FlightRecorder, SpanCollector, SpanCtx, SpanSummary, Stage, StageStamps, TraceSpan,
 };
 pub use dio_tracer::{
-    generate_session_name, AttachError, RuleCompileError, TraceSummary, Tracer, TracerConfig,
+    diagnose_index, generate_session_name, AttachError, RuleCompileError, TraceSummary, Tracer,
+    TracerConfig,
 };
 pub use dio_viz::{
     dashboards, latest_storage_report, render_alert_history, render_compaction_timeline,
@@ -126,7 +122,6 @@ impl Dio {
             tracer: Some(tracer),
             session_name,
             index_name,
-            auto_correlate: true,
             server: None,
         };
         if let Ok(addr) = std::env::var("DIO_SERVE_ADDR") {
@@ -187,7 +182,6 @@ pub struct DioSession {
     tracer: Option<Tracer>,
     session_name: String,
     index_name: String,
-    auto_correlate: bool,
     server: Option<ServeHandle>,
 }
 
@@ -195,12 +189,6 @@ impl DioSession {
     /// The session name.
     pub fn session(&self) -> &str {
         &self.session_name
-    }
-
-    /// Disables the automatic path correlation at [`DioSession::stop`].
-    pub fn manual_correlation(mut self) -> Self {
-        self.auto_correlate = false;
-        self
     }
 
     /// The backend index receiving this session's events.
@@ -289,8 +277,8 @@ impl DioSession {
         trace::recorder().dump("manual")
     }
 
-    /// Stops tracing, drains buffered events, runs path correlation (unless
-    /// [`DioSession::manual_correlation`] was selected) and reports.
+    /// Stops tracing, drains buffered events, runs path correlation and
+    /// reports.
     pub fn stop(mut self) -> SessionReport {
         let tracer = self.tracer.take().expect("tracer present until stop");
         let trace = tracer.stop();
@@ -298,12 +286,7 @@ impl DioSession {
         // before this point; connected SSE clients get a last chance at
         // them before the server's threads are joined.
         self.server = None;
-        let correlation = if self.auto_correlate {
-            correlate_paths(&self.index())
-        } else {
-            CorrelationReport::default()
-        };
-        SessionReport { trace, correlation }
+        SessionReport { trace, correlation: correlate_paths(&self.index()) }
     }
 
     /// Blocks until every process in `pids` has exited, then stops — the
@@ -365,29 +348,6 @@ mod tests {
         assert_eq!(dio.sessions(), vec!["a".to_string(), "b".to_string()]);
         assert!(dio.session_index("a").is_some());
         assert!(dio.session_index("zzz").is_none());
-    }
-
-    #[test]
-    fn manual_correlation_skips_pass() {
-        let dio = fast_dio();
-        let session = dio.trace(TracerConfig::new("manual")).manual_correlation();
-        let t = dio.kernel().spawn_process("p").spawn_thread("p");
-        let fd = t.creat("/f", 0o644).unwrap();
-        t.write(fd, b"x").unwrap();
-        let report = session.stop();
-        assert_eq!(report.correlation, CorrelationReport::default());
-        // The write still has no file_path until correlation runs.
-        let idx = dio.session_index("manual").unwrap();
-        assert_eq!(
-            idx.count(
-                &Query::bool_query()
-                    .must(Query::term("syscall", "write"))
-                    .must(Query::exists("file_path"))
-                    .build()
-            ),
-            0
-        );
-        assert_eq!(correlate_paths(&idx).events_updated, 1);
     }
 
     #[test]

@@ -1,38 +1,12 @@
 #![warn(missing_docs)]
 
-//! Correlation and diagnosis algorithms running on DIO's backend.
+//! The file-path correlation algorithm running on DIO's backend (§II-C).
 //!
-//! The paper's backend supports "customized data correlation algorithms"
-//! (§II-C); this crate ships the ones the evaluation uses plus the
-//! automated versions of both case studies:
-//!
-//! * [`correlate_paths`] — the file-path correlation algorithm: resolves
-//!   `dev|ino|timestamp` file tags into the actual paths using the
-//!   backend's update-by-query;
-//! * [`detect_contention`] — the Fig. 4 analysis: windows the trace and
-//!   flags intervals where many background threads starve client I/O;
-//! * [`detect_data_loss`] — the Fig. 2 analysis: finds stale-offset reads
-//!   across inode-reuse generations (the Fluent Bit bug);
-//! * [`analyze_offsets`] — access-pattern characterization (sequential vs
-//!   random, request sizes) from enriched offsets;
-//! * [`diff_sessions`] — post-mortem comparison of two stored sessions
-//!   (§II: DIO stores executions "and posteriorly analyzing and comparing
-//!   them");
-//! * [`detect_small_io`] / [`latency_profile`] — the §V direction of a
-//!   growing collection of automated inefficiency detectors.
+//! [`correlate_paths`] resolves `dev|ino|timestamp` file tags into the
+//! actual paths using the backend's update-by-query. Diagnosis, live or over
+//! a stored session (`dio_tracer::diagnose_index`), is the shipped rules'
+//! job, not this crate's.
 
-mod contention;
-mod data_loss;
-mod diff;
-mod offsets;
 mod path;
-mod patterns;
 
-pub use contention::{detect_contention, ContentionConfig, ContentionReport, WindowActivity};
-pub use data_loss::{detect_data_loss, DataLossIncident};
-pub use diff::{diff_sessions, CountDelta, SessionDiff};
-pub use offsets::{analyze_offsets, AccessPattern, FileAccessProfile};
 pub use path::{correlate_paths, CorrelationReport};
-pub use patterns::{
-    detect_small_io, latency_profile, SmallIoConfig, SmallIoFinding, SyscallLatencyProfile,
-};

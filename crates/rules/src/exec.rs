@@ -305,10 +305,10 @@ pub struct EventAtoms {
 
 /// Shared sequence state across all stream rules of a rule set.
 ///
-/// The streaming form of `dio_correlate::detect_data_loss`'s bookkeeping:
-/// generations are registered per `(dev, ino)` pair for the four
-/// data-path calls carrying a parseable `file_tag`, and first reads are
-/// tracked per tag. Everything is keyed by values that copy — the tag, the
+/// The streaming form of the Fig. 2 analysis' bookkeeping (its offline form is
+/// the oracle in `tests/common/oracle.rs`): generations are registered per
+/// `(dev, ino)` pair for the four data-path calls carrying a parseable
+/// `file_tag`, and first reads are tracked per tag. Everything is keyed by values that copy — the tag, the
 /// catalog's name of a thread's last syscall — so folding an event in
 /// allocates only for a tag or thread not seen before.
 #[derive(Debug, Default)]

@@ -254,6 +254,34 @@ impl EventView for SyscallEvent {
     }
 }
 
+/// A borrowed event reads as the event: a stored session lends its rows
+/// (`&[&SyscallEvent]`) without copying them.
+impl<E: EventView + ?Sized> EventView for &E {
+    fn scalar(&self, field: Field) -> Option<Scalar<'_>> {
+        (**self).scalar(field)
+    }
+
+    fn document(&self) -> Value {
+        (**self).document()
+    }
+
+    fn time(&self) -> u64 {
+        (**self).time()
+    }
+
+    fn ret_val(&self) -> Option<i64> {
+        (**self).ret_val()
+    }
+
+    fn kind(&self) -> Option<SyscallKind> {
+        (**self).kind()
+    }
+
+    fn file_tag(&self) -> Option<FileTag> {
+        (**self).file_tag()
+    }
+}
+
 impl EventView for Value {
     fn scalar(&self, field: Field) -> Option<Scalar<'_>> {
         match self.get(field.name())? {

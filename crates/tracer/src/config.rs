@@ -18,6 +18,9 @@ pub fn generate_session_name() -> String {
     format!("dio-session-{}", SESSION_COUNTER.fetch_add(1, Ordering::Relaxed))
 }
 
+/// Events the consumer takes from the rings per poll, by default.
+pub(crate) const DRAIN_BATCH: usize = 4_096;
+
 /// Full configuration of a tracing session.
 ///
 /// # Examples
@@ -60,7 +63,7 @@ impl TracerConfig {
             ring: RingConfig::paper_default(),
             batch_size: 1_000,
             flush_interval: Duration::from_millis(100),
-            drain_batch: 4_096,
+            drain_batch: DRAIN_BATCH,
             poll_interval: Duration::from_micros(200),
             enrich: true,
             enter_cost_ns: 0,

@@ -19,7 +19,9 @@ mod config;
 mod tracer;
 
 pub use config::{generate_session_name, TracerConfig};
-pub use tracer::{attribute_with, diagnosis_engine, AttachError, TraceSummary, Tracer};
+pub use tracer::{
+    attribute_with, diagnose_index, diagnosis_engine, AttachError, TraceSummary, Tracer,
+};
 
 // Profiling vocabulary, re-exported so callers can configure the DFG
 // miner without a direct `dio-profile` dependency.

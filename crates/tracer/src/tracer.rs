@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
 use serde_json::{json, Value};
 
-use dio_backend::DocStore;
+use dio_backend::{DocStore, Index};
 use dio_diagnose::{Alert, DiagnoseConfig, DiagnosisEngine, EngineStats};
 use dio_ebpf::{ProgramConfig, RawEvent, RingBuffer, RingStats, TracerProgram};
 use dio_kernel::{Kernel, ProbeId, SyscallProbe};
@@ -21,7 +21,7 @@ use dio_telemetry::{
 };
 use dio_verify::VerifyError;
 
-use crate::config::TracerConfig;
+use crate::config::{TracerConfig, DRAIN_BATCH};
 
 /// Why [`Tracer::try_attach`] refused to attach.
 ///
@@ -94,6 +94,27 @@ pub fn diagnosis_engine(config: DiagnoseConfig, configured: Vec<RuleSet>) -> Arc
     for set in shipped.into_iter().chain(configured) {
         engine.install_detector(Box::new(set));
     }
+    engine
+}
+
+/// Re-diagnoses a stored session: the engine a live session gets
+/// ([`diagnosis_engine`]) is fed the index's syscall events in `(time, id)`
+/// order, a default drain at a time, and finished. The rows are read as the
+/// typed events they are ([`Index::with_events_by_time`]), so a verdict over a
+/// stored session is the rules' verdict, reached through the evaluator the
+/// tap uses; in time order no window sees a late event.
+pub fn diagnose_index(
+    index: &Index,
+    config: DiagnoseConfig,
+    configured: Vec<RuleSet>,
+) -> Arc<DiagnosisEngine> {
+    let engine = diagnosis_engine(config, configured);
+    index.with_events_by_time(|events| {
+        for drain in events.chunks(DRAIN_BATCH) {
+            engine.observe_batch(drain);
+        }
+    });
+    engine.finish();
     engine
 }
 

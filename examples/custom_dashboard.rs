@@ -7,7 +7,7 @@
 //! The paper's pipeline lets users "create their own queries, correlation
 //! algorithms, and visualization dashboards". This example traces a small
 //! mixed workload and then builds, from scratch: a custom query, a custom
-//! aggregation, a custom dashboard, and a custom correlation pass.
+//! aggregation, and a custom dashboard.
 
 use dio::core::{
     Aggregation, Column, Dio, OpenFlags, Panel, PanelSpec, Query, SearchRequest, SortOrder,
@@ -92,21 +92,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     println!("\n{}", dashboard.render(&index));
 
-    // --- custom correlation: label sequential vs random files ---
-    let profiles = dio::core::analyze_offsets(&index);
-    for p in &profiles {
-        println!(
-            "{}: {:?} ({} ops, {:.0}% sequential, mean req {:.0} B)",
-            p.path.as_deref().unwrap_or("?"),
-            p.pattern,
-            p.ops,
-            p.sequential_fraction * 100.0,
-            p.mean_request_bytes
-        );
-    }
-    assert!(profiles.iter().any(|p| p.path.as_deref() == Some("/seq.dat")
-        && p.pattern == dio::core::AccessPattern::Sequential));
-    assert!(profiles.iter().any(|p| p.path.as_deref() == Some("/rand.dat")
-        && p.pattern != dio::core::AccessPattern::Sequential));
     Ok(())
 }

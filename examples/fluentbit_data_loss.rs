@@ -6,10 +6,11 @@
 //! ```
 //!
 //! Replays the log-rotation script against the buggy v1.4.0 plugin and the
-//! fixed v2.0.5 plugin, both traced by DIO, and lets the automated
-//! stale-offset analysis find the bug in one and clear the other.
+//! fixed v2.0.5 plugin, both traced by DIO, and lets the shipped rules —
+//! re-run over each stored session — find the bug in one and clear the
+//! other.
 
-use dio::core::{dashboards, detect_data_loss, Dio, Query, TracerConfig};
+use dio::core::{dashboards, diagnose_index, AlertKind, DiagnoseConfig, Dio, Query, TracerConfig};
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
 
 fn diagnose(version: FluentBitVersion) -> Result<(), Box<dyn std::error::Error>> {
@@ -40,22 +41,24 @@ fn diagnose(version: FluentBitVersion) -> Result<(), Box<dyn std::error::Error>>
         outcome.bytes_lost()
     );
 
-    let incidents = detect_data_loss(&index);
-    if incidents.is_empty() {
+    let engine = diagnose_index(&index, DiagnoseConfig::default(), Vec::new());
+    let losses: Vec<_> =
+        engine.alerts().into_iter().filter(|a| a.kind == AlertKind::DataLoss).collect();
+    if losses.is_empty() {
         println!("diagnosis: no stale-offset reads found\n");
-    } else {
-        for inc in &incidents {
-            println!(
-                "diagnosis: DATA LOSS — {} resumed {} at stale offset {} \
-                 (inode generation {} inherited state from {}), {} bytes at risk\n",
-                inc.reader,
-                inc.path.as_deref().unwrap_or("<uncorrelated>"),
-                inc.stale_offset,
-                inc.tag,
-                inc.previous_generation,
-                inc.bytes_at_risk
-            );
-        }
+    }
+    for loss in &losses {
+        // The alert's evidence is the stale read.
+        let read = &loss.evidence[0];
+        println!(
+            "diagnosis: DATA LOSS — {} resumed {} at stale offset {} \
+             (inode generation {}) and read {} bytes\n",
+            read["proc_name"].as_str().unwrap_or("?"),
+            read["file_path"].as_str().unwrap_or("<uncorrelated>"),
+            read["offset"],
+            loss.subject,
+            read["ret_val"]
+        );
     }
     Ok(())
 }

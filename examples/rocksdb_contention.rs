@@ -7,13 +7,13 @@
 //!
 //! Runs a scaled YCSB-A workload against the bundled LSM store (1 flush
 //! thread + 7 compaction threads, as in the paper), traced by DIO, then
-//! asks the contention analyzer which time windows show background I/O
-//! starving the clients.
+//! re-runs the shipped rules over the stored session: `contention_skew`
+//! names the time windows where background I/O starved the clients.
 
 use std::sync::Arc;
 
 use dio::core::{
-    detect_contention, ContentionConfig, Dio, DiskProfile, Kernel, Query, TracerConfig,
+    diagnose_index, AlertKind, DiagnoseConfig, Dio, DiskProfile, Kernel, Query, TracerConfig,
 };
 use dio_dbbench::{load_phase, run, BenchConfig, YcsbWorkload};
 use dio_lsmkv::{Db, LsmOptions};
@@ -81,21 +81,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let index = dio.session_index("rocksdb").expect("session stored");
     println!("\n{}", dashboards::syscalls_over_time(Query::MatchAll, 250_000_000).render(&index));
 
-    let contention = detect_contention(&index, &ContentionConfig::default());
-    println!(
-        "contention analysis: {} of {} windows have >=5 active compaction threads",
-        contention.contended_windows().count(),
-        contention.windows.len()
-    );
-    if contention.contention_detected() {
-        println!(
-            "root cause confirmed: client syscall rate drops {:.2}x when compactions burst \
-             (calm avg {:.0} ops/window vs contended {:.0})",
-            contention.degradation_factor(),
-            contention.client_ops_calm,
-            contention.client_ops_contended
-        );
-    } else {
+    let engine =
+        diagnose_index(&index, DiagnoseConfig::default().window_ns(250_000_000), Vec::new());
+    let skews: Vec<_> =
+        engine.alerts().into_iter().filter(|a| a.kind == AlertKind::ContentionSkew).collect();
+    for skew in &skews {
+        let start = skew.window_start_ns.unwrap_or(0);
+        println!("root cause: window at {start} ns — {}", skew.message);
+    }
+    if skews.is_empty() {
         println!("no contention signature in this run — try a slower disk or more ops");
     }
     Ok(())

@@ -1,14 +1,15 @@
 //! Parity between the live detectors — the shipped `rules/*.dio`, the only
-//! implementation a diagnosed session runs — and the offline algorithms in
-//! `dio-correlate`, the oracle: fed the same event set, the rules must flag
+//! implementation a diagnosed session runs — and the offline oracle in
+//! `tests/common/oracle.rs`: fed the same event set, the rules must flag
 //! what the oracle flags. Fig. 2: one `data_loss` alert per
 //! [`detect_data_loss`] incident, on the read the incident names. Fig. 3:
 //! `contention_skew` on exactly the windows a reference fold over
 //! [`detect_contention`]'s windows selects.
 //!
-//! The last part holds the two doors of the taps to one answer: the engine,
-//! the rule sets and the DFG miner fed a stream as typed events and as the
-//! events' documents must tell the same story to the byte.
+//! Then two ways into the same rules must tell one story: a stored session
+//! re-diagnosed from its index raises what the live engine raises over the
+//! same events, and the engine, the rule sets and the DFG miner fed a stream
+//! as typed events and as the events' documents agree to the byte.
 
 use std::sync::Arc;
 
@@ -16,10 +17,12 @@ use proptest::prelude::*;
 
 mod common;
 use common::{arbitrary_event, Draw};
+#[path = "common/oracle.rs"]
+mod oracle;
+use oracle::{detect_contention, detect_data_loss, ContentionConfig, DataLossIncident};
 
 use dio::core::{Dio, DiskProfile, Kernel, Query, SearchRequest, SortOrder, TracerConfig};
 use dio_backend::Index;
-use dio_correlate::{detect_contention, detect_data_loss, ContentionConfig, DataLossIncident};
 use dio_diagnose::{Alert, AlertKind, DiagnoseConfig, DynDetector, EngineStats, Severity};
 use dio_fluentbit::{run_issue_1875, FluentBitVersion};
 use dio_profile::{DfgMiner, ProfileConfig};
@@ -608,4 +611,49 @@ fn the_two_door_stream_exercises_every_detector() {
     let report = |rule: &str| typed.reports.iter().find(|r| r["rule"] == rule).expect("installed");
     assert!(report("validated_restart")["records"].as_u64().is_some_and(|n| n > 0));
     assert!(typed.reports.iter().any(|r| r["suppressed"].as_u64().is_some_and(|n| n > 0)));
+}
+
+// ------------------------------------------------- stored equals live
+
+/// One [`eventful_stream`] bulked into an index in shuffled order and
+/// re-diagnosed from it ([`dio_tracer::diagnose_index`]), next to the
+/// session's engine fed the same events in `(time, id)` order: the alerts of
+/// each, as documents, and the stored replay's counters.
+fn stored_and_live(seed: u64) -> (Vec<Alert>, Vec<Alert>, EngineStats, u64) {
+    let mut d = Draw(seed ^ 0x5707_0ED0);
+    let mut events = eventful_stream(seed);
+    for i in (1..events.len()).rev() {
+        events.swap(i, d.below(i + 1));
+    }
+    let index = Index::new("dio-stored");
+    index.bulk(events.iter().map(SyscallEvent::to_document).collect());
+    let extra = || vec![dio_rules::compile(EXTRA_RULES).expect("rules verify")];
+    let stored = dio_tracer::diagnose_index(&index, DiagnoseConfig::default(), extra());
+
+    // Ids were handed out in the shuffled order, so a stable sort by time is
+    // the `(time, id)` order.
+    events.sort_by_key(|event| event.time_enter_ns);
+    let live = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), extra());
+    live.observe_batch(&events);
+    live.finish();
+    (stored.alerts(), live.alerts(), stored.stats(), events.len() as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stored session is a rule input: re-diagnosed from its index it
+    /// raises the live engine's alerts — spine, evidence and all — having
+    /// observed every stored event, none of them late to any window.
+    #[test]
+    fn a_stored_session_is_diagnosed_as_the_live_one(seed in any::<u64>()) {
+        let (stored, live, stats, events) = stored_and_live(seed);
+        prop_assert_eq!(spine(&stored), spine(&live));
+        let documents = |alerts: &[Alert]| -> Vec<Value> {
+            alerts.iter().map(Alert::to_document).collect()
+        };
+        prop_assert_eq!(documents(&stored), documents(&live));
+        prop_assert!(!stored.is_empty());
+        prop_assert_eq!((stats.observed, stats.evaluated, stats.late_events), (events, events, 0));
+    }
 }

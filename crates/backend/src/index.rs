@@ -592,7 +592,7 @@ impl Index {
     pub fn subscribe(&self, capacity: usize) -> crate::Subscription {
         let queue = std::sync::Arc::new(crate::subscribe::SubQueue::new(capacity));
         self.subscribers.write().push(std::sync::Arc::clone(&queue));
-        crate::Subscription::new(self.name.clone(), queue)
+        crate::Subscription::new(queue)
     }
 
     /// Number of live subscriptions.

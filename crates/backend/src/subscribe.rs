@@ -2,15 +2,13 @@
 //!
 //! A [`Subscription`] receives every batch accepted by [`Index::bulk`] /
 //! [`Index::index_doc`] *after* it was created — the push analogue of
-//! Elasticsearch's `_changes`-style polling, built for the live diagnosis
-//! engine so detectors consume events as bulk batches land instead of
-//! re-querying finished indices.
+//! Elasticsearch's `_changes`-style polling; `dio-serve` streams alert
+//! documents to its SSE clients this way.
 //!
 //! Delivery never blocks the writer: each subscriber owns a bounded queue
 //! of batches, and a full queue **drops the batch for that subscriber**
 //! (counted in [`Subscription::missed_batches`]) rather than stalling the
-//! ingest path. Consumers are expected to treat misses as a degradation
-//! signal (the diagnosis engine switches to sampled evaluation).
+//! ingest path.
 //!
 //! [`Index::bulk`]: crate::Index::bulk
 //! [`Index::index_doc`]: crate::Index::index_doc
@@ -75,18 +73,12 @@ impl SubQueue {
 /// for it on the next delivery.
 #[derive(Debug)]
 pub struct Subscription {
-    index: String,
     queue: Arc<SubQueue>,
 }
 
 impl Subscription {
-    pub(crate) fn new(index: String, queue: Arc<SubQueue>) -> Self {
-        Subscription { index, queue }
-    }
-
-    /// Name of the subscribed index.
-    pub fn index_name(&self) -> &str {
-        &self.index
+    pub(crate) fn new(queue: Arc<SubQueue>) -> Self {
+        Subscription { queue }
     }
 
     /// Pops the oldest pending batch, if any.
@@ -126,17 +118,6 @@ impl Subscription {
     /// Pops every pending batch.
     pub fn drain(&self) -> Vec<Vec<Value>> {
         self.queue.batches.lock().drain(..).collect()
-    }
-
-    /// Batches currently queued (a backpressure signal: compare against
-    /// [`Subscription::capacity`]).
-    pub fn backlog(&self) -> usize {
-        self.queue.batches.lock().len()
-    }
-
-    /// Bounded queue depth in batches.
-    pub fn capacity(&self) -> usize {
-        self.queue.capacity
     }
 
     /// Batches dropped because this subscriber's queue was full.
@@ -180,12 +161,11 @@ mod tests {
         for n in 0..5 {
             idx.bulk(vec![json!({"n": n})]);
         }
-        assert_eq!(sub.backlog(), 2, "queue capped at capacity");
         assert_eq!(sub.missed_batches(), 3);
         // Ingest was never stalled: all docs landed.
         assert_eq!(idx.len(), 5);
         // Draining frees space for new deliveries.
-        sub.drain();
+        assert_eq!(sub.drain().len(), 2, "queue capped at capacity");
         idx.bulk(vec![json!({"n": 9})]);
         assert_eq!(sub.try_recv().unwrap()[0]["n"], 9);
     }

@@ -44,16 +44,14 @@ pub use dio_backend::{
     DEFAULT_SUBSCRIPTION_CAPACITY,
 };
 pub use dio_correlate::{correlate_paths, CorrelationReport};
-pub use dio_diagnose::{
-    Alert, AlertKind, DiagnoseConfig, DiagnosisEngine, EngineStats, Severity, SubscriptionHandle,
-};
+pub use dio_diagnose::{Alert, AlertKind, DiagnoseConfig, DiagnosisEngine, EngineStats, Severity};
 pub use dio_ebpf::{FilterSpec, RingConfig, RingStats};
 pub use dio_kernel::{
     DiskProfile, Errno, Kernel, OpenFlags, Process, SimClock, SysResult, ThreadCtx, Vfs, Whence,
 };
 pub use dio_profile::{
-    format_ns, to_dot, to_json, to_mermaid, DfgMiner, DfgSnapshot, EdgeSnapshot, GraphSnapshot,
-    NodeSnapshot, ProfileConfig,
+    to_dot, to_json, to_mermaid, DfgMiner, DfgSnapshot, EdgeSnapshot, GraphSnapshot, NodeSnapshot,
+    ProfileConfig,
 };
 pub use dio_rules::{
     compile as compile_rules, parse_rules, verify_rules, RuleCheck, RuleSet, RulesError,
@@ -62,7 +60,8 @@ pub use dio_rules::{
 pub use dio_serve::{lint_openmetrics, serve, ServeHandle, ServeState};
 pub use dio_syscall::{FileTag, FileType, Pid, SyscallClass, SyscallEvent, SyscallKind, Tid};
 pub use dio_telemetry::{
-    trace, FlightRecorder, SpanCollector, SpanCtx, SpanSummary, Stage, StageStamps, TraceSpan,
+    format_ns, trace, FlightRecorder, SpanCollector, SpanCtx, SpanSummary, Stage, StageStamps,
+    TraceSpan,
 };
 pub use dio_tracer::{
     diagnose_index, generate_session_name, AttachError, RuleCompileError, TraceSummary, Tracer,

@@ -14,8 +14,9 @@ use rand::SeedableRng;
 
 use dio_kernel::{Process, SysResult};
 use dio_lsmkv::Db;
+use dio_telemetry::LogHistogram;
 
-use crate::histogram::{LatencyHistogram, WindowedLatency};
+use crate::histogram::WindowedLatency;
 use crate::workload::{KeyDistribution, KeyGenerator, Operation, ValueGenerator, YcsbWorkload};
 
 /// Configuration of one benchmark run.
@@ -70,7 +71,7 @@ pub struct BenchReport {
     /// Wall-clock duration of the measured phase (simulated ns).
     pub elapsed_ns: u64,
     /// All latencies collapsed.
-    pub overall: LatencyHistogram,
+    pub overall: LogHistogram<5>,
     /// Latencies bucketed by time window (drives the Fig. 3 series).
     pub windowed: WindowedLatency,
 }

@@ -1,136 +1,8 @@
-//! Latency recording: an HDR-style log-bucketed histogram plus windowed
-//! percentile series (the data behind Fig. 3).
+//! Windowed latency percentiles: the data behind Fig. 3.
 
 use std::collections::BTreeMap;
 
-/// Sub-buckets per power of two (resolution ≈ 1/32 ≈ 3%).
-const SUB_BITS: u32 = 5;
-const SUB: usize = 1 << SUB_BITS;
-const BUCKETS: usize = 64 * SUB;
-
-/// A log-scale latency histogram over nanosecond values.
-///
-/// Constant memory, ~3% value resolution, O(1) record — the usual design
-/// for benchmark latency capture (HdrHistogram-style).
-///
-/// # Examples
-///
-/// ```
-/// use dio_dbbench::LatencyHistogram;
-///
-/// let mut h = LatencyHistogram::new();
-/// for v in 1..=1000u64 {
-///     h.record(v);
-/// }
-/// let p50 = h.percentile(50.0);
-/// assert!((450..=550).contains(&p50), "p50={p50}");
-/// ```
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    min: u64,
-    max: u64,
-    sum: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn bucket_of(value: u64) -> usize {
-    let v = value.max(1);
-    let msb = 63 - v.leading_zeros();
-    if msb < SUB_BITS {
-        return v as usize;
-    }
-    let sub = ((v >> (msb - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
-    ((msb - SUB_BITS + 1) as usize * SUB + sub).min(BUCKETS - 1)
-}
-
-fn bucket_lower_bound(bucket: usize) -> u64 {
-    if bucket < SUB {
-        return bucket as u64;
-    }
-    let msb = (bucket / SUB) as u32 + SUB_BITS - 1;
-    let sub = (bucket % SUB) as u64;
-    (1u64 << msb) | (sub << (msb - SUB_BITS))
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram { counts: vec![0; BUCKETS], total: 0, min: u64::MAX, max: 0, sum: 0 }
-    }
-
-    /// Records one latency sample (ns).
-    pub fn record(&mut self, value_ns: u64) {
-        self.counts[bucket_of(value_ns)] += 1;
-        self.total += 1;
-        self.min = self.min.min(value_ns);
-        self.max = self.max.max(value_ns);
-        self.sum += value_ns;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The value at percentile `p` (0–100). Returns 0 when empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_lower_bound(i).min(self.max).max(self.min);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        if other.total > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-}
+use dio_telemetry::LogHistogram;
 
 /// One time window's latency summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,11 +20,13 @@ pub struct WindowSummary {
 }
 
 /// Latency samples bucketed into fixed time windows, producing the
-/// per-window p99 series that Fig. 3 plots.
+/// per-window p99 series that Fig. 3 plots. Each window is a
+/// `dio-telemetry` [`LogHistogram`] at 32 buckets per power of two (≈ 3 %
+/// value resolution).
 #[derive(Debug, Clone)]
 pub struct WindowedLatency {
     window_ns: u64,
-    windows: BTreeMap<u64, LatencyHistogram>,
+    windows: BTreeMap<u64, LogHistogram<5>>,
 }
 
 impl WindowedLatency {
@@ -188,19 +62,22 @@ impl WindowedLatency {
     pub fn summaries(&self) -> Vec<WindowSummary> {
         self.windows
             .iter()
-            .map(|(&start_ns, h)| WindowSummary {
-                start_ns,
-                count: h.count(),
-                p50_ns: h.percentile(50.0),
-                p99_ns: h.percentile(99.0),
-                max_ns: h.max(),
+            .map(|(&start_ns, h)| {
+                let s = h.snapshot();
+                WindowSummary {
+                    start_ns,
+                    count: s.count,
+                    p50_ns: s.p50,
+                    p99_ns: s.p99,
+                    max_ns: s.max,
+                }
             })
             .collect()
     }
 
     /// Collapses every window into one histogram.
-    pub fn overall(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::new();
+    pub fn overall(&self) -> LogHistogram<5> {
+        let mut out = LogHistogram::new();
         for h in self.windows.values() {
             out.merge(h);
         }
@@ -211,69 +88,6 @@ impl WindowedLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_monotonic() {
-        let mut prev = 0;
-        for v in [1u64, 2, 10, 31, 32, 33, 100, 1_000, 65_536, 1 << 40] {
-            let b = bucket_of(v);
-            assert!(b >= prev, "bucket({v})={b} < {prev}");
-            prev = b;
-            assert!(bucket_lower_bound(b) <= v, "lower_bound({b}) > {v}");
-        }
-    }
-
-    #[test]
-    fn percentile_accuracy_within_resolution() {
-        let mut h = LatencyHistogram::new();
-        for v in 1..=100_000u64 {
-            h.record(v);
-        }
-        for p in [50.0, 90.0, 99.0, 99.9] {
-            let expected = p / 100.0 * 100_000.0;
-            let got = h.percentile(p) as f64;
-            let err = (got - expected).abs() / expected;
-            assert!(err < 0.05, "p{p}: got {got}, expected {expected}");
-        }
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile(99.0), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn single_value() {
-        let mut h = LatencyHistogram::new();
-        h.record(42);
-        assert_eq!(h.percentile(0.1), 42);
-        assert_eq!(h.percentile(100.0), 42);
-        assert_eq!(h.min(), 42);
-        assert_eq!(h.max(), 42);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut c = LatencyHistogram::new();
-        for v in 1..=1000u64 {
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            c.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), c.count());
-        assert_eq!(a.percentile(99.0), c.percentile(99.0));
-        assert_eq!(a.max(), c.max());
-    }
 
     #[test]
     fn windows_partition_time() {

@@ -2,17 +2,12 @@
 //!
 //! [`DiagnosisEngine`] hosts the detectors installed into it
 //! ([`DiagnosisEngine::install_detector`] — compiled rule sets) and exposes
-//! a batch-oriented ingestion API ([`DiagnosisEngine::observe_batch`]) plus
-//! two feeding modes:
-//!
-//! * **in-process tap** — the tracer's consumer thread calls
-//!   [`DiagnosisEngine::observe_batch_with_pressure`] with the typed events
-//!   of each drain, passing the pipeline's current fill level; no document
-//!   is built and no backend round-trip is involved (zero-backend
-//!   operation);
-//! * **backend subscription** — [`DiagnosisEngine::spawn_subscriber`]
-//!   consumes a [`dio_backend::Subscription`] on a dedicated thread, so
-//!   detectors evaluate batches as they land at the store.
+//! a batch-oriented ingestion API ([`DiagnosisEngine::observe_batch`]). It
+//! has two feeds: the tracer's consumer thread calls
+//! [`DiagnosisEngine::observe_batch_with_pressure`] with the typed events of
+//! each drain, passing the pipeline's current fill level (no document is
+//! built, no backend round-trip), and `dio_tracer::diagnose_index` replays a
+//! stored session's events in time order.
 //!
 //! Backpressure degrades, never stalls: when the reported pressure crosses
 //! [`DiagnoseConfig::degrade_pressure`], the engine evaluates only 1 in
@@ -25,9 +20,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
-use dio_backend::Subscription;
 use dio_syscall::EventView;
 use dio_telemetry::{Counter, Gauge, MetricsRegistry};
 use parking_lot::Mutex;
@@ -106,8 +99,6 @@ pub struct EngineStats {
     pub degraded_batches: u64,
     /// Alerts raised.
     pub alerts_raised: u64,
-    /// Subscription batches the backend dropped for this consumer.
-    pub missed_batches: u64,
 }
 
 struct EngineInner {
@@ -138,7 +129,6 @@ struct EngineTelemetry {
     late: Arc<Counter>,
     degraded_batches: Arc<Counter>,
     alerts_raised: Arc<Counter>,
-    missed_batches: Arc<Counter>,
     active_alerts: Arc<Gauge>,
     open_windows: Arc<Gauge>,
 }
@@ -159,7 +149,6 @@ pub struct DiagnosisEngine {
     sampled_out: AtomicU64,
     late_events: AtomicU64,
     degraded_batches: AtomicU64,
-    missed_batches: AtomicU64,
     last_event_ns: AtomicU64,
     sample_tick: AtomicU64,
     telemetry: OnceLock<EngineTelemetry>,
@@ -197,7 +186,6 @@ impl DiagnosisEngine {
             sampled_out: AtomicU64::new(0),
             late_events: AtomicU64::new(0),
             degraded_batches: AtomicU64::new(0),
-            missed_batches: AtomicU64::new(0),
             last_event_ns: AtomicU64::new(0),
             sample_tick: AtomicU64::new(0),
             telemetry: OnceLock::new(),
@@ -252,7 +240,6 @@ impl DiagnosisEngine {
             late: registry.counter("diagnose.events.late"),
             degraded_batches: registry.counter("diagnose.batches.degraded"),
             alerts_raised: registry.counter("diagnose.alerts.raised"),
-            missed_batches: registry.counter("diagnose.subscription.missed"),
             active_alerts: registry.gauge("diagnose.alerts.active"),
             open_windows: registry.gauge("diagnose.windows.open"),
         });
@@ -441,78 +428,6 @@ impl DiagnosisEngine {
             late_events: self.late_events.load(Ordering::Relaxed),
             degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
             alerts_raised: self.inner.lock().alerts.len() as u64,
-            missed_batches: self.missed_batches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Consumes a backend [`Subscription`] on a dedicated thread: each
-    /// received batch is evaluated with the subscription's queue fill as
-    /// the pressure signal, and batches the backend had to drop for this
-    /// consumer are surfaced as `missed_batches`.
-    ///
-    /// Stop (and join) via the returned handle; stopping drains the queue
-    /// and calls [`DiagnosisEngine::finish`].
-    pub fn spawn_subscriber(self: &Arc<Self>, subscription: Subscription) -> SubscriptionHandle {
-        let engine = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("dio-diagnose-{}", subscription.index_name()))
-            .spawn(move || {
-                let capacity = subscription.capacity().max(1);
-                loop {
-                    let stopping = thread_stop.load(Ordering::Acquire);
-                    match subscription.recv_timeout(Duration::from_millis(5)) {
-                        Some(batch) => {
-                            let pressure = subscription.backlog() as f64 / capacity as f64;
-                            engine.note_missed(subscription.missed_batches());
-                            engine.observe_batch_with_pressure(&batch, pressure);
-                        }
-                        None if stopping => break,
-                        None => {}
-                    }
-                }
-                engine.note_missed(subscription.missed_batches());
-                engine.finish();
-            })
-            .expect("spawn diagnosis subscriber thread");
-        SubscriptionHandle { stop, thread: Some(handle) }
-    }
-
-    /// Records the subscription's cumulative missed-batch count.
-    fn note_missed(&self, total: u64) {
-        let prev = self.missed_batches.swap(total, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            if total > prev {
-                t.missed_batches.add(total - prev);
-            }
-        }
-    }
-}
-
-/// Joinable handle of a [`DiagnosisEngine::spawn_subscriber`] thread.
-#[derive(Debug)]
-pub struct SubscriptionHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl SubscriptionHandle {
-    /// Signals the consumer thread to drain remaining batches, finish the
-    /// engine, and exit; joins it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for SubscriptionHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
         }
     }
 }
@@ -665,24 +580,6 @@ mod tests {
         engine.observe_batch(&[json!({"time": 10_000, "class": "data"})]);
         assert!(engine.active_alerts().is_empty());
         assert!(!engine.alerts().is_empty(), "history is retained");
-    }
-
-    #[test]
-    fn subscriber_thread_feeds_the_engine_from_the_backend() {
-        let store = dio_backend::DocStore::new();
-        let engine = engine_with_stale_reads(DiagnoseConfig::default());
-        let handle = engine.spawn_subscriber(store.subscribe("dio-live"));
-        store.bulk("dio-live", buggy_batch());
-        // Wait for the consumer to pick the batch up.
-        for _ in 0..200 {
-            if engine.stats().observed == 5 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        handle.stop();
-        assert_eq!(engine.stats().observed, 5);
-        assert!(engine.alerts().iter().any(|a| a.kind == AlertKind::DataLoss));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * [`DynDetector`] — the observe / seal / finish lifecycle a detector
 //!   implements;
 //! * [`DiagnosisEngine`] — hosts the installed detectors, ingests event
-//!   batches from the tracer's in-process tap or a backend
-//!   [`dio_backend::Subscription`], degrades to sampled evaluation under
-//!   pipeline pressure, and publishes alerts + `diagnose.*` telemetry.
+//!   batches from the tracer's in-process tap or a stored session's replay,
+//!   degrades to sampled evaluation under pipeline pressure, and publishes
+//!   alerts + `diagnose.*` telemetry.
 //!
 //! # Examples
 //!
@@ -73,5 +73,5 @@ mod window;
 
 pub use alert::{Alert, AlertKind, Severity};
 pub use dynamic::DynDetector;
-pub use engine::{DiagnoseConfig, DiagnosisEngine, EngineStats, SubscriptionHandle};
+pub use engine::{DiagnoseConfig, DiagnosisEngine, EngineStats};
 pub use window::SlidingWindows;

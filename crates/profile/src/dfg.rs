@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use dio_syscall::{EventView, Field, Scalar, SyscallKind};
-use dio_telemetry::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, TraceSpan};
+use dio_telemetry::{Counter, Gauge, HistogramSnapshot, LogHistogram, MetricsRegistry, TraceSpan};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 
@@ -120,90 +120,19 @@ impl ProfileConfig {
     }
 }
 
-// ---------------------------------------------------------- histograms
-
-/// A log2-bucketed histogram over `u64` samples: 64 buckets, O(1)
-/// record, `Clone + PartialEq` so graphs snapshot and compare cheaply.
-/// Percentile resolution is one power of two — enough for the "which
-/// edge got slow" question the DFG answers; exact latencies stay in the
-/// session's main telemetry histograms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHist {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHist {
-    fn default() -> Self {
-        LogHist { buckets: [0; 64], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-}
-
-impl LogHist {
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = 63 - value.max(1).leading_zeros() as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Resolves the histogram into the shared [`HistogramSnapshot`] form
-    /// (the same struct the session telemetry uses), so DFG edge
-    /// latencies answer arbitrary quantiles through
-    /// [`HistogramSnapshot::quantile`].
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        if self.count == 0 {
-            return HistogramSnapshot::default();
-        }
-        let percentile = |p: f64| -> u64 {
-            let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &c) in self.buckets.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return (1u64 << i).clamp(self.min, self.max);
-                }
-            }
-            self.max
-        };
-        HistogramSnapshot {
-            count: self.count,
-            min: self.min,
-            max: self.max,
-            mean: self.sum as f64 / self.count as f64,
-            p50: percentile(50.0),
-            p90: percentile(90.0),
-            p99: percentile(99.0),
-            p999: percentile(99.9),
-        }
-    }
-}
-
 // --------------------------------------------------------------- graphs
 
 type EdgeKey = (SyscallKind, SyscallKind);
 
+/// One edge's transition count and its two histograms. Bucketed at one
+/// power of two — enough for "which edge got slow", and 64 buckets at most
+/// where a session may hold thousands of edges; exact latencies stay in the
+/// session's telemetry histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Edge {
     count: u64,
-    latency: LogHist,
-    gap: LogHist,
+    latency: LogHistogram<0>,
+    gap: LogHistogram<0>,
 }
 
 /// One bounded directly-follows graph.
@@ -874,8 +803,8 @@ impl DfgMiner {
             "latency_share": window_share,
             "baseline_share": window_share - growth,
             "growth": growth,
-            "latency_p50_ns": edge_hist.map(|h| h.quantile(0.5)),
-            "latency_p99_ns": edge_hist.map(|h| h.quantile(0.99)),
+            "latency_p50_ns": edge_hist.map(|h| h.p50),
+            "latency_p99_ns": edge_hist.map(|h| h.p99),
             "phase": phase,
             "spans_aligned": spans_aligned,
             "spans": span_rows,
@@ -1078,22 +1007,6 @@ mod tests {
         assert!(miner.attribute(None, None, 100, "x", &[]).is_none());
         miner.observe_batch(&[ev(1, 1, "read", 1)]);
         assert!(miner.attribute(None, None, 100, "x", &[]).is_none(), "one event, no edge");
-    }
-
-    #[test]
-    fn loghist_snapshot_matches_quantile_contract() {
-        let mut h = LogHist::default();
-        assert_eq!(h.snapshot(), HistogramSnapshot::default());
-        for v in [1u64, 2, 4, 8, 1024] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 1024);
-        assert_eq!(s.quantile(0.0), 1);
-        assert_eq!(s.quantile(1.0), 1024);
-        assert!(s.p50 >= 1 && s.p50 <= 1024);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use dio_telemetry::format_ns;
+
 use crate::dfg::{DfgSnapshot, GraphSnapshot};
 
 /// Graphviz fill color per syscall class.
@@ -18,16 +20,6 @@ fn class_color(class: &str) -> &'static str {
         "extended attributes" => "#e7d7a7",
         "directory management" => "#e7a7c7",
         _ => "#dddddd",
-    }
-}
-
-/// Renders nanoseconds compactly (`950ns`, `1.5us`, `2.3ms`, `1.2s`).
-pub fn format_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.1}s", ns as f64 / 1e9),
     }
 }
 
@@ -136,13 +128,5 @@ mod tests {
         assert_eq!(value["transitions"], 1);
         let back: DfgSnapshot = serde_json::from_value(&value).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn ns_formatting_scales() {
-        assert_eq!(format_ns(950), "950ns");
-        assert_eq!(format_ns(1_500), "1.5us");
-        assert_eq!(format_ns(2_300_000), "2.3ms");
-        assert_eq!(format_ns(1_200_000_000), "1.2s");
     }
 }

@@ -38,7 +38,5 @@
 pub mod dfg;
 pub mod export;
 
-pub use dfg::{
-    DfgMiner, DfgSnapshot, EdgeSnapshot, GraphSnapshot, LogHist, NodeSnapshot, ProfileConfig,
-};
-pub use export::{format_ns, to_dot, to_json, to_mermaid};
+pub use dfg::{DfgMiner, DfgSnapshot, EdgeSnapshot, GraphSnapshot, NodeSnapshot, ProfileConfig};
+pub use export::{to_dot, to_json, to_mermaid};

@@ -194,15 +194,10 @@ impl AggSpec {
             AggAcc::ErrorFraction { ops, errs } => Some(*errs as f64 / *ops as f64),
             AggAcc::Rate(n) => Some(*n as f64 / (width_ns.max(1) as f64 / 1e9)),
             AggAcc::Pct(values) => {
-                if values.is_empty() {
-                    return None;
-                }
                 let AggSpec::Pct(q, _) = self else { return None };
                 let mut sorted = values.clone();
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                // Nearest-rank percentile.
-                let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-                Some(sorted[rank.clamp(1, sorted.len()) - 1])
+                dio_telemetry::quantile_sorted(&sorted, q / 100.0)
             }
             AggAcc::Distinct(seen, _) => Some(seen.len() as f64),
             AggAcc::Invalid => None,

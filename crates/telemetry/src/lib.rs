@@ -7,12 +7,17 @@
 //! crate provides the substrate every stage reports into:
 //!
 //! * [`MetricsRegistry`] — named, lock-free [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s (p50/p90/p99/p999 snapshots, same
-//!   bucketing design as `dio-dbbench`'s latency histogram but with
-//!   atomic buckets so producers never take a lock);
+//!   log-bucketed [`Histogram`]s (p50/p90/p99/p999 snapshots);
+//! * [`LogHistogram`] — the one bucket layout and rank walk behind every
+//!   latency distribution DIO summarises: the registry's histograms, the
+//!   Fig. 3 windows of `dio-dbbench` and the DFG edges of `dio-profile`,
+//!   each at a resolution fixed in code; exact samples read percentiles by
+//!   the same nearest-rank rule ([`quantile_sorted`]), and nanoseconds
+//!   print through one [`format_ns`];
 //! * [`Histogram::start_timer`] — cheap scoped stage timers;
 //! * [`TelemetrySnapshot`] — a point-in-time copy of every metric, able
-//!   to render itself as flat backend health documents;
+//!   to render itself as flat backend health documents and to be read back
+//!   from them ([`ExportRound`]);
 //! * [`Exporter`] — a background thread that periodically snapshots the
 //!   registry and hands the documents to a sink (the tracer wires the
 //!   sink to `DocStore::bulk` on a `dio-telemetry-<session>` index);
@@ -56,9 +61,10 @@ pub mod trace;
 
 pub use exporter::{Exporter, ExporterHandle};
 pub use metrics::{
-    quantile_sorted, Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot, StageTimer,
+    format_ns, quantile_sorted, Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot,
+    LogHistogram, StageTimer,
 };
-pub use registry::{MetricRef, MetricsRegistry, TelemetrySnapshot};
+pub use registry::{ExportRound, MetricRef, MetricsRegistry, TelemetrySnapshot};
 pub use span::{
     monotonic_ns, monotonic_ns_at, SpanCollector, SpanSummary, Stage, StageStamps, StampCarrier,
 };

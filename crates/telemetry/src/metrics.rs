@@ -4,41 +4,163 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Sub-buckets per power of two (resolution ≈ 1/32 ≈ 3%), matching the
-/// `dio-dbbench` latency histogram so percentiles are comparable.
-const SUB_BITS: u32 = 5;
-const SUB: usize = 1 << SUB_BITS;
-const BUCKETS: usize = 64 * SUB;
+/// Sub-bucket bits of the registry's histograms: 32 buckets per power of
+/// two, ≈ 3 % value resolution.
+const REGISTRY_SUB_BITS: u32 = 5;
+const BUCKETS: usize = LogHistogram::<REGISTRY_SUB_BITS>::BUCKETS;
 
-fn bucket_of(value: u64) -> usize {
+/// The bucket of `value` in a histogram of 2^`sub_bits` buckets per power of
+/// two: below 2^`sub_bits` every value has a bucket of its own, and each
+/// power of two above is cut into 2^`sub_bits` equal parts. 0 shares 1's
+/// bucket.
+fn bucket_of(value: u64, sub_bits: u32) -> usize {
     let v = value.max(1);
     let msb = 63 - v.leading_zeros();
-    if msb < SUB_BITS {
-        return v as usize;
+    if msb < sub_bits {
+        return v as usize - 1;
     }
-    let sub = ((v >> (msb - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
-    ((msb - SUB_BITS + 1) as usize * SUB + sub).min(BUCKETS - 1)
+    let shift = msb - sub_bits;
+    ((shift as usize) << sub_bits) + (v >> shift) as usize - 1
 }
 
-fn bucket_lower_bound(bucket: usize) -> u64 {
-    if bucket < SUB {
-        return bucket as u64;
+/// The smallest value [`bucket_of`] puts into `bucket`.
+fn bucket_lower_bound(bucket: usize, sub_bits: u32) -> u64 {
+    let i = bucket + 1;
+    let octave = i >> sub_bits;
+    if octave == 0 {
+        return i as u64;
     }
-    let msb = (bucket / SUB) as u32 + SUB_BITS - 1;
-    let sub = (bucket % SUB) as u64;
-    (1u64 << msb) | (sub << (msb - SUB_BITS))
+    ((i - ((octave - 1) << sub_bits)) as u64) << (octave - 1)
 }
 
-/// Inclusive upper bound of `bucket`: one below the next bucket's lower
-/// bound, or `u64::MAX` for buckets at or past the top of the `u64`
-/// range (the lower bound of bucket `bucket + 1` would overflow 64
-/// bits — those buckets absorb everything up to `u64::MAX`).
-fn bucket_upper_bound(bucket: usize) -> u64 {
-    let next = bucket + 1;
-    if next >= BUCKETS || (next / SUB) as u32 + SUB_BITS - 1 > 63 {
-        return u64::MAX;
+/// The nearest rank of quantile `q` (in `[0, 1]`) among `n` ordered samples:
+/// the 1-based position `ceil(q·n)`, at least 1 and at most `n`. The one rule
+/// DIO reads a percentile with — from exact samples ([`quantile_sorted`]) and
+/// from buckets ([`LogHistogram::percentile`]).
+fn nearest_rank(q: f64, n: u64) -> u64 {
+    (q * n as f64).ceil().max(1.0).min(n as f64) as u64
+}
+
+/// The nearest-rank sample of quantile `q` (in `[0, 1]`) in an
+/// already-sorted slice — the `ceil(q·n)`-th, at least the first — or
+/// `None` when it is empty. `dio top`'s percentiles and a rule's `pNN` are
+/// this statistic.
+pub fn quantile_sorted<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let rank = nearest_rank(q, sorted.len() as u64) as usize;
+    sorted.get(rank.checked_sub(1)?).copied()
+}
+
+/// Renders nanoseconds compactly (`950ns`, `1.5us`, `2.3ms`, `1.2s`).
+pub fn format_ns(ns: u64) -> String {
+    match ns {
+        0..=999 => format!("{ns}ns"),
+        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
+        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
+        _ => format!("{:.1}s", ns as f64 / 1e9),
     }
-    bucket_lower_bound(next) - 1
+}
+
+/// A log-bucketed histogram over `u64` samples with 2^`SUB_BITS` buckets per
+/// power of two, in plain counts: `LogHistogram<5>` resolves a value to
+/// ≈ 3 % (the registry's [`Histogram`] snapshots through it),
+/// `LogHistogram<0>` to its power of two (64 buckets cover `u64`). O(1)
+/// record; the bucket vector grows to the largest bucket recorded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogram<const SUB_BITS: u32> {
+    counts: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl<const SUB_BITS: u32> Default for LogHistogram<SUB_BITS> {
+    fn default() -> Self {
+        LogHistogram { counts: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
+    }
+}
+
+impl<const SUB_BITS: u32> LogHistogram<SUB_BITS> {
+    /// Buckets covering the whole `u64` range.
+    const BUCKETS: usize = ((65 - SUB_BITS as usize) << SUB_BITS) - 1;
+
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, value: u64) {
+        let bucket = bucket_of(value, SUB_BITS);
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+        }
+        self.counts[bucket] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Adds every sample of `other`.
+    pub fn merge(&mut self, other: &Self) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of recorded samples (saturating).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// The value at percentile `p` (0–100): the lower bound of the bucket
+    /// holding the nearest-rank sample (the `ceil(p·n/100)`-th, as
+    /// [`quantile_sorted`] picks), clamped to `[min, max]`. 0 when
+    /// empty.
+    pub fn percentile(&self, p: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = nearest_rank(p / 100.0, self.count);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                // `min.min(max)`: a snapshot of live atomics may read a
+                // sample's count before its min.
+                return bucket_lower_bound(i, SUB_BITS).min(self.max).max(self.min.min(self.max));
+            }
+        }
+        self.max
+    }
+
+    /// The histogram resolved: count, min, max, mean and four percentiles.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let empty = self.count == 0;
+        HistogramSnapshot {
+            count: self.count,
+            min: if empty { 0 } else { self.min },
+            max: self.max,
+            mean: if empty { 0.0 } else { self.sum as f64 / self.count as f64 },
+            p50: self.percentile(50.0),
+            p90: self.percentile(90.0),
+            p99: self.percentile(99.0),
+            p999: self.percentile(99.9),
+        }
+    }
 }
 
 /// A monotonically increasing event count.
@@ -121,7 +243,8 @@ pub struct HistogramBucket {
 }
 
 /// A lock-free log-bucketed histogram over `u64` samples (latencies in ns,
-/// batch sizes, ...). Constant memory, ~3% value resolution, O(1) record.
+/// batch sizes, ...): the atomic twin of `LogHistogram<5>`. Constant memory,
+/// ≈ 3 % value resolution, O(1) record.
 ///
 /// `Debug` prints the summary snapshot, not the raw buckets.
 pub struct Histogram {
@@ -160,7 +283,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.counts[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.counts[bucket_of(value, REGISTRY_SUB_BITS)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
@@ -192,7 +315,7 @@ impl Histogram {
         self.record(value);
         if trace_id != 0 {
             if let Some(slots) = self.exemplars.get() {
-                let slot = &slots[bucket_of(value)];
+                let slot = &slots[bucket_of(value, REGISTRY_SUB_BITS)];
                 slot.trace_id.store(trace_id, Ordering::Relaxed);
                 slot.value.store(value, Ordering::Relaxed);
             }
@@ -225,7 +348,13 @@ impl Histogram {
             if count == 0 {
                 continue;
             }
-            let upper = bucket_upper_bound(i);
+            // Inclusive: one below the next bucket's lower bound; the last
+            // bucket absorbs everything up to `u64::MAX`.
+            let upper = if i + 1 == BUCKETS {
+                u64::MAX
+            } else {
+                bucket_lower_bound(i + 1, REGISTRY_SUB_BITS) - 1
+            };
             let exemplar = slots.and_then(|s| {
                 let id = s[i].trace_id.load(Ordering::Relaxed);
                 (id != 0).then(|| (id, s[i].value.load(Ordering::Relaxed)))
@@ -245,40 +374,22 @@ impl Histogram {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy with percentiles resolved.
+    /// A point-in-time copy with percentiles resolved, through
+    /// [`LogHistogram::snapshot`].
     ///
     /// Concurrent recording may skew a snapshot by the in-flight samples;
     /// quiescent snapshots (after threads join) are exact.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let counts: Vec<u64> = self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        let min = self.min.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
-        let sum = self.sum.load(Ordering::Relaxed);
-        let percentile = |p: f64| -> u64 {
-            if total == 0 {
-                return 0;
-            }
-            let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return bucket_lower_bound(i).min(max).max(min.min(max));
-                }
-            }
-            max
-        };
-        HistogramSnapshot {
-            count: total,
-            min: if total == 0 { 0 } else { min },
-            max,
-            mean: if total == 0 { 0.0 } else { sum as f64 / total as f64 },
-            p50: percentile(50.0),
-            p90: percentile(90.0),
-            p99: percentile(99.0),
-            p999: percentile(99.9),
+        LogHistogram::<REGISTRY_SUB_BITS> {
+            // Counted from the buckets read, so the rank walk always ends.
+            count: counts.iter().sum(),
+            counts,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: self.min.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         }
+        .snapshot()
     }
 }
 
@@ -301,51 +412,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
     /// 99.9th percentile.
     pub p999: u64,
-}
-
-impl HistogramSnapshot {
-    /// Estimates an arbitrary quantile (`q` in `[0, 1]`) by linear
-    /// interpolation between the snapshot's known knots
-    /// `(0, min) … (0.5, p50) … (0.9, p90) … (0.99, p99) …
-    /// (0.999, p999) … (1, max)`. Exact at the knots, a straight-line
-    /// estimate between them; 0 when the snapshot is empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let knots = [
-            (0.0, self.min as f64),
-            (0.50, self.p50 as f64),
-            (0.90, self.p90 as f64),
-            (0.99, self.p99 as f64),
-            (0.999, self.p999 as f64),
-            (1.0, self.max as f64),
-        ];
-        for pair in knots.windows(2) {
-            let (q0, v0) = pair[0];
-            let (q1, v1) = pair[1];
-            if q <= q1 {
-                let frac = if q1 > q0 { (q - q0) / (q1 - q0) } else { 0.0 };
-                return (v0 + (v1 - v0) * frac).round() as u64;
-            }
-        }
-        self.max
-    }
-}
-
-/// Nearest-rank quantile over an already-sorted sample slice (`q` in
-/// `[0, 1]`): the sample at index `round((len - 1) * q)`. 0 when empty.
-/// This is the exact-sample counterpart of
-/// [`HistogramSnapshot::quantile`], shared by the viz panels that hold
-/// raw latency vectors.
-pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Scoped timer from [`Histogram::start_timer`]; records the elapsed
@@ -475,93 +541,95 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_quantile_interpolates_between_knots() {
-        let snap = HistogramSnapshot {
-            count: 100,
-            min: 0,
-            max: 1000,
-            mean: 100.0,
-            p50: 100,
-            p90: 500,
-            p99: 900,
-            p999: 990,
-        };
-        // Exact at the knots.
-        assert_eq!(snap.quantile(0.0), 0);
-        assert_eq!(snap.quantile(0.5), 100);
-        assert_eq!(snap.quantile(0.9), 500);
-        assert_eq!(snap.quantile(0.99), 900);
-        assert_eq!(snap.quantile(0.999), 990);
-        assert_eq!(snap.quantile(1.0), 1000);
-        // Linear between them: q=0.25 is halfway up the (0,min)-(0.5,p50)
-        // segment; q=0.95 halfway up (0.9,p90)-(0.99,p99)... pinned.
-        assert_eq!(snap.quantile(0.25), 50);
-        assert_eq!(snap.quantile(0.95), 722);
-        // Out-of-range input clamps.
-        assert_eq!(snap.quantile(-1.0), 0);
-        assert_eq!(snap.quantile(2.0), 1000);
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
+    fn buckets_tile_the_u64_range_at_both_resolutions() {
+        fn check<const S: u32>() {
+            let mut values: Vec<u64> = (0..64).flat_map(|b| [1u64 << b, (1u64 << b) - 1]).collect();
+            values.extend([0, 2, 31, 33, 1_000, u64::MAX]);
+            values.sort_unstable();
+            let mut prev = 0;
+            for v in values {
+                let b = bucket_of(v, S);
+                assert!(b >= prev && b < LogHistogram::<S>::BUCKETS, "bucket({v}) = {b}");
+                assert!(bucket_lower_bound(b, S) <= v.max(1), "lower_bound({b}) > {v}");
+                if b + 1 < LogHistogram::<S>::BUCKETS {
+                    assert!(v < bucket_lower_bound(b + 1, S), "{v} belongs past bucket {b}");
+                }
+                prev = b;
+            }
+            assert_eq!(bucket_of(u64::MAX, S), LogHistogram::<S>::BUCKETS - 1);
+        }
+        check::<5>();
+        check::<0>();
+        // One bucket per octave is the octave's index; 1/32 is exact to 63.
+        assert_eq!((bucket_of(1, 0), bucket_of(1_000, 0), bucket_lower_bound(9, 0)), (0, 9, 512));
+        assert_eq!((bucket_of(63, 5), bucket_lower_bound(62, 5)), (62, 63));
+        assert_eq!((LogHistogram::<5>::BUCKETS, LogHistogram::<0>::BUCKETS), (1_919, 64));
     }
 
     #[test]
-    fn snapshot_quantile_edge_cases() {
-        // Empty histogram: every quantile is 0, including the extremes
-        // and NaN (which clamps to 0.0 before the count check matters).
-        let empty = Histogram::new().snapshot();
-        assert_eq!(empty.count, 0);
-        for q in [0.0, 0.5, 1.0, f64::NAN] {
-            assert_eq!(empty.quantile(q), 0);
-        }
-
-        // Single sample: one populated bucket, so every knot collapses
-        // onto the same value and interpolation must stay flat.
-        let single = {
-            let h = Histogram::new();
-            h.record(42);
-            h.snapshot()
-        };
-        assert_eq!(single.count, 1);
-        assert_eq!(single.quantile(0.0), single.min);
-        assert_eq!(single.quantile(1.0), single.max);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(single.quantile(q), single.quantile(0.5), "flat at q={q}");
-        }
-
-        // All samples in one bucket (identical values): same flatness
-        // even with a large count.
-        let uniform = {
-            let h = Histogram::new();
-            for _ in 0..1000 {
-                h.record(7_000);
+    fn log_histogram_merges_into_what_recording_everything_gives() {
+        let (mut a, mut b, mut all) =
+            (LogHistogram::<5>::new(), LogHistogram::new(), LogHistogram::new());
+        for v in 1..=1_000u64 {
+            if v % 2 == 0 {
+                a.record(v * 1_000)
+            } else {
+                b.record(v)
             }
-            h.snapshot()
-        };
-        assert_eq!(uniform.count, 1000);
-        assert_eq!(uniform.quantile(0.0), uniform.quantile(1.0));
-
-        // q=0.0 and q=1.0 pin exactly to min and max on a spread
-        // histogram — no interpolation bleed at the boundary knots.
-        let spread = {
-            let h = Histogram::new();
-            for v in [1u64, 10, 100, 1_000, 10_000] {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        assert_eq!(spread.quantile(0.0), spread.min);
-        assert_eq!(spread.quantile(1.0), spread.max);
-        assert!(spread.quantile(0.5) >= spread.min && spread.quantile(0.5) <= spread.max);
+            all.record(if v % 2 == 0 { v * 1_000 } else { v });
+        }
+        a.merge(&b);
+        assert_eq!(a, all);
+        assert_eq!(a.snapshot(), all.snapshot());
+        let mut empty = LogHistogram::<5>::new();
+        empty.merge(&LogHistogram::new());
+        assert_eq!(empty.snapshot(), HistogramSnapshot::default());
     }
 
     #[test]
-    fn quantile_sorted_is_nearest_rank() {
-        assert_eq!(quantile_sorted(&[], 0.5), 0);
-        assert_eq!(quantile_sorted(&[7], 0.99), 7);
+    fn percentile_accuracy_within_resolution() {
+        let mut h = LogHistogram::<5>::new();
+        for v in 1..=100_000u64 {
+            h.record(v);
+        }
+        for p in [50.0, 90.0, 99.0, 99.9] {
+            let expected = p / 100.0 * 100_000.0;
+            let got = h.percentile(p) as f64;
+            assert!(
+                (got - expected).abs() / expected < 0.05,
+                "p{p}: got {got}, expected {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_sample_is_every_percentile() {
+        let mut h = LogHistogram::<0>::new();
+        h.record(42);
+        let s = h.snapshot();
+        assert_eq!((s.min, s.p50, s.p999, s.max), (42, 42, 42, 42), "clamped to [min, max]");
+        assert_eq!(h.percentile(0.1), 42);
+    }
+
+    #[test]
+    fn nearest_rank_is_the_ceiling_of_q_n() {
+        assert_eq!(quantile_sorted::<u64>(&[], 0.5), None);
+        assert_eq!(quantile_sorted(&[7], 0.99), Some(7));
         let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile_sorted(&v, 0.0), 1);
-        assert_eq!(quantile_sorted(&v, 0.5), 51, "round((99)*0.5)=50 -> v[50]");
-        assert_eq!(quantile_sorted(&v, 0.99), 99);
-        assert_eq!(quantile_sorted(&v, 1.0), 100);
+        assert_eq!(quantile_sorted(&v, 0.0), Some(1), "rank at least 1");
+        assert_eq!(quantile_sorted(&v, 0.5), Some(50), "ceil(0.5 * 100) = 50");
+        assert_eq!(quantile_sorted(&v, 0.99), Some(99));
+        assert_eq!(quantile_sorted(&v, 1.0), Some(100));
+        assert_eq!(quantile_sorted(&[1.5, 2.5, 9.0], 0.5), Some(2.5));
+        assert_eq!((nearest_rank(f64::NAN, 10), nearest_rank(2.0, 10)), (1, 10));
+    }
+
+    #[test]
+    fn ns_formatting_scales() {
+        assert_eq!(format_ns(950), "950ns");
+        assert_eq!(format_ns(1_500), "1.5us");
+        assert_eq!(format_ns(2_300_000), "2.3ms");
+        assert_eq!(format_ns(1_200_000_000), "1.2s");
     }
 
     #[test]

@@ -218,6 +218,57 @@ impl TelemetrySnapshot {
     }
 }
 
+/// One export round read back from health documents: every metric as of
+/// `time_ns`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExportRound {
+    /// Export sequence number.
+    pub seq: u64,
+    /// Export wall-clock time (ns since the Unix epoch).
+    pub time_ns: u64,
+    /// The metrics as the round exported them.
+    pub metrics: TelemetrySnapshot,
+}
+
+impl ExportRound {
+    /// Reads documents written by [`TelemetrySnapshot::health_documents`]
+    /// back into export rounds, in `seq` order. Documents without a
+    /// `metric` or of another `kind` (alerts, storage reports) are skipped.
+    pub fn from_documents<'a>(docs: impl IntoIterator<Item = &'a Value>) -> Vec<ExportRound> {
+        let mut rounds: BTreeMap<u64, ExportRound> = BTreeMap::new();
+        for doc in docs {
+            let (Some(name), Some(kind)) = (doc["metric"].as_str(), doc["kind"].as_str()) else {
+                continue;
+            };
+            if !matches!(kind, "counter" | "gauge" | "histogram") {
+                continue;
+            }
+            let seq = doc["seq"].as_u64().unwrap_or(0);
+            let round = rounds.entry(seq).or_insert_with(|| ExportRound {
+                seq,
+                time_ns: doc["time"].as_u64().unwrap_or(0),
+                metrics: TelemetrySnapshot::default(),
+            });
+            let (m, name, value) =
+                (&mut round.metrics, name.to_string(), doc["value"].as_u64().unwrap_or(0));
+            match kind {
+                "counter" => {
+                    m.counters.insert(name, value);
+                }
+                "gauge" => {
+                    m.gauges.insert(name, value);
+                }
+                _ => {
+                    if let Ok(h) = serde_json::from_value(doc) {
+                        m.histograms.insert(name, h);
+                    }
+                }
+            }
+        }
+        rounds.into_values().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +320,28 @@ mod tests {
         let hist_doc = docs.iter().find(|d| d["kind"] == "histogram").expect("histogram doc");
         assert_eq!(hist_doc["count"], 1);
         assert!(hist_doc.get("p999").is_some());
+    }
+
+    #[test]
+    fn health_documents_read_back_into_rounds() {
+        let registry = MetricsRegistry::new();
+        registry.counter("c").add(7);
+        registry.gauge("g").set(42);
+        for v in [3, 500, 70_000] {
+            registry.histogram("h").record(v);
+        }
+        let first = registry.snapshot();
+        registry.counter("c").add(1);
+        let second = registry.snapshot();
+        let mut docs = second.health_documents("s", 2, 2_000);
+        docs.extend(first.health_documents("s", 1, 1_000));
+        docs.push(json!({"session": "s", "kind": "alert", "seq": 0}));
+        docs.push(json!({"session": "s", "seq": 3, "metric": "x", "kind": "span"}));
+        let rounds = ExportRound::from_documents(&docs);
+        assert_eq!(rounds.len(), 2, "other kinds open no round");
+        assert_eq!((rounds[0].seq, rounds[0].time_ns), (1, 1_000));
+        assert_eq!(rounds[0].metrics, first);
+        assert_eq!(rounds[1].metrics, second);
     }
 
     #[test]

@@ -7,75 +7,11 @@
 //! existing [`crate::PanelSpec`] shapes aggregate `doc_count` and cannot
 //! express that.
 
-use std::collections::BTreeMap;
-
 use dio_backend::{Index, Query, SearchRequest, SortOrder};
-use dio_telemetry::HistogramSnapshot;
+use dio_telemetry::{ExportRound, TelemetrySnapshot};
 use serde_json::{json, Value};
 
 use crate::chart::{Chart, Series};
-
-/// One metric observation inside a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricPoint {
-    /// A monotonically increasing counter.
-    Counter(u64),
-    /// A last-value gauge.
-    Gauge(u64),
-    /// A latency/size distribution summary.
-    Histogram(HistogramSnapshot),
-}
-
-impl MetricPoint {
-    /// The scalar value used when plotting this metric over time
-    /// (histograms plot their p99).
-    pub fn plot_value(&self) -> f64 {
-        match self {
-            MetricPoint::Counter(v) | MetricPoint::Gauge(v) => *v as f64,
-            MetricPoint::Histogram(h) => h.p99 as f64,
-        }
-    }
-
-    /// Serializes the observation with its kind tag, mirroring the
-    /// health-document schema.
-    pub fn to_json(&self) -> Value {
-        match self {
-            MetricPoint::Counter(v) => json!({"kind": "counter", "value": *v}),
-            MetricPoint::Gauge(v) => json!({"kind": "gauge", "value": *v}),
-            MetricPoint::Histogram(h) => json!({
-                "kind": "histogram",
-                "count": h.count, "min": h.min, "max": h.max, "mean": h.mean,
-                "p50": h.p50, "p90": h.p90, "p99": h.p99, "p999": h.p999,
-            }),
-        }
-    }
-}
-
-/// One export round: every metric as of `time`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthSnapshot {
-    /// Export round number (1-based).
-    pub seq: u64,
-    /// Export wall-clock time (ns since the Unix epoch).
-    pub time_ns: u64,
-    /// Metric name → observation.
-    pub metrics: BTreeMap<String, MetricPoint>,
-}
-
-impl HealthSnapshot {
-    /// The observation for `metric` in this round, if present.
-    pub fn get(&self, metric: &str) -> Option<&MetricPoint> {
-        self.metrics.get(metric)
-    }
-
-    /// The scalar value of a counter or gauge metric (0 when absent).
-    pub fn counter(&self, metric: &str) -> u64 {
-        match self.get(metric) {
-            Some(MetricPoint::Counter(v)) | Some(MetricPoint::Gauge(v)) => *v,
-            _ => 0,
-        }
-    }
-}
 
 /// The parsed contents of a `dio-telemetry-<session>` index.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,93 +19,56 @@ pub struct HealthReport {
     /// The session the documents belong to.
     pub session: String,
     /// Export rounds in `seq` order.
-    pub snapshots: Vec<HealthSnapshot>,
+    pub rounds: Vec<ExportRound>,
 }
 
-fn u64_field(doc: &Value, key: &str) -> u64 {
-    doc[key].as_u64().unwrap_or(0)
+/// The value `metric` plots in one round: a counter's or gauge's value, a
+/// histogram's p99.
+fn plot_value(m: &TelemetrySnapshot, metric: &str) -> Option<f64> {
+    let scalar = m.counters.get(metric).or_else(|| m.gauges.get(metric));
+    scalar.map(|&v| v as f64).or_else(|| m.histogram(metric).map(|h| h.p99 as f64))
 }
 
 impl HealthReport {
     /// Loads every health document from `index` and groups it into
-    /// per-round snapshots.
+    /// export rounds.
     pub fn from_index(index: &Index) -> HealthReport {
         let response = index.search(
             &SearchRequest::new(Query::MatchAll).sort_by("seq", SortOrder::Asc).size(usize::MAX),
         );
-        let mut session = String::new();
-        let mut rounds: BTreeMap<u64, HealthSnapshot> = BTreeMap::new();
-        for hit in &response.hits {
-            let doc = &hit.source;
-            let Some(metric) = doc["metric"].as_str() else { continue };
-            if session.is_empty() {
-                session = doc["session"].as_str().unwrap_or("").to_string();
-            }
-            let seq = u64_field(doc, "seq");
-            let point = match doc["kind"].as_str() {
-                Some("counter") => MetricPoint::Counter(u64_field(doc, "value")),
-                Some("gauge") => MetricPoint::Gauge(u64_field(doc, "value")),
-                Some("histogram") => MetricPoint::Histogram(HistogramSnapshot {
-                    count: u64_field(doc, "count"),
-                    min: u64_field(doc, "min"),
-                    max: u64_field(doc, "max"),
-                    mean: doc["mean"].as_f64().unwrap_or(0.0),
-                    p50: u64_field(doc, "p50"),
-                    p90: u64_field(doc, "p90"),
-                    p99: u64_field(doc, "p99"),
-                    p999: u64_field(doc, "p999"),
-                }),
-                _ => continue,
-            };
-            let snap = rounds.entry(seq).or_insert_with(|| HealthSnapshot {
-                seq,
-                time_ns: u64_field(doc, "time"),
-                metrics: BTreeMap::new(),
-            });
-            snap.metrics.insert(metric.to_string(), point);
-        }
-        HealthReport { session, snapshots: rounds.into_values().collect() }
+        let docs = || response.hits.iter().map(|hit| &hit.source);
+        let session = docs()
+            .find(|d| d["metric"].as_str().is_some())
+            .and_then(|d| d["session"].as_str())
+            .unwrap_or("")
+            .to_string();
+        HealthReport { session, rounds: ExportRound::from_documents(docs()) }
     }
 
-    /// The most recent snapshot.
-    pub fn latest(&self) -> Option<&HealthSnapshot> {
-        self.snapshots.last()
+    /// The most recent round's metrics.
+    pub fn latest(&self) -> Option<&TelemetrySnapshot> {
+        self.rounds.last().map(|r| &r.metrics)
     }
 
     /// Ring drop rate (`dropped / (pushed + dropped)`) in the latest
-    /// snapshot.
+    /// round.
     pub fn drop_rate(&self) -> f64 {
-        let Some(last) = self.latest() else { return 0.0 };
-        let pushed = last.counter("ebpf.ring.pushed");
-        let dropped = last.counter("ebpf.ring.dropped");
-        if pushed + dropped == 0 {
-            0.0
-        } else {
-            dropped as f64 / (pushed + dropped) as f64
-        }
+        self.latest().map_or(0.0, drop_rate)
     }
 
-    /// Mean syscall dispatch rate (syscalls/s) across the trace, from the
-    /// first and last snapshots.
-    pub fn syscall_rate(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.snapshots.first(), self.latest()) else {
-            return 0.0;
-        };
-        let dispatched = last.counter("kernel.syscalls.dispatched");
-        let elapsed_ns = last.time_ns.saturating_sub(first.time_ns);
-        if elapsed_ns == 0 {
-            // Single snapshot: no time base, report the raw count.
-            dispatched as f64
-        } else {
-            dispatched as f64 * 1e9 / elapsed_ns as f64
-        }
+    /// Mean syscall dispatch rate (syscalls/s) between the first and last
+    /// rounds; `None` without two rounds apart in time to divide by.
+    pub fn syscall_rate(&self) -> Option<f64> {
+        let (first, last) = (self.rounds.first()?, self.rounds.last()?);
+        let elapsed_ns = last.time_ns.checked_sub(first.time_ns).filter(|&ns| ns > 0)?;
+        Some(last.metrics.counter("kernel.syscalls.dispatched") as f64 * 1e9 / elapsed_ns as f64)
     }
 
     /// A per-round time series of `metric` (histograms plot their p99).
     pub fn series(&self, metric: &str) -> Vec<(f64, f64)> {
-        self.snapshots
+        self.rounds
             .iter()
-            .filter_map(|s| s.get(metric).map(|p| (s.seq as f64, p.plot_value())))
+            .filter_map(|r| plot_value(&r.metrics, metric).map(|v| (r.seq as f64, v)))
             .collect()
     }
 
@@ -177,21 +76,48 @@ impl HealthReport {
     /// indicators) for the `/api/health` endpoint.
     pub fn to_json(&self) -> Value {
         let snapshots: Vec<Value> = self
-            .snapshots
+            .rounds
             .iter()
-            .map(|s| {
-                let metrics: serde_json::Map =
-                    s.metrics.iter().map(|(name, p)| (name.clone(), p.to_json())).collect();
-                json!({"seq": s.seq, "time_ns": s.time_ns, "metrics": Value::Object(metrics)})
+            .map(|r| {
+                let m = &r.metrics;
+                let mut metrics = serde_json::Map::new();
+                for (name, v) in &m.counters {
+                    metrics.insert(name.clone(), json!({"kind": "counter", "value": *v}));
+                }
+                for (name, v) in &m.gauges {
+                    metrics.insert(name.clone(), json!({"kind": "gauge", "value": *v}));
+                }
+                for (name, h) in &m.histograms {
+                    metrics.insert(
+                        name.clone(),
+                        json!({
+                            "kind": "histogram",
+                            "count": h.count, "min": h.min, "max": h.max, "mean": h.mean,
+                            "p50": h.p50, "p90": h.p90, "p99": h.p99, "p999": h.p999,
+                        }),
+                    );
+                }
+                json!({"seq": r.seq, "time_ns": r.time_ns, "metrics": Value::Object(metrics)})
             })
             .collect();
         json!({
             "session": self.session,
-            "rounds": self.snapshots.len(),
+            "rounds": self.rounds.len(),
             "drop_rate": self.drop_rate(),
             "syscall_rate": self.syscall_rate(),
             "snapshots": snapshots,
         })
+    }
+}
+
+/// `dropped / (pushed + dropped)` of the ring, 0 before anything arrived.
+fn drop_rate(m: &TelemetrySnapshot) -> f64 {
+    let pushed = m.counter("ebpf.ring.pushed");
+    let dropped = m.counter("ebpf.ring.dropped");
+    if pushed + dropped == 0 {
+        0.0
+    } else {
+        dropped as f64 / (pushed + dropped) as f64
     }
 }
 
@@ -204,27 +130,30 @@ pub fn render_health_dashboard(index: &Index) -> String {
     let mut out = format!(
         "== Dashboard: pipeline-health (session {}, {} export rounds) ==\n\n",
         report.session,
-        report.snapshots.len()
+        report.rounds.len()
     );
-    let Some(last) = report.latest() else {
+    let Some(round) = report.rounds.last() else {
         out.push_str("no health documents\n");
         return out;
     };
+    let last = &round.metrics;
 
     // --- Summary: scalar metrics at the end of the trace.
-    out.push_str(&format!("### Health summary (seq {})\n", last.seq));
-    let name_width = last.metrics.keys().map(String::len).max().unwrap_or(6).max("metric".len());
+    out.push_str(&format!("### Health summary (seq {})\n", round.seq));
+    let mut scalars: Vec<(&String, &str, u64)> =
+        last.counters.iter().map(|(n, &v)| (n, "counter", v)).collect();
+    scalars.extend(last.gauges.iter().map(|(n, &v)| (n, "gauge", v)));
+    scalars.sort_unstable();
+    let name_width = scalars
+        .iter()
+        .map(|(n, ..)| n.len())
+        .chain(last.histograms.keys().map(String::len))
+        .max()
+        .unwrap_or(6)
+        .max("metric".len());
     out.push_str(&format!("{:<name_width$}  {:>9}  value\n", "metric", "kind"));
-    for (name, point) in &last.metrics {
-        match point {
-            MetricPoint::Counter(v) => {
-                out.push_str(&format!("{name:<name_width$}  {:>9}  {v}\n", "counter"));
-            }
-            MetricPoint::Gauge(v) => {
-                out.push_str(&format!("{name:<name_width$}  {:>9}  {v}\n", "gauge"));
-            }
-            MetricPoint::Histogram(_) => {} // rendered below
-        }
+    for (name, kind, v) in scalars {
+        out.push_str(&format!("{name:<name_width$}  {kind:>9}  {v}\n"));
     }
     out.push('\n');
 
@@ -234,25 +163,25 @@ pub fn render_health_dashboard(index: &Index) -> String {
         "{:<name_width$}  {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
         "metric", "count", "p50", "p90", "p99", "p999", "max"
     ));
-    for (name, point) in &last.metrics {
-        if let MetricPoint::Histogram(h) = point {
-            out.push_str(&format!(
-                "{name:<name_width$}  {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-                h.count, h.p50, h.p90, h.p99, h.p999, h.max
-            ));
-        }
+    for (name, h) in &last.histograms {
+        out.push_str(&format!(
+            "{name:<name_width$}  {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
+            h.count, h.p50, h.p90, h.p99, h.p999, h.max
+        ));
     }
     out.push('\n');
 
     // --- Derived indicators.
     out.push_str("### Derived indicators\n");
-    out.push_str(&format!("syscall dispatch rate: {:.0} syscalls/s\n", report.syscall_rate()));
+    // One round has no time base to divide the dispatch count by.
+    let rate = report.syscall_rate().map_or("n/a".to_string(), |r| format!("{r:.0}"));
+    out.push_str(&format!("syscall dispatch rate: {rate} syscalls/s\n"));
     out.push_str(&format!(
         "ring drop rate: {:.2}% ({} dropped / {} pushed, occupancy high-water mark {})\n",
         report.drop_rate() * 100.0,
         last.counter("ebpf.ring.dropped"),
         last.counter("ebpf.ring.pushed"),
-        last.counter("ebpf.ring.occupancy_hwm"),
+        last.gauge("ebpf.ring.occupancy_hwm"),
     ));
     // Entries the join map admitted and did not turn into events.
     out.push_str(&format!(
@@ -277,7 +206,7 @@ pub fn render_health_dashboard(index: &Index) -> String {
     // --- Storage engine: `kind: "storage"` reports shipped by
     // persistent sessions into the same telemetry index.
     if let Some(storage) = crate::storage::latest_storage_report(index) {
-        let fsync_ns = last.get("backend.storage.fsync_ns");
+        let fsync_ns = last.histogram("backend.storage.fsync_ns");
         out.push_str(&crate::storage::render_storage_panel(&storage, fsync_ns));
         out.push('\n');
     }
@@ -308,18 +237,9 @@ pub fn render_health_dashboard(index: &Index) -> String {
     }
 
     // --- Time series across export rounds.
-    if report.snapshots.len() > 1 {
-        let drop_series: Vec<(f64, f64)> = report
-            .snapshots
-            .iter()
-            .map(|s| {
-                let pushed = s.counter("ebpf.ring.pushed");
-                let dropped = s.counter("ebpf.ring.dropped");
-                let total = pushed + dropped;
-                let rate = if total == 0 { 0.0 } else { dropped as f64 * 100.0 / total as f64 };
-                (s.seq as f64, rate)
-            })
-            .collect();
+    if report.rounds.len() > 1 {
+        let drop_series: Vec<(f64, f64)> =
+            report.rounds.iter().map(|r| (r.seq as f64, drop_rate(&r.metrics) * 100.0)).collect();
         out.push_str(
             &Chart::new("### Ring drop rate over export rounds")
                 .y_label("% dropped (cumulative)")
@@ -401,11 +321,24 @@ mod tests {
     fn report_groups_rounds_and_derives_rates() {
         let report = HealthReport::from_index(&sample_index());
         assert_eq!(report.session, "s");
-        assert_eq!(report.snapshots.len(), 3);
+        assert_eq!(report.rounds.len(), 3);
         assert_eq!(report.latest().unwrap().counter("ebpf.ring.pushed"), 270);
         assert!((report.drop_rate() - 0.1).abs() < 1e-9, "30 of 300 dropped");
         // 300 syscalls over 2 seconds of export span.
-        assert!((report.syscall_rate() - 150.0).abs() < 1e-6);
+        assert!((report.syscall_rate().unwrap() - 150.0).abs() < 1e-6);
+    }
+
+    /// A session shorter than one telemetry interval exports one round:
+    /// there is no time base, so no rate — not the raw count as a rate.
+    #[test]
+    fn one_round_has_no_syscall_rate() {
+        let idx = Index::new("dio-telemetry-s");
+        idx.bulk(vec![doc(1, 1_000_000_000, "kernel.syscalls.dispatched", "counter", 100)]);
+        let out = render_health_dashboard(&idx);
+        assert!(out.contains("syscall dispatch rate: n/a syscalls/s"), "{out}");
+        let json = HealthReport::from_index(&idx).to_json();
+        assert!(json["syscall_rate"].is_null(), "{json}");
+        assert_eq!(json["snapshots"][0]["metrics"]["kernel.syscalls.dispatched"]["value"], 100);
     }
 
     #[test]
@@ -426,7 +359,7 @@ mod tests {
     #[test]
     fn lag_watermark_series_plots_one_point_per_round() {
         let report = HealthReport::from_index(&sample_index());
-        assert_eq!(report.snapshots.len(), 3);
+        assert_eq!(report.rounds.len(), 3);
         let lag = report.series("span.lag.watermark_ns");
         assert_eq!(lag.len(), 3);
         assert_eq!(lag[2].1, 60_000.0);
@@ -447,7 +380,7 @@ mod tests {
         assert!(out.contains("[critical] data_loss"));
         assert!(out.contains("/var/log/app.log"));
         // The alert doc must not pollute the metric snapshots.
-        assert_eq!(HealthReport::from_index(&idx).snapshots.len(), 3);
+        assert_eq!(HealthReport::from_index(&idx).rounds.len(), 3);
     }
 
     #[test]
@@ -459,7 +392,7 @@ mod tests {
         assert!(out.contains("### Storage engine"), "{out}");
         assert!(out.contains("fsyncs 9"), "{out}");
         // The storage doc must not pollute the metric snapshots.
-        assert_eq!(HealthReport::from_index(&idx).snapshots.len(), 3);
+        assert_eq!(HealthReport::from_index(&idx).rounds.len(), 3);
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod waterfall;
 
 pub use chart::{BarChart, Chart, Heatmap, Series};
 pub use dashboard::{dashboards, Dashboard, Panel, PanelSpec};
-pub use health::{render_health_dashboard, HealthReport, HealthSnapshot, MetricPoint};
+pub use health::{render_health_dashboard, HealthReport};
 pub use storage::{latest_storage_report, render_compaction_timeline, render_storage_panel};
 pub use table::{group_digits, CellFormat, Column, Table};
 pub use top::{

@@ -9,9 +9,7 @@
 //! from `storage.compact` spans and their children.
 
 use dio_backend::{Index, Query, SearchRequest, SortOrder, StorageReport};
-use dio_telemetry::trace::TraceSpan;
-
-use crate::health::MetricPoint;
+use dio_telemetry::{format_ns, trace::TraceSpan, HistogramSnapshot};
 
 /// The most recent `kind: "storage"` document in `index`, parsed back
 /// into a [`StorageReport`] (`None` when the session was in-memory).
@@ -34,20 +32,13 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 10_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 10_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 /// Renders the storage panel: engine totals, compaction debt, per-shard
 /// occupancy, and (when provided) the `backend.storage.fsync_ns`
 /// histogram from the health snapshot.
-pub fn render_storage_panel(report: &StorageReport, fsync_ns: Option<&MetricPoint>) -> String {
+pub fn render_storage_panel(
+    report: &StorageReport,
+    fsync_ns: Option<&HistogramSnapshot>,
+) -> String {
     let mut out = String::from("### Storage engine\n");
     let t = &report.totals;
     out.push_str(&format!(
@@ -69,13 +60,13 @@ pub fn render_storage_panel(report: &StorageReport, fsync_ns: Option<&MetricPoin
         fmt_bytes(report.compacted_bytes),
     ));
     out.push_str(&format!("recovery: {} torn tails truncated\n", report.recovery_truncated));
-    if let Some(MetricPoint::Histogram(h)) = fsync_ns {
+    if let Some(h) = fsync_ns {
         out.push_str(&format!(
             "fsync latency: {} syncs, p50 {}, p99 {}, max {}\n",
             h.count,
-            fmt_ns(h.p50),
-            fmt_ns(h.p99),
-            fmt_ns(h.max),
+            format_ns(h.p50),
+            format_ns(h.p99),
+            format_ns(h.max),
         ));
     }
 
@@ -119,7 +110,7 @@ pub fn render_compaction_timeline(spans: &[TraceSpan]) -> String {
             "run {:>2}  shard {:<3} total {:>9}\n",
             i + 1,
             shard,
-            fmt_ns(run.duration_ns()),
+            format_ns(run.duration_ns()),
         ));
         let total = run.duration_ns().max(1);
         let mut phases: Vec<&TraceSpan> = spans
@@ -142,7 +133,7 @@ pub fn render_compaction_timeline(spans: &[TraceSpan]) -> String {
             out.push_str(&format!(
                 "  {label:<8} [{}] {:>9}\n",
                 bar.into_iter().collect::<String>(),
-                fmt_ns(phase.duration_ns()),
+                format_ns(phase.duration_ns()),
             ));
         }
     }
@@ -193,7 +184,7 @@ mod tests {
 
     #[test]
     fn panel_renders_fsync_histogram_line() {
-        let point = MetricPoint::Histogram(dio_telemetry::HistogramSnapshot {
+        let fsync = HistogramSnapshot {
             count: 42,
             min: 1_000,
             max: 9_000_000,
@@ -202,10 +193,12 @@ mod tests {
             p90: 400_000,
             p99: 1_500_000,
             p999: 8_000_000,
-        });
-        let out = render_storage_panel(&report(), Some(&point));
-        assert!(out.contains("fsync latency: 42 syncs"), "{out}");
-        assert!(out.contains("p50 150.0µs"), "{out}");
+        };
+        let out = render_storage_panel(&report(), Some(&fsync));
+        assert!(
+            out.contains("fsync latency: 42 syncs, p50 150.0us, p99 1.5ms, max 9.0ms"),
+            "{out}"
+        );
     }
 
     #[test]

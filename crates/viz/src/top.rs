@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use dio_backend::{Index, Query, SearchRequest, SortOrder};
 use dio_diagnose::Alert;
-use dio_telemetry::quantile_sorted;
+use dio_telemetry::{format_ns, quantile_sorted};
 use serde_json::{json, Value};
 
 /// Tuning knobs for [`render_top`].
@@ -259,9 +259,9 @@ pub fn top_snapshot(index: &Index, alerts: &[Alert], opts: &TopOptions) -> TopSn
                 ops: row.ops,
                 ops_per_sec: row.ops as f64 / window_s,
                 errors: row.errors,
-                p50_ns: quantile_sorted(&row.latencies, 0.50),
-                p95_ns: quantile_sorted(&row.latencies, 0.95),
-                p99_ns: quantile_sorted(&row.latencies, 0.99),
+                p50_ns: quantile_sorted(&row.latencies, 0.50).unwrap_or(0),
+                p95_ns: quantile_sorted(&row.latencies, 0.95).unwrap_or(0),
+                p99_ns: quantile_sorted(&row.latencies, 0.99).unwrap_or(0),
                 activity: row.buckets,
             }
         })
@@ -438,9 +438,9 @@ pub fn render_dfg_panel(snapshot: &Value) -> String {
                 edge["to"].as_str().unwrap_or("?")
             ),
             edge["count"].as_u64().unwrap_or(0),
-            format_ns_short(edge["latency"]["p50"].as_u64().unwrap_or(0)),
-            format_ns_short(edge["latency"]["p99"].as_u64().unwrap_or(0)),
-            format_ns_short(edge["gap"]["p50"].as_u64().unwrap_or(0)),
+            format_ns(edge["latency"]["p50"].as_u64().unwrap_or(0)),
+            format_ns(edge["latency"]["p99"].as_u64().unwrap_or(0)),
+            format_ns(edge["gap"]["p50"].as_u64().unwrap_or(0)),
         ));
     }
     let procs = snapshot["processes"].as_object().map(|m| m.len()).unwrap_or(0);
@@ -452,16 +452,6 @@ pub fn render_dfg_panel(snapshot: &Value) -> String {
         tags
     ));
     out
-}
-
-/// Compact nanosecond rendering for the DFG panel columns.
-fn format_ns_short(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.1}s", ns as f64 / 1e9),
-    }
 }
 
 /// Renders the full alert history as a panel (newest last) — the

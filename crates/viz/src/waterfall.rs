@@ -7,17 +7,7 @@
 //! watermark, and drop attribution — the uringscope-style
 //! submission→completion view for DIO's own pipeline.
 
-use dio_telemetry::{HistogramSnapshot, SpanSummary};
-
-/// Formats nanoseconds with a human unit (ns / µs / ms / s).
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=9_999 => format!("{ns}ns"),
-        10_000..=9_999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        10_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
+use dio_telemetry::{format_ns, HistogramSnapshot, SpanSummary};
 
 fn bar(value: u64, max: u64, width: usize, glyph: char) -> String {
     if max == 0 {
@@ -31,12 +21,12 @@ fn distribution_line(name: &str, h: &HistogramSnapshot, name_width: usize) -> St
     format!(
         "{name:<name_width$}  {:>8}  {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
         h.count,
-        fmt_ns(h.min),
-        fmt_ns(h.p50),
-        fmt_ns(h.p90),
-        fmt_ns(h.p99),
-        fmt_ns(h.p999),
-        fmt_ns(h.max),
+        format_ns(h.min),
+        format_ns(h.p50),
+        format_ns(h.p90),
+        format_ns(h.p99),
+        format_ns(h.p999),
+        format_ns(h.max),
     )
 }
 
@@ -85,7 +75,7 @@ pub fn render_latency_waterfall(spans: &SpanSummary) -> String {
     const BAR_WIDTH: usize = 40;
     out.push_str(&format!(
         "### Per-stage latency (p50 `#`, p99 `-`, shared scale, max p99 = {})\n",
-        fmt_ns(scale_max)
+        format_ns(scale_max)
     ));
     for name in transitions {
         let Some(h) = spans.stage(name) else { continue };
@@ -99,8 +89,8 @@ pub fn render_latency_waterfall(spans: &SpanSummary) -> String {
         out.push_str(&format!(
             "{name:<name_width$} | {p50_bar}{}  p50 {} / p99 {} ({} samples)\n",
             "-".repeat(tail),
-            fmt_ns(h.p50),
-            fmt_ns(h.p99),
+            format_ns(h.p50),
+            format_ns(h.p99),
             h.count,
         ));
     }
@@ -121,8 +111,8 @@ pub fn render_latency_waterfall(spans: &SpanSummary) -> String {
 
     out.push_str(&format!(
         "lag watermark: {} now, {} peak\n",
-        fmt_ns(spans.lag_watermark_ns),
-        fmt_ns(spans.peak_lag_ns)
+        format_ns(spans.lag_watermark_ns),
+        format_ns(spans.peak_lag_ns)
     ));
 
     if !spans.drops_by_stage.is_empty() {
@@ -190,13 +180,5 @@ mod tests {
         let spans = SpanCollector::new(&registry);
         let art = render_latency_waterfall(&spans.summary());
         assert!(art.contains("no spans recorded"));
-    }
-
-    #[test]
-    fn fmt_ns_picks_units() {
-        assert_eq!(fmt_ns(900), "900ns");
-        assert_eq!(fmt_ns(25_000), "25.0µs");
-        assert_eq!(fmt_ns(25_000_000), "25.0ms");
-        assert_eq!(fmt_ns(2_500_000_000), "2.50s");
     }
 }

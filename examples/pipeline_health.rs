@@ -81,8 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "parsed {} export rounds: {:.0} syscalls/s, {:.2}% dropped, peak lag {:.1}µs",
-        parsed.snapshots.len(),
-        parsed.syscall_rate(),
+        parsed.rounds.len(),
+        parsed.syscall_rate().unwrap_or(0.0),
         parsed.drop_rate() * 100.0,
         peak_lag / 1e3,
     );

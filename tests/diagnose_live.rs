@@ -1,7 +1,7 @@
 //! Live diagnosis under pressure: when the ring buffer backs up, the
 //! engine must degrade to sampled evaluation — visible in its stats and
 //! telemetry counters — while the shipper keeps flowing untouched. Plus
-//! the zero-tracer path: a backend subscription feeding the engine.
+//! the zero-tap path: a backend-stored session diagnosed after the fact.
 
 use std::time::Duration;
 
@@ -85,19 +85,13 @@ fn unpressured_session_evaluates_every_event() {
     assert_eq!(stats.degraded_batches, 0);
 }
 
-/// The backend-subscription path: an engine fed by a continuous query on
-/// the session's event index (no tracer tap at all) reaches the same
-/// verdict, and a slow subscriber loses batches without ever blocking
-/// the indexer.
+/// The zero-tap path: a session traced without the tap is diagnosed
+/// afterwards from its backend-stored events. The replay observes every
+/// stored event, none late, and reaches the verdict of a clean writer.
 #[test]
 fn backend_subscription_feeds_engine_without_tracer_tap() {
     let dio = Dio::with_kernel(fast_kernel());
-    // Subscribe BEFORE the session starts so no batch is missed; note no
-    // `.diagnose(..)` on the tracer — this is the out-of-process setup.
-    let subscription = dio.backend().subscribe("dio-subfed");
-    let engine = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
-    let handle = engine.spawn_subscriber(subscription);
-
+    // No `.diagnose(..)` on the tracer: nothing is diagnosed while it runs.
     let session = dio.trace(TracerConfig::new("subfed"));
     let t = dio.kernel().spawn_process("tailer").spawn_thread("tailer");
     let fd = t.creat("/tail.log", 0o644).unwrap();
@@ -108,8 +102,11 @@ fn backend_subscription_feeds_engine_without_tracer_tap() {
     let report = session.stop();
     assert!(report.trace.diagnosis.is_none(), "tracer itself ran without an engine");
 
-    handle.stop();
+    let index = dio.session_index("subfed").expect("session stored");
+    let engine = dio_tracer::diagnose_index(&index, DiagnoseConfig::default(), Vec::new());
     let stats = engine.stats();
-    assert_eq!(stats.observed, report.trace.events_stored, "subscription saw every bulk");
-    assert_eq!(stats.missed_batches, 0);
+    assert_eq!(stats.observed, report.trace.events_stored, "the replay saw every stored event");
+    assert_eq!(stats.late_events, 0);
+    let alerts = engine.alerts();
+    assert!(alerts.is_empty(), "a clean writer raises nothing: {alerts:?}");
 }

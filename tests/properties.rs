@@ -7,11 +7,10 @@ use common::arbitrary_event;
 
 use dio::core::{DiskProfile, Kernel, OpenFlags, Query, SimClock, Whence};
 use dio_backend::{Index, SearchRequest};
-use dio_dbbench::LatencyHistogram;
 use dio_ebpf::RingBuffer;
 use dio_kernel::Vfs;
 use dio_syscall::{codec, path_arg, FileTag, SyscallEvent, SyscallKind, SyscallSet};
-use dio_telemetry::{MetricsRegistry, SpanCollector, Stage, StageStamps};
+use dio_telemetry::{LogHistogram, MetricsRegistry, SpanCollector, Stage, StageStamps};
 
 // ------------------------------------------------------------------ VFS
 
@@ -184,7 +183,7 @@ proptest! {
     /// the documented ~3% relative resolution.
     #[test]
     fn histogram_percentiles_bounded(values in proptest::collection::vec(1u64..10_000_000, 1..500)) {
-        let mut h = LatencyHistogram::new();
+        let mut h = LogHistogram::<5>::new();
         for &v in &values {
             h.record(v);
         }
@@ -203,9 +202,10 @@ proptest! {
                 "p{}: got {}, exact {}", p, got, exact
             );
         }
-        prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.max(), *sorted.last().unwrap());
-        prop_assert_eq!(h.min(), *sorted.first().unwrap());
+        let snap = h.snapshot();
+        prop_assert_eq!(snap.count, values.len() as u64);
+        prop_assert_eq!(snap.max, *sorted.last().unwrap());
+        prop_assert_eq!(snap.min, *sorted.first().unwrap());
     }
 }
 

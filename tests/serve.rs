@@ -122,7 +122,6 @@ fn live_scrape_lints_clean_and_exemplars_resolve_into_flightrec() {
         "events_late",
         "batches_degraded",
         "alerts_raised",
-        "subscription_missed",
     ];
     let mut samples: Vec<String> = counters.iter().map(|c| format!("diagnose_{c}_total")).collect();
     samples.extend(["diagnose_alerts_active", "diagnose_windows_open"].map(String::from));

@@ -124,12 +124,29 @@ fn keyword(d: &mut Draw) -> Value {
     }
 }
 
+/// Nanoseconds since the epoch, about now: past 2^53, where a double is 256
+/// apart from the next, so integers 100 apart can round to one number.
+const EPOCH_NS: u64 = 1_700_000_000_000_000_000;
+
 fn number(d: &mut Draw) -> f64 {
-    match d.below(4) {
+    match d.below(7) {
         0 => d.below(30) as f64 - 3.0,
         1 => 1_000.0 + d.below(20) as f64 * 50.0,
         2 => d.below(4) as f64 * 26.0,
-        _ => d.below(60) as f64 * 10.0 + 0.5,
+        3 => d.below(60) as f64 * 10.0 + 0.5,
+        4 => -0.0,
+        5 => (EPOCH_NS + d.below(4) as u64 * 100) as f64,
+        _ => -(EPOCH_NS as f64) * (1 + d.below(3)) as f64,
+    }
+}
+
+/// A number a telemetry document holds: one a query draws, or an epoch
+/// integer that only rounding makes equal to one.
+fn held_number(d: &mut Draw) -> Value {
+    match d.below(3) {
+        0 => json!(d.below(9)),
+        1 => json!(EPOCH_NS + d.below(4) as u64 * 100),
+        _ => json!(number(d)),
     }
 }
 
@@ -287,7 +304,7 @@ fn ingest(d: &mut Draw, store: &DocStore, model: &mut Model) -> Result<(), TestC
     };
     prop_assert!(!typed_rows(store, &ids).contains(&false));
     model.extend(ids.into_iter().zip(docs));
-    let health = json!({"kind": "health", "metric": "x", "value": d.below(9), "time": 1_500});
+    let health = json!({"kind": "health", "metric": "x", "value": held_number(d), "time": 1_500});
     let ids = store.bulk("dio-diff", vec![health.clone()]);
     prop_assert_eq!(typed_rows(store, &ids), [false]);
     model.push((ids[0], health));

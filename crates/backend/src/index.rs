@@ -13,24 +13,6 @@ use crate::query::{compare_docs, Query, SortOrder};
 use crate::storage::{Put, Stored};
 use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
-/// Total-ordered wrapper over `f64` usable as a BTreeMap key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FKey(f64);
-
-impl Eq for FKey {}
-
-impl PartialOrd for FKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// A stored document. What decides its kind is the document, not the door it
 /// came through: one that is exactly a syscall event's document is kept as
 /// the event (a quarter of the heap, and nothing to re-parse field by field),
@@ -166,7 +148,156 @@ struct IndexInner {
 #[derive(Default)]
 struct Inverted {
     keywords: HashMap<String, HashMap<String, Postings>>,
-    numerics: HashMap<String, BTreeMap<FKey, Postings>>,
+    numerics: HashMap<String, TermArray>,
+}
+
+/// The order-preserving `u64` of a number: `key(a) < key(b)` exactly when
+/// `a.total_cmp(&b)` is `Less`, except that `-0.0` is `0.0` — a term or a
+/// bound of zero holds both, as the `==` and `>=` a match is re-checked with
+/// do. Negative numbers have every bit flipped, the rest the sign bit set.
+fn key(n: f64) -> u64 {
+    let bits = if n == 0.0 { 0 } else { n.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The terms of one numeric field: its distinct values as [`key`]s, strictly
+/// ascending, and beside each the posting list of the documents holding it —
+/// 24 B a value, where a B-tree entry cost 39–49 B with its nodes' slack.
+/// A term is two binary searches away, a range is a slice of `lists`.
+///
+/// Writes leave the arrays alone until [`TermArray::settle`]:
+///
+/// * an indexed term is *staged* as `(key, id)`; settling sorts the k staged
+///   pairs and merges them from the back in one pass after one reserve, and
+///   every held entry above the least staged key moves once. New timestamps
+///   land past the tail, and next to nothing moves; the new values of a
+///   field like `offset` or `latency_ns` fall anywhere, and nearly all of
+///   its n entries move. A settle costs O(k log k + n) where a B-tree cost
+///   O(k log n), so a session refreshed every k events pays O(n / k) moves
+///   per event for such a field;
+/// * a removed term finds its key by binary search, O(log n) plus the list's
+///   own removal; a list it empties stays, empty, and settling drops every
+///   such list of the field in one O(n) pass.
+///
+/// A refresh, and an `update_by_query` at its end, settle every field; a
+/// delete settles nothing, so deleting m documents by id or by query costs
+/// O(m log n) and the next refresh one pass per field it emptied a list of.
+#[derive(Default)]
+struct TermArray {
+    keys: Vec<u64>,
+    lists: Vec<Postings>,
+    /// `(key, id)` of the terms indexed since the last settle; empty, without
+    /// a buffer, in between.
+    staged: Vec<(u64, u64)>,
+    /// Whether a removal emptied a list since the last settle.
+    emptied: bool,
+}
+
+impl TermArray {
+    fn get(&self, key: u64) -> Option<&Postings> {
+        self.keys.binary_search(&key).ok().map(|at| &self.lists[at])
+    }
+
+    /// The place of the first key at or above `key` — above it, unless
+    /// `inclusive`.
+    fn bound(&self, key: u64, inclusive: bool) -> usize {
+        self.keys.partition_point(|&held| held < key || (!inclusive && held == key))
+    }
+
+    /// The lists of the values a range admits: `gte`, `gt`, `lte` and `lt`
+    /// each narrow the slice, so bounds that admit nothing give an empty one.
+    fn range(
+        &self,
+        gte: Option<f64>,
+        gt: Option<f64>,
+        lte: Option<f64>,
+        lt: Option<f64>,
+    ) -> &[Postings] {
+        let len = self.keys.len();
+        let lo = gte
+            .map_or(0, |n| self.bound(key(n), true))
+            .max(gt.map_or(0, |n| self.bound(key(n), false)));
+        let hi = lte
+            .map_or(len, |n| self.bound(key(n), false))
+            .min(lt.map_or(len, |n| self.bound(key(n), true)));
+        &self.lists[lo..hi.max(lo)]
+    }
+
+    fn stage(&mut self, key: u64, id: u64) {
+        self.staged.push((key, id));
+    }
+
+    /// Removes `id` from `key`'s list. The writers remove the terms of
+    /// documents indexed before they began, which are never staged.
+    fn remove(&mut self, key: u64, id: u64) {
+        if let Ok(at) = self.keys.binary_search(&key) {
+            let ids = &mut self.lists[at];
+            ids.remove(id);
+            self.emptied |= ids.is_empty();
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        self.staged.is_empty() && !self.emptied
+    }
+
+    /// Drops the emptied lists, then merges the staged pairs in.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.emptied) {
+            let mut kept = 0;
+            for at in 0..self.keys.len() {
+                if !self.lists[at].is_empty() {
+                    self.keys[kept] = self.keys[at];
+                    self.lists.swap(kept, at);
+                    kept += 1;
+                }
+            }
+            self.keys.truncate(kept);
+            self.lists.truncate(kept);
+        }
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.sort_unstable();
+        let Some(&(least, _)) = staged.first() else { return };
+        // Held entries below the least staged key stay where they are.
+        let start = self.bound(least, true);
+        let groups = || staged.chunk_by(|a, b| a.0 == b.0);
+        let mut held = self.keys[start..].iter().peekable();
+        let fresh = groups()
+            .filter(|group| {
+                while held.next_if(|&&k| k < group[0].0).is_some() {}
+                held.peek() != Some(&&group[0].0)
+            })
+            .count();
+        let (old, len) = (self.keys.len(), self.keys.len() + fresh);
+        self.keys.resize(len, 0);
+        self.lists.resize_with(len, Postings::default);
+        // From the back: `read` walks the held entries down, `write` the
+        // places they and the fresh keys take; every place in between holds
+        // an empty list.
+        let (mut read, mut write) = (old, len);
+        for group in groups().rev() {
+            let key = group[0].0;
+            while read > start && self.keys[read - 1] > key {
+                (read, write) = (read - 1, write - 1);
+                self.keys[write] = self.keys[read];
+                self.lists.swap(write, read);
+            }
+            write -= 1;
+            if read > start && self.keys[read - 1] == key {
+                read -= 1;
+                self.lists.swap(write, read);
+            }
+            self.keys[write] = key;
+            for &(_, id) in group {
+                self.lists[write].insert(id);
+            }
+        }
+        debug_assert_eq!(read, write, "every fresh key has its place");
+    }
 }
 
 /// Runs `f` on `map[key]`, default-inserted first if absent. The key is
@@ -184,14 +315,14 @@ fn with_slot<V: Default, R>(
 }
 
 impl Inverted {
+    /// Indexes a term: a keyword at once, a number staged until
+    /// [`Inverted::settle`].
     fn index_term(&mut self, id: u64, path: &str, term: Term<'_>) {
         match term {
             Term::Keyword(kw) => with_slot(&mut self.keywords, path, |terms| {
                 with_slot(terms, kw, |ids| ids.insert(id));
             }),
-            Term::Number(n) => with_slot(&mut self.numerics, path, |tree| {
-                tree.entry(FKey(n)).or_default().insert(id);
-            }),
+            Term::Number(n) => with_slot(&mut self.numerics, path, |terms| terms.stage(key(n), id)),
         }
     }
 
@@ -208,15 +339,22 @@ impl Inverted {
                 }
             }
             Term::Number(n) => {
-                if let Some(tree) = self.numerics.get_mut(path) {
-                    if let Some(ids) = tree.get_mut(&FKey(n)) {
-                        ids.remove(id);
-                        if ids.is_empty() {
-                            tree.remove(&FKey(n));
-                        }
-                    }
+                if let Some(terms) = self.numerics.get_mut(path) {
+                    terms.remove(key(n), id);
                 }
             }
+        }
+    }
+
+    /// Whether every numeric field is settled: nothing staged, no list empty.
+    fn is_settled(&self) -> bool {
+        self.numerics.values().all(TermArray::is_settled)
+    }
+
+    /// Settles every numeric field (see [`TermArray`]).
+    fn settle(&mut self) {
+        for terms in self.numerics.values_mut() {
+            terms.settle();
         }
     }
 
@@ -272,7 +410,7 @@ impl Inverted {
             self.keywords.get(field).and_then(|t| t.get(kw))
         } else {
             let n = as_number(value)?;
-            self.numerics.get(field).and_then(|t| t.get(&FKey(n)))
+            self.numerics.get(field).and_then(|terms| terms.get(key(n)))
         };
         Some(ids.unwrap_or(&Postings::Empty))
     }
@@ -295,34 +433,8 @@ impl Inverted {
                 Some(union(lists?))
             }
             Query::Range { field, gte, gt, lte, lt } => {
-                let Some(tree) = self.numerics.get(field) else { return Some(Vec::new()) };
-                use std::ops::Bound;
-                let lower = match (gte, gt) {
-                    (Some(a), Some(b)) if b >= a => Bound::Excluded(FKey(*b)),
-                    (Some(a), _) => Bound::Included(FKey(*a)),
-                    (None, Some(b)) => Bound::Excluded(FKey(*b)),
-                    (None, None) => Bound::Unbounded,
-                };
-                let upper = match (lte, lt) {
-                    (Some(a), Some(b)) if b <= a => Bound::Excluded(FKey(*b)),
-                    (Some(a), _) => Bound::Included(FKey(*a)),
-                    (None, Some(b)) => Bound::Excluded(FKey(*b)),
-                    (None, None) => Bound::Unbounded,
-                };
-                // Bounds that admit no number (`gt 5, lt 5`; `gte 9, lte 3`)
-                // are an empty answer, where `BTreeMap::range` would panic.
-                let admits_none = match (&lower, &upper) {
-                    (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
-                    (
-                        Bound::Included(a) | Bound::Excluded(a),
-                        Bound::Included(b) | Bound::Excluded(b),
-                    ) => a > b,
-                    _ => false,
-                };
-                if admits_none {
-                    return Some(Vec::new());
-                }
-                Some(union(tree.range((lower, upper)).map(|(_, ids)| ids)))
+                let Some(terms) = self.numerics.get(field) else { return Some(Vec::new()) };
+                Some(union(terms.range(*gte, *gt, *lte, *lt)))
             }
             Query::Prefix { field, prefix } => {
                 let Some(terms) = self.keywords.get(field) else { return Some(Vec::new()) };
@@ -382,6 +494,18 @@ fn ascending(mut ids: Vec<u64>) -> Vec<u64> {
 }
 
 impl IndexInner {
+    /// Indexes the rows accepted since the last refresh and settles every
+    /// numeric field.
+    fn refresh(&mut self) {
+        for id in self.refreshed..self.rows.end() {
+            if let Some(row) = self.rows.get(id) {
+                self.inverted.index_doc(id, row.as_ref());
+            }
+        }
+        self.refreshed = self.rows.end();
+        self.inverted.settle();
+    }
+
     /// The documents matching `query` with their ids, in insertion order
     /// (stable results), which is id order: the candidates are walked
     /// straight to their rows, or the whole table when the query cannot be
@@ -691,23 +815,17 @@ impl Index {
         ids
     }
 
-    /// Merges pending documents into the inverted indexes. Called
-    /// implicitly by every query entry point.
+    /// Merges pending documents into the inverted indexes and drops the
+    /// posting lists deletes emptied. Called implicitly by every query entry
+    /// point.
     pub fn refresh(&self) {
         {
             let inner = self.inner.read();
-            if inner.refreshed == inner.rows.end() {
+            if inner.refreshed == inner.rows.end() && inner.inverted.is_settled() {
                 return;
             }
         }
-        let mut guard = self.inner.write();
-        let inner = &mut *guard;
-        for id in inner.refreshed..inner.rows.end() {
-            if let Some(row) = inner.rows.get(id) {
-                inner.inverted.index_doc(id, row.as_ref());
-            }
-        }
-        inner.refreshed = inner.rows.end();
+        self.inner.write().refresh();
     }
 
     /// Whether document `id` is kept as a typed event rather than as JSON.
@@ -721,17 +839,24 @@ impl Index {
         self.inner.read().rows.get(id).map(|row| row.as_ref().to_value())
     }
 
-    /// Deletes a document by id, returning whether it existed.
+    /// Deletes a document by id, returning whether it existed. A numeric
+    /// term's list is found by binary search; one the delete empties is
+    /// dropped at the next refresh.
     pub fn delete(&self, id: u64) -> bool {
-        self.refresh();
-        let mut inner = self.inner.write();
+        self.delete_in(&mut self.inner.write(), id)
+    }
+
+    fn delete_in(&self, inner: &mut IndexInner, id: u64) -> bool {
         let Some(doc) = inner.rows.take(id) else {
             return false;
         };
         if let Some(engine) = &self.persist {
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
-        inner.inverted.unindex_doc(id, doc.as_ref());
+        // A row past `refreshed` has no terms in the indexes yet.
+        if id < inner.refreshed {
+            inner.inverted.unindex_doc(id, doc.as_ref());
+        }
         true
     }
 
@@ -798,10 +923,14 @@ impl Index {
     ///
     /// This is the primitive DIO's *file path correlation algorithm* uses
     /// (Elasticsearch `_update_by_query`).
+    ///
+    /// Over m documents a numeric term costs O(log n) to remove, and the new
+    /// ones are merged in at the end, one pass per field: never O(m × n) for
+    /// n distinct values.
     pub fn update_by_query(&self, query: &Query, mut update: impl FnMut(&mut Value)) -> usize {
-        self.refresh();
         let mut guard = self.inner.write();
         let inner = &mut *guard;
+        inner.refresh();
         let ids = inner.matching_ids(query);
         for &id in &ids {
             let row =
@@ -846,6 +975,7 @@ impl Index {
                 }
             }
         }
+        inner.inverted.settle();
         if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
             let rows = ids.iter().map(|&id| (id, inner.rows.get(id).expect("updated").to_put()));
             engine.append_rows(&self.name, rows).expect("dio-backend: persistent update failed");
@@ -853,12 +983,15 @@ impl Index {
         ids.len()
     }
 
-    /// Deletes every document matching `query`, returning how many.
+    /// Deletes every document matching `query`, returning how many: each as
+    /// [`Index::delete`] does, under one lock, so m of them cost O(m log n)
+    /// against n distinct values of a field, and the next refresh one pass.
     pub fn delete_by_query(&self, query: &Query) -> usize {
-        self.refresh();
-        let ids = self.inner.read().matching_ids(query);
+        let mut inner = self.inner.write();
+        inner.refresh();
+        let ids = inner.matching_ids(query);
         for &id in &ids {
-            self.delete(id);
+            self.delete_in(&mut inner, id);
         }
         ids.len()
     }
@@ -1015,16 +1148,24 @@ mod tests {
         let first = idx.index_doc(json!({"s": "a", "n": 7}));
         let second = idx.index_doc(json!({"s": "b", "n": 7}));
         assert!(idx.delete(first));
+        idx.refresh();
         {
             let inner = idx.inner.read();
             let terms: Vec<&String> = inner.inverted.keywords["s"].keys().collect();
             assert_eq!(terms, ["b"], "`a` lost its only document");
-            assert_eq!(inner.inverted.numerics["n"].len(), 1, "7 is still held by one");
+            assert_eq!(inner.inverted.numerics["n"].keys.len(), 1, "7 is still held by one");
         }
         assert!(idx.delete(second));
+        {
+            let inner = idx.inner.read();
+            assert!(inner.inverted.keywords["s"].is_empty());
+            let n = &inner.inverted.numerics["n"];
+            assert_eq!(n.keys.len(), 1, "an emptied list waits for the refresh");
+            assert!(n.lists[0].is_empty());
+        }
+        idx.refresh();
         let inner = idx.inner.read();
-        assert!(inner.inverted.keywords["s"].is_empty());
-        assert!(inner.inverted.numerics["n"].is_empty());
+        assert!(inner.inverted.numerics["n"].keys.is_empty());
     }
 
     #[test]
@@ -1150,5 +1291,214 @@ mod tests {
             .filter(|id| ![last_of_first_chunk, ids.len() as u64 - 1].contains(id))
             .collect();
         assert_eq!(hits.iter().map(|hit| hit.id).collect::<Vec<_>>(), expected);
+    }
+
+    /// `-0.0` is `0.0` to a term and to a range, as it is to the re-check of
+    /// a match: the candidates hold the document.
+    #[test]
+    fn negative_zero_is_found_by_term_and_range_on_zero() {
+        let idx = Index::new("t");
+        idx.bulk(vec![json!({"n": -0.0}), json!({"n": 1})]);
+        assert_eq!(idx.count(&Query::term("n", 0)), 1);
+        assert_eq!(idx.count(&Query::term("n", -0.0)), 1);
+        assert_eq!(idx.count(&Query::range("n").gte(0.0).build()), 2);
+        assert_eq!(idx.count(&Query::range("n").lte(-0.0).build()), 1);
+        assert_eq!(idx.count(&Query::range("n").gt(-0.0).build()), 1);
+        assert_eq!(idx.count(&Query::range("n").lt(0.0).build()), 0);
+    }
+
+    /// One refresh of 10 000 distinct values, out of order, reserves each
+    /// array once and exactly, and keeps no staging buffer.
+    #[test]
+    fn one_refresh_sizes_the_term_arrays_exactly() {
+        let idx = Index::new("t");
+        idx.bulk((0..10_000u64).map(|i| json!({ "n": i * 7_919 % 10_000 })).collect());
+        idx.refresh();
+        let inner = idx.inner.read();
+        let n = &inner.inverted.numerics["n"];
+        assert_eq!(n.keys.len(), 10_000);
+        assert_eq!((n.keys.capacity(), n.lists.capacity()), (10_000, 10_000));
+        assert_eq!(n.staged.capacity(), 0);
+    }
+
+    /// The values the model draws, strictly ascending: large negatives,
+    /// zero, fractions, and epoch nanoseconds one double apart.
+    const VALUES: [f64; 11] =
+        [f64::MIN, -3.4e18, -2.5, -1.0, 0.0, 0.5, 26.0, 1_000.0, 1.7e18, 1.7e18 + 256.0, f64::MAX];
+    const ZERO: usize = 4;
+    const EPOCH: usize = 8;
+
+    /// Value `i` as a document or a query holds it, and its place in
+    /// [`VALUES`]: past them, `-0.0` and an integer that rounds to 1.7e18.
+    fn drawn(i: usize) -> (Value, usize) {
+        match i % (VALUES.len() + 2) {
+            i if i < VALUES.len() => (json!(VALUES[i]), i),
+            i if i == VALUES.len() => (json!(-0.0), ZERO),
+            _ => (json!(1_700_000_000_000_000_100u64), EPOCH),
+        }
+    }
+
+    /// Range bounds on, between, below and above the values.
+    fn bounds() -> Vec<f64> {
+        let mut bounds = VALUES.to_vec();
+        bounds.extend(VALUES.windows(2).map(|pair| pair[0] / 2.0 + pair[1] / 2.0));
+        bounds.extend([-0.0, f64::NEG_INFINITY, f64::INFINITY]);
+        bounds
+    }
+
+    fn range_of(lower: Option<(f64, bool)>, upper: Option<(f64, bool)>) -> Query {
+        let mut range = Query::range("n");
+        range = match lower {
+            Some((n, true)) => range.gte(n),
+            Some((n, false)) => range.gt(n),
+            None => range,
+        };
+        match upper {
+            Some((n, true)) => range.lte(n),
+            Some((n, false)) => range.lt(n),
+            None => range,
+        }
+        .build()
+    }
+
+    /// Whether a value of the model matches `query`, by the comparisons a
+    /// match is re-checked with.
+    fn model_matches(query: &Query, value: f64) -> bool {
+        match query {
+            Query::Term { value: held, .. } => as_number(held) == Some(value),
+            Query::Range { gte, gt, lte, lt, .. } => {
+                gte.is_none_or(|b| value >= b)
+                    && gt.is_none_or(|b| value > b)
+                    && lte.is_none_or(|b| value <= b)
+                    && lt.is_none_or(|b| value < b)
+            }
+            _ => unreachable!("the model holds terms and ranges"),
+        }
+    }
+
+    /// The documents of the model, by id: the places in [`VALUES`] of their
+    /// `n` (none for a document without it).
+    type Docs = BTreeMap<u64, Vec<usize>>;
+
+    /// The ids of the documents holding a value `query` matches: its
+    /// candidates.
+    fn model_ids(docs: &Docs, query: &Query) -> Vec<u64> {
+        let held =
+            docs.iter().filter(|(_, ns)| ns.iter().any(|&n| model_matches(query, VALUES[n])));
+        held.map(|(&id, _)| id).collect()
+    }
+
+    /// The ids of the documents `query` matches: an array is no number to a
+    /// match, so only those holding one value.
+    fn model_matches_ids(docs: &Docs, query: &Query) -> Vec<u64> {
+        let held =
+            docs.iter().filter(|(_, ns)| matches!(ns[..], [n] if model_matches(query, VALUES[n])));
+        held.map(|(&id, _)| id).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random histories of bulks, refreshes at random points (so merges
+        /// meet an empty array, a tail append and a mid-array insert),
+        /// deletes, deletes and updates by query: after every step the
+        /// candidates of every term and of ranges bounded on, between, below
+        /// and above the values are the model's ids, ascending, each once;
+        /// the keys stay strictly ascending, and a refresh leaves no list
+        /// empty and exactly the model's lists.
+        #[test]
+        fn numeric_terms_match_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64, 0usize..64), 1..48),
+        ) {
+            use std::collections::BTreeSet;
+            let idx = Index::new("t");
+            let (mut indexed, mut pending, mut next) = (Docs::new(), Docs::new(), 0u64);
+            let bounds = bounds();
+            let bound = |i: usize, inclusive: bool| (bounds[i % bounds.len()], inclusive);
+            for (op, a, b, c) in ops {
+                let query = match c % 3 {
+                    0 => Query::term("n", drawn(a).0),
+                    1 => range_of(Some(bound(a, c % 2 == 0)), Some(bound(b, c % 4 < 2))),
+                    _ => range_of(None, Some(bound(b, c % 2 == 0))),
+                };
+                let mut refreshed = false;
+                match op {
+                    0..=2 => {
+                        let ((x, rank_x), (y, rank_y)) = (drawn(a), drawn(b));
+                        let docs = match c % 4 {
+                            0 => vec![(json!({ "n": x }), vec![rank_x])],
+                            1 => vec![(json!({ "n": [x, y] }), vec![rank_x, rank_y])],
+                            2 => vec![(json!({ "m": 1 }), vec![])],
+                            _ => vec![(json!({ "n": x }), vec![rank_x]), (json!({ "n": y }), vec![rank_y])],
+                        };
+                        let ids = idx.bulk(docs.iter().map(|(doc, _)| doc.clone()).collect());
+                        for (id, (_, ranks)) in ids.into_iter().zip(docs) {
+                            proptest::prop_assert_eq!(id, next);
+                            pending.insert(id, ranks);
+                            next += 1;
+                        }
+                    }
+                    3 => {
+                        idx.refresh();
+                        indexed.append(&mut pending);
+                        refreshed = true;
+                    }
+                    4 => {
+                        let id = c as u64 % (next + 1);
+                        let held = indexed.remove(&id).or_else(|| pending.remove(&id)).is_some();
+                        proptest::prop_assert_eq!(idx.delete(id), held);
+                    }
+                    5 => {
+                        indexed.append(&mut pending);
+                        let gone = model_matches_ids(&indexed, &query);
+                        for id in &gone {
+                            indexed.remove(id);
+                        }
+                        proptest::prop_assert_eq!(idx.delete_by_query(&query), gone.len());
+                    }
+                    _ => {
+                        indexed.append(&mut pending);
+                        let (now, rank) = drawn(b);
+                        let moved = model_matches_ids(&indexed, &query);
+                        for id in &moved {
+                            indexed.insert(*id, vec![rank]);
+                        }
+                        let updated = idx.update_by_query(&query, |doc| doc["n"] = now.clone());
+                        proptest::prop_assert_eq!(updated, moved.len());
+                        refreshed = true;
+                    }
+                }
+
+                let inner = idx.inner.read();
+                let mut queries: Vec<Query> = (0..VALUES.len() + 2).map(|i| Query::term("n", drawn(i).0)).collect();
+                for i in 0..bounds.len() {
+                    queries.push(range_of(Some(bound(i, true)), None));
+                    queries.push(range_of(Some(bound(i, false)), None));
+                    queries.push(range_of(None, Some(bound(i, true))));
+                    queries.push(range_of(None, Some(bound(i, false))));
+                }
+                queries.push(query);
+                for query in &queries {
+                    let candidates = inner.inverted.candidates(query);
+                    proptest::prop_assert_eq!(candidates, Some(model_ids(&indexed, query)), "{:?}", query);
+                }
+                let Some(n) = inner.inverted.numerics.get("n") else { continue };
+                proptest::prop_assert!(n.keys.windows(2).all(|pair| pair[0] < pair[1]), "{:?}", n.keys);
+                proptest::prop_assert!(n.staged.is_empty());
+                if refreshed {
+                    let mut model: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
+                    for (&id, ranks) in &indexed {
+                        for &rank in ranks {
+                            model.entry(rank).or_default().insert(id);
+                        }
+                    }
+                    let lists: Vec<Vec<u64>> = n.lists.iter().map(|ids| ids.iter().collect()).collect();
+                    let held: Vec<Vec<u64>> = model.values().map(|ids| ids.iter().copied().collect()).collect();
+                    proptest::prop_assert_eq!(lists, held);
+                    let keys: Vec<u64> = model.keys().map(|&rank| key(VALUES[rank])).collect();
+                    proptest::prop_assert_eq!(&n.keys, &keys);
+                }
+            }
+        }
     }
 }

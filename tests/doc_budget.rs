@@ -303,8 +303,9 @@ fn indexed_event_documents_stay_within_their_heap_budget() {
     });
     // About 3 340 B before the compact document model, 1 560 B while the
     // index kept the JSON object of every event, 774 B while rows and posting
-    // lists sat in hash tables.
-    assert!(per_doc <= 500, "an indexed event document holds {per_doc} B of heap");
+    // lists sat in hash tables, 437 B while numeric terms sat in B-trees;
+    // 367 B with sorted term arrays.
+    assert!(per_doc <= 405, "an indexed event document holds {per_doc} B of heap");
 }
 
 /// A narrowed query costs its answer: the candidates are the term's posting
@@ -326,8 +327,9 @@ fn counting_a_term_allocates_its_candidates_and_nothing_more() {
 
 /// A session closed and reopened from disk occupies what the live one did:
 /// recovery decodes each run of events straight to typed rows, sharing a
-/// session name and one name per thread as the live session does. 394 B here,
-/// the store with them; 479 B while recovery parsed every event's JSON text
+/// session name and one name per thread as the live session does. 322 B here,
+/// the store with them; 388 B while numeric terms sat in B-trees, 479 B while
+/// recovery parsed every event's JSON text
 /// (the keydir's entry per event, 75 B, among it), 1 460 B while recovered
 /// events were kept as the JSON they were parsed from. The per-thread count
 /// this test read before runs — -102 B — credited this thread with freeing the
@@ -347,7 +349,7 @@ fn reopened_event_documents_stay_within_their_heap_budget() {
         store.index("budget")
     });
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(per_doc <= 420, "a reopened event document holds {per_doc} B of heap");
+    assert!(per_doc <= 355, "a reopened event document holds {per_doc} B of heap");
 }
 
 /// The bytes a persisted session leaves on disk per traced event: its runs,

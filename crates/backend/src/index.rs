@@ -1,7 +1,6 @@
 //! A document index: storage + inverted indexes + search.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
 
 use dio_syscall::SyscallEvent;
 use parking_lot::RwLock;
@@ -10,57 +9,20 @@ use serde_json::Value;
 use crate::agg::{AggResult, Aggregation};
 use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
-use crate::storage::{Put, Stored};
+use crate::row::{Dicts, Doc, Row};
+use crate::storage::Stored;
 use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
-/// A stored document. What decides its kind is the document, not the door it
-/// came through: one that is exactly a syscall event's document is kept as
-/// the event (a quarter of the heap, and nothing to re-parse field by field),
-/// anything else — health, span, alert, phase and storage documents, an event
-/// an update gave a foreign field — as the JSON value it is. Every reader goes
-/// through [`Row::as_ref`], so no answer depends on the kind.
-enum Row {
-    Event(SyscallEvent),
-    Json(Value),
-}
-
-impl From<Value> for Row {
-    /// The one way a JSON value enters the table.
-    fn from(doc: Value) -> Row {
-        match SyscallEvent::from_document(&doc) {
-            Some(event) => Row::Event(event),
-            None => Row::Json(doc),
-        }
-    }
-}
-
-impl Row {
-    fn as_ref(&self) -> DocRef<'_> {
-        match self {
-            Row::Event(event) => DocRef::Event(event),
-            Row::Json(doc) => DocRef::Json(doc),
-        }
-    }
-
-    /// What the write-through log stores for the row: an event goes into a
-    /// run, anything else is its JSON text.
-    fn to_put(&self) -> Put<'_> {
-        match self {
-            Row::Event(event) => Put::Event(event),
-            Row::Json(doc) => Put::Json(doc.to_string().into_bytes()),
-        }
-    }
-}
-
 /// Slots per chunk of the row table. A chunk is one allocation of
-/// 1 024 × 200 B = 200 KiB: the table's slack is at most that (4 B a document
-/// at 50 000, where a doubling vector or a hash table wastes up to half of
-/// itself), and a small index — a session's telemetry — pays one chunk.
+/// 1 024 slots of at most 96 B: the table's slack is at most that (2 B a
+/// document at 50 000, where a doubling vector or a hash table wastes up to
+/// half of itself), and a small index — a session's telemetry — pays one
+/// chunk.
 const CHUNK_BITS: u32 = 10;
 const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
 /// Ids a table accepts. Its chunk directory costs 24 B per 1 024 ids up to the
 /// highest one, held or not, so an id read from a damaged store must not be
-/// allowed to size it: 2³² documents are 800 GiB of rows, more than any
+/// allowed to size it: 2³² documents are 352 GiB of rows, more than any
 /// session holds in memory, and a directory of 96 MiB at the very worst.
 const MAX_ID: u64 = u32::MAX as u64;
 
@@ -70,7 +32,7 @@ const MAX_ID: u64 = u32::MAX as u64;
 /// cut into fixed-capacity chunks: appending never copies a row, insertion
 /// order is iteration order, and a lookup is two indexings. A deleted or
 /// never-seen id is an empty slot (or a slot its chunk never grew to); the
-/// slot of a deleted row keeps its 200 B, which nothing on the tracing path
+/// slot of a deleted row keeps its bytes, which nothing on the tracing path
 /// pays — only tests and the crash harness delete.
 #[derive(Default)]
 struct Table {
@@ -135,6 +97,8 @@ impl Table {
 #[derive(Default)]
 struct IndexInner {
     rows: Table,
+    /// What the event rows name by id (see [`crate::row`]).
+    dicts: Dicts,
     inverted: Inverted,
     /// Ids below this are in the inverted indexes; rows from it on were
     /// accepted but not merged yet. Mirrors Elasticsearch's near-real-time
@@ -499,7 +463,7 @@ impl IndexInner {
     fn refresh(&mut self) {
         for id in self.refreshed..self.rows.end() {
             if let Some(row) = self.rows.get(id) {
-                self.inverted.index_doc(id, row.as_ref());
+                self.inverted.index_doc(id, self.dicts.doc(row).as_ref());
             }
         }
         self.refreshed = self.rows.end();
@@ -509,8 +473,8 @@ impl IndexInner {
     /// The documents matching `query` with their ids, in insertion order
     /// (stable results), which is id order: the candidates are walked
     /// straight to their rows, or the whole table when the query cannot be
-    /// narrowed.
-    fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, DocRef<'a>)> {
+    /// narrowed. Each row visited has its event built.
+    fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, Doc<&'a Value>)> {
         let (narrowed, all) = match self.inverted.candidates(query) {
             Some(ids) => {
                 (Some(ids.into_iter().filter_map(|id| Some((id, self.rows.get(id)?)))), None)
@@ -518,7 +482,8 @@ impl IndexInner {
             None => (None, Some(self.rows.iter())),
         };
         let rows = narrowed.into_iter().flatten().chain(all.into_iter().flatten());
-        rows.map(|(id, row)| (id, row.as_ref())).filter(|&(_, doc)| query.matches_doc(doc))
+        rows.map(|(id, row)| (id, self.dicts.doc(row)))
+            .filter(|(_, doc)| query.matches_doc(doc.as_ref()))
     }
 
     fn matching_ids(&self, query: &Query) -> Vec<u64> {
@@ -664,13 +629,13 @@ impl Index {
     /// the first query, so reopening a large store stays cheap until someone
     /// actually searches it.
     ///
-    /// Recovered events are typed rows as they come — a reopened session
-    /// occupies what the live one did — and, as there, the events of a
-    /// session share one session name and one name per thread. A recovered
-    /// JSON document becomes a row as an ingested one does.
+    /// Recovered events are interned as ingested ones are — a reopened
+    /// session occupies what the live one did. A recovered JSON document
+    /// becomes a row as an ingested one does.
     ///
-    /// Fails on an id no index hands out (see [`MAX_ID`]): the store is
-    /// damaged, and the row table must not be sized by it.
+    /// Fails on an id no index hands out (see [`MAX_ID`]) and on a document
+    /// that is not JSON text: the store is damaged, and the row table must
+    /// not be sized by it.
     pub(crate) fn from_persisted(
         name: impl Into<String>,
         engine: std::sync::Arc<crate::storage::StorageEngine>,
@@ -678,32 +643,26 @@ impl Index {
     ) -> std::io::Result<Self> {
         let index = Index::new_persistent(name, engine);
         {
-            let mut inner = index.inner.write();
-            let mut names: HashSet<Arc<str>> = HashSet::new();
+            let inner = &mut *index.inner.write();
+            let damaged = |what: String| {
+                let what = format!("index {}: {what}", index.name);
+                std::io::Error::new(std::io::ErrorKind::InvalidData, what)
+            };
             for (id, stored) in docs {
                 if id > MAX_ID {
-                    let what = format!("index {}: document id {id} is out of range", index.name);
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, what));
+                    return Err(damaged(format!("document id {id} is out of range")));
                 }
-                let mut row = match stored {
-                    Stored::Event(event) => Row::Event(event),
+                let doc = match stored {
+                    Stored::Event(event) => Doc::Event(event),
                     Stored::Json(bytes) => {
-                        let text =
-                            std::str::from_utf8(&bytes).expect("recovered document is UTF-8");
-                        Row::from(
-                            serde_json::from_str::<Value>(text).expect("recovered JSON parses"),
-                        )
-                    }
-                };
-                if let Row::Event(event) = &mut row {
-                    for name in [&mut event.session, &mut event.comm] {
-                        match names.get(&**name) {
-                            Some(held) => *name = Arc::clone(held),
-                            None => drop(names.insert(Arc::clone(name))),
+                        let text = std::str::from_utf8(&bytes).ok();
+                        match text.and_then(|text| serde_json::from_str::<Value>(text).ok()) {
+                            Some(doc) => Doc::from(doc),
+                            None => return Err(damaged(format!("document {id} is not JSON"))),
                         }
                     }
-                }
-                inner.rows.put(id, row);
+                };
+                inner.rows.put(id, inner.dicts.row(doc));
             }
         }
         Ok(index)
@@ -783,7 +742,7 @@ impl Index {
         // Copy for subscribers before the documents move into the store;
         // the copy is skipped entirely when nobody subscribed.
         let snapshot = self.has_subscribers().then(|| docs.clone());
-        self.accept(docs.into_iter().map(Row::from).collect(), snapshot)
+        self.accept(docs.into_iter().map(Doc::from).collect(), snapshot)
     }
 
     /// [`Index::bulk`] for the tracer's own events: stored as they are, with
@@ -791,21 +750,23 @@ impl Index {
     pub(crate) fn bulk_events(&self, events: Vec<SyscallEvent>) -> Vec<u64> {
         let snapshot =
             self.has_subscribers().then(|| events.iter().map(SyscallEvent::to_document).collect());
-        self.accept(events.into_iter().map(Row::Event).collect(), snapshot)
+        self.accept(events.into_iter().map(Doc::Event).collect(), snapshot)
     }
 
-    fn accept(&self, rows: Vec<Row>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
+    /// Writes `docs` through to disk, as they came, then interns them: both
+    /// under the write lock that hands out their ids.
+    fn accept(&self, docs: Vec<Doc<Value>>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
         let ids = {
-            let mut inner = self.inner.write();
+            let inner = &mut *self.inner.write();
             let first_id = inner.rows.end();
-            let ids: Vec<u64> = (first_id..first_id + rows.len() as u64).collect();
+            let ids: Vec<u64> = (first_id..first_id + docs.len() as u64).collect();
             if let Some(engine) = &self.persist {
                 engine
-                    .append_rows(&self.name, ids.iter().copied().zip(rows.iter().map(Row::to_put)))
+                    .append_rows(&self.name, ids.iter().copied().zip(docs.iter().map(Doc::to_put)))
                     .expect("dio-backend: persistent append failed");
             }
-            for (&id, row) in ids.iter().zip(rows) {
-                inner.rows.put(id, row);
+            for (&id, doc) in ids.iter().zip(docs) {
+                inner.rows.put(id, inner.dicts.row(doc));
             }
             ids
         };
@@ -836,7 +797,8 @@ impl Index {
 
     /// Fetches a document by id.
     pub fn get(&self, id: u64) -> Option<Value> {
-        self.inner.read().rows.get(id).map(|row| row.as_ref().to_value())
+        let inner = self.inner.read();
+        inner.rows.get(id).map(|row| inner.dicts.doc(row).as_ref().to_value())
     }
 
     /// Deletes a document by id, returning whether it existed. A numeric
@@ -847,7 +809,7 @@ impl Index {
     }
 
     fn delete_in(&self, inner: &mut IndexInner, id: u64) -> bool {
-        let Some(doc) = inner.rows.take(id) else {
+        let Some(row) = inner.rows.take(id) else {
             return false;
         };
         if let Some(engine) = &self.persist {
@@ -855,7 +817,7 @@ impl Index {
         }
         // A row past `refreshed` has no terms in the indexes yet.
         if id < inner.refreshed {
-            inner.inverted.unindex_doc(id, doc.as_ref());
+            inner.inverted.unindex_doc(id, inner.dicts.doc(&row).as_ref());
         }
         true
     }
@@ -867,22 +829,23 @@ impl Index {
     }
 
     /// Lends `f` the index's syscall events in `(time, id)` order — a stored
-    /// session as it was traced — under the read lock. Rows kept as JSON
-    /// (health, alert and phase documents; an event an update gave a foreign
-    /// field) are not events and are left out; no document is built.
+    /// session as it was traced. Rows kept as JSON (health, alert and phase
+    /// documents; an event an update gave a foreign field) are not events and
+    /// are left out; no document is built. The events are built under the
+    /// read lock and lent after it is released.
     pub fn with_events_by_time<R>(&self, f: impl FnOnce(&[&SyscallEvent]) -> R) -> R {
-        let inner = self.inner.read();
-        let mut events: Vec<&SyscallEvent> = inner
-            .rows
-            .iter()
-            .filter_map(|(_, row)| match row {
-                Row::Event(event) => Some(event),
+        let events: Vec<SyscallEvent> = {
+            let inner = self.inner.read();
+            let rows = inner.rows.iter().filter_map(|(_, row)| match row {
+                Row::Event(row) => Some(inner.dicts.event(row)),
                 Row::Json(_) => None,
-            })
-            .collect();
+            });
+            rows.collect()
+        };
         // Rows come in id order and the sort is stable, so equal times keep it.
-        events.sort_by_key(|event| event.time_enter_ns);
-        f(&events)
+        let mut by_time: Vec<&SyscallEvent> = events.iter().collect();
+        by_time.sort_by_key(|event| event.time_enter_ns);
+        f(&by_time)
     }
 
     /// Executes a search.
@@ -890,11 +853,11 @@ impl Index {
         let _timer = self.query_ns.get().map(|h| h.start_timer());
         self.refresh();
         let inner = self.inner.read();
-        let mut matches: Vec<(u64, DocRef<'_>)> = inner.matching(&request.query).collect();
+        let mut matches: Vec<(u64, Doc<&Value>)> = inner.matching(&request.query).collect();
         if !request.sort.is_empty() {
-            matches.sort_by(|&(_, a), &(_, b)| {
+            matches.sort_by(|(_, a), (_, b)| {
                 for (field, order) in &request.sort {
-                    let ord = compare_docs(a, b, field, *order);
+                    let ord = compare_docs(a.as_ref(), b.as_ref(), field, *order);
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
                     }
@@ -906,14 +869,14 @@ impl Index {
         let aggs = if request.aggs.is_empty() {
             BTreeMap::new()
         } else {
-            let docs: Vec<DocRef<'_>> = matches.iter().map(|&(_, doc)| doc).collect();
+            let docs: Vec<DocRef<'_>> = matches.iter().map(|(_, doc)| doc.as_ref()).collect();
             request.aggs.iter().map(|(name, agg)| (name.clone(), agg.compute_over(&docs))).collect()
         };
         let hits = matches
             .into_iter()
             .skip(request.from)
             .take(request.size)
-            .map(|(id, doc)| Hit { id, source: doc.to_value() })
+            .map(|(id, doc)| Hit { id, source: doc.as_ref().to_value() })
             .collect();
         SearchResponse { total, hits, aggs }
     }
@@ -937,48 +900,46 @@ impl Index {
                 inner.rows.slot_mut(id).and_then(Option::as_mut).expect("id from matching_ids");
             // The closure sees the document; what it leaves decides the
             // row's kind afresh.
-            match row {
-                Row::Event(event) => {
-                    let mut doc = event.to_document();
+            let updated = match row {
+                Row::Event(held) => {
+                    let was = inner.dicts.event(held);
+                    let mut doc = was.to_document();
                     update(&mut doc);
-                    let mut updated = Row::from(doc);
-                    match &mut updated {
-                        Row::Event(now) => {
-                            // The rewritten event keeps sharing its session's
-                            // and its thread's name.
-                            for (name, held) in
-                                [(&mut now.session, &event.session), (&mut now.comm, &event.comm)]
-                            {
-                                if **name == **held {
-                                    *name = Arc::clone(held);
-                                }
-                            }
+                    let updated = Doc::from(doc);
+                    match &updated {
+                        Doc::Event(now) => {
                             let now = now.fields().map(|(name, field)| (name, Entry::Event(field)));
-                            inner.inverted.reindex_event(id, event, now);
+                            inner.inverted.reindex_event(id, &was, now);
                         }
-                        Row::Json(Value::Object(now)) => {
+                        Doc::Json(Value::Object(now)) => {
                             let now = now.iter().map(|(name, v)| (name.as_str(), Entry::Json(v)));
-                            inner.inverted.reindex_event(id, event, now);
+                            inner.inverted.reindex_event(id, &was, now);
                         }
-                        Row::Json(now) => {
-                            inner.inverted.unindex_doc(id, DocRef::Event(event));
+                        Doc::Json(now) => {
+                            inner.inverted.unindex_doc(id, DocRef::Event(&was));
                             inner.inverted.index_doc(id, DocRef::Json(now));
                         }
                     }
-                    *row = updated;
+                    updated
                 }
                 Row::Json(doc) => {
                     inner.inverted.unindex_doc(id, DocRef::Json(doc));
                     update(doc);
-                    *row = Row::from(std::mem::take(doc));
-                    inner.inverted.index_doc(id, row.as_ref());
+                    let updated = Doc::from(std::mem::take(doc));
+                    inner.inverted.index_doc(id, updated.as_ref());
+                    updated
                 }
-            }
+            };
+            *row = inner.dicts.row(updated);
         }
         inner.inverted.settle();
         if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
-            let rows = ids.iter().map(|&id| (id, inner.rows.get(id).expect("updated").to_put()));
-            engine.append_rows(&self.name, rows).expect("dio-backend: persistent update failed");
+            let docs: Vec<Doc<&Value>> = ids
+                .iter()
+                .map(|&id| inner.dicts.doc(inner.rows.get(id).expect("updated")))
+                .collect();
+            let puts = ids.iter().copied().zip(docs.iter().map(Doc::to_put));
+            engine.append_rows(&self.name, puts).expect("dio-backend: persistent update failed");
         }
         ids.len()
     }
@@ -1205,14 +1166,6 @@ mod tests {
         assert_eq!(idx.len(), 1000);
         let res = idx.search(&SearchRequest::match_all().size(usize::MAX));
         assert_eq!(res.total, 1000);
-    }
-
-    /// The niche of `SyscallEvent` holds both tags: a slot of the row table
-    /// is an event and not a byte more.
-    #[test]
-    fn a_table_slot_is_the_size_of_an_event() {
-        assert_eq!(std::mem::size_of::<Option<Row>>(), std::mem::size_of::<SyscallEvent>());
-        assert_eq!(std::mem::size_of::<SyscallEvent>(), 200);
     }
 
     /// Documents spread over three chunks of the table, refreshed, and their

@@ -41,6 +41,7 @@ mod differential;
 mod index;
 mod postings;
 mod query;
+mod row;
 pub mod storage;
 mod store;
 mod subscribe;

@@ -363,6 +363,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A put whose frame is whole but whose bytes are not a JSON document is
+    /// damage like an id out of range: the store is refused, not a panic,
+    /// and the error names the index and the id.
+    #[test]
+    fn a_store_holding_a_document_that_is_not_json_is_refused() {
+        let dir = std::env::temp_dir().join(format!("dio-store-json-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+            let engine = store.storage().expect("persistent store");
+            engine.append_puts("dio-s1", vec![(0, b"{not json".to_vec())]).unwrap();
+            store.flush().unwrap();
+        }
+        let refused = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
+        let message = refused.to_string();
+        assert!(message.contains("dio-s1") && message.contains("document 0"), "{message}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn sessions_are_isolated() {
         let store = DocStore::new();

@@ -392,7 +392,7 @@ impl ArgList {
 
     /// [`Self::try_push`] of a string argument that is already shared: the
     /// list holds `s` itself.
-    pub(crate) fn try_push_shared(&mut self, s: Arc<str>) -> bool {
+    pub fn try_push_shared(&mut self, s: Arc<str>) -> bool {
         let i = self.len();
         let strs = self.strs_before(i);
         if strs == Self::MAX_STRS {

@@ -532,6 +532,13 @@ mod tests {
         assert!(SyscallEvent::from_document(&serde_json::json!("write")).is_none());
     }
 
+    /// What a consumer parses, a drain carries and a reader is handed: the
+    /// index keeps the event in a compact row of its own, not in this.
+    #[test]
+    fn an_event_is_200_bytes() {
+        assert_eq!(std::mem::size_of::<SyscallEvent>(), 200);
+    }
+
     #[test]
     fn names_follow_the_catalog_by_position() {
         let e = sample();

@@ -303,9 +303,45 @@ fn indexed_event_documents_stay_within_their_heap_budget() {
     });
     // About 3 340 B before the compact document model, 1 560 B while the
     // index kept the JSON object of every event, 774 B while rows and posting
-    // lists sat in hash tables, 437 B while numeric terms sat in B-trees;
-    // 367 B with sorted term arrays.
-    assert!(per_doc <= 405, "an indexed event document holds {per_doc} B of heap");
+    // lists sat in hash tables, 437 B while numeric terms sat in B-trees,
+    // 367 B while each row was a whole event; 201 B with compact rows over
+    // the index's dictionaries.
+    assert!(per_doc <= 221, "an indexed event document holds {per_doc} B of heap");
+}
+
+/// Path correlation gives every fd-bearing event a `file_path` that is not
+/// its own path argument; the index holds each distinct path once, so 10 000
+/// events updated with 16 paths grow its heap by the new terms' posting lists
+/// alone: 3.7 B per event. 43.5 B while every updated row held its path in an
+/// allocation of its own.
+#[test]
+fn correlated_paths_share_one_allocation() {
+    let _turn = in_turn();
+    const DOCS: usize = 10_000;
+    const PATHS: u32 = 16;
+    let index = Index::new("budget");
+    let mut events = traced_events(DOCS / 4);
+    events.truncate(DOCS);
+    for (i, e) in events.iter_mut().enumerate() {
+        e.tid = Tid(i as u32 % PATHS);
+    }
+    index.bulk(events.iter().map(SyscallEvent::to_document).collect());
+    drop(events);
+    index.refresh();
+    let live = LIVE.get();
+    let mut updated = 0;
+    for tid in 0..PATHS {
+        let path = format!("/data/correlated-{tid}.log");
+        let query = Query::bool_query()
+            .must(Query::term("tid", tid))
+            .must_not(Query::exists("file_path"))
+            .build();
+        updated += index.update_by_query(&query, |doc| doc["file_path"] = path.as_str().into());
+    }
+    let per_event = (LIVE.get() - live) as f64 / DOCS as f64;
+    assert!(updated >= DOCS - 2, "{updated} events updated");
+    assert_eq!(index.count(&Query::prefix("file_path", "/data/correlated-")), updated as u64);
+    assert!(per_event <= 8.0, "an updated event holds {per_event:.1} B more heap");
 }
 
 /// A narrowed query costs its answer: the candidates are the term's posting
@@ -326,9 +362,9 @@ fn counting_a_term_allocates_its_candidates_and_nothing_more() {
 }
 
 /// A session closed and reopened from disk occupies what the live one did:
-/// recovery decodes each run of events straight to typed rows, sharing a
-/// session name and one name per thread as the live session does. 322 B here,
-/// the store with them; 388 B while numeric terms sat in B-trees, 479 B while
+/// recovery decodes each run of events and interns them as the live session
+/// does. 206 B here, the store with them; 322 B while each row was a whole
+/// event, 388 B while numeric terms sat in B-trees, 479 B while
 /// recovery parsed every event's JSON text
 /// (the keydir's entry per event, 75 B, among it), 1 460 B while recovered
 /// events were kept as the JSON they were parsed from. The per-thread count
@@ -349,7 +385,7 @@ fn reopened_event_documents_stay_within_their_heap_budget() {
         store.index("budget")
     });
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(per_doc <= 355, "a reopened event document holds {per_doc} B of heap");
+    assert!(per_doc <= 227, "a reopened event document holds {per_doc} B of heap");
 }
 
 /// The bytes a persisted session leaves on disk per traced event: its runs,

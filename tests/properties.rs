@@ -1,5 +1,8 @@
 //! Property-based tests over the core invariants DESIGN.md §6 calls out.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 mod common;
@@ -797,5 +800,93 @@ proptest! {
             prop_assert_eq!(hit.map(|h| h.source.to_string()), Some(doc.to_string()), "{}", what);
         }
         prop_assert_eq!(index.get(genuine), Some(event.to_document()));
+    }
+}
+
+/// Every string an event holds: session, thread name, string arguments and
+/// `file_path`.
+fn strings_of(event: &SyscallEvent) -> Vec<&Arc<str>> {
+    let args = (0..event.args.len()).filter_map(|i| event.args.str_at(i));
+    [&event.session, &event.comm].into_iter().chain(args).chain(&event.file_path).collect()
+}
+
+/// `events` as a reader of one index gets them: whether each is exactly
+/// `expected` (by their debug form, which tells a signed argument from an
+/// unsigned one and prints `class`), and whether equal strings are one
+/// allocation.
+fn read_back_exactly(
+    index: &Index,
+    ids: &[u64],
+    expected: &[SyscallEvent],
+) -> Result<(), TestCaseError> {
+    let mut by_time: Vec<&SyscallEvent> = expected.iter().collect();
+    by_time.sort_by_key(|e| e.time_enter_ns);
+    let shared = index.with_events_by_time(|events| {
+        prop_assert_eq!(format!("{events:?}"), format!("{by_time:?}"));
+        let mut held: HashMap<&str, &Arc<str>> = HashMap::new();
+        for s in events.iter().flat_map(|e| strings_of(e)) {
+            let first = held.entry(&**s).or_insert(s);
+            prop_assert!(Arc::ptr_eq(first, s), "{:?} is two allocations", s);
+        }
+        Ok(())
+    });
+    shared?;
+    for (id, event) in ids.iter().zip(expected) {
+        let doc = index.get(*id).expect("a stored event");
+        prop_assert_eq!(doc.to_string(), event.to_document().to_string());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An index keeps an event as a compact row over its dictionaries and
+    /// builds the event back on every read. What `bulk_spans` stored comes
+    /// back exactly through `with_events_by_time` and `get` — every kind, the
+    /// signedness of every argument, a `class` that is not the syscall's,
+    /// every optional field — and, across a close and reopen, exactly as the
+    /// run it was written into decodes. Strings repeat across events in
+    /// allocations of their own; within the index each is one allocation.
+    #[test]
+    fn the_compact_row_is_the_event(seed in any::<u64>()) {
+        use dio_syscall::SyscallClass;
+        let mut events: Vec<SyscallEvent> =
+            (0..1 + seed % 48).map(|i| arbitrary_event(seed.wrapping_add(i))).collect();
+        let names: Vec<String> = events.iter().take(3).map(|e| e.comm.to_string()).collect();
+        for (i, e) in events.iter_mut().enumerate() {
+            let name = &names[i % names.len()];
+            if i % 2 == 1 {
+                (e.session, e.comm) = (Arc::from(name.as_str()), Arc::from(name.as_str()));
+            }
+            if i % 3 == 1 && e.file_path.is_some() {
+                e.file_path = Some(Arc::from(name.as_str()));
+            }
+            if i % 4 == 2 {
+                let others = [SyscallClass::Data, SyscallClass::Metadata];
+                e.class = others.into_iter().find(|&c| c != e.kind.class()).expect("two classes");
+            }
+        }
+        let dir = std::env::temp_dir()
+            .join(format!("dio-compact-row-{}-{seed:x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || dio_backend::DocStore::open_with(&dir, dio_backend::StorageConfig::default());
+        let outcome = (|| {
+            let ids = {
+                let store = open().expect("open store");
+                let ids = store.bulk_spans("dio-rows", events.clone(), &mut []);
+                read_back_exactly(&store.index("dio-rows"), &ids, &events)?;
+                store.flush().expect("flush");
+                ids
+            };
+            let mut payload = Vec::new();
+            codec::encode(&events, &mut payload);
+            let mut decoded = Vec::new();
+            codec::decode(&payload, &mut decoded).expect("a run decodes");
+            let store = open().expect("reopen store");
+            read_back_exactly(&store.index("dio-rows"), &ids, &decoded)
+        })();
+        let _ = std::fs::remove_dir_all(&dir);
+        outcome?;
     }
 }

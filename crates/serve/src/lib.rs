@@ -35,8 +35,7 @@ pub mod lint;
 pub use lint::lint_openmetrics;
 
 use std::collections::VecDeque;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -225,6 +224,9 @@ impl ServeHandle {
         self.stop.store(true, Ordering::Release);
         self.queue.close();
         if let Some(t) = self.accept_thread.take() {
+            // The accept loop sleeps in `accept`: a connection of our own
+            // wakes it to see the stop flag.
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
             let _ = t.join();
         }
         for w in self.workers.drain(..) {
@@ -246,12 +248,24 @@ impl Drop for ServeHandle {
     }
 }
 
+/// How long `shutdown` tries to connect to its own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where a connection reaches a listener bound to `addr`: the loopback
+/// address when it is bound to every interface.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
+    }
+}
+
 /// Starts the introspection server on `addr` (use port `0` for an
 /// ephemeral port) serving snapshots of `state`. Returns once the
 /// listener is bound and the accept loop is running.
 pub fn serve(addr: impl ToSocketAddrs, state: ServeState) -> std::io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -296,10 +310,12 @@ pub fn serve(addr: impl ToSocketAddrs, state: ServeState) -> std::io::Result<Ser
         std::thread::Builder::new().name("dio-serve-accept".to_string()).spawn(move || {
             accept_ready.store(true, Ordering::Release);
             loop {
+                let accepted = listener.accept();
+                // `shutdown` raises the flag, then connects to wake us.
                 if accept_stop.load(Ordering::Acquire) {
                     break;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
                         if prepare_stream(&stream).is_err() {
                             continue;
@@ -314,9 +330,7 @@ pub fn serve(addr: impl ToSocketAddrs, state: ServeState) -> std::io::Result<Ser
                             );
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+                    // Out of descriptors and the like: back off, don't spin.
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
@@ -334,10 +348,8 @@ pub fn serve(addr: impl ToSocketAddrs, state: ServeState) -> std::io::Result<Ser
     })
 }
 
-/// Accepted sockets inherit the listener's non-blocking flag; requests
-/// are handled with plain blocking reads under hard timeouts instead.
+/// Requests are handled with plain blocking reads under hard timeouts.
 fn prepare_stream(stream: &TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(http::READ_TIMEOUT))?;
     stream.set_write_timeout(Some(http::WRITE_TIMEOUT))?;
     Ok(())

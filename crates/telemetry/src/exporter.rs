@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serde_json::Value;
 
@@ -27,9 +27,17 @@ impl ExporterHandle {
     /// Stops the thread after one final collect+export pass and returns
     /// the number of export rounds performed (including the final one).
     pub fn stop(mut self) -> u64 {
+        self.finish()
+    }
+
+    /// Raises the stop flag, wakes the parked thread and joins it.
+    fn finish(&mut self) -> u64 {
         self.stop.store(true, Ordering::SeqCst);
         match self.thread.take() {
-            Some(t) => t.join().unwrap_or(0),
+            Some(t) => {
+                t.thread().unpark();
+                t.join().unwrap_or(0)
+            }
             None => 0,
         }
     }
@@ -37,10 +45,7 @@ impl ExporterHandle {
 
 impl Drop for ExporterHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.finish();
     }
 }
 
@@ -62,7 +67,8 @@ impl Exporter {
     /// values that are not pushed, e.g. ring occupancy), snapshots the
     /// registry and passes the rendered health documents to `sink`. A
     /// final pass runs at [`ExporterHandle::stop`], so the last export
-    /// always reflects the registry's end state.
+    /// always reflects the registry's end state. Between rounds the thread
+    /// is parked: it wakes once per round, and `stop` wakes it at once.
     pub fn spawn(
         self,
         registry: Arc<MetricsRegistry>,
@@ -83,20 +89,20 @@ impl Exporter {
                         sink(docs);
                     }
                 };
+                // Rounds fall on a fixed grid: the thread parks until the
+                // next one, and only `stop` wakes it earlier. A round that
+                // overran its slot starts the grid afresh.
+                let mut next = Instant::now() + self.interval;
                 while !stop_flag.load(Ordering::SeqCst) {
-                    // Sleep in small slices so stop() returns promptly even
-                    // for long export intervals.
-                    let mut remaining = self.interval;
-                    while !remaining.is_zero() && !stop_flag.load(Ordering::SeqCst) {
-                        let slice = remaining.min(Duration::from_millis(5));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
+                    let now = Instant::now();
+                    if now < next {
+                        // A spurious return re-checks and parks again.
+                        std::thread::park_timeout(next - now);
+                        continue;
                     }
                     seq += 1;
                     export(&registry, seq);
+                    next = (next + self.interval).max(Instant::now());
                 }
                 // Final flush with the end-state of every metric.
                 seq += 1;

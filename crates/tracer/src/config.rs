@@ -167,9 +167,10 @@ impl TracerConfig {
     }
 
     /// Maximum time a partial batch may wait before being flushed, counted
-    /// from the arrival of its first document: a bulk request goes out when
-    /// `batch_size` documents are waiting or this runs out, whichever comes
-    /// first. It also caps how far an idle consumer backs off (see
+    /// from the kernel dispatch of its oldest event: the consumer hands the
+    /// shipper a bulk request when `batch_size` events are held or this
+    /// runs out, whichever comes first, and clips its sleep to that
+    /// deadline. It also sets the idle consumer's sleep (see
     /// [`TracerConfig::poll_interval`]).
     pub fn flush_interval(mut self, d: Duration) -> Self {
         self.flush_interval = d;
@@ -187,12 +188,13 @@ impl TracerConfig {
     /// (at least 50 µs; with 0, a poll that filled `drain_batch` is
     /// followed by the next at once).
     ///
-    /// After a poll that found the rings empty the sleep doubles instead,
-    /// up to `max(poll_interval, flush_interval / 32)` — 3.1 ms at the
-    /// defaults — and returns to `poll_interval` with the first event. An
+    /// After a poll that found the rings empty it sleeps
+    /// `max(poll_interval, flush_interval / 32)` — 3.1 ms at the defaults —
+    /// at once, and returns to `poll_interval` with the first event. An
     /// idle session therefore wakes a few hundred times a second, and an
     /// interval at or above `flush_interval / 32` (the paced consumers of
-    /// the discard experiments) never backs off.
+    /// the discard experiments) sleeps the same after every poll. Neither
+    /// sleep outlasts the flush deadline of an event the consumer holds.
     pub fn poll_interval(mut self, d: Duration) -> Self {
         self.poll_interval = d;
         self

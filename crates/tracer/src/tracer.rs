@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use serde_json::{json, Value};
 
 use dio_backend::{DocStore, Index};
@@ -188,10 +188,9 @@ impl TraceSummary {
 /// Construction attaches the kernel-side program and starts two user-space
 /// threads mirroring DIO's pipeline:
 ///
-/// 1. the **consumer**, which drains the per-CPU ring buffers and parses
-///    raw records into JSON events, and
-/// 2. the **shipper**, which groups events into batches and bulk-indexes
-///    them at the backend,
+/// 1. the **consumer**, which drains the per-CPU ring buffers, parses raw
+///    records into typed events and groups them into bulk requests, and
+/// 2. the **shipper**, which bulk-indexes each request at the backend,
 ///
 /// so the only work on the traced application's critical path is the
 /// kernel-side filter/enrich/push (§II "Asynchronous event handling").
@@ -295,28 +294,30 @@ struct ProfileTap {
     sink: AlertSink,
 }
 
-/// One drain in flight between consumer and shipper: the events and, index
-/// for index, their span stamps (which must survive until bulk-index).
-struct Drain {
+/// One bulk request in flight from consumer to shipper: at most
+/// `batch_size` events and, index for index, their span stamps (which must
+/// survive until bulk-index).
+struct Bulk {
     events: Vec<SyscallEvent>,
     stamps: Vec<StageStamps>,
-    /// When the consumer handed the drain over: the shipper writes it into
-    /// every stamp record as [`Stage::BatchEnqueue`], so a drain the
-    /// channel refuses comes back without it.
+    /// When the consumer handed the bulk over: the shipper writes it into
+    /// every stamp record as [`Stage::BatchEnqueue`], so a bulk the channel
+    /// refuses comes back without it.
     enqueued_ns: u64,
 }
 
-/// The hand-off from consumer to shipper: one channel message per drain,
-/// bounded in *documents*. The consumer adds a drain's documents before
-/// sending it and never drains more than `capacity - in_flight`; the
-/// shipper subtracts a bulk request's documents once the backend has
+/// The hand-off from consumer to shipper: one channel message per bulk
+/// request, bounded in *documents*. The consumer adds a drain's documents
+/// as it takes them out of the ring — they are in flight while it holds
+/// them for their bulk — and never drains more than `capacity - in_flight`;
+/// the shipper subtracts a bulk request's documents once the backend has
 /// acknowledged it.
 struct Handoff {
     capacity: usize,
-    /// Documents handed over and not yet bulk-indexed. Relaxed: it gates
-    /// how much the consumer drains and publishes no data (the documents
-    /// travel through the channel's mutex); a stale read only
-    /// under-estimates the room.
+    /// Documents drained and not yet bulk-indexed. Relaxed: it gates how
+    /// much the consumer drains and publishes no data (the documents travel
+    /// through the channel's mutex); a stale read only under-estimates the
+    /// room.
     in_flight: AtomicUsize,
 }
 
@@ -329,6 +330,8 @@ impl Handoff {
 /// Telemetry handles for the consumer thread.
 struct ConsumerTelemetry {
     polls: Arc<Counter>,
+    /// Bulk requests handed to the shipper.
+    handoffs: Arc<Counter>,
     drain_batch: Arc<Histogram>,
     parse_ns: Arc<Histogram>,
     channel_depth: Arc<Gauge>,
@@ -338,6 +341,7 @@ impl ConsumerTelemetry {
     fn register(registry: &MetricsRegistry) -> Self {
         ConsumerTelemetry {
             polls: registry.counter("tracer.consumer.polls"),
+            handoffs: registry.counter("tracer.consumer.handoffs"),
             drain_batch: registry.histogram("tracer.consumer.drain_batch"),
             parse_ns: registry.histogram("tracer.consumer.parse_ns"),
             channel_depth: registry.gauge("tracer.channel.depth"),
@@ -479,7 +483,7 @@ impl Tracer {
         // does and `send` never blocks.
         let handoff =
             Arc::new(Handoff { capacity: config.batch() * 64, in_flight: AtomicUsize::new(0) });
-        let (tx, rx) = bounded::<Drain>(handoff.capacity);
+        let (tx, rx) = bounded::<Bulk>(handoff.capacity);
 
         let consumer = {
             let ctx = ConsumerCtx {
@@ -488,6 +492,7 @@ impl Tracer {
                 session: Arc::from(config.session()),
                 handoff: Arc::clone(&handoff),
                 drain_batch: config.drain(),
+                batch_size: config.batch(),
                 poll_interval: config.poll(),
                 flush_interval: config.flush(),
                 spans: Arc::clone(&spans),
@@ -507,8 +512,6 @@ impl Tracer {
         let shipper = {
             let backend = backend.clone();
             let index_name = config.index_name();
-            let batch_size = config.batch();
-            let flush = config.flush();
             let stored = Arc::clone(&stored);
             let batches = Arc::clone(&batches);
             let spans = Arc::clone(&spans);
@@ -525,8 +528,6 @@ impl Tracer {
                     let ctx = ShipperCtx {
                         backend,
                         index_name,
-                        batch_size,
-                        flush_interval: flush,
                         handoff,
                         stored,
                         batches,
@@ -756,9 +757,10 @@ impl Drop for Tracer {
 /// core after a drain that did not fill its quota.
 const MIN_POLL: Duration = Duration::from_micros(50);
 
-/// An idle consumer's sleep doubles up to `flush_interval / 32`: what an
-/// event may wait in the ring stays a few percent of what it may wait for
-/// its bulk request anyway (3.1 ms of 100 at the defaults).
+/// A consumer that found the rings empty sleeps `flush_interval / 32` (or
+/// `poll_interval`, if longer): what an event may wait in the ring stays a
+/// few percent of what it may wait for its bulk request anyway (3.1 ms of
+/// 100 at the defaults).
 const IDLE_CAP_DIVISOR: u32 = 32;
 
 /// Everything the consumer thread needs, bundled like [`ShipperCtx`].
@@ -769,6 +771,7 @@ struct ConsumerCtx {
     session: Arc<str>,
     handoff: Arc<Handoff>,
     drain_batch: usize,
+    batch_size: usize,
     poll_interval: Duration,
     flush_interval: Duration,
     spans: Arc<SpanCollector>,
@@ -777,11 +780,55 @@ struct ConsumerCtx {
     profile: Option<ProfileTap>,
 }
 
-fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
+/// The parsed events the consumer holds for their bulk request, in drain
+/// order, with their stamps index for index.
+struct Held {
+    events: Vec<SyscallEvent>,
+    stamps: Vec<StageStamps>,
+    /// The earliest kernel dispatch among them (`u64::MAX` when empty).
+    oldest_ns: u64,
+}
+
+impl Held {
+    fn new() -> Self {
+        Held { events: Vec::new(), stamps: Vec::new(), oldest_ns: u64::MAX }
+    }
+
+    fn push(&mut self, event: SyscallEvent, stamp: StageStamps) {
+        self.oldest_ns = self.oldest_ns.min(dispatched_ns(&stamp));
+        self.events.push(event);
+        self.stamps.push(stamp);
+    }
+
+    /// When the oldest held event is due at the backend: `flush` after the
+    /// kernel dispatched it.
+    fn due_ns(&self, flush: Duration) -> Option<u64> {
+        let flush = u64::try_from(flush.as_nanos()).unwrap_or(u64::MAX);
+        (!self.events.is_empty()).then(|| self.oldest_ns.saturating_add(flush))
+    }
+
+    /// Takes the first `n` held events, keeping the rest.
+    fn take_front(&mut self, n: usize) -> Held {
+        let rest = Held {
+            oldest_ns: self.stamps[n..].iter().map(dispatched_ns).min().unwrap_or(u64::MAX),
+            events: self.events.split_off(n),
+            stamps: self.stamps.split_off(n),
+        };
+        std::mem::replace(self, rest)
+    }
+}
+
+/// An event's kernel dispatch; 0, so that it is due at once, when the
+/// kernel left no stamp.
+fn dispatched_ns(stamp: &StageStamps) -> u64 {
+    stamp.get(Stage::KernelDispatch).unwrap_or(0)
+}
+
+fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
     let telemetry = &ctx.telemetry;
     let poll = ctx.poll_interval.max(MIN_POLL);
     let idle_cap = poll.max(ctx.flush_interval / IDLE_CAP_DIVISOR);
-    let mut nap = poll;
+    let mut held = Held::new();
     loop {
         // Sample the fill level before draining: post-drain occupancy is
         // flattered by the drain itself and would hide the very pressure
@@ -801,52 +848,51 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
         }
         if drained > 0 {
             telemetry.drain_batch.record(drained as u64);
-            let mut events: Vec<SyscallEvent> = Vec::with_capacity(drained);
-            let mut stamps: Vec<StageStamps> = Vec::with_capacity(drained);
+            ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
+            let first = held.events.len();
+            held.events.reserve(drained);
+            held.stamps.reserve(drained);
             // One clock read per event ends its `parse_ns` sample, is its
             // `Parse` stamp and starts the next event's sample.
             let mut parsed_at = monotonic_ns();
             for raw in raws {
                 let mut stamp = raw.stamps;
-                events.push(raw.into_event_of(Arc::clone(&ctx.session)));
+                let event = raw.into_event_of(Arc::clone(&ctx.session));
                 let now = monotonic_ns();
                 telemetry.parse_ns.record(now.saturating_sub(parsed_at));
                 stamp.stamp(Stage::Parse, now);
-                stamps.push(stamp);
+                held.push(event, stamp);
                 parsed_at = now;
             }
             if ctx.profile.is_some() || ctx.tap.is_some() {
-                // The taps are lent the drain's events as they are: both
-                // read the typed event, no document is built for them.
-                // Pressure is the worse of the two queues flanking this
-                // thread; past a tap's threshold it evaluates a sample
+                // The taps are lent the drain's events as they are, at
+                // once: both read the typed event, no document is built for
+                // them. Pressure is the worse of the two queues flanking
+                // this thread; past a tap's threshold it evaluates a sample
                 // instead of every event, so diagnosis sheds load rather
                 // than slowing the drain (and growing the drops it exists
                 // to observe).
+                let events = &held.events[first..];
                 let pressure =
                     pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
                 // The profiler observes *before* the engine: an alert raised
                 // by this very batch is attributed against a transition ring
                 // that already includes the batch's syscalls.
                 if let Some(profile) = &ctx.profile {
-                    profile.miner.observe_batch_with_pressure(&events, pressure);
+                    profile.miner.observe_batch_with_pressure(events, pressure);
                     profile.sink.ship_docs(profile.miner.drain_phase_docs());
                 }
                 if let Some(tap) = &ctx.tap {
-                    let fresh = tap.engine.observe_batch_with_pressure(&events, pressure);
+                    let fresh = tap.engine.observe_batch_with_pressure(events, pressure);
                     tap.sink.ship(&fresh);
                 }
             }
-            ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
-            let drain = Drain { events, stamps, enqueued_ns: monotonic_ns() };
-            if let Err(SendError(refused)) = tx.send(drain) {
-                // Shipper gone: none of the drain's events cleared the
-                // batch_enqueue hand-off — attribute every drop there.
-                for stamp in &refused.stamps {
-                    ctx.spans.record_drop(stamp);
-                }
-                return;
-            }
+        }
+        // A bulk request goes out when `batch_size` events are held or the
+        // oldest falls due, whichever comes first.
+        let due = held.due_ns(ctx.flush_interval);
+        if !hand_over(ctx, &tx, &mut held, due.is_some_and(|due| due <= monotonic_ns())) {
+            return;
         }
         telemetry.channel_depth.set(ctx.handoff.in_flight() as u64);
         // A paced consumer sleeps even when the buffer has more to give —
@@ -859,23 +905,47 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Drain>) {
             continue;
         }
         // After a drain that found events the sleep is `poll_interval`;
-        // after one that found none it doubles up to the cap, so an idle
-        // consumer wakes a few hundred times a second, not thousands. The
+        // after one that found none it is the cap at once, so an idle
+        // consumer wakes a few hundred times a second, not thousands.
+        // Either way it wakes when the oldest held event falls due. The
         // producer never signals — a futex wake inside the traced syscall
         // is what this design avoids — so `shutdown()` is the only one to
         // unpark.
-        nap = if drained > 0 || stopping { poll } else { (nap * 2).min(idle_cap) };
+        let mut nap = if drained > 0 || stopping { poll } else { idle_cap };
+        if let Some(due) = held.due_ns(ctx.flush_interval) {
+            nap = nap.min(Duration::from_nanos(due.saturating_sub(monotonic_ns())));
+        }
         std::thread::park_timeout(nap);
     }
-    // Dropping tx closes the channel; the shipper flushes and exits.
+    // What is still held goes now; dropping tx then closes the channel and
+    // the shipper exits.
+    hand_over(ctx, &tx, &mut held, true);
+}
+
+/// Sends the shipper bulk requests of `batch_size` events cut off the front
+/// of `held`; with `flush`, the partial rest goes too. Returns `false` when
+/// the shipper is gone: none of the refused or still held events cleared
+/// the `batch_enqueue` hand-off, and every one is attributed there.
+fn hand_over(ctx: &ConsumerCtx, tx: &Sender<Bulk>, held: &mut Held, flush: bool) -> bool {
+    while held.events.len() >= ctx.batch_size || (flush && !held.events.is_empty()) {
+        let Held { events, stamps, .. } = held.take_front(held.events.len().min(ctx.batch_size));
+        if let Err(SendError(refused)) =
+            tx.send(Bulk { events, stamps, enqueued_ns: monotonic_ns() })
+        {
+            for stamp in refused.stamps.iter().chain(&held.stamps) {
+                ctx.spans.record_drop(stamp);
+            }
+            return false;
+        }
+        ctx.telemetry.handoffs.inc();
+    }
+    true
 }
 
 /// Everything the shipper thread needs, bundled to keep the loop readable.
 struct ShipperCtx {
     backend: DocStore,
     index_name: String,
-    batch_size: usize,
-    flush_interval: Duration,
     handoff: Arc<Handoff>,
     stored: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
@@ -886,64 +956,15 @@ struct ShipperCtx {
     session_ctx: trace::SpanCtx,
 }
 
-fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Drain>) {
-    // The drains waiting for a bulk request, appended in arrival order.
-    let mut docs: Vec<SyscallEvent> = Vec::new();
-    let mut stamps: Vec<StageStamps> = Vec::new();
-    // When the oldest waiting document is due at the backend.
-    let mut deadline = Instant::now();
-    loop {
-        let wait = if docs.is_empty() {
-            ctx.flush_interval
-        } else {
-            deadline.saturating_duration_since(Instant::now())
-        };
-        match rx.recv_timeout(wait) {
-            Ok(mut drain) => {
-                let arrived = Instant::now();
-                if docs.is_empty() {
-                    deadline = arrived + ctx.flush_interval;
-                }
-                for stamp in &mut drain.stamps {
-                    stamp.stamp(Stage::BatchEnqueue, drain.enqueued_ns);
-                }
-                docs.append(&mut drain.events);
-                stamps.append(&mut drain.stamps);
-                // Size or deadline, whichever comes first.
-                let due = arrived >= deadline;
-                if due || docs.len() >= ctx.batch_size {
-                    ship_waiting(ctx, &mut docs, &mut stamps, due);
-                    // Fewer than `batch_size` were waiting before this
-                    // drain, so what is left arrived with it.
-                    deadline = arrived + ctx.flush_interval;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => ship_waiting(ctx, &mut docs, &mut stamps, true),
-            Err(RecvTimeoutError::Disconnected) => {
-                ship_waiting(ctx, &mut docs, &mut stamps, true);
-                return;
-            }
+/// Bulk-indexes each request as it arrives; the consumer decided its size
+/// and its moment, so the shipper sleeps until there is one.
+fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Bulk>) {
+    while let Ok(mut bulk) = rx.recv() {
+        for stamp in &mut bulk.stamps {
+            stamp.stamp(Stage::BatchEnqueue, bulk.enqueued_ns);
         }
+        bulk_index(ctx, bulk.events, &mut bulk.stamps);
     }
-}
-
-/// Cuts bulk requests of `batch_size` documents off the front of the
-/// waiting drains; with `flush`, the partial rest goes too.
-fn ship_waiting(
-    ctx: &ShipperCtx,
-    docs: &mut Vec<SyscallEvent>,
-    stamps: &mut Vec<StageStamps>,
-    flush: bool,
-) {
-    let mut rest = std::mem::take(docs).into_iter();
-    let mut shipped = 0;
-    while rest.len() >= ctx.batch_size || (flush && rest.len() > 0) {
-        let n = rest.len().min(ctx.batch_size);
-        bulk_index(ctx, rest.by_ref().take(n).collect(), &mut stamps[shipped..shipped + n]);
-        shipped += n;
-    }
-    *docs = rest.collect();
-    stamps.drain(..shipped);
 }
 
 fn bulk_index(ctx: &ShipperCtx, docs: Vec<SyscallEvent>, stamps: &mut [StageStamps]) {
@@ -1434,8 +1455,9 @@ mod tests {
         assert!(sizes.max <= 5, "a bulk request of {} documents", sizes.max);
     }
 
-    /// A drain the shipper can no longer take is lost as a whole, and every
-    /// one of its events must be accounted for (`emitted == stored +
+    /// A bulk the shipper can no longer take is lost with whatever the
+    /// consumer still holds, and every one of those events must be
+    /// accounted for (`emitted == stored +
     /// attributed drops`).
     #[test]
     fn refused_drain_attributes_every_event_to_batch_enqueue() {
@@ -1459,6 +1481,7 @@ mod tests {
             session: Arc::from("refused"),
             handoff: Arc::new(Handoff { capacity: 64, in_flight: AtomicUsize::new(0) }),
             drain_batch: 4_096,
+            batch_size: 1_000,
             poll_interval: Duration::from_micros(200),
             flush_interval: Duration::from_millis(100),
             spans: Arc::clone(&spans),
@@ -1466,7 +1489,7 @@ mod tests {
             tap: None,
             profile: None,
         };
-        let (tx, rx) = bounded::<Drain>(64);
+        let (tx, rx) = bounded::<Bulk>(64);
         drop(rx);
         consumer_loop(&ctx, tx);
 
@@ -1532,6 +1555,7 @@ mod tests {
             session: Arc::from("tapped"),
             handoff: Arc::new(Handoff { capacity: 64, in_flight: AtomicUsize::new(0) }),
             drain_batch: 8,
+            batch_size: 1_000,
             poll_interval: Duration::from_micros(200),
             flush_interval: Duration::from_millis(100),
             spans: SpanCollector::new(&registry),
@@ -1539,7 +1563,7 @@ mod tests {
             tap: Some(DiagnoseTap { engine: Arc::clone(&engine), sink: sink.clone() }),
             profile: Some(ProfileTap { miner: Arc::clone(&miner), sink }),
         };
-        let (tx, rx) = bounded::<Drain>(64);
+        let (tx, rx) = bounded::<Bulk>(64);
         consumer_loop(&ctx, tx);
 
         let [typed, documents] = [0, 1].map(|door| doors[door].load(Ordering::Relaxed));
@@ -1547,7 +1571,7 @@ mod tests {
         assert_eq!(engine.stats().evaluated, 20);
         assert_eq!(miner.snapshot().events, 20);
         // The consumer returned, so its sender is gone and `recv` ends.
-        let handed = std::iter::from_fn(|| rx.recv().ok()).map(|drain| drain.events.len());
+        let handed = std::iter::from_fn(|| rx.recv().ok()).map(|bulk| bulk.events.len());
         assert_eq!(handed.sum::<usize>(), 20);
     }
 }

@@ -52,7 +52,8 @@ pub struct Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends a message, blocking while the channel is full.
+    /// Sends a message, blocking while the channel is full. A blocked
+    /// sender sleeps until a receive makes room or the last receiver goes.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -65,12 +66,7 @@ impl<T> Sender<T> {
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
-            queue = self
-                .shared
-                .not_full
-                .wait_timeout(queue, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            queue = self.shared.not_full.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -95,6 +91,9 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Under the lock: a receiver holds it from its check of
+            // `senders` until it waits, so the wake cannot fall between.
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.not_empty.notify_all();
         }
     }
@@ -106,7 +105,8 @@ pub struct Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Receives a message, blocking until one arrives or all senders hang up.
+    /// Receives a message, blocking until one arrives or all senders hang
+    /// up. It sleeps until then: no timer wakes it to look.
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -118,12 +118,7 @@ impl<T> Receiver<T> {
             if self.shared.senders.load(Ordering::SeqCst) == 0 {
                 return Err(RecvError);
             }
-            queue = self
-                .shared
-                .not_empty
-                .wait_timeout(queue, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            queue = self.shared.not_empty.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -185,6 +180,8 @@ impl<T> Clone for Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Under the lock, as in `Sender::drop`.
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.not_full.notify_all();
         }
     }
@@ -222,6 +219,15 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), 2);
         assert!(t.join().unwrap());
+    }
+
+    #[test]
+    fn recv_wakes_when_the_last_sender_goes() {
+        let (tx, rx) = bounded::<i32>(1);
+        let t = std::thread::spawn(move || rx.recv());
+        std::thread::sleep(Duration::from_millis(20));
+        drop(tx);
+        assert_eq!(t.join().unwrap(), Err(RecvError));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A document index: storage + inverted indexes + search.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use dio_syscall::SyscallEvent;
 use parking_lot::RwLock;
@@ -10,7 +11,7 @@ use crate::agg::{AggResult, Aggregation};
 use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
 use crate::row::{Dicts, Doc, Row};
-use crate::storage::Stored;
+use crate::storage::{Put, StorageEngine, Stored};
 use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
 /// Slots per chunk of the row table. A chunk is one allocation of
@@ -105,6 +106,12 @@ struct IndexInner {
     /// model: `_bulk` buffers, a *refresh* makes documents searchable.
     /// Queries trigger the refresh.
     refreshed: u64,
+    /// The tracer's events a persisted index took into `rows` and has not
+    /// logged yet: the rows from `rows.end() - tail.len()` on. Queryable
+    /// like any row, durable once [`Index::log_tail`] appends them; every
+    /// other write to the index logs them first, so the log replays in id
+    /// order.
+    tail: Vec<SyscallEvent>,
 }
 
 /// The inverted indexes: field → term → ids of the documents holding it.
@@ -489,6 +496,18 @@ impl IndexInner {
     fn matching_ids(&self, query: &Query) -> Vec<u64> {
         self.matching(query).map(|(id, _)| id).collect()
     }
+
+    /// Appends the unlogged tail to `engine` as runs, returning how many
+    /// events it held.
+    fn log_tail(&mut self, engine: &StorageEngine, name: &str) -> std::io::Result<usize> {
+        let n = self.tail.len();
+        if n > 0 {
+            let first = self.rows.end() - n as u64;
+            engine.append_rows(name, (first..).zip(self.tail.iter().map(Put::Event)))?;
+            self.tail.clear();
+        }
+        Ok(n)
+    }
 }
 
 /// A search request: query + sort + pagination + aggregations.
@@ -589,10 +608,10 @@ pub struct Index {
     /// (see [`crate::Subscription`]). Kept outside `inner` so delivery
     /// happens after the ingest write lock is released.
     subscribers: RwLock<Vec<std::sync::Arc<crate::subscribe::SubQueue>>>,
-    /// Write-through persistence, set when the owning [`crate::DocStore`]
-    /// was opened on disk. Every accepted mutation is appended (and on
-    /// disk) before the call acknowledges; the in-memory structures stay
-    /// the query path.
+    /// Persistence, set when the owning [`crate::DocStore`] was opened on
+    /// disk. Every accepted mutation is appended (and on disk) before the
+    /// call acknowledges — the tracer's events when it asks
+    /// ([`Index::log_tail`]); the in-memory structures stay the query path.
     persist: Option<std::sync::Arc<crate::storage::StorageEngine>>,
 }
 
@@ -745,22 +764,94 @@ impl Index {
         self.accept(docs.into_iter().map(Doc::from).collect(), snapshot)
     }
 
-    /// [`Index::bulk`] for the tracer's own events: stored as they are, with
-    /// no JSON value built unless someone subscribed.
-    pub(crate) fn bulk_events(&self, events: Vec<SyscallEvent>) -> Vec<u64> {
-        let snapshot =
-            self.has_subscribers().then(|| events.iter().map(SyscallEvent::to_document).collect());
-        self.accept(events.into_iter().map(Doc::Event).collect(), snapshot)
+    /// [`Index::bulk`] for the tracer's own events, which it drains (the
+    /// vector is left empty, with capacity): each is interned into its row,
+    /// and no JSON value is built unless someone subscribed. Returns the ids
+    /// they got. Queryable at once. A persisted index writes them through
+    /// with `write_through`, after any unlogged tail; else it keeps them as
+    /// its unlogged tail until [`Index::log_tail`].
+    pub(crate) fn accept_events(
+        &self,
+        events: &mut Vec<SyscallEvent>,
+        write_through: bool,
+    ) -> Range<u64> {
+        let snapshot = self
+            .has_subscribers()
+            .then(|| events.iter().map(SyscallEvent::to_document).collect::<Vec<_>>());
+        let ids = {
+            let inner = &mut *self.inner.write();
+            let first = inner.rows.end();
+            let ids = first..first + events.len() as u64;
+            let held = match &self.persist {
+                Some(engine) if write_through => {
+                    let puts = ids.clone().zip(events.iter().map(Put::Event));
+                    inner
+                        .log_tail(engine, &self.name)
+                        .and_then(|_| engine.append_rows(&self.name, puts))
+                        .expect("dio-backend: persistent append failed");
+                    false
+                }
+                Some(_) => true,
+                None => false,
+            };
+            for (id, event) in ids.clone().zip(events.iter()) {
+                let row = Row::Event(inner.dicts.intern(event));
+                inner.rows.put(id, row);
+            }
+            match (held, inner.tail.is_empty()) {
+                (true, true) => std::mem::swap(&mut inner.tail, events),
+                (true, false) => inner.tail.append(events),
+                (false, _) => events.clear(),
+            }
+            ids
+        };
+        if let Some(batch) = snapshot {
+            self.notify_subscribers(&batch);
+        }
+        ids
     }
 
-    /// Writes `docs` through to disk, as they came, then interns them: both
-    /// under the write lock that hands out their ids.
+    /// Appends the unlogged tail as runs (one per block of ids) and returns
+    /// how many events it held; once it returns they are in the page cache.
+    /// 0 on an in-memory index, which holds none.
+    pub(crate) fn log_tail(&self) -> usize {
+        self.log_tail_in(&mut self.inner.write())
+    }
+
+    fn log_tail_in(&self, inner: &mut IndexInner) -> usize {
+        let Some(engine) = &self.persist else { return 0 };
+        inner.log_tail(engine, &self.name).expect("dio-backend: persistent append failed")
+    }
+
+    /// Events accepted and not yet logged.
+    pub(crate) fn tail_len(&self) -> usize {
+        self.inner.read().tail.len()
+    }
+
+    /// Logs the tail and lets go of the memory it grew to.
+    pub(crate) fn release_tail(&self) -> std::io::Result<()> {
+        let inner = &mut *self.inner.write();
+        if let Some(engine) = &self.persist {
+            inner.log_tail(engine, &self.name)?;
+        }
+        inner.tail = Vec::new();
+        Ok(())
+    }
+
+    /// Forgets the unlogged tail: the index is being deleted.
+    pub(crate) fn discard_tail(&self) {
+        self.inner.write().tail = Vec::new();
+    }
+
+    /// Writes `docs` through to disk, as they came, after any unlogged tail,
+    /// then interns them: all under the write lock that hands out their ids.
     fn accept(&self, docs: Vec<Doc<Value>>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
         let ids = {
             let inner = &mut *self.inner.write();
             let first_id = inner.rows.end();
             let ids: Vec<u64> = (first_id..first_id + docs.len() as u64).collect();
             if let Some(engine) = &self.persist {
+                self.log_tail_in(inner);
                 engine
                     .append_rows(&self.name, ids.iter().copied().zip(docs.iter().map(Doc::to_put)))
                     .expect("dio-backend: persistent append failed");
@@ -813,6 +904,7 @@ impl Index {
             return false;
         };
         if let Some(engine) = &self.persist {
+            self.log_tail_in(inner);
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
         // A row past `refreshed` has no terms in the indexes yet.
@@ -934,6 +1026,7 @@ impl Index {
         }
         inner.inverted.settle();
         if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
+            self.log_tail_in(inner);
             let docs: Vec<Doc<&Value>> = ids
                 .iter()
                 .map(|&id| inner.dicts.doc(inner.rows.get(id).expect("updated")))
@@ -963,8 +1056,14 @@ impl Drop for Index {
     /// closes every subscription deterministically: queued batches stay
     /// drainable, but receives return `None` immediately instead of
     /// waiting out their timeout, and [`crate::Subscription::is_closed`]
-    /// flips to true. See the `subscribe` module docs.
+    /// flips to true. See the `subscribe` module docs. A persisted index
+    /// logs its unlogged tail first.
     fn drop(&mut self) {
+        if let Some(engine) = &self.persist {
+            if let Err(e) = self.inner.get_mut().log_tail(engine, &self.name) {
+                eprintln!("dio-backend: index {} dropped with its tail unlogged: {e}", self.name);
+            }
+        }
         for sub in self.subscribers.read().iter() {
             sub.close();
         }

@@ -17,7 +17,13 @@
 //! the kernel page cache — it survives a process kill (the crash
 //! harness's threat model). `fdatasync` runs at segment seal, on
 //! [`StorageEngine::flush`] (wired to tracer session close), and per
-//! batch when [`StorageConfig::sync_every_batch`] is set.
+//! batch when [`StorageConfig::sync_every_batch`] is set. A write is
+//! acknowledged only once appended — but the tracer's events are queryable
+//! before that: a persisted index takes them into its table at once and
+//! appends them as runs when the shipper asks
+//! ([`crate::DocStore::log_events`]), before any other write to the index,
+//! at [`crate::DocStore::flush`] or when the index is dropped. Until then
+//! they are not acknowledged, and a crash may lose them.
 
 pub mod crash;
 pub mod crc;

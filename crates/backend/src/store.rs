@@ -72,9 +72,10 @@ impl DocStore {
 
     /// Opens (creating if needed) a persistent store rooted at `path`,
     /// replaying any existing segments — see DESIGN.md §11. Every index
-    /// write is acknowledged only after it is on disk; reopening the
-    /// same path recovers every acknowledged document, truncating torn
-    /// tail records (counted in `backend.recovery.truncated`).
+    /// write is acknowledged only after it is on disk (the tracer's events
+    /// when [`DocStore::log_events`] returns); reopening the same path
+    /// recovers every acknowledged document, truncating torn tail records
+    /// (counted in `backend.recovery.truncated`).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Self::open_with(path, StorageConfig::default())
     }
@@ -106,14 +107,15 @@ impl DocStore {
         self.persist.as_ref()
     }
 
-    /// `fdatasync`s all shards of a persistent store (a durability
-    /// point; the tracer calls this when a session closes). No-op
-    /// in-memory.
+    /// Logs every index's unlogged events, then `fdatasync`s all shards of
+    /// a persistent store (a durability point; the tracer calls this when a
+    /// session closes). No-op in-memory.
     pub fn flush(&self) -> std::io::Result<()> {
-        match &self.persist {
-            Some(engine) => engine.flush(),
-            None => Ok(()),
+        let Some(engine) = &self.persist else { return Ok(()) };
+        for index in self.indices.read().values() {
+            index.release_tail()?;
         }
+        engine.flush()
     }
 
     /// Synchronously compacts all shards of a persistent store. No-op
@@ -189,13 +191,13 @@ impl DocStore {
     /// store a drop barrier is appended to every shard first, so the
     /// deletion itself survives a crash.
     pub fn delete_index(&self, name: &str) -> bool {
-        let existed = self.indices.write().remove(name).is_some();
-        if existed {
-            if let Some(engine) = &self.persist {
-                engine.drop_index(name).expect("dio-backend: persistent index drop failed");
-            }
+        let Some(index) = self.indices.write().remove(name) else { return false };
+        if let Some(engine) = &self.persist {
+            // Its unlogged events must not be logged past the barrier.
+            index.discard_tail();
+            engine.drop_index(name).expect("dio-backend: persistent index drop failed");
         }
-        existed
+        true
     }
 
     /// Names of all indices, sorted. One read-lock acquisition; callers
@@ -212,12 +214,7 @@ impl DocStore {
 
     /// One bulk request of `docs` documents against `name`, traced as a
     /// `backend.bulk` span and recorded in `backend.bulk.docs` / `.ns`.
-    fn timed_bulk(
-        &self,
-        name: &str,
-        docs: usize,
-        request: impl FnOnce(&Index) -> Vec<u64>,
-    ) -> Vec<u64> {
+    fn timed_bulk<R>(&self, name: &str, docs: usize, request: impl FnOnce(&Index) -> R) -> R {
         let mut bulk_span = trace::span("backend", "backend.bulk");
         bulk_span.attr("docs", docs);
         bulk_span.attr("index", trace::fnv64(name));
@@ -228,24 +225,58 @@ impl DocStore {
         request(&self.index(name))
     }
 
-    /// The tracer's bulk request: a batch of events, stored as they are (no
-    /// JSON document is built for them; see [`Index::bulk`] for what a
-    /// reader sees), each with its [`StageStamps`] record. After the backend
+    /// The tracer's bulk request: `events` become rows of `name`, stored as
+    /// they are (no JSON document is built for them; see [`Index::bulk`] for
+    /// what a reader sees) and queryable at once. Drains `events`; the
+    /// vector keeps its capacity for the next request.
+    ///
+    /// Returns whether the events are acknowledged with it. An in-memory
+    /// store is durable on accept: yes, and this is the `backend.bulk`. A
+    /// persisted index holds them as its unlogged tail — queryable, not yet
+    /// acknowledged — until [`DocStore::log_events`], or any other write to
+    /// the index, [`DocStore::flush`] or its drop logs them.
+    pub fn accept_events(&self, name: &str, events: &mut Vec<SyscallEvent>) -> bool {
+        if self.persist.is_some() {
+            self.index(name).accept_events(events, false);
+            return false;
+        }
+        self.timed_bulk(name, events.len(), |index| index.accept_events(events, false));
+        true
+    }
+
+    /// Appends the events `name` holds unlogged ([`DocStore::accept_events`])
+    /// as runs — the `backend.bulk` of a persisted store — and returns how
+    /// many. When it returns they are in the page cache, as every event the
+    /// index accepted before the call is: the caller may acknowledge them.
+    /// 0, and no request, when there were none.
+    pub fn log_events(&self, name: &str) -> usize {
+        let Some(index) = self.persist.as_ref().and_then(|_| self.get_index(name)) else {
+            return 0;
+        };
+        match index.tail_len() {
+            0 => 0,
+            held => self.timed_bulk(name, held, |index| index.log_tail()),
+        }
+    }
+
+    /// A batch of events written through at once: accepted and logged as
+    /// one request, each with its [`StageStamps`] record. After the backend
     /// acknowledges the request, every record is stamped
     /// [`Stage::BulkIndex`] (one clock read for the batch — the whole bulk is
     /// acknowledged at once, like a single Elasticsearch `_bulk` response).
     pub fn bulk_spans(
         &self,
         name: &str,
-        events: Vec<SyscallEvent>,
+        mut events: Vec<SyscallEvent>,
         spans: &mut [StageStamps],
     ) -> Vec<u64> {
-        let ids = self.timed_bulk(name, events.len(), |index| index.bulk_events(events));
+        let ids =
+            self.timed_bulk(name, events.len(), |index| index.accept_events(&mut events, true));
         let now = monotonic_ns();
         for stamps in spans.iter_mut() {
             stamps.stamp(Stage::BulkIndex, now);
         }
-        ids
+        ids.collect()
     }
 
     /// Total documents across all indices.

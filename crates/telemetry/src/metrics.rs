@@ -290,6 +290,45 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
+    /// Records every one of `values`, as many [`Histogram::record`]s would
+    /// (with `trace_id`, when nonzero, as each bucket's exemplar), in fewer
+    /// atomic operations: one add per run of samples in the same bucket, and
+    /// the count, sum, min and max once for all of them.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>, trace_id: u64) {
+        let exemplars = self.exemplars.get().filter(|_| trace_id != 0);
+        let add = |bucket: usize, n: u64, value: u64| {
+            self.counts[bucket].fetch_add(n, Ordering::Relaxed);
+            if let Some(slots) = exemplars {
+                slots[bucket].trace_id.store(trace_id, Ordering::Relaxed);
+                slots[bucket].value.store(value, Ordering::Relaxed);
+            }
+        };
+        let (mut total, mut sum, mut min, mut max) = (0, 0u64, u64::MAX, 0);
+        // The bucket of the current run, its length and its last sample.
+        let mut run: Option<(usize, u64, u64)> = None;
+        for value in values {
+            let bucket = bucket_of(value, REGISTRY_SUB_BITS);
+            run = match run {
+                Some((held, n, _)) if held == bucket => Some((held, n + 1, value)),
+                ended => {
+                    if let Some((held, n, last)) = ended {
+                        add(held, n, last);
+                    }
+                    Some((bucket, 1, value))
+                }
+            };
+            total += 1;
+            sum = sum.wrapping_add(value);
+            (min, max) = (min.min(value), max.max(value));
+        }
+        let Some((held, n, last)) = run else { return };
+        add(held, n, last);
+        self.total.fetch_add(total, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.min.fetch_min(min, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
+    }
+
     /// Allocates per-bucket exemplar slots so subsequent
     /// [`record_with_exemplar`](Histogram::record_with_exemplar) /
     /// [`record_traced`](Histogram::record_traced) calls remember which
@@ -522,6 +561,29 @@ mod tests {
         assert_eq!(buckets.last().unwrap().upper, u64::MAX);
         let below = |v: u64| buckets.iter().filter(|b| b.upper >= v).map(|b| b.count).sum::<u64>();
         assert_eq!(below(0), 6, "all counts sit at or above each value's bucket");
+    }
+
+    /// A batch recorded at once reads as the same samples recorded one by
+    /// one: buckets, count, sum, min, max and each bucket's last exemplar.
+    #[test]
+    fn recording_all_at_once_is_recording_each() {
+        let values = [7u64, 7, 7, 1_000, 1_010, 3, 1_000_000, 1_000, 0, 7];
+        let (one_by_one, at_once) = (Histogram::new(), Histogram::new());
+        for h in [&one_by_one, &at_once] {
+            h.enable_exemplars();
+            h.record(5);
+        }
+        for (i, &v) in values.iter().enumerate() {
+            one_by_one.record_with_exemplar(v, if i < 5 { 40 } else { 41 });
+        }
+        at_once.record_all(values.iter().copied().take(5), 40);
+        at_once.record_all(values.iter().copied().skip(5), 41);
+        at_once.record_all([], 42);
+        assert_eq!(at_once.snapshot(), one_by_one.snapshot());
+        let buckets = |h: &Histogram| h.nonzero_buckets();
+        assert_eq!(buckets(&at_once), buckets(&one_by_one));
+        let last = buckets(&at_once).last().and_then(|b| b.exemplar);
+        assert_eq!(last, Some((41, 1_000_000)));
     }
 
     #[test]

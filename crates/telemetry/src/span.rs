@@ -294,13 +294,22 @@ impl SpanCollector {
     /// takes the calling thread's innermost open span's trace as its
     /// bucket's exemplar.
     pub fn record_shipped(&self, stamps: &StageStamps) {
-        self.record_transitions(stamps);
-        if let Some(e2e) = stamps.e2e_ns() {
-            self.e2e_ns.record_traced(e2e);
+        self.record_shipped_all(std::slice::from_ref(stamps));
+    }
+
+    /// [`SpanCollector::record_shipped`] for every record of a bulk at
+    /// once: each histogram's atomics are shared among them
+    /// ([`Histogram::record_all`]).
+    pub fn record_shipped_all(&self, stamps: &[StageStamps]) {
+        for (histogram, (from, to, _)) in self.stage_ns.iter().zip(TRANSITIONS) {
+            histogram.record_all(stamps.iter().filter_map(|st| st.latency_between(from, to)), 0);
         }
-        self.completed.inc();
-        self.retired.fetch_add(1, Ordering::Relaxed);
-        if let Some(dispatch) = stamps.get(Stage::KernelDispatch) {
+        let trace_id = crate::trace::current_trace_id().unwrap_or(0);
+        self.e2e_ns.record_all(stamps.iter().filter_map(StageStamps::e2e_ns), trace_id);
+        let n = stamps.len() as u64;
+        self.completed.add(n);
+        self.retired.fetch_add(n, Ordering::Relaxed);
+        if let Some(dispatch) = stamps.iter().filter_map(|st| st.get(Stage::KernelDispatch)).max() {
             self.shipped_frontier_ns.fetch_max(dispatch, Ordering::Relaxed);
         }
     }

@@ -160,18 +160,27 @@ impl TracerConfig {
         self
     }
 
-    /// Events per bulk-index request.
+    /// Events per bulk-index request, at most. A consumer that catches up
+    /// hands over what it holds at once, so under a paced load a request is
+    /// what arrived since the last one. On a persisted store it is also about
+    /// how many events the shipper has logged (and acknowledged) at a time:
+    /// an event is queryable when its request is accepted, and acknowledged
+    /// ([`crate::Tracer::events_stored`]) when it is logged.
     pub fn batch_size(mut self, n: usize) -> Self {
         self.batch_size = n.max(1);
         self
     }
 
     /// Maximum time a partial batch may wait before being flushed, counted
-    /// from the kernel dispatch of its oldest event: the consumer hands the
-    /// shipper a bulk request when `batch_size` events are held or this
-    /// runs out, whichever comes first, and clips its sleep to that
-    /// deadline. It also sets the idle consumer's sleep (see
-    /// [`TracerConfig::poll_interval`]).
+    /// from the kernel dispatch of its oldest event. The consumer hands the
+    /// shipper a bulk request when `batch_size` events are held, when a poll
+    /// finds the rings empty, or when this runs out, whichever comes first,
+    /// and clips its sleep to that deadline: it bounds a consumer that never
+    /// catches up. On a persisted store the shipper logs what it holds
+    /// unlogged when the oldest is this long past its dispatch, if
+    /// `batch_size` did not come first — so a persisted event may be
+    /// queryable well before it is acknowledged. It also sets the idle
+    /// consumer's sleep (see [`TracerConfig::poll_interval`]).
     pub fn flush_interval(mut self, d: Duration) -> Self {
         self.flush_interval = d;
         self
@@ -189,8 +198,9 @@ impl TracerConfig {
     /// followed by the next at once).
     ///
     /// After a poll that found the rings empty it sleeps
-    /// `max(poll_interval, flush_interval / 32)` — 3.1 ms at the defaults —
-    /// at once, and returns to `poll_interval` with the first event. An
+    /// `max(poll_interval, min(flush_interval / 32, 3.1 ms))` — 3.1 ms at
+    /// the defaults — at once, and returns to `poll_interval` with the first
+    /// event. An
     /// idle session therefore wakes a few hundred times a second, and an
     /// interval at or above `flush_interval / 32` (the paced consumers of
     /// the discard experiments) sleeps the same after every poll. Neither

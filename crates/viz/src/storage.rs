@@ -224,7 +224,7 @@ mod tests {
             start_ns: start,
             end_ns: end,
             thread: 0,
-            emit_seq: span_id,
+            emit_seq: span_id as u32,
             attrs: Attrs::default(),
         }
     }

@@ -372,6 +372,91 @@ fn delete_index_closes_its_subscriptions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ------------------------------------------------- the unlogged tail
+
+/// The documents `events` become, by the ids a fresh index gives them.
+fn documents_of(events: &[SyscallEvent]) -> Vec<(u64, Value)> {
+    events.iter().map(SyscallEvent::to_document).enumerate().map(|(id, d)| (id as u64, d)).collect()
+}
+
+/// The tracer's events on a persisted index are queryable before they are
+/// logged, and an event not yet logged was never acknowledged: a crash may
+/// lose it. Any other write to the index logs the tail first, so the log
+/// replays in id order and the later write wins. The crash here is the
+/// store forgotten in place — no drop, no flush — with every append already
+/// in the page cache.
+#[test]
+fn a_write_behind_an_unlogged_tail_logs_the_tail_first() {
+    for write in ["none", "update_by_query", "json bulk", "delete"] {
+        let dir = tmp_store("tail");
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        let mut events: Vec<SyscallEvent> = (0..20).map(|n| traced_event("tail", n)).collect();
+        let mut expect = documents_of(&events);
+        assert!(!store.accept_events("dio-tail", &mut events), "held, not acknowledged");
+        assert!(events.is_empty());
+        let index = store.index("dio-tail");
+        assert_eq!(index.count(&Query::MatchAll), 20, "{write}: queryable before it is logged");
+        match write {
+            "none" => expect.clear(),
+            "update_by_query" => {
+                let rewrite = Query::term("time", expect[6].1["time"].clone());
+                assert_eq!(
+                    index.update_by_query(&rewrite, |doc| doc["file_path"] = json!("/x")),
+                    1
+                );
+                expect[6].1["file_path"] = json!("/x");
+            }
+            "json bulk" => {
+                let ids = store.bulk("dio-tail", vec![json!({"kind": "health"})]);
+                expect.push((ids[0], json!({"kind": "health"})));
+            }
+            _ => {
+                assert!(index.delete(9));
+                expect.remove(9);
+            }
+        }
+        std::mem::forget(index);
+        std::mem::forget(store);
+
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        let state = store_state(&store);
+        let recovered = state.get("dio-tail").cloned().unwrap_or_default();
+        assert_eq!(recovered, expect, "{write}: recovered after the crash");
+        store.storage().unwrap().verify().expect("invariants");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A store dropped without `flush()` logs what its indices held unlogged,
+/// and `log_events` logs it on request; an index deleted meanwhile does not
+/// come back.
+#[test]
+fn dropping_a_store_logs_its_unlogged_tail() {
+    let dir = tmp_store("tail-drop");
+    let (mut logged, mut dropped) = (
+        (0..12).map(|n| traced_event("logged", n)).collect::<Vec<_>>(),
+        (0..30).map(|n| traced_event("dropped", n)).collect::<Vec<_>>(),
+    );
+    let mut expect = BTreeMap::new();
+    expect.insert("dio-logged".to_string(), documents_of(&logged));
+    expect.insert("dio-dropped".to_string(), documents_of(&dropped));
+    {
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        store.accept_events("dio-logged", &mut logged);
+        assert_eq!(store.log_events("dio-logged"), 12);
+        assert_eq!(store.log_events("dio-logged"), 0, "nothing left to log");
+        store.accept_events("dio-dropped", &mut dropped);
+        let mut gone: Vec<SyscallEvent> = (0..5).map(|n| traced_event("gone", n)).collect();
+        store.accept_events("dio-gone", &mut gone);
+        assert!(store.delete_index("dio-gone"));
+    }
+    let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    assert_eq!(store_state(&store), expect);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------------- golden fixtures
 
 /// The exact config the committed fixtures were generated with. Spelled

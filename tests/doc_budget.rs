@@ -444,7 +444,7 @@ fn the_storage_engine_keeps_one_keydir_entry_per_run() {
 
 /// A flight-recorder ring costs what it holds: a thread's first span allocates
 /// a few slots, its registration and the span stack — not the 4 096 slots
-/// (1.7 MB) a thread that records one span never fills.
+/// (655 KB) a thread that records one span never fills.
 #[test]
 fn a_threads_first_span_allocates_a_few_slots() {
     let _turn = in_turn();

@@ -10,8 +10,8 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dio::core::{
-    DiskProfile, DocStore, Kernel, OpenFlags, Query, RingConfig, SearchRequest, Tracer,
-    TracerConfig,
+    DiskProfile, DocStore, Kernel, OpenFlags, Query, RingConfig, SearchRequest, StorageConfig,
+    Tracer, TracerConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,8 +38,9 @@ fn idle_polls(config: TracerConfig) -> u64 {
 
 #[test]
 fn idle_consumer_backs_off() {
-    // 200 µs doubling to 3.1 ms: about a hundred wake-ups in 300 ms, where
-    // a fixed 200 µs sleep made about 1 200.
+    // An empty poll sleeps flush_interval / 32 = 3.1 ms at once: about a
+    // hundred wake-ups in 300 ms, where a fixed 200 µs sleep made about
+    // 1 200.
     let made = idle_polls(TracerConfig::new("idle"));
     assert!(made < 200, "an idle default consumer polled {made} times in 300 ms");
     assert!(made > 0, "an idle consumer still polls");
@@ -102,6 +103,63 @@ fn trickle_meets_the_flush_deadline() {
     t.creat("/trickle4", 0o644).unwrap();
     assert!(stored >= 1, "nothing stored before the fifth syscall");
     assert_eq!(tracer.stop().events_stored, 5);
+}
+
+/// A consumer that finds the rings empty hands over what it holds: five
+/// syscalls are queryable within a second although neither `batch_size` nor
+/// `flush_interval` will run out for a minute. In memory that is also when
+/// they are acknowledged. A persisted store acknowledges an event once it is
+/// logged, which waits for the bulk to fill or fall due — or for `stop()`.
+#[test]
+fn a_trickle_is_queryable_before_its_bulk_fills() {
+    let config = |name: &str| {
+        TracerConfig::new(name).batch_size(10_000).flush_interval(Duration::from_secs(60))
+    };
+    let within_a_second = |done: &dyn Fn() -> bool| {
+        let waited = Instant::now();
+        while !done() {
+            if waited.elapsed() > Duration::from_secs(1) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    };
+    let trickle = |kernel: &Kernel| {
+        let t = kernel.spawn_process("app").spawn_thread("app");
+        for i in 0..5 {
+            t.creat(&format!("/trickle{i}"), 0o644).unwrap();
+        }
+    };
+
+    let kernel = fast_kernel();
+    let tracer = Tracer::attach(config("trickle-mem"), &kernel, DocStore::new());
+    trickle(&kernel);
+    let stored = within_a_second(&|| tracer.events_stored() == 5);
+    tracer.stop();
+    assert!(stored, "five events not acknowledged within a second");
+
+    let dir = std::env::temp_dir().join(format!("dio-trickle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One shard, no compactor: a store this small needs no more threads
+    // beside the tests running alongside.
+    let store = || {
+        DocStore::open_with(&dir, StorageConfig { shards: 1, ..StorageConfig::tiny_for_tests() })
+    };
+    let backend = store().unwrap();
+    let tracer = Tracer::attach(config("trickle-disk"), &kernel, backend.clone());
+    trickle(&kernel);
+    let index = backend.index("dio-trickle-disk");
+    let queryable = within_a_second(&|| index.count(&Query::MatchAll) == 5);
+    let acknowledged = tracer.events_stored();
+    assert_eq!(tracer.stop().events_stored, 5);
+    drop((index, backend));
+    let reopened = store().unwrap();
+    assert_eq!(reopened.index("dio-trickle-disk").len(), 5, "stop() logged them");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(queryable, "five events not queryable within a second");
+    assert_eq!(acknowledged, 0, "acknowledged before they were logged");
 }
 
 /// Documents of one thread reach the index in issue order, however the

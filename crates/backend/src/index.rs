@@ -480,8 +480,8 @@ impl IndexInner {
     /// The documents matching `query` with their ids, in insertion order
     /// (stable results), which is id order: the candidates are walked
     /// straight to their rows, or the whole table when the query cannot be
-    /// narrowed. Each row visited has its event built.
-    fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, Doc<&'a Value>)> {
+    /// narrowed. Each row visited has its event built, or its text parsed.
+    fn matching<'a>(&'a self, query: &'a Query) -> impl Iterator<Item = (u64, Doc<Value>)> + 'a {
         let (narrowed, all) = match self.inverted.candidates(query) {
             Some(ids) => {
                 (Some(ids.into_iter().filter_map(|id| Some((id, self.rows.get(id)?)))), None)
@@ -650,7 +650,8 @@ impl Index {
     ///
     /// Recovered events are interned as ingested ones are — a reopened
     /// session occupies what the live one did. A recovered JSON document
-    /// becomes a row as an ingested one does.
+    /// becomes a row as one through [`Index::bulk_text`] does: its bytes are
+    /// kept as they were logged.
     ///
     /// Fails on an id no index hands out (see [`MAX_ID`]) and on a document
     /// that is not JSON text: the store is damaged, and the row table must
@@ -674,9 +675,8 @@ impl Index {
                 let doc = match stored {
                     Stored::Event(event) => Doc::Event(event),
                     Stored::Json(bytes) => {
-                        let text = std::str::from_utf8(&bytes).ok();
-                        match text.and_then(|text| serde_json::from_str::<Value>(text).ok()) {
-                            Some(doc) => Doc::from(doc),
+                        match String::from_utf8(bytes).ok().and_then(|t| Doc::from_text(t).ok()) {
+                            Some(doc) => doc,
                             None => return Err(damaged(format!("document {id} is not JSON"))),
                         }
                     }
@@ -755,13 +755,29 @@ impl Index {
     /// work happens on the separate backend server.
     ///
     /// A document that is exactly a syscall event's
-    /// ([`SyscallEvent::from_document`]) is stored as the event; every read
-    /// answers as if the JSON value had been kept.
+    /// ([`SyscallEvent::from_document`]) is stored as the event, any other
+    /// as the text `serde_json` writes for it; every read answers as if the
+    /// JSON value had been kept.
     pub fn bulk(&self, docs: Vec<Value>) -> Vec<u64> {
         // Copy for subscribers before the documents move into the store;
         // the copy is skipped entirely when nobody subscribed.
         let snapshot = self.has_subscribers().then(|| docs.clone());
-        self.accept(docs.into_iter().map(Doc::from).collect(), snapshot)
+        self.accept(docs.into_iter().map(|doc| Doc::from(doc).into_text()).collect(), snapshot)
+    }
+
+    /// [`Index::bulk`] for documents already written as JSON text: each is
+    /// kept as the text it is (and logged as those bytes), unless it is
+    /// exactly a syscall event's document. Nothing is accepted when one of
+    /// them is not one JSON document.
+    pub fn bulk_text(&self, docs: Vec<String>) -> Result<Vec<u64>, serde_json::Error> {
+        let snapshot = match self.has_subscribers() {
+            true => {
+                Some(docs.iter().map(|text| serde_json::from_str(text)).collect::<Result<_, _>>()?)
+            }
+            false => None,
+        };
+        let docs = docs.into_iter().map(Doc::from_text).collect::<Result<_, _>>()?;
+        Ok(self.accept(docs, snapshot))
     }
 
     /// [`Index::bulk`] for the tracer's own events, which it drains (the
@@ -845,7 +861,7 @@ impl Index {
 
     /// Writes `docs` through to disk, as they came, after any unlogged tail,
     /// then interns them: all under the write lock that hands out their ids.
-    fn accept(&self, docs: Vec<Doc<Value>>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
+    fn accept(&self, docs: Vec<Doc<Box<str>>>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
         let ids = {
             let inner = &mut *self.inner.write();
             let first_id = inner.rows.end();
@@ -889,7 +905,7 @@ impl Index {
     /// Fetches a document by id.
     pub fn get(&self, id: u64) -> Option<Value> {
         let inner = self.inner.read();
-        inner.rows.get(id).map(|row| inner.dicts.doc(row).as_ref().to_value())
+        inner.rows.get(id).map(|row| inner.dicts.doc(row).into_value())
     }
 
     /// Deletes a document by id, returning whether it existed. A numeric
@@ -945,7 +961,7 @@ impl Index {
         let _timer = self.query_ns.get().map(|h| h.start_timer());
         self.refresh();
         let inner = self.inner.read();
-        let mut matches: Vec<(u64, Doc<&Value>)> = inner.matching(&request.query).collect();
+        let mut matches: Vec<(u64, Doc<Value>)> = inner.matching(&request.query).collect();
         if !request.sort.is_empty() {
             matches.sort_by(|(_, a), (_, b)| {
                 for (field, order) in &request.sort {
@@ -968,7 +984,7 @@ impl Index {
             .into_iter()
             .skip(request.from)
             .take(request.size)
-            .map(|(id, doc)| Hit { id, source: doc.as_ref().to_value() })
+            .map(|(id, doc)| Hit { id, source: doc.into_value() })
             .collect();
         SearchResponse { total, hits, aggs }
     }
@@ -1014,22 +1030,23 @@ impl Index {
                     }
                     updated
                 }
-                Row::Json(doc) => {
-                    inner.inverted.unindex_doc(id, DocRef::Json(doc));
-                    update(doc);
-                    let updated = Doc::from(std::mem::take(doc));
+                Row::Json(text) => {
+                    let mut doc: Value = serde_json::from_str(text).expect("a JSON row holds JSON");
+                    inner.inverted.unindex_doc(id, DocRef::Json(&doc));
+                    update(&mut doc);
+                    let updated = Doc::from(doc);
                     inner.inverted.index_doc(id, updated.as_ref());
                     updated
                 }
             };
-            *row = inner.dicts.row(updated);
+            *row = inner.dicts.row(updated.into_text());
         }
         inner.inverted.settle();
         if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
             self.log_tail_in(inner);
-            let docs: Vec<Doc<&Value>> = ids
+            let docs: Vec<Doc<&str>> = ids
                 .iter()
-                .map(|&id| inner.dicts.doc(inner.rows.get(id).expect("updated")))
+                .map(|&id| inner.dicts.stored(inner.rows.get(id).expect("updated")))
                 .collect();
             let puts = ids.iter().copied().zip(docs.iter().map(Doc::to_put));
             engine.append_rows(&self.name, puts).expect("dio-backend: persistent update failed");

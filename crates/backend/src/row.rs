@@ -1,5 +1,5 @@
 //! How an index holds a document: a syscall event as a fixed-width compact
-//! row over the index's dictionaries, anything else as its JSON value.
+//! row over the index's dictionaries, anything else as its JSON text.
 //!
 //! What an event repeats — its session and thread name, pid and tid, its
 //! file tag, its paths and string arguments — each index holds once, in
@@ -25,11 +25,14 @@ use crate::value_path::DocRef;
 /// A stored document. What decides its kind is the document, not the door it
 /// came through: one that is exactly a syscall event's document is kept as
 /// the event's compact row, anything else — health, span, alert, phase and
-/// storage documents, an event an update gave a foreign field — as the JSON
-/// value it is.
+/// storage documents, an event an update gave a foreign field — as its JSON
+/// text, which a reader parses when it reads the row (Elasticsearch keeps
+/// `_source` so beside its inverted index). A 120–340 B health document
+/// took ≈ 1 KB as a `Value`; the text is also what the write-through log
+/// stores.
 pub(crate) enum Row {
     Event(Compact),
-    Json(Value),
+    Json(Box<str>),
 }
 
 /// An event in 88 bytes: the numbers it owns inline, what it shares with
@@ -68,8 +71,9 @@ const OFFSET: u8 = 1;
 const TAG: u8 = 1 << 1;
 const PATH: u8 = 1 << 2;
 
-/// A document with its event built: what the table takes in (`Doc<Value>`)
-/// and what a reader is handed (`Doc<&Value>`).
+/// A document with its event built: what the table takes in (`Doc<Box<str>>`,
+/// anything else as its JSON text) and what a reader is handed (`Doc<Value>`,
+/// the text parsed).
 pub(crate) enum Doc<J> {
     Event(SyscallEvent),
     Json(J),
@@ -86,20 +90,58 @@ impl From<Value> for Doc<Value> {
     }
 }
 
-impl<J: Borrow<Value>> Doc<J> {
+impl Doc<Value> {
     pub(crate) fn as_ref(&self) -> DocRef<'_> {
         match self {
             Doc::Event(event) => DocRef::Event(event),
-            Doc::Json(doc) => DocRef::Json(doc.borrow()),
+            Doc::Json(doc) => DocRef::Json(doc),
         }
     }
 
+    /// The document as a JSON value.
+    pub(crate) fn into_value(self) -> Value {
+        match self {
+            Doc::Event(event) => event.to_document(),
+            Doc::Json(doc) => doc,
+        }
+    }
+
+    /// The document as the table takes it in: anything but an event as the
+    /// text `serde_json` writes for it.
+    pub(crate) fn into_text(self) -> Doc<Box<str>> {
+        match self {
+            Doc::Event(event) => Doc::Event(event),
+            Doc::Json(doc) => Doc::Json(doc.to_string().into_boxed_str()),
+        }
+    }
+}
+
+impl Doc<Box<str>> {
+    /// The document `text` holds, unless it is not one JSON document: the
+    /// event it is exactly the document of, or else the text as it came.
+    /// Text as `serde_json` writes it — keys in order, no whitespace — starts
+    /// an event's document with its first key, `{"args":`; any other text is
+    /// only checked, not built.
+    pub(crate) fn from_text(text: String) -> Result<Self, serde_json::Error> {
+        if !text.starts_with(r#"{"args":"#) {
+            serde_json::from_str::<serde::de::IgnoredAny>(&text)?;
+            return Ok(Doc::Json(text.into_boxed_str()));
+        }
+        let doc: Value = serde_json::from_str(&text)?;
+        Ok(match SyscallEvent::from_document(&doc) {
+            Some(event) => Doc::Event(event),
+            None => Doc::Json(text.into_boxed_str()),
+        })
+    }
+}
+
+impl<J: AsRef<str>> Doc<J> {
     /// What the write-through log stores for the document: an event goes
-    /// into a run, anything else is its JSON text.
+    /// into a run, anything else is its JSON text, as the row holds it.
     pub(crate) fn to_put(&self) -> Put<'_> {
         match self {
             Doc::Event(event) => Put::Event(event),
-            Doc::Json(doc) => Put::Json(doc.borrow().to_string().into_bytes()),
+            Doc::Json(text) => Put::Json(text.as_ref().as_bytes().to_vec()),
         }
     }
 }
@@ -269,10 +311,10 @@ impl Dicts {
     }
 
     /// The row of `doc`, interned if it is an event.
-    pub(crate) fn row(&mut self, doc: Doc<Value>) -> Row {
+    pub(crate) fn row(&mut self, doc: Doc<Box<str>>) -> Row {
         match doc {
             Doc::Event(event) => Row::Event(self.intern(&event)),
-            Doc::Json(doc) => Row::Json(doc),
+            Doc::Json(text) => Row::Json(text),
         }
     }
 
@@ -315,11 +357,23 @@ impl Dicts {
         }
     }
 
-    /// What a reader is handed for `row`.
-    pub(crate) fn doc<'a>(&self, row: &'a Row) -> Doc<&'a Value> {
+    /// What a reader is handed for `row`: its event built, or its text
+    /// parsed.
+    pub(crate) fn doc(&self, row: &Row) -> Doc<Value> {
         match row {
             Row::Event(row) => Doc::Event(self.event(row)),
-            Row::Json(doc) => Doc::Json(doc),
+            Row::Json(text) => {
+                Doc::Json(serde_json::from_str(text).expect("a JSON row holds JSON"))
+            }
+        }
+    }
+
+    /// What the write-through log stores for `row`: its event built, or its
+    /// text as it is.
+    pub(crate) fn stored<'a>(&self, row: &'a Row) -> Doc<&'a str> {
+        match row {
+            Row::Event(row) => Doc::Event(self.event(row)),
+            Row::Json(text) => Doc::Json(text),
         }
     }
 }

@@ -212,6 +212,12 @@ impl DocStore {
         self.timed_bulk(name, docs.len(), |index| index.bulk(docs))
     }
 
+    /// [`DocStore::bulk`] for documents already written as JSON text (see
+    /// [`Index::bulk_text`]): a health round's, as the exporter renders it.
+    pub fn bulk_text(&self, name: &str, docs: Vec<String>) -> Result<Vec<u64>, serde_json::Error> {
+        self.timed_bulk(name, docs.len(), |index| index.bulk_text(docs))
+    }
+
     /// One bulk request of `docs` documents against `name`, traced as a
     /// `backend.bulk` span and recorded in `backend.bulk.docs` / `.ns`.
     fn timed_bulk<R>(&self, name: &str, docs: usize, request: impl FnOnce(&Index) -> R) -> R {
@@ -411,6 +417,55 @@ mod tests {
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
         let message = refused.to_string();
         assert!(message.contains("dio-s1") && message.contains("document 0"), "{message}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whatever the door — a value, or text as `serde_json` writes it — a
+    /// document that is exactly an event's is kept as an event row and any
+    /// other as its text, in memory and after a reopen, and each reads back
+    /// as the JSON it was. Text that is not one JSON document is refused,
+    /// and nothing of its bulk is accepted.
+    #[test]
+    fn an_event_document_is_an_event_row_through_either_door() {
+        let mut event = SyscallEvent::synthetic(SyscallKind::Pwrite64);
+        (event.offset, event.file_path) = (Some(52), Some("/data/app.log".into()));
+        let docs = [
+            event.to_document(),
+            json!({"kind": "gauge", "metric": "tracer.channel.depth", "seq": 2, "value": 3}),
+            json!({"args": {"fd": 3}, "syscall": "write"}),
+        ];
+        let texts: Vec<String> = docs.iter().map(ToString::to_string).collect();
+        let stored = |index: &crate::Index| {
+            let ids = 0..2 * docs.len() as u64;
+            let typed = ids.clone().map(|id| index.keeps_typed(id).expect("stored"));
+            let got: Vec<Value> = ids.map(|id| index.get(id).expect("stored")).collect();
+            (typed.collect::<Vec<_>>(), got)
+        };
+        let expected = (
+            vec![true, false, false, true, false, false],
+            docs.iter().chain(&docs).cloned().collect::<Vec<_>>(),
+        );
+        let fill = |store: &DocStore| {
+            store.bulk("dio-s1", docs.to_vec());
+            store.bulk_text("dio-s1", texts.clone()).expect("JSON text");
+            let refused = store.bulk_text("dio-s1", vec![texts[1].clone(), "{not json".into()]);
+            assert!(refused.is_err());
+            assert_eq!(store.index("dio-s1").len(), 2 * docs.len(), "a refused bulk adds nothing");
+        };
+        let memory = DocStore::new();
+        fill(&memory);
+        assert_eq!(stored(&memory.index("dio-s1")), expected, "in memory");
+
+        let dir = std::env::temp_dir().join(format!("dio-store-doors-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+            fill(&store);
+            assert_eq!(stored(&store.index("dio-s1")), expected, "persisted");
+        }
+        let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+        assert_eq!(stored(&store.index("dio-s1")), expected, "reopened");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

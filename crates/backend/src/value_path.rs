@@ -105,14 +105,6 @@ impl<'a> DocRef<'a> {
         }
     }
 
-    /// The document, materialised for a caller outside the index.
-    pub(crate) fn to_value(self) -> Value {
-        match self {
-            DocRef::Event(event) => event.to_document(),
-            DocRef::Json(doc) => doc.clone(),
-        }
-    }
-
     /// Calls `f` with every `(dotted path, term)` the inverted indexes hold
     /// for the document: the keyword and number leaves of [`for_each_leaf`].
     pub(crate) fn for_each_term(self, f: &mut impl FnMut(&str, Term<'_>)) {

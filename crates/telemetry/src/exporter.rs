@@ -6,8 +6,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use serde_json::Value;
-
 use crate::registry::{MetricsRegistry, TelemetrySnapshot};
 
 fn unix_now_ns() -> u64 {
@@ -15,6 +13,20 @@ fn unix_now_ns() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
         .unwrap_or(0)
+}
+
+/// One export round as the exporter hands it to its sink.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HealthRound {
+    /// Export sequence number: 1 for the first round, one more per round.
+    pub seq: u64,
+    /// Export wall-clock time (ns since the Unix epoch).
+    pub time_ns: u64,
+    /// The health documents of the metrics that changed since the round
+    /// before, as JSON text ([`TelemetrySnapshot::health_texts`]): of every
+    /// metric in the first and the final round, of none in a round where
+    /// nothing changed.
+    pub documents: Vec<String>,
 }
 
 /// A running exporter thread (see [`Exporter::spawn`]).
@@ -65,15 +77,17 @@ impl Exporter {
     ///
     /// Every `interval` the thread runs `collect` (a hook for polling
     /// values that are not pushed, e.g. ring occupancy), snapshots the
-    /// registry and passes the rendered health documents to `sink`. A
-    /// final pass runs at [`ExporterHandle::stop`], so the last export
-    /// always reflects the registry's end state. Between rounds the thread
-    /// is parked: it wakes once per round, and `stop` wakes it at once.
+    /// registry and passes the round to `sink`: every round, with the health
+    /// documents of the metrics whose values differ from the round before's.
+    /// The first round renders every metric, and so does a final pass at
+    /// [`ExporterHandle::stop`], so the last export always holds the
+    /// registry's whole end state. Between rounds the thread is parked: it
+    /// wakes once per round, and `stop` wakes it at once.
     pub fn spawn(
         self,
         registry: Arc<MetricsRegistry>,
         collect: impl Fn(&MetricsRegistry) + Send + 'static,
-        mut sink: impl FnMut(Vec<Value>) + Send + 'static,
+        mut sink: impl FnMut(HealthRound) + Send + 'static,
     ) -> ExporterHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
@@ -81,13 +95,15 @@ impl Exporter {
             .name("dio-telemetry-exporter".to_string())
             .spawn(move || {
                 let mut seq = 0u64;
-                let mut export = |registry: &MetricsRegistry, seq: u64| {
+                let mut previous: Option<TelemetrySnapshot> = None;
+                let mut export = |registry: &MetricsRegistry, seq: u64, last: bool| {
                     collect(registry);
-                    let snapshot: TelemetrySnapshot = registry.snapshot();
-                    let docs = snapshot.health_documents(&self.session, seq, unix_now_ns());
-                    if !docs.is_empty() {
-                        sink(docs);
-                    }
+                    let snapshot = registry.snapshot();
+                    let time_ns = unix_now_ns();
+                    let since = previous.as_ref().filter(|_| !last);
+                    let documents = snapshot.health_texts(since, &self.session, seq, time_ns);
+                    sink(HealthRound { seq, time_ns, documents });
+                    previous = Some(snapshot);
                 };
                 // Rounds fall on a fixed grid: the thread parks until the
                 // next one, and only `stop` wakes it earlier. A round that
@@ -101,12 +117,12 @@ impl Exporter {
                         continue;
                     }
                     seq += 1;
-                    export(&registry, seq);
+                    export(&registry, seq, false);
                     next = (next + self.interval).max(Instant::now());
                 }
                 // Final flush with the end-state of every metric.
                 seq += 1;
-                export(&registry, seq);
+                export(&registry, seq, true);
                 seq
             })
             .expect("spawn telemetry exporter");
@@ -119,25 +135,52 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    /// A round ships the metrics that changed since the round before, and
+    /// no document when none did; the final round ships every metric.
     #[test]
     fn exports_periodically_and_on_stop() {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter("c").add(5);
-        let seen: Arc<Mutex<Vec<Vec<Value>>>> = Arc::new(Mutex::new(Vec::new()));
+        registry.counter("still").add(1);
+        let seen: Arc<Mutex<Vec<HealthRound>>> = Arc::new(Mutex::new(Vec::new()));
         let sink_seen = seen.clone();
         let handle = Exporter::new("s", Duration::from_millis(10)).spawn(
             registry.clone(),
             |_| {},
-            move |docs| sink_seen.lock().unwrap().push(docs),
+            move |round| sink_seen.lock().unwrap().push(round),
         );
-        std::thread::sleep(Duration::from_millis(40));
+        while seen.lock().unwrap().len() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         registry.counter("c").add(1);
+        let shipped_after = |rounds: &[HealthRound]| {
+            rounds.get(2..).and_then(|later| later.iter().position(|r| !r.documents.is_empty()))
+        };
+        while shipped_after(&seen.lock().unwrap()).is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let rounds = handle.stop();
         let batches = seen.lock().unwrap();
-        assert!(rounds >= 2, "at least one periodic and one final export");
-        assert_eq!(batches.len() as u64, rounds);
+        assert!(rounds >= 4, "periodic rounds and one final export");
+        assert_eq!(batches.len() as u64, rounds, "the sink sees every round");
+        let metrics = |round: &HealthRound| -> Vec<(String, u64)> {
+            let docs = round.documents.iter().map(|text| serde_json::from_str(text).unwrap());
+            let docs: Vec<serde_json::Value> = docs.collect();
+            let metric = |d: &serde_json::Value| {
+                (d["metric"].as_str().unwrap().into(), d["value"].as_u64().unwrap())
+            };
+            docs.iter().map(metric).collect()
+        };
+        assert!(batches[1].documents.is_empty(), "a round with no change ships no document");
+        let changed = &batches[2 + shipped_after(&batches).unwrap()];
+        assert_eq!(metrics(changed), [("c".to_string(), 6)], "the changed counter ships alone");
         let last = batches.last().unwrap();
-        assert_eq!(last[0]["value"], 6, "final export sees the end state");
+        assert_eq!(last.seq, rounds);
+        assert_eq!(
+            metrics(last),
+            [("c".to_string(), 6), ("still".to_string(), 1)],
+            "the final round carries every metric"
+        );
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   print through one [`format_ns`];
 //! * [`Histogram::start_timer`] — cheap scoped stage timers;
 //! * [`TelemetrySnapshot`] — a point-in-time copy of every metric, able
-//!   to render itself as flat backend health documents and to be read back
-//!   from them ([`ExportRound`]);
+//!   to render itself as flat backend health documents in JSON text — of
+//!   every metric, or of those that changed since another snapshot — and to
+//!   be read back from them ([`ExportRound`]);
 //! * [`Exporter`] — a background thread that periodically snapshots the
-//!   registry and hands the documents to a sink (the tracer wires the
-//!   sink to `DocStore::bulk` on a `dio-telemetry-<session>` index);
+//!   registry and hands each round's changed documents to a sink (the
+//!   tracer wires the sink to `DocStore::bulk_text` on a
+//!   `dio-telemetry-<session>` index);
 //! * [`span`] — end-to-end event span tracing: per-event [`StageStamps`]
 //!   stamped at every pipeline hand-off, aggregated by [`SpanCollector`]
 //!   into per-stage/e2e latency histograms, a pipeline lag watermark, and
@@ -59,7 +61,7 @@ mod registry;
 pub mod span;
 pub mod trace;
 
-pub use exporter::{Exporter, ExporterHandle};
+pub use exporter::{Exporter, ExporterHandle, HealthRound};
 pub use metrics::{
     format_ns, quantile_sorted, Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot,
     LogHistogram, StageTimer,

@@ -1,5 +1,6 @@
 //! The individual metric instruments: counters, gauges, histograms, timers.
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -62,7 +63,7 @@ pub fn format_ns(ns: u64) -> String {
 
 /// A log-bucketed histogram over `u64` samples with 2^`SUB_BITS` buckets per
 /// power of two, in plain counts: `LogHistogram<5>` resolves a value to
-/// ≈ 3 % (the registry's [`Histogram`] snapshots through it),
+/// ≈ 3 % (the registry's [`Histogram`] resolves by the same walk),
 /// `LogHistogram<0>` to its power of two (64 buckets cover `u64`). O(1)
 /// record; the bucket vector grows to the largest bucket recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,35 +132,82 @@ impl<const SUB_BITS: u32> LogHistogram<SUB_BITS> {
     /// [`quantile_sorted`] picks), clamped to `[min, max]`. 0 when
     /// empty.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = nearest_rank(p / 100.0, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // `min.min(max)`: a snapshot of live atomics may read a
-                // sample's count before its min.
-                return bucket_lower_bound(i, SUB_BITS).min(self.max).max(self.min.min(self.max));
-            }
-        }
-        self.max
+        let [value] =
+            percentiles([p], self.count, self.min, self.max, SUB_BITS, |r| self.buckets(r));
+        value
+    }
+
+    /// The counts of the buckets in `range` (0 past the last recorded).
+    fn buckets(&self, range: RangeInclusive<usize>) -> impl Iterator<Item = u64> + '_ {
+        range.map(|i| self.counts.get(i).copied().unwrap_or(0))
     }
 
     /// The histogram resolved: count, min, max, mean and four percentiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let empty = self.count == 0;
-        HistogramSnapshot {
-            count: self.count,
-            min: if empty { 0 } else { self.min },
-            max: self.max,
-            mean: if empty { 0.0 } else { self.sum as f64 / self.count as f64 },
-            p50: self.percentile(50.0),
-            p90: self.percentile(90.0),
-            p99: self.percentile(99.0),
-            p999: self.percentile(99.9),
+        summarize(self.count, self.sum, self.min, self.max, SUB_BITS, |r| self.buckets(r))
+    }
+}
+
+/// Percentiles `ps` (0–100, ascending) of `count` samples from `min` to
+/// `max`, resolved in one walk over the buckets from `min`'s to `max`'s,
+/// `buckets(range)` yielding the counts of the buckets in `range`: each the
+/// lower bound of the bucket holding its nearest-rank sample, clamped to
+/// `[min, max]`. A rank the walk does not reach — a snapshot of live atomics
+/// may read a sample's count before its bucket — is `max`. All 0 when empty.
+fn percentiles<const N: usize, I: Iterator<Item = u64>>(
+    ps: [f64; N],
+    count: u64,
+    min: u64,
+    max: u64,
+    sub_bits: u32,
+    buckets: impl FnOnce(RangeInclusive<usize>) -> I,
+) -> [u64; N] {
+    let mut out = [0; N];
+    if count == 0 {
+        return out;
+    }
+    let ranks = ps.map(|p| nearest_rank(p / 100.0, count));
+    // `min.min(max)`: live atomics may be read with a sample's min and not
+    // yet its max.
+    let floor = min.min(max);
+    let first = bucket_of(floor, sub_bits);
+    let (mut resolved, mut seen) = (0, 0u64);
+    for (i, n) in (first..).zip(buckets(first..=bucket_of(max, sub_bits))) {
+        seen += n;
+        while seen >= ranks[resolved] {
+            out[resolved] = bucket_lower_bound(i, sub_bits).min(max).max(floor);
+            resolved += 1;
+            if resolved == N {
+                return out;
+            }
         }
+    }
+    out[resolved..].fill(max);
+    out
+}
+
+/// [`HistogramSnapshot`] of `count` samples summing to `sum`, from `min` to
+/// `max`, in the buckets `buckets` yields: one walk, nothing allocated.
+fn summarize<I: Iterator<Item = u64>>(
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    sub_bits: u32,
+    buckets: impl FnOnce(RangeInclusive<usize>) -> I,
+) -> HistogramSnapshot {
+    let [p50, p90, p99, p999] =
+        percentiles([50.0, 90.0, 99.0, 99.9], count, min, max, sub_bits, buckets);
+    let empty = count == 0;
+    HistogramSnapshot {
+        count,
+        min: if empty { 0 } else { min },
+        max,
+        mean: if empty { 0.0 } else { sum as f64 / count as f64 },
+        p50,
+        p90,
+        p99,
+        p999,
     }
 }
 
@@ -413,22 +461,23 @@ impl Histogram {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy with percentiles resolved, through
-    /// [`LogHistogram::snapshot`].
+    /// A point-in-time copy with percentiles resolved, in one walk over the
+    /// buckets from `min`'s to `max`'s and without allocating, as
+    /// [`LogHistogram::snapshot`] resolves its own.
     ///
     /// Concurrent recording may skew a snapshot by the in-flight samples;
     /// quiescent snapshots (after threads join) are exact.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        LogHistogram::<REGISTRY_SUB_BITS> {
-            // Counted from the buckets read, so the rank walk always ends.
-            count: counts.iter().sum(),
-            counts,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-        .snapshot()
+        let (min, max) = (self.min.load(Ordering::Relaxed), self.max.load(Ordering::Relaxed));
+        // A sample counts in its bucket before the total: the walk finds every
+        // sample counted here, but one recorded since `min` and `max` were
+        // read, outside them (a rank the walk misses reads `max`).
+        let count = self.total.load(Ordering::Relaxed);
+        let sum = self.sum.load(Ordering::Relaxed);
+        let buckets = |range: RangeInclusive<usize>| {
+            self.counts[range].iter().map(|n| n.load(Ordering::Relaxed))
+        };
+        summarize(count, sum, min, max, REGISTRY_SUB_BITS, buckets)
     }
 }
 

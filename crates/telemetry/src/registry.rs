@@ -1,9 +1,10 @@
 //! The named-metric registry and its snapshots.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, RwLock};
 
-use serde_json::{json, Value};
+use serde_json::Value;
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -167,55 +168,100 @@ impl TelemetrySnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Renders the snapshot as flat health documents for bulk-indexing —
-    /// one document per metric, all sharing `session`, export sequence
-    /// number `seq`, and timestamp `time` (ns).
+    /// Renders the health documents of the metrics whose values differ from
+    /// `previous`'s — of every metric when there is none — as JSON text: one
+    /// document per metric, all sharing `session`, export sequence number
+    /// `seq`, and timestamp `time` (ns). A metric `previous` lacks has
+    /// changed.
     ///
     /// Schema: `{session, seq, time, metric, kind, value}` for counters
     /// and gauges; histogram documents replace `value` with
-    /// `{count, min, max, mean, p50, p90, p99, p999}`.
-    pub fn health_documents(&self, session: &str, seq: u64, time_ns: u64) -> Vec<Value> {
-        let mut docs =
-            Vec::with_capacity(self.counters.len() + self.gauges.len() + self.histograms.len());
-        for (name, value) in &self.counters {
-            docs.push(json!({
-                "session": session,
-                "seq": seq,
-                "time": time_ns,
-                "metric": name,
-                "kind": "counter",
-                "value": *value,
-            }));
+    /// `{count, min, max, mean, p50, p90, p99, p999}`. The text is what
+    /// `serde_json` writes for the document: keys in order, no whitespace.
+    pub fn health_texts(
+        &self,
+        previous: Option<&TelemetrySnapshot>,
+        session: &str,
+        seq: u64,
+        time_ns: u64,
+    ) -> Vec<String> {
+        fn changed<V: PartialEq>(
+            previous: Option<&BTreeMap<String, V>>,
+            name: &str,
+            now: &V,
+        ) -> bool {
+            previous.and_then(|held| held.get(name)) != Some(now)
         }
-        for (name, value) in &self.gauges {
-            docs.push(json!({
-                "session": session,
-                "seq": seq,
-                "time": time_ns,
-                "metric": name,
-                "kind": "gauge",
-                "value": *value,
-            }));
+        // The keys every document of the round ends with, in order.
+        let mut round = String::new();
+        let _ = write!(round, ",\"seq\":{seq},\"session\":");
+        push_json_str(&mut round, session);
+        let _ = write!(round, ",\"time\":{time_ns}");
+        // Each document is written into `doc`, then copied out at its size.
+        let (mut docs, mut doc) = (Vec::new(), String::with_capacity(256));
+        let scalars = [
+            ("counter", &self.counters, previous.map(|p| &p.counters)),
+            ("gauge", &self.gauges, previous.map(|p| &p.gauges)),
+        ];
+        for (kind, values, previous) in scalars {
+            for (name, value) in values.iter().filter(|(name, v)| changed(previous, name, *v)) {
+                doc.clear();
+                let _ = write!(doc, "{{\"kind\":\"{kind}\",\"metric\":");
+                push_json_str(&mut doc, name);
+                let _ = write!(doc, "{round},\"value\":{value}}}");
+                docs.push(doc.as_str().to_owned());
+            }
         }
-        for (name, h) in &self.histograms {
-            docs.push(json!({
-                "session": session,
-                "seq": seq,
-                "time": time_ns,
-                "metric": name,
-                "kind": "histogram",
-                "count": h.count,
-                "min": h.min,
-                "max": h.max,
-                "mean": h.mean,
-                "p50": h.p50,
-                "p90": h.p90,
-                "p99": h.p99,
-                "p999": h.p999,
-            }));
+        let previous = previous.map(|p| &p.histograms);
+        for (name, h) in self.histograms.iter().filter(|(name, h)| changed(previous, name, *h)) {
+            doc.clear();
+            let mean = serde_json::Number::from(h.mean);
+            let _ = write!(
+                doc,
+                "{{\"count\":{},\"kind\":\"histogram\",\"max\":{},\"mean\":{mean},\"metric\":",
+                h.count, h.max
+            );
+            push_json_str(&mut doc, name);
+            let _ = write!(
+                doc,
+                ",\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}{round}}}",
+                h.min, h.p50, h.p90, h.p99, h.p999
+            );
+            docs.push(doc.as_str().to_owned());
         }
         docs
     }
+
+    /// Every metric's health document ([`TelemetrySnapshot::health_texts`]
+    /// without a previous round), as the value its text parses into.
+    pub fn health_documents(&self, session: &str, seq: u64, time_ns: u64) -> Vec<Value> {
+        let texts = self.health_texts(None, session, seq, time_ns);
+        texts
+            .iter()
+            .map(|text| serde_json::from_str(text).expect("a health document is JSON"))
+            .collect()
+    }
+}
+
+/// Appends `s` as a JSON string literal, escaped as `serde_json` escapes it.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// One export round read back from health documents: every metric as of
@@ -226,14 +272,18 @@ pub struct ExportRound {
     pub seq: u64,
     /// Export wall-clock time (ns since the Unix epoch).
     pub time_ns: u64,
-    /// The metrics as the round exported them.
+    /// The metrics as of the round: those it exported, and every other as
+    /// the last round before it exported it.
     pub metrics: TelemetrySnapshot,
 }
 
 impl ExportRound {
-    /// Reads documents written by [`TelemetrySnapshot::health_documents`]
-    /// back into export rounds, in `seq` order. Documents without a
-    /// `metric` or of another `kind` (alerts, storage reports) are skipped.
+    /// Reads documents written by [`TelemetrySnapshot::health_texts`] back
+    /// into export rounds, in `seq` order. A round holds the documents of
+    /// the metrics that changed; every other metric is carried forward from
+    /// the round before, so each round reads as the complete snapshot it
+    /// was taken from. Documents without a `metric` or of another `kind`
+    /// (alerts, storage reports) are skipped, and open no round.
     pub fn from_documents<'a>(docs: impl IntoIterator<Item = &'a Value>) -> Vec<ExportRound> {
         let mut rounds: BTreeMap<u64, ExportRound> = BTreeMap::new();
         for doc in docs {
@@ -265,13 +315,23 @@ impl ExportRound {
                 }
             }
         }
-        rounds.into_values().collect()
+        let mut carried = TelemetrySnapshot::default();
+        let mut rounds: Vec<ExportRound> = rounds.into_values().collect();
+        for round in &mut rounds {
+            let changed = std::mem::take(&mut round.metrics);
+            carried.counters.extend(changed.counters);
+            carried.gauges.extend(changed.gauges);
+            carried.histograms.extend(changed.histograms);
+            round.metrics = carried.clone();
+        }
+        rounds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     #[test]
     fn get_or_create_returns_same_instrument() {
@@ -353,5 +413,76 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    /// A registry state changed as one step of a generated session says:
+    /// `(op, which, v)` adds to counter `c{which}`, sets gauge `g{which}`,
+    /// raises only the `max` of histogram `h{which}`, records into it (every
+    /// field moves), or changes nothing. A metric is registered by the first
+    /// step that names it.
+    fn apply(state: &mut TelemetrySnapshot, (op, which, v): (u8, u8, u64)) {
+        match op {
+            0 => *state.counters.entry(format!("c{which}")).or_default() += v,
+            1 => {
+                state.gauges.insert(format!("g{which}"), v);
+            }
+            2 => state.histograms.entry(format!("h{which}.\"ns\"")).or_default().max += 1 + v,
+            3 => {
+                let h = state.histograms.entry(format!("h{which}.\"ns\"")).or_default();
+                (h.count, h.min, h.mean) = (h.count + 1, v, (h.mean + v as f64) / 3.0);
+                (h.p50, h.p90, h.p99, h.p999, h.max) = (v, v + 1, v + 2, v + 3, h.max.max(v + 3));
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random sessions of registry states, exported as the exporter
+        /// exports them — complete first and final rounds, the metrics that
+        /// changed in between — read back as the complete round at every
+        /// `seq` that shipped a document, and the last round as the end
+        /// state. A round ships exactly when something changed, or when it
+        /// is the first or the final one with any metric.
+        #[test]
+        fn delta_rounds_read_back_as_complete_rounds(
+            steps in proptest::collection::vec(
+                proptest::collection::vec((0u8..5, 0u8..3, 0u64..1_000), 0..4),
+                1..10,
+            ),
+        ) {
+            let (mut state, mut states) = (TelemetrySnapshot::default(), Vec::new());
+            let (mut texts, mut shipped) = (Vec::new(), Vec::new());
+            for (at, changes) in steps.iter().enumerate() {
+                let was = state.clone();
+                for &change in changes {
+                    apply(&mut state, change);
+                }
+                let (seq, last) = (at as u64 + 1, at + 1 == steps.len());
+                let since = Some(&was).filter(|_| at > 0 && !last);
+                let docs = state.health_texts(since, "s \"1\"", seq, seq * 1_000);
+                proptest::prop_assert_eq!(docs.is_empty(), since.map_or(state.is_empty(), |was| *was == state));
+                if !docs.is_empty() {
+                    shipped.push(seq);
+                }
+                texts.extend(docs);
+                states.push(state.clone());
+            }
+            let docs: Vec<Value> = texts.iter().map(|text| serde_json::from_str(text).unwrap()).collect();
+            let rounds = ExportRound::from_documents(&docs);
+            proptest::prop_assert_eq!(rounds.iter().map(|r| r.seq).collect::<Vec<_>>(), shipped);
+            for round in &rounds {
+                proptest::prop_assert_eq!(&round.metrics, &states[round.seq as usize - 1]);
+                proptest::prop_assert_eq!(round.time_ns, round.seq * 1_000);
+            }
+            match rounds.last() {
+                Some(last) => {
+                    proptest::prop_assert_eq!(last.seq, steps.len() as u64);
+                    proptest::prop_assert_eq!(&last.metrics, &state);
+                }
+                None => proptest::prop_assert!(state.is_empty()),
+            }
+        }
     }
 }

@@ -17,7 +17,8 @@ use dio_rules::RuleSet;
 use dio_syscall::SyscallEvent;
 use dio_telemetry::span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps};
 use dio_telemetry::{
-    trace, Counter, Exporter, ExporterHandle, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot,
+    trace, Counter, Exporter, ExporterHandle, Gauge, HealthRound, Histogram, MetricsRegistry,
+    TelemetrySnapshot,
 };
 use dio_verify::VerifyError;
 
@@ -575,6 +576,7 @@ impl Tracer {
         let exporter = {
             let sink_backend = backend.clone();
             let telemetry_index = config.telemetry_index_name();
+            let session = config.session().to_string();
             let lag_spans = Arc::clone(&spans);
             Exporter::new(config.session(), config.telemetry_tick()).spawn(
                 Arc::clone(&registry),
@@ -583,21 +585,7 @@ impl Tracer {
                 move |_| {
                     lag_spans.refresh_lag();
                 },
-                move |mut docs| {
-                    // Persistent stores ride a `kind: "storage"` report
-                    // along with every health round, stamped with the
-                    // round's seq/time so the dashboard can align them.
-                    if let Some(report) = sink_backend.storage_report() {
-                        let mut doc = report.to_document();
-                        if let Some(first) = docs.first() {
-                            doc["session"] = first["session"].clone();
-                            doc["seq"] = first["seq"].clone();
-                            doc["time"] = first["time"].clone();
-                        }
-                        docs.push(doc);
-                    }
-                    sink_backend.bulk(&telemetry_index, docs);
-                },
+                move |round| ship_health_round(&sink_backend, &telemetry_index, &session, round),
             )
         };
 
@@ -1127,6 +1115,25 @@ fn acknowledge(ctx: &ShipperCtx, stamps: &mut [StageStamps], request: impl FnOnc
     ctx.batches.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Ships one export round into the session's telemetry index: the health
+/// documents of the metrics that changed and, on a persisted store, a
+/// `kind: "storage"` report stamped with the round's `session`, `seq` and
+/// `time`, so the dashboard can align them — every round, whether a metric
+/// changed in it or not. A round with nothing to store makes no request.
+fn ship_health_round(backend: &DocStore, index: &str, session: &str, round: HealthRound) {
+    let HealthRound { seq, time_ns, mut documents } = round;
+    if let Some(report) = backend.storage_report() {
+        let mut doc = report.to_document();
+        doc["session"] = Value::from(session);
+        doc["seq"] = Value::from(seq);
+        doc["time"] = Value::from(time_ns);
+        documents.push(doc.to_string());
+    }
+    if !documents.is_empty() {
+        backend.bulk_text(index, documents).expect("health documents are JSON text");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1222,6 +1229,64 @@ mod tests {
         assert_eq!(reopened.index("dio-durable").len(), 8);
         assert_eq!(reopened.index("dio-durable").count(&Query::term("syscall", "creat")), 8);
         drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A persisted session whose metrics stop changing still ships its
+    /// storage report every round, changed (the store grew) and stamped with
+    /// that round's `seq`; only the first and the final round store health
+    /// documents.
+    #[test]
+    fn a_round_without_changed_metrics_ships_its_storage_report() {
+        let dir = std::env::temp_dir().join(format!("dio-tracer-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = DocStore::open(&dir).expect("open persistent store");
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.counter("tracer.events").add(3);
+        let rounds = Arc::new(AtomicU64::new(0));
+        let (sink_backend, sink_rounds) = (backend.clone(), Arc::clone(&rounds));
+        let exporter = Exporter::new("s", Duration::from_millis(5)).spawn(
+            Arc::clone(&registry),
+            |_| {},
+            move |round| {
+                ship_health_round(&sink_backend, "dio-telemetry-s", "s", round);
+                sink_rounds.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        // Three rounds reach the sink within the deadline — unless it is
+        // not called on rounds that changed no metric.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rounds.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let last = exporter.stop();
+        assert!(last >= 3, "{last} rounds");
+        let hits = backend
+            .index("dio-telemetry-s")
+            .search(
+                &dio_backend::SearchRequest::match_all()
+                    .sort_by("seq", dio_backend::SortOrder::Asc)
+                    .size(usize::MAX),
+            )
+            .hits;
+        let seq = |doc: &Value| doc["seq"].as_u64().expect("stamped with its round's seq");
+        let reports: Vec<(u64, u64)> = hits
+            .iter()
+            .map(|hit| &hit.source)
+            .filter(|doc| doc["kind"] == "storage")
+            .inspect(|doc| assert_eq!(doc["session"], "s"))
+            .map(|doc| (seq(doc), doc["bytes_appended"].as_u64().expect("a storage report")))
+            .collect();
+        assert_eq!(reports.iter().map(|r| r.0).collect::<Vec<_>>(), (1..=last).collect::<Vec<_>>());
+        assert!(reports.windows(2).all(|w| w[0].1 < w[1].1), "every report changed: {reports:?}");
+        let mut health: Vec<u64> = hits
+            .iter()
+            .filter(|hit| hit.source.get("metric").is_some())
+            .map(|hit| seq(&hit.source))
+            .collect();
+        health.dedup();
+        assert_eq!(health, [1, last], "the metric stopped changing after the first round");
+        drop(backend);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

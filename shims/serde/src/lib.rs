@@ -27,6 +27,28 @@ pub trait Deserialize: Sized {
     ///
     /// Returns an [`Error`] describing the first mismatch encountered.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Whether [`Deserialize::from_value`] keeps nothing of the document, so
+    /// a parser may check the text's syntax without building it (true for
+    /// [`de::IgnoredAny`] alone).
+    #[doc(hidden)]
+    const KEEPS_NOTHING: bool = false;
+}
+
+/// Deserialization helpers.
+pub mod de {
+    /// A type any document deserializes into, keeping nothing of it:
+    /// `serde_json::from_str::<IgnoredAny>` checks that a text is JSON.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IgnoredAny;
+
+    impl super::Deserialize for IgnoredAny {
+        fn from_value(_: &super::Value) -> Result<Self, super::Error> {
+            Ok(IgnoredAny)
+        }
+
+        const KEEPS_NOTHING: bool = true;
+    }
 }
 
 /// Serialization/deserialization error (also re-exported as

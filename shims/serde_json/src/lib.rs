@@ -89,13 +89,18 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-/// Parses JSON text into any [`Deserialize`] type.
+/// Parses JSON text into any [`Deserialize`] type. Into
+/// `serde::de::IgnoredAny` it only checks the syntax, building nothing.
 ///
 /// # Errors
 ///
 /// Returns a syntax error with byte offset, or the first structural
 /// mismatch when converting into `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    if T::KEEPS_NOTHING {
+        parse::check(s)?;
+        return T::from_value(&Value::Null);
+    }
     let value = parse::parse(s)?;
     T::from_value(&value)
 }
@@ -279,6 +284,35 @@ mod tests {
         assert!(crate::from_str::<crate::Value>("{\"a\": 1,}").is_err());
         assert!(crate::from_str::<crate::Value>("[1 2]").is_err());
         assert!(crate::from_str::<crate::Value>("\"unterminated").is_err());
+    }
+
+    /// Checking a text accepts exactly what parsing it does.
+    #[test]
+    fn checking_accepts_what_parsing_accepts() {
+        use serde::de::IgnoredAny;
+        let texts = [
+            r#"{"a":[1,-2,3.5e2,{"b":null}],"c":"x\"\u00e9\ud83d\ude00","d":true}"#,
+            " [ ] ",
+            "{}",
+            "1.",
+            "-",
+            "1e",
+            "\"\\u+123\"",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\q\"",
+            "[1,]",
+            "{\"a\" 1}",
+            "nul",
+            "nullx",
+            "\"tab\there\"",
+            "18446744073709551616",
+        ];
+        for text in texts {
+            let parsed = crate::from_str::<crate::Value>(text);
+            let checked = crate::from_str::<IgnoredAny>(text);
+            assert_eq!(parsed.is_ok(), checked.is_ok(), "{text}");
+        }
     }
 
     #[test]

@@ -4,22 +4,34 @@ use serde::{Error, Map, Number, Value};
 
 /// Parses one complete JSON document.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(value)
+    Parser { bytes: input.as_bytes(), pos: 0, build: true }.document()
+}
+
+/// Checks that `input` is one complete JSON document — exactly what
+/// [`parse`] accepts — without building it: nothing is allocated.
+pub fn check(input: &str) -> Result<(), Error> {
+    Parser { bytes: input.as_bytes(), pos: 0, build: false }.document().map(drop)
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Whether strings, arrays and objects keep what they read; when not,
+    /// they come out empty, and the parse only checks the syntax.
+    build: bool,
 }
 
 impl Parser<'_> {
+    fn document(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, msg: &str) -> Error {
         Error::custom(format!("{msg} at byte {}", self.pos))
     }
@@ -75,7 +87,10 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if self.build {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -105,7 +120,9 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            entries.push((key, value));
+            if self.build {
+                entries.push((key, value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -130,51 +147,65 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Combine surrogate pairs.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if !(self.eat_keyword("\\u")) {
-                                    return Err(self.err("lone leading surrogate"));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?
-                            };
-                            out.push(c);
-                            continue;
+                            self.unicode_escape()?
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        escaped => {
+                            let c = match escaped {
+                                Some(b'"') => '"',
+                                Some(b'\\') => '\\',
+                                Some(b'/') => '/',
+                                Some(b'b') => '\u{08}',
+                                Some(b'f') => '\u{0C}',
+                                Some(b'n') => '\n',
+                                Some(b'r') => '\r',
+                                Some(b't') => '\t',
+                                _ => return Err(self.err("invalid escape")),
+                            };
+                            self.pos += 1;
+                            c
+                        }
+                    };
+                    if self.build {
+                        out.push(c);
                     }
-                    self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the run up to the next quote or escape at once:
+                    // both are ASCII, so the run ends on a character boundary
+                    // of the input, which is a valid `&str`.
+                    let rest = &self.bytes[self.pos..];
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    if self.build {
+                        let run = std::str::from_utf8(&rest[..len])
+                            .map_err(|_| self.err("invalid utf-8"))?;
+                        out.push_str(run);
+                    }
+                    self.pos += len;
                 }
             }
         }
+    }
+
+    /// Reads the character of a `\u` escape (the cursor sits on its first
+    /// hex digit), combining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let cp = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&cp) {
+            return char::from_u32(cp).ok_or_else(|| self.err("invalid unicode escape"));
+        }
+        if !(self.eat_keyword("\\u")) {
+            return Err(self.err("lone leading surrogate"));
+        }
+        let low = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&low) {
+            return Err(self.err("invalid low surrogate"));
+        }
+        let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+        char::from_u32(combined).ok_or_else(|| self.err("invalid surrogate pair"))
     }
 
     /// Reads four hex digits (the cursor sits on the first digit).

@@ -482,6 +482,80 @@ fn telemetry_documents_round_trip_as_they_are() {
     assert_eq!(index.count(&Query::term("evidence.file_tag", "1|12|5")), 1);
 }
 
+/// A session's health rounds as the exporter ships them: 41 metrics — 20
+/// counters, 12 of them still 0; 8 gauges, 4 of them constant; 13 histograms,
+/// 3 of them idle — over 50 rounds of 100 ms, the first and the final round
+/// whole, the others the metrics that changed. Returns the rounds' documents
+/// as JSON text.
+fn health_rounds() -> Vec<Vec<String>> {
+    let registry = MetricsRegistry::new();
+    let counters: Vec<_> =
+        (0..20).map(|i| registry.counter(&format!("tracer.stage{i}.events"))).collect();
+    let gauges: Vec<_> =
+        (0..8).map(|i| registry.gauge(&format!("tracer.stage{i}.depth"))).collect();
+    let histograms: Vec<_> =
+        (0..13).map(|i| registry.histogram(&format!("tracer.stage{i}.latency_ns"))).collect();
+    let (mut rounds, mut previous) = (Vec::new(), None);
+    for seq in 1..=50u64 {
+        for (i, counter) in counters.iter().enumerate().take(8) {
+            counter.add(seq * 97 + i as u64);
+        }
+        for (i, gauge) in gauges.iter().enumerate() {
+            gauge.set(if i < 4 { seq * 13 + i as u64 } else { 64 });
+        }
+        for (i, histogram) in histograms.iter().enumerate().take(10) {
+            histogram.record_all(
+                (0..200).map(|k| 1_000 + (seq * 7_919 + k * 104_729 + i as u64) % 2_000_000),
+                0,
+            );
+        }
+        let snapshot = registry.snapshot();
+        let since = previous.as_ref().filter(|_| seq < 50);
+        let time_ns = 1_760_000_000_000_000_000 + seq * 100_000_000;
+        rounds.push(snapshot.health_texts(since, "budget", seq, time_ns));
+        previous = Some(snapshot);
+    }
+    rounds
+}
+
+/// A health document is held as its text (DESIGN.md §16): the 1 138
+/// documents of [`health_rounds`] through the exporter's door into an index,
+/// refreshed, hold 394 B of heap each — row table, text and inverted indexes —
+/// where the same documents held as `Value` rows took 814 B (656 B a
+/// document in `paced_mem`'s unrefreshed telemetry index, 308 B as text). The
+/// limit is 10 % above the reading.
+#[test]
+fn a_stored_health_document_holds_its_text() {
+    let _turn = in_turn();
+    let live = LIVE.get();
+    let rounds = health_rounds();
+    let docs: usize = rounds.iter().map(Vec::len).sum();
+    let index = Index::new("dio-telemetry-budget");
+    for round in rounds {
+        index.bulk_text(round).expect("JSON text");
+    }
+    assert_eq!(index.count(&Query::MatchAll), docs as u64);
+    let per_doc = (LIVE.get() - live) / docs as i64;
+    drop(index);
+    assert!(per_doc <= 433, "a stored health document holds {per_doc} B of heap");
+}
+
+/// Resolving a registry histogram walks the buckets from its min's to its
+/// max's once and allocates nothing; it copied all 1 919 bucket counts into
+/// a vector and walked it four times before.
+#[test]
+fn a_histogram_snapshot_allocates_nothing() {
+    let _turn = in_turn();
+    let histogram = dio_telemetry::Histogram::new();
+    for v in 1..=10_000u64 {
+        histogram.record(v * 37);
+    }
+    let allocs = ALLOCS.get();
+    let snapshot = histogram.snapshot();
+    assert_eq!(ALLOCS.get() - allocs, 0, "a histogram snapshot allocated");
+    assert_eq!((snapshot.count, snapshot.min, snapshot.max), (10_000, 37, 370_000));
+}
+
 /// `append_puts` of `docs` documents into a fresh default-config store, the
 /// index name shared: allocations made per document, and live heap the engine
 /// still holds per document once the batch is consumed.

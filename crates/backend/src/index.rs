@@ -11,7 +11,7 @@ use crate::agg::{AggResult, Aggregation};
 use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
 use crate::row::{Dicts, Doc, Row};
-use crate::storage::{Put, StorageEngine, Stored};
+use crate::storage::{Loaded, StorageEngine, Stored};
 use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
 
 /// Slots per chunk of the row table. A chunk is one allocation of
@@ -106,12 +106,11 @@ struct IndexInner {
     /// model: `_bulk` buffers, a *refresh* makes documents searchable.
     /// Queries trigger the refresh.
     refreshed: u64,
-    /// The tracer's events a persisted index took into `rows` and has not
-    /// logged yet: the rows from `rows.end() - tail.len()` on. Queryable
-    /// like any row, durable once [`Index::log_tail`] appends them; every
-    /// other write to the index logs them first, so the log replays in id
-    /// order.
-    tail: Vec<SyscallEvent>,
+    /// The rows from this id on are the tracer's events a persisted index
+    /// took in and has not logged yet: its unlogged tail. Queryable like any
+    /// row, durable once [`Index::log_tail`] appends them; every other write
+    /// to the index logs them first, so the log replays in id order.
+    unlogged: u64,
 }
 
 /// The inverted indexes: field → term → ids of the documents holding it.
@@ -497,16 +496,31 @@ impl IndexInner {
         self.matching(query).map(|(id, _)| id).collect()
     }
 
-    /// Appends the unlogged tail to `engine` as runs, returning how many
-    /// events it held.
+    /// Appends the rows of `ids`, ascending, to `engine` — the event rows as
+    /// runs — with a dictionary record of the entries the rows may name that
+    /// the log does not hold yet ahead of them.
+    fn append(
+        &mut self,
+        engine: &StorageEngine,
+        name: &str,
+        ids: impl IntoIterator<Item = u64>,
+    ) -> std::io::Result<()> {
+        let rows = &self.rows;
+        let puts = ids.into_iter().filter_map(|id| Some((id, rows.get(id)?.to_put())));
+        engine.append_rows(name, self.dicts.record(), puts)?;
+        self.dicts.note_logged();
+        Ok(())
+    }
+
+    /// Appends the unlogged tail to `engine`, returning how many rows it
+    /// held.
     fn log_tail(&mut self, engine: &StorageEngine, name: &str) -> std::io::Result<usize> {
-        let n = self.tail.len();
-        if n > 0 {
-            let first = self.rows.end() - n as u64;
-            engine.append_rows(name, (first..).zip(self.tail.iter().map(Put::Event)))?;
-            self.tail.clear();
+        let (first, end) = (self.unlogged, self.rows.end());
+        if first < end {
+            self.append(engine, name, first..end)?;
+            self.unlogged = end;
         }
-        Ok(n)
+        Ok((end - first) as usize)
     }
 }
 
@@ -643,23 +657,26 @@ impl Index {
         index
     }
 
-    /// Rebuilds an index from recovered documents (sorted by id; the ids of
+    /// Rebuilds an index from what the log recovered of it: its dictionary
+    /// records, replayed first, and its documents (sorted by id; the ids of
     /// deleted documents are gaps). The inverted indexes are built lazily at
     /// the first query, so reopening a large store stays cheap until someone
     /// actually searches it.
     ///
-    /// Recovered events are interned as ingested ones are — a reopened
-    /// session occupies what the live one did. A recovered JSON document
-    /// becomes a row as one through [`Index::bulk_text`] does: its bytes are
-    /// kept as they were logged.
+    /// A recovered event row goes into the table as it is, naming the ids the
+    /// records define; no event is built. An event of a run of the first
+    /// format is interned as ingested ones are, and a recovered JSON
+    /// document becomes a row as one through [`Index::bulk_text`] does: its
+    /// bytes are kept as they were logged.
     ///
-    /// Fails on an id no index hands out (see [`MAX_ID`]) and on a document
-    /// that is not JSON text: the store is damaged, and the row table must
-    /// not be sized by it.
+    /// Fails on records that do not agree, on a row naming an id no record
+    /// defines, on an id no index hands out (see [`MAX_ID`]) and on a
+    /// document that is not JSON text: the store is damaged, and the row
+    /// table must not be sized by it.
     pub(crate) fn from_persisted(
         name: impl Into<String>,
         engine: std::sync::Arc<crate::storage::StorageEngine>,
-        docs: Vec<(u64, Stored)>,
+        loaded: Loaded,
     ) -> std::io::Result<Self> {
         let index = Index::new_persistent(name, engine);
         {
@@ -668,21 +685,29 @@ impl Index {
                 let what = format!("index {}: {what}", index.name);
                 std::io::Error::new(std::io::ErrorKind::InvalidData, what)
             };
-            for (id, stored) in docs {
+            inner.dicts = Dicts::replay(loaded.dicts).map_err(|e| damaged(e.to_string()))?;
+            for (id, stored) in loaded.docs {
                 if id > MAX_ID {
                     return Err(damaged(format!("document id {id} is out of range")));
                 }
-                let doc = match stored {
-                    Stored::Event(event) => Doc::Event(event),
+                let row = match stored {
+                    Stored::Row(row) if inner.dicts.admits(&row) => Row::Event(row),
+                    Stored::Row(_) => {
+                        return Err(damaged(format!(
+                            "document {id} names an id no dictionary record defines"
+                        )))
+                    }
+                    Stored::Event(event) => Row::Event(inner.dicts.intern(&event)),
                     Stored::Json(bytes) => {
                         match String::from_utf8(bytes).ok().and_then(|t| Doc::from_text(t).ok()) {
-                            Some(doc) => doc,
+                            Some(doc) => inner.dicts.row(doc),
                             None => return Err(damaged(format!("document {id} is not JSON"))),
                         }
                     }
                 };
-                inner.rows.put(id, inner.dicts.row(doc));
+                inner.rows.put(id, row);
             }
+            inner.unlogged = inner.rows.end();
         }
         Ok(index)
     }
@@ -783,9 +808,9 @@ impl Index {
     /// [`Index::bulk`] for the tracer's own events, which it drains (the
     /// vector is left empty, with capacity): each is interned into its row,
     /// and no JSON value is built unless someone subscribed. Returns the ids
-    /// they got. Queryable at once. A persisted index writes them through
-    /// with `write_through`, after any unlogged tail; else it keeps them as
-    /// its unlogged tail until [`Index::log_tail`].
+    /// they got. Queryable at once. A persisted index logs them with
+    /// `write_through`, after any unlogged tail; else they join its unlogged
+    /// tail until [`Index::log_tail`].
     pub(crate) fn accept_events(
         &self,
         events: &mut Vec<SyscallEvent>,
@@ -798,26 +823,12 @@ impl Index {
             let inner = &mut *self.inner.write();
             let first = inner.rows.end();
             let ids = first..first + events.len() as u64;
-            let held = match &self.persist {
-                Some(engine) if write_through => {
-                    let puts = ids.clone().zip(events.iter().map(Put::Event));
-                    inner
-                        .log_tail(engine, &self.name)
-                        .and_then(|_| engine.append_rows(&self.name, puts))
-                        .expect("dio-backend: persistent append failed");
-                    false
-                }
-                Some(_) => true,
-                None => false,
-            };
-            for (id, event) in ids.clone().zip(events.iter()) {
-                let row = Row::Event(inner.dicts.intern(event));
+            for (id, event) in ids.clone().zip(events.drain(..)) {
+                let row = Row::Event(inner.dicts.intern(&event));
                 inner.rows.put(id, row);
             }
-            match (held, inner.tail.is_empty()) {
-                (true, true) => std::mem::swap(&mut inner.tail, events),
-                (true, false) => inner.tail.append(events),
-                (false, _) => events.clear(),
+            if write_through {
+                self.log_tail_in(inner).expect("dio-backend: persistent append failed");
             }
             ids
         };
@@ -827,54 +838,47 @@ impl Index {
         ids
     }
 
-    /// Appends the unlogged tail as runs (one per block of ids) and returns
-    /// how many events it held; once it returns they are in the page cache.
-    /// 0 on an in-memory index, which holds none.
-    pub(crate) fn log_tail(&self) -> usize {
+    /// Appends the unlogged tail as runs (one per block of ids), with a
+    /// dictionary record ahead of them if the index's dictionaries grew, and
+    /// returns how many events it held; once it returns they are in the
+    /// page cache. 0 on an in-memory index, which holds none.
+    pub(crate) fn log_tail(&self) -> std::io::Result<usize> {
         self.log_tail_in(&mut self.inner.write())
     }
 
-    fn log_tail_in(&self, inner: &mut IndexInner) -> usize {
-        let Some(engine) = &self.persist else { return 0 };
-        inner.log_tail(engine, &self.name).expect("dio-backend: persistent append failed")
+    fn log_tail_in(&self, inner: &mut IndexInner) -> std::io::Result<usize> {
+        match &self.persist {
+            Some(engine) => inner.log_tail(engine, &self.name),
+            None => Ok(0),
+        }
     }
 
     /// Events accepted and not yet logged.
     pub(crate) fn tail_len(&self) -> usize {
-        self.inner.read().tail.len()
-    }
-
-    /// Logs the tail and lets go of the memory it grew to.
-    pub(crate) fn release_tail(&self) -> std::io::Result<()> {
-        let inner = &mut *self.inner.write();
-        if let Some(engine) = &self.persist {
-            inner.log_tail(engine, &self.name)?;
+        let inner = self.inner.read();
+        match &self.persist {
+            Some(_) => (inner.rows.end() - inner.unlogged) as usize,
+            None => 0,
         }
-        inner.tail = Vec::new();
-        Ok(())
     }
 
     /// Forgets the unlogged tail: the index is being deleted.
     pub(crate) fn discard_tail(&self) {
-        self.inner.write().tail = Vec::new();
+        let inner = &mut *self.inner.write();
+        inner.unlogged = inner.rows.end();
     }
 
-    /// Writes `docs` through to disk, as they came, after any unlogged tail,
-    /// then interns them: all under the write lock that hands out their ids.
+    /// Takes `docs` in, then writes them through to disk after any unlogged
+    /// tail, as they came: all under the write lock that hands out their ids.
     fn accept(&self, docs: Vec<Doc<Box<str>>>, snapshot: Option<Vec<Value>>) -> Vec<u64> {
         let ids = {
             let inner = &mut *self.inner.write();
             let first_id = inner.rows.end();
             let ids: Vec<u64> = (first_id..first_id + docs.len() as u64).collect();
-            if let Some(engine) = &self.persist {
-                self.log_tail_in(inner);
-                engine
-                    .append_rows(&self.name, ids.iter().copied().zip(docs.iter().map(Doc::to_put)))
-                    .expect("dio-backend: persistent append failed");
-            }
             for (&id, doc) in ids.iter().zip(docs) {
                 inner.rows.put(id, inner.dicts.row(doc));
             }
+            self.log_tail_in(inner).expect("dio-backend: persistent append failed");
             ids
         };
         if let Some(batch) = snapshot {
@@ -920,7 +924,7 @@ impl Index {
             return false;
         };
         if let Some(engine) = &self.persist {
-            self.log_tail_in(inner);
+            self.log_tail_in(inner).expect("dio-backend: persistent append failed");
             engine.append_delete(&self.name, id).expect("dio-backend: persistent delete failed");
         }
         // A row past `refreshed` has no terms in the indexes yet.
@@ -1043,13 +1047,13 @@ impl Index {
         }
         inner.inverted.settle();
         if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
-            self.log_tail_in(inner);
-            let docs: Vec<Doc<&str>> = ids
-                .iter()
-                .map(|&id| inner.dicts.stored(inner.rows.get(id).expect("updated")))
-                .collect();
-            let puts = ids.iter().copied().zip(docs.iter().map(Doc::to_put));
-            engine.append_rows(&self.name, puts).expect("dio-backend: persistent update failed");
+            // The tail's rows are logged as they now are; the others again.
+            let tail = inner.unlogged;
+            let logged = ids.iter().copied().filter(|&id| id < tail);
+            inner
+                .log_tail(engine, &self.name)
+                .and_then(|_| inner.append(engine, &self.name, logged))
+                .expect("dio-backend: persistent update failed");
         }
         ids.len()
     }

@@ -187,7 +187,8 @@ impl KeyDir {
         Self::default()
     }
 
-    fn barred(&self, index: &str, seqno: u64) -> bool {
+    /// Whether a barrier seen drops the records of `index` up to `seqno`.
+    pub fn barred(&self, index: &str, seqno: u64) -> bool {
         self.barriers.get(index).is_some_and(|&b| seqno <= b)
     }
 

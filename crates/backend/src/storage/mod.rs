@@ -1,17 +1,20 @@
 //! Persistent sharded storage under [`crate::DocStore`] (DESIGN.md §11).
 //!
 //! A bitcask-style engine: every mutation is one CRC-framed record
-//! appended to a segment file — the events of one bulk as binary *runs* of
-//! consecutive ids, any other document as its JSON text; an in-memory
-//! [`keydir`] maps each live (index, doc id) key to its newest frame, one
-//! entry per run; reopening replays every segment once — the store loads
-//! each live document anyway, and a run decodes straight to its events —
-//! and a background compactor merges sealed segments through the same
-//! replay, dropping superseded frames and re-encoding runs to their live
-//! ids. The key space is split over N independent **shards** — separate
-//! directories, locks, and segment chains — by blocks of [`BLOCK`]
-//! consecutive ids, so concurrent sessions append in parallel instead of
-//! serializing on one lock domain, and a run never spans two shards.
+//! appended to a segment file — the event rows of one log as binary *runs*
+//! of consecutive ids, with a *dictionary record* ahead of them when the
+//! index's dictionaries grew; any other document as its JSON text. An
+//! in-memory [`keydir`] maps each live (index, doc id) key to its newest
+//! frame, one entry per run; reopening replays every segment once — the
+//! store loads each live document anyway, a run decodes straight to its
+//! rows, and the dictionary records of every shard are handed to the index
+//! with them. A background compactor merges sealed segments through the
+//! same replay, dropping superseded frames, re-encoding runs to their live
+//! ids and writing the dictionary records ahead of them. The key space is
+//! split over N independent **shards** — separate directories, locks, and
+//! segment chains — by blocks of [`BLOCK`] consecutive ids, so concurrent
+//! sessions append in parallel instead of serializing on one lock domain,
+//! and a run never spans two shards.
 //!
 //! Durability contract: when an append returns, the batch has reached
 //! the kernel page cache — it survives a process kill (the crash
@@ -39,10 +42,10 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
-use dio_syscall::codec::RunEncoder;
 use dio_syscall::SyscallEvent;
 use dio_telemetry::{trace, Counter, Histogram, MetricsRegistry};
 
+use crate::row::{Compact, DictRecord, RunWriter};
 pub use shard::ShardReport;
 use shard::{Op, Shard};
 
@@ -233,9 +236,10 @@ pub struct StorageEngine {
     shards: Vec<Arc<Shard>>,
     /// Routing block of the store ([`BLOCK`], or 1 for a `v1` store).
     block: u64,
-    /// The manifest still says `v1`: a reader of that version knows no run,
-    /// so it is rewritten before the first one is.
-    manifest_v1: Mutex<bool>,
+    /// The manifest still names an earlier version, whose readers know
+    /// neither these runs nor dictionary records: it is rewritten before the
+    /// first one is.
+    manifest_old: Mutex<bool>,
     stats: Arc<EngineStats>,
     compactor_shared: Arc<CompactorShared>,
     compactor: Mutex<Option<CompactorHandle>>,
@@ -268,17 +272,17 @@ fn route(index: &str, block: u64, shards: usize) -> usize {
 
 const MANIFEST: &str = "MANIFEST";
 
-/// What a manifest pins: shard count and routing block, and whether it is
-/// the `v1` one.
+/// What a manifest pins: shard count and routing block, and the version it
+/// names.
 struct Manifest {
     shards: usize,
     block: u64,
-    v1: bool,
+    version: u8,
 }
 
 fn write_manifest(root: &Path, shards: usize, block: u64) -> std::io::Result<()> {
     let tmp = root.join("MANIFEST.tmp");
-    std::fs::write(&tmp, format!("dio-store v2\nshards {shards}\nblock {block}\n"))?;
+    std::fs::write(&tmp, format!("dio-store v3\nshards {shards}\nblock {block}\n"))?;
     std::fs::rename(&tmp, root.join(MANIFEST))
 }
 
@@ -288,9 +292,10 @@ fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Resul
         Ok(text) => {
             let mut lines = text.lines();
             let version = lines.next().unwrap_or("");
-            let v1 = match version {
-                "dio-store v1" => true,
-                "dio-store v2" => false,
+            let version = match version {
+                "dio-store v1" => 1,
+                "dio-store v2" => 2,
+                "dio-store v3" => 3,
                 _ => return Err(bad(&format!("unsupported store format: {version:?}"))),
             };
             let mut number = |key: &str| {
@@ -301,13 +306,13 @@ fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Resul
                     .ok_or_else(|| bad(&format!("bad manifest {key} line")))
             };
             let shards = number("shards")? as usize;
-            let block = if v1 { 1 } else { number("block")? };
-            Ok(Manifest { shards, block, v1 })
+            let block = if version == 1 { 1 } else { number("block")? };
+            Ok(Manifest { shards, block, version })
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             let shards = config.shards.max(1);
             write_manifest(root, shards, BLOCK)?;
-            Ok(Manifest { shards, block: BLOCK, v1: false })
+            Ok(Manifest { shards, block: BLOCK, version: 3 })
         }
         Err(e) => Err(e),
     }
@@ -318,20 +323,31 @@ fn read_or_write_manifest(root: &Path, config: &StorageConfig) -> std::io::Resul
 pub enum Stored {
     /// A document's JSON text.
     Json(Vec<u8>),
-    /// An event of a run.
-    Event(SyscallEvent),
+    /// An event row of a run, naming the ids of its index's dictionary
+    /// records.
+    Row(Compact),
+    /// An event of a run of the first format, self-contained.
+    Event(Box<SyscallEvent>),
 }
 
-/// Every live document recovered at open, grouped by index and sorted
-/// by doc id (the original ingest order within an index).
-pub type LoadedStore = BTreeMap<Arc<str>, Vec<(u64, Stored)>>;
+/// What one index recovered at open.
+#[derive(Debug, Default)]
+pub struct Loaded {
+    /// Its dictionary records, in no particular order.
+    pub dicts: Vec<DictRecord>,
+    /// Its live documents, sorted by doc id (the original ingest order).
+    pub docs: Vec<(u64, Stored)>,
+}
+
+/// Everything live recovered at open, by index.
+pub type LoadedStore = BTreeMap<Arc<str>, Loaded>;
 
 /// One id's value for [`StorageEngine::append_rows`].
 pub(crate) enum Put<'a> {
     /// A document, as JSON text.
     Json(Vec<u8>),
-    /// An event, written into a run with its neighbours.
-    Event(&'a SyscallEvent),
+    /// An event row, written into a run with its neighbours.
+    Row(&'a Compact),
 }
 
 impl StorageEngine {
@@ -369,11 +385,11 @@ impl StorageEngine {
         for recovered in recovered {
             shard_arcs.push(Arc::new(recovered.open(&stats, &mut loaded)?));
         }
-        for docs in loaded.values_mut() {
-            docs.sort_by_key(|(id, _)| *id);
+        for index in loaded.values_mut() {
+            index.docs.sort_by_key(|(id, _)| *id);
         }
         open_span.attr("torn_truncated", stats.recovery_truncated.get());
-        open_span.attr("live_docs", loaded.values().map(Vec::len).sum::<usize>());
+        open_span.attr("live_docs", loaded.values().map(|index| index.docs.len()).sum::<usize>());
         open_span.finish();
 
         let engine = Arc::new(StorageEngine {
@@ -381,7 +397,7 @@ impl StorageEngine {
             config,
             shards: shard_arcs,
             block: manifest.block,
-            manifest_v1: Mutex::new(manifest.v1),
+            manifest_old: Mutex::new(manifest.version < 3),
             stats,
             compactor_shared: Arc::new(CompactorShared {
                 stop: Mutex::new(false),
@@ -459,61 +475,71 @@ impl StorageEngine {
     /// text. Returns once every routed shard has the bytes on disk — the
     /// caller may then acknowledge the documents.
     pub fn append_puts(&self, index: &str, docs: Vec<(u64, Vec<u8>)>) -> std::io::Result<()> {
-        self.append_rows(index, docs.into_iter().map(|(id, value)| (id, Put::Json(value))))
+        self.append_rows(index, None, docs.into_iter().map(|(id, value)| (id, Put::Json(value))))
     }
 
-    /// Appends a batch of writes for one index, in id order: the events of
-    /// consecutive ids as one run per block, any other document as its
-    /// JSON text.
+    /// Appends a batch of writes for one index, in id order: the event rows
+    /// of consecutive ids as one run per block, any other document as its
+    /// JSON text. `dict`, the payload of a dictionary record defining ids
+    /// the rows name, goes ahead of them all: into the shard the first write
+    /// goes to, which writes before any other.
     pub(crate) fn append_rows<'a>(
         &self,
         index: &str,
+        dict: Option<Vec<u8>>,
         rows: impl IntoIterator<Item = (u64, Put<'a>)>,
     ) -> std::io::Result<()> {
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<Op>> = Vec::new();
-        per_shard.resize_with(n, Vec::new);
         let index: Arc<str> = Arc::from(index);
-        let mut run: Option<(u64, RunEncoder<'a>)> = None;
-        let mut runs = false;
-        let mut end_run = |run: &mut Option<(u64, RunEncoder<'a>)>, per_shard: &mut [Vec<Op>]| {
-            if let Some((first, encoder)) = run.take() {
-                let ids = encoder.len() as u32;
+        // Each op with the id it is routed by.
+        let mut ops: Vec<(u64, Op)> = Vec::new();
+        let mut run: Option<(u64, RunWriter)> = None;
+        let end_run = |run: &mut Option<(u64, RunWriter)>, ops: &mut Vec<(u64, Op)>| {
+            if let Some((first, writer)) = run.take() {
+                let ids = writer.len() as u32;
                 let mut payload = Vec::new();
-                encoder.finish(&mut payload);
-                let op = Op::Run { index: Arc::clone(&index), first, ids, payload };
-                per_shard[route(&index, first / self.block, n)].push(op);
-                runs = true;
+                writer.finish(&mut payload);
+                ops.push((first, Op::Run { index: Arc::clone(&index), first, ids, payload }));
             }
         };
         for (doc_id, put) in rows {
             // A run ends at a gap in the ids, where a block ends, and at a
             // document that is not an event.
-            let next = run.as_ref().map(|(first, encoder)| first + encoder.len() as u64);
+            let next = run.as_ref().map(|(first, writer)| first + writer.len() as u64);
             if next.is_some_and(|next| next != doc_id || doc_id % self.block == 0) {
-                end_run(&mut run, &mut per_shard);
+                end_run(&mut run, &mut ops);
             }
             match put {
-                Put::Event(event) => {
-                    run.get_or_insert_with(|| (doc_id, RunEncoder::new())).1.push(event)
+                Put::Row(row) => {
+                    run.get_or_insert_with(|| (doc_id, RunWriter::default())).1.push(row)
                 }
                 Put::Json(value) => {
-                    end_run(&mut run, &mut per_shard);
-                    let op = Op::Put { index: Arc::clone(&index), doc_id, value };
-                    per_shard[route(&index, doc_id / self.block, n)].push(op);
+                    end_run(&mut run, &mut ops);
+                    ops.push((doc_id, Op::Put { index: Arc::clone(&index), doc_id, value }));
                 }
             }
         }
-        end_run(&mut run, &mut per_shard);
+        end_run(&mut run, &mut ops);
+        let n = self.shards.len();
+        let runs = dict.is_some() || ops.iter().any(|(_, op)| matches!(op, Op::Run { .. }));
+        let first = ops.first().map_or(0, |&(id, _)| route(&index, id / self.block, n));
+        let mut per_shard: Vec<Vec<Op>> = Vec::new();
+        per_shard.resize_with(n, Vec::new);
+        if let Some(payload) = dict {
+            per_shard[first].push(Op::Dict { index: Arc::clone(&index), payload });
+        }
+        for (id, op) in ops {
+            per_shard[route(&index, id / self.block, n)].push(op);
+        }
         if runs {
-            let mut v1 = self.manifest_v1.lock();
-            if *v1 {
+            let mut old = self.manifest_old.lock();
+            if *old {
                 write_manifest(&self.root, n, self.block)?;
-                *v1 = false;
+                *old = false;
             }
         }
         let mut compact_wanted = false;
-        for (k, ops) in per_shard.into_iter().enumerate() {
+        for k in std::iter::once(first).chain((0..n).filter(|&k| k != first)) {
+            let ops = std::mem::take(&mut per_shard[k]);
             if !ops.is_empty() {
                 compact_wanted |= self.shards[k].append_batch(ops, &self.config, &self.stats)?;
             }
@@ -664,12 +690,12 @@ mod tests {
         }
         let (engine, loaded) = StorageEngine::open(&root, config).unwrap();
         assert_eq!(loaded.len(), 2);
-        let a = &loaded["dio-a"];
+        let a = &loaded["dio-a"].docs;
         assert_eq!(a.len(), 49, "one doc tombstoned");
         assert!(a.iter().all(|(id, _)| *id != 7));
         // Sorted by id == original ingest order.
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(loaded["dio-b"], vec![(0, Stored::Json(doc(99)))]);
+        assert_eq!(loaded["dio-b"].docs, vec![(0, Stored::Json(doc(99)))]);
         engine.verify().unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -694,7 +720,7 @@ mod tests {
         }
         let (engine, loaded) = StorageEngine::open(&root, config).unwrap();
         assert!(!loaded.contains_key("gone"));
-        assert_eq!(loaded["kept"].len(), 10);
+        assert_eq!(loaded["kept"].docs.len(), 10);
         engine.verify().unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -723,7 +749,7 @@ mod tests {
         drop(engine);
 
         let (engine, loaded) = StorageEngine::open(&root, config).unwrap();
-        let a = &loaded["dio-a"];
+        let a = &loaded["dio-a"].docs;
         assert_eq!(a.len(), 20);
         for (id, value) in a {
             assert_eq!(value, &Stored::Json(doc(49 * 100 + id)), "latest round survives");
@@ -837,6 +863,46 @@ mod tests {
         let store = DocStore::open_with(&root, config).unwrap();
         check(&store, 3_033);
         assert_eq!(store.index("dio-e").len(), 3_033);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// An index dropped and taken up again under its name starts new
+    /// dictionaries: a barrier drops the old ones' records with the old
+    /// runs, at reopen and in a compaction, and the new runs name the new
+    /// records' ids.
+    #[test]
+    fn a_dropped_index_takes_its_dictionary_records_with_it() {
+        use crate::DocStore;
+        use dio_syscall::{SyscallEvent, SyscallKind};
+        let root = tmp_root("dropdicts");
+        let config = StorageConfig::tiny_for_tests();
+        let events = |comm: &str, n: u64| -> Vec<SyscallEvent> {
+            let mut e = SyscallEvent::synthetic(SyscallKind::Write);
+            e.comm = comm.into();
+            (0..n).map(|i| SyscallEvent { time_enter_ns: i, ..e.clone() }).collect()
+        };
+        let docs = |store: &DocStore| -> Vec<serde_json::Value> {
+            let index = store.index("dio-x");
+            (0..index.len() as u64).filter_map(|id| index.get(id)).collect()
+        };
+        let store = DocStore::open_with(&root, config.clone()).unwrap();
+        store.bulk_spans("dio-x", events("old-name", 3_000), &mut []);
+        assert!(store.delete_index("dio-x"));
+        store.bulk_spans("dio-x", events("new-name", 40), &mut []);
+        let expect = docs(&store);
+        assert_eq!(expect[0]["proc_name"], "new-name");
+        drop(store);
+        for compact in [false, true] {
+            let store = DocStore::open_with(&root, config.clone()).unwrap();
+            assert_eq!(docs(&store), expect, "compacted: {compact}");
+            if compact {
+                store.compact_now().unwrap();
+            }
+            store.storage().unwrap().verify().unwrap();
+        }
+        let store = DocStore::open_with(&root, config).unwrap();
+        assert_eq!(docs(&store), expect, "after the compaction");
         drop(store);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -1,20 +1,20 @@
 //! On-disk record framing for segment files.
 //!
 //! Every mutation of the store — a run of events, a document write, a
-//! per-document tombstone, or a whole-index drop barrier — is one framed
-//! record (DESIGN.md §11.1):
+//! per-document tombstone, a whole-index drop barrier, or the dictionary
+//! entries an index's runs name — is one framed record (DESIGN.md §11.1):
 //!
 //! ```text
 //! [crc: u32 LE]          checksum of every following byte of the frame
 //! [seqno: u64 LE]        shard-local mutation sequence number
 //! [flags: u8]            bit0 = tombstone, bit1 = drop-index barrier,
-//!                        bit2 = a run of events
+//!                        bit2 = a run of events, bit3 = dictionary entries
 //! [index_len: u16 LE]    length of the index (session) name
 //! [doc_id: u64 LE]       document id within the index; a run's first id
 //! [value_len: u32 LE]    length of the value
 //! [index_name: bytes]
-//! [value: bytes]         JSON document text, or a run's payload
-//!                        (`dio_syscall::codec`)
+//! [value: bytes]         JSON document text, a run's or a dictionary
+//!                        record's payload (`crate::row`)
 //! ```
 //!
 //! The CRC covers the whole frame after itself, so a torn tail — a crash
@@ -35,16 +35,19 @@ pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 /// whole-index delete barrier; `doc_id` and `value` are empty).
 pub const FLAG_DROP_INDEX: u8 = 0b0000_0010;
 /// Flag bit: the value is a run of events for the consecutive ids from
-/// `doc_id` on, encoded by `dio_syscall::codec`.
+/// `doc_id` on (`crate::row`; `dio_syscall::codec` for an earlier format).
 pub const FLAG_EVENTS: u8 = 0b0000_0100;
+/// Flag bit: the value is dictionary entries of `index` that its runs name
+/// by id (`doc_id` is 0).
+pub const FLAG_DICT: u8 = 0b0000_1000;
 
 /// A decoded record frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Shard-local mutation sequence number (newest wins).
     pub seqno: u64,
-    /// Flag bits (`FLAG_TOMBSTONE`, `FLAG_DROP_INDEX`, `FLAG_EVENTS`); at
-    /// most one is set.
+    /// Flag bits (`FLAG_TOMBSTONE`, `FLAG_DROP_INDEX`, `FLAG_EVENTS`,
+    /// `FLAG_DICT`); at most one is set.
     pub flags: u8,
     /// The index (session) the record belongs to; the records of one
     /// appended batch share the allocation.
@@ -132,7 +135,7 @@ fn read_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-const KNOWN_FLAGS: u8 = FLAG_TOMBSTONE | FLAG_DROP_INDEX | FLAG_EVENTS;
+const KNOWN_FLAGS: u8 = FLAG_TOMBSTONE | FLAG_DROP_INDEX | FLAG_EVENTS | FLAG_DICT;
 
 /// Upper bound on a single document body; a `value_len` beyond this is
 /// treated as header corruption rather than a gigantic allocation.
@@ -173,7 +176,6 @@ pub fn decode(buf: &[u8]) -> Result<(Record, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_syscall::{SyscallEvent, SyscallKind};
 
     #[test]
     fn roundtrip() {
@@ -196,20 +198,19 @@ mod tests {
         }
     }
 
-    /// A document frame, and a run frame of three events.
+    /// A document frame, a run frame and a dictionary frame (the checksum
+    /// covers whatever payload a frame carries).
     fn frames() -> Vec<Vec<u8>> {
-        let events = [SyscallKind::Write, SyscallKind::Openat, SyscallKind::Fsync]
-            .map(SyscallEvent::synthetic);
-        let mut payload = Vec::new();
-        dio_syscall::codec::encode(&events, &mut payload);
-        let run = Record {
+        let frame = |flags, doc_id, value: &[u8]| Record {
             seqno: 9,
-            flags: FLAG_EVENTS,
+            flags,
             index: Arc::from("dio-s1"),
-            doc_id: 4,
-            value: payload,
+            doc_id,
+            value: value.to_vec(),
         };
-        [Record::value(9, "dio-s1", 1, b"{\"a\":1}".to_vec()), run]
+        let run = frame(FLAG_EVENTS, 4, &[3, 2, 40, 1, 0, 0, 8, 4, 0, 6, 2, 7, 16]);
+        let dict = frame(FLAG_DICT, 0, &[3, 0, 1, 2, b's', b'1', 0, 0, 0, 0]);
+        [Record::value(9, "dio-s1", 1, b"{\"a\":1}".to_vec()), run, dict]
             .iter()
             .map(|rec| {
                 let mut buf = Vec::new();

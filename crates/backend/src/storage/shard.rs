@@ -16,9 +16,11 @@ use dio_syscall::{codec, SyscallEvent};
 use dio_telemetry::span::monotonic_ns;
 use dio_telemetry::trace;
 
+use crate::row::{decode_run, Compact, DictRecord, RunWriter, RUN_VERSION};
+
 use super::crash::{self, CrashSite};
 use super::keydir::{Displaced, KeyDir, Slot};
-use super::record::{DecodeError, Record, FLAG_DROP_INDEX, FLAG_EVENTS, FLAG_TOMBSTONE};
+use super::record::{DecodeError, Record, FLAG_DICT, FLAG_DROP_INDEX, FLAG_EVENTS, FLAG_TOMBSTONE};
 use super::segment::{self, ScannedRecord, SegmentWriter};
 use super::{EngineStats, LoadedStore, StorageConfig, Stored};
 
@@ -44,7 +46,14 @@ pub enum Op {
         first: u64,
         /// Events in the run.
         ids: u32,
-        /// The run's payload (`dio_syscall::codec`).
+        /// The run's payload (`crate::row`).
+        payload: Vec<u8>,
+    },
+    /// Define dictionary entries the runs of `index` name.
+    Dict {
+        /// Target index.
+        index: Arc<str>,
+        /// The record's payload (`crate::row`).
         payload: Vec<u8>,
     },
     /// Delete `doc_id` of `index`.
@@ -130,7 +139,7 @@ fn apply(
         keydir.apply_tombstone(index, doc_id, slot.seqno, &mut dead);
     } else if flags & FLAG_EVENTS != 0 {
         keydir.apply_run(index, doc_id, slot, &mut dead);
-    } else {
+    } else if flags & FLAG_DICT == 0 {
         keydir.apply_put(index, doc_id, slot, &mut dead);
     }
 }
@@ -144,11 +153,39 @@ struct Scanned {
     torn: Option<DecodeError>,
 }
 
-/// A record's value: a document's text, or a run's events — `None` where
-/// a newer record shadows the id.
+/// A record's value: a document's text, a run's rows — `None` where a newer
+/// record shadows the id — or a dictionary record, with its payload.
 enum Body {
     Doc(Vec<u8>),
-    Run(Vec<Option<SyscallEvent>>),
+    Rows(Vec<Option<Compact>>),
+    /// A run of the first format: its payload and its events.
+    Events(Vec<u8>, Vec<Option<SyscallEvent>>),
+    Dict(Vec<u8>, DictRecord),
+}
+
+impl Body {
+    /// The body of a run's or a dictionary record's payload.
+    fn decode(flags: u8, value: Vec<u8>) -> Result<Body, codec::DecodeError> {
+        if flags & FLAG_DICT != 0 {
+            let record = DictRecord::decode(&value)?;
+            return Ok(Body::Dict(value, record));
+        }
+        if value.first() == Some(&RUN_VERSION) {
+            return Ok(Body::Rows(decode_run(&value)?.into_iter().map(Some).collect()));
+        }
+        let mut events = Vec::new();
+        codec::decode(&value, &mut events)?;
+        Ok(Body::Events(value, events.into_iter().map(Some).collect()))
+    }
+
+    /// Ids the record holds.
+    fn ids(&self) -> usize {
+        match self {
+            Body::Rows(rows) => rows.len(),
+            Body::Events(_, events) => events.len(),
+            Body::Doc(_) | Body::Dict(..) => 1,
+        }
+    }
 }
 
 /// A record that survives a set of segments, with what of it survives.
@@ -197,19 +234,17 @@ fn replay(dir: &Path, shard: usize, gens: impl Iterator<Item = u64>) -> std::io:
         let scan = segment::scan(&dir.join(segment::log_name(gen)))?;
         for ScannedRecord { record, offset, len } in scan.records {
             let Record { seqno, flags, index, doc_id, value } = record;
-            let (body, ids) = if flags & FLAG_EVENTS != 0 {
-                let mut events = Vec::new();
-                let ids = codec::decode(&value, &mut events).and_then(|()| {
-                    u32::try_from(events.len())
+            let (body, ids) = if flags & (FLAG_EVENTS | FLAG_DICT) != 0 {
+                let decoded = Body::decode(flags, value).and_then(|body| {
+                    let ids = u32::try_from(body.ids())
                         .ok()
-                        .filter(|&n| n > 0 && doc_id.checked_add(u64::from(n)).is_some())
-                        .ok_or(codec::DecodeError::Invalid("run length"))
+                        .filter(|&n| n > 0 && doc_id.checked_add(u64::from(n)).is_some());
+                    Ok((body, ids.ok_or(codec::DecodeError::Invalid("run length"))?))
                 });
-                let ids = ids.map_err(|e| {
+                decoded.map_err(|e| {
                     let at = format!("shard {shard} gen {gen} offset {offset}: {e}");
                     std::io::Error::new(std::io::ErrorKind::InvalidData, at)
-                })?;
-                (Body::Run(events.into_iter().map(Some).collect()), ids)
+                })?
             } else {
                 (Body::Doc(value), 1)
             };
@@ -222,19 +257,30 @@ fn replay(dir: &Path, shard: usize, gens: impl Iterator<Item = u64>) -> std::io:
         }
         scanned.push(Scanned { gen, valid_len: scan.valid_len, torn: scan.torn });
     }
-    live.retain_mut(|rec| match &mut rec.body {
-        Body::Doc(_) => keydir.get(&rec.index, rec.first) == Some(rec.slot),
-        Body::Run(events) => {
-            let mut held = keydir.live_ids(&rec.index, rec.first, rec.slot).into_iter().peekable();
-            for (id, event) in (rec.first..).zip(events.iter_mut()) {
-                if held.next_if_eq(&id).is_none() {
-                    *event = None;
-                }
-            }
-            events.iter().any(Option::is_some)
+    // A run keeps the ids it is the newest record of; a dictionary record
+    // lives until a barrier drops its index.
+    live.retain_mut(|rec| {
+        let held = |keydir: &KeyDir| keydir.live_ids(&rec.index, rec.first, rec.slot);
+        match &mut rec.body {
+            Body::Doc(_) => keydir.get(&rec.index, rec.first) == Some(rec.slot),
+            Body::Dict(..) => !keydir.barred(&rec.index, rec.slot.seqno),
+            Body::Rows(rows) => keep_live(held(&keydir), rec.first, rows),
+            Body::Events(_, events) => keep_live(held(&keydir), rec.first, events),
         }
     });
     Ok(Replayed { keydir, live, scanned, dead_by_gen, max_seqno })
+}
+
+/// Empties the places of `items`, the ids from `first` on, that `held` does
+/// not name; returns whether any is left.
+fn keep_live<T>(held: Vec<u64>, first: u64, items: &mut [Option<T>]) -> bool {
+    let mut held = held.into_iter().peekable();
+    for (id, item) in (first..).zip(items.iter_mut()) {
+        if held.next_if_eq(&id).is_none() {
+            *item = None;
+        }
+    }
+    items.iter().any(Option::is_some)
 }
 
 /// One `fdatasync` of the active segment, traced as a `storage.fsync`
@@ -282,11 +328,18 @@ impl Recovered {
             None => (SegmentWriter::create(&dir, 1)?, 2),
         };
         for Live { index, first, body, .. } in live {
-            let docs = loaded.entry(index).or_default();
+            let loaded = loaded.entry(index).or_default();
+            let docs = &mut loaded.docs;
             match body {
                 Body::Doc(value) => docs.push((first, Stored::Json(value))),
-                Body::Run(events) => docs.extend(
-                    (first..).zip(events).filter_map(|(id, e)| Some((id, Stored::Event(e?)))),
+                Body::Dict(_, record) => loaded.dicts.push(record),
+                Body::Rows(rows) => docs.extend(
+                    (first..).zip(rows).filter_map(|(id, row)| Some((id, Stored::Row(row?)))),
+                ),
+                Body::Events(_, events) => docs.extend(
+                    (first..)
+                        .zip(events)
+                        .filter_map(|(id, e)| Some((id, Stored::Event(e?.into())))),
                 ),
             }
         }
@@ -367,6 +420,9 @@ impl Shard {
                 Op::Run { index, first, ids, payload } => {
                     let flags = FLAG_EVENTS;
                     (Record { seqno, flags, index, doc_id: first, value: payload }, ids)
+                }
+                Op::Dict { index, payload } => {
+                    (Record { seqno, flags: FLAG_DICT, index, doc_id: 0, value: payload }, 1)
                 }
                 Op::Delete { index, doc_id } => {
                     let flags = FLAG_TOMBSTONE;
@@ -538,14 +594,17 @@ impl Shard {
                 self.id, seg.gen, seg.valid_len, inputs[&seg.gen].len,
             )));
         }
-        // Stable output order: by original seqno.
-        keep.sort_by_key(|rec| rec.slot.seqno);
+        // Stable output order: the dictionary records ahead of the runs that
+        // name their entries, then by original seqno.
+        keep.sort_by_key(|rec| (!matches!(rec.body, Body::Dict(..)), rec.slot.seqno));
         merge_span.attr("kept", keep.len());
 
         // Phase 3 (unlocked): write the output to a tmp file, then
         // atomically promote it to a real segment. A run keeps its seqno and
         // loses the ids something newer shadows: its live ids are
-        // re-encoded as runs of consecutive ids.
+        // re-encoded as runs of consecutive ids. A run of the first format
+        // that lost some keeps the others as their documents' text — nothing
+        // writes that format any more.
         let tmp_path = self.dir.join(segment::merge_tmp_name(output_gen));
         let mut out = std::fs::File::create(&tmp_path)?;
         let mut out_len = 0u64;
@@ -569,23 +628,48 @@ impl Shard {
         };
         for Live { index, slot: was, first, body } in keep {
             let seqno = was.seqno;
+            let record = |flags, doc_id, value| Record {
+                seqno,
+                flags,
+                index: Arc::clone(&index),
+                doc_id,
+                value,
+            };
             let done = match body {
                 Body::Doc(value) => {
-                    let index = Arc::clone(&index);
-                    let record = Record { seqno, flags: 0, index, doc_id: first, value };
-                    Written::Doc { doc_id: first, slot: write_frame(&record, 1)? }
+                    Written::Doc { doc_id: first, slot: write_frame(&record(0, first, value), 1)? }
                 }
-                Body::Run(events) => {
+                Body::Dict(value, _) => {
+                    write_frame(&record(FLAG_DICT, 0, value), 1)?;
+                    continue;
+                }
+                Body::Events(value, events) if events.iter().all(Option::is_some) => {
+                    let slot = write_frame(&record(FLAG_EVENTS, first, value), was.ids)?;
+                    Written::Run { was, pieces: vec![(first, slot)] }
+                }
+                Body::Events(_, events) => {
+                    let mut pieces = Vec::new();
+                    for (doc_id, event) in (first..).zip(events) {
+                        let Some(event) = event else { continue };
+                        let text = event.to_document().to_string().into_bytes();
+                        pieces.push((doc_id, write_frame(&record(0, doc_id, text), 1)?));
+                    }
+                    Written::Run { was, pieces }
+                }
+                Body::Rows(rows) => {
                     let mut pieces = Vec::new();
                     let mut at = 0;
-                    while at < events.len() {
-                        let len = events[at..].iter().take_while(|e| e.is_some()).count();
+                    while at < rows.len() {
+                        let len = rows[at..].iter().take_while(|row| row.is_some()).count();
                         if len > 0 {
+                            let mut run = RunWriter::default();
+                            rows[at..at + len].iter().flatten().for_each(|row| run.push(row));
                             let mut value = Vec::new();
-                            codec::encode(events[at..at + len].iter().flatten(), &mut value);
-                            let (index, doc_id) = (Arc::clone(&index), first + at as u64);
-                            let record = Record { seqno, flags: FLAG_EVENTS, index, doc_id, value };
-                            pieces.push((doc_id, write_frame(&record, len as u32)?));
+                            run.finish(&mut value);
+                            let doc_id = first + at as u64;
+                            let slot =
+                                write_frame(&record(FLAG_EVENTS, doc_id, value), len as u32)?;
+                            pieces.push((doc_id, slot));
                         }
                         at += len.max(1);
                     }
@@ -698,13 +782,12 @@ impl Shard {
                 slot.frame_len,
             )
             .map_err(|e| format!("{what} unreadable: {e}"))?;
-            let ids = if rec.flags & FLAG_EVENTS != 0 {
-                let mut events = Vec::new();
-                codec::decode(&rec.value, &mut events).map_err(|e| format!("{what}: {e}"))?;
-                events.len() as u64
-            } else {
-                1
-            };
+            let ids = match rec.flags & FLAG_EVENTS != 0 {
+                true => {
+                    Body::decode(rec.flags, rec.value).map_err(|e| format!("{what}: {e}"))?.ids()
+                }
+                false => 1,
+            } as u64;
             let holds = rec.doc_id <= id && id - rec.doc_id < ids;
             if *rec.index != *index || !holds || rec.seqno != slot.seqno || ids != slot.ids as u64 {
                 return Err(format!(

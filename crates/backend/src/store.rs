@@ -84,8 +84,8 @@ impl DocStore {
     pub fn open_with(path: impl AsRef<Path>, config: StorageConfig) -> std::io::Result<Self> {
         let (engine, loaded) = StorageEngine::open(path.as_ref(), config)?;
         let mut indices = BTreeMap::new();
-        for (name, docs) in loaded {
-            let index = Index::from_persisted(&*name, Arc::clone(&engine), docs)?;
+        for (name, loaded) in loaded {
+            let index = Index::from_persisted(&*name, Arc::clone(&engine), loaded)?;
             indices.insert(name.to_string(), Arc::new(index));
         }
         Ok(DocStore {
@@ -113,7 +113,7 @@ impl DocStore {
     pub fn flush(&self) -> std::io::Result<()> {
         let Some(engine) = &self.persist else { return Ok(()) };
         for index in self.indices.read().values() {
-            index.release_tail()?;
+            index.log_tail()?;
         }
         engine.flush()
     }
@@ -261,7 +261,9 @@ impl DocStore {
         };
         match index.tail_len() {
             0 => 0,
-            held => self.timed_bulk(name, held, |index| index.log_tail()),
+            held => self.timed_bulk(name, held, |index| {
+                index.log_tail().expect("dio-backend: persistent append failed")
+            }),
         }
     }
 

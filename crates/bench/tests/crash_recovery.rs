@@ -24,9 +24,11 @@
 //! [`StorageEngine::verify`]: dio_backend::StorageEngine::verify
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use dio_backend::storage::record::FLAG_DICT;
+use dio_backend::storage::segment;
 use dio_backend::{DocStore, SearchRequest};
 use dio_bench::crash_schedule as cs;
 
@@ -54,9 +56,31 @@ fn crash_spec(seed: u64) -> String {
     format!("{site}:{countdown}:{split}")
 }
 
-/// One seeded child run + recovery check. Returns whether the child
-/// actually died at the armed point (vs. completing the schedule).
-fn run_one(seed: u64) -> bool {
+/// What a kill left torn in the store under `dir`, before recovery repairs
+/// it: the flags byte of the frame it tore — a segment's or a merge
+/// output's — if the prefix on disk reaches it.
+fn torn_flags(dir: &Path) -> Option<u8> {
+    for shard in std::fs::read_dir(dir).ok()?.flatten().filter(|e| e.path().is_dir()) {
+        for file in std::fs::read_dir(shard.path()).ok()?.flatten() {
+            let Ok(scanned) = segment::scan(&file.path()) else { continue };
+            if scanned.torn.is_some() {
+                let bytes = std::fs::read(file.path()).ok()?;
+                return bytes.get(scanned.valid_len as usize + 12).copied();
+            }
+        }
+    }
+    None
+}
+
+/// How a seeded run ended: whether the child died at the armed point (vs.
+/// completing the schedule), and whether the kill tore a dictionary record.
+struct Outcome {
+    crashed: bool,
+    in_dict: bool,
+}
+
+/// One seeded child run + recovery check.
+fn run_one(seed: u64) -> Outcome {
     let spec = crash_spec(seed);
     let dir = crash_dir(&format!("seed{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -102,6 +126,7 @@ fn run_one(seed: u64) -> bool {
     });
 
     // Reopen and check the contract.
+    let in_dict = torn_flags(&dir).is_some_and(|flags| flags & FLAG_DICT != 0);
     let store = DocStore::open_with(&dir, cs::crash_config())
         .unwrap_or_else(|e| panic!("reopen after crash failed: {e} — {ctx}"));
     let engine = store.storage().expect("persistent store");
@@ -135,21 +160,25 @@ fn run_one(seed: u64) -> bool {
     }
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    crashed
+    Outcome { crashed, in_dict }
 }
 
 #[test]
 fn seeded_kill_points_lose_no_acknowledged_write() {
     let seeds = env_u64("DIO_CRASH_SEEDS", 8);
     let base = env_u64("DIO_CRASH_SEED_BASE", 0xD10);
-    // Died at the armed point, by site (`crash_spec`: even seeds append).
-    let mut died = [0u64; 2];
+    // Died at the armed point, by site (`crash_spec`: even seeds append),
+    // and inside a dictionary record.
+    let (mut died, mut in_dict) = ([0u64; 2], 0);
     for seed in base..base + seeds {
-        if run_one(seed) {
+        let outcome = run_one(seed);
+        if outcome.crashed {
             died[(seed % 2) as usize] += 1;
         }
+        in_dict += u64::from(outcome.in_dict);
     }
     println!("died at the armed point: append {}, compact {} of {seeds} seeds", died[0], died[1]);
+    println!("died inside a dictionary record: {in_dict} of {seeds} seeds");
     let crashed = died[0] + died[1];
     // The harness only earns its keep if the kills actually land. The
     // seed→kill-point map is deterministic, so this can't flake: if it

@@ -236,7 +236,12 @@ impl<T> RingBuffer<T> {
             Ok(()) => {
                 self.counters[slot].pushed.fetch_add(1, Ordering::Relaxed);
                 let occupancy = q.len() as u64;
-                self.counters[slot].occupancy_hwm.fetch_max(occupancy, Ordering::Relaxed);
+                // Raised only when a load shows a new maximum (see
+                // `Gauge::set_max`).
+                let hwm = &self.counters[slot].occupancy_hwm;
+                if occupancy > hwm.load(Ordering::Relaxed) {
+                    hwm.fetch_max(occupancy, Ordering::Relaxed);
+                }
                 if let Some(t) = self.telemetry.get() {
                     t.pushed.inc();
                     t.occupancy_hwm.set_max(occupancy);

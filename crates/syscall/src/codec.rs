@@ -1,8 +1,12 @@
-//! The binary form of a run of events: what a persisted store writes for
-//! them (DESIGN.md §11.1).
+//! The varints every binary payload of a persisted store is written in, and
+//! the reader of the store's first run format (DESIGN.md §11.1).
 //!
-//! A run is a self-contained payload — no state crosses its boundary, so a
-//! store can cut, copy or drop runs without a segment-wide dictionary:
+//! A store now writes runs of an index's compact rows, whose strings,
+//! threads and file tags are ids into the index's own dictionaries, logged
+//! as records of their own (`dio-store v3`, `dio_backend`'s `row` module).
+//! Runs of the first format ([`VERSION`]), which `dio-store v2` stores hold,
+//! still decode here; nothing writes them any more. Each is self-contained,
+//! with its own dictionaries:
 //!
 //! ```text
 //! [version: u8]                          VERSION
@@ -30,12 +34,11 @@
 //! decodes as `UInt(3)`, which compares equal and prints the same — what
 //! [`SyscallEvent::from_document`] gives back too.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::{path_arg, ArgList, ArgRef, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
 
-/// The payload format this code writes and reads.
+/// The first run format, which this code reads.
 pub const VERSION: u8 = 1;
 
 /// Why a payload did not decode.
@@ -62,7 +65,8 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` to `out` as a LEB128 varint.
+pub fn put(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -70,11 +74,13 @@ fn put(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-fn zigzag(v: i64) -> u64 {
+/// `v` with its sign in the low bit: small magnitudes stay small.
+pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+/// The inverse of [`zigzag`].
+pub fn unzigzag(v: u64) -> i64 {
     (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
@@ -84,162 +90,33 @@ const PATH_SHIFT: u8 = 6;
 const PATH_IS_ARG: u8 = 1;
 const PATH_IS_STRING: u8 = 2;
 
-/// A run's dictionary: values in first-use order, each written once.
-struct Dict<K> {
-    at: HashMap<K, u32>,
-    list: Vec<K>,
-}
-
-impl<K> Default for Dict<K> {
-    fn default() -> Self {
-        Dict { at: HashMap::new(), list: Vec::new() }
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Copy> Dict<K> {
-    /// The index of `key`, added if it is new.
-    fn index(&mut self, key: K) -> u32 {
-        let list = &mut self.list;
-        *self.at.entry(key).or_insert_with(|| {
-            list.push(key);
-            list.len() as u32 - 1
-        })
-    }
-}
-
-/// Builds one run: events are pushed in id order, [`RunEncoder::finish`]
-/// writes the payload. The dictionaries borrow the events' strings.
-#[derive(Default)]
-pub struct RunEncoder<'a> {
-    strings: Dict<&'a str>,
-    /// Session and thread name (as string indices), pid and tid.
-    threads: Dict<[u32; 4]>,
-    tags: Dict<FileTag>,
-    events: Vec<u8>,
-    count: u64,
-    last_time: u64,
-}
-
-impl<'a> RunEncoder<'a> {
-    /// An empty run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Events pushed so far.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether no event was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Appends `e` to the run.
-    pub fn push(&mut self, e: &'a SyscallEvent) {
-        let (session, comm) = (self.strings.index(&e.session), self.strings.index(&e.comm));
-        let thread = self.threads.index([session, e.pid.0, e.tid.0, comm]);
-        let path_arg = path_arg(e.kind).and_then(|i| e.args.str_at(i));
-        let path_mode = match (&e.file_path, path_arg) {
-            (None, _) => 0,
-            (Some(path), Some(arg)) if **path == **arg => PATH_IS_ARG,
-            (Some(_), _) => PATH_IS_STRING,
-        };
-        let mut present = e.file_type.map_or(0, |t| t as u8 + 1) | path_mode << PATH_SHIFT;
-        present |= if e.offset.is_some() { PRESENT_OFFSET } else { 0 };
-        present |= if e.file_tag.is_some() { PRESENT_TAG } else { 0 };
-
-        let mut shape = e.args.len() as u64;
-        let mut body = [0u64; ArgList::MAX_INTS + ArgList::MAX_STRS];
-        for (i, arg) in e.args.iter().enumerate() {
-            body[i] = match arg {
-                ArgRef::Str(s) => {
-                    shape |= 1 << (3 + i);
-                    u64::from(self.strings.index(s))
-                }
-                ArgRef::Int(v) if v < 0 => {
-                    shape |= 1 << (8 + i);
-                    !v as u64
-                }
-                ArgRef::Int(v) => v as u64,
-                ArgRef::UInt(v) => v,
-            };
-        }
-        let tag = e.file_tag.map(|tag| self.tags.index(tag));
-        let path = match (path_mode, &e.file_path) {
-            (PATH_IS_STRING, Some(path)) => Some(self.strings.index(path)),
-            _ => None,
-        };
-
-        let out = &mut self.events;
-        out.push(e.kind as u8);
-        out.push(present);
-        put(out, u64::from(thread));
-        put(out, u64::from(e.cpu));
-        put(out, zigzag(e.time_enter_ns.wrapping_sub(self.last_time) as i64));
-        put(out, zigzag(e.time_exit_ns.wrapping_sub(e.time_enter_ns) as i64));
-        put(out, zigzag(e.ret));
-        put(out, shape);
-        for &v in &body[..e.args.len()] {
-            put(out, v);
-        }
-        if let Some(offset) = e.offset {
-            put(out, offset);
-        }
-        if let Some(tag) = tag {
-            put(out, u64::from(tag));
-        }
-        if let Some(path) = path {
-            put(out, u64::from(path));
-        }
-        self.last_time = e.time_enter_ns;
-        self.count += 1;
-    }
-
-    /// Appends the run's payload to `out`.
-    pub fn finish(self, out: &mut Vec<u8>) {
-        out.push(VERSION);
-        put(out, self.count);
-        put(out, self.strings.list.len() as u64);
-        for s in &self.strings.list {
-            put(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        put(out, self.threads.list.len() as u64);
-        for thread in &self.threads.list {
-            thread.iter().for_each(|&v| put(out, u64::from(v)));
-        }
-        put(out, self.tags.list.len() as u64);
-        for tag in &self.tags.list {
-            [tag.dev, tag.ino, tag.first_access_ns].into_iter().for_each(|v| put(out, v));
-        }
-        out.extend_from_slice(&self.events);
-    }
-}
-
-/// Appends the payload of the run `events` to `out`.
-pub fn encode<'a>(events: impl IntoIterator<Item = &'a SyscallEvent>, out: &mut Vec<u8>) {
-    let mut run = RunEncoder::new();
-    events.into_iter().for_each(|e| run.push(e));
-    run.finish(out);
-}
-
 /// A cursor over a payload. Every count it reads is checked against the
 /// bytes left before anything is sized by it.
-struct Reader<'b> {
+pub struct Reader<'b> {
     bytes: &'b [u8],
     at: usize,
 }
 
 impl<'b> Reader<'b> {
-    fn byte(&mut self) -> Result<u8, DecodeError> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'b [u8]) -> Self {
+        Reader { bytes, at: 0 }
+    }
+
+    /// Bytes not read yet.
+    pub fn left(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
+    /// The next byte.
+    pub fn byte(&mut self) -> Result<u8, DecodeError> {
         let b = *self.bytes.get(self.at).ok_or(DecodeError::Truncated)?;
         self.at += 1;
         Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64, DecodeError> {
+    /// The next varint.
+    pub fn varint(&mut self) -> Result<u64, DecodeError> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
@@ -254,12 +131,13 @@ impl<'b> Reader<'b> {
         Err(DecodeError::Invalid("varint beyond 64 bits"))
     }
 
-    fn narrow(&mut self) -> Result<u32, DecodeError> {
+    /// The next varint, which must fit 32 bits.
+    pub fn narrow(&mut self) -> Result<u32, DecodeError> {
         u32::try_from(self.varint()?).map_err(|_| DecodeError::Invalid("number beyond u32"))
     }
 
     /// A count of items of at least one byte each: no more than are left.
-    fn count(&mut self) -> Result<usize, DecodeError> {
+    pub fn count(&mut self) -> Result<usize, DecodeError> {
         let n = self.varint()?;
         let left = (self.bytes.len() - self.at) as u64;
         if n > left {
@@ -268,7 +146,17 @@ impl<'b> Reader<'b> {
         Ok(n as usize)
     }
 
-    fn index<'t, T>(&mut self, table: &'t [T]) -> Result<&'t T, DecodeError> {
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<&'b str, DecodeError> {
+        let len = self.count()?;
+        let text = std::str::from_utf8(&self.bytes[self.at..self.at + len])
+            .map_err(|_| DecodeError::Invalid("string is not UTF-8"))?;
+        self.at += len;
+        Ok(text)
+    }
+
+    /// The entry of `table` the next varint names.
+    pub fn index<'t, T>(&mut self, table: &'t [T]) -> Result<&'t T, DecodeError> {
         let at = self.varint()?;
         usize::try_from(at)
             .ok()
@@ -280,7 +168,7 @@ impl<'b> Reader<'b> {
 /// Decodes a run payload into its events, appended to `out` in run order.
 /// Nothing is appended when the payload does not decode.
 pub fn decode(bytes: &[u8], out: &mut Vec<SyscallEvent>) -> Result<(), DecodeError> {
-    let mut r = Reader { bytes, at: 0 };
+    let mut r = Reader::new(bytes);
     let version = r.byte()?;
     if version != VERSION {
         return Err(DecodeError::Version(version));
@@ -293,11 +181,7 @@ pub fn decode(bytes: &[u8], out: &mut Vec<SyscallEvent>) -> Result<(), DecodeErr
     }
     let mut strings: Vec<Arc<str>> = Vec::new();
     for _ in 0..r.count()? {
-        let len = r.count()?;
-        let text = std::str::from_utf8(&bytes[r.at..r.at + len])
-            .map_err(|_| DecodeError::Invalid("string is not UTF-8"))?;
-        r.at += len;
-        strings.push(Arc::from(text));
+        strings.push(Arc::from(r.str()?));
     }
     let mut threads = Vec::new();
     for _ in 0..r.count()? {
@@ -409,90 +293,40 @@ fn event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArgValue;
-
-    fn write(time: u64) -> SyscallEvent {
-        let mut e = SyscallEvent::synthetic(SyscallKind::Write);
-        e.session = "s1".into();
-        e.comm = "app".into();
-        e.pid = Pid(100);
-        e.tid = Tid(101);
-        e.time_enter_ns = time;
-        e.time_exit_ns = time + 2_000;
-        e.ret = 26;
-        e.args = [ArgValue::Int(3), ArgValue::UInt(26)].into_iter().collect();
-        e.file_type = Some(FileType::Regular);
-        e.offset = Some(26 * time);
-        e.file_tag = Some(FileTag::new(7_340_032, 12, 2_156_997_363_734_041));
-        e
-    }
-
-    fn openat(path: &str, same: bool) -> SyscallEvent {
-        let mut e = SyscallEvent::synthetic(SyscallKind::Openat);
-        e.args = [ArgValue::Int(-100), path.into(), ArgValue::UInt(0o102), ArgValue::UInt(0o644)]
-            .into_iter()
-            .collect();
-        e.file_path = if same { e.args.str_at(1).cloned() } else { Some("/elsewhere".into()) };
-        e
-    }
-
-    fn roundtrip(events: &[SyscallEvent]) -> Vec<SyscallEvent> {
-        let mut bytes = Vec::new();
-        encode(events, &mut bytes);
-        let mut back = Vec::new();
-        decode(&bytes, &mut back).expect("decodes");
-        back
-    }
 
     #[test]
-    fn a_run_decodes_to_its_events() {
-        let events = vec![write(1_000), openat("/a \"q\"", true), write(900), openat("/b", false)];
-        let back = roundtrip(&events);
-        assert_eq!(back, events);
-        for (a, b) in back.iter().zip(&events) {
-            assert_eq!(a.to_document().to_string(), b.to_document().to_string());
+    fn varints_and_zigzag_round_trip() {
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            let mut out = Vec::new();
+            put(&mut out, v);
+            let mut r = Reader::new(&out);
+            assert_eq!((r.varint(), r.left()), (Ok(v), 0));
         }
-        assert!(Arc::ptr_eq(&back[0].session, &back[2].session), "one allocation per string");
-        let path = back[1].args.str_at(1).expect("path argument");
-        assert!(Arc::ptr_eq(back[1].file_path.as_ref().expect("file path"), path));
-        assert!(roundtrip(&[]).is_empty());
+        for v in [0, -1, 1, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert!(zigzag(-3) < 8, "small magnitudes stay small");
+        let mut r = Reader::new(&[0xFF; 11]);
+        assert_eq!(r.varint(), Err(DecodeError::Invalid("varint beyond 64 bits")));
     }
 
-    /// A traced `write` costs about twenty bytes once the run's dictionaries
-    /// are paid for.
-    #[test]
-    fn a_write_in_a_run_costs_about_twenty_bytes() {
-        let events: Vec<SyscallEvent> = (0..100).map(|i| write(1_000_000 + 3_000 * i)).collect();
-        let mut bytes = Vec::new();
-        encode(&events, &mut bytes);
-        let mut one = Vec::new();
-        encode(&events[..1], &mut one);
-        let per_event = (bytes.len() - one.len()) as f64 / 99.0;
-        assert!(per_event <= 20.0, "{per_event} B per event");
-    }
-
+    /// What is not a run of this format does not decode, and a count from
+    /// the payload sizes nothing on its own. Runs this format wrote are
+    /// decoded against a writer kept beside the property suites
+    /// (`tests/common/legacy_run.rs`).
     #[test]
     fn what_is_not_a_run_does_not_decode() {
-        let mut bytes = Vec::new();
-        encode(&[write(5), openat("/a", true)], &mut bytes);
         let mut out = Vec::new();
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut], &mut out).is_err(), "a prefix of {cut} bytes decoded");
-        }
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert_eq!(
-            decode(&longer, &mut out),
-            Err(DecodeError::Invalid("bytes after the last event"))
-        );
-        let mut newer = bytes.clone();
-        newer[0] = 0xFF;
-        assert_eq!(decode(&newer, &mut out), Err(DecodeError::Version(0xFF)));
-        // A count from the payload does not size anything on its own.
+        assert_eq!(decode(&[0xFF, 0], &mut out), Err(DecodeError::Version(0xFF)));
         assert_eq!(
             decode(&[VERSION, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &mut out),
             Err(DecodeError::Truncated)
         );
+        assert_eq!(
+            decode(&[VERSION, 0, 0, 0, 0, 7], &mut out),
+            Err(DecodeError::Invalid("bytes after the last event"))
+        );
+        assert_eq!(decode(&[VERSION, 0, 0, 0, 0], &mut out), Ok(()));
         assert!(out.is_empty(), "nothing is appended by a failed decode");
     }
 }

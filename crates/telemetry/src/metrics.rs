@@ -256,9 +256,13 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if `v` is larger (high-water marks).
+    /// Raises the value to `v` if `v` is larger (high-water marks). A mark
+    /// is seldom raised: a load tells first, which leaves the cache line
+    /// shared where a read-modify-write would take it.
     pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
+        if v > self.value.load(Ordering::Relaxed) {
+            self.value.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.

@@ -162,10 +162,12 @@ impl TracerConfig {
 
     /// Events per bulk-index request, at most. A consumer that catches up
     /// hands over what it holds at once, so under a paced load a request is
-    /// what arrived since the last one. On a persisted store it is also about
-    /// how many events the shipper has logged (and acknowledged) at a time:
-    /// an event is queryable when its request is accepted, and acknowledged
-    /// ([`crate::Tracer::events_stored`]) when it is logged.
+    /// what arrived since the last one. On a persisted store it also caps
+    /// how many events the shipper logs (and acknowledges) at a time: an
+    /// event is queryable when its request is accepted, and acknowledged
+    /// ([`crate::Tracer::events_stored`]) when it is logged — which is as
+    /// soon as the shipper finds no request waiting behind it, so under a
+    /// paced load a log is what arrived since the last one too.
     pub fn batch_size(mut self, n: usize) -> Self {
         self.batch_size = n.max(1);
         self
@@ -176,11 +178,11 @@ impl TracerConfig {
     /// shipper a bulk request when `batch_size` events are held, when a poll
     /// finds the rings empty, or when this runs out, whichever comes first,
     /// and clips its sleep to that deadline: it bounds a consumer that never
-    /// catches up. On a persisted store the shipper logs what it holds
-    /// unlogged when the oldest is this long past its dispatch, if
-    /// `batch_size` did not come first — so a persisted event may be
-    /// queryable well before it is acknowledged. It also sets the idle
-    /// consumer's sleep (see [`TracerConfig::poll_interval`]).
+    /// catches up. On a persisted store it bounds a shipper that never
+    /// catches up the same way: the shipper logs what it holds unlogged when
+    /// the oldest is this long past its dispatch, if neither an empty
+    /// channel nor `batch_size` came first. It also sets the idle consumer's
+    /// sleep (see [`TracerConfig::poll_interval`]).
     pub fn flush_interval(mut self, d: Duration) -> Self {
         self.flush_interval = d;
         self

@@ -1025,10 +1025,12 @@ struct ShipperCtx {
 /// and its moment, so the shipper sleeps until there is one. In memory the
 /// backend acknowledges a request as it takes it. A persisted index makes a
 /// request queryable at once and holds it unlogged; the shipper keeps its
-/// stamps and has the index log what it holds when they reach `batch_size`,
+/// stamps and has the index log what it holds as soon as no request waits
+/// behind the one it took — it caught up — or when they reach `batch_size`,
 /// when the oldest falls `flush_interval` due (its wait ends then) or when
-/// the consumer is gone — so a log appends runs of about `batch_size`
-/// events, however small the requests.
+/// the consumer is gone. A log is a group commit of whatever arrived while
+/// the last one was written; its runs cost no more per event for being
+/// short, as they name the index's dictionaries (DESIGN.md §11.1, §17).
 fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Bulk>) {
     let mut unlogged = Pending::new();
     loop {
@@ -1050,7 +1052,9 @@ fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Bulk>) {
         if ctx.logs {
             ctx.backend.accept_events(&ctx.index_name, &mut bulk.events);
             bulk.stamps.iter().for_each(|&stamp| unlogged.push(stamp));
-            if unlogged.stamps.len() >= ctx.batch_size {
+            // Group commit: log what is held once the channel is empty — the
+            // shipper caught up — or at `batch_size`, whichever comes first.
+            if unlogged.stamps.len() >= ctx.batch_size || rx.is_empty() {
                 log(ctx, &mut unlogged);
             }
         } else {

@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
-use dio_backend::storage::record::{Record, FLAG_EVENTS};
+use dio_backend::storage::record::{Record, FLAG_DICT, FLAG_EVENTS};
+use dio_backend::storage::segment;
 use dio_backend::{DocStore, Query, SearchRequest, StorageConfig};
 use dio_syscall::{ArgValue, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid};
 use dio_telemetry::MetricsRegistry;
@@ -474,8 +475,9 @@ fn fixture_config() -> StorageConfig {
 }
 
 /// `tests/fixtures/store_v1`, an earlier version's store (JSON frames,
-/// per-id routing, `.hint` sidecars), frozen; `store_v2`, what this version
-/// writes.
+/// per-id routing, `.hint` sidecars), frozen; `store_v2`, the next one's
+/// (self-contained runs), frozen; `store_v3`, what this version writes (runs
+/// of rows naming the index's dictionary records).
 fn fixture_dir(version: u32) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/store_v{version}"))
 }
@@ -528,14 +530,15 @@ fn fixture_state(store: &DocStore, typed: bool) -> BTreeMap<String, Vec<(u64, Va
     expect
 }
 
-/// Regenerates the manifest and segment logs of `tests/fixtures/store_v2`.
+/// Regenerates the manifest and segment logs of `tests/fixtures/store_v3`.
 /// Run explicitly (and commit the result) when the on-disk format version
 /// changes: `cargo test --test crash_recovery regenerate -- --ignored`.
-/// `store_v1` is never regenerated: nothing writes its version any more.
+/// `store_v1` and `store_v2` are never regenerated: nothing writes their
+/// versions any more.
 #[test]
 #[ignore = "writes the committed fixture; run by hand on format changes"]
 fn regenerate_golden_fixture() {
-    let dir = fixture_dir(2);
+    let dir = fixture_dir(3);
     let _ = std::fs::remove_dir_all(&dir);
     let scratch = tmp_store("regenerate");
     let store = DocStore::open_with(&scratch, fixture_config()).unwrap();
@@ -591,26 +594,36 @@ fn golden_fixture_reopens_byte_for_byte() {
     fixture_reopens_unchanged(1, &regenerated_fixture_state(false, |_| ()));
 }
 
-/// Replaying `store_v2`'s history writes the committed manifest and logs
-/// again, runs included: neither the record format, a run's encoding nor a
-/// document's serialization moved.
+/// A store of self-contained runs, which the previous version wrote, still
+/// opens to the state its history produces, its runs' events interned into
+/// the index's dictionaries as they are read.
 #[test]
-fn golden_v2_fixture_regenerates_byte_for_byte() {
+fn golden_v2_fixture_reopens_byte_for_byte() {
+    fixture_reopens_unchanged(2, &regenerated_fixture_state(true, |_| ()));
+}
+
+/// Replaying `store_v3`'s history writes the committed manifest and logs
+/// again, runs and dictionary records included: neither the record format,
+/// a run's or a dictionary record's encoding nor a document's serialization
+/// moved.
+#[test]
+fn golden_v3_fixture_regenerates_byte_for_byte() {
     let expect = regenerated_fixture_state(true, |scratch| {
         assert_same_tree(
             &tree(scratch),
-            &tree(&fixture_dir(2)),
+            &tree(&fixture_dir(3)),
             "a regenerated store and the fixture",
         );
     });
-    fixture_reopens_unchanged(2, &expect);
+    fixture_reopens_unchanged(3, &expect);
 }
 
-/// Events appended to a `v1` store are runs, which a `v1` reader cannot
-/// read: the manifest says `v2` before the first one is written, routing by
-/// single ids as the store always has. A document append leaves it alone.
+/// Events appended to a `v1` store are runs and dictionary records, which a
+/// `v1` reader cannot read: the manifest says `v3` before the first one is
+/// written, routing by single ids as the store always has. A document
+/// append leaves it alone.
 #[test]
-fn events_appended_to_a_v1_store_make_it_v2() {
+fn events_appended_to_a_v1_store_make_it_v3() {
     let dir = tmp_store("upgrade");
     copy_tree(&fixture_dir(1), &dir);
     let manifest = || std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
@@ -624,12 +637,116 @@ fn events_appended_to_a_v1_store_make_it_v2() {
         let docs = events.iter().map(SyscallEvent::to_document).enumerate();
         expect.insert("dio-fix4".into(), docs.map(|(id, doc)| (id as u64, doc)).collect());
         store.bulk_spans("dio-fix4", events, &mut []);
-        assert_eq!(manifest(), "dio-store v2\nshards 4\nblock 1\n");
+        assert_eq!(manifest(), "dio-store v3\nshards 4\nblock 1\n");
     }
     let store = DocStore::open_with(&dir, fixture_config()).unwrap();
     assert_eq!(store_state(&store), expect);
     store.storage().unwrap().verify().expect("invariants");
     drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `v2` store's index takes new events beside the self-contained runs it
+/// holds: the manifest says `v3` once they are logged, and the index's
+/// dictionaries — the old events' names interned at open among them — go
+/// into its first dictionary record. A compaction keeps a run of the old
+/// format that lost an event as the documents of the events it kept.
+#[test]
+fn events_appended_to_a_v2_store_make_it_v3() {
+    let dir = tmp_store("upgrade-v2");
+    copy_tree(&fixture_dir(2), &dir);
+    let manifest = || std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let mut expect = regenerated_fixture_state(true, |_| ());
+    {
+        let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+        let fix3 = expect.get_mut("dio-fix3").unwrap();
+        let (gone, _) = fix3.remove(2);
+        assert!(store.index("dio-fix3").delete(gone), "an event of an old run");
+        let events: Vec<SyscallEvent> = (40..52).map(|n| traced_event("fix3", n)).collect();
+        let docs: Vec<Value> = events.iter().map(SyscallEvent::to_document).collect();
+        let ids = store.bulk_spans("dio-fix3", events, &mut []);
+        fix3.extend(ids.into_iter().zip(docs));
+        assert_eq!(manifest(), "dio-store v3\nshards 4\nblock 1024\n");
+        store.compact_now().unwrap();
+        assert_eq!(store_state(&store), expect, "before the reopen");
+    }
+    let store = DocStore::open_with(&dir, fixture_config()).unwrap();
+    assert_eq!(store_state(&store), expect);
+    store.storage().unwrap().verify().expect("invariants");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every frame of `log` with its offset and flags.
+fn frames_of(log: &Path) -> Vec<(u64, u8)> {
+    let scan = segment::scan(log).unwrap();
+    scan.records.iter().map(|r| (r.offset, r.record.flags)).collect()
+}
+
+/// A kill inside a dictionary record tears it, and the run written after it
+/// never reaches the log: the shard truncates the torn record at reopen and
+/// opens, the index without the events whose names the record held. What
+/// was logged before stays, and the next log writes the names again.
+#[test]
+fn a_torn_dictionary_record_admits_no_run_after_it() {
+    let dir = tmp_store("torn-dict");
+    let config = StorageConfig { shards: 1, ..fixture_config() };
+    let first: Vec<SyscallEvent> = (0..8).map(|n| traced_event("kept", n)).collect();
+    let mut expect = documents_of(&first);
+    {
+        let store = DocStore::open_with(&dir, config.clone()).unwrap();
+        store.bulk_spans("dio-torn", first, &mut []);
+        store.bulk_spans("dio-torn", (0..8).map(|n| traced_event("lost", n)).collect(), &mut []);
+    }
+    let log = active_logs(&dir).into_iter().next().expect("the shard's active log");
+    let frames = frames_of(&log);
+    let flags: Vec<u8> = frames.iter().map(|&(_, flags)| flags).collect();
+    assert_eq!(
+        flags,
+        [FLAG_DICT, FLAG_EVENTS, FLAG_DICT, FLAG_EVENTS],
+        "a record ahead of each run"
+    );
+    // The kill lands in the second dictionary record: its run never came.
+    let torn_at = frames[2].0 + 30;
+    let file = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
+    file.set_len(torn_at).unwrap();
+    drop(file);
+
+    let store = DocStore::open_with(&dir, config.clone()).unwrap();
+    assert_eq!(store.storage_report().unwrap().recovery_truncated, 1);
+    assert_eq!(store_state(&store)["dio-torn"], expect, "only what the log holds whole");
+    store.storage().unwrap().verify().expect("invariants");
+    let again: Vec<SyscallEvent> = (0..4).map(|n| traced_event("again", n)).collect();
+    let ids = store.bulk_spans("dio-torn", again.clone(), &mut []);
+    expect.extend(ids.into_iter().zip(again.iter().map(SyscallEvent::to_document)));
+    drop(store);
+    let store = DocStore::open_with(&dir, config).unwrap();
+    assert_eq!(store_state(&store)["dio-torn"], expect, "the names logged again");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run naming an id no dictionary record defines — a record lost with
+/// the page cache, or damage a checksum cannot see — is refused: the store
+/// does not open, and names the index.
+#[test]
+fn a_run_naming_an_undefined_id_refuses_open() {
+    let dir = tmp_store("undefined");
+    let config = StorageConfig { shards: 1, ..fixture_config() };
+    {
+        let store = DocStore::open_with(&dir, config.clone()).unwrap();
+        store.bulk_spans("dio-u", (0..8).map(|n| traced_event("u", n)).collect(), &mut []);
+    }
+    let log = active_logs(&dir).into_iter().next().expect("the shard's active log");
+    let (dict_at, run_at) = match frames_of(&log)[..] {
+        [(dict, FLAG_DICT), (run, FLAG_EVENTS)] => (dict as usize, run as usize),
+        ref other => panic!("{other:?}"),
+    };
+    let bytes = std::fs::read(&log).unwrap();
+    std::fs::write(&log, [&bytes[..dict_at], &bytes[run_at..]].concat()).unwrap();
+    let err = DocStore::open_with(&dir, config).expect_err("the store is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().starts_with("index dio-u: document 0 names an id"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,6 +7,8 @@ use proptest::prelude::*;
 
 mod common;
 use common::arbitrary_event;
+#[path = "common/legacy_run.rs"]
+mod legacy_run;
 
 use dio::core::{DiskProfile, Kernel, OpenFlags, Query, SimClock, Whence};
 use dio_backend::{Index, SearchRequest};
@@ -701,9 +703,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `from_document` inverts `to_document`, and the text the document
-    /// prints parses back to it. So does the binary run a store writes: the
-    /// event alone, and among 6 and 255 others, decodes to an equal event
-    /// whose document prints the same text.
+    /// prints parses back to it. So does a binary run of the first format,
+    /// which `dio-store v2` stores hold: the event alone, and among 6 and 255
+    /// others, decodes to an equal event whose document prints the same text.
     #[test]
     fn event_survives_its_document_and_prints_its_text(seed in any::<u64>()) {
         let event = arbitrary_event(seed);
@@ -730,7 +732,7 @@ proptest! {
             let run: Vec<SyscallEvent> =
                 (0..len).map(|i| arbitrary_event(seed.wrapping_add(i))).collect();
             let mut payload = Vec::new();
-            codec::encode(&run, &mut payload);
+            legacy_run::encode(&run, &mut payload);
             let mut back = Vec::new();
             codec::decode(&payload, &mut back).expect("a run decodes");
             prop_assert_eq!(&back, &run);
@@ -756,7 +758,7 @@ proptest! {
     ) {
         let run: Vec<SyscallEvent> = (0..1 + seed % 9).map(|i| arbitrary_event(seed ^ i)).collect();
         let mut payload = Vec::new();
-        codec::encode(&run, &mut payload);
+        legacy_run::encode(&run, &mut payload);
         let mut changed = payload.clone();
         let i = at % changed.len();
         changed[i] = changed[i].wrapping_add(noise.first().copied().unwrap_or(1).max(1));
@@ -845,9 +847,10 @@ proptest! {
     /// builds the event back on every read. What `bulk_spans` stored comes
     /// back exactly through `with_events_by_time` and `get` — every kind, the
     /// signedness of every argument, a `class` that is not the syscall's,
-    /// every optional field — and, across a close and reopen, exactly as the
-    /// run it was written into decodes. Strings repeat across events in
-    /// allocations of their own; within the index each is one allocation.
+    /// every optional field — and so it does across a close and reopen: the
+    /// log holds the rows and the dictionaries they name. Strings repeat
+    /// across events in allocations of their own; within the index each is
+    /// one allocation.
     #[test]
     fn the_compact_row_is_the_event(seed in any::<u64>()) {
         use dio_syscall::SyscallClass;
@@ -879,12 +882,8 @@ proptest! {
                 store.flush().expect("flush");
                 ids
             };
-            let mut payload = Vec::new();
-            codec::encode(&events, &mut payload);
-            let mut decoded = Vec::new();
-            codec::decode(&payload, &mut decoded).expect("a run decodes");
             let store = open().expect("reopen store");
-            read_back_exactly(&store.index("dio-rows"), &ids, &decoded)
+            read_back_exactly(&store.index("dio-rows"), &ids, &events)
         })();
         let _ = std::fs::remove_dir_all(&dir);
         outcome?;

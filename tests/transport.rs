@@ -109,7 +109,8 @@ fn trickle_meets_the_flush_deadline() {
 /// syscalls are queryable within a second although neither `batch_size` nor
 /// `flush_interval` will run out for a minute. In memory that is also when
 /// they are acknowledged. A persisted store acknowledges an event once it is
-/// logged, which waits for the bulk to fill or fall due — or for `stop()`.
+/// logged, and the shipper logs as soon as no request waits behind the one
+/// it took: acknowledged within a second too, in the log before `stop()`.
 #[test]
 fn a_trickle_is_queryable_before_its_bulk_fills() {
     let config = |name: &str| {
@@ -151,15 +152,17 @@ fn a_trickle_is_queryable_before_its_bulk_fills() {
     trickle(&kernel);
     let index = backend.index("dio-trickle-disk");
     let queryable = within_a_second(&|| index.count(&Query::MatchAll) == 5);
-    let acknowledged = tracer.events_stored();
+    let acknowledged = within_a_second(&|| tracer.events_stored() == 5);
+    let unlogged = backend.log_events("dio-trickle-disk");
     assert_eq!(tracer.stop().events_stored, 5);
     drop((index, backend));
     let reopened = store().unwrap();
-    assert_eq!(reopened.index("dio-trickle-disk").len(), 5, "stop() logged them");
+    assert_eq!(reopened.index("dio-trickle-disk").len(), 5, "a reopen finds them");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(queryable, "five events not queryable within a second");
-    assert_eq!(acknowledged, 0, "acknowledged before they were logged");
+    assert!(acknowledged, "five events not acknowledged within a second");
+    assert_eq!(unlogged, 0, "acknowledged before they were logged");
 }
 
 /// Documents of one thread reach the index in issue order, however the

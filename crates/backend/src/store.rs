@@ -209,26 +209,27 @@ impl DocStore {
 
     /// Bulk-indexes documents into `name` (creating the index if needed).
     pub fn bulk(&self, name: &str, docs: Vec<Value>) -> Vec<u64> {
-        self.timed_bulk(name, docs.len(), |index| index.bulk(docs))
+        self.timed_bulk(&self.index(name), docs.len(), |index| index.bulk(docs))
     }
 
     /// [`DocStore::bulk`] for documents already written as JSON text (see
     /// [`Index::bulk_text`]): a health round's, as the exporter renders it.
     pub fn bulk_text(&self, name: &str, docs: Vec<String>) -> Result<Vec<u64>, serde_json::Error> {
-        self.timed_bulk(name, docs.len(), |index| index.bulk_text(docs))
+        self.timed_bulk(&self.index(name), docs.len(), |index| index.bulk_text(docs))
     }
 
-    /// One bulk request of `docs` documents against `name`, traced as a
-    /// `backend.bulk` span and recorded in `backend.bulk.docs` / `.ns`.
-    fn timed_bulk<R>(&self, name: &str, docs: usize, request: impl FnOnce(&Index) -> R) -> R {
+    /// One bulk request of `docs` documents against `index`, which the
+    /// caller has looked up, traced as a `backend.bulk` span and recorded in
+    /// `backend.bulk.docs` / `.ns`.
+    fn timed_bulk<R>(&self, index: &Index, docs: usize, request: impl FnOnce(&Index) -> R) -> R {
         let mut bulk_span = trace::span("backend", "backend.bulk");
         bulk_span.attr("docs", docs);
-        bulk_span.attr("index", trace::fnv64(name));
+        bulk_span.attr("index", trace::fnv64(index.name()));
         let _timer = self.telemetry.get().map(|t| {
             t.bulk_docs.add(docs as u64);
             t.bulk_ns.start_timer()
         });
-        request(&self.index(name))
+        request(index)
     }
 
     /// The tracer's bulk request: `events` become rows of `name`, stored as
@@ -246,7 +247,9 @@ impl DocStore {
             self.index(name).accept_events(events, false);
             return false;
         }
-        self.timed_bulk(name, events.len(), |index| index.accept_events(events, false));
+        self.timed_bulk(&self.index(name), events.len(), |index| {
+            index.accept_events(events, false)
+        });
         true
     }
 
@@ -261,7 +264,7 @@ impl DocStore {
         };
         match index.tail_len() {
             0 => 0,
-            held => self.timed_bulk(name, held, |index| {
+            held => self.timed_bulk(&index, held, |index| {
                 index.log_tail().expect("dio-backend: persistent append failed")
             }),
         }
@@ -278,8 +281,9 @@ impl DocStore {
         mut events: Vec<SyscallEvent>,
         spans: &mut [StageStamps],
     ) -> Vec<u64> {
+        let index = self.index(name);
         let ids =
-            self.timed_bulk(name, events.len(), |index| index.accept_events(&mut events, true));
+            self.timed_bulk(&index, events.len(), |index| index.accept_events(&mut events, true));
         let now = monotonic_ns();
         for stamps in spans.iter_mut() {
             stamps.stamp(Stage::BulkIndex, now);
@@ -467,6 +471,28 @@ mod tests {
         }
         let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
         assert_eq!(stored(&store.index("dio-s1")), expected, "reopened");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log of an empty tail is no request: it returns 0 and adds nothing
+    /// to `backend.bulk.docs`; a log of a held tail is one request of its
+    /// events.
+    #[test]
+    fn a_log_with_nothing_held_makes_no_request() {
+        let dir = std::env::temp_dir().join(format!("dio-store-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DocStore::open_with(&dir, StorageConfig::tiny_for_tests()).unwrap();
+        let registry = MetricsRegistry::new();
+        store.bind_telemetry(&registry);
+        let docs = registry.counter("backend.bulk.docs");
+        store.index("dio-s1");
+        assert_eq!((store.log_events("dio-s1"), docs.get()), (0, 0));
+        let mut events = vec![SyscallEvent::synthetic(SyscallKind::Read); 3];
+        assert!(!store.accept_events("dio-s1", &mut events), "held unlogged");
+        assert_eq!((store.log_events("dio-s1"), docs.get()), (3, 3));
+        assert_eq!((store.log_events("dio-s1"), docs.get()), (0, 3));
+        assert_eq!(store.log_events("dio-none"), 0, "no index, no request");
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -61,8 +61,7 @@ pub struct RawEvent {
     /// for a successful open.
     pub file: Option<FdInfo>,
     /// Position in `args` of the recorded path ([`dio_syscall::path_arg`],
-    /// resolved by the program): `None` for a syscall that takes no path, and
-    /// when the program records none ([`ProgramConfig::capture_paths`]).
+    /// resolved by the program): `None` for a syscall that takes no path.
     pub path_arg: Option<u8>,
     /// Per-stage span stamps accumulated along the pipeline
     /// (kernel dispatch set at emit; ring push/drain and later stages
@@ -134,11 +133,6 @@ impl RawEvent {
 pub struct ProgramConfig {
     /// In-kernel filter applied at `sys_enter`.
     pub filter: FilterSpec,
-    /// Whether to perform context enrichment (file type, offset, file tag).
-    /// DIO enables this; the cheaper sysdig baseline does not.
-    pub enrich: bool,
-    /// Whether to record path arguments of path-bearing syscalls.
-    pub capture_paths: bool,
     /// Calibrated extra in-kernel work per `sys_enter`, in nanoseconds.
     ///
     /// Models the cost of the real eBPF program (argument copies, map
@@ -155,8 +149,6 @@ impl Default for ProgramConfig {
     fn default() -> Self {
         ProgramConfig {
             filter: FilterSpec::new(),
-            enrich: true,
-            capture_paths: true,
             enter_cost_ns: 0,
             exit_cost_ns: 0,
             join_capacity: 65_536,
@@ -366,26 +358,21 @@ impl SyscallProbe for TracerProgram {
             "{}: the record names arguments by position",
             event.kind
         );
-        let mut file = None;
-        if self.config.enrich {
-            if let Some(fd) = event.fd {
-                file = view.fd_info(event.pid, fd).map(|mut info| {
-                    // "The file offset being accessed": positional syscalls
-                    // carry it as an argument; cursor-based ones use the
-                    // open file description's offset.
-                    if matches!(
-                        event.kind,
-                        SyscallKind::Pread64 | SyscallKind::Pwrite64 | SyscallKind::Readahead
-                    ) {
-                        let arg = event.args.iter().find(|a| a.name == "offset");
-                        if let Some(offset) = arg.and_then(|a| a.value.as_u64()) {
-                            info.offset = offset;
-                        }
-                    }
-                    info
-                });
+        let file = event.fd.and_then(|fd| view.fd_info(event.pid, fd)).map(|mut info| {
+            // "The file offset being accessed": positional syscalls carry it
+            // as an argument; cursor-based ones use the open file
+            // description's offset.
+            if matches!(
+                event.kind,
+                SyscallKind::Pread64 | SyscallKind::Pwrite64 | SyscallKind::Readahead
+            ) {
+                let arg = event.args.iter().find(|a| a.name == "offset");
+                if let Some(offset) = arg.and_then(|a| a.value.as_u64()) {
+                    info.offset = offset;
+                }
             }
-        }
+            info
+        });
         let p = Pending {
             kind: event.kind,
             time_enter_ns: event.time_ns,
@@ -421,8 +408,7 @@ impl SyscallProbe for TracerProgram {
             return;
         }
         // Opens resolve their fd only at exit: enrich the fresh descriptor.
-        if self.config.enrich
-            && matches!(p.kind, SyscallKind::Open | SyscallKind::Openat | SyscallKind::Creat)
+        if matches!(p.kind, SyscallKind::Open | SyscallKind::Openat | SyscallKind::Creat)
             && event.ret >= 0
         {
             p.file = view.fd_info(event.pid, event.ret as i32);
@@ -440,7 +426,7 @@ impl SyscallProbe for TracerProgram {
             ret: event.ret,
             args: p.args,
             file: p.file,
-            path_arg: path_arg(p.kind).filter(|_| self.config.capture_paths).map(|i| i as u8),
+            path_arg: path_arg(p.kind).map(|i| i as u8),
             stamps,
         };
         self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -561,18 +547,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].pid, p1.pid());
         assert_eq!(prog.stats().filtered, 1);
-    }
-
-    #[test]
-    fn enrichment_disabled_omits_context() {
-        let k = kernel();
-        let cfg = ProgramConfig { enrich: false, ..ProgramConfig::default() };
-        let prog = attach(&k, cfg);
-        let t = k.spawn_process("app").spawn_thread("app");
-        let fd = t.openat("/f", OpenFlags::CREAT | OpenFlags::RDWR, 0o644).unwrap();
-        t.write(fd, b"abc").unwrap();
-        let events = prog.ring().drain_all(100);
-        assert!(events.iter().all(|e| e.file_tag().is_none() && e.offset().is_none()));
     }
 
     #[test]

@@ -33,13 +33,14 @@ impl SyscallProbe for Capture {
     fn on_exit(&self, _: &dyn KernelInspect, _: &ExitEvent) {}
 }
 
-fn events_match_the_tracepoint(capture_paths: bool) {
+#[test]
+fn events_carry_the_tracepoint_arguments_and_path() {
     let kernel = Kernel::new();
     let capture = Arc::new(Capture::default());
     kernel.tracepoints().attach(Arc::clone(&capture) as Arc<dyn SyscallProbe>);
     let ring = Arc::new(RingBuffer::with_slots(kernel.num_cpus(), 1_024));
-    let config = ProgramConfig { capture_paths, ..ProgramConfig::default() };
-    let program = TracerProgram::new(config, Arc::clone(&ring)).expect("default filter");
+    let program =
+        TracerProgram::new(ProgramConfig::default(), Arc::clone(&ring)).expect("default filter");
     kernel.tracepoints().attach(Arc::clone(&program) as Arc<dyn SyscallProbe>);
 
     all_syscalls::drive_all_syscalls(&kernel);
@@ -63,19 +64,8 @@ fn events_match_the_tracepoint(capture_paths: bool) {
                 "{kind}: {name}={want:?} was recorded as {got:?}"
             );
         }
-        let want_path = path.as_deref().filter(|_| capture_paths);
-        assert_eq!(event.file_path.as_deref(), want_path, "{kind}");
+        assert_eq!(event.file_path.as_deref(), path.as_deref(), "{kind}");
     }
     let kinds: SyscallSet = events.iter().map(|e| e.kind).collect();
     assert_eq!(kinds.len(), SyscallKind::ALL.len(), "all 42 syscalls observed");
-}
-
-#[test]
-fn events_carry_the_tracepoint_arguments_and_path() {
-    events_match_the_tracepoint(true);
-}
-
-#[test]
-fn events_carry_no_path_when_paths_are_not_captured() {
-    events_match_the_tracepoint(false);
 }

@@ -43,7 +43,6 @@ pub struct TracerConfig {
     flush_interval: Duration,
     drain_batch: usize,
     poll_interval: Duration,
-    enrich: bool,
     enter_cost_ns: u64,
     exit_cost_ns: u64,
     telemetry_interval: Duration,
@@ -65,7 +64,6 @@ impl TracerConfig {
             flush_interval: Duration::from_millis(100),
             drain_batch: DRAIN_BATCH,
             poll_interval: Duration::from_micros(200),
-            enrich: true,
             enter_cost_ns: 0,
             exit_cost_ns: 0,
             telemetry_interval: Duration::from_millis(100),
@@ -195,9 +193,9 @@ impl TracerConfig {
         self
     }
 
-    /// Sets how long the consumer sleeps after a poll that found events
-    /// (at least 50 µs; with 0, a poll that filled `drain_batch` is
-    /// followed by the next at once).
+    /// Sets how long after a poll that found events the consumer polls
+    /// again (at least 50 µs, counted from the poll's start; with 0, a poll
+    /// that filled `drain_batch` is followed by the next at once).
     ///
     /// After a poll that found the rings empty it sleeps
     /// `max(poll_interval, min(flush_interval / 32, 3.1 ms))` — 3.1 ms at
@@ -209,12 +207,6 @@ impl TracerConfig {
     /// sleep outlasts the flush deadline of an event the consumer holds.
     pub fn poll_interval(mut self, d: Duration) -> Self {
         self.poll_interval = d;
-        self
-    }
-
-    /// Enables or disables kernel-context enrichment.
-    pub fn enrich(mut self, on: bool) -> Self {
-        self.enrich = on;
         self
     }
 
@@ -319,24 +311,24 @@ impl TracerConfig {
         self.ring
     }
 
-    pub(crate) fn batch(&self) -> usize {
+    /// Events per bulk-index request, at most ([`TracerConfig::batch_size`]).
+    pub fn batch(&self) -> usize {
         self.batch_size
     }
 
-    pub(crate) fn flush(&self) -> Duration {
+    /// The flush deadline ([`TracerConfig::flush_interval`]).
+    pub fn flush(&self) -> Duration {
         self.flush_interval
     }
 
-    pub(crate) fn drain(&self) -> usize {
+    /// Events drained per poll, at most ([`TracerConfig::drain_batch`]).
+    pub fn drain(&self) -> usize {
         self.drain_batch
     }
 
-    pub(crate) fn poll(&self) -> Duration {
+    /// The consumer's poll interval ([`TracerConfig::poll_interval`]).
+    pub fn poll(&self) -> Duration {
         self.poll_interval
-    }
-
-    pub(crate) fn enrich_enabled(&self) -> bool {
-        self.enrich
     }
 
     pub(crate) fn costs(&self) -> (u64, u64) {
@@ -380,14 +372,12 @@ mod tests {
             .pids([Pid(42)])
             .path_prefix("/db")
             .batch_size(512)
-            .enrich(false)
             .kernel_costs(100, 200);
         let json = original.to_json();
         assert!(json.contains("from-file"));
         let parsed = TracerConfig::from_json(&json).unwrap();
         assert_eq!(parsed.session(), "from-file");
         assert_eq!(parsed.batch(), 512);
-        assert!(!parsed.enrich_enabled());
         assert_eq!(parsed.costs(), (100, 200));
         assert_eq!(parsed.filter_spec(), original.filter_spec());
     }
@@ -442,9 +432,10 @@ mod tests {
         );
     }
 
-    /// A configuration file written while telemetry could be switched off and
-    /// span documents sampled still loads: both keys are ignored, and the
-    /// session ships its health documents and no span document.
+    /// A configuration file written while telemetry could be switched off,
+    /// span documents sampled and enrichment switched off still loads: the
+    /// three keys are ignored, and the session ships its health documents
+    /// and no span document.
     #[test]
     fn a_configuration_with_the_removed_telemetry_keys_still_loads() {
         use dio_backend::{DocStore, Query};
@@ -452,7 +443,8 @@ mod tests {
 
         let json = TracerConfig::new("old-telemetry").to_json().replace(
             "\"telemetry_interval\"",
-            "\"telemetry\": false, \"span_sample_every\": 1, \"telemetry_interval\"",
+            "\"telemetry\": false, \"span_sample_every\": 1, \"enrich\": false, \
+             \"telemetry_interval\"",
         );
         assert!(json.contains("\"telemetry\": false"), "{json}");
         let parsed = TracerConfig::from_json(&json).unwrap();
@@ -477,10 +469,8 @@ mod tests {
             .pids([Pid(1)])
             .path_prefix("/db")
             .batch_size(0)
-            .enrich(false)
             .kernel_costs(10, 20);
         assert_eq!(c.batch(), 1, "batch size clamped to >= 1");
-        assert!(!c.enrich_enabled());
         assert_eq!(c.costs(), (10, 20));
         assert_eq!(c.filter_spec().enabled_syscalls().len(), 1);
     }

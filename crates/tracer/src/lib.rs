@@ -16,6 +16,7 @@
 //! with a typed [`VerifyError`] instead of producing an empty session.
 
 mod config;
+pub mod policy;
 mod tracer;
 
 pub use config::{generate_session_name, TracerConfig};

@@ -1,6 +1,6 @@
 //! The user-space tracer: consume ring buffers, batch, ship to the backend.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -23,6 +23,7 @@ use dio_telemetry::{
 use dio_verify::VerifyError;
 
 use crate::config::{TracerConfig, DRAIN_BATCH};
+use crate::policy::{Ack, Bulk, Consumer, Shipper, Spare, Wait};
 
 /// Why [`Tracer::try_attach`] refused to attach.
 ///
@@ -177,11 +178,7 @@ impl TraceSummary {
     /// backend (the §III-D metric: 3.5% for the paper's RocksDB run).
     pub fn drop_rate(&self) -> f64 {
         let total = self.events_stored + self.events_dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.events_dropped as f64 / total as f64
-        }
+        self.events_dropped as f64 / total.max(1) as f64
     }
 }
 
@@ -217,7 +214,6 @@ impl TraceSummary {
 /// # Ok::<(), dio_kernel::Errno>(())
 /// ```
 pub struct Tracer {
-    session: String,
     index_name: String,
     kernel: Kernel,
     probe_id: ProbeId,
@@ -225,8 +221,9 @@ pub struct Tracer {
     stop_flag: Arc<AtomicBool>,
     consumer: Option<JoinHandle<()>>,
     shipper: Option<JoinHandle<()>>,
-    stored: Arc<AtomicU64>,
-    batches: Arc<AtomicU64>,
+    /// `tracer.shipper.batch_size`: one sample per acknowledged batch, its
+    /// events.
+    acknowledged: Arc<Histogram>,
     registry: Arc<MetricsRegistry>,
     spans: Arc<SpanCollector>,
     exporter: Option<ExporterHandle>,
@@ -234,11 +231,10 @@ pub struct Tracer {
     /// The streaming DFG miner, when [`TracerConfig::profile`] enabled it.
     profiler: Option<Arc<DfgMiner>>,
     /// Destination for the alert and phase documents raised after the
-    /// consumer exits (the end-of-stream passes during shutdown).
-    sink: AlertSink,
-    /// The store every pipeline stage ships into; flushed at shutdown so
+    /// consumer exits (the end-of-stream passes during shutdown). Its store
+    /// is the one every pipeline stage ships into, flushed at shutdown so
     /// session close is a durability point for persistent backends.
-    backend: DocStore,
+    sink: AlertSink,
     /// The session's causal root span in the flight recorder: every
     /// shipped batch parents to it, so one session is one trace.
     session_span: Option<trace::ManualSpan>,
@@ -256,18 +252,7 @@ struct AlertSink {
 impl AlertSink {
     /// Bulk-indexes alerts as `kind: "alert"` documents.
     fn ship(&self, alerts: &[Alert]) {
-        if alerts.is_empty() {
-            return;
-        }
-        let docs = alerts
-            .iter()
-            .map(|a| {
-                let mut doc = a.to_document();
-                doc["session"] = json!(self.session);
-                doc
-            })
-            .collect();
-        self.backend.bulk(&self.telemetry_index, docs);
+        self.ship_docs(alerts.iter().map(Alert::to_document).collect());
     }
 
     /// Bulk-indexes already-typed documents (e.g. the profiler's
@@ -296,21 +281,6 @@ struct ProfileTap {
     sink: AlertSink,
 }
 
-/// One bulk request in flight from consumer to shipper: at most
-/// `batch_size` events and, index for index, their span stamps (which must
-/// survive until the backend acknowledges them).
-struct Bulk {
-    events: Vec<SyscallEvent>,
-    stamps: Vec<StageStamps>,
-    /// When the consumer handed the bulk over: the shipper writes it into
-    /// every stamp record as [`Stage::BatchEnqueue`], so a bulk the channel
-    /// refuses comes back without it.
-    enqueued_ns: u64,
-}
-
-/// The vectors of a bulk request, emptied for the next one.
-type Spare = (Vec<SyscallEvent>, Vec<StageStamps>);
-
 /// Emptied requests kept for reuse: the one the consumer fills while the
 /// shipper works on another.
 const SPARES: usize = 2;
@@ -335,10 +305,6 @@ struct Handoff {
 impl Handoff {
     fn new(capacity: usize) -> Self {
         Handoff { capacity, in_flight: AtomicUsize::new(0), spares: Mutex::default() }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// An emptied request's vectors, or new ones.
@@ -379,17 +345,11 @@ impl ConsumerTelemetry {
     }
 }
 
-/// Telemetry handles for the shipper thread.
-struct ShipperTelemetry {
-    batch_ns: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
-}
-
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("session", &self.session)
-            .field("stored", &self.stored.load(Ordering::Relaxed))
+            .field("session", &self.sink.session)
+            .field("stored", &self.events_stored())
             .finish()
     }
 }
@@ -404,10 +364,7 @@ impl Tracer {
     /// filter is statically rejected (see [`Tracer::try_attach`] for the
     /// non-panicking form).
     pub fn attach(config: TracerConfig, kernel: &Kernel, backend: DocStore) -> Tracer {
-        match Self::try_attach(config, kernel, backend) {
-            Ok(tracer) => tracer,
-            Err(err) => panic!("{err}"),
-        }
+        Self::try_attach(config, kernel, backend).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Attaches the tracer after statically verifying the configuration.
@@ -443,11 +400,9 @@ impl Tracer {
         let program = TracerProgram::new(
             ProgramConfig {
                 filter: config.filter_spec().clone(),
-                enrich: config.enrich_enabled(),
-                capture_paths: true,
                 enter_cost_ns,
                 exit_cost_ns,
-                join_capacity: 65_536,
+                ..ProgramConfig::default()
             },
             Arc::clone(&ring),
         )?;
@@ -473,11 +428,9 @@ impl Tracer {
         let diagnose_config = config
             .diagnose_config()
             .or_else(|| (!rule_sets.is_empty()).then(DiagnoseConfig::default));
-        let engine = diagnose_config.map(|diagnose| {
-            let engine = diagnosis_engine(diagnose, rule_sets);
-            engine.bind_telemetry(&registry);
-            engine
-        });
+        let engine = diagnose_config
+            .map(|diagnose| diagnosis_engine(diagnose, rule_sets))
+            .inspect(|engine| engine.bind_telemetry(&registry));
         let sink = AlertSink {
             backend: backend.clone(),
             telemetry_index: config.telemetry_index_name(),
@@ -488,11 +441,10 @@ impl Tracer {
         // miner the same parsed batches at the same pressure signal the
         // diagnosis tap sees, and with diagnosis also on the miner becomes
         // the engine's attributor.
-        let profiler = config.profile_config().map(|profile| {
-            let miner = DfgMiner::new(profile);
-            miner.bind_telemetry(&registry);
-            miner
-        });
+        let profiler = config
+            .profile_config()
+            .map(DfgMiner::new)
+            .inspect(|miner| miner.bind_telemetry(&registry));
         if let (Some(engine), Some(miner)) = (&engine, &profiler) {
             attribute_with(engine, miner);
         }
@@ -505,8 +457,7 @@ impl Tracer {
         let session_ctx = session_span.ctx();
 
         let stop_flag = Arc::new(AtomicBool::new(false));
-        let stored = Arc::new(AtomicU64::new(0));
-        let batches = Arc::new(AtomicU64::new(0));
+        let acknowledged = registry.histogram("tracer.shipper.batch_size");
         // A deep hand-off so the consumer is rarely held back by the
         // shipper. Every message holds at least one document, so a channel
         // of `capacity` messages never fills before the document bound
@@ -514,69 +465,48 @@ impl Tracer {
         let handoff = Arc::new(Handoff::new(config.batch() * 64));
         let (tx, rx) = bounded::<Bulk>(handoff.capacity);
 
-        let consumer = {
-            let ctx = ConsumerCtx {
-                ring: Arc::clone(&ring),
-                stop: Arc::clone(&stop_flag),
-                session: Arc::from(config.session()),
-                handoff: Arc::clone(&handoff),
-                drain_batch: config.drain(),
-                batch_size: config.batch(),
-                poll_interval: config.poll(),
-                flush_interval: config.flush(),
-                spans: Arc::clone(&spans),
-                telemetry: ConsumerTelemetry::register(&registry),
-                tap: engine
-                    .as_ref()
-                    .map(|engine| DiagnoseTap { engine: Arc::clone(engine), sink: sink.clone() }),
-                profile: profiler
-                    .as_ref()
-                    .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: sink.clone() }),
-            };
-            std::thread::Builder::new()
-                .name(format!("dio-consumer-{}", config.session()))
-                .spawn(move || consumer_loop(&ctx, tx))
-                .expect("spawn consumer thread")
+        let ctx = ConsumerCtx {
+            ring: Arc::clone(&ring),
+            stop: Arc::clone(&stop_flag),
+            session: Arc::from(config.session()),
+            handoff: Arc::clone(&handoff),
+            drain_batch: config.drain(),
+            batch_size: config.batch(),
+            poll_interval: config.poll(),
+            flush_interval: config.flush(),
+            spans: Arc::clone(&spans),
+            telemetry: ConsumerTelemetry::register(&registry),
+            tap: engine
+                .as_ref()
+                .map(|engine| DiagnoseTap { engine: Arc::clone(engine), sink: sink.clone() }),
+            profile: profiler
+                .as_ref()
+                .map(|miner| ProfileTap { miner: Arc::clone(miner), sink: sink.clone() }),
         };
-        let shipper = {
-            let backend = backend.clone();
-            let index_name = config.index_name();
-            let stored = Arc::clone(&stored);
-            let batches = Arc::clone(&batches);
-            let spans = Arc::clone(&spans);
-            let telemetry = ShipperTelemetry {
-                batch_ns: registry.histogram("tracer.shipper.batch_ns"),
-                batch_size: registry.histogram("tracer.shipper.batch_size"),
-            };
-            // batch_ns carries metric→trace exemplars so OpenMetrics
-            // scrapes can link latency buckets to flight-recorder spans.
-            telemetry.batch_ns.enable_exemplars();
-            let (batch_size, flush_interval) = (config.batch(), config.flush());
-            std::thread::Builder::new()
-                .name(format!("dio-shipper-{}", config.session()))
-                .spawn(move || {
-                    let ctx = ShipperCtx {
-                        logs: backend.is_persistent(),
-                        backend,
-                        index_name,
-                        batch_size,
-                        flush_interval,
-                        handoff,
-                        stored,
-                        batches,
-                        spans,
-                        telemetry,
-                        session_ctx,
-                    };
-                    shipper_loop(&ctx, &rx)
-                })
-                .expect("spawn shipper thread")
+        let consumer = std::thread::Builder::new()
+            .name(format!("dio-consumer-{}", config.session()))
+            .spawn(move || consumer_loop(&ctx, tx))
+            .expect("spawn consumer thread");
+        let ctx = ShipperCtx {
+            backend: backend.clone(),
+            index_name: config.index_name(),
+            handoff,
+            spans: Arc::clone(&spans),
+            batch_ns: registry.histogram("tracer.shipper.batch_ns"),
+            batch_size: Arc::clone(&acknowledged),
+            session_ctx,
         };
+        // batch_ns carries metric→trace exemplars so OpenMetrics scrapes can
+        // link latency buckets to flight-recorder spans.
+        ctx.batch_ns.enable_exemplars();
+        let shipper = Shipper::new(backend.is_persistent(), config.batch(), config.flush());
+        let shipper = std::thread::Builder::new()
+            .name(format!("dio-shipper-{}", config.session()))
+            .spawn(move || shipper_loop(&ctx, shipper, &rx))
+            .expect("spawn shipper thread");
 
         let exporter = {
-            let sink_backend = backend.clone();
-            let telemetry_index = config.telemetry_index_name();
-            let session = config.session().to_string();
+            let health = sink.clone();
             let lag_spans = Arc::clone(&spans);
             Exporter::new(config.session(), config.telemetry_tick()).spawn(
                 Arc::clone(&registry),
@@ -585,12 +515,18 @@ impl Tracer {
                 move |_| {
                     lag_spans.refresh_lag();
                 },
-                move |round| ship_health_round(&sink_backend, &telemetry_index, &session, round),
+                move |round| {
+                    ship_health_round(
+                        &health.backend,
+                        &health.telemetry_index,
+                        &health.session,
+                        round,
+                    )
+                },
             )
         };
 
         Ok(Tracer {
-            session: config.session().to_string(),
             index_name: config.index_name(),
             kernel: kernel.clone(),
             probe_id,
@@ -598,22 +534,20 @@ impl Tracer {
             stop_flag,
             consumer: Some(consumer),
             shipper: Some(shipper),
-            stored,
-            batches,
+            acknowledged,
             registry,
             spans,
             exporter: Some(exporter),
             engine,
             profiler,
             sink,
-            backend: backend.clone(),
             session_span: Some(session_span),
         })
     }
 
     /// The session name.
     pub fn session(&self) -> &str {
-        &self.session
+        &self.sink.session
     }
 
     /// The backend index this tracer writes to.
@@ -628,10 +562,11 @@ impl Tracer {
 
     /// Events the backend has acknowledged so far. On a persisted store an
     /// event is acknowledged once it is logged (in the page cache), and it
-    /// is queryable before that: the shipper logs `batch_size` events at a
-    /// time, or what it holds when the oldest falls `flush_interval` due.
+    /// is queryable before that: the shipper has the index log what it holds
+    /// when it catches up, at `batch_size` events, or when the oldest falls
+    /// `flush_interval` due ([`crate::policy::Shipper::step`]).
     pub fn events_stored(&self) -> u64 {
-        self.stored.load(Ordering::Relaxed)
+        self.acknowledged.sum()
     }
 
     /// The session's metrics registry.
@@ -679,18 +614,14 @@ impl Tracer {
 
     fn shutdown(&mut self) -> TraceSummary {
         let first_shutdown = self.consumer.is_some();
-        if self.consumer.is_some() {
+        if let Some(consumer) = self.consumer.take() {
             self.kernel.tracepoints().detach(self.probe_id);
             self.stop_flag.store(true, Ordering::Release);
-            if let Some(h) = self.consumer.take() {
-                // An idle consumer may be parked for up to its back-off
-                // cap; wake it so stopping never waits that out.
-                h.thread().unpark();
-                let _ = h.join();
-            }
-            if let Some(h) = self.shipper.take() {
-                let _ = h.join();
-            }
+            // An idle consumer may be parked for up to its back-off cap;
+            // wake it so stopping never waits that out.
+            consumer.thread().unpark();
+            let _ = consumer.join();
+            let _ = self.shipper.take().map(JoinHandle::join);
         }
         let ring = self.program.ring().stats();
         let prog = self.program.stats();
@@ -734,31 +665,27 @@ impl Tracer {
         // Session close is a durability point: everything the pipeline
         // shipped — events, health documents, final alerts — is fsynced
         // before the summary is handed back. A no-op for in-memory stores.
-        match self.session_span.take() {
-            Some(mut session_span) => {
-                {
-                    let _flush_span =
-                        trace::span_child_of(Some(session_span.ctx()), "storage", "storage.flush");
-                    let _ = self.backend.flush();
-                }
-                session_span.attr("events", self.stored.load(Ordering::Relaxed));
-                session_span.attr("batches", self.batches.load(Ordering::Relaxed));
-                session_span.finish();
-            }
-            None => {
-                let _ = self.backend.flush();
-            }
+        let session_span = self.session_span.take();
+        let flush_span = session_span
+            .as_ref()
+            .map(|span| trace::span_child_of(Some(span.ctx()), "storage", "storage.flush"));
+        let _ = self.sink.backend.flush();
+        drop(flush_span);
+        if let Some(mut session_span) = session_span {
+            session_span.attr("events", self.acknowledged.sum());
+            session_span.attr("batches", self.acknowledged.count());
+            session_span.finish();
         }
         // Summarize spans first: it refreshes the lag gauges, so the
         // health snapshot below carries the final (drained = 0) lag.
         let spans = self.spans.summary();
         TraceSummary {
-            session: self.session.clone(),
+            session: self.sink.session.clone(),
             index_name: self.index_name.clone(),
-            events_stored: self.stored.load(Ordering::Relaxed),
+            events_stored: self.acknowledged.sum(),
             events_dropped: ring.dropped,
             events_filtered: prog.filtered,
-            batches: self.batches.load(Ordering::Relaxed),
+            batches: self.acknowledged.count(),
             health: self.registry.snapshot(),
             spans,
             notes,
@@ -775,19 +702,6 @@ impl Drop for Tracer {
         let _ = self.shutdown();
     }
 }
-
-/// Shortest sleep between two polls: `poll_interval(0)` still yields the
-/// core after a drain that did not fill its quota.
-const MIN_POLL: Duration = Duration::from_micros(50);
-
-/// A consumer that found the rings empty sleeps `flush_interval / 32`, at
-/// most [`IDLE_CAP`] (or `poll_interval`, if longer). An event that arrives
-/// meanwhile waits that long in the ring, and the next poll that finds the
-/// rings empty hands it over: what a trickle waits to be queryable is the
-/// nap, so it is capped, not stretched by a long `flush_interval`.
-const IDLE_CAP_DIVISOR: u32 = 32;
-/// The idle nap at the default `flush_interval` (100 ms).
-const IDLE_CAP: Duration = Duration::from_micros(3_125);
 
 /// Everything the consumer thread needs, bundled like [`ShipperCtx`].
 struct ConsumerCtx {
@@ -806,317 +720,153 @@ struct ConsumerCtx {
     profile: Option<ProfileTap>,
 }
 
-/// The stamps of events on their way to an acknowledgement, in order, with
-/// the earliest kernel dispatch among them.
-struct Pending {
-    stamps: Vec<StageStamps>,
-    /// `u64::MAX` when there are none.
-    oldest_ns: u64,
-}
-
-impl Pending {
-    fn new() -> Self {
-        Pending { stamps: Vec::new(), oldest_ns: u64::MAX }
-    }
-
-    fn push(&mut self, stamp: StageStamps) {
-        self.oldest_ns = self.oldest_ns.min(dispatched_ns(&stamp));
-        self.stamps.push(stamp);
-    }
-
-    /// When the oldest is due at the backend: `flush` after the kernel
-    /// dispatched it.
-    fn due_ns(&self, flush: Duration) -> Option<u64> {
-        let flush = u64::try_from(flush.as_nanos()).unwrap_or(u64::MAX);
-        (!self.stamps.is_empty()).then(|| self.oldest_ns.saturating_add(flush))
-    }
-
-    fn clear(&mut self) {
-        self.stamps.clear();
-        self.oldest_ns = u64::MAX;
-    }
-}
-
-/// The parsed events the consumer holds for their bulk request, in drain
-/// order, with their stamps index for index.
-struct Held {
-    events: Vec<SyscallEvent>,
-    pending: Pending,
-}
-
-impl Held {
-    fn push(&mut self, event: SyscallEvent, stamp: StageStamps) {
-        self.events.push(event);
-        self.pending.push(stamp);
-    }
-
-    /// Moves the first `n` held events into `spare`'s vectors, keeping the
-    /// rest: all of them by a swap, so no event is moved.
-    fn take_front(&mut self, n: usize, (mut events, mut stamps): Spare) -> Spare {
-        let pending = &mut self.pending;
-        if n == self.events.len() {
-            std::mem::swap(&mut self.events, &mut events);
-            std::mem::swap(&mut pending.stamps, &mut stamps);
-            pending.oldest_ns = u64::MAX;
-        } else {
-            events.extend(self.events.drain(..n));
-            stamps.extend(pending.stamps.drain(..n));
-            pending.oldest_ns = pending.stamps.iter().map(dispatched_ns).min().unwrap_or(u64::MAX);
-        }
-        (events, stamps)
-    }
-}
-
-/// An event's kernel dispatch; 0, so that it is due at once, when the
-/// kernel left no stamp.
-fn dispatched_ns(stamp: &StageStamps) -> u64 {
-    stamp.get(Stage::KernelDispatch).unwrap_or(0)
-}
-
+/// Drives [`Consumer::step`]: polls, sends what it hands over, and sleeps
+/// as told. The producer never signals — a futex wake inside the traced
+/// syscall is what this design avoids — so `shutdown()` is the only one to
+/// unpark. Dropping `tx` on return closes the channel and the shipper exits.
 fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
-    let telemetry = &ctx.telemetry;
-    let poll = ctx.poll_interval.max(MIN_POLL);
-    let idle_cap = poll.max((ctx.flush_interval / IDLE_CAP_DIVISOR).min(IDLE_CAP));
-    let mut held = Held { events: Vec::new(), pending: Pending::new() };
+    let (session, drain, batch) = (Arc::clone(&ctx.session), ctx.drain_batch, ctx.batch_size);
+    let mut consumer = Consumer::new(session, drain, batch, ctx.poll_interval, ctx.flush_interval);
     loop {
-        // Sample the fill level before draining: post-drain occupancy is
-        // flattered by the drain itself and would hide the very pressure
-        // the diagnosis tap must degrade under.
-        let pre_drain_pressure = ctx.ring.fill_fraction();
-        // Never take more out of the ring than the hand-off has room for:
-        // behind a stalled backend the ring fills (and counts its drops)
-        // while the heap holds at most `capacity` documents.
-        let in_flight = ctx.handoff.in_flight();
+        // Sampled before draining: post-drain occupancy is flattered by the
+        // drain itself and would hide the pressure the taps degrade under.
+        let pressure = ctx.ring.fill_fraction();
+        let in_flight = ctx.handoff.in_flight.load(Ordering::Relaxed);
+        ctx.telemetry.polls.inc();
         let room = ctx.handoff.capacity.saturating_sub(in_flight);
-        telemetry.polls.inc();
-        let raws = ctx.ring.drain_all_stamped(ctx.drain_batch.min(room));
-        let drained = raws.len();
         let stopping = ctx.stop.load(Ordering::Acquire);
-        if drained == 0 && stopping && ctx.ring.is_empty() {
-            break;
-        }
+        let (drained, wait) = consumer.step(monotonic_ns(), &ctx.ring, room, stopping);
         if drained > 0 {
-            telemetry.drain_batch.record(drained as u64);
             ctx.handoff.in_flight.fetch_add(drained, Ordering::Relaxed);
-            let first = held.events.len();
-            held.events.reserve(drained);
-            held.pending.stamps.reserve(drained);
-            // One clock read per event is its `Parse` stamp, ends its
-            // `parse_ns` sample and starts the next event's sample.
-            let mut parsed_at = monotonic_ns();
-            for raw in raws {
-                let mut stamp = raw.stamps;
-                let event = raw.into_event_of(Arc::clone(&ctx.session));
-                stamp.stamp(Stage::Parse, monotonic_ns());
-                held.push(event, stamp);
+            let pressure = pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
+            observe(ctx, consumer.held(), drained, pressure);
+        }
+        while let Some(mut bulk) = consumer.bulk(|| ctx.handoff.spare()) {
+            bulk.enqueued_ns = monotonic_ns();
+            if let Err(SendError(refused)) = tx.send(bulk) {
+                consumer.refused(&refused).for_each(|stamp| ctx.spans.record_drop(stamp));
+                return;
             }
-            let parsed = held.pending.stamps[first..].iter().filter_map(|st| st.get(Stage::Parse));
-            telemetry.parse_ns.record_all(
-                parsed.map(|at| at.saturating_sub(std::mem::replace(&mut parsed_at, at))),
-                0,
-            );
-            if ctx.profile.is_some() || ctx.tap.is_some() {
-                // The taps are lent the drain's events as they are, at
-                // once: both read the typed event, no document is built for
-                // them. Pressure is the worse of the two queues flanking
-                // this thread; past a tap's threshold it evaluates a sample
-                // instead of every event, so diagnosis sheds load rather
-                // than slowing the drain (and growing the drops it exists
-                // to observe).
-                let events = &held.events[first..];
-                let pressure =
-                    pre_drain_pressure.max(in_flight as f64 / ctx.handoff.capacity as f64);
-                // The profiler observes *before* the engine: an alert raised
-                // by this very batch is attributed against a transition ring
-                // that already includes the batch's syscalls.
-                if let Some(profile) = &ctx.profile {
-                    profile.miner.observe_batch_with_pressure(events, pressure);
-                    profile.sink.ship_docs(profile.miner.drain_phase_docs());
-                }
-                if let Some(tap) = &ctx.tap {
-                    let fresh = tap.engine.observe_batch_with_pressure(events, pressure);
-                    tap.sink.ship(&fresh);
-                }
-            }
-            // The lag peak is sampled where the lag is made, not only on
-            // the exporter's rounds.
-            ctx.spans.refresh_lag();
+            ctx.telemetry.handoffs.inc();
         }
-        // A bulk request goes out when `batch_size` events are held, when a
-        // poll finds the rings empty — the consumer has caught up, and what
-        // it holds has nothing left to wait for — or, for a consumer that
-        // never catches up, when the oldest falls due.
-        let due = held.pending.due_ns(ctx.flush_interval);
-        let flush = drained == 0 || due.is_some_and(|due| due <= monotonic_ns());
-        if !hand_over(ctx, &tx, &mut held, flush) {
-            return;
+        ctx.telemetry.channel_depth.set(ctx.handoff.in_flight.load(Ordering::Relaxed) as u64);
+        let Wait::Until(at) = wait else { return };
+        let nap = at.saturating_sub(monotonic_ns());
+        if nap > 0 {
+            std::thread::park_timeout(Duration::from_nanos(nap));
         }
-        telemetry.channel_depth.set(ctx.handoff.in_flight() as u64);
-        // A paced consumer sleeps even when the buffer has more to give —
-        // this is what lets a small ring overflow under bursts, as the
-        // paper's user-space consumers do at 549M-event scale. Only an
-        // unpaced one that filled its quota, or one draining as fast as
-        // possible during shutdown, polls again at once.
-        let unpaced = ctx.poll_interval.is_zero() && drained >= ctx.drain_batch;
-        if unpaced || (stopping && drained > 0) {
-            continue;
-        }
-        // After a drain that found events the sleep is `poll_interval`, and
-        // it ends early when the oldest held event falls due; after one that
-        // found none — and handed over what it held — it is the cap at once,
-        // so an idle consumer wakes a few hundred times a second, not
-        // thousands. The producer never signals — a futex wake inside the
-        // traced syscall is what this design avoids — so `shutdown()` is the
-        // only one to unpark.
-        let mut nap = if drained > 0 || stopping { poll } else { idle_cap };
-        if let Some(due) = held.pending.due_ns(ctx.flush_interval) {
-            nap = nap.min(Duration::from_nanos(due.saturating_sub(monotonic_ns())));
-        }
-        std::thread::park_timeout(nap);
     }
-    // What is still held goes now; dropping tx then closes the channel and
-    // the shipper exits.
-    hand_over(ctx, &tx, &mut held, true);
 }
 
-/// Sends the shipper bulk requests of `batch_size` events cut off the front
-/// of `held`, and with `flush` the partial rest. Returns `false` when the
-/// shipper is gone: none of the refused or still held events cleared the
-/// `batch_enqueue` hand-off, and every one is attributed there.
-fn hand_over(ctx: &ConsumerCtx, tx: &Sender<Bulk>, held: &mut Held, flush: bool) -> bool {
-    loop {
-        let n = held.events.len().min(ctx.batch_size);
-        if n == 0 || (n < ctx.batch_size && !flush) {
-            return true;
-        }
-        let (events, stamps) = held.take_front(n, ctx.handoff.spare());
-        if let Err(SendError(refused)) =
-            tx.send(Bulk { events, stamps, enqueued_ns: monotonic_ns() })
-        {
-            for stamp in refused.stamps.iter().chain(&held.pending.stamps) {
-                ctx.spans.record_drop(stamp);
-            }
-            return false;
-        }
-        ctx.telemetry.handoffs.inc();
+/// Records a drain's telemetry and lends its events to the taps.
+fn observe(ctx: &ConsumerCtx, held: (&[SyscallEvent], &[StageStamps]), n: usize, pressure: f64) {
+    let first = held.0.len() - n;
+    let (events, stamps) = (&held.0[first..], &held.1[first..]);
+    ctx.telemetry.drain_batch.record(events.len() as u64);
+    // One clock read per event is its `Parse` stamp, ends its `parse_ns`
+    // sample and starts the next event's; the first starts at the drain.
+    let mut parsed_at = stamps[0].get(Stage::RingDrain).unwrap_or(0);
+    let parsed = stamps.iter().filter_map(|st| st.get(Stage::Parse));
+    let samples = parsed.map(|at| at.saturating_sub(std::mem::replace(&mut parsed_at, at)));
+    ctx.telemetry.parse_ns.record_all(samples, 0);
+    // The taps read the typed events as they are, at once: no document is
+    // built for them. Past a tap's pressure threshold it evaluates a sample
+    // instead of every event, so diagnosis sheds load rather than slowing
+    // the drain (and growing the drops it exists to observe). The profiler
+    // observes *before* the engine: an alert raised by this very batch is
+    // attributed against a transition ring that already includes it.
+    if let Some(profile) = &ctx.profile {
+        profile.miner.observe_batch_with_pressure(events, pressure);
+        profile.sink.ship_docs(profile.miner.drain_phase_docs());
     }
+    if let Some(tap) = &ctx.tap {
+        tap.sink.ship(&tap.engine.observe_batch_with_pressure(events, pressure));
+    }
+    // The lag peak is sampled where the lag is made, not only on the
+    // exporter's rounds.
+    ctx.spans.refresh_lag();
 }
 
 /// Everything the shipper thread needs, bundled to keep the loop readable.
 struct ShipperCtx {
     backend: DocStore,
     index_name: String,
-    /// The store is persisted: an accepted event is acknowledged once the
-    /// shipper has had it logged.
-    logs: bool,
-    batch_size: usize,
-    flush_interval: Duration,
     handoff: Arc<Handoff>,
-    stored: Arc<AtomicU64>,
-    batches: Arc<AtomicU64>,
     spans: Arc<SpanCollector>,
-    telemetry: ShipperTelemetry,
+    batch_ns: Arc<Histogram>,
+    batch_size: Arc<Histogram>,
     /// The session root span's coordinates: each acknowledged batch opens a
     /// `ship.batch` child of it (cross-thread parenting).
     session_ctx: trace::SpanCtx,
 }
 
-/// Bulk-indexes each request as it arrives; the consumer decided its size
-/// and its moment, so the shipper sleeps until there is one. In memory the
-/// backend acknowledges a request as it takes it. A persisted index makes a
-/// request queryable at once and holds it unlogged; the shipper keeps its
-/// stamps and has the index log what it holds as soon as no request waits
-/// behind the one it took — it caught up — or when they reach `batch_size`,
-/// when the oldest falls `flush_interval` due (its wait ends then) or when
-/// the consumer is gone. A log is a group commit of whatever arrived while
-/// the last one was written; its runs cost no more per event for being
-/// short, as they name the index's dictionaries (DESIGN.md §11.1, §17).
-fn shipper_loop(ctx: &ShipperCtx, rx: &Receiver<Bulk>) {
-    let mut unlogged = Pending::new();
+/// Drives [`Shipper::step`]: waits for a bulk — or, while a persisted index
+/// holds events unlogged, until they are due — and has the index accept,
+/// log and acknowledge as told. The consumer decided each bulk's size and
+/// moment, so an idle shipper sleeps until there is one.
+fn shipper_loop(ctx: &ShipperCtx, mut shipper: Shipper, rx: &Receiver<Bulk>) {
+    let mut wait = Wait::Message;
     loop {
-        let next = match unlogged.due_ns(ctx.flush_interval) {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(due) => rx.recv_timeout(Duration::from_nanos(due.saturating_sub(monotonic_ns()))),
-        };
-        let mut bulk = match next {
-            Ok(bulk) => bulk,
-            Err(RecvTimeoutError::Timeout) => {
-                log(ctx, &mut unlogged);
-                continue;
+        let input = match wait {
+            Wait::Message => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Wait::Until(due) => {
+                rx.recv_timeout(Duration::from_nanos(due.saturating_sub(monotonic_ns())))
             }
-            Err(RecvTimeoutError::Disconnected) => break,
+            Wait::Stop => return,
         };
-        for stamp in &mut bulk.stamps {
-            stamp.stamp(Stage::BatchEnqueue, bulk.enqueued_ns);
-        }
-        if ctx.logs {
-            ctx.backend.accept_events(&ctx.index_name, &mut bulk.events);
-            bulk.stamps.iter().for_each(|&stamp| unlogged.push(stamp));
-            // Group commit: log what is held once the channel is empty — the
-            // shipper caught up — or at `batch_size`, whichever comes first.
-            if unlogged.stamps.len() >= ctx.batch_size || rx.is_empty() {
-                log(ctx, &mut unlogged);
-            }
-        } else {
+        let (bulk, ack, next) = shipper.step(monotonic_ns(), input.map(|b| (b, !rx.is_empty())));
+        if let Some(mut bulk) = bulk {
             let Bulk { events, stamps, .. } = &mut bulk;
-            acknowledge(ctx, stamps, || {
-                ctx.backend.accept_events(&ctx.index_name, events);
-            });
+            let mut accept = || ctx.backend.accept_events(&ctx.index_name, events);
+            if let Ack::Accept = ack {
+                acknowledge(ctx, stamps, accept);
+            } else {
+                accept();
+            }
+            ctx.handoff.recycle((bulk.events, bulk.stamps));
         }
-        ctx.handoff.recycle((bulk.events, bulk.stamps));
-    }
-    log(ctx, &mut unlogged);
-}
-
-/// Has the index log what it holds and acknowledges the `unlogged` events.
-fn log(ctx: &ShipperCtx, unlogged: &mut Pending) {
-    if !unlogged.stamps.is_empty() {
-        acknowledge(ctx, &mut unlogged.stamps, || {
-            ctx.backend.log_events(&ctx.index_name);
-        });
-        unlogged.clear();
+        if let Ack::Log(mut stamps) = ack {
+            acknowledge(ctx, &mut stamps, || ctx.backend.log_events(&ctx.index_name));
+        }
+        wait = next;
     }
 }
 
 /// Acknowledges the events whose stamps are `stamps` once `request` has made
 /// them durable: one `ship.batch` span around it, carrying the oldest event's
 /// stage breakdown, and one clock read for every `BulkIndex` stamp.
-fn acknowledge(ctx: &ShipperCtx, stamps: &mut [StageStamps], request: impl FnOnce()) {
+fn acknowledge<T>(ctx: &ShipperCtx, stamps: &mut [StageStamps], request: impl FnOnce() -> T) {
     let n = stamps.len() as u64;
-    ctx.telemetry.batch_size.record(n);
     let batch_start = Instant::now();
-    let batch_ns = {
-        // The causal chain of one acknowledged batch: ship.batch →
-        // backend.bulk → storage.append → storage.fsync, all nested via the
-        // shipper thread's span stack.
-        let mut ship_span = trace::span_child_of(Some(ctx.session_ctx), "ship", "ship.batch");
-        ship_span.attr("docs", n);
-        request();
-        let acknowledged = monotonic_ns();
-        for stamp in stamps.iter_mut() {
-            stamp.stamp(Stage::BulkIndex, acknowledged);
+    // The causal chain of one acknowledged batch: ship.batch →
+    // backend.bulk → storage.append → storage.fsync, all nested via the
+    // shipper thread's span stack.
+    let mut ship_span = trace::span_child_of(Some(ctx.session_ctx), "ship", "ship.batch");
+    ship_span.attr("docs", n);
+    request();
+    let acknowledged = monotonic_ns();
+    for stamp in stamps.iter_mut() {
+        stamp.stamp(Stage::BulkIndex, acknowledged);
+    }
+    let batch_ns = batch_start.elapsed().as_nanos() as u64;
+    // Every event of the batch carries the same bulk-index stamp, so
+    // the oldest has the largest end-to-end time: its stage breakdown
+    // rides on the batch's span. The span histograms are fed while that
+    // span is open, so e2e's exemplars name the session's trace too.
+    if let Some(oldest) = stamps.iter().max_by_key(|st| st.e2e_ns()) {
+        ship_span.attr("e2e_ns", oldest.e2e_ns().unwrap_or(0));
+        for (name, ns) in oldest.transitions() {
+            ship_span.attr(name, ns.unwrap_or(0));
         }
-        let batch_ns = batch_start.elapsed().as_nanos() as u64;
-        // Every event of the batch carries the same bulk-index stamp, so
-        // the oldest has the largest end-to-end time: its stage breakdown
-        // rides on the batch's span. The span histograms are fed while that
-        // span is open, so e2e's exemplars name the session's trace too.
-        if let Some(oldest) = stamps.iter().max_by_key(|st| st.e2e_ns()) {
-            ship_span.attr("e2e_ns", oldest.e2e_ns().unwrap_or(0));
-            for (name, ns) in oldest.transitions() {
-                ship_span.attr(name, ns.unwrap_or(0));
-            }
-        }
-        ctx.spans.record_shipped_all(stamps);
-        batch_ns
-    };
+    }
+    ctx.spans.record_shipped_all(stamps);
+    drop(ship_span);
     ctx.handoff.in_flight.fetch_sub(stamps.len(), Ordering::Relaxed);
     // Recorded with the session trace id as an exemplar: a `/metrics`
     // scrape can jump from a slow batch_ns bucket straight to this
     // session's span tree in the flight-recorder dump.
-    ctx.telemetry.batch_ns.record_with_exemplar(batch_ns, ctx.session_ctx.trace_id);
-    ctx.stored.fetch_add(n, Ordering::Relaxed);
-    ctx.batches.fetch_add(1, Ordering::Relaxed);
+    ctx.batch_ns.record_with_exemplar(batch_ns, ctx.session_ctx.trace_id);
+    ctx.batch_size.record(n);
 }
 
 /// Ships one export round into the session's telemetry index: the health
@@ -1144,6 +894,7 @@ mod tests {
     use dio_backend::Query;
     use dio_kernel::{DiskProfile, OpenFlags};
     use dio_syscall::SyscallKind;
+    use std::sync::atomic::AtomicU64;
 
     fn kernel() -> Kernel {
         Kernel::builder().root_disk(DiskProfile::instant()).build()

@@ -4,7 +4,10 @@
 //! The model holds `to_document()` values, filters them with
 //! [`Query::matches`], sorts with [`compare_docs`] and aggregates with
 //! [`Aggregation::compute`] — the `&Value` paths, untouched by how the index
-//! stores a row.
+//! stores a row. Path correlation's model is the algorithm as it was written
+//! against that search API ([`model_correlate`]).
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use serde_json::{json, Value};
@@ -13,7 +16,10 @@ use dio_syscall::{ArgRef, FileTag, FileType, Pid, SyscallEvent, SyscallKind, Tid
 
 use crate::query::compare_docs;
 use crate::value_path::DocRef;
-use crate::{Aggregation, DocStore, Query, SearchRequest, SortOrder, StorageConfig};
+use crate::{
+    correlate_paths, Aggregation, CorrelationReport, DocStore, Query, SearchRequest, SortOrder,
+    StorageConfig,
+};
 
 /// SplitMix64: one generated seed becomes as many draws as a case needs.
 struct Draw(u64);
@@ -47,8 +53,16 @@ const KINDS: [SyscallKind; 6] = [
 const PATHS: [&str; 4] = ["/db/LOG", "/db/000001.sst", "/tmp/x", "/tmp/y \"q\""];
 const COMMS: [&str; 3] = ["db_bench", "rocksdb:low0", "rocksdb:high0"];
 
+/// One of three inodes in one of two generations: an inode reused under a
+/// new tag (Fig. 2a).
+fn tag(d: &mut Draw) -> FileTag {
+    FileTag::new(1, 10 + d.below(3) as u64, d.pick(&[5, 6]))
+}
+
 /// An event drawn from few enough values per field that queries hit, ties
-/// occur in every sort key, and every optional field is sometimes absent.
+/// occur in every sort key, and every optional field is sometimes absent. An
+/// `openat` may carry a tag, with its path or without: a tag is opened under
+/// more than one path, and some fd events' tags are never opened.
 fn event(d: &mut Draw) -> SyscallEvent {
     let kind = d.pick(&KINDS);
     let mut e = SyscallEvent::synthetic(kind);
@@ -71,9 +85,14 @@ fn event(d: &mut Draw) -> SyscallEvent {
     if kind.takes_fd() {
         e.file_type = (d.below(4) > 0).then_some(FileType::Regular);
         e.offset = (d.below(3) > 0).then(|| d.below(4) as u64 * 26);
-        e.file_tag = (d.below(4) > 0).then(|| FileTag::new(1, 10 + d.below(3) as u64, 5));
-    } else if d.below(3) > 0 {
-        e.file_path = dio_syscall::path_arg(kind).and_then(|i| e.args.str_at(i)).cloned();
+        e.file_tag = (d.below(4) > 0).then(|| tag(d));
+    } else {
+        if d.below(3) > 0 {
+            e.file_path = dio_syscall::path_arg(kind).and_then(|i| e.args.str_at(i)).cloned();
+        }
+        if kind == SyscallKind::Openat && d.below(3) > 0 {
+            e.file_tag = Some(tag(d));
+        }
     }
     e
 }
@@ -118,7 +137,7 @@ fn keyword(d: &mut Draw) -> Value {
         0 => json!(d.pick(&KINDS).name()),
         1 => json!(d.pick(&COMMS)),
         2 => json!(d.pick(&PATHS)),
-        3 => json!(format!("1|{}|5", 10 + d.below(3))),
+        3 => json!(tag(d).to_string()),
         4 => json!(d.pick(&["data", "metadata", "regular", "health", "true"])),
         _ => json!(true),
     }
@@ -311,6 +330,59 @@ fn ingest(d: &mut Draw, store: &DocStore, model: &mut Model) -> Result<(), TestC
     Ok(())
 }
 
+/// Whether `doc` is exactly an event's document: what an index keeps as an
+/// event row.
+fn is_event(doc: &Value) -> bool {
+    SyscallEvent::from_document(doc).is_some()
+}
+
+/// Path correlation as it was written against the search API — a search for
+/// the opens, one update by query per tag, a count of what is left — run over
+/// the model's documents by [`Query::matches`]. It takes in only events'
+/// documents, as [`correlate_paths`] does.
+fn model_correlate(model: &mut Model) -> CorrelationReport {
+    let opens = Query::bool_query()
+        .must(Query::terms("syscall", ["open", "openat", "creat"]))
+        .must(Query::exists("file_tag"))
+        .must(Query::exists("file_path"))
+        .build();
+    let mut tag_to_path: HashMap<String, String> = HashMap::new();
+    for (_, doc) in model.iter().filter(|(_, doc)| opens.matches(doc) && is_event(doc)) {
+        if let (Some(tag), Some(path)) = (doc["file_tag"].as_str(), doc["file_path"].as_str()) {
+            tag_to_path.insert(tag.to_string(), path.to_string());
+        }
+    }
+    let mut events_updated = 0;
+    for (tag, path) in &tag_to_path {
+        let query = Query::bool_query()
+            .must(Query::term("file_tag", tag.clone()))
+            .must_not(Query::exists("file_path"))
+            .build();
+        for (_, doc) in model.iter_mut().filter(|(_, doc)| query.matches(doc) && is_event(doc)) {
+            doc["file_path"] = json!(path);
+            events_updated += 1;
+        }
+    }
+    let unresolved = Query::bool_query()
+        .must(Query::exists("file_tag"))
+        .must_not(Query::exists("file_path"))
+        .build();
+    let events_unresolved =
+        model.iter().filter(|(_, doc)| unresolved.matches(doc) && is_event(doc)).count();
+    CorrelationReport { tags_resolved: tag_to_path.len(), events_updated, events_unresolved }
+}
+
+/// Path correlation on index and model alike: the same report, and every
+/// event's document still an event row.
+fn correlate_both(store: &DocStore, model: &mut Model) -> Result<(), TestCaseError> {
+    let expected = model_correlate(model);
+    prop_assert_eq!(correlate_paths(&store.index("dio-diff")), expected);
+    let ids: Vec<u64> = model.iter().map(|(id, _)| *id).collect();
+    let events: Vec<bool> = model.iter().map(|(_, doc)| is_event(doc)).collect();
+    prop_assert_eq!(typed_rows(store, &ids), events);
+    Ok(())
+}
+
 /// `delete_by_query` on index and model alike.
 fn delete_both(store: &DocStore, model: &mut Model, q: &Query) {
     let matching = model.iter().filter(|(_, doc)| q.matches(doc)).count();
@@ -320,10 +392,12 @@ fn delete_both(store: &DocStore, model: &mut Model, q: &Query) {
 
 /// The whole history against one store: ingest through both doors with a few
 /// telemetry documents between (until there are `at_least` documents),
-/// searches, an update that keeps rows typed, one that does not, a delete and
-/// a delete-by-query between them, searches after each — and, for a persisted
-/// store, all of the searches again after a close and reopen, which finds the
-/// deleted ids missing, and after one more batch on top.
+/// searches, path correlation, an update that keeps rows typed, one that does
+/// not, a second correlation over new events while those rows are not events,
+/// a delete and a delete-by-query between them, searches after each — and,
+/// for a persisted store, all of the searches again after a close and
+/// reopen, which finds the deleted ids missing and the correlated paths kept,
+/// and after one more batch on top, correlated once more.
 fn run_case(
     seed: u64,
     dir: Option<&std::path::Path>,
@@ -345,14 +419,7 @@ fn run_case(
         check_search(&mut d, &store, &model)?;
     }
 
-    // Path correlation's update: the row is still an event's document.
-    let fd_events = Query::bool_query()
-        .must(Query::exists("file_tag"))
-        .must_not(Query::exists("file_path"))
-        .build();
-    let path = d.pick(&PATHS);
-    let touched = update_both(&store, &mut model, &fd_events, |doc| doc["file_path"] = json!(path));
-    prop_assert!(!typed_rows(&store, &touched).contains(&false));
+    correlate_both(&store, &mut model)?;
     for _ in 0..4 {
         check_search(&mut d, &store, &model)?;
     }
@@ -390,13 +457,19 @@ fn run_case(
     for _ in 0..4 {
         check_search(&mut d, &store, &model)?;
     }
+    // A second pass: new opens and fd events; the rows that are not events
+    // now are left alone.
+    ingest(&mut d, &store, &mut model)?;
+    correlate_both(&store, &mut model)?;
+    for _ in 0..2 {
+        check_search(&mut d, &store, &model)?;
+    }
     // And back: without it, an event's document is an event again.
     let walked = Query::exists("walked");
     let touched = update_both(&store, &mut model, &walked, |doc| {
         doc.as_object_mut().expect("documents are objects").remove("walked");
     });
     // The document decides the row's kind, whatever it went through.
-    let is_event = |doc: &Value| SyscallEvent::from_document(doc).is_some();
     let events: Vec<bool> =
         model.iter().filter(|(id, _)| touched.contains(id)).map(|(_, doc)| is_event(doc)).collect();
     prop_assert_eq!(typed_rows(&store, &touched), events);
@@ -415,8 +488,10 @@ fn run_case(
         for _ in 0..6 {
             check_search(&mut d, &store, &model)?;
         }
-        // The recovered table takes new rows past its gaps.
+        // The recovered table takes new rows past its gaps, and correlation
+        // resolves them against what the log kept.
         ingest(&mut d, &store, &mut model)?;
+        correlate_both(&store, &mut model)?;
         delete_both(&store, &mut model, &Query::term("tid", 10 + d.below(4)));
         for _ in 0..2 {
             check_search(&mut d, &store, &model)?;

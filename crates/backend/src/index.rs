@@ -12,7 +12,8 @@ use crate::postings::Postings;
 use crate::query::{compare_docs, Query, SortOrder};
 use crate::row::{Dicts, Doc, Row};
 use crate::storage::{Loaded, StorageEngine, Stored};
-use crate::value_path::{as_keyword, as_number, DocRef, Entry, Term};
+use crate::value_path::{as_keyword, as_number, DocRef, Term};
+use crate::CorrelationReport;
 
 /// Slots per chunk of the row table. A chunk is one allocation of
 /// 1 024 slots of at most 96 B: the table's slack is at most that (2 B a
@@ -334,43 +335,6 @@ impl Inverted {
 
     fn unindex_doc(&mut self, id: u64, doc: DocRef<'_>) {
         doc.for_each_term(&mut |path, term| self.unindex_term(id, path, term));
-    }
-
-    /// `unindex_doc(id, was)` then `index_doc(id, now)`, touching only the
-    /// top-level fields in which the two differ: an update that adds a field
-    /// to an event moves that field's terms, not the event's thirty-odd.
-    /// Both enumerate their fields in key order, so one merge pass pairs them.
-    fn reindex_event<'a>(
-        &mut self,
-        id: u64,
-        was: &SyscallEvent,
-        now: impl Iterator<Item = (&'a str, Entry<'a>)>,
-    ) {
-        let mut was = was.fields().peekable();
-        let mut now = now.peekable();
-        loop {
-            use std::cmp::Ordering::{Greater, Less};
-            let side = match (was.peek(), now.peek()) {
-                (None, None) => return,
-                (Some(_), None) => Less,
-                (None, Some(_)) => Greater,
-                (Some((old, _)), Some((new, _))) => (*old).cmp(new),
-            };
-            let old = if side != Greater { was.next() } else { None };
-            let new = if side != Less { now.next() } else { None };
-            if let (Some((_, old)), Some((_, new))) = (old, new) {
-                if new.same_terms(old) {
-                    continue;
-                }
-            }
-            if let Some((name, old)) = old {
-                Entry::Event(old)
-                    .for_each_term(name, &mut |path, term| self.unindex_term(id, path, term));
-            }
-            if let Some((name, new)) = new {
-                new.for_each_term(name, &mut |path, term| self.index_term(id, path, term));
-            }
-        }
     }
 
     /// The posting list of `field: value` (an empty one when no document
@@ -996,8 +960,10 @@ impl Index {
     /// Applies `update` to every document matching `query`, keeping the
     /// inverted indexes consistent. Returns the number of updated documents.
     ///
-    /// This is the primitive DIO's *file path correlation algorithm* uses
-    /// (Elasticsearch `_update_by_query`).
+    /// Elasticsearch's `_update_by_query`: the closure is handed each
+    /// document, and what it leaves decides the row's kind afresh. Path
+    /// correlation does not go through it ([`crate::correlate_paths`] writes
+    /// the rows' path slot directly).
     ///
     /// Over m documents a numeric term costs O(log n) to remove, and the new
     /// ones are merged in at the end, one pass per field: never O(m × n) for
@@ -1012,50 +978,69 @@ impl Index {
                 inner.rows.slot_mut(id).and_then(Option::as_mut).expect("id from matching_ids");
             // The closure sees the document; what it leaves decides the
             // row's kind afresh.
-            let updated = match row {
-                Row::Event(held) => {
-                    let was = inner.dicts.event(held);
-                    let mut doc = was.to_document();
-                    update(&mut doc);
-                    let updated = Doc::from(doc);
-                    match &updated {
-                        Doc::Event(now) => {
-                            let now = now.fields().map(|(name, field)| (name, Entry::Event(field)));
-                            inner.inverted.reindex_event(id, &was, now);
-                        }
-                        Doc::Json(Value::Object(now)) => {
-                            let now = now.iter().map(|(name, v)| (name.as_str(), Entry::Json(v)));
-                            inner.inverted.reindex_event(id, &was, now);
-                        }
-                        Doc::Json(now) => {
-                            inner.inverted.unindex_doc(id, DocRef::Event(&was));
-                            inner.inverted.index_doc(id, DocRef::Json(now));
-                        }
-                    }
-                    updated
-                }
-                Row::Json(text) => {
-                    let mut doc: Value = serde_json::from_str(text).expect("a JSON row holds JSON");
-                    inner.inverted.unindex_doc(id, DocRef::Json(&doc));
-                    update(&mut doc);
-                    let updated = Doc::from(doc);
-                    inner.inverted.index_doc(id, updated.as_ref());
-                    updated
-                }
-            };
+            let was = inner.dicts.doc(row);
+            inner.inverted.unindex_doc(id, was.as_ref());
+            let mut doc = was.into_value();
+            update(&mut doc);
+            let updated = Doc::from(doc);
+            inner.inverted.index_doc(id, updated.as_ref());
             *row = inner.dicts.row(updated.into_text());
         }
         inner.inverted.settle();
-        if let Some(engine) = self.persist.as_ref().filter(|_| !ids.is_empty()) {
-            // The tail's rows are logged as they now are; the others again.
+        self.write_updates(inner, ids.iter().copied());
+        ids.len()
+    }
+
+    /// Writes the rows of `ids`, ascending, through to a persisted index once
+    /// they were updated: the unlogged tail is logged as its rows now are,
+    /// then the others again. Nothing when none was.
+    fn write_updates(&self, inner: &mut IndexInner, ids: impl ExactSizeIterator<Item = u64>) {
+        if let Some(engine) = self.persist.as_ref().filter(|_| ids.len() > 0) {
             let tail = inner.unlogged;
-            let logged = ids.iter().copied().filter(|&id| id < tail);
             inner
                 .log_tail(engine, &self.name)
-                .and_then(|_| inner.append(engine, &self.name, logged))
+                .and_then(|_| inner.append(engine, &self.name, ids.filter(|&id| id < tail)))
                 .expect("dio-backend: persistent update failed");
         }
-        ids.len()
+    }
+
+    /// [`crate::correlate_paths`]: one pass over the rows under the write
+    /// lock, after a refresh, that builds no event.
+    pub(crate) fn correlate_paths(&self) -> CorrelationReport {
+        let inner = &mut *self.inner.write();
+        inner.refresh();
+        // Each tag's path: the one the open with the highest id names.
+        let (mut paths, mut pathless) = (HashMap::new(), 0);
+        for (_, row) in inner.rows.iter() {
+            if let Some((tag, path)) = row.opened() {
+                paths.insert(tag, path);
+            }
+            pathless += usize::from(matches!(row, Row::Event(row) if row.pathless_tag().is_some()));
+        }
+        // `(path, id)` of each event given a path, ascending by id.
+        let (mut updated, mut events_unresolved) = (Vec::with_capacity(pathless), 0);
+        for id in 0..inner.rows.end() {
+            let Some(Some(Row::Event(row))) = inner.rows.slot_mut(id) else { continue };
+            match row.pathless_tag().map(|tag| paths.get(&tag)) {
+                Some(Some(&path)) => {
+                    row.set_path(path);
+                    updated.push((path, id));
+                }
+                Some(None) => events_unresolved += 1,
+                None => {}
+            }
+        }
+        self.write_updates(inner, updated.iter().map(|&(_, id)| id));
+        // A path's new holders join its `file_path` list in one merge.
+        updated.sort_unstable();
+        for same in updated.chunk_by(|a, b| a.0 == b.0) {
+            let (path, ids) = (inner.dicts.text(same[0].0), same.iter().map(|&(_, id)| id));
+            with_slot(&mut inner.inverted.keywords, "file_path", |terms| {
+                with_slot(terms, path, |list| list.merge(ids));
+            });
+        }
+        let (tags_resolved, events_updated) = (paths.len(), updated.len());
+        CorrelationReport { tags_resolved, events_updated, events_unresolved }
     }
 
     /// Deletes every document matching `query`, returning how many: each as

@@ -8,8 +8,9 @@
 //! pieces DIO actually uses:
 //!
 //! * [`DocStore`] / [`Index`] — JSON document storage with keyword and
-//!   numeric inverted indexes, bulk indexing, and update/delete-by-query
-//!   (the substrate of the file-path correlation algorithm);
+//!   numeric inverted indexes, bulk indexing, and update/delete-by-query;
+//! * [`correlate_paths`] — the file-path correlation algorithm, one pass
+//!   over an index's rows;
 //! * [`Query`] — a bool/term/terms/range/prefix/exists query DSL;
 //! * [`Aggregation`] — terms, histogram, date-histogram, percentiles,
 //!   stats, value-count and cardinality aggregations with nesting, which
@@ -36,6 +37,7 @@
 //! ```
 
 mod agg;
+mod correlate;
 #[cfg(test)]
 mod differential;
 mod index;
@@ -48,6 +50,7 @@ mod subscribe;
 mod value_path;
 
 pub use agg::{AggResult, Aggregation, Bucket, StatsResult};
+pub use correlate::{correlate_paths, CorrelationReport};
 pub use index::{Hit, Index, SearchRequest, SearchResponse};
 pub use query::{BoolBuilder, Query, RangeBuilder, SortOrder};
 pub use storage::{ShardReport, StorageConfig, StorageEngine, StorageReport};

@@ -169,6 +169,29 @@ fn find_block(blocks: &[Block], key: u64) -> Result<usize, usize> {
 }
 
 impl Postings {
+    /// Adds `ids`, ascending, a block at a time: the block's array grows
+    /// once for the ids that fall in it, where inserting them one by one grows
+    /// it as they come.
+    pub(crate) fn merge(&mut self, ids: impl Iterator<Item = u64> + Clone) {
+        let mut ids = ids.peekable();
+        while let Some(first) = ids.next() {
+            let key = first >> BLOCK_BITS;
+            self.insert(first);
+            if let Postings::Many(blocks) = self {
+                let n = ids.clone().take_while(|id| id >> BLOCK_BITS == key).count();
+                if let Ok(Ids::Array(lows)) = find_block(blocks, key).map(|at| &mut blocks[at].ids)
+                {
+                    if lows.len() + n <= ARRAY_MAX {
+                        lows.reserve(n);
+                    }
+                }
+            }
+            while let Some(id) = ids.next_if(|id| id >> BLOCK_BITS == key) {
+                self.insert(id);
+            }
+        }
+    }
+
     /// Adds `id`; a no-op if it is held (a JSON array can name one term twice).
     pub(crate) fn insert(&mut self, id: u64) {
         let (key, low) = (id >> BLOCK_BITS, id as u16);
@@ -284,6 +307,24 @@ mod tests {
                 }
                 assert_is(&postings, &model);
             }
+        }
+
+        /// A merge of ascending ids, some held already, leaves what inserting
+        /// them does, in the representation the ids call for: enough of them
+        /// in one block make it a bitmap.
+        #[test]
+        fn a_merge_holds_what_the_inserts_would(
+            held in proptest::collection::vec((0u64..2, 0u64..5_000), 0..64),
+            added in proptest::collection::vec((0u64..2, 0u64..5_000), 0..20_000),
+        ) {
+            let id = |&(high, low): &(u64, u64)| (high * 70_000) << BLOCK_BITS | low;
+            let mut postings = Postings::default();
+            let mut model: BTreeSet<u64> = held.iter().map(id).collect();
+            model.iter().for_each(|&id| postings.insert(id));
+            let added: BTreeSet<u64> = added.iter().map(id).collect();
+            postings.merge(added.iter().copied());
+            model.extend(added);
+            assert_is(&postings, &model);
         }
     }
 

@@ -310,6 +310,11 @@ impl Dicts {
         row
     }
 
+    /// String `id`.
+    pub(crate) fn text(&self, id: u32) -> &str {
+        self.strings.get(id)
+    }
+
     /// The row of `doc`, interned if it is an event.
     pub(crate) fn row(&mut self, doc: Doc<Box<str>>) -> Row {
         match doc {
@@ -370,6 +375,14 @@ impl Dicts {
 }
 
 impl Row {
+    /// The tag and path of an open event that names both: what path
+    /// correlation learns.
+    pub(crate) fn opened(&self) -> Option<(u32, u32)> {
+        let Row::Event(row) = self else { return None };
+        let open = matches!(row.kind, SyscallKind::Open | SyscallKind::Openat | SyscallKind::Creat);
+        (open && row.flags & (TAG | PATH) == TAG | PATH).then_some((row.tag, row.path))
+    }
+
     /// What the log stores for the row: an event row goes into a run, any
     /// other is its JSON text.
     pub(crate) fn to_put(&self) -> Put<'_> {
@@ -402,6 +415,17 @@ const CLASSES: [SyscallClass; 4] = [
 const NO_SHAPE: u64 = u64::MAX;
 
 impl Compact {
+    /// The tag of an event that has one and no path: what path correlation
+    /// gives a path.
+    pub(crate) fn pathless_tag(&self) -> Option<u32> {
+        (self.flags & (TAG | PATH) == TAG).then_some(self.tag)
+    }
+
+    /// Gives the event `file_path`: string `path` of the index.
+    pub(crate) fn set_path(&mut self, path: u32) {
+        (self.path, self.flags) = (path, self.flags | PATH);
+    }
+
     /// The string id of the argument `path_arg` names, if that is a string.
     fn path_arg(&self) -> Option<u32> {
         let at = path_arg(self.kind).filter(|&at| at < usize::from(self.len))?;

@@ -47,43 +47,6 @@ impl<'a> Term<'a> {
     }
 }
 
-/// One top-level field of a stored document.
-#[derive(Clone, Copy)]
-pub(crate) enum Entry<'a> {
-    Event(FieldRef<'a>),
-    Json(&'a Value),
-}
-
-impl Entry<'_> {
-    /// Calls `f` with every `(dotted path, term)` under this field, `name`.
-    pub(crate) fn for_each_term(self, name: &str, f: &mut impl FnMut(&str, Term<'_>)) {
-        match self {
-            Entry::Event(field) => {
-                field.for_each_leaf(name, &mut |path, leaf| f(path, Term::of_scalar(leaf)))
-            }
-            Entry::Json(value) => walk_terms(&mut name.to_owned(), value, f),
-        }
-    }
-
-    /// Whether this field puts exactly `field`'s terms into the indexes.
-    /// `false` is always safe: the caller then moves every term.
-    pub(crate) fn same_terms(self, field: FieldRef<'_>) -> bool {
-        let is = |scalar: ArgRef<'_>, value: &Value| match scalar.as_f64() {
-            Some(n) => as_number(value) == Some(n),
-            None => value.as_str() == scalar.as_str(),
-        };
-        match (self, field) {
-            (Entry::Event(this), _) => this == field,
-            (Entry::Json(value), FieldRef::Scalar(scalar)) => is(scalar, value),
-            (Entry::Json(value), FieldRef::Tag(tag)) => value.as_str() == Some(&*tag.text()),
-            (Entry::Json(value), FieldRef::Args(args)) => value.as_object().is_some_and(|object| {
-                object.len() == args.len()
-                    && args.iter().all(|(name, arg)| object.get(name).is_some_and(|v| is(arg, v)))
-            }),
-        }
-    }
-}
-
 impl<'a> DocRef<'a> {
     /// Resolves a dotted field path; for a JSON document this is
     /// [`get_path`], and an event answers as its document would.

@@ -39,11 +39,10 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 pub use dio_backend::{
-    AggResult, Aggregation, Bucket, DocStore, Hit, Index, Query, SearchRequest, SearchResponse,
-    ShardReport, SortOrder, StatsResult, StorageConfig, StorageEngine, StorageReport, Subscription,
-    DEFAULT_SUBSCRIPTION_CAPACITY,
+    correlate_paths, AggResult, Aggregation, Bucket, CorrelationReport, DocStore, Hit, Index,
+    Query, SearchRequest, SearchResponse, ShardReport, SortOrder, StatsResult, StorageConfig,
+    StorageEngine, StorageReport, Subscription, DEFAULT_SUBSCRIPTION_CAPACITY,
 };
-pub use dio_correlate::{correlate_paths, CorrelationReport};
 pub use dio_diagnose::{Alert, AlertKind, DiagnoseConfig, DiagnosisEngine, EngineStats, Severity};
 pub use dio_ebpf::{FilterSpec, RingConfig, RingStats};
 pub use dio_kernel::{

@@ -1,12 +1,6 @@
 #![warn(missing_docs)]
 
-//! The file-path correlation algorithm running on DIO's backend (§II-C).
-//!
-//! [`correlate_paths`] resolves `dev|ino|timestamp` file tags into the
-//! actual paths using the backend's update-by-query. Diagnosis, live or over
-//! a stored session (`dio_tracer::diagnose_index`), is the shipped rules'
-//! job, not this crate's.
+//! The file-path correlation algorithm (§II-C), which lives in `dio-backend`
+//! beside the rows it writes: this crate only re-exports it.
 
-mod path;
-
-pub use path::{correlate_paths, CorrelationReport};
+pub use dio_backend::{correlate_paths, CorrelationReport};

@@ -14,12 +14,9 @@ use dio_ebpf::{RawEvent, RingBuffer};
 use dio_syscall::SyscallEvent;
 use dio_telemetry::span::{monotonic_ns, Stage, StageStamps};
 
-pub use crossbeam::channel::RecvTimeoutError;
-
 /// What the shipper is handed by its wait: a bulk and whether another waits
-/// behind it, or nothing before the wait's time ([`RecvTimeoutError::Timeout`]),
-/// or the end of the channel ([`RecvTimeoutError::Disconnected`]).
-pub type Input = Result<(Bulk, bool), RecvTimeoutError>;
+/// behind it, or `None` once the channel closed.
+pub type Input = Option<(Bulk, bool)>;
 
 /// Shortest sleep between two polls: `poll_interval(0)` still yields the
 /// core after a drain that did not fill its quota.
@@ -37,8 +34,8 @@ const IDLE_CAP: Duration = Duration::from_micros(3_125);
 /// What a thread does after a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wait {
-    /// Step again at this monotonic time (ns), at once if it has passed —
-    /// or, for the shipper, as soon as a message arrives before it.
+    /// Step again at this monotonic time (ns), at once if it has passed. Only
+    /// the consumer waits for a time.
     Until(u64),
     /// Step again when a message arrives.
     Message,
@@ -259,22 +256,21 @@ impl Shipper {
         &self.unlogged.stamps
     }
 
-    /// One input at `now` — a bulk and whether another waits behind it, a
-    /// timeout or a closed channel — and what to do with it: the bulk for
-    /// the index to accept, queryable at once, stamped
-    /// [`Stage::BatchEnqueue`]; then the acknowledgement; then the wait.
+    /// One input at `now` — a bulk and whether another waits behind it, or
+    /// the channel closed — and what to do with it: the bulk for the index to
+    /// accept, queryable at once, stamped [`Stage::BatchEnqueue`]; then the
+    /// acknowledgement; then the wait, for the next message or none.
     ///
-    /// In memory the accept acknowledges, and the shipper waits for the next
-    /// message. A persisted index holds what it accepts unlogged: the
-    /// shipper has it log all it holds — a group commit — once no bulk
-    /// waits behind the one it took (it caught up), when they reach
-    /// `batch_size`, when the oldest is `flush_interval` past its kernel
-    /// dispatch (its wait ends then: it never catches up), or when the
-    /// channel closes.
+    /// In memory the accept acknowledges. A persisted index holds what it
+    /// accepts unlogged: the shipper has it log all it holds — a group
+    /// commit — once no bulk waits behind the one it took (it caught up),
+    /// when they reach `batch_size`, when the oldest is `flush_interval` past
+    /// its kernel dispatch (it never catches up), or when the channel closes.
+    /// So a step leaves events unlogged only with a bulk waiting, which the
+    /// next step takes at once: the shipper needs no timer.
     pub fn step(&mut self, now: u64, input: Input) -> (Option<Bulk>, Ack, Wait) {
-        let closed = matches!(input, Err(RecvTimeoutError::Disconnected));
         let (bulk, caught_up) = match input {
-            Ok((mut bulk, behind)) => {
+            Some((mut bulk, behind)) => {
                 for stamp in &mut bulk.stamps {
                     stamp.stamp(Stage::BatchEnqueue, bulk.enqueued_ns);
                 }
@@ -284,7 +280,7 @@ impl Shipper {
                 bulk.stamps.iter().for_each(|&stamp| self.unlogged.push(stamp));
                 (Some(bulk), !behind)
             }
-            Err(_) => (None, true),
+            None => (None, true),
         };
         let pending = &mut self.unlogged;
         let log = caught_up || pending.stamps.len() >= self.batch_size || pending.due_ns() <= now;
@@ -294,11 +290,7 @@ impl Shipper {
         } else {
             Ack::Nothing
         };
-        let wait = match (closed, pending.stamps.is_empty()) {
-            (true, _) => Wait::Stop,
-            (false, true) => Wait::Message,
-            (false, false) => Wait::Until(pending.due_ns()),
-        };
+        let wait = if bulk.is_some() { Wait::Message } else { Wait::Stop };
         (bulk, ack, wait)
     }
 }

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendError, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use serde_json::{json, Value};
 
 use dio_backend::{DocStore, Index};
@@ -800,21 +800,14 @@ struct ShipperCtx {
     session_ctx: trace::SpanCtx,
 }
 
-/// Drives [`Shipper::step`]: waits for a bulk — or, while a persisted index
-/// holds events unlogged, until they are due — and has the index accept,
-/// log and acknowledge as told. The consumer decided each bulk's size and
-/// moment, so an idle shipper sleeps until there is one.
+/// Drives [`Shipper::step`]: blocks for a bulk and has the index accept, log
+/// and acknowledge as told. The consumer decided each bulk's size and moment,
+/// so an idle shipper sleeps until there is one; what a persisted index holds
+/// unlogged has a bulk behind it.
 fn shipper_loop(ctx: &ShipperCtx, mut shipper: Shipper, rx: &Receiver<Bulk>) {
-    let mut wait = Wait::Message;
     loop {
-        let input = match wait {
-            Wait::Message => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Wait::Until(due) => {
-                rx.recv_timeout(Duration::from_nanos(due.saturating_sub(monotonic_ns())))
-            }
-            Wait::Stop => return,
-        };
-        let (bulk, ack, next) = shipper.step(monotonic_ns(), input.map(|b| (b, !rx.is_empty())));
+        let input = rx.recv().ok().map(|bulk| (bulk, !rx.is_empty()));
+        let (bulk, ack, wait) = shipper.step(monotonic_ns(), input);
         if let Some(mut bulk) = bulk {
             let Bulk { events, stamps, .. } = &mut bulk;
             let mut accept = || ctx.backend.accept_events(&ctx.index_name, events);
@@ -828,7 +821,9 @@ fn shipper_loop(ctx: &ShipperCtx, mut shipper: Shipper, rx: &Receiver<Bulk>) {
         if let Ack::Log(mut stamps) = ack {
             acknowledge(ctx, &mut stamps, || ctx.backend.log_events(&ctx.index_name));
         }
-        wait = next;
+        if wait == Wait::Stop {
+            return;
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use dio_ebpf::{RawEvent, RingBuffer};
 use dio_syscall::{ArgList, Pid, SyscallKind, Tid};
 use dio_telemetry::span::{SpanCollector, Stage, StageStamps};
 use dio_telemetry::{Counter, MetricsRegistry};
-use dio_tracer::policy::{Ack, Bulk, Consumer, RecvTimeoutError, Shipper, Wait};
+use dio_tracer::policy::{Ack, Bulk, Consumer, Shipper, Wait};
 use dio_tracer::TracerConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -54,6 +54,9 @@ pub struct Tally {
     pub consumer_deadlines: u64,
     /// Persisted: logs below `batch_size` with a bulk still waiting.
     pub shipper_deadlines: u64,
+    /// Persisted: shipper steps that left events unlogged, each checked to
+    /// leave a bulk waiting for the next.
+    pub left_unlogged: u64,
     /// Drains the hand-off's room held below `drain_batch` while the rings
     /// held more.
     pub room_limited: u64,
@@ -72,6 +75,7 @@ impl std::ops::AddAssign for Tally {
         self.caught_up_logs += o.caught_up_logs;
         self.consumer_deadlines += o.consumer_deadlines;
         self.shipper_deadlines += o.shipper_deadlines;
+        self.left_unlogged += o.left_unlogged;
         self.room_limited += o.room_limited;
         self.refused += o.refused;
         self.ring_drops += o.ring_drops;
@@ -385,34 +389,23 @@ impl Sim {
         }
     }
 
-    /// When the shipper steps next, if it is waiting for something that can
-    /// come.
+    /// When the shipper steps next: once a bulk waits or the channel closed,
+    /// and it is not busy.
     fn shipper_at(&self) -> Option<u64> {
-        if self.gone || self.shipper_wait == Wait::Stop {
-            return None;
-        }
-        let ready = if !self.channel.is_empty() || self.closed {
-            self.now
-        } else if let Wait::Until(at) = self.shipper_wait {
-            at
-        } else {
-            return None;
-        };
-        Some(ready.max(self.busy_until))
+        let ready = !self.channel.is_empty() || self.closed;
+        let waits = !self.gone && self.shipper_wait != Wait::Stop && ready;
+        waits.then(|| self.now.max(self.busy_until))
     }
 
     fn shipper_step(&mut self, store: &dio_backend::Index) {
-        let input = match self.channel.pop_front() {
-            Some(bulk) => {
-                self.in_channel -= bulk.events.len();
-                self.bulks_taken += 1;
-                Ok((bulk, !self.channel.is_empty()))
-            }
-            None if self.closed => Err(RecvTimeoutError::Disconnected),
-            None => Err(RecvTimeoutError::Timeout),
-        };
-        let behind = matches!(input, Ok((_, true)));
-        let caught_up = matches!(input, Ok((_, false)));
+        let input = self.channel.pop_front().map(|bulk| {
+            self.in_channel -= bulk.events.len();
+            self.bulks_taken += 1;
+            (bulk, !self.channel.is_empty())
+        });
+        let behind = matches!(input, Some((_, true)));
+        let caught_up = matches!(input, Some((_, false)));
+        let closing = input.is_none();
         let (bulk, ack, wait) = self.shipper.step(self.now, input);
         let mut cost = 0;
         if let Some(mut bulk) = bulk {
@@ -460,17 +453,21 @@ impl Sim {
             self.fail("a shipper with no bulk behind the one it took logs", detail);
         }
         let unlogged = self.shipper.unlogged().to_vec();
+        if !unlogged.is_empty() {
+            if self.channel.is_empty() {
+                let detail = format!("{} unlogged, none behind", unlogged.len());
+                self.fail("a shipper that leaves events unlogged has a bulk waiting", detail);
+            }
+            self.tally.left_unlogged += 1;
+        }
         if unlogged.len() >= self.batch_size {
             let detail = format!("{} unlogged", unlogged.len());
             self.fail("a shipper holding batch_size unlogged events logs", detail);
         }
         self.on_time("a shipper that never catches up logs by the deadline", &unlogged, true);
-        match wait {
-            Wait::Until(at) if at > self.now => {}
-            Wait::Message | Wait::Stop => {}
-            other => {
-                self.fail("the shipper waits for a message or a later time", format!("{other:?}"))
-            }
+        if wait != if closing { Wait::Stop } else { Wait::Message } {
+            let detail = format!("{wait:?}");
+            self.fail("the shipper waits for a message until the channel closes", detail);
         }
         self.shipper_wait = wait;
         self.busy_until = self.now + cost * self.cost_ns;

@@ -388,10 +388,16 @@ fn documents_of(events: &[SyscallEvent]) -> Vec<(u64, Value)> {
 /// in the page cache.
 #[test]
 fn a_write_behind_an_unlogged_tail_logs_the_tail_first() {
-    for write in ["none", "update_by_query", "json bulk", "delete"] {
+    for write in ["none", "update_by_query", "json bulk", "delete", "correlate"] {
         let dir = tmp_store("tail");
         let store = DocStore::open_with(&dir, fixture_config()).unwrap();
         let mut events: Vec<SyscallEvent> = (0..20).map(|n| traced_event("tail", n)).collect();
+        if write == "correlate" {
+            // The opens name the tag of one of the two files.
+            for e in events.iter_mut().filter(|e| e.kind == SyscallKind::Openat) {
+                e.file_tag = Some(FileTag::new(7_340_032, 12, 42));
+            }
+        }
         let mut expect = documents_of(&events);
         assert!(!store.accept_events("dio-tail", &mut events), "held, not acknowledged");
         assert!(events.is_empty());
@@ -410,6 +416,15 @@ fn a_write_behind_an_unlogged_tail_logs_the_tail_first() {
             "json bulk" => {
                 let ids = store.bulk("dio-tail", vec![json!({"kind": "health"})]);
                 expect.push((ids[0], json!({"kind": "health"})));
+            }
+            "correlate" => {
+                let report = dio_backend::correlate_paths(&index);
+                assert_eq!((report.events_updated, report.events_unresolved), (5, 10));
+                for (_, doc) in
+                    expect.iter_mut().filter(|(_, doc)| doc["file_tag"] == "7340032|12|42")
+                {
+                    doc["file_path"] = json!("/db/tail-0.log");
+                }
             }
             _ => {
                 assert!(index.delete(9));

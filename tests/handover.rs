@@ -12,6 +12,8 @@
 //!   once the shipper has taken it;
 //! - on a persisted store, a shipper with no bulk behind the one it took has
 //!   the index log, and acknowledges what was logged;
+//! - a shipper step that leaves events unlogged leaves a bulk waiting, which
+//!   the next step takes at once: the shipper needs no timer;
 //! - a consumer that never catches up hands over, and a shipper that never
 //!   catches up logs, by the oldest event's kernel dispatch plus
 //!   `flush_interval` — or at the step that ends a stall that held it past;
@@ -80,6 +82,7 @@ fn persisted_schedules() {
     assert!(tally.groups > 0, "{tally:?}");
     assert!(tally.caught_up_logs > 0, "{tally:?}");
     assert!(tally.shipper_deadlines > 0, "{tally:?}");
+    assert!(tally.left_unlogged > 0, "{tally:?}");
     assert!(tally.consumer_deadlines > 0, "{tally:?}");
     assert!(tally.room_limited > 0, "{tally:?}");
 }

@@ -199,12 +199,22 @@ impl Postings {
             Postings::Empty => *self = Postings::One(id),
             Postings::One(held) if *held == id => {}
             Postings::One(held) => {
-                // `vec!` allocates the one block two ids nearly always share;
-                // an empty vector's first push would allocate four.
-                let held = Block { key: *held >> BLOCK_BITS, ids: Ids::Array(vec![*held as u16]) };
-                let blocks = vec![held];
+                // Both ids at once, each vector allocated at its length: the
+                // one block two ids nearly always share holds both lows.
+                let (held_key, held_low) = (*held >> BLOCK_BITS, *held as u16);
+                let blocks = if held_key == key {
+                    let lows = if held_low < low { [held_low, low] } else { [low, held_low] };
+                    vec![Block { key, ids: Ids::Array(lows.to_vec()) }]
+                } else {
+                    let held = Block { key: held_key, ids: Ids::Array(vec![held_low]) };
+                    let new = Block { key, ids: Ids::Array(vec![low]) };
+                    if held_key < key {
+                        vec![held, new]
+                    } else {
+                        vec![new, held]
+                    }
+                };
                 *self = Postings::Many(Box::new(blocks));
-                self.insert(id);
             }
             Postings::Many(blocks) => match find_block(blocks, key) {
                 Ok(at) => blocks[at].ids.insert(low),

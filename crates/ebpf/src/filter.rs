@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, LazyLock};
 
-    use dio_kernel::FdInfo;
+    use dio_kernel::{FdInfo, TaskSlot};
     use dio_syscall::FileType;
 
     struct FakeView {
@@ -230,6 +230,7 @@ mod tests {
             args: &[],
             path,
             fd,
+            slot: TaskSlot(0),
         }
     }
 

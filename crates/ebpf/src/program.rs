@@ -7,19 +7,18 @@
 //! and Tracee), enriches it with file type / offset / file tag, and pushes
 //! it into the per-CPU ring buffer without ever blocking.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use dio_kernel::{EnterEvent, ExitEvent, FdInfo, KernelInspect, SyscallProbe};
+use dio_kernel::{EnterEvent, ExitEvent, FdInfo, KernelInspect, SyscallProbe, TaskSlot};
 use dio_syscall::{
     expected_args, path_arg, ArgList, FileTag, FileType, Pid, SyscallClass, SyscallEvent,
     SyscallKind, SyscallSet, Tid,
 };
 use dio_telemetry::span::{SpanCollector, Stage, StageStamps, StampCarrier};
-use dio_telemetry::{Counter, Gauge, MetricsRegistry};
+use dio_telemetry::MetricsRegistry;
 use dio_verify::VerifyError;
 
 use crate::filter::FilterSpec;
@@ -141,7 +140,9 @@ pub struct ProgramConfig {
     pub enter_cost_ns: u64,
     /// Calibrated extra in-kernel work per `sys_exit`, in nanoseconds.
     pub exit_cost_ns: u64,
-    /// Capacity of the entry→exit join map (BPF maps are bounded).
+    /// Bound on entries waiting for their exit at once (BPF maps are
+    /// bounded): an entry that would exceed it overflows. One below the
+    /// task-slot table's [`MAX_TASKS`] costs each entry a scan of the table.
     pub join_capacity: usize,
 }
 
@@ -151,7 +152,7 @@ impl Default for ProgramConfig {
             filter: FilterSpec::new(),
             enter_cost_ns: 0,
             exit_cost_ns: 0,
-            join_capacity: 65_536,
+            join_capacity: MAX_TASKS,
         }
     }
 }
@@ -163,18 +164,28 @@ pub struct ProgramStats {
     pub admitted: u64,
     /// Events rejected by the filter.
     pub filtered: u64,
-    /// Entries dropped because the join map was full.
+    /// Entries dropped because the join was at capacity.
     pub join_overflow: u64,
     /// Joined events pushed to the ring buffer (successfully or not —
     /// ring-buffer drops are counted by [`RingBuffer::stats`]).
     pub emitted: u64,
     /// Entries that never met their exit: replaced by a later entry of the
-    /// same thread (a probe detached mid-syscall), or met by the exit of a
-    /// different syscall. With the entries still waiting in the join map,
-    /// `admitted == emitted + join_overflow + orphaned + pending`.
+    /// same task (two OS threads sharing one task), or met by the exit of a
+    /// different syscall.
     pub orphaned: u64,
+    /// Entries waiting in their task's slot for the exit. Read in the same
+    /// scan as the counts, so every snapshot holds
+    /// `admitted == emitted + join_overflow + orphaned + pending`.
+    pub pending: u64,
 }
 
+/// Task slots in the program's table: as many tasks as the kernel has live
+/// can be joined, and entries of a task lent a slot beyond it overflow.
+pub const MAX_TASKS: usize = 65_536;
+/// Slots are allocated in chunks, the first time a task of the chunk traces.
+const CHUNK: usize = 64;
+
+/// What one task's `sys_enter` leaves for its `sys_exit`.
 #[derive(Debug)]
 struct Pending {
     kind: SyscallKind,
@@ -185,18 +196,137 @@ struct Pending {
     file: Option<FdInfo>,
 }
 
-const JOIN_SHARDS: usize = 16;
+/// One task's slot: the entry waiting for its exit, and the counts of the
+/// task's entries, changed together while the slot is held.
+#[derive(Debug, Default)]
+struct SlotState {
+    pending: Option<Pending>,
+    admitted: u64,
+    join_overflow: u64,
+    emitted: u64,
+    /// Entries the task's next entry found waiting.
+    orphaned_at_entry: u64,
+    /// Entries met by the exit of another syscall.
+    orphaned_at_exit: u64,
+}
 
-/// Telemetry handles updated on the program's hot paths once
-/// [`TracerProgram::bind_telemetry`] is called.
+/// The program's storage for one task (`BPF_MAP_TYPE_TASK_STORAGE`), on a
+/// line of its own: only its task writes it, one syscall at a time, so
+/// holding it is one uncontended swap and one store. Another thread holds
+/// it only when OS threads share a task, or while a reader scans.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct JoinSlot {
+    held: AtomicBool,
+    /// Entries the filter rejected: counted without holding the slot, as
+    /// no other count depends on it.
+    filtered: AtomicU64,
+    state: UnsafeCell<SlotState>,
+}
+
+// SAFETY: `state` is reached only through `JoinSlot::with`, while `held` is
+// set by the caller, so no two threads reach it at once; what it holds is
+// `Send`.
+unsafe impl Sync for JoinSlot {}
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<SlotState>();
+};
+
+/// Clears the flag of a held slot, also when the holder unwinds.
+struct Holding<'a>(&'a AtomicBool);
+
+impl Drop for Holding<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+impl JoinSlot {
+    /// Runs `f` on the slot's state, holding the slot. Keep `f` short: it
+    /// allocates and drops nothing heavier than a counter.
+    fn with<R>(&self, f: impl FnOnce(&mut SlotState) -> R) -> R {
+        let mut spins = 0u32;
+        while self.held.swap(true, Ordering::Acquire) {
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        let _holding = Holding(&self.held);
+        // SAFETY: `held` was clear and this thread set it; it stays set
+        // until `_holding` drops, after `f`.
+        f(unsafe { &mut *self.state.get() })
+    }
+}
+
+/// Every count of the program, summed over the task slots in one scan.
+#[derive(Debug, Default)]
+struct Tally {
+    stats: ProgramStats,
+    orphaned_at_entry: u64,
+}
+
+/// The program's task-local storage: slot `i` of the table is the one the
+/// kernel lent task `i` ([`dio_kernel::TaskSlot`]).
 #[derive(Debug)]
-struct ProgramTelemetry {
-    accepted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    join_inserted: Arc<Counter>,
-    join_overflow: Arc<Counter>,
-    join_orphaned: Arc<Counter>,
-    join_occupancy: Arc<Gauge>,
+struct TaskSlots {
+    chunks: Box<[OnceLock<Box<[JoinSlot]>>]>,
+    /// Chunks up to the highest one allocated: what a scan visits.
+    used: AtomicUsize,
+    /// Where a task lent a slot beyond the table is counted; its entries
+    /// overflow.
+    spill: JoinSlot,
+}
+
+impl TaskSlots {
+    fn new() -> Self {
+        TaskSlots {
+            chunks: (0..MAX_TASKS / CHUNK).map(|_| OnceLock::new()).collect(),
+            used: AtomicUsize::new(0),
+            spill: JoinSlot::default(),
+        }
+    }
+
+    fn get(&self, slot: TaskSlot) -> &JoinSlot {
+        let at = slot.index() / CHUNK;
+        match self.chunks.get(at) {
+            Some(chunk) => {
+                let chunk = chunk.get_or_init(|| {
+                    self.used.fetch_max(at + 1, Ordering::Relaxed);
+                    (0..CHUNK).map(|_| JoinSlot::default()).collect()
+                });
+                &chunk[slot.index() % CHUNK]
+            }
+            None => &self.spill,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &JoinSlot> {
+        let used = &self.chunks[..self.used.load(Ordering::Relaxed)];
+        used.iter().filter_map(OnceLock::get).flat_map(|c| c.iter()).chain([&self.spill])
+    }
+
+    /// Every count, O(tasks), each slot's read while it is held — so the
+    /// identity that holds in each slot holds in the sum.
+    fn tally(&self) -> Tally {
+        let mut tally = Tally::default();
+        for slot in self.iter() {
+            let t = &mut tally.stats;
+            t.filtered += slot.filtered.load(Ordering::Relaxed);
+            slot.with(|s| {
+                t.admitted += s.admitted;
+                t.join_overflow += s.join_overflow;
+                t.emitted += s.emitted;
+                t.orphaned += s.orphaned_at_entry + s.orphaned_at_exit;
+                t.pending += u64::from(s.pending.is_some());
+                tally.orphaned_at_entry += s.orphaned_at_entry;
+            });
+        }
+        tally
+    }
 }
 
 /// Kernel-side tracer program. Attach with
@@ -204,14 +334,9 @@ struct ProgramTelemetry {
 pub struct TracerProgram {
     config: ProgramConfig,
     ring: Arc<RingBuffer<RawEvent>>,
-    pending: Vec<Mutex<std::collections::HashMap<Tid, Pending>>>,
-    pending_count: AtomicU64,
-    admitted: AtomicU64,
-    filtered: AtomicU64,
-    join_overflow: AtomicU64,
-    emitted: AtomicU64,
-    orphaned: AtomicU64,
-    telemetry: OnceLock<ProgramTelemetry>,
+    /// Every count the program keeps, in its task slots; telemetry and the
+    /// span collector read them there.
+    slots: Arc<TaskSlots>,
     spans: OnceLock<Arc<SpanCollector>>,
 }
 
@@ -252,45 +377,43 @@ impl TracerProgram {
         ring: Arc<RingBuffer<RawEvent>>,
     ) -> Result<Arc<Self>, VerifyError> {
         config.filter.verify().into_result()?;
-        let pending =
-            (0..JOIN_SHARDS).map(|_| Mutex::new(std::collections::HashMap::new())).collect();
         Ok(Arc::new(TracerProgram {
             config,
             ring,
-            pending,
-            pending_count: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            filtered: AtomicU64::new(0),
-            join_overflow: AtomicU64::new(0),
-            emitted: AtomicU64::new(0),
-            orphaned: AtomicU64::new(0),
-            telemetry: OnceLock::new(),
+            slots: Arc::new(TaskSlots::new()),
             spans: OnceLock::new(),
         }))
     }
 
-    /// Attaches a span collector: every emitted event is accounted as
-    /// entering the pipeline (lag watermark), and ring-rejected events are
+    /// Attaches a span collector: the program's emitted count is the
+    /// pipeline's intake (lag watermark), and ring-rejected events are
     /// reported as drop-attributed partial spans. Binding twice is a no-op.
     pub fn bind_spans(&self, spans: Arc<SpanCollector>) {
         self.ring.bind_spans(Arc::clone(&spans));
+        let slots = Arc::clone(&self.slots);
+        spans.read_emitted_from(move || slots.tally().stats.emitted);
         let _ = self.spans.set(spans);
     }
 
     /// Registers the program's metrics (`ebpf.filter.accepted` /
     /// `.rejected`, `ebpf.join.inserted` / `.overflow` / `.orphaned` /
-    /// `.occupancy`)
-    /// with `registry` and binds the ring buffer's metrics too. Binding
-    /// twice is a no-op.
+    /// `.occupancy`) with `registry` and binds the ring buffer's metrics
+    /// too. Each is read from the task slots at snapshot, in one scan of
+    /// them; `ebpf.join.occupancy` is the count of slots holding an entry.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
-        let _ = self.telemetry.set(ProgramTelemetry {
-            accepted: registry.counter("ebpf.filter.accepted"),
-            rejected: registry.counter("ebpf.filter.rejected"),
-            join_inserted: registry.counter("ebpf.join.inserted"),
-            join_overflow: registry.counter("ebpf.join.overflow"),
-            join_orphaned: registry.counter("ebpf.join.orphaned"),
-            join_occupancy: registry.gauge("ebpf.join.occupancy"),
-        });
+        let read = |field: fn(&Tally) -> u64| {
+            let slots = Arc::clone(&self.slots);
+            move || field(&slots.tally())
+        };
+        registry.counter_fn("ebpf.filter.accepted", read(|t| t.stats.admitted));
+        registry.counter_fn("ebpf.filter.rejected", read(|t| t.stats.filtered));
+        registry.counter_fn(
+            "ebpf.join.inserted",
+            read(|t| t.stats.admitted - t.stats.join_overflow - t.orphaned_at_entry),
+        );
+        registry.counter_fn("ebpf.join.overflow", read(|t| t.stats.join_overflow));
+        registry.counter_fn("ebpf.join.orphaned", read(|t| t.stats.orphaned));
+        registry.gauge_fn("ebpf.join.occupancy", read(|t| t.stats.pending));
         self.ring.bind_telemetry(registry);
     }
 
@@ -299,32 +422,21 @@ impl TracerProgram {
         &self.ring
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: a scan of the task slots, O(tasks).
     pub fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            filtered: self.filtered.load(Ordering::Relaxed),
-            join_overflow: self.join_overflow.load(Ordering::Relaxed),
-            emitted: self.emitted.load(Ordering::Relaxed),
-            orphaned: self.orphaned.load(Ordering::Relaxed),
-        }
+        self.slots.tally().stats
     }
 
-    /// Entries waiting in the join map for their exit.
+    /// Entries waiting in their task's slot for the exit: a scan, O(tasks).
     pub fn pending(&self) -> u64 {
-        self.pending_count.load(Ordering::Relaxed)
+        self.stats().pending
     }
 
-    fn shard(&self, tid: Tid) -> &Mutex<std::collections::HashMap<Tid, Pending>> {
-        &self.pending[tid.0 as usize % JOIN_SHARDS]
-    }
-
-    /// An admitted entry left the join without being emitted.
-    fn count_orphan(&self) {
-        self.orphaned.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.join_orphaned.inc();
-        }
+    /// Whether an entry now would exceed `join_capacity`. At the default
+    /// capacity every slot may hold an entry, and nothing is scanned.
+    fn at_capacity(&self) -> bool {
+        let capacity = self.config.join_capacity;
+        capacity < MAX_TASKS && self.pending() >= capacity as u64
     }
 }
 
@@ -335,22 +447,16 @@ impl SyscallProbe for TracerProgram {
 
     fn on_enter(&self, view: &dyn KernelInspect, event: &EnterEvent<'_>) {
         spin_ns(self.config.enter_cost_ns);
+        let slot = self.slots.get(event.slot);
         if !self.config.filter.admits(view, event) {
-            self.filtered.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.telemetry.get() {
-                t.rejected.inc();
-            }
+            slot.filtered.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.accepted.inc();
-        }
-        if self.pending() >= self.config.join_capacity as u64 {
-            self.join_overflow.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.telemetry.get() {
-                t.join_overflow.inc();
-            }
+        if std::ptr::eq(slot, &self.slots.spill) || self.at_capacity() {
+            slot.with(|s| {
+                s.admitted += 1;
+                s.join_overflow += 1;
+            });
             return;
         }
         debug_assert!(
@@ -373,7 +479,7 @@ impl SyscallProbe for TracerProgram {
             }
             info
         });
-        let p = Pending {
+        let entry = Pending {
             kind: event.kind,
             time_enter_ns: event.time_ns,
             cpu: event.cpu,
@@ -381,32 +487,31 @@ impl SyscallProbe for TracerProgram {
             args: event.args.iter().map(|a| &a.value).collect(),
             file,
         };
-        if self.shard(event.tid).lock().insert(event.tid, p).is_some() {
-            // The thread's previous entry never met its exit.
-            self.count_orphan();
-            return;
-        }
-        let occupancy = self.pending_count.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(t) = self.telemetry.get() {
-            t.join_inserted.inc();
-            t.join_occupancy.set(occupancy);
-        }
+        let orphan = slot.with(|s| {
+            s.admitted += 1;
+            let orphan = s.pending.replace(entry);
+            // The task's previous entry never met its exit.
+            s.orphaned_at_entry += u64::from(orphan.is_some());
+            orphan
+        });
+        drop(orphan);
     }
 
     fn on_exit(&self, view: &dyn KernelInspect, event: &ExitEvent) {
         spin_ns(self.config.exit_cost_ns);
-        let Some(mut p) = self.shard(event.tid).lock().remove(&event.tid) else {
-            return; // filtered at entry, or join-map overflow
-        };
-        let occupancy = self.pending_count.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        if let Some(t) = self.telemetry.get() {
-            t.join_occupancy.set(occupancy);
-        }
-        if p.kind != event.kind {
-            // The exit of another syscall: this entry's own exit was missed.
-            self.count_orphan();
-            return;
-        }
+        let met = self.slots.get(event.slot).with(|s| {
+            let entry = s.pending.take()?;
+            if entry.kind == event.kind {
+                s.emitted += 1;
+                Some(Ok(entry))
+            } else {
+                // The exit of another syscall: this entry's own exit was missed.
+                s.orphaned_at_exit += 1;
+                Some(Err(entry))
+            }
+        });
+        // Nothing waiting (filtered at entry, or overflowed), or an orphan.
+        let Some(Ok(mut p)) = met else { return };
         // Opens resolve their fd only at exit: enrich the fresh descriptor.
         if matches!(p.kind, SyscallKind::Open | SyscallKind::Openat | SyscallKind::Creat)
             && event.ret >= 0
@@ -429,11 +534,12 @@ impl SyscallProbe for TracerProgram {
             path_arg: path_arg(p.kind).map(|i| i as u8),
             stamps,
         };
-        self.emitted.fetch_add(1, Ordering::Relaxed);
         if let Some(spans) = self.spans.get() {
-            spans.note_emitted(event.mono_ns);
+            spans.note_dispatch(event.mono_ns);
         }
-        self.ring.try_push_stamped(event.cpu, raw);
+        // The push is stamped with the exit's reading: the hook's own work
+        // after it is not timed, and the clock is read twice a syscall.
+        self.ring.try_push_stamped(event.cpu, raw, event.mono_ns);
     }
 }
 
@@ -630,6 +736,7 @@ mod tests {
             args: &args,
             path: None,
             fd: Some(3),
+            slot: TaskSlot(tid),
         };
         let exit = |kind, tid| ExitEvent {
             kind,
@@ -639,6 +746,7 @@ mod tests {
             time_ns: 2,
             ret: 0,
             mono_ns: 1,
+            slot: TaskSlot(tid),
         };
         let registry = MetricsRegistry::new();
         let ring = Arc::new(RingBuffer::with_slots(1, 8));

@@ -4,14 +4,20 @@
 //! syscall path) never block — when the consumer lags and a CPU's buffer is
 //! full, the event is **dropped** and counted. §III-D of the paper measures
 //! exactly this (3.5% of 549 M events dropped at 256 MiB/CPU).
+//!
+//! Like the BPF ring buffer's adaptive notification, a push wakes the
+//! consumer only when it found the ring empty and went to sleep on it
+//! ([`RingBuffer::nap`]); a push that finds it awake costs one load.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::Duration;
 
 use crossbeam::queue::ArrayQueue;
 
 use dio_telemetry::span::{monotonic_ns, SpanCollector, Stage, StageStamps, StampCarrier};
-use dio_telemetry::{Counter, Gauge, MetricsRegistry};
+use dio_telemetry::MetricsRegistry;
 
 /// Sizing for the per-CPU buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -108,23 +114,39 @@ impl RingStats {
     }
 }
 
-/// Telemetry handles the ring updates on its hot paths once
-/// [`RingBuffer::bind_telemetry`] is called.
-#[derive(Debug)]
-struct RingTelemetry {
-    pushed: Arc<Counter>,
-    dropped: Arc<Counter>,
-    consumed: Arc<Counter>,
-    occupancy_hwm: Arc<Gauge>,
-}
-
-/// Per-queue counters backing [`CpuRingStats`].
+/// One CPU's counters: the producer's fields on one line, the consumer's on
+/// the next, so that neither side's writes take the other's line and no two
+/// CPUs share one. (A line here is 128 B: x86 fetches 64-byte lines in
+/// pairs.)
 #[derive(Debug, Default)]
 struct CpuCounters {
+    producer: ProducerCounters,
+    consumer: ConsumerCounters,
+}
+
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct ProducerCounters {
     pushed: AtomicU64,
-    consumed: AtomicU64,
     dropped: AtomicU64,
     occupancy_hwm: AtomicU64,
+}
+
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct ConsumerCounters {
+    consumed: AtomicU64,
+}
+
+/// The consumer a push may wake, on a line of its own: every push reads
+/// `napping`, and the consumer writes it twice per nap.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct Waker {
+    /// Set while the consumer sleeps on an empty ring; the first push
+    /// after clears it and unparks `consumer`.
+    napping: AtomicBool,
+    consumer: OnceLock<Thread>,
 }
 
 /// A set of per-CPU bounded queues with drop accounting.
@@ -142,9 +164,10 @@ struct CpuCounters {
 #[derive(Debug)]
 pub struct RingBuffer<T> {
     queues: Vec<ArrayQueue<T>>,
-    counters: Vec<CpuCounters>,
-    telemetry: OnceLock<RingTelemetry>,
+    /// The one count of each fact, per CPU; telemetry reads them too.
+    counters: Arc<[CpuCounters]>,
     spans: OnceLock<Arc<SpanCollector>>,
+    waker: Waker,
 }
 
 impl<T> RingBuffer<T> {
@@ -159,20 +182,63 @@ impl<T> RingBuffer<T> {
         RingBuffer {
             queues: (0..n).map(|_| ArrayQueue::new(slots_per_cpu.max(1))).collect(),
             counters: (0..n).map(|_| CpuCounters::default()).collect(),
-            telemetry: OnceLock::new(),
             spans: OnceLock::new(),
+            waker: Waker::default(),
+        }
+    }
+
+    /// Names the thread that [`RingBuffer::nap`]s on this ring: the first
+    /// push into a ring it sleeps on unparks it. Naming twice is a no-op.
+    pub fn wake_on_push(&self, consumer: Thread) {
+        let _ = self.waker.consumer.set(consumer);
+    }
+
+    /// Sleeps the calling thread — the one named by
+    /// [`RingBuffer::wake_on_push`] — for at most `timeout`, until the next
+    /// push, or until it is unparked; returns at once if the ring holds an
+    /// event. Like `std::thread::park_timeout`, it may also return early
+    /// for no reason.
+    pub fn nap(&self, timeout: Duration) {
+        // `SeqCst` on both sides (here the store and `is_empty`'s loads,
+        // there the push's tail update and `wake_consumer`'s load): either
+        // this check sees the push or the push sees `napping`, so no push
+        // leaves the consumer asleep for the whole timeout.
+        self.waker.napping.store(true, Ordering::SeqCst);
+        if self.is_empty() {
+            std::thread::park_timeout(timeout);
+        }
+        self.waker.napping.store(false, Ordering::Relaxed);
+    }
+
+    /// After a push: unparks a napping consumer, once per nap.
+    #[inline]
+    fn wake_consumer(&self) {
+        let waker = &self.waker;
+        if waker.napping.load(Ordering::SeqCst) && waker.napping.swap(false, Ordering::AcqRel) {
+            if let Some(consumer) = waker.consumer.get() {
+                consumer.unpark();
+            }
         }
     }
 
     /// Registers the ring's metrics (`ebpf.ring.pushed` / `.dropped` /
-    /// `.consumed` / `.occupancy_hwm`) with `registry`; the hot paths
-    /// update them lock-free from then on. Binding twice is a no-op.
+    /// `.consumed` / `.occupancy_hwm`) with `registry`, as readers of the
+    /// per-CPU counters: summed (the high-water mark: maxed) at snapshot.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
-        let _ = self.telemetry.set(RingTelemetry {
-            pushed: registry.counter("ebpf.ring.pushed"),
-            dropped: registry.counter("ebpf.ring.dropped"),
-            consumed: registry.counter("ebpf.ring.consumed"),
-            occupancy_hwm: registry.gauge("ebpf.ring.occupancy_hwm"),
+        let sum = |field: fn(&CpuCounters) -> &AtomicU64| {
+            let counters = Arc::clone(&self.counters);
+            move || counters.iter().map(|c| field(c).load(Ordering::Relaxed)).sum()
+        };
+        registry.counter_fn("ebpf.ring.pushed", sum(|c| &c.producer.pushed));
+        registry.counter_fn("ebpf.ring.dropped", sum(|c| &c.producer.dropped));
+        registry.counter_fn("ebpf.ring.consumed", sum(|c| &c.consumer.consumed));
+        let counters = Arc::clone(&self.counters);
+        registry.gauge_fn("ebpf.ring.occupancy_hwm", move || {
+            counters
+                .iter()
+                .map(|c| c.producer.occupancy_hwm.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0)
         });
     }
 
@@ -211,15 +277,12 @@ impl<T> RingBuffer<T> {
     }
 
     /// The single overflow-accounting site. The per-CPU counters are the
-    /// **source of truth** for drop counts; the `ebpf.ring.dropped`
-    /// telemetry counter and the span collector's drop attribution are
-    /// derived views updated here, in the same call, so the three can
+    /// **source of truth** for drop counts — the `ebpf.ring.dropped`
+    /// telemetry counter reads them — and the span collector's drop
+    /// attribution is updated here, in the same call, so the views can
     /// never diverge (they are reconciled against each other in tests).
     fn note_drop(&self, slot: usize, pre_push: Option<&StageStamps>) {
-        self.counters[slot].dropped.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.dropped.inc();
-        }
+        self.counters[slot].producer.dropped.fetch_add(1, Ordering::Relaxed);
         if let Some(pre) = pre_push {
             if let Some(spans) = self.spans.get() {
                 spans.record_drop(pre);
@@ -227,25 +290,22 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Success path of a push: counters and telemetry on accept, `false`
-    /// (no accounting) on overflow — the caller routes overflow through
+    /// Success path of a push: the counters on accept, `false` (no
+    /// accounting) on overflow — the caller routes overflow through
     /// [`RingBuffer::note_drop`].
     fn push_at(&self, slot: usize, item: T) -> bool {
         let q = &self.queues[slot];
         match q.push(item) {
             Ok(()) => {
-                self.counters[slot].pushed.fetch_add(1, Ordering::Relaxed);
+                let counters = &self.counters[slot].producer;
+                counters.pushed.fetch_add(1, Ordering::Relaxed);
                 let occupancy = q.len() as u64;
                 // Raised only when a load shows a new maximum (see
                 // `Gauge::set_max`).
-                let hwm = &self.counters[slot].occupancy_hwm;
-                if occupancy > hwm.load(Ordering::Relaxed) {
-                    hwm.fetch_max(occupancy, Ordering::Relaxed);
+                if occupancy > counters.occupancy_hwm.load(Ordering::Relaxed) {
+                    counters.occupancy_hwm.fetch_max(occupancy, Ordering::Relaxed);
                 }
-                if let Some(t) = self.telemetry.get() {
-                    t.pushed.inc();
-                    t.occupancy_hwm.set_max(occupancy);
-                }
+                self.wake_consumer();
                 true
             }
             Err(_) => false,
@@ -265,18 +325,19 @@ impl<T> RingBuffer<T> {
     }
 
     /// [`RingBuffer::try_push`] for span-carrying events: stamps
-    /// [`Stage::RingPush`] on the event entering the ring, and on overflow
-    /// hands the *pre-push* partial stamp record to the bound
-    /// [`SpanCollector`] so the drop is attributed to the `ring_push`
-    /// hand-off the event failed to clear — in the same internal
-    /// `note_drop` call that bumps the counters.
-    pub fn try_push_stamped(&self, cpu: u32, mut item: T) -> bool
+    /// [`Stage::RingPush`] at `push_ns` on the event entering the ring — a
+    /// clock reading the producer already holds, which the ring does not
+    /// take again — and on overflow hands the *pre-push* partial stamp
+    /// record to the bound [`SpanCollector`] so the drop is attributed to
+    /// the `ring_push` hand-off the event failed to clear, in the same
+    /// internal `note_drop` call that bumps the counters.
+    pub fn try_push_stamped(&self, cpu: u32, mut item: T, push_ns: u64) -> bool
     where
         T: StampCarrier,
     {
         let slot = cpu as usize % self.queues.len();
         let pre_push = *item.stamps();
-        item.stamps_mut().stamp_now(Stage::RingPush);
+        item.stamps_mut().stamp(Stage::RingPush, push_ns);
         if self.push_at(slot, item) {
             true
         } else {
@@ -289,10 +350,7 @@ impl<T> RingBuffer<T> {
         if n == 0 {
             return;
         }
-        self.counters[slot].consumed.fetch_add(n, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.get() {
-            t.consumed.add(n);
-        }
+        self.counters[slot].consumer.consumed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Pops up to `max` events from CPU `cpu`'s buffer.
@@ -373,10 +431,10 @@ impl<T> RingBuffer<T> {
             .enumerate()
             .map(|(cpu, c)| CpuRingStats {
                 cpu: cpu as u32,
-                pushed: c.pushed.load(Ordering::Relaxed),
-                consumed: c.consumed.load(Ordering::Relaxed),
-                dropped: c.dropped.load(Ordering::Relaxed),
-                occupancy_hwm: c.occupancy_hwm.load(Ordering::Relaxed),
+                pushed: c.producer.pushed.load(Ordering::Relaxed),
+                consumed: c.consumer.consumed.load(Ordering::Relaxed),
+                dropped: c.producer.dropped.load(Ordering::Relaxed),
+                occupancy_hwm: c.producer.occupancy_hwm.load(Ordering::Relaxed),
             })
             .collect();
         RingStats {
@@ -493,13 +551,14 @@ mod tests {
         let ring: RingBuffer<StageStamps> = RingBuffer::with_slots(1, 4);
         let mut stamps = StageStamps::new();
         stamps.stamp_now(Stage::KernelDispatch);
-        assert!(ring.try_push_stamped(0, stamps));
+        let dispatch = stamps.get(Stage::KernelDispatch).unwrap();
+        assert!(ring.try_push_stamped(0, stamps, dispatch));
         let drained = ring.drain_all_stamped(4);
         assert_eq!(drained.len(), 1);
         let s = drained[0];
         let push = s.get(Stage::RingPush).expect("push stamped");
         let drain = s.get(Stage::RingDrain).expect("drain stamped");
-        assert!(s.get(Stage::KernelDispatch).unwrap() <= push);
+        assert_eq!(push, dispatch, "the push takes the producer's reading");
         assert!(push <= drain);
         assert_eq!(s.first_missing(), Some(Stage::Parse));
     }
@@ -541,9 +600,10 @@ mod tests {
 
         let mut stamps = StageStamps::new();
         stamps.stamp_now(Stage::KernelDispatch);
+        let dispatch = stamps.get(Stage::KernelDispatch).unwrap();
         let mut accepted = 0u64;
         for i in 0..20u32 {
-            if ring.try_push_stamped(i % 2, stamps) {
+            if ring.try_push_stamped(i % 2, stamps, dispatch) {
                 accepted += 1;
             }
         }
@@ -562,6 +622,39 @@ mod tests {
     }
 
     #[test]
+    fn a_push_wakes_the_consumer_napping_on_an_empty_ring() {
+        let ring: Arc<RingBuffer<u32>> = Arc::new(RingBuffer::with_slots(2, 4));
+        let (noticed, notice) = std::sync::mpsc::channel();
+        let consumer = Arc::clone(&ring);
+        std::thread::spawn(move || {
+            consumer.wake_on_push(std::thread::current());
+            // A nap may return for no reason; only the push ends the loop.
+            while consumer.is_empty() {
+                consumer.nap(Duration::from_secs(60));
+            }
+            noticed.send(()).unwrap();
+        });
+        while !ring.waker.napping.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        assert!(ring.try_push(1, 7));
+        notice
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the push woke the consumer before its 60 s nap ended");
+    }
+
+    #[test]
+    fn a_nap_on_a_ring_holding_an_event_returns_at_once() {
+        let ring: RingBuffer<u32> = RingBuffer::with_slots(1, 4);
+        ring.wake_on_push(std::thread::current());
+        assert!(ring.try_push(0, 7));
+        let start = std::time::Instant::now();
+        ring.nap(Duration::from_secs(60));
+        assert!(start.elapsed() < Duration::from_secs(10), "napped {:?}", start.elapsed());
+        assert_eq!(ring.drain(0, 4), vec![7]);
+    }
+
+    #[test]
     fn stamped_push_overflow_attributes_drop_to_ring_push() {
         use dio_telemetry::span::StageStamps;
         use dio_telemetry::MetricsRegistry;
@@ -573,8 +666,9 @@ mod tests {
 
         let mut stamps = StageStamps::new();
         stamps.stamp_now(Stage::KernelDispatch);
-        assert!(ring.try_push_stamped(0, stamps));
-        assert!(!ring.try_push_stamped(0, stamps), "second push overflows");
+        let dispatch = stamps.get(Stage::KernelDispatch).unwrap();
+        assert!(ring.try_push_stamped(0, stamps, dispatch));
+        assert!(!ring.try_push_stamped(0, stamps, dispatch), "second push overflows");
 
         let summary = spans.summary();
         assert_eq!(summary.dropped, 1);

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dio_ebpf::FilterSpec;
-use dio_kernel::{EnterEvent, FdInfo, KernelInspect};
+use dio_kernel::{EnterEvent, FdInfo, KernelInspect, TaskSlot};
 use dio_syscall::{FileType, Pid, SyscallKind, Tid};
 use dio_verify::PATH_MAX;
 
@@ -78,6 +78,7 @@ fn find_witness(spec: &FilterSpec, facts: &dio_verify::FilterFacts) -> Option<St
                         args: &[],
                         path: ev_path,
                         fd: ev_fd,
+                        slot: TaskSlot(0),
                     };
                     if spec.admits(&view, &event) {
                         return Some(format!("{} pid={pid} tid={tid} path={path}", kind.name()));

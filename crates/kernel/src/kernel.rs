@@ -99,9 +99,13 @@ impl Process {
 /// [`Kernel::bind_telemetry`] is called.
 #[derive(Debug)]
 struct KernelTelemetry {
-    dispatched: Arc<Counter>,
-    /// Per-class counters, indexed by [`class_slot`].
+    /// Per-class counters, indexed by [`class_slot`]: a bound kernel counts
+    /// each syscall once, here, and its total is their sum.
     by_class: [Arc<Counter>; 4],
+}
+
+fn sum(counters: &[Arc<Counter>]) -> u64 {
+    counters.iter().map(|c| c.get()).sum()
 }
 
 fn class_slot(class: SyscallClass) -> usize {
@@ -123,6 +127,7 @@ pub(crate) struct KernelState {
     next_pid: AtomicU32,
     next_tid: AtomicU32,
     next_cpu: AtomicU32,
+    /// Syscalls executed while no registry was bound.
     syscalls_executed: AtomicU64,
     telemetry: OnceLock<KernelTelemetry>,
 }
@@ -151,7 +156,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("num_cpus", &self.inner.num_cpus)
-            .field("syscalls_executed", &self.inner.syscalls_executed.load(Ordering::Relaxed))
+            .field("syscalls_executed", &self.syscalls_executed())
             .finish()
     }
 }
@@ -232,30 +237,34 @@ impl Kernel {
 
     /// Total syscalls executed since boot.
     pub fn syscalls_executed(&self) -> u64 {
-        self.inner.syscalls_executed.load(Ordering::Relaxed)
+        let bound = self.inner.telemetry.get().map_or(0, |t| sum(&t.by_class));
+        self.inner.syscalls_executed.load(Ordering::Relaxed) + bound
     }
 
+    /// Counts one syscall, once: by class on a bound kernel, in the unbound
+    /// total otherwise.
     pub(crate) fn count_syscall(&self, kind: SyscallKind) {
-        self.inner.syscalls_executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.inner.telemetry.get() {
-            t.dispatched.inc();
-            t.by_class[class_slot(kind.class())].inc();
+        match self.inner.telemetry.get() {
+            Some(t) => t.by_class[class_slot(kind.class())].inc(),
+            None => {
+                self.inner.syscalls_executed.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
-    /// Registers the kernel's dispatch metrics (`kernel.syscalls.dispatched`
-    /// and `kernel.syscalls.class.<class>`) with `registry`. Binding twice
-    /// is a no-op.
+    /// Registers the kernel's dispatch metrics (`kernel.syscalls.class.<class>`,
+    /// and `kernel.syscalls.dispatched`, their sum) with `registry`. Syscalls
+    /// are counted by class from then on. Binding twice is a no-op.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
-        let _ = self.inner.telemetry.set(KernelTelemetry {
-            dispatched: registry.counter("kernel.syscalls.dispatched"),
-            by_class: [
-                registry.counter("kernel.syscalls.class.data"),
-                registry.counter("kernel.syscalls.class.metadata"),
-                registry.counter("kernel.syscalls.class.extended_attributes"),
-                registry.counter("kernel.syscalls.class.directory_management"),
-            ],
-        });
+        let by_class = [
+            registry.counter("kernel.syscalls.class.data"),
+            registry.counter("kernel.syscalls.class.metadata"),
+            registry.counter("kernel.syscalls.class.extended_attributes"),
+            registry.counter("kernel.syscalls.class.directory_management"),
+        ];
+        let classes = by_class.clone();
+        registry.counter_fn("kernel.syscalls.dispatched", move || sum(&classes));
+        let _ = self.inner.telemetry.set(KernelTelemetry { by_class });
     }
 
     /// Mounts a file system at `prefix` (e.g. `/log`). Longest prefix wins

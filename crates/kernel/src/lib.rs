@@ -51,6 +51,7 @@ pub use fd::{FdTable, OpenFile, OpenFlags, Whence, FIRST_FD};
 pub use kernel::{Kernel, KernelBuilder, Process, ROOT_DEV};
 pub use syscalls::{ThreadCtx, AT_FDCWD, AT_REMOVEDIR, RENAME_NOREPLACE};
 pub use tracepoint::{
-    EnterEvent, ExitEvent, FdInfo, KernelInspect, ProbeId, SyscallProbe, TracepointRegistry,
+    EnterEvent, ExitEvent, FdInfo, KernelInspect, ProbeId, SyscallProbe, Task, TaskSlot, Traced,
+    TracepointRegistry,
 };
 pub use vfs::{Inode, InodeContent, StatBuf, StatFs, Vfs};

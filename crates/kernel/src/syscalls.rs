@@ -14,7 +14,7 @@ use dio_syscall::{Arg, FileType, Pid, SyscallKind, Tid};
 use crate::errno::{Errno, SysResult};
 use crate::fd::{OpenFile, OpenFlags, Whence};
 use crate::kernel::{Kernel, ProcessInner};
-use crate::tracepoint::{EnterEvent, ExitEvent};
+use crate::tracepoint::{EnterEvent, ExitEvent, Task};
 use crate::vfs::{StatBuf, StatFs, Vfs};
 
 /// `dirfd` value meaning "relative to the current directory" for `*at`
@@ -39,6 +39,9 @@ pub struct ThreadCtx {
     /// Shared once here, so a probe keeps the name by reference count.
     comm: Arc<str>,
     cpu: u32,
+    /// This thread's registration with the tracepoints: its slot in probes'
+    /// task-local storage, given back when the thread's context drops.
+    task: Task,
 }
 
 impl std::fmt::Debug for ThreadCtx {
@@ -52,6 +55,12 @@ impl std::fmt::Debug for ThreadCtx {
     }
 }
 
+impl Drop for ThreadCtx {
+    fn drop(&mut self) {
+        self.kernel.tracepoints().release_task(&self.task);
+    }
+}
+
 impl ThreadCtx {
     pub(crate) fn new(
         kernel: Kernel,
@@ -60,7 +69,8 @@ impl ThreadCtx {
         comm: Arc<str>,
         cpu: u32,
     ) -> Self {
-        ThreadCtx { kernel, process, tid, comm, cpu }
+        let task = kernel.tracepoints().register_task();
+        ThreadCtx { kernel, process, tid, comm, cpu, task }
     }
 
     /// The owning process id.
@@ -105,6 +115,7 @@ impl ThreadCtx {
             return op().map(|(_, v)| v);
         }
         let view = self.kernel.inspector(&self.process);
+        let probes = registry.read(&self.task);
         let enter = EnterEvent {
             kind,
             pid: self.process.pid,
@@ -115,8 +126,9 @@ impl ThreadCtx {
             args: &args,
             path,
             fd,
+            slot: self.task.slot(),
         };
-        registry.dispatch_enter(&view, &enter);
+        probes.dispatch_enter(&view, &enter);
         let result = op();
         let ret = match &result {
             Ok((ret, _)) => *ret,
@@ -132,8 +144,9 @@ impl ThreadCtx {
             time_ns: self.kernel.clock().ns_at(now),
             ret,
             mono_ns: dio_telemetry::monotonic_ns_at(now),
+            slot: self.task.slot(),
         };
-        registry.dispatch_exit(&view, &exit);
+        probes.dispatch_exit(&view, &exit);
         result.map(|(_, v)| v)
     }
 

@@ -75,11 +75,11 @@ pub fn render(registry: &MetricsRegistry) -> String {
     registry.for_each(|raw_name, metric| {
         let name = sanitize_metric_name(raw_name);
         match metric {
-            MetricRef::Counter(c) => {
-                out.push_str(&format!("# TYPE {name} counter\n{name}_total {}\n", c.get()));
+            MetricRef::Counter(total) => {
+                out.push_str(&format!("# TYPE {name} counter\n{name}_total {total}\n"));
             }
-            MetricRef::Gauge(g) => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
+            MetricRef::Gauge(value) => {
+                out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
             }
             MetricRef::Histogram(h) => render_histogram(&mut out, &name, h),
         }

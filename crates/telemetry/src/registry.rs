@@ -8,23 +8,29 @@ use serde_json::Value;
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
+/// Reads a count where it is kept, at snapshot time.
+type Read = Box<dyn Fn() -> u64 + Send + Sync>;
+
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+    /// A counter kept by its component ([`MetricsRegistry::counter_fn`]).
+    CounterFn(Read),
+    /// A gauge kept by its component ([`MetricsRegistry::gauge_fn`]).
+    GaugeFn(Read),
 }
 
-/// A borrowed view of one registered metric, as visited by
+/// A view of one registered metric, as visited by
 /// [`MetricsRegistry::for_each`]. Lets encoders (e.g. the OpenMetrics
-/// exposition) reach the live instruments — including histogram buckets
-/// and exemplars a [`TelemetrySnapshot`] does not carry — without
-/// cloning the registry.
+/// exposition) reach the live histograms — including buckets and exemplars
+/// a [`TelemetrySnapshot`] does not carry — without cloning the registry.
 #[derive(Clone, Copy)]
 pub enum MetricRef<'a> {
-    /// A counter.
-    Counter(&'a Counter),
-    /// A gauge.
-    Gauge(&'a Gauge),
+    /// A counter's total.
+    Counter(u64),
+    /// A gauge's value.
+    Gauge(u64),
     /// A histogram.
     Histogram(&'a Histogram),
 }
@@ -33,7 +39,10 @@ pub enum MetricRef<'a> {
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a write lock once;
 /// components hold the returned `Arc` and update it lock-free afterwards.
-/// Names are dotted paths, e.g. `ebpf.ring.dropped`.
+/// A component that already keeps a count where it is made — per CPU or per
+/// task, on a hot path — registers a reader of it instead
+/// ([`MetricsRegistry::counter_fn`] / [`MetricsRegistry::gauge_fn`]), so the
+/// fact is counted once. Names are dotted paths, e.g. `ebpf.ring.dropped`.
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<String, Metric>>,
@@ -93,6 +102,37 @@ impl MetricsRegistry {
         }
     }
 
+    /// Registers counter `name` as `read`, called at every snapshot: the
+    /// count stays in the component's own cells and is summed only when
+    /// read. Registering the name again replaces the reader.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    pub fn counter_fn(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        self.register_fn(name, Metric::CounterFn(Box::new(read)));
+    }
+
+    /// Registers gauge `name` as `read`, called at every snapshot (a value
+    /// scanned from the component's state rather than written per update).
+    /// Registering the name again replaces the reader.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    pub fn gauge_fn(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        self.register_fn(name, Metric::GaugeFn(Box::new(read)));
+    }
+
+    fn register_fn(&self, name: &str, metric: Metric) {
+        let mut metrics = self.metrics.write().unwrap_or_else(|e| e.into_inner());
+        let same_kind = metrics
+            .get(name)
+            .is_none_or(|old| std::mem::discriminant(old) == std::mem::discriminant(&metric));
+        assert!(same_kind, "metric `{name}` already registered with a different kind");
+        metrics.insert(name.to_string(), metric);
+    }
+
     /// Visits every registered metric in name order, borrowing the live
     /// instrument. The registry's read lock is held for the duration of
     /// the walk, so keep `f` cheap (recording stays lock-free — only
@@ -101,9 +141,11 @@ impl MetricsRegistry {
         let metrics = self.metrics.read().unwrap_or_else(|e| e.into_inner());
         for (name, metric) in metrics.iter() {
             match metric {
-                Metric::Counter(c) => f(name, MetricRef::Counter(c)),
-                Metric::Gauge(g) => f(name, MetricRef::Gauge(g)),
+                Metric::Counter(c) => f(name, MetricRef::Counter(c.get())),
+                Metric::Gauge(g) => f(name, MetricRef::Gauge(g.get())),
                 Metric::Histogram(h) => f(name, MetricRef::Histogram(h)),
+                Metric::CounterFn(read) => f(name, MetricRef::Counter(read())),
+                Metric::GaugeFn(read) => f(name, MetricRef::Gauge(read())),
             }
         }
     }
@@ -122,6 +164,12 @@ impl MetricsRegistry {
                 }
                 Metric::Histogram(h) => {
                     snap.histograms.insert(name.clone(), h.snapshot());
+                }
+                Metric::CounterFn(read) => {
+                    snap.counters.insert(name.clone(), read());
+                }
+                Metric::GaugeFn(read) => {
+                    snap.gauges.insert(name.clone(), read());
                 }
             }
         }
@@ -341,6 +389,31 @@ mod tests {
         a.add(2);
         b.add(3);
         assert_eq!(registry.snapshot().counter("x.count"), 5);
+    }
+
+    #[test]
+    fn read_metrics_are_read_at_every_snapshot() {
+        let registry = MetricsRegistry::new();
+        let cells = Arc::new([std::sync::atomic::AtomicU64::new(0), Default::default()]);
+        let read = Arc::clone(&cells);
+        registry.counter_fn("x.count", move || {
+            read.iter().map(|c| c.load(std::sync::atomic::Ordering::Relaxed)).sum()
+        });
+        registry.gauge_fn("x.level", || 7);
+        cells[0].fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        cells[1].fetch_add(3, std::sync::atomic::Ordering::Relaxed);
+        let snap = registry.snapshot();
+        assert_eq!((snap.counter("x.count"), snap.gauge("x.level")), (5, 7));
+        registry.counter_fn("x.count", || 1);
+        assert_eq!(registry.snapshot().counter("x.count"), 1, "a second reader replaces the first");
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn a_reader_cannot_replace_an_instrument() {
+        let registry = MetricsRegistry::new();
+        registry.counter("x");
+        registry.counter_fn("x", || 0);
     }
 
     #[test]

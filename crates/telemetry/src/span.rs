@@ -27,7 +27,9 @@
 //! for stage in Stage::ALL {
 //!     stamps.stamp(stage, monotonic_ns());
 //! }
-//! spans.note_emitted(stamps.get(Stage::KernelDispatch).unwrap());
+//! // The producer counts the events it emits (here: one) and lends the count.
+//! spans.read_emitted_from(|| 1);
+//! spans.note_dispatch(stamps.get(Stage::KernelDispatch).unwrap());
 //! spans.record_shipped(&stamps);
 //!
 //! let summary = spans.summary();
@@ -224,8 +226,9 @@ pub struct SpanCollector {
     drop_at: [Arc<Counter>; Stage::COUNT],
     lag_watermark: Arc<Gauge>,
     lag_peak: Arc<Gauge>,
-    /// Events that entered the pipeline (kernel dispatch).
-    emitted: AtomicU64,
+    /// Events that entered the pipeline (kernel dispatch): the producer's
+    /// own count, lent by [`SpanCollector::read_emitted_from`].
+    emitted: OnceLock<Box<dyn Fn() -> u64 + Send + Sync>>,
     /// Events that left it (bulk-indexed or dropped).
     retired: AtomicU64,
     /// Kernel-dispatch stamp of the first event ever emitted (0 = none).
@@ -270,23 +273,35 @@ impl SpanCollector {
             drop_at,
             lag_watermark,
             lag_peak,
-            emitted: AtomicU64::new(0),
+            emitted: OnceLock::new(),
             retired: AtomicU64::new(0),
             first_dispatch_ns: AtomicU64::new(0),
             shipped_frontier_ns: AtomicU64::new(0),
         })
     }
 
-    /// Accounts an event entering the pipeline (stamped
-    /// [`Stage::KernelDispatch`] at `dispatch_ns`).
-    pub fn note_emitted(&self, dispatch_ns: u64) {
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-        let _ = self.first_dispatch_ns.compare_exchange(
-            0,
-            dispatch_ns.max(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+    /// Lends the collector the producer's count of the events it emitted
+    /// into the pipeline, read whenever the lag is: the producer counts
+    /// each event once, in its own cells, and reports to the collector only
+    /// [`SpanCollector::note_dispatch`]. Lending twice is a no-op; until a
+    /// count is lent, none is in flight.
+    pub fn read_emitted_from(&self, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        let _ = self.emitted.set(Box::new(read));
+    }
+
+    /// Notes the [`Stage::KernelDispatch`] stamp of an event entering the
+    /// pipeline, counted by the producer. Only the first event's stamp is
+    /// kept; after it, this is one load of a line nobody writes.
+    #[inline]
+    pub fn note_dispatch(&self, dispatch_ns: u64) {
+        if self.first_dispatch_ns.load(Ordering::Relaxed) == 0 {
+            let _ = self.first_dispatch_ns.compare_exchange(
+                0,
+                dispatch_ns.max(1),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
     }
 
     /// Records a fully shipped span: every stamped transition latency plus
@@ -346,7 +361,8 @@ impl SpanCollector {
     /// event can ship ahead of a busy CPU's older ones, and the single
     /// shipped frontier then under-reports.
     pub fn lag_watermark_ns(&self, now_ns: u64) -> u64 {
-        if self.emitted.load(Ordering::Relaxed) == self.retired.load(Ordering::Relaxed) {
+        let emitted = self.emitted.get().map_or(0, |read| read());
+        if emitted == self.retired.load(Ordering::Relaxed) {
             return 0;
         }
         let frontier = self
@@ -497,16 +513,29 @@ mod tests {
         assert_eq!(partial, [Some(100), None, None, None, None]);
     }
 
+    /// A producer that counts what it emits, as the kernel-side program
+    /// does, having lent the count to `spans`.
+    fn producer(spans: &SpanCollector) -> impl Fn(u64) + '_ {
+        let emitted = Arc::new(AtomicU64::new(0));
+        let lent = Arc::clone(&emitted);
+        spans.read_emitted_from(move || lent.load(Ordering::Relaxed));
+        move |dispatch_ns| {
+            emitted.fetch_add(1, Ordering::Relaxed);
+            spans.note_dispatch(dispatch_ns);
+        }
+    }
+
     #[test]
     fn collector_records_complete_and_partial_spans() {
         let registry = MetricsRegistry::new();
         let spans = SpanCollector::new(&registry);
+        let emit = producer(&spans);
         let full = stamped(Stage::COUNT);
-        spans.note_emitted(full.get(Stage::KernelDispatch).unwrap());
+        emit(full.get(Stage::KernelDispatch).unwrap());
         spans.record_shipped(&full);
 
         let partial = stamped(2);
-        spans.note_emitted(partial.get(Stage::KernelDispatch).unwrap());
+        emit(partial.get(Stage::KernelDispatch).unwrap());
         spans.record_drop(&partial);
 
         let summary = spans.summary();
@@ -546,7 +575,8 @@ mod tests {
         let spans = SpanCollector::new(&registry);
         assert_eq!(spans.lag_watermark_ns(1_000_000), 0, "empty pipeline has no lag");
 
-        spans.note_emitted(1_000);
+        let emit = producer(&spans);
+        emit(1_000);
         assert_eq!(spans.lag_watermark_ns(5_000), 4_000, "anchored at first dispatch");
 
         let mut full = StageStamps::new();
@@ -556,8 +586,8 @@ mod tests {
         assert_eq!(spans.lag_watermark_ns(5_000), 0, "drained again");
 
         // Two in flight, one ships: bound anchored at the shipped frontier.
-        spans.note_emitted(3_000);
-        spans.note_emitted(4_000);
+        emit(3_000);
+        emit(4_000);
         let mut second = StageStamps::new();
         second.stamp(Stage::KernelDispatch, 3_000);
         second.stamp(Stage::BulkIndex, 4_500);
@@ -576,7 +606,7 @@ mod tests {
     fn new_collector_resets_lag_gauges_from_previous_session() {
         let registry = MetricsRegistry::new();
         let first = SpanCollector::new(&registry);
-        first.note_emitted(1_000); // in flight forever: lag grows
+        producer(&first)(1_000); // in flight forever: lag grows
         let lag = first.refresh_lag();
         assert!(lag > 0);
         let snap = registry.snapshot();

@@ -200,11 +200,12 @@ impl TracerConfig {
     /// After a poll that found the rings empty it sleeps
     /// `max(poll_interval, min(flush_interval / 32, 3.1 ms))` — 3.1 ms at
     /// the defaults — at once, and returns to `poll_interval` with the first
-    /// event. An
-    /// idle session therefore wakes a few hundred times a second, and an
-    /// interval at or above `flush_interval / 32` (the paced consumers of
-    /// the discard experiments) sleeps the same after every poll. Neither
-    /// sleep outlasts the flush deadline of an event the consumer holds.
+    /// event, whose push ends the longer nap. An idle session therefore
+    /// wakes a few hundred times a second, and an interval at or above
+    /// `flush_interval / 32` (the paced consumers of the discard
+    /// experiments) sleeps the same after every poll, which no push ends.
+    /// Neither sleep outlasts the flush deadline of an event the consumer
+    /// holds.
     pub fn poll_interval(mut self, d: Duration) -> Self {
         self.poll_interval = d;
         self

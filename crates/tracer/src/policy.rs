@@ -23,10 +23,10 @@ pub type Input = Option<(Bulk, bool)>;
 const MIN_POLL: Duration = Duration::from_micros(50);
 
 /// A consumer that found the rings empty sleeps `flush_interval / 32`, at
-/// most [`IDLE_CAP`] (or `poll_interval`, if longer). An event that arrives
-/// meanwhile waits that long in the ring, and the next poll that finds the
-/// rings empty hands it over: what a trickle waits to be queryable is the
-/// nap, so it is capped, not stretched by a long `flush_interval`.
+/// most [`IDLE_CAP`] (or `poll_interval`, if longer). When that is longer
+/// than `poll_interval` the first push ends it ([`Wait::UntilPush`]); the
+/// cap bounds what a trickle waits to be queryable should a wake be missed,
+/// so it is not stretched by a long `flush_interval`.
 const IDLE_CAP_DIVISOR: u32 = 32;
 /// The idle nap at the default `flush_interval` (100 ms).
 const IDLE_CAP: Duration = Duration::from_micros(3_125);
@@ -37,6 +37,9 @@ pub enum Wait {
     /// Step again at this monotonic time (ns), at once if it has passed. Only
     /// the consumer waits for a time.
     Until(u64),
+    /// [`Wait::Until`], or sooner: at the first event pushed into the rings
+    /// meanwhile. The consumer's back-off after a poll that found them empty.
+    UntilPush(u64),
     /// Step again when a message arrives.
     Message,
     /// The thread is done.
@@ -149,9 +152,11 @@ impl Consumer {
     ///
     /// Returns how many events it drained, and when to poll next: after a
     /// drain that found events `poll_interval` later, after one that found
-    /// none the idle nap, either of them cut short by the deadline of what
-    /// it still holds; at once after a full unpaced drain or a drain while
-    /// `stop`ping; never again once `stop`ping finds the rings empty.
+    /// none the idle nap — or at the first push, if the nap is longer than
+    /// `poll_interval` and there was room to drain — either of them cut
+    /// short by the deadline of what it still holds; at once after a full
+    /// unpaced drain or a drain while `stop`ping; never again once
+    /// `stop`ping finds the rings empty.
     pub fn step(
         &mut self,
         now: u64,
@@ -180,9 +185,17 @@ impl Consumer {
             Wait::Stop
         } else if (self.unpaced && drained >= self.drain_batch) || (stop && drained > 0) {
             Wait::Until(now)
+        } else if drained > 0 || stop {
+            Wait::Until(now.saturating_add(self.poll_ns).min(self.held.due_ns()))
         } else {
-            let nap = if drained > 0 || stop { self.poll_ns } else { self.idle_ns };
-            Wait::Until(now.saturating_add(nap).min(self.held.due_ns()))
+            let at = now.saturating_add(self.idle_ns).min(self.held.due_ns());
+            // Caught up, and backing off from its pace: a push ends the nap.
+            // Without room only the shipper can end it.
+            if room > 0 && self.idle_ns > self.poll_ns {
+                Wait::UntilPush(at)
+            } else {
+                Wait::Until(at)
+            }
         };
         (drained, wait)
     }

@@ -721,12 +721,13 @@ struct ConsumerCtx {
 }
 
 /// Drives [`Consumer::step`]: polls, sends what it hands over, and sleeps
-/// as told. The producer never signals — a futex wake inside the traced
-/// syscall is what this design avoids — so `shutdown()` is the only one to
-/// unpark. Dropping `tx` on return closes the channel and the shipper exits.
+/// as told — on the ring when the step says a push may end the nap, which
+/// the first push then does (DESIGN.md §17.5). `shutdown()` unparks it too.
+/// Dropping `tx` on return closes the channel and the shipper exits.
 fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
     let (session, drain, batch) = (Arc::clone(&ctx.session), ctx.drain_batch, ctx.batch_size);
     let mut consumer = Consumer::new(session, drain, batch, ctx.poll_interval, ctx.flush_interval);
+    ctx.ring.wake_on_push(std::thread::current());
     loop {
         // Sampled before draining: post-drain occupancy is flattered by the
         // drain itself and would hide the pressure the taps degrade under.
@@ -750,10 +751,19 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
             ctx.telemetry.handoffs.inc();
         }
         ctx.telemetry.channel_depth.set(ctx.handoff.in_flight.load(Ordering::Relaxed) as u64);
-        let Wait::Until(at) = wait else { return };
+        let (at, on_push) = match wait {
+            Wait::Until(at) => (at, false),
+            Wait::UntilPush(at) => (at, true),
+            Wait::Message | Wait::Stop => return,
+        };
         let nap = at.saturating_sub(monotonic_ns());
         if nap > 0 {
-            std::thread::park_timeout(Duration::from_nanos(nap));
+            let nap = Duration::from_nanos(nap);
+            if on_push {
+                ctx.ring.nap(nap);
+            } else {
+                std::thread::park_timeout(nap);
+            }
         }
     }
 }

@@ -182,6 +182,8 @@ struct Sim {
     /// `None` once the consumer thread would have returned.
     consumer: Option<Consumer>,
     consumer_at: u64,
+    /// The consumer's nap ends at the next push ([`Wait::UntilPush`]).
+    consumer_on_push: bool,
     stopping: bool,
     channel: VecDeque<Bulk>,
     in_channel: usize,
@@ -290,7 +292,12 @@ impl Sim {
             stamps,
         };
         self.pushed += 1;
-        if !self.ring.try_push_stamped(raw.cpu, raw) {
+        if self.ring.try_push_stamped(raw.cpu, raw, self.now) {
+            // The push wakes a consumer napping on the rings.
+            if std::mem::take(&mut self.consumer_on_push) {
+                self.consumer_at = self.now;
+            }
+        } else {
             self.ring_dropped += 1;
             if let Some(g) = self.group_of[index] {
                 self.clean[g] = false;
@@ -349,8 +356,9 @@ impl Sim {
             }
             self.checkpoints.push_back((self.bulks_sent, self.pushed - self.ring_dropped));
         }
+        self.consumer_on_push = matches!(wait, Wait::UntilPush(_));
         match wait {
-            Wait::Until(at) if at >= self.now => self.consumer_at = at,
+            Wait::Until(at) | Wait::UntilPush(at) if at >= self.now => self.consumer_at = at,
             Wait::Stop => {
                 self.consumer = None;
                 self.closed = true;
@@ -530,6 +538,7 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
             config.flush(),
         )),
         consumer_at: EPOCH,
+        consumer_on_push: false,
         stopping: false,
         channel: VecDeque::new(),
         in_channel: 0,

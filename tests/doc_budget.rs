@@ -105,7 +105,7 @@ fn the_hook_allocates_nothing_for_integer_only_syscalls() {
     let allocs = |config| {
         let (t, program) = hooked_thread(config);
         let allocs = allocs_of(
-            // The opens also warm the thread's join-map shard.
+            // The opens also allocate the thread's task slot.
             || {
                 let open =
                     |i| t.openat(&format!("/f{i}"), OpenFlags::CREAT | OpenFlags::RDWR, 0o644);
@@ -382,6 +382,28 @@ fn correlation_allocates_per_tag_not_per_event() {
     let correlated = index.count(&Query::prefix("file_path", "/data/correlated-"));
     assert_eq!(correlated, (updated + TAGS as usize) as u64);
     assert!(allocs * 100 < updated as u64, "{allocs} allocations for {updated} updated events");
+}
+
+/// A term's posting list that reaches its second id in the block its
+/// first id sits in — as the index's dense ids nearly always do — is built
+/// with both: indexing a second copy of a traced write, every term of which
+/// the first copy holds, makes 64 allocations; 80 while each of those 16
+/// lists was built with one id and grown for the second.
+#[test]
+fn a_posting_list_reaching_two_ids_is_built_at_once() {
+    let _turn = in_turn();
+    let events = traced_events(1);
+    let write = events.iter().find(|e| e.kind == SyscallKind::Write).expect("traced write");
+    let index = Index::new("budget");
+    index.bulk(vec![write.to_document()]);
+    index.refresh();
+    let second = write.to_document();
+    let allocs = ALLOCS.get();
+    index.bulk(vec![second]);
+    index.refresh();
+    let allocs = ALLOCS.get() - allocs;
+    assert_eq!(index.count(&Query::term("syscall", "write")), 2);
+    assert!(allocs <= 64, "{allocs} allocations indexing the second copy");
 }
 
 /// A narrowed query costs its answer: the candidates are the term's posting

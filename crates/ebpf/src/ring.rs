@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
-use std::time::Duration;
 
 use crossbeam::queue::ArrayQueue;
 
@@ -194,18 +193,18 @@ impl<T> RingBuffer<T> {
     }
 
     /// Sleeps the calling thread — the one named by
-    /// [`RingBuffer::wake_on_push`] — for at most `timeout`, until the next
-    /// push, or until it is unparked; returns at once if the ring holds an
-    /// event. Like `std::thread::park_timeout`, it may also return early
-    /// for no reason.
-    pub fn nap(&self, timeout: Duration) {
+    /// [`RingBuffer::wake_on_push`] — until the next push or until it is
+    /// unparked; returns at once if the ring holds an event. No timer ends
+    /// the nap: a consumer napping here holds nothing that falls due. Like
+    /// `std::thread::park`, it may also return early for no reason.
+    pub fn nap(&self) {
         // `SeqCst` on both sides (here the store and `is_empty`'s loads,
         // there the push's tail update and `wake_consumer`'s load): either
         // this check sees the push or the push sees `napping`, so no push
-        // leaves the consumer asleep for the whole timeout.
+        // leaves the consumer asleep (`tests/loom_wake.rs` races the two).
         self.waker.napping.store(true, Ordering::SeqCst);
         if self.is_empty() {
-            std::thread::park_timeout(timeout);
+            std::thread::park();
         }
         self.waker.napping.store(false, Ordering::Relaxed);
     }
@@ -449,6 +448,8 @@ impl<T> RingBuffer<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -630,7 +631,7 @@ mod tests {
             consumer.wake_on_push(std::thread::current());
             // A nap may return for no reason; only the push ends the loop.
             while consumer.is_empty() {
-                consumer.nap(Duration::from_secs(60));
+                consumer.nap();
             }
             noticed.send(()).unwrap();
         });
@@ -638,9 +639,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(ring.try_push(1, 7));
-        notice
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the push woke the consumer before its 60 s nap ended");
+        notice.recv_timeout(Duration::from_secs(10)).expect("the push woke the consumer");
     }
 
     #[test]
@@ -649,7 +648,7 @@ mod tests {
         ring.wake_on_push(std::thread::current());
         assert!(ring.try_push(0, 7));
         let start = std::time::Instant::now();
-        ring.nap(Duration::from_secs(60));
+        ring.nap();
         assert!(start.elapsed() < Duration::from_secs(10), "napped {:?}", start.elapsed());
         assert_eq!(ring.drain(0, 4), vec![7]);
     }

@@ -2,12 +2,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use dio_syscall::{Pid, SyscallClass, SyscallKind, Tid};
-use dio_telemetry::{Counter, MetricsRegistry};
+use dio_telemetry::MetricsRegistry;
 
 use crate::clock::SimClock;
 use crate::disk::DiskProfile;
@@ -95,17 +95,13 @@ impl Process {
     }
 }
 
-/// Telemetry handles updated on every syscall dispatch once
-/// [`Kernel::bind_telemetry`] is called.
-#[derive(Debug)]
-struct KernelTelemetry {
-    /// Per-class counters, indexed by [`class_slot`]: a bound kernel counts
-    /// each syscall once, here, and its total is their sum.
-    by_class: [Arc<Counter>; 4],
-}
+/// Syscalls dispatched since boot, one cell per [`SyscallClass`] (indexed by
+/// [`class_slot`]): the kernel counts each syscall once, here, and every
+/// registry bound with [`Kernel::bind_telemetry`] reads the cells.
+type ClassCells = [AtomicU64; 4];
 
-fn sum(counters: &[Arc<Counter>]) -> u64 {
-    counters.iter().map(|c| c.get()).sum()
+fn sum(cells: &ClassCells) -> u64 {
+    cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 fn class_slot(class: SyscallClass) -> usize {
@@ -127,9 +123,8 @@ pub(crate) struct KernelState {
     next_pid: AtomicU32,
     next_tid: AtomicU32,
     next_cpu: AtomicU32,
-    /// Syscalls executed while no registry was bound.
-    syscalls_executed: AtomicU64,
-    telemetry: OnceLock<KernelTelemetry>,
+    /// Shared with the readers bound registries hold.
+    by_class: Arc<ClassCells>,
 }
 
 /// Handle to the simulated kernel. Cloning is cheap and shares state.
@@ -202,8 +197,7 @@ impl KernelBuilder {
                 next_pid: AtomicU32::new(1000),
                 next_tid: AtomicU32::new(1000),
                 next_cpu: AtomicU32::new(0),
-                syscalls_executed: AtomicU64::new(0),
-                telemetry: OnceLock::new(),
+                by_class: Arc::default(),
             }),
         }
     }
@@ -237,34 +231,39 @@ impl Kernel {
 
     /// Total syscalls executed since boot.
     pub fn syscalls_executed(&self) -> u64 {
-        let bound = self.inner.telemetry.get().map_or(0, |t| sum(&t.by_class));
-        self.inner.syscalls_executed.load(Ordering::Relaxed) + bound
+        sum(&self.inner.by_class)
     }
 
-    /// Counts one syscall, once: by class on a bound kernel, in the unbound
-    /// total otherwise.
+    /// Counts one syscall, once, in its class's cell.
     pub(crate) fn count_syscall(&self, kind: SyscallKind) {
-        match self.inner.telemetry.get() {
-            Some(t) => t.by_class[class_slot(kind.class())].inc(),
-            None => {
-                self.inner.syscalls_executed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.inner.by_class[class_slot(kind.class())].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Registers the kernel's dispatch metrics (`kernel.syscalls.class.<class>`,
-    /// and `kernel.syscalls.dispatched`, their sum) with `registry`. Syscalls
-    /// are counted by class from then on. Binding twice is a no-op.
+    /// and `kernel.syscalls.dispatched`, their sum) with `registry`, as
+    /// readers of the kernel's cells that count from this call on. Each
+    /// registry bound — one per traced session — counts the syscalls
+    /// dispatched since its own bind.
     pub fn bind_telemetry(&self, registry: &MetricsRegistry) {
-        let by_class = [
-            registry.counter("kernel.syscalls.class.data"),
-            registry.counter("kernel.syscalls.class.metadata"),
-            registry.counter("kernel.syscalls.class.extended_attributes"),
-            registry.counter("kernel.syscalls.class.directory_management"),
+        const NAMES: [&str; 4] = [
+            "kernel.syscalls.class.data",
+            "kernel.syscalls.class.metadata",
+            "kernel.syscalls.class.extended_attributes",
+            "kernel.syscalls.class.directory_management",
         ];
-        let classes = by_class.clone();
-        registry.counter_fn("kernel.syscalls.dispatched", move || sum(&classes));
-        let _ = self.inner.telemetry.set(KernelTelemetry { by_class });
+        let base: [u64; 4] =
+            std::array::from_fn(|i| self.inner.by_class[i].load(Ordering::Relaxed));
+        let since = move |cells: &ClassCells, i: usize| {
+            cells[i].load(Ordering::Relaxed).saturating_sub(base[i])
+        };
+        for (i, name) in NAMES.into_iter().enumerate() {
+            let cells = Arc::clone(&self.inner.by_class);
+            registry.counter_fn(name, move || since(&cells, i));
+        }
+        let cells = Arc::clone(&self.inner.by_class);
+        registry.counter_fn("kernel.syscalls.dispatched", move || {
+            (0..NAMES.len()).map(|i| since(&cells, i)).sum()
+        });
     }
 
     /// Mounts a file system at `prefix` (e.g. `/log`). Longest prefix wins

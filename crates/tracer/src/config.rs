@@ -197,15 +197,13 @@ impl TracerConfig {
     /// again (at least 50 µs, counted from the poll's start; with 0, a poll
     /// that filled `drain_batch` is followed by the next at once).
     ///
-    /// After a poll that found the rings empty it sleeps
-    /// `max(poll_interval, min(flush_interval / 32, 3.1 ms))` — 3.1 ms at
-    /// the defaults — at once, and returns to `poll_interval` with the first
-    /// event, whose push ends the longer nap. An idle session therefore
-    /// wakes a few hundred times a second, and an interval at or above
-    /// `flush_interval / 32` (the paced consumers of the discard
-    /// experiments) sleeps the same after every poll, which no push ends.
-    /// Neither sleep outlasts the flush deadline of an event the consumer
-    /// holds.
+    /// After a poll that found the rings empty it has handed over all it
+    /// held, and sleeps until the next push: an idle session's consumer
+    /// does not wake. An interval at or above `flush_interval / 32` (the
+    /// paced consumers of the discard experiments) sleeps `poll_interval`
+    /// after every poll instead, which no push ends; so does a consumer
+    /// whose hand-off to the shipper is full. No sleep outlasts the flush
+    /// deadline of an event the consumer holds.
     pub fn poll_interval(mut self, d: Duration) -> Self {
         self.poll_interval = d;
         self

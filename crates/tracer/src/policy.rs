@@ -6,6 +6,13 @@
 //! reads no clock to decide anything, never sleeps and owns no channel, so
 //! the tracer's two threads only drive them — read the clock, step, send or
 //! receive, wait as told — and a test can drive both on a clock of its own.
+//!
+//! Neither thread waits for a clock it has no use for. A consumer that caught
+//! up holds nothing and sleeps until the next push ([`Wait::UntilPush`]); the
+//! shipper sleeps until a bulk arrives. A timer remains only where something
+//! must happen by a time: the flush deadline of a held event, the pace of a
+//! consumer that polls at `flush_interval / 32` or slower, and the wait of a
+//! consumer without room, which the shipper does not wake.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,14 +29,9 @@ pub type Input = Option<(Bulk, bool)>;
 /// core after a drain that did not fill its quota.
 const MIN_POLL: Duration = Duration::from_micros(50);
 
-/// A consumer that found the rings empty sleeps `flush_interval / 32`, at
-/// most [`IDLE_CAP`] (or `poll_interval`, if longer). When that is longer
-/// than `poll_interval` the first push ends it ([`Wait::UntilPush`]); the
-/// cap bounds what a trickle waits to be queryable should a wake be missed,
-/// so it is not stretched by a long `flush_interval`.
-const IDLE_CAP_DIVISOR: u32 = 32;
-/// The idle nap at the default `flush_interval` (100 ms).
-const IDLE_CAP: Duration = Duration::from_micros(3_125);
+/// A consumer polls at a pace of its own — and never sleeps until a push —
+/// at `poll_interval ≥ flush_interval / PACED_DIVISOR`.
+const PACED_DIVISOR: u32 = 32;
 
 /// What a thread does after a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +39,10 @@ pub enum Wait {
     /// Step again at this monotonic time (ns), at once if it has passed. Only
     /// the consumer waits for a time.
     Until(u64),
-    /// [`Wait::Until`], or sooner: at the first event pushed into the rings
-    /// meanwhile. The consumer's back-off after a poll that found them empty.
-    UntilPush(u64),
+    /// Step again at the first event pushed into the rings, or when the
+    /// tracer stops. The consumer's sleep once a poll found the rings empty:
+    /// it handed over all it held, so no deadline and no timer ends it.
+    UntilPush,
     /// Step again when a message arrives.
     Message,
     /// The thread is done.
@@ -106,9 +109,11 @@ pub struct Consumer {
     batch_size: usize,
     /// `poll_interval` was 0: a poll that filled its quota is followed by
     /// the next at once.
-    unpaced: bool,
+    back_to_back: bool,
+    /// `poll_interval ≥ flush_interval / 32`: a poll that found the rings
+    /// empty is followed by the next `poll_interval` later, not at a push.
+    paced: bool,
     poll_ns: u64,
-    idle_ns: u64,
     events: Vec<SyscallEvent>,
     /// The held events' stamps; `oldest_ns` is that of the ones the last
     /// step did not hand over.
@@ -128,15 +133,13 @@ impl Consumer {
         poll: Duration,
         flush: Duration,
     ) -> Self {
-        let ns = |d: Duration| d.as_nanos() as u64;
-        let poll_ns = ns(poll.max(MIN_POLL));
         Consumer {
             session,
             drain_batch: drain,
             batch_size: batch,
-            unpaced: poll.is_zero(),
-            poll_ns,
-            idle_ns: poll_ns.max(ns((flush / IDLE_CAP_DIVISOR).min(IDLE_CAP))),
+            back_to_back: poll.is_zero(),
+            paced: poll >= flush / PACED_DIVISOR,
+            poll_ns: poll.max(MIN_POLL).as_nanos() as u64,
             events: Vec::new(),
             held: Pending::new(flush),
             handing: 0,
@@ -151,11 +154,12 @@ impl Consumer {
     /// dispatch (it never catches up); [`Consumer::bulk`] cuts them.
     ///
     /// Returns how many events it drained, and when to poll next: after a
-    /// drain that found events `poll_interval` later, after one that found
-    /// none the idle nap — or at the first push, if the nap is longer than
-    /// `poll_interval` and there was room to drain — either of them cut
-    /// short by the deadline of what it still holds; at once after a full
-    /// unpaced drain or a drain while `stop`ping; never again once
+    /// drain that found events `poll_interval` later, cut short by the
+    /// deadline of what it still holds; after one that found none at the
+    /// first push, when there was room to drain and `poll_interval` is
+    /// shorter than `flush_interval / 32` — it holds nothing then — and
+    /// `poll_interval` later otherwise; at once after a full drain at
+    /// `poll_interval` 0 or a drain while `stop`ping; never again once
     /// `stop`ping finds the rings empty.
     pub fn step(
         &mut self,
@@ -183,19 +187,15 @@ impl Consumer {
         }
         let wait = if drained == 0 && stop && ring.is_empty() {
             Wait::Stop
-        } else if (self.unpaced && drained >= self.drain_batch) || (stop && drained > 0) {
+        } else if (self.back_to_back && drained >= self.drain_batch) || (stop && drained > 0) {
             Wait::Until(now)
-        } else if drained > 0 || stop {
+        } else if drained > 0 || stop || room == 0 || self.paced {
+            // Without room only the shipper can end the wait, and it does
+            // not wake the consumer: a timer does.
             Wait::Until(now.saturating_add(self.poll_ns).min(self.held.due_ns()))
         } else {
-            let at = now.saturating_add(self.idle_ns).min(self.held.due_ns());
-            // Caught up, and backing off from its pace: a push ends the nap.
-            // Without room only the shipper can end it.
-            if room > 0 && self.idle_ns > self.poll_ns {
-                Wait::UntilPush(at)
-            } else {
-                Wait::Until(at)
-            }
+            // Caught up: it handed over all it held, and a push ends the nap.
+            Wait::UntilPush
         };
         (drained, wait)
     }

@@ -17,7 +17,7 @@ use dio_rules::RuleSet;
 use dio_syscall::SyscallEvent;
 use dio_telemetry::span::{monotonic_ns, SpanCollector, SpanSummary, Stage, StageStamps};
 use dio_telemetry::{
-    trace, Counter, Exporter, ExporterHandle, Gauge, HealthRound, Histogram, MetricsRegistry,
+    trace, Counter, Exporter, ExporterHandle, HealthRound, Histogram, MetricsRegistry,
     TelemetrySnapshot,
 };
 use dio_verify::VerifyError;
@@ -330,7 +330,6 @@ struct ConsumerTelemetry {
     handoffs: Arc<Counter>,
     drain_batch: Arc<Histogram>,
     parse_ns: Arc<Histogram>,
-    channel_depth: Arc<Gauge>,
 }
 
 impl ConsumerTelemetry {
@@ -340,7 +339,6 @@ impl ConsumerTelemetry {
             handoffs: registry.counter("tracer.consumer.handoffs"),
             drain_batch: registry.histogram("tracer.consumer.drain_batch"),
             parse_ns: registry.histogram("tracer.consumer.parse_ns"),
-            channel_depth: registry.gauge("tracer.channel.depth"),
         }
     }
 }
@@ -464,6 +462,11 @@ impl Tracer {
         // does and `send` never blocks.
         let handoff = Arc::new(Handoff::new(config.batch() * 64));
         let (tx, rx) = bounded::<Bulk>(handoff.capacity);
+        // Read at every snapshot, so it is current while the consumer sleeps.
+        let depth = Arc::clone(&handoff);
+        registry.gauge_fn("tracer.channel.depth", move || {
+            depth.in_flight.load(Ordering::Relaxed) as u64
+        });
 
         let ctx = ConsumerCtx {
             ring: Arc::clone(&ring),
@@ -617,8 +620,8 @@ impl Tracer {
         if let Some(consumer) = self.consumer.take() {
             self.kernel.tracepoints().detach(self.probe_id);
             self.stop_flag.store(true, Ordering::Release);
-            // An idle consumer may be parked for up to its back-off cap;
-            // wake it so stopping never waits that out.
+            // An idle consumer is parked until the next push, or for up to
+            // `poll_interval`: wake it so stopping never waits for either.
             consumer.thread().unpark();
             let _ = consumer.join();
             let _ = self.shipper.take().map(JoinHandle::join);
@@ -721,8 +724,8 @@ struct ConsumerCtx {
 }
 
 /// Drives [`Consumer::step`]: polls, sends what it hands over, and sleeps
-/// as told — on the ring when the step says a push may end the nap, which
-/// the first push then does (DESIGN.md §17.5). `shutdown()` unparks it too.
+/// as told — on a timer, or on the ring until the first push once it caught
+/// up (DESIGN.md §17.5). `shutdown()` unparks it too.
 /// Dropping `tx` on return closes the channel and the shipper exits.
 fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
     let (session, drain, batch) = (Arc::clone(&ctx.session), ctx.drain_batch, ctx.batch_size);
@@ -750,20 +753,15 @@ fn consumer_loop(ctx: &ConsumerCtx, tx: Sender<Bulk>) {
             }
             ctx.telemetry.handoffs.inc();
         }
-        ctx.telemetry.channel_depth.set(ctx.handoff.in_flight.load(Ordering::Relaxed) as u64);
-        let (at, on_push) = match wait {
-            Wait::Until(at) => (at, false),
-            Wait::UntilPush(at) => (at, true),
-            Wait::Message | Wait::Stop => return,
-        };
-        let nap = at.saturating_sub(monotonic_ns());
-        if nap > 0 {
-            let nap = Duration::from_nanos(nap);
-            if on_push {
-                ctx.ring.nap(nap);
-            } else {
-                std::thread::park_timeout(nap);
+        match wait {
+            Wait::Until(at) => {
+                let nap = at.saturating_sub(monotonic_ns());
+                if nap > 0 {
+                    std::thread::park_timeout(Duration::from_nanos(nap));
+                }
             }
+            Wait::UntilPush => ctx.ring.nap(),
+            Wait::Message | Wait::Stop => return,
         }
     }
 }

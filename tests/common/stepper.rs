@@ -62,6 +62,10 @@ pub struct Tally {
     pub room_limited: u64,
     /// Hand-overs refused by a shipper that was gone.
     pub refused: u64,
+    /// Paced groups whose first push woke a consumer asleep until a push,
+    /// each checked to take at most three consumer steps and none after its
+    /// hand-over until the next push.
+    pub quiet_groups: u64,
     /// Events the rings dropped.
     pub ring_drops: u64,
 }
@@ -78,6 +82,7 @@ impl std::ops::AddAssign for Tally {
         self.left_unlogged += o.left_unlogged;
         self.room_limited += o.room_limited;
         self.refused += o.refused;
+        self.quiet_groups += o.quiet_groups;
         self.ring_drops += o.ring_drops;
     }
 }
@@ -181,9 +186,9 @@ struct Sim {
     dropped_at_enqueue: Arc<Counter>,
     /// `None` once the consumer thread would have returned.
     consumer: Option<Consumer>,
-    consumer_at: u64,
-    /// The consumer's nap ends at the next push ([`Wait::UntilPush`]).
-    consumer_on_push: bool,
+    /// When the consumer steps next; `None` while it sleeps until the next
+    /// push ([`Wait::UntilPush`]).
+    consumer_at: Option<u64>,
     stopping: bool,
     channel: VecDeque<Bulk>,
     in_channel: usize,
@@ -213,6 +218,9 @@ struct Sim {
     group_of: Vec<Option<usize>>,
     clean: Vec<bool>,
     handed: Vec<bool>,
+    /// A clean group whose first push woke the consumer, and the consumer
+    /// steps taken since; watched until the next push, or `stop()`.
+    watched: Option<(usize, u32)>,
     tally: Tally,
 }
 
@@ -264,6 +272,9 @@ impl Sim {
     }
 
     fn push(&mut self, index: usize, thread: usize) {
+        if self.watched.is_some_and(|(g, _)| self.group_of[index] != Some(g)) {
+            self.unwatch();
+        }
         if let Some(g) = self.group_of[index] {
             let first = self.clean.len() == g;
             if first {
@@ -272,6 +283,12 @@ impl Sim {
                 let group = self.group_of.iter().filter(|&&x| x == Some(g)).count();
                 self.clean.push(quiet && self.in_flight() + group <= self.capacity);
                 self.handed.push(false);
+                // Room to spare at every step of the group: the consumer
+                // without room waits on a timer.
+                let asleep = quiet && self.consumer_at.is_none();
+                if asleep && self.in_flight() + group < self.capacity {
+                    self.watched = Some((g, 0));
+                }
             }
         }
         self.pushed_seq[thread] += 1;
@@ -294,9 +311,7 @@ impl Sim {
         self.pushed += 1;
         if self.ring.try_push_stamped(raw.cpu, raw, self.now) {
             // The push wakes a consumer napping on the rings.
-            if std::mem::take(&mut self.consumer_on_push) {
-                self.consumer_at = self.now;
-            }
+            self.consumer_at.get_or_insert(self.now);
         } else {
             self.ring_dropped += 1;
             if let Some(g) = self.group_of[index] {
@@ -305,7 +320,38 @@ impl Sim {
         }
     }
 
+    /// Ends the watch of a group: the next push, or `stop()`, wakes the
+    /// consumer.
+    fn unwatch(&mut self) {
+        if let Some((g, _)) = self.watched.take() {
+            if self.clean[g] && self.handed[g] {
+                self.tally.quiet_groups += 1;
+            }
+        }
+    }
+
+    /// A paced group that woke the consumer takes it at most three steps:
+    /// the push's, the poll that drains the rest of the group and the one
+    /// that finds the rings empty and hands it over. Then the consumer
+    /// sleeps until the next push: no step between groups.
+    fn count_step(&mut self) {
+        let Some((g, steps)) = self.watched.as_mut() else { return };
+        *steps += 1;
+        let (g, steps) = (*g, *steps);
+        if !self.clean[g] {
+            return;
+        }
+        if self.handed[g] {
+            let detail = format!("step {steps} at {}, after group {g}'s hand-over", self.now);
+            self.fail("a consumer that caught up sleeps until the next push", detail);
+        }
+        if steps > 3 {
+            self.fail("a paced group takes at most three consumer steps", format!("group {g}"));
+        }
+    }
+
     fn consumer_step(&mut self) {
+        self.count_step();
         let room = self.capacity.saturating_sub(self.in_flight());
         let Some(consumer) = self.consumer.as_mut() else { return };
         let before = self.ring.occupancy();
@@ -356,9 +402,9 @@ impl Sim {
             }
             self.checkpoints.push_back((self.bulks_sent, self.pushed - self.ring_dropped));
         }
-        self.consumer_on_push = matches!(wait, Wait::UntilPush(_));
         match wait {
-            Wait::Until(at) | Wait::UntilPush(at) if at >= self.now => self.consumer_at = at,
+            Wait::Until(at) if at >= self.now => self.consumer_at = Some(at),
+            Wait::UntilPush => self.consumer_at = None,
             Wait::Stop => {
                 self.consumer = None;
                 self.closed = true;
@@ -537,8 +583,7 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
             config.poll(),
             config.flush(),
         )),
-        consumer_at: EPOCH,
-        consumer_on_push: false,
+        consumer_at: Some(EPOCH),
         stopping: false,
         channel: VecDeque::new(),
         in_channel: 0,
@@ -561,6 +606,7 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
         group_of,
         clean: Vec::new(),
         handed: Vec::new(),
+        watched: None,
         tally: Tally { schedules: 1, ..Tally::default() },
     };
     let index = store.index(INDEX);
@@ -571,7 +617,7 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
         let candidates = [
             push_at,
             s.stalls.front().map(|&(at, _)| at),
-            sim.consumer.as_ref().map(|_| sim.consumer_at),
+            sim.consumer.as_ref().and(sim.consumer_at),
             sim.shipper_at(),
             (!sim.stopping).then_some(s.end),
             gone_at,
@@ -591,8 +637,9 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
         }
         if !sim.stopping && sim.now >= s.end && next == s.pushes.len() {
             // `stop()` unparks the consumer.
+            sim.unwatch();
             sim.stopping = true;
-            sim.consumer_at = sim.now;
+            sim.consumer_at = Some(sim.now);
         }
         if s.gone_at.is_some_and(|at| at <= sim.now)
             && !sim.gone
@@ -603,7 +650,7 @@ pub fn run(seed: u64, dir: Option<&Path>) -> Tally {
             sim.gone = true;
         }
         sim.account("a push");
-        if sim.consumer.is_some() && sim.consumer_at <= sim.now {
+        if sim.consumer.is_some() && sim.consumer_at.is_some_and(|at| at <= sim.now) {
             let held = sim.held().to_vec();
             sim.on_time("a consumer that never catches up wakes by the deadline", &held, false);
             sim.consumer_step();

@@ -8,6 +8,9 @@
 //! capacity. Besides:
 //!
 //! - a group pushed within one poll interval reaches the shipper as one bulk;
+//! - a group whose first push wakes a consumer asleep until a push takes it
+//!   at most three steps, and no step follows the group's hand-over before
+//!   the next push;
 //! - a poll that finds the rings empty hands over all it holds, queryable
 //!   once the shipper has taken it;
 //! - on a persisted store, a shipper with no bulk behind the one it took has
@@ -41,6 +44,7 @@ fn in_memory(seeds: Range<u64>) {
     eprintln!("{tally:?}");
     // Every property met cases that could break it.
     assert!(tally.groups > 0, "{tally:?}");
+    assert!(tally.quiet_groups > 0, "{tally:?}");
     assert!(tally.caught_up > 0, "{tally:?}");
     assert!(tally.consumer_deadlines > 0, "{tally:?}");
     assert!(tally.room_limited > 0, "{tally:?}");
@@ -80,6 +84,7 @@ fn persisted_schedules() {
     }
     eprintln!("{tally:?}");
     assert!(tally.groups > 0, "{tally:?}");
+    assert!(tally.quiet_groups > 0, "{tally:?}");
     assert!(tally.caught_up_logs > 0, "{tally:?}");
     assert!(tally.shipper_deadlines > 0, "{tally:?}");
     assert!(tally.left_unlogged > 0, "{tally:?}");

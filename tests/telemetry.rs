@@ -145,6 +145,32 @@ fn health_index_and_dashboard_populated() {
 /// The telemetry index holds no per-event document: two sessions that issue
 /// the same syscall mix 1 000 and 20 000 times, exporting only when they
 /// stop, leave the same number of documents there.
+/// The kernel counts each syscall in cells of its own, and every session
+/// traced on it reads them from its start: a second session on the same
+/// kernel reports the syscalls it saw, as the first does.
+#[test]
+fn sessions_traced_one_after_the_other_each_count_their_syscalls() {
+    const CLASSES: [&str; 4] = ["data", "metadata", "extended_attributes", "directory_management"];
+    let dio = Dio::with_kernel(fast_kernel());
+    let t = dio.kernel().spawn_process("app").spawn_thread("app");
+    let dispatched = |name: &str, writes: u64| {
+        let session = dio.trace(TracerConfig::new(name));
+        let fd = t.creat(&format!("/{name}.bin"), 0o644).unwrap();
+        for i in 0..writes {
+            t.pwrite64(fd, b"x", i).unwrap();
+        }
+        t.close(fd).unwrap();
+        let report = session.stop();
+        assert_eq!(report.trace.events_stored, writes + 2);
+        let health = &report.trace.health;
+        let by_class = CLASSES.map(|c| health.counter(&format!("kernel.syscalls.class.{c}")));
+        assert_eq!(by_class.iter().sum::<u64>(), health.counter("kernel.syscalls.dispatched"));
+        (health.counter("kernel.syscalls.dispatched"), by_class[0])
+    };
+    assert_eq!(dispatched("first", 10), (12, 10));
+    assert_eq!(dispatched("second", 20), (22, 20));
+}
+
 #[test]
 fn telemetry_index_holds_no_per_event_document() {
     let dio = Dio::with_kernel(fast_kernel());

@@ -38,12 +38,12 @@ fn idle_polls(config: TracerConfig) -> u64 {
 
 #[test]
 fn idle_consumer_backs_off() {
-    // An empty poll sleeps flush_interval / 32 = 3.1 ms at once: about a
-    // hundred wake-ups in 300 ms, where a fixed 200 µs sleep made about
-    // 1 200.
+    // A poll that finds the rings empty sleeps until the next push: no poll
+    // in 300 ms but, should it fall inside them, the session's first. An
+    // idle timer of flush_interval / 32 = 3.1 ms made about a hundred, a
+    // fixed 200 µs sleep about 1 200.
     let made = idle_polls(TracerConfig::new("idle"));
-    assert!(made < 200, "an idle default consumer polled {made} times in 300 ms");
-    assert!(made > 0, "an idle consumer still polls");
+    assert!(made <= 1, "an idle default consumer polled {made} times in 300 ms");
 }
 
 #[test]
@@ -73,13 +73,40 @@ fn burst_after_idleness_is_drained_within_the_backoff_cap() {
     assert_eq!(summary.events_stored, 50);
     let in_ring = summary.spans.stage("push_to_drain").expect("ring transition recorded");
     assert_eq!(in_ring.count, 50);
-    // flush_interval / 32 of back-off plus 5 ms of scheduling slack.
+    // The burst's first push wakes the consumer, which drains it at once.
+    // The limit is the idle timer's old cap, flush_interval / 32, plus 5 ms
+    // of scheduling slack.
     let limit = Duration::from_millis(100) / 32 + Duration::from_millis(5);
     assert!(
         Duration::from_nanos(in_ring.max) <= limit,
         "an event waited {:?} in the ring (limit {limit:?})",
         Duration::from_nanos(in_ring.max)
     );
+}
+
+/// `tracer.channel.depth` is read from the hand-off when a snapshot is
+/// taken, not written by the consumer's polls: once a burst is
+/// acknowledged it reads 0, although the consumer sleeps until the next
+/// push.
+#[test]
+fn channel_depth_reads_zero_once_a_burst_is_acknowledged() {
+    let kernel = fast_kernel();
+    let config = TracerConfig::new("depth").telemetry_interval(Duration::from_millis(20));
+    let tracer = Tracer::attach(config, &kernel, DocStore::new());
+    let t = kernel.spawn_process("app").spawn_thread("app");
+    for i in 0..50 {
+        t.creat(&format!("/depth{i}"), 0o644).unwrap();
+    }
+    let waited = Instant::now();
+    while tracer.events_stored() < 50 {
+        assert!(waited.elapsed() < Duration::from_secs(5), "burst never acknowledged");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // One export round passes.
+    std::thread::sleep(Duration::from_millis(40));
+    let depth = tracer.health_snapshot().gauge("tracer.channel.depth");
+    tracer.stop();
+    assert_eq!(depth, 0, "documents in flight after the burst was acknowledged");
 }
 
 /// `flush_interval` is the longest a partial batch may wait, counted from

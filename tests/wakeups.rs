@@ -1,7 +1,7 @@
 //! Pipeline threads wake for work, not for clocks (DESIGN.md §17): an idle
-//! exporter or accept loop sleeps until there is something to do, `stop`
-//! wakes it at once, and the consumer hands the shipper one message per
-//! bulk request.
+//! exporter, accept loop or consumer sleeps until there is something to do,
+//! `stop` wakes it at once, and the consumer hands the shipper one message
+//! per bulk request.
 //!
 //! Wake-ups are counted, not timed: a thread's `voluntary_ctxt_switches`
 //! in `/proc/self/task/<tid>/status` grows by one each time it sleeps. The
@@ -87,6 +87,19 @@ fn accept_loop_blocks_in_accept() {
     assert!(took <= STOP_WITHIN, "the server took {took:?} to stop");
 }
 
+fn consumer_sleeps_until_a_push() {
+    let kernel = Kernel::builder().root_disk(DiskProfile::instant()).build();
+    let tracer = Tracer::attach(TracerConfig::new("idle"), &kernel, DocStore::new());
+    // An idle timer of flush_interval / 32 = 3.1 ms made about a hundred.
+    let made = idle_switches("dio-consumer-");
+    let asked = Instant::now();
+    let summary = tracer.stop();
+    let took = asked.elapsed();
+    assert!(made <= IDLE_SWITCHES, "an idle consumer slept {made} times in {IDLE:?}");
+    assert!(summary.health.counter("tracer.consumer.polls") <= 3, "polls while idle");
+    assert!(took <= STOP_WITHIN, "the tracer took {took:?} to stop");
+}
+
 fn consumer_sends_one_message_per_bulk() {
     let kernel = Kernel::builder().root_disk(DiskProfile::instant()).build();
     // A paced load of groups of syscalls, one every 30 ms, polled every
@@ -122,5 +135,6 @@ fn consumer_sends_one_message_per_bulk() {
 fn pipeline_threads_wake_for_work_not_for_clocks() {
     exporter_parks_until_its_round();
     accept_loop_blocks_in_accept();
+    consumer_sleeps_until_a_push();
     consumer_sends_one_message_per_bulk();
 }

@@ -30,8 +30,12 @@ pub trait DynDetector: Send {
     /// Stable name of the detector (used in reports and telemetry).
     fn name(&self) -> &str;
 
-    /// Feeds one event; pushes any resulting alerts onto `out`.
-    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>);
+    /// Feeds one event; pushes any resulting alerts onto `out`. Returns
+    /// whether one of the detector's window routers refused the event
+    /// because its window had already been sealed (feeds
+    /// [`crate::EngineStats::late_events`]); a detector without windows
+    /// returns `false`.
+    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) -> bool;
 
     /// Seals watermark-ready windows and raises their alerts.
     fn evaluate_ready(&mut self, out: &mut Vec<Alert>);
@@ -42,12 +46,6 @@ pub trait DynDetector: Send {
     /// Number of windows still accumulating (feeds the
     /// `diagnose.windows.open` gauge).
     fn open_windows(&self) -> usize {
-        0
-    }
-
-    /// Events this detector's window routers refused because their window
-    /// had already been sealed (feeds [`crate::EngineStats::late_events`]).
-    fn late_events(&self) -> u64 {
         0
     }
 

@@ -115,13 +115,6 @@ struct EngineInner {
     finished: bool,
 }
 
-impl EngineInner {
-    /// Late events summed over every window router of the engine.
-    fn late_events(&self) -> u64 {
-        self.dynamic.iter().map(|d| d.late_events()).sum()
-    }
-}
-
 struct EngineTelemetry {
     observed: Arc<Counter>,
     evaluated: Arc<Counter>,
@@ -287,7 +280,6 @@ impl DiagnosisEngine {
         let mut max_time = 0u64;
         {
             let mut inner = self.inner.lock();
-            let mut late_so_far = inner.late_events();
             for event in events {
                 max_time = max_time.max(event.time());
                 if degraded {
@@ -298,14 +290,13 @@ impl DiagnosisEngine {
                     }
                 }
                 evaluated += 1;
-                for detector in inner.dynamic.iter_mut() {
-                    detector.observe(event, &mut fresh);
-                }
                 // An event counts as late once, however many routers
                 // refused it; windowless stream rules saw it all the same.
-                let late_now = inner.late_events();
-                late += u64::from(late_now > late_so_far);
-                late_so_far = late_now;
+                let mut refused = false;
+                for detector in inner.dynamic.iter_mut() {
+                    refused |= detector.observe(event, &mut fresh);
+                }
+                late += u64::from(refused);
             }
             for detector in inner.dynamic.iter_mut() {
                 detector.evaluate_ready(&mut fresh);
@@ -481,10 +472,11 @@ mod tests {
         fn name(&self) -> &str {
             "rules"
         }
-        fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+        fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) -> bool {
             if event.ret_val() == Some(0) && event.uint(Field::Offset).is_some_and(|o| o > 0) {
                 out.push(alert("rules", AlertKind::DataLoss, event.time(), "data_loss"));
             }
+            false
         }
         fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
         fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}
@@ -591,8 +583,9 @@ mod tests {
             fn name(&self) -> &str {
                 "probe"
             }
-            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) {
+            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) -> bool {
                 self.seen += 1;
+                false
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
@@ -631,7 +624,9 @@ mod tests {
             fn name(&self) -> &str {
                 "rules"
             }
-            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) {}
+            fn observe(&mut self, _event: &dyn EventView, _out: &mut Vec<Alert>) -> bool {
+                false
+            }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
                 out.extend(["opted", "plain"].map(|r| alert("rules", AlertKind::RuleMatch, 9, r)));
@@ -678,8 +673,8 @@ mod tests {
         fn name(&self) -> &str {
             self.0
         }
-        fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) {
-            self.1.observe(event.time(), |ops| *ops += 1);
+        fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) -> bool {
+            self.1.observe(event.time(), |ops| *ops += 1)
         }
         fn evaluate_ready(&mut self, out: &mut Vec<Alert>) {
             let sealed = self.1.drain_ready();
@@ -691,9 +686,6 @@ mod tests {
         }
         fn open_windows(&self) -> usize {
             self.1.open_count()
-        }
-        fn late_events(&self) -> u64 {
-            self.1.late_events()
         }
     }
 
@@ -764,11 +756,12 @@ mod tests {
             fn name(&self) -> &str {
                 "noisy"
             }
-            fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+            fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) -> bool {
                 let t = event.time();
                 // Up to 60 ns behind or 30 ns ahead of the event.
                 let time_ns = (t + (t * 7) % 90).saturating_sub(60);
                 out.push(alert("noisy", AlertKind::RuleMatch, time_ns, "noisy"));
+                false
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}

@@ -34,7 +34,7 @@
 //!     fn name(&self) -> &str {
 //!         "failures"
 //!     }
-//!     fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
+//!     fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) -> bool {
 //!         if event.ret_val().is_some_and(|ret| ret < 0) {
 //!             out.push(Alert {
 //!                 seq: 0,
@@ -51,6 +51,7 @@
 //!                 attribution: None,
 //!             });
 //!         }
+//!         false
 //!     }
 //!     fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
 //!     fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}

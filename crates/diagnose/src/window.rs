@@ -84,16 +84,18 @@ impl<A: Default> SlidingWindows<A> {
 
     /// Routes an event at time `t` into its window(s), applying `f` to each
     /// window's accumulator, and advances the watermark. A late event (see
-    /// the module docs) is counted and routed nowhere.
-    pub fn observe(&mut self, t: u64, mut f: impl FnMut(&mut A)) {
+    /// the module docs) is counted and routed nowhere; the return value
+    /// says whether the event was late.
+    pub fn observe(&mut self, t: u64, mut f: impl FnMut(&mut A)) -> bool {
         if t < self.sealed_end_ns {
             self.late += 1;
-            return;
+            return true;
         }
         for start in self.starts_for(t) {
             f(self.open.entry(start).or_default());
         }
         self.watermark_ns = self.watermark_ns.max(t);
+        false
     }
 
     /// Closes and returns every window whose end + one window of lateness
@@ -176,12 +178,12 @@ mod tests {
             w.observe(t, |c| *c += 1);
         }
         assert_eq!(w.drain_ready(), vec![(0, 2)]);
-        w.observe(50, |c| *c += 1);
+        assert!(w.observe(50, |c| *c += 1), "refused as late");
         assert_eq!(w.drain_ready(), vec![], "[0, 100) was sealed once already");
         assert_eq!(w.late_events(), 1);
         assert_eq!(w.watermark_ns(), 250);
         // One window of lateness is still allowed: [100, 200) is open.
-        w.observe(150, |c| *c += 1);
+        assert!(!w.observe(150, |c| *c += 1));
         assert_eq!(w.late_events(), 1);
         assert_eq!(w.drain_all(), vec![(100, 1), (200, 1)]);
         w.observe(299, |c| *c += 1);

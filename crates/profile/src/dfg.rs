@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
-use dio_syscall::{EventView, Field, Scalar, SyscallKind};
+use dio_syscall::{EventView, Field, FileTag, Scalar, SyscallKind};
 use dio_telemetry::{Counter, Gauge, HistogramSnapshot, LogHistogram, MetricsRegistry, TraceSpan};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
@@ -124,6 +124,9 @@ impl ProfileConfig {
 
 type EdgeKey = (SyscallKind, SyscallKind);
 
+/// The catalog's syscalls: a graph counts its nodes at `kind as usize`.
+const KINDS: usize = SyscallKind::ALL.len();
+
 /// One edge's transition count and its two histograms. Bucketed at one
 /// power of two — enough for "which edge got slow", and 64 buckets at most
 /// where a session may hold thousands of edges; exact latencies stay in the
@@ -136,16 +139,23 @@ struct Edge {
 }
 
 /// One bounded directly-follows graph.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Graph {
-    nodes: BTreeMap<SyscallKind, u64>,
+    /// Occurrences per syscall, in catalog order.
+    nodes: [u64; KINDS],
     edges: BTreeMap<EdgeKey, Edge>,
     evicted: u64,
 }
 
+impl Default for Graph {
+    fn default() -> Self {
+        Graph { nodes: [0; KINDS], edges: BTreeMap::new(), evicted: 0 }
+    }
+}
+
 impl Graph {
     fn observe_node(&mut self, kind: SyscallKind) {
-        *self.nodes.entry(kind).or_insert(0) += 1;
+        self.nodes[kind as usize] += 1;
     }
 
     /// Records one transition; an eviction it causes is counted on the
@@ -188,10 +198,9 @@ impl Graph {
 
     fn snapshot(&self) -> GraphSnapshot {
         GraphSnapshot {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|(k, &count)| NodeSnapshot {
+            nodes: (SyscallKind::ALL.iter().zip(self.nodes))
+                .filter(|&(_, count)| count > 0)
+                .map(|(k, count)| NodeSnapshot {
                     syscall: k.name().to_string(),
                     class: k.class().to_string(),
                     count,
@@ -305,13 +314,91 @@ struct ProcGraph {
     graph: Graph,
 }
 
+/// A file tag as the miner keys it: the tag, which copies, or — for a
+/// document whose `file_tag` is not a tag's canonical spelling (`8:1|42|7`,
+/// `07|42|7`) — the text, so that it keeps its own graph under that text.
+#[derive(Debug, Clone, Copy)]
+enum TagRef<'a> {
+    Tag(FileTag),
+    Text(&'a str),
+}
+
+impl<'a> TagRef<'a> {
+    /// The key of an event's `file_tag`, if it has a non-empty one.
+    fn of(value: Scalar<'a>) -> Option<TagRef<'a>> {
+        match value {
+            Scalar::Tag(tag) => Some(TagRef::Tag(tag)),
+            Scalar::Str(text) if !text.is_empty() => Some(match text.parse::<FileTag>() {
+                // Parsed, the parts are decimal numbers; one the tag would
+                // render alike has no sign and no leading zero.
+                Ok(tag) if text.split('|').all(|n| n == "0" || !n.starts_with(['+', '0'])) => {
+                    TagRef::Tag(tag)
+                }
+                _ => TagRef::Text(text),
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// What the miner keeps of a tag: the last operation on it, and its graph
+/// if the table had room for one when the tag was met.
+struct TagEntry {
+    last: (SyscallKind, u64),
+    graph: Option<Box<Graph>>,
+}
+
+/// The per-tag table, keyed by [`TagRef`]: text is rendered only when a
+/// snapshot is taken, and copied only for a text key not seen before.
+#[derive(Default)]
+struct TagTable {
+    tags: BTreeMap<FileTag, TagEntry>,
+    texts: BTreeMap<String, TagEntry>,
+}
+
+impl TagTable {
+    fn len(&self) -> usize {
+        self.tags.len() + self.texts.len()
+    }
+
+    fn get_mut(&mut self, key: TagRef<'_>) -> Option<&mut TagEntry> {
+        match key {
+            TagRef::Tag(tag) => self.tags.get_mut(&tag),
+            TagRef::Text(text) => self.texts.get_mut(text),
+        }
+    }
+
+    fn insert(&mut self, key: TagRef<'_>, entry: TagEntry) -> &mut TagEntry {
+        match key {
+            TagRef::Tag(tag) => self.tags.entry(tag).or_insert(entry),
+            TagRef::Text(text) => self.texts.entry(text.to_string()).or_insert(entry),
+        }
+    }
+
+    fn remove(&mut self, key: TagRef<'_>) {
+        match key {
+            TagRef::Tag(tag) => self.tags.remove(&tag),
+            TagRef::Text(text) => self.texts.remove(text),
+        };
+    }
+
+    /// Every tag graph, under the text documents spell its tag as.
+    fn graphs(&self) -> impl Iterator<Item = (String, &Graph)> {
+        let tags = self.tags.iter();
+        let tags = tags.filter_map(|(tag, e)| e.graph.as_deref().map(|g| (tag.to_string(), g)));
+        let texts = self.texts.iter();
+        tags.chain(texts.filter_map(|(text, e)| e.graph.as_deref().map(|g| (text.clone(), g))))
+    }
+}
+
 #[derive(Default)]
 struct MinerInner {
     global: Graph,
     last_by_tid: BTreeMap<u64, (SyscallKind, u64)>,
     procs: BTreeMap<u64, ProcGraph>,
-    tag_last: BTreeMap<String, (SyscallKind, u64)>,
-    tags: BTreeMap<String, Graph>,
+    tags: TagTable,
+    /// Tags with a graph.
+    tag_graphs: usize,
     ring: VecDeque<Transition>,
     phase: PhaseState,
     phase_docs: Vec<Value>,
@@ -448,7 +535,7 @@ impl DfgMiner {
             t.graphs_dropped.add(inner.graphs_dropped - before_dropped);
             t.phase_shifts.add(inner.phase.shifts - before_shifts);
             t.edges.set(inner.global.edges.len() as u64);
-            t.graphs.set((1 + inner.procs.len() + inner.tags.len()) as u64);
+            t.graphs.set((1 + inner.procs.len() + inner.tag_graphs) as u64);
         }
     }
 
@@ -510,37 +597,31 @@ impl DfgMiner {
         }
 
         // Per-file-tag graph, sequenced by operations on the tag and keyed
-        // by the tag as documents spell it (any non-empty string; a typed
-        // event's tag is rendered inline). Known tags take the get_mut path
-        // so the steady state allocates no key strings.
-        let tag = event.scalar(Field::FileTag).and_then(Scalar::text);
-        let Some(tag) = tag.as_deref().filter(|tag| !tag.is_empty()) else { return };
-        let tag_prev = match inner.tag_last.get_mut(tag) {
-            Some(slot) => Some(std::mem::replace(slot, (kind, time))),
-            None => {
-                inner.tag_last.insert(tag.to_string(), (kind, time));
-                None
-            }
+        // by the tag (any non-empty string a document spells otherwise by
+        // its text): one lookup finds the tag's last operation and its
+        // graph, and the steady state renders and allocates nothing.
+        let Some(tag) = event.scalar(Field::FileTag).and_then(TagRef::of) else { return };
+        let (tag_prev, entry) = match inner.tags.get_mut(tag) {
+            Some(entry) => (Some(std::mem::replace(&mut entry.last, (kind, time))), entry),
+            None => (None, inner.tags.insert(tag, TagEntry { last: (kind, time), graph: None })),
         };
-        let room = inner.tags.len() < max_graphs;
-        let graph = match inner.tags.get_mut(tag) {
-            Some(graph) => Some(graph),
-            None if room => Some(inner.tags.entry(tag.to_string()).or_default()),
-            None => None,
-        };
-        if let Some(graph) = graph {
+        if entry.graph.is_none() && inner.tag_graphs < max_graphs {
+            entry.graph = Some(Box::default());
+            inner.tag_graphs += 1;
+        }
+        if let Some(graph) = entry.graph.as_deref_mut() {
             graph.observe_node(kind);
             if let Some((from, from_time)) = tag_prev {
                 let gap = time.saturating_sub(from_time);
                 graph.observe_edge(from, kind, gap, latency, top_k, &mut inner.edges_evicted);
             }
-        } else {
-            inner.graphs_dropped += 1;
-            if inner.tag_last.len() > max_graphs.saturating_mul(4).max(1024) {
-                // Keep the sequencing table bounded too: forget dropped
-                // tags instead of tracking them forever.
-                inner.tag_last.remove(tag);
-            }
+            return;
+        }
+        inner.graphs_dropped += 1;
+        if inner.tags.len() > max_graphs.saturating_mul(4).max(1024) {
+            // Keep the sequencing table bounded too: forget dropped tags
+            // instead of tracking them forever.
+            inner.tags.remove(tag);
         }
     }
 
@@ -657,7 +738,7 @@ impl DfgMiner {
                 .iter()
                 .map(|(pid, p)| (format!("{pid}:{}", p.name), p.graph.snapshot()))
                 .collect(),
-            tags: inner.tags.iter().map(|(tag, g)| (tag.clone(), g.snapshot())).collect(),
+            tags: inner.tags.graphs().map(|(tag, graph)| (tag, graph.snapshot())).collect(),
         }
     }
 
@@ -862,6 +943,44 @@ mod tests {
         assert_eq!(graph.edges.len(), 1, "tag sequence crosses threads");
         assert_eq!(graph.edges[0].label(), "write->read");
         assert!(snap.global.edges.is_empty(), "per-thread global sequence has no edge yet");
+    }
+
+    /// A tag is keyed by the tag whichever door it came through; a
+    /// `file_tag` that is not a tag's spelling keeps its own graph under its
+    /// text, and a non-canonical spelling is not folded into the tag's.
+    #[test]
+    fn tags_are_keyed_by_the_tag_and_odd_spellings_by_their_text() {
+        use dio_syscall::SyscallEvent;
+        let miner = DfgMiner::new(ProfileConfig::default());
+        let mut typed = SyscallEvent::synthetic(SyscallKind::Fsync);
+        typed.time_enter_ns = 30;
+        typed.file_tag = Some(FileTag::new(7, 12, 100));
+        let spelled = |time: u64, syscall: &str, tag: &str| {
+            let mut doc = ev(time, 1, syscall, 10);
+            doc["file_tag"] = json!(tag);
+            doc
+        };
+        miner.observe_batch(&[
+            ev(10, 1, "write", 10),
+            spelled(20, "read", "8:1|42|1000"),
+            spelled(25, "lseek", "8:1|42|1000"),
+            spelled(27, "close", "007|12|100"),
+            spelled(27, "close", "+7|12|100"),
+            spelled(28, "close", ""),
+        ]);
+        miner.observe_batch(&[typed]);
+        let snap = miner.snapshot();
+        let keys: Vec<&str> = snap.tags.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["+7|12|100", "007|12|100", "7|12|100", "8:1|42|1000"]);
+        let labels = |tag: &str| -> Vec<String> {
+            snap.tags[tag].edges.iter().map(EdgeSnapshot::label).collect()
+        };
+        assert_eq!(labels("7|12|100"), ["write->fsync"], "a document and a typed event");
+        assert_eq!(labels("8:1|42|1000"), ["read->lseek"]);
+        assert!(labels("007|12|100").is_empty() && labels("+7|12|100").is_empty());
+        let nodes: Vec<(&str, u64)> =
+            snap.global.nodes.iter().map(|n| (n.syscall.as_str(), n.count)).collect();
+        assert_eq!(nodes, [("read", 1), ("write", 1), ("lseek", 1), ("close", 3), ("fsync", 1)]);
     }
 
     #[test]

@@ -217,6 +217,11 @@ impl RulesReport {
             .any(|d| d.check == RuleCheck::UnsatisfiablePredicate && d.rule == rule)
     }
 
+    /// Appends `other`'s findings (a joined set's reports, in set order).
+    pub(crate) fn extend(&mut self, other: RulesReport) {
+        self.diagnostics.extend(other.diagnostics);
+    }
+
     /// Converts into a result, rejecting on any error-level finding.
     pub fn into_result(self) -> Result<RulesReport, RulesError> {
         if self.is_ok() {

@@ -3,9 +3,14 @@
 //! A [`RuleSet`] implements [`DynDetector`]: installed into the
 //! `DiagnosisEngine` it sees the session's event stream and publishes
 //! typed [`Alert`] documents. Stream rules evaluate per event over shared
-//! [`StreamState`]; window rules compile their aggregates into per-window
-//! accumulators on [`SlidingWindows`] (its watermark and sealing
-//! semantics are theirs).
+//! [`StreamState`], which computes only the atoms they read; window rules
+//! compile their aggregates into per-window accumulators on
+//! [`SlidingWindows`] (its watermark and sealing semantics are theirs). The
+//! window rules of a set with one `(width, slide, key field)` share one
+//! router: one [`SlidingWindows`] accumulating the union of their base
+//! aggregates, so an event is routed once per router, not once per rule.
+//! [`RuleSet::join`] makes one set of several, so the shipped files and a
+//! session's own rules share routers too.
 //!
 //! Compiling resolves every name a rule mentions — event fields, stream
 //! atoms, aggregates — to a slot ([`Node`]), and the set reads events
@@ -25,7 +30,7 @@ use serde_json::{json, Value};
 
 use crate::ast::{Action, Expr, ExprKind, Rule, RuleFile, SeverityLit, Trigger};
 use crate::check::{verify_rules, RulesError, RulesReport};
-use crate::exec::{eval, EventAtoms, Node, Scope, StreamState, V};
+use crate::exec::{eval, AtomReads, EventAtoms, Node, Scope, StreamState, V};
 use crate::lexer::ParseError;
 use crate::parser::parse_rules;
 
@@ -358,8 +363,10 @@ struct CompiledRule {
     /// The field `rule.key` reads.
     key: Option<Field>,
     program: WindowProgram,
-    /// Window start → key value → accumulators (window rules only).
-    windows: Option<SlidingWindows<BTreeMap<String, Vec<AggAcc>>>>,
+    /// The set's router this window rule reads, and where each of its base
+    /// aggregates sits among the router's; `None` for a stream rule.
+    router: Option<usize>,
+    slots: Vec<usize>,
     posts: Vec<Post>,
     /// What a `mean_when` rule that has not matched yet keeps of its sealed
     /// windows for [`CompiledRule::judge_retained`]; `None` for any other
@@ -380,13 +387,11 @@ pub(crate) const MAX_RETAINED_WINDOWS: usize = 1_024;
 impl CompiledRule {
     fn new(rule: Rule) -> CompiledRule {
         let mut program = WindowProgram::default();
-        let (when, windows) = match &rule.trigger {
-            Trigger::Stream => (Node::of_event(&rule.when), None),
-            Trigger::Window { width, slide } => {
+        let when = match &rule.trigger {
+            Trigger::Stream => Node::of_event(&rule.when),
+            Trigger::Window { .. } => {
                 program.collect(&rule.when);
-                let windows =
-                    SlidingWindows::new(width.as_ns(), slide.map(|s| s.as_ns()).unwrap_or(0));
-                (program.lower(&rule.when), Some(windows))
+                program.lower(&rule.when)
             }
         };
         let slot = |e: &Expr| match program.lower(e) {
@@ -412,7 +417,8 @@ impl CompiledRule {
             key: rule.key.map(|dim| dim.field()),
             rule,
             program,
-            windows,
+            router: None,
+            slots: Vec::new(),
             retained: has_mean.then(VecDeque::new),
             posts,
             stats: RuleStats::default(),
@@ -428,45 +434,26 @@ impl CompiledRule {
         }
     }
 
-    fn observe_window(&mut self, event: &dyn EventView) {
-        // An event without the key field is skipped; an unkeyed rule has
-        // the one key "".
-        let key = match self.key {
-            Some(field) => match event.scalar(field).and_then(Scalar::key) {
-                Some(key) => key,
-                None => return,
-            },
-            None => Text::Lent(""),
-        };
-        let Some(windows) = &mut self.windows else { return };
-        let program = &self.program;
-        // Missing timestamps bucket at 0.
-        windows.observe(event.time(), |keys| {
-            let accs = match keys.get_mut(&*key) {
-                Some(accs) => accs,
-                None => keys
-                    .entry(key.to_string())
-                    .or_insert_with(|| program.aggs.iter().map(|(_, s)| s.fresh_acc()).collect()),
-            };
-            for ((_, spec), slot) in program.aggs.iter().zip(accs.iter_mut()) {
-                spec.observe(slot, event);
-            }
-        });
-    }
-
-    /// Evaluates one sealed window, raising alerts for definite matches.
-    fn seal(&mut self, start: u64, keys: BTreeMap<String, Vec<AggAcc>>, out: &mut Vec<Alert>) {
+    /// Evaluates one window its router sealed, raising alerts for definite
+    /// matches; `aggs` are the router's aggregates, `keys` their values per
+    /// key.
+    fn seal(
+        &mut self,
+        start: u64,
+        keys: &WindowKeys,
+        aggs: &[(String, AggSpec)],
+        out: &mut Vec<Alert>,
+    ) {
         let width = self.width_ns();
         for (key, accs) in keys {
             self.stats.evaluated += 1;
-            // 1. Base aggregate values.
-            let mut values: Vec<Option<f64>> = (self.program.aggs.iter().zip(&accs))
-                .map(|((_, spec), acc)| spec.value(acc, width))
-                .collect();
+            // 1. Base aggregate values, read from the router's slots.
+            let mut values: Vec<Option<f64>> =
+                self.slots.iter().map(|&at| aggs[at].1.value(&accs[at], width)).collect();
             // 2. Derived aggregates, in dependency order, reading history
             //    from *before* this window.
             for post in &self.posts {
-                let state = post.state.get(&key);
+                let state = post.state.get(key);
                 values.push(match post.kind {
                     PostKind::Baseline(n) => state
                         .filter(|s| s.hist.len() == n)
@@ -477,7 +464,7 @@ impl CompiledRule {
             // 3. Evaluate the predicate in window scope.
             if eval(&self.when, Scope::Window(&values)).is_true() {
                 self.retained = None;
-                self.fire_window(start, &key, &values, out);
+                self.fire_window(start, key, &values, out);
             }
             // 4. Update derived-aggregate state *after* evaluation, so a
             //    window never contributes to its own baseline.
@@ -506,7 +493,7 @@ impl CompiledRule {
                 if retained.len() == MAX_RETAINED_WINDOWS {
                     retained.pop_front();
                 }
-                retained.push_back((start, key, values));
+                retained.push_back((start, key.clone(), values));
             }
         }
     }
@@ -607,7 +594,8 @@ impl CompiledRule {
         }
     }
 
-    fn report(&self) -> Value {
+    /// The rule's status; `open_windows` is its router's.
+    fn report(&self, open_windows: usize) -> Value {
         let (trigger, window_ns, slide_ns) = match &self.rule.trigger {
             Trigger::Stream => ("stream", None, None),
             Trigger::Window { width, slide } => {
@@ -636,7 +624,101 @@ impl CompiledRule {
             "fired": self.stats.fired,
             "suppressed": self.stats.suppressed,
             "records": self.stats.records,
-            "open_windows": self.windows.as_ref().map(|w| w.open_count()).unwrap_or(0),
+            "open_windows": open_windows,
+        })
+    }
+}
+
+// ----------------------------------------------------------------- router
+
+/// Window start → key value → accumulators, one per router aggregate.
+type WindowKeys = BTreeMap<String, Vec<AggAcc>>;
+
+/// The windows of every window rule of a set with one `(width, slide, key
+/// field)`: an event is keyed and routed once for all of them, into
+/// accumulators for the union of their base aggregates (one per printed
+/// form). Sealing is the windows' own, so each rule sees the windows it
+/// would have sealed alone.
+struct Router {
+    width_ns: u64,
+    slide_ns: u64,
+    key: Option<Field>,
+    aggs: Vec<(String, AggSpec)>,
+    windows: SlidingWindows<WindowKeys>,
+    /// What the last drain sealed, until each of the router's rules has
+    /// judged it.
+    sealed: Vec<(u64, WindowKeys)>,
+}
+
+impl Router {
+    /// Assigns every window rule of `rules` to a router, making one per
+    /// distinct `(width, slide, key field)` in rule order.
+    fn assign(rules: &mut [CompiledRule]) -> Vec<Router> {
+        let mut routers: Vec<Router> = Vec::new();
+        for rule in rules {
+            let Trigger::Window { width, slide } = &rule.rule.trigger else { continue };
+            let shape = (width.as_ns(), slide.map_or(0, |s| s.as_ns()), rule.key);
+            let at = match routers.iter().position(|r| (r.width_ns, r.slide_ns, r.key) == shape) {
+                Some(at) => at,
+                None => {
+                    routers.push(Router {
+                        width_ns: shape.0,
+                        slide_ns: shape.1,
+                        key: shape.2,
+                        aggs: Vec::new(),
+                        windows: SlidingWindows::new(shape.0, shape.1),
+                        sealed: Vec::new(),
+                    });
+                    routers.len() - 1
+                }
+            };
+            let aggs = &mut routers[at].aggs;
+            rule.slots = (rule.program.aggs.iter())
+                .map(|(name, spec)| match aggs.iter().position(|(known, _)| known == name) {
+                    Some(slot) => slot,
+                    None => {
+                        aggs.push((name.clone(), spec.clone()));
+                        aggs.len() - 1
+                    }
+                })
+                .collect();
+            rule.router = Some(at);
+        }
+        routers
+    }
+
+    /// Routes one event; returns whether it was late. An event without the
+    /// key field is skipped; an unkeyed router has the one key "".
+    fn observe(&mut self, event: &dyn EventView) -> bool {
+        let key = match self.key {
+            Some(field) => match event.scalar(field).and_then(Scalar::key) {
+                Some(key) => key,
+                None => return false,
+            },
+            None => Text::Lent(""),
+        };
+        let aggs = &self.aggs;
+        // Missing timestamps bucket at 0.
+        self.windows.observe(event.time(), |keys| {
+            // The empty key (an unkeyed router's one key) is the least
+            // string, so it is found as the first entry, by its length:
+            // comparing with an empty string that owns no buffer (its
+            // pointer dangles) measured 110–140 ns where a one-byte key
+            // takes 3 ns (x86-64 Linux, the 2-core benchmark VM).
+            let known = if key.is_empty() {
+                keys.first_entry().filter(|first| first.key().is_empty()).map(|e| e.into_mut())
+            } else {
+                keys.get_mut(&*key)
+            };
+            let accs = match known {
+                Some(accs) => accs,
+                None => keys
+                    .entry(key.to_string())
+                    .or_insert_with(|| aggs.iter().map(|(_, s)| s.fresh_acc()).collect()),
+            };
+            for ((_, spec), slot) in aggs.iter().zip(accs.iter_mut()) {
+                spec.observe(slot, event);
+            }
         })
     }
 }
@@ -646,6 +728,7 @@ impl CompiledRule {
 /// A compiled set of rules, installable into the engine as a detector.
 pub struct RuleSet {
     rules: Vec<CompiledRule>,
+    routers: Vec<Router>,
     stream: StreamState,
     has_stream_rules: bool,
     report: RulesReport,
@@ -653,9 +736,31 @@ pub struct RuleSet {
 
 impl RuleSet {
     fn build(file: RuleFile, report: RulesReport) -> RuleSet {
-        let rules: Vec<CompiledRule> = file.rules.into_iter().map(CompiledRule::new).collect();
-        let has_stream_rules = rules.iter().any(|r| matches!(r.rule.trigger, Trigger::Stream));
-        RuleSet { rules, stream: StreamState::default(), has_stream_rules, report }
+        RuleSet::of(file.rules.into_iter().map(CompiledRule::new).collect(), report)
+    }
+
+    fn of(mut rules: Vec<CompiledRule>, report: RulesReport) -> RuleSet {
+        let routers = Router::assign(&mut rules);
+        let (mut reads, mut has_stream_rules) = (AtomReads::default(), false);
+        for rule in rules.iter().filter(|r| r.router.is_none()) {
+            reads.add(&rule.when);
+            has_stream_rules = true;
+        }
+        RuleSet { rules, routers, stream: StreamState::reading(reads), has_stream_rules, report }
+    }
+
+    /// One set of every rule of `sets`, in order, its window rules routed
+    /// anew: rules of different sets with one `(width, slide, key field)`
+    /// share a router. The sets must not have observed an event yet (their
+    /// windows are not carried over). Alerts, their order, reports and late
+    /// counts are what the sets installed one after the other would give.
+    pub fn join(sets: impl IntoIterator<Item = RuleSet>) -> RuleSet {
+        let (mut rules, mut report) = (Vec::new(), RulesReport::default());
+        for set in sets {
+            rules.extend(set.rules);
+            report.extend(set.report);
+        }
+        RuleSet::of(rules, report)
     }
 
     /// The static-analysis report the set was admitted under (carries any
@@ -674,6 +779,12 @@ impl RuleSet {
         self.rules.is_empty()
     }
 
+    /// Number of window routers an event is routed through: one per
+    /// distinct `(width, slide, key field)` among the window rules.
+    pub fn routers(&self) -> usize {
+        self.routers.len()
+    }
+
     /// Rule names, in file order.
     pub fn names(&self) -> Vec<&str> {
         self.rules.iter().map(|r| r.rule.name.as_str()).collect()
@@ -682,6 +793,31 @@ impl RuleSet {
     /// Names of rules carrying `attribution on`, in file order.
     pub fn attribution_rules(&self) -> Vec<&str> {
         self.rules.iter().filter(|r| r.rule.attribution).map(|r| r.rule.name.as_str()).collect()
+    }
+
+    /// Each window rule judges what its router sealed, in rule order.
+    fn judge_sealed(&mut self, out: &mut Vec<Alert>, end_of_stream: bool) {
+        for rule in &mut self.rules {
+            let Some(router) = rule.router.map(|at| &self.routers[at]) else { continue };
+            for (start, keys) in &router.sealed {
+                rule.seal(*start, keys, &router.aggs, out);
+            }
+            if end_of_stream {
+                rule.judge_retained(out);
+            }
+        }
+        self.routers.iter_mut().for_each(|router| router.sealed.clear());
+    }
+
+    /// Events the set's routers refused as late, counted once per window
+    /// rule that reads the router — as if each rule had its own.
+    pub fn late_events(&self) -> u64 {
+        self.rules.iter().filter_map(|r| self.router_of(r)).map(|r| r.windows.late_events()).sum()
+    }
+
+    /// A window rule's router.
+    fn router_of(&self, rule: &CompiledRule) -> Option<&Router> {
+        rule.router.map(|at| &self.routers[at])
     }
 }
 
@@ -694,53 +830,44 @@ impl DynDetector for RuleSet {
         self.attribution_rules().iter().map(|s| s.to_string()).collect()
     }
 
-    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) {
-        // Sequence atoms advance once per event, shared across rules.
-        let atoms =
-            if self.has_stream_rules { self.stream.advance(event) } else { EventAtoms::default() };
-        for rule in &mut self.rules {
-            match rule.rule.trigger {
-                Trigger::Stream => rule.observe_stream(event, &atoms, out),
-                Trigger::Window { .. } => rule.observe_window(event),
+    fn observe(&mut self, event: &dyn EventView, out: &mut Vec<Alert>) -> bool {
+        if self.has_stream_rules {
+            // Sequence atoms advance once per event, shared across rules.
+            let atoms = self.stream.advance(event);
+            for rule in self.rules.iter_mut().filter(|r| r.router.is_none()) {
+                rule.observe_stream(event, &atoms, out);
             }
         }
+        let mut late = false;
+        for router in &mut self.routers {
+            late |= router.observe(event);
+        }
+        late
     }
 
     fn evaluate_ready(&mut self, out: &mut Vec<Alert>) {
-        for rule in &mut self.rules {
-            let ready = match &mut rule.windows {
-                Some(w) => w.drain_ready(),
-                None => continue,
-            };
-            for (start, keys) in ready {
-                rule.seal(start, keys, out);
-            }
+        for router in &mut self.routers {
+            router.sealed = router.windows.drain_ready();
         }
+        self.judge_sealed(out, false);
     }
 
     fn evaluate_all(&mut self, out: &mut Vec<Alert>) {
-        for rule in &mut self.rules {
-            let remaining = match &mut rule.windows {
-                Some(w) => w.drain_all(),
-                None => continue,
-            };
-            for (start, keys) in remaining {
-                rule.seal(start, keys, out);
-            }
-            rule.judge_retained(out);
+        for router in &mut self.routers {
+            router.sealed = router.windows.drain_all();
         }
+        self.judge_sealed(out, true);
     }
 
+    /// Open windows per window rule: a router's count once for each rule
+    /// that reads it, as if each rule had its own.
     fn open_windows(&self) -> usize {
-        self.rules.iter().filter_map(|r| r.windows.as_ref()).map(|w| w.open_count()).sum()
-    }
-
-    fn late_events(&self) -> u64 {
-        self.rules.iter().filter_map(|r| r.windows.as_ref()).map(|w| w.late_events()).sum()
+        self.rules.iter().filter_map(|r| self.router_of(r)).map(|r| r.windows.open_count()).sum()
     }
 
     fn reports(&self) -> Vec<Value> {
-        self.rules.iter().map(|r| r.report()).collect()
+        let open = |rule| self.router_of(rule).map_or(0, |r| r.windows.open_count());
+        self.rules.iter().map(|rule| rule.report(open(rule))).collect()
     }
 
     fn bind_telemetry(&mut self, registry: &MetricsRegistry) {

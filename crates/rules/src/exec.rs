@@ -16,7 +16,7 @@
 //! it: evaluating a predicate allocates nothing.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use dio_syscall::{EventView, Field, FileTag, Scalar, SyscallKind};
 
@@ -174,6 +174,38 @@ impl Node {
     }
 }
 
+/// Which stream atoms predicates read: [`StreamState`] computes only these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AtomReads {
+    /// `generation` is read.
+    pub generation: bool,
+    /// `first_read` is read.
+    pub first_read: bool,
+    /// `follows(..)` is read.
+    pub follows: bool,
+}
+
+impl AtomReads {
+    /// Every atom.
+    pub const ALL: AtomReads = AtomReads { generation: true, first_read: true, follows: true };
+
+    /// Adds the atoms `node` reads.
+    pub fn add(&mut self, node: &Node) {
+        match node {
+            Node::Generation => self.generation = true,
+            Node::FirstRead => self.first_read = true,
+            Node::Follows(_) => self.follows = true,
+            Node::Neg(inner) | Node::Not(inner) => self.add(inner),
+            Node::Binary { lhs, rhs, .. } => {
+                self.add(lhs);
+                self.add(rhs);
+            }
+            Node::In { lhs, .. } | Node::StartsWith { lhs, .. } => self.add(lhs),
+            Node::Num(_) | Node::Str(_) | Node::Field(_) | Node::Slot(_) | Node::Unknown => {}
+        }
+    }
+}
+
 /// What a predicate is evaluated against.
 #[derive(Clone, Copy)]
 pub enum Scope<'a> {
@@ -308,24 +340,55 @@ pub struct EventAtoms {
 /// The streaming form of the Fig. 2 analysis' bookkeeping (its offline form is
 /// the oracle in `tests/common/oracle.rs`): generations are registered per
 /// `(dev, ino)` pair for the four data-path calls carrying a parseable
-/// `file_tag`, and first reads are tracked per tag. Everything is keyed by values that copy — the tag, the
-/// catalog's name of a thread's last syscall — so folding an event in
-/// allocates only for a tag or thread not seen before.
-#[derive(Debug, Default)]
+/// `file_tag`, and first reads are tracked per tag. A tag's generation and
+/// whether it was read live in one entry keyed by the tag. Everything is keyed
+/// by values that copy — the tag, the catalog's name of a thread's last
+/// syscall — so folding an event in allocates only for a tag or thread not
+/// seen before, and only the atoms its rules read are kept: a set
+/// whose rules never read `follows` remembers no thread's last syscall.
+#[derive(Debug)]
 pub struct StreamState {
-    generations: BTreeMap<(u64, u64), Vec<FileTag>>,
-    first_read_seen: HashSet<FileTag>,
+    reads: AtomReads,
+    tags: BTreeMap<FileTag, TagAtoms>,
+    /// Generations registered so far per `(dev, ino)`.
+    inodes: BTreeMap<(u64, u64), u64>,
     last_syscall_by_tid: BTreeMap<u64, Cow<'static, str>>,
 }
 
+/// What the stream knows of one data-path tag.
+#[derive(Debug, Clone, Copy)]
+struct TagAtoms {
+    /// 1-based reuse generation among its `(dev, ino)`'s tags.
+    generation: u64,
+    /// Whether a read of the tag was seen.
+    read: bool,
+}
+
+/// Every atom is computed.
+impl Default for StreamState {
+    fn default() -> Self {
+        StreamState::reading(AtomReads::ALL)
+    }
+}
+
 impl StreamState {
+    /// State that computes only the atoms in `reads`.
+    pub fn reading(reads: AtomReads) -> StreamState {
+        StreamState {
+            reads,
+            tags: BTreeMap::new(),
+            inodes: BTreeMap::new(),
+            last_syscall_by_tid: BTreeMap::new(),
+        }
+    }
+
     /// Computes this event's atom values, then folds the event into the
     /// sequence state (atoms describe the stream *up to and including*
-    /// this event).
+    /// this event). An atom it was not asked to read stays undefined.
     pub fn advance(&mut self, event: &dyn EventView) -> EventAtoms {
         let kind = event.kind();
         let mut atoms = EventAtoms::default();
-        if let Some(tid) = event.uint(Field::Tid) {
+        if let Some(tid) = event.uint(Field::Tid).filter(|_| self.reads.follows) {
             // A catalog syscall is remembered by its static name; only a
             // document can name another, and that name is copied.
             let syscall = match kind {
@@ -341,22 +404,23 @@ impl StreamState {
                 None => self.last_syscall_by_tid.get(&tid).cloned(),
             };
         }
+        if !(self.reads.generation || self.reads.first_read) {
+            return atoms;
+        }
         use SyscallKind::{Pread64, Pwrite64, Read, Write};
         // The data-path syscalls define `generation`/`first_read`.
         if let (Some(kind @ (Read | Write | Pread64 | Pwrite64)), Some(tag)) =
             (kind, event.file_tag())
         {
-            let tags = self.generations.entry((tag.dev, tag.ino)).or_default();
-            let position = match tags.iter().position(|t| *t == tag) {
-                Some(p) => p,
-                None => {
-                    tags.push(tag);
-                    tags.len() - 1
-                }
-            };
-            atoms.generation = Some(position as u64 + 1);
+            let inodes = &mut self.inodes;
+            let known = self.tags.entry(tag).or_insert_with(|| {
+                let registered = inodes.entry((tag.dev, tag.ino)).or_insert(0);
+                *registered += 1;
+                TagAtoms { generation: *registered, read: false }
+            });
+            atoms.generation = Some(known.generation);
             if matches!(kind, Read | Pread64) {
-                atoms.first_read = Some(self.first_read_seen.insert(tag));
+                atoms.first_read = Some(!std::mem::replace(&mut known.read, true));
             }
         }
         atoms
@@ -455,6 +519,38 @@ mod tests {
         state.advance(&json!({"syscall": "fork", "tid": 9}));
         let after = state.advance(&json!({"syscall": "read", "tid": 9}));
         assert_eq!(after.prev_syscall.as_deref(), Some("fork"));
+    }
+
+    /// A set that reads only some atoms computes only those: without
+    /// `follows` no thread's last syscall is remembered, and the atoms it
+    /// does read take the values full state gives them.
+    #[test]
+    fn state_computes_only_the_atoms_it_reads() {
+        let node = |src: &str| Node::of_event(&parse_expr(src).unwrap());
+        let mut reads = AtomReads::default();
+        reads.add(&node("syscall == \"read\" and first_read and generation > 1"));
+        assert_eq!(reads, AtomReads { generation: true, first_read: true, follows: false });
+        reads.add(&node("not follows(write)"));
+        assert_eq!(reads, AtomReads::ALL);
+
+        let stream = [
+            json!({"syscall": "write", "tid": 1, "file_tag": "7|12|100"}),
+            json!({"syscall": "read", "tid": 2, "file_tag": "7|12|100"}),
+            json!({"syscall": "write", "tid": 1, "file_tag": "7|12|900"}),
+            json!({"syscall": "pread64", "tid": 1, "file_tag": "7|12|900"}),
+            json!({"syscall": "read", "tid": 2, "file_tag": "7|12|900"}),
+        ];
+        let data_path = AtomReads { generation: true, first_read: true, follows: false };
+        let (mut full, mut lean) = (StreamState::default(), StreamState::reading(data_path));
+        for doc in &stream {
+            let (a, b) = (full.advance(doc), lean.advance(doc));
+            assert_eq!((a.generation, a.first_read), (b.generation, b.first_read), "{doc}");
+            assert_eq!(b.prev_syscall, None);
+        }
+        assert!(lean.last_syscall_by_tid.is_empty() && lean.tags.len() == 2);
+        let mut none = StreamState::reading(AtomReads::default());
+        assert!(stream.iter().all(|doc| none.advance(doc).generation.is_none()));
+        assert!(none.tags.is_empty() && none.inodes.is_empty());
     }
 
     /// The typed event and its document evaluate alike, the tag included:

@@ -89,13 +89,13 @@ impl From<VerifyError> for AttachError {
 /// The engine of a diagnosed session: the shipped rule files
 /// (`rules/*.dio`), their windows [`DiagnoseConfig::window_ns`] wide, then
 /// the session's `configured` sets — a custom rule adds to the shipped
-/// verdicts, it never replaces them.
+/// verdicts, it never replaces them. All of them are installed as one
+/// [`RuleSet::join`]ed set, so window rules of any file with one `(width,
+/// slide, key field)` route an event once between them.
 pub fn diagnosis_engine(config: DiagnoseConfig, configured: Vec<RuleSet>) -> Arc<DiagnosisEngine> {
     let shipped = dio_rules::shipped::compile_all(config.window_ns);
     let engine = DiagnosisEngine::new(config);
-    for set in shipped.into_iter().chain(configured) {
-        engine.install_detector(Box::new(set));
-    }
+    engine.install_detector(Box::new(RuleSet::join(shipped.into_iter().chain(configured))));
     engine
 }
 
@@ -1463,7 +1463,7 @@ mod tests {
             fn name(&self) -> &str {
                 "doors"
             }
-            fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) {
+            fn observe(&mut self, event: &dyn EventView, _out: &mut Vec<Alert>) -> bool {
                 // Only a typed event holds its tag as a tag; a document
                 // spells it as a string.
                 let door = match event.scalar(Field::FileTag) {
@@ -1471,6 +1471,7 @@ mod tests {
                     _ => 1,
                 };
                 self.0[door].fetch_add(1, Ordering::Relaxed);
+                false
             }
             fn evaluate_ready(&mut self, _out: &mut Vec<Alert>) {}
             fn evaluate_all(&mut self, _out: &mut Vec<Alert>) {}

@@ -657,3 +657,146 @@ proptest! {
         prop_assert_eq!((stats.observed, stats.evaluated, stats.late_events), (events, events, 0));
     }
 }
+
+// ------------------------------------------- shared routers, one per rule
+
+/// Every shipped rule and every rule of [`EXTRA_RULES`], each compiled alone
+/// and installed as its own detector, in the order the session's engine holds
+/// them: one window router per window rule, one stream state per stream rule.
+fn engine_of_lone_rules() -> Arc<dio_diagnose::DiagnosisEngine> {
+    let engine = dio_diagnose::DiagnosisEngine::new(DiagnoseConfig::default());
+    let sources = shipped::ALL.iter().map(|&(_, src)| src).chain([EXTRA_RULES]);
+    for src in sources {
+        for rule in dio_rules::parse_rules(src).expect("rules parse").rules {
+            let alone = dio_rules::RuleFile { rules: vec![rule] };
+            let set = dio_rules::compile_file(&alone).expect("a rule verifies alone");
+            assert!(set.routers() <= 1);
+            engine.install_detector(Box::new(set));
+        }
+    }
+    engine
+}
+
+/// [`eventful_stream`] spread over two to four per-CPU queues — one of them
+/// sparse — and drained round-robin, a random run from each queue per drain:
+/// the sparse queue runs the watermark seconds ahead of the dense ones, so
+/// events of windows already sealed arrive in later drains.
+fn per_cpu_drains(seed: u64) -> Vec<Vec<SyscallEvent>> {
+    let mut d = Draw(seed ^ 0xC9_0DE5);
+    let mut queues: Vec<std::collections::VecDeque<SyscallEvent>> =
+        (0..2 + d.below(3)).map(|_| Default::default()).collect();
+    for event in eventful_stream(seed) {
+        // Queue 0 gets one event in twelve.
+        let cpu = if d.below(12) == 0 { 0 } else { 1 + d.below(queues.len() - 1) };
+        queues[cpu].push_back(event);
+    }
+    let mut drains = Vec::new();
+    while queues.iter().any(|queue| !queue.is_empty()) {
+        let mut drain = Vec::new();
+        for queue in &mut queues {
+            let run = (1 + d.below(24)).min(queue.len());
+            drain.extend(queue.drain(..run));
+        }
+        drains.push(drain);
+    }
+    drains
+}
+
+/// What an engine tells of one run: its fresh alerts per drain, its alert
+/// log and end-of-stream alerts as documents (`seq` included), its rule
+/// reports and counters.
+fn run_engine(
+    engine: &dio_diagnose::DiagnosisEngine,
+    drains: &[Vec<SyscallEvent>],
+) -> (Vec<Value>, Vec<Value>, Vec<Value>, Vec<Value>, EngineStats) {
+    let documents = |alerts: Vec<Alert>| alerts.iter().map(Alert::to_document).collect::<Vec<_>>();
+    let mut fresh = Vec::new();
+    for (i, drain) in drains.iter().enumerate() {
+        let pressure = if i % 9 == 4 { 0.9 } else { 0.0 };
+        fresh.extend(documents(engine.observe_batch_with_pressure(drain, pressure)));
+    }
+    let finish = documents(engine.finish());
+    (fresh, documents(engine.alerts()), finish, engine.dynamic_reports(), engine.stats())
+}
+
+/// The session's engine routes each window shape once for all its rules;
+/// the same rules installed one by one route once per rule. Over streams
+/// drained out of order, so that every router refuses late events, the two
+/// raise the same alerts in the same order with the same sequence numbers,
+/// and report and count alike.
+#[test]
+fn shared_routers_judge_as_one_router_per_rule() {
+    let mut with_late = 0;
+    for seed in 0..256u64 {
+        let drains = per_cpu_drains(seed);
+        let extra = dio_rules::compile(EXTRA_RULES).expect("rules verify");
+        let shared = run_engine(
+            &dio_tracer::diagnosis_engine(DiagnoseConfig::default(), vec![extra]),
+            &drains,
+        );
+        let alone = run_engine(&engine_of_lone_rules(), &drains);
+        assert_eq!(shared.0, alone.0, "fresh alerts, seed {seed}");
+        assert_eq!(shared.1, alone.1, "alert log, seed {seed}");
+        assert_eq!(shared.2, alone.2, "end-of-stream alerts, seed {seed}");
+        assert_eq!(shared.3, alone.3, "rule reports, seed {seed}");
+        assert_eq!(shared.4, alone.4, "engine counters, seed {seed}");
+        assert!(!shared.1.is_empty(), "seed {seed} raised nothing");
+        with_late += usize::from(shared.4.late_events > 0);
+    }
+    assert!(with_late >= 200, "only {with_late} of 256 streams had a late event");
+}
+
+/// The shipped files hold four window rules over two shapes: an unkeyed one
+/// second (`contention_skew`) and one second `by class` (`error_rate`,
+/// `rate_spike`, `rate_collapse`). Joined they route an event through two
+/// routers, where one router per rule took four.
+#[test]
+fn the_shipped_rules_route_an_event_through_two_routers() {
+    let window_ns = DiagnoseConfig::default().window_ns;
+    let joined = RuleSet::join(shipped::compile_all(window_ns));
+    assert_eq!(joined.routers(), 2);
+    let window_rules = joined.reports().iter().filter(|r| r["trigger"] == "window").count();
+    assert_eq!(window_rules, 4);
+    let per_file: Vec<usize> =
+        shipped::compile_all(window_ns).iter().map(RuleSet::routers).collect();
+    assert_eq!(per_file, [0, 1, 1, 1], "rate_spike and rate_collapse share within their file");
+}
+
+/// Sharing a router leaves what the windows report as it was: the
+/// `diagnose.windows.open` gauge and each rule's `open_windows` count a
+/// shared router once per rule that reads it.
+#[test]
+fn open_windows_read_as_with_one_router_per_rule() {
+    let registry = dio_telemetry::MetricsRegistry::new();
+    let shared = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
+    shared.bind_telemetry(&registry);
+    let alone = dio_diagnose::DiagnosisEngine::new(DiagnoseConfig::default());
+    for set in shipped::compile_all(DiagnoseConfig::default().window_ns) {
+        alone.install_detector(Box::new(set));
+    }
+    let alone_registry = dio_telemetry::MetricsRegistry::new();
+    alone.bind_telemetry(&alone_registry);
+    let events: Vec<SyscallEvent> = eventful_stream(11).into_iter().take(300).collect();
+    for drain in events.chunks(32) {
+        shared.observe_batch(drain);
+        alone.observe_batch(drain);
+        let open = |registry: &dio_telemetry::MetricsRegistry| {
+            registry.snapshot().gauge("diagnose.windows.open")
+        };
+        assert_eq!(open(&registry), open(&alone_registry));
+        assert_eq!(shared.dynamic_reports(), alone.dynamic_reports());
+    }
+    let open: Vec<u64> = shared
+        .dynamic_reports()
+        .iter()
+        .filter(|r| r["trigger"] == "window")
+        .map(|r| r["open_windows"].as_u64().unwrap())
+        .collect();
+    assert_eq!(open.len(), 4);
+    assert!(open.iter().all(|&n| n > 0), "every window rule has a window open: {open:?}");
+    assert_eq!(
+        registry.snapshot().gauge("diagnose.windows.open"),
+        open.iter().sum::<u64>(),
+        "the gauge counts the shared class router once per rule"
+    );
+}

@@ -328,17 +328,24 @@ impl<'a> TagRef<'a> {
     fn of(value: Scalar<'a>) -> Option<TagRef<'a>> {
         match value {
             Scalar::Tag(tag) => Some(TagRef::Tag(tag)),
-            Scalar::Str(text) if !text.is_empty() => Some(match text.parse::<FileTag>() {
-                // Parsed, the parts are decimal numbers; one the tag would
-                // render alike has no sign and no leading zero.
-                Ok(tag) if text.split('|').all(|n| n == "0" || !n.starts_with(['+', '0'])) => {
-                    TagRef::Tag(tag)
-                }
-                _ => TagRef::Text(text),
-            }),
+            Scalar::Str(text) if !text.is_empty() => {
+                Some(canonical_tag(text).map_or(TagRef::Text(text), TagRef::Tag))
+            }
             _ => None,
         }
     }
+}
+
+/// The tag `text` spells, if a tag renders as `text`: three decimal numbers
+/// without a sign or a leading zero. Parsing allocates nothing, whatever the
+/// text (`FileTag`'s `FromStr` copies it into its error).
+fn canonical_tag(text: &str) -> Option<FileTag> {
+    let mut parts = text.split('|').map(|n| {
+        let canonical = n == "0" || !n.starts_with(['+', '0']);
+        n.parse::<u64>().ok().filter(|_| canonical)
+    });
+    let tag = FileTag::new(parts.next()??, parts.next()??, parts.next()??);
+    parts.next().is_none().then_some(tag)
 }
 
 /// What the miner keeps of a tag: the last operation on it, and its graph
@@ -981,6 +988,17 @@ mod tests {
         let nodes: Vec<(&str, u64)> =
             snap.global.nodes.iter().map(|n| (n.syscall.as_str(), n.count)).collect();
         assert_eq!(nodes, [("read", 1), ("write", 1), ("lseek", 1), ("close", 3), ("fsync", 1)]);
+    }
+
+    #[test]
+    fn a_tag_is_read_only_from_its_own_spelling() {
+        for tag in [FileTag::new(0, 0, 0), FileTag::new(7, 12, 100), FileTag::new(u64::MAX, 1, 2)] {
+            assert_eq!(canonical_tag(&tag.to_string()), Some(tag));
+        }
+        for odd in ["7|12", "7|12|100|1", "7||100", "07|12|100", "+7|12|100", "8:1|42|7"] {
+            assert_eq!(canonical_tag(odd), None, "{odd}");
+        }
+        assert_eq!(canonical_tag("18446744073709551616|1|2"), None, "past u64");
     }
 
     #[test]

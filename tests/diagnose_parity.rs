@@ -764,39 +764,33 @@ fn the_shipped_rules_route_an_event_through_two_routers() {
 
 /// Sharing a router leaves what the windows report as it was: the
 /// `diagnose.windows.open` gauge and each rule's `open_windows` count a
-/// shared router once per rule that reads it.
+/// shared router once per rule that reads it, drain by drain.
 #[test]
 fn open_windows_read_as_with_one_router_per_rule() {
-    let registry = dio_telemetry::MetricsRegistry::new();
-    let shared = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), Vec::new());
+    let extra = dio_rules::compile(EXTRA_RULES).expect("rules verify");
+    let shared = dio_tracer::diagnosis_engine(DiagnoseConfig::default(), vec![extra]);
+    let alone = engine_of_lone_rules();
+    let (registry, alone_registry) =
+        (dio_telemetry::MetricsRegistry::new(), dio_telemetry::MetricsRegistry::new());
     shared.bind_telemetry(&registry);
-    let alone = dio_diagnose::DiagnosisEngine::new(DiagnoseConfig::default());
-    for set in shipped::compile_all(DiagnoseConfig::default().window_ns) {
-        alone.install_detector(Box::new(set));
-    }
-    let alone_registry = dio_telemetry::MetricsRegistry::new();
     alone.bind_telemetry(&alone_registry);
+    let open = |registry: &dio_telemetry::MetricsRegistry| {
+        registry.snapshot().gauge("diagnose.windows.open")
+    };
     let events: Vec<SyscallEvent> = eventful_stream(11).into_iter().take(300).collect();
     for drain in events.chunks(32) {
         shared.observe_batch(drain);
         alone.observe_batch(drain);
-        let open = |registry: &dio_telemetry::MetricsRegistry| {
-            registry.snapshot().gauge("diagnose.windows.open")
-        };
         assert_eq!(open(&registry), open(&alone_registry));
         assert_eq!(shared.dynamic_reports(), alone.dynamic_reports());
     }
-    let open: Vec<u64> = shared
-        .dynamic_reports()
-        .iter()
-        .filter(|r| r["trigger"] == "window")
-        .map(|r| r["open_windows"].as_u64().unwrap())
-        .collect();
-    assert_eq!(open.len(), 4);
-    assert!(open.iter().all(|&n| n > 0), "every window rule has a window open: {open:?}");
-    assert_eq!(
-        registry.snapshot().gauge("diagnose.windows.open"),
-        open.iter().sum::<u64>(),
-        "the gauge counts the shared class router once per rule"
-    );
+    let reports = shared.dynamic_reports();
+    let windowed = reports.iter().filter(|r| r["trigger"] == "window");
+    let open_per_rule: Vec<u64> =
+        windowed.clone().map(|r| r["open_windows"].as_u64().unwrap()).collect();
+    assert_eq!(open(&registry), open_per_rule.iter().sum::<u64>());
+    let class_rules = windowed.filter(|r| r["key"] == "class");
+    let class_open: Vec<u64> = class_rules.map(|r| r["open_windows"].as_u64().unwrap()).collect();
+    assert_eq!(class_open.len(), 3, "error_rate, rate_spike and rate_collapse");
+    assert!(class_open[0] > 0 && class_open.iter().all(|&n| n == class_open[0]), "{class_open:?}");
 }
